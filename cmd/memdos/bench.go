@@ -185,10 +185,7 @@ var microBenches = []struct {
 	{"cluster/step-256-hosts", benchClusterStep},
 	{"probe/find-contested", benchFindContested},
 	{"dnn/train-step", benchDNNTrainStep},
-	{"dnn/infer", benchDNNInfer},
-	{"dnn/infer-looped", benchDNNInferLooped},
 	{"dnn/infer-batched", benchDNNInferBatched},
-	{"dnn/infer-batched-int8", benchDNNInferBatchedInt8},
 	{"ingest/decode-batch", benchDecodeBatch},
 	{"ingest/stream", benchIngestStream},
 	{"analysis/vet-repo", benchVetRepo},

@@ -8,8 +8,8 @@ import (
 )
 
 // DNN hot-path benchmarks for the regression gate: one full training
-// step (forward, loss, backward, Adam) and one inference forward over
-// the compact LSTM-FCN. Both run on layer workspace arenas and must stay
+// step (forward, loss, backward, Adam) over the compact LSTM-FCN, and the
+// compiled batch scorer. Both run on workspace arenas and must stay
 // allocation-free in steady state — the gate's alloc comparison watches
 // that as much as the timing.
 
@@ -44,30 +44,12 @@ func benchDNNTrainStep(b *testing.B) {
 	}
 }
 
-func benchDNNInfer(b *testing.B) {
-	s, x, _ := benchDNNSetup(b)
-	s.M.Forward(x, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.M.Forward(x, false)
-	}
-}
-
-// Batched cascade scoring benchmarks: the production inference service's
-// hot path. dnn/infer-looped is the pre-scorer reference (per-window
-// float64 graph forward through both cascade stages); dnn/infer-batched
-// is the compiled batch scorer over the same 256 windows and must hold
-// roughly an order of magnitude over it, at 0 allocs/op steady state.
-// dnn/infer-batched-int8 tracks the quantized variant so the tradeoff
-// stays measured rather than assumed.
+// dnn/infer-batched is the production inference service's hot path: the
+// compiled batch scorer over 256 windows, at 0 allocs/op steady state.
 
 const scoreBenchBatch, scoreBenchWindow = 256, 50
 
-// benchScorerSetup builds a compact cascade with fitted normalization
-// plus one synthetic 256-window batch, in both nested and flat layouts.
-func benchScorerSetup(b *testing.B, quant bool) (*dnn.Cascade, *dnn.BatchScorer, [][][]float64, []float64) {
-	b.Helper()
+func benchDNNInferBatched(b *testing.B) {
 	rng := sim.NewRNG(79)
 	c, err := dnn.NewCascade(2, dnn.CompactLSTMFCNConfig, sim.NewRNG(80))
 	if err != nil {
@@ -88,43 +70,13 @@ func benchScorerSetup(b *testing.B, quant bool) (*dnn.Cascade, *dnn.BatchScorer,
 	if c.Norm, err = dnn.FitChannelNorm(windows); err != nil {
 		b.Fatal(err)
 	}
-	s, err := c.Scorer(scoreBenchWindow, dnn.ScorerOptions{Int8: quant})
+	s, err := c.Scorer(scoreBenchWindow, dnn.ScorerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c, s, windows, flat
-}
-
-func benchDNNInferLooped(b *testing.B) {
-	c, _, windows, _ := benchScorerSetup(b, false)
-	c.ClassifyGraph(windows[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range windows {
-			c.ClassifyGraph(w)
-		}
-	}
-	b.ReportMetric(scoreBenchBatch*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
-}
-
-func benchDNNInferBatched(b *testing.B) {
-	_, s, _, flat := benchScorerSetup(b, false)
 	apps := make([]int, scoreBenchBatch)
 	attacks := make([]int, scoreBenchBatch)
 	s.ScoreFlat(scoreBenchBatch, flat, apps, attacks) // warm the arenas
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScoreFlat(scoreBenchBatch, flat, apps, attacks)
-	}
-	b.ReportMetric(scoreBenchBatch*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
-}
-
-func benchDNNInferBatchedInt8(b *testing.B) {
-	_, s, _, flat := benchScorerSetup(b, true)
-	apps := make([]int, scoreBenchBatch)
-	attacks := make([]int, scoreBenchBatch)
-	s.ScoreFlat(scoreBenchBatch, flat, apps, attacks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

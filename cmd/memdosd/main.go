@@ -13,14 +13,13 @@
 //	        [-shards 0] [-queue 4096] [-policy drop|block] [-merge-gap 2]
 //	        [-respond] [-respond-tick 1s]
 //	        [-score-model cascade.bin] [-score-window 0] [-score-stride 0]
-//	        [-score-batch 64] [-score-queue 1024] [-score-int8] [-score-workers 0]
+//	        [-score-batch 64] [-score-queue 1024] [-score-workers 0]
 //
 // With -score-model the daemon loads a saved LSTM-FCN cascade and runs
 // it as a batched scoring service: shard goroutines assemble per-session
 // sliding counter windows, a scorer goroutine classifies them in fused
 // batches, and the latest verdict appears as "cascade" in the
-// /v1/sessions views next to the detector state. -score-int8 trades a
-// little accuracy for quantized conv/dense kernels; memdos_dnn_* metrics
+// /v1/sessions views next to the detector state; memdos_dnn_* metrics
 // track throughput, batch fill, queue depth and sheds.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
@@ -91,7 +90,6 @@ func run(args []string) error {
 	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = window, non-overlapping)")
 	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
 	scoreQueue := fs.Int("score-queue", 0, "scoring queue capacity in windows (0 = 1024)")
-	scoreInt8 := fs.Bool("score-int8", false, "quantize the cascade's conv/dense GEMMs to int8")
 	scoreWorkers := fs.Int("score-workers", 0, "kernel worker goroutines for batched inference (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,7 +117,7 @@ func run(args []string) error {
 		if *scoreWorkers > 0 {
 			dnn.SetKernelWorkers(*scoreWorkers)
 		}
-		cs, err := daemon.LoadCascadeScorer(*scoreModel, *scoreWindow, dnn.ScorerOptions{Int8: *scoreInt8})
+		cs, err := daemon.LoadCascadeScorer(*scoreModel, *scoreWindow, dnn.ScorerOptions{})
 		if err != nil {
 			return err
 		}
@@ -127,7 +125,7 @@ func run(args []string) error {
 		if err := hub.AttachScorer(cs, scfg); err != nil {
 			return err
 		}
-		fmt.Printf("memdosd: batched cascade scoring on (window %d, int8 %v)\n", cs.Window(), *scoreInt8)
+		fmt.Printf("memdosd: batched cascade scoring on (window %d)\n", cs.Window())
 	}
 
 	var eng *respond.Engine

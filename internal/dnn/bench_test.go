@@ -42,16 +42,6 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-func BenchmarkInfer(b *testing.B) {
-	s, x, _ := benchStepper(b, 32, 50)
-	s.M.Forward(x, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.M.Forward(x, false)
-	}
-}
-
 func BenchmarkLSTMForwardBackward(b *testing.B) {
 	rng := sim.NewRNG(80)
 	l := NewLSTM(32, 32, sim.NewRNG(81))

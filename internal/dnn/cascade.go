@@ -151,8 +151,7 @@ func (c *Cascade) Classify(window [][]float64) (app, attackClass int) {
 
 // ClassifyGraph runs the cascade through the float64 training graph: the
 // unbatched reference implementation Classify's compiled path is
-// validated (TestScorerMatchesGraph) and benchmarked (dnn/infer-looped)
-// against.
+// validated against (TestScorerMatchesGraph).
 func (c *Cascade) ClassifyGraph(window [][]float64) (app, attackClass int) {
 	norm := c.Norm.Apply(window)
 	app = c.classifyOne(c.App, norm)

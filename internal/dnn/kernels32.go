@@ -20,9 +20,7 @@ package dnn
 // accumulator chain — identical in every register-block shape of the
 // assembly kernel — and the tile-parallel path shards output rows only
 // (forkRows), never the k-loop. Results are therefore byte-identical at
-// workers=1 vs N and independent of batch size. The int8 path
-// accumulates in exact integer arithmetic, so it is trivially
-// deterministic.
+// workers=1 vs N and independent of batch size.
 
 import "math"
 
@@ -94,45 +92,6 @@ func sgemmGeneric(m, n, k int, a []float32, lda int, bm []float32, ldb int, c []
 			}
 		}
 	}
-}
-
-// i8NTBlock computes C += A·Bᵀ in int32 over int8 operands: the
-// quantized GEMM. It keeps the NT layout (B rows are weight channels,
-// each output a dot product) because VPMADDWD is a horizontal pairwise
-// instruction — the natural int8 shape is the opposite of the float32
-// one. The assembly kernel handles the 16-aligned k-prefix for the whole
-// panel (VPMOVSXBW + VPMADDWD, the widened A chunk shared across four B
-// columns); the scalar loop finishes the tail and is the full fallback.
-// Integer accumulation is exact, so the split cannot change the result.
-func i8NTBlock(m, n, k int, a []int8, lda int, bm []int8, ldb int, c []int32, ldc int) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	k16 := 0
-	if f32SIMD && k >= 16 {
-		k16 = k &^ 15
-		i8NTBlockAVX2(&a[0], lda, &bm[0], ldb, &c[0], ldc, m, n, k16)
-	}
-	if k16 == k {
-		return
-	}
-	for i := 0; i < m; i++ {
-		ar := a[i*lda : i*lda+k]
-		cr := c[i*ldc : i*ldc+n]
-		for j := 0; j < n; j++ {
-			br := bm[j*ldb : j*ldb+k]
-			var s int32
-			for kc := k16; kc < k; kc++ {
-				s += int32(ar[kc]) * int32(br[kc])
-			}
-			cr[j] += s
-		}
-	}
-}
-
-// i8NTRow is the single-row panel of i8NTBlock.
-func i8NTRow(a, bm []int8, ldb int, c []int32, n, k int) {
-	i8NTBlock(1, n, k, a, k, bm, ldb, c, n)
 }
 
 // sbiasRows initializes each of the m rows of C (ldc) to the bias vector

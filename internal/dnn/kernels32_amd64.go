@@ -104,7 +104,8 @@ func xgetbv0() (eax, edx uint32)
 
 // f32NNBlockFMA computes C[i][j] += A[i]·B[·][j] for i in [0,m), j in
 // [0,n), with B stored [k][n] and ldb its row stride. Register-blocked
-// two A rows by sixteen B columns; epi != 0 fuses ReLU into the store.
+// four A rows by sixteen B columns, leftover rows one at a time; epi != 0
+// fuses ReLU into the store.
 // Every output element accumulates in strictly ascending k order through
 // a single FMA chain in every block shape, so results are byte-identical
 // to any other call shape that reaches the same (A row, B) pair: the
@@ -130,14 +131,3 @@ func sigmoidAVX2(x *float32, n int)
 //
 //go:noescape
 func tanhAVX2(x *float32, n int)
-
-// i8NTBlockAVX2 computes C[i][j] += Σ A[i][kc]·B[j][kc] over int8
-// inputs with int32 accumulation, for kc in [0,k16) where k16 is a
-// multiple of 16 (the caller handles the remainder in scalar code).
-// Widening is VPMOVSXBW into 16-bit lanes shared across four B columns,
-// then VPMADDWD pairwise multiply-add, which cannot overflow:
-// |a·b| <= 127·127 and the pairwise sum stays within int32 for any
-// realistic k.
-//
-//go:noescape
-func i8NTBlockAVX2(a *int8, lda int, b *int8, ldb int, c *int32, ldc int, m, n, k16 int)

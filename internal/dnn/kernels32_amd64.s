@@ -2,7 +2,7 @@
 // kernels32.go for the determinism contract. In the NN-form GEMM every
 // output element lives in one vector lane end to end: it accumulates its
 // k-terms in strictly ascending k order through a single FMA chain, in
-// every register-block shape below (4-row, 2-row and 1-row variants), so
+// every register-block shape below (4-row and 1-row variants), so
 // a given (A row, B matrix) pair produces bit-identical results no
 // matter how the call was batched, blocked, or sharded.
 
@@ -51,14 +51,16 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // func f32NNBlockFMA(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, m, n, k, epi int)
 //
 // C[i][j] += sum over kc of A[i][kc]*B[kc][j] for i in [0,m), j in
-// [0,n), with B stored [k][n]. Register blocking: two A rows by sixteen
-// B columns, each k step a pair of broadcast A scalars FMA'd against two
-// B row vectors into four accumulators; column remainders (<16) run
-// masked eight at a time, row remainders single-row. epi != 0 fuses a
-// ReLU (max with zero) into the store.
+// [0,n), with B stored [k][n]. Register blocking: four A rows by sixteen
+// B columns, each k step four broadcast A scalars FMA'd against two B
+// row vectors into eight accumulators; column remainders (<16) run as
+// one full vector, one masked vector, or both in the same k pass (a
+// narrow convolution panel pays its A broadcasts once); the 1..3 rows
+// left after the last 4-row panel run single-row. epi != 0 fuses a ReLU
+// (max with zero) into the store.
 //
 // Persistent registers: R11 = i, SI = j, Y13 = packed zeros. Everything
-// else reloads from the frame per block, keeping the four block bodies
+// else reloads from the frame per block, keeping the block bodies
 // self-contained.
 TEXT ·f32NNBlockFMA(SB), NOSPLIT, $0-80
 	VXORPS Y13, Y13, Y13
@@ -68,16 +70,10 @@ row_loop:
 	MOVQ m+48(FP), DX
 	LEAQ 3(R11), AX
 	CMPQ AX, DX
-	JL   p4_row            // 4+ rows left
-	LEAQ 1(R11), AX
-	CMPQ AX, DX
-	JGE  row_single        // 0 or 1 rows left
-	XORQ SI, SI
-	JMP  p2_col
+	JGE  row_single        // 0..3 rows left: finish them one at a time
 
 	// ==== 4-row panel: amortizes each B row load over four A
-	// broadcasts, halving per-MAC overhead vs the 2-row bodies ====
-p4_row:
+	// broadcasts ====
 	XORQ SI, SI
 
 p4_col:
@@ -428,272 +424,6 @@ p4_done:
 	ADDQ $4, R11
 	JMP  row_loop
 
-p2_col:
-	MOVQ n+56(FP), DX
-	LEAQ 15(SI), AX
-	CMPQ AX, DX
-	JGE  p2_coltail
-
-	// ---- 2x16 block ----
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	LEAQ  (DI)(AX*4), DI   // a0 = a + i*lda
-	LEAQ  (DI)(DX*4), R15  // a1 = a0 + lda
-	MOVQ  b+16(FP), BX
-	LEAQ  (BX)(SI*4), BX   // b + j
-	MOVQ  ldb+24(FP), DX
-	SHLQ  $2, DX           // ldb in bytes
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   k+64(FP), R9
-	XORQ   AX, AX
-
-b216_loop:
-	VBROADCASTSS (DI)(AX*4), Y8
-	VBROADCASTSS (R15)(AX*4), Y9
-	VMOVUPS      (BX), Y10
-	VMOVUPS      32(BX), Y11
-	VFMADD231PS  Y10, Y8, Y0
-	VFMADD231PS  Y11, Y8, Y1
-	VFMADD231PS  Y10, Y9, Y2
-	VFMADD231PS  Y11, Y9, Y3
-	INCQ         AX
-	ADDQ         DX, BX
-	CMPQ         AX, R9
-	JL           b216_loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX   // c0 = c + i*ldc + j
-	SHLQ  $2, DX
-	LEAQ  (CX)(DX*1), R10  // c1
-	VADDPS (CX), Y0, Y0
-	VADDPS 32(CX), Y1, Y1
-	VADDPS (R10), Y2, Y2
-	VADDPS 32(R10), Y3, Y3
-	MOVQ   epi+72(FP), AX
-	TESTQ  AX, AX
-	JZ     b216_store
-	VMAXPS Y13, Y0, Y0
-	VMAXPS Y13, Y1, Y1
-	VMAXPS Y13, Y2, Y2
-	VMAXPS Y13, Y3, Y3
-
-b216_store:
-	VMOVUPS Y0, (CX)
-	VMOVUPS Y1, 32(CX)
-	VMOVUPS Y2, (R10)
-	VMOVUPS Y3, 32(R10)
-	ADDQ    $16, SI
-	JMP     p2_col
-
-p2_coltail:
-	MOVQ n+56(FP), DX
-	CMPQ SI, DX
-	JGE  p2_done
-	SUBQ SI, DX            // cols left
-	CMPQ DX, $8
-	JG   p2_col8m          // 9..15: one full vector + one masked
-	JE   p2_col8
-
-	// ---- 2 x rem (1..7, masked) block ----
-	MOVQ    $8, R8
-	CMPQ    DX, R8
-	CMOVQGT R8, DX         // rem = min(left, 8)
-	MOVQ    DX, R14
-	LEAQ    maskTab<>+32(SB), R10
-	SHLQ    $2, DX
-	SUBQ    DX, R10
-	VMOVUPS (R10), Y12
-
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	LEAQ  (DI)(AX*4), DI
-	LEAQ  (DI)(DX*4), R15
-	MOVQ  b+16(FP), BX
-	LEAQ  (BX)(SI*4), BX
-	MOVQ  ldb+24(FP), DX
-	SHLQ  $2, DX
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y2, Y2, Y2
-	MOVQ   k+64(FP), R9
-	XORQ   AX, AX
-
-b2m_loop:
-	VBROADCASTSS (DI)(AX*4), Y8
-	VBROADCASTSS (R15)(AX*4), Y9
-	VMASKMOVPS   (BX), Y12, Y10
-	VFMADD231PS  Y10, Y8, Y0
-	VFMADD231PS  Y10, Y9, Y2
-	INCQ         AX
-	ADDQ         DX, BX
-	CMPQ         AX, R9
-	JL           b2m_loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX
-	SHLQ  $2, DX
-	LEAQ  (CX)(DX*1), R10
-	VMASKMOVPS (CX), Y12, Y8
-	VADDPS     Y8, Y0, Y0
-	VMASKMOVPS (R10), Y12, Y9
-	VADDPS     Y9, Y2, Y2
-	MOVQ       epi+72(FP), AX
-	TESTQ      AX, AX
-	JZ         b2m_store
-	VMAXPS     Y13, Y0, Y0
-	VMAXPS     Y13, Y2, Y2
-
-b2m_store:
-	VMASKMOVPS Y0, Y12, (CX)
-	VMASKMOVPS Y2, Y12, (R10)
-	ADDQ       R14, SI
-	JMP        p2_coltail
-
-	// ---- 2x8 (full-vector remainder) block ----
-p2_col8:
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	LEAQ  (DI)(AX*4), DI
-	LEAQ  (DI)(DX*4), R15
-	MOVQ  b+16(FP), BX
-	LEAQ  (BX)(SI*4), BX
-	MOVQ  ldb+24(FP), DX
-	SHLQ  $2, DX
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y2, Y2, Y2
-	MOVQ   k+64(FP), R9
-	XORQ   AX, AX
-
-b28_loop:
-	VBROADCASTSS (DI)(AX*4), Y8
-	VBROADCASTSS (R15)(AX*4), Y9
-	VMOVUPS      (BX), Y10
-	VFMADD231PS  Y10, Y8, Y0
-	VFMADD231PS  Y10, Y9, Y2
-	INCQ         AX
-	ADDQ         DX, BX
-	CMPQ         AX, R9
-	JL           b28_loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX
-	SHLQ  $2, DX
-	LEAQ  (CX)(DX*1), R10
-	VADDPS (CX), Y0, Y0
-	VADDPS (R10), Y2, Y2
-	MOVQ   epi+72(FP), AX
-	TESTQ  AX, AX
-	JZ     b28_store
-	VMAXPS Y13, Y0, Y0
-	VMAXPS Y13, Y2, Y2
-
-b28_store:
-	VMOVUPS Y0, (CX)
-	VMOVUPS Y2, (R10)
-	ADDQ    $8, SI
-	JMP     p2_coltail
-
-	// ---- 2 x (8+rem) combined block, 9..15 columns ----
-	// One full b vector plus one masked vector in the same k pass: a
-	// narrow-n panel (the convolution widths) pays the A broadcasts once
-	// instead of twice.
-p2_col8m:
-	MOVQ    DX, R14        // advance = cols left
-	SUBQ    $8, DX         // rem = left - 8 (1..7)
-	LEAQ    maskTab<>+32(SB), R10
-	SHLQ    $2, DX
-	SUBQ    DX, R10
-	VMOVUPS (R10), Y12
-
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	LEAQ  (DI)(AX*4), DI
-	LEAQ  (DI)(DX*4), R15
-	MOVQ  b+16(FP), BX
-	LEAQ  (BX)(SI*4), BX
-	MOVQ  ldb+24(FP), DX
-	SHLQ  $2, DX
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   k+64(FP), R9
-	XORQ   AX, AX
-
-b28m_loop:
-	VBROADCASTSS (DI)(AX*4), Y8
-	VBROADCASTSS (R15)(AX*4), Y9
-	VMOVUPS      (BX), Y10
-	VMASKMOVPS   32(BX), Y12, Y11
-	VFMADD231PS  Y10, Y8, Y0
-	VFMADD231PS  Y11, Y8, Y1
-	VFMADD231PS  Y10, Y9, Y2
-	VFMADD231PS  Y11, Y9, Y3
-	INCQ         AX
-	ADDQ         DX, BX
-	CMPQ         AX, R9
-	JL           b28m_loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX
-	SHLQ  $2, DX
-	LEAQ  (CX)(DX*1), R10
-	VADDPS     (CX), Y0, Y0
-	VMASKMOVPS 32(CX), Y12, Y8
-	VADDPS     Y8, Y1, Y1
-	VADDPS     (R10), Y2, Y2
-	VMASKMOVPS 32(R10), Y12, Y9
-	VADDPS     Y9, Y3, Y3
-	MOVQ       epi+72(FP), AX
-	TESTQ      AX, AX
-	JZ         b28m_store
-	VMAXPS     Y13, Y0, Y0
-	VMAXPS     Y13, Y1, Y1
-	VMAXPS     Y13, Y2, Y2
-	VMAXPS     Y13, Y3, Y3
-
-b28m_store:
-	VMOVUPS    Y0, (CX)
-	VMASKMOVPS Y1, Y12, 32(CX)
-	VMOVUPS    Y2, (R10)
-	VMASKMOVPS Y3, Y12, 32(R10)
-	ADDQ       R14, SI
-	JMP        p2_coltail
-
-p2_done:
-	ADDQ $2, R11
-	JMP  row_loop
-
 row_single:
 	MOVQ m+48(FP), DX
 	CMPQ R11, DX
@@ -923,157 +653,6 @@ nl_loop:
 	ADDQ $32, DI
 	SUBQ $8, CX
 	JNZ  nl_loop
-	VZEROUPPER
-	RET
-
-// func i8NTBlockAVX2(a *int8, lda int, b *int8, ldb int, c *int32, ldc int, m, n, k16 int)
-//
-// C[i][j] += sum over kc < k16 of A[i][kc]*B[j][kc], int32 accumulation.
-// k16 must be a positive multiple of 16; the Go caller finishes the
-// scalar remainder. One A row by four B rows per block: the sign-extended
-// A chunk (VPMOVSXBW) is shared across the four VPMADDWD columns.
-// Integer adds commute, so there is no schedule to pin — results are
-// exact.
-TEXT ·i8NTBlockAVX2(SB), NOSPLIT, $0-72
-	XORQ R11, R11          // i
-
-i8_row:
-	MOVQ m+48(FP), DX
-	CMPQ R11, DX
-	JGE  i8_done
-	XORQ SI, SI            // j
-
-i8_col4:
-	MOVQ n+56(FP), DX
-	LEAQ 3(SI), AX
-	CMPQ AX, DX
-	JGE  i8_coltail
-
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  AX, DI
-	MOVQ  b+16(FP), BX
-	MOVQ  ldb+24(FP), DX
-	MOVQ  SI, AX
-	IMULQ DX, AX
-	ADDQ  AX, BX
-	LEAQ  (BX)(DX*1), R12
-	LEAQ  (R12)(DX*1), R13
-	LEAQ  (R13)(DX*1), R14
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	MOVQ  k16+64(FP), R9
-	XORQ  AX, AX
-
-i8_b4loop:
-	VPMOVSXBW (DI)(AX*1), Y8
-	VPMOVSXBW (BX)(AX*1), Y10
-	VPMADDWD  Y10, Y8, Y10
-	VPADDD    Y10, Y0, Y0
-	VPMOVSXBW (R12)(AX*1), Y10
-	VPMADDWD  Y10, Y8, Y10
-	VPADDD    Y10, Y1, Y1
-	VPMOVSXBW (R13)(AX*1), Y10
-	VPMADDWD  Y10, Y8, Y10
-	VPADDD    Y10, Y2, Y2
-	VPMOVSXBW (R14)(AX*1), Y10
-	VPMADDWD  Y10, Y8, Y10
-	VPADDD    Y10, Y3, Y3
-	ADDQ      $16, AX
-	CMPQ      AX, R9
-	JL        i8_b4loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX
-
-	VEXTRACTI128 $1, Y0, X8
-	VPADDD       X8, X0, X0
-	VPHADDD      X0, X0, X0
-	VPHADDD      X0, X0, X0
-	VMOVD        X0, DX
-	ADDL         DX, (CX)
-	VEXTRACTI128 $1, Y1, X8
-	VPADDD       X8, X1, X1
-	VPHADDD      X1, X1, X1
-	VPHADDD      X1, X1, X1
-	VMOVD        X1, DX
-	ADDL         DX, 4(CX)
-	VEXTRACTI128 $1, Y2, X8
-	VPADDD       X8, X2, X2
-	VPHADDD      X2, X2, X2
-	VPHADDD      X2, X2, X2
-	VMOVD        X2, DX
-	ADDL         DX, 8(CX)
-	VEXTRACTI128 $1, Y3, X8
-	VPADDD       X8, X3, X3
-	VPHADDD      X3, X3, X3
-	VPHADDD      X3, X3, X3
-	VMOVD        X3, DX
-	ADDL         DX, 12(CX)
-
-	ADDQ $4, SI
-	JMP  i8_col4
-
-i8_coltail:
-	MOVQ n+56(FP), DX
-	CMPQ SI, DX
-	JGE  i8_rownext
-
-	MOVQ  a+0(FP), DI
-	MOVQ  lda+8(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  AX, DI
-	MOVQ  b+16(FP), BX
-	MOVQ  ldb+24(FP), DX
-	MOVQ  SI, AX
-	IMULQ DX, AX
-	ADDQ  AX, BX
-
-	VPXOR Y0, Y0, Y0
-	MOVQ  k16+64(FP), R9
-	XORQ  AX, AX
-
-i8_b1loop:
-	VPMOVSXBW (DI)(AX*1), Y8
-	VPMOVSXBW (BX)(AX*1), Y10
-	VPMADDWD  Y10, Y8, Y10
-	VPADDD    Y10, Y0, Y0
-	ADDQ      $16, AX
-	CMPQ      AX, R9
-	JL        i8_b1loop
-
-	MOVQ  c+32(FP), CX
-	MOVQ  ldc+40(FP), DX
-	MOVQ  R11, AX
-	IMULQ DX, AX
-	ADDQ  SI, AX
-	LEAQ  (CX)(AX*4), CX
-
-	VEXTRACTI128 $1, Y0, X8
-	VPADDD       X8, X0, X0
-	VPHADDD      X0, X0, X0
-	VPHADDD      X0, X0, X0
-	VMOVD        X0, DX
-	ADDL         DX, (CX)
-
-	INCQ SI
-	JMP  i8_coltail
-
-i8_rownext:
-	INCQ R11
-	JMP  i8_row
-
-i8_done:
 	VZEROUPPER
 	RET
 

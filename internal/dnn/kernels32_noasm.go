@@ -21,8 +21,4 @@ func tanhAVX2(x *float32, n int) {
 	panic("dnn: tanhAVX2 called without SIMD support")
 }
 
-func i8NTBlockAVX2(a *int8, lda int, b *int8, ldb int, c *int32, ldc int, m, n, k16 int) {
-	panic("dnn: i8NTBlockAVX2 called without SIMD support")
-}
-
 var normConsts [17 * 8]float32

@@ -46,31 +46,34 @@ func TestSgemmBlockSIMDMatchesGeneric(t *testing.T) {
 	}
 }
 
-// Every register-block shape (2x16, 2xmask, 1x16, 1xmask) must produce
-// the same bits for the same (A row, B column) pair: a panel call must
-// equal per-element 1x1 calls exactly. The 1x1 call lands in the 1xmask
-// body with rem=1, so this crosses every body boundary.
+// Every register-block shape — 4 rows or 1 row by 16 columns, 8, a masked
+// remainder, or 8 plus a masked remainder — must produce the same bits
+// for the same (A row, B column) pair: a panel call must equal
+// per-element 1x1 calls exactly. The 1x1 call lands in the 1-row masked
+// body with rem=1; m = 1..9 covers no 4-row panel, one and two, each
+// with 0 to 3 single rows after it.
 func TestSgemmBlockShapeInvariance(t *testing.T) {
 	if !f32SIMD {
 		t.Skip("no AVX2/FMA on this machine")
 	}
 	rng := sim.NewRNG(17)
-	for _, k := range []int{5, 8, 19, 61} {
-		for _, n := range []int{7, 8, 9, 16, 17, 24, 25, 39} {
-			const m = 7 // odd row count exercises the 1-row tail
-			a := randF32(rng, m*k)
-			bm := randF32(rng, k*n)
-			panel := make([]float32, m*n)
-			single := make([]float32, m*n)
-			f32NNBlockFMA(&a[0], k, &bm[0], n, &panel[0], n, m, n, k, epiAdd)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					f32NNBlockFMA(&a[i*k], k, &bm[j], n, &single[i*n+j], 1, 1, 1, k, epiAdd)
+	for m := 1; m <= 9; m++ {
+		for _, k := range []int{5, 8, 19, 61} {
+			for _, n := range []int{7, 8, 9, 16, 17, 24, 25, 39} {
+				a := randF32(rng, m*k)
+				bm := randF32(rng, k*n)
+				panel := make([]float32, m*n)
+				single := make([]float32, m*n)
+				f32NNBlockFMA(&a[0], k, &bm[0], n, &panel[0], n, m, n, k, epiAdd)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						f32NNBlockFMA(&a[i*k], k, &bm[j], n, &single[i*n+j], 1, 1, 1, k, epiAdd)
+					}
 				}
-			}
-			for i := range panel {
-				if panel[i] != single[i] {
-					t.Fatalf("k=%d n=%d elem %d: panel %v != 1x1 %v", k, n, i, panel[i], single[i])
+				for i := range panel {
+					if panel[i] != single[i] {
+						t.Fatalf("m=%d k=%d n=%d elem %d: panel %v != 1x1 %v", m, k, n, i, panel[i], single[i])
+					}
 				}
 			}
 		}
@@ -140,43 +143,6 @@ func TestSgemmBatchAndWorkerInvariance(t *testing.T) {
 		for i := range ref {
 			if ref[i] != got[i] {
 				t.Fatalf("workers=%d differ at %d: %v vs %v", w, i, ref[i], got[i])
-			}
-		}
-	}
-}
-
-// Integer accumulation is exact: the AVX2 path must equal the scalar
-// reference bit-for-bit.
-func TestI8NTBlockExact(t *testing.T) {
-	rng := sim.NewRNG(13)
-	for _, m := range []int{1, 2, 5} {
-		for _, k := range []int{1, 15, 16, 17, 31, 32, 60, 72, 100} {
-			for _, n := range []int{1, 3, 8, 24} {
-				a := make([]int8, m*k)
-				bm := make([]int8, n*k)
-				for i := range a {
-					a[i] = int8(rng.Intn(255) - 127)
-				}
-				for i := range bm {
-					bm[i] = int8(rng.Intn(255) - 127)
-				}
-				want := make([]int32, m*n)
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						var s int32
-						for kc := 0; kc < k; kc++ {
-							s += int32(a[i*k+kc]) * int32(bm[j*k+kc])
-						}
-						want[i*n+j] = s
-					}
-				}
-				got := make([]int32, m*n)
-				i8NTBlock(m, n, k, a, k, bm, k, got, n)
-				for j := range want {
-					if want[j] != got[j] {
-						t.Fatalf("m=%d k=%d n=%d elem %d: want %d got %d", m, k, n, j, want[j], got[j])
-					}
-				}
 			}
 		}
 	}

@@ -73,6 +73,24 @@ func (c LSTMFCNConfig) Validate() error {
 	return nil
 }
 
+// weights returns how many trainable parameters an LSTMFCN of this
+// configuration holds at window length w — in float64, so dimensions
+// read from an untrusted snapshot cannot overflow the count.
+func (c LSTMFCNConfig) weights(w int) float64 {
+	n, in := 0.0, float64(c.Channels)
+	for i, f := range c.ConvFilters {
+		out := float64(f)
+		n += out*float64(c.Kernels[i])*in + out // convolution w, b
+		n += 2 * out                            // batch-norm gamma, beta
+		in = out
+	}
+	h, k := float64(c.LSTMCells), float64(c.Classes)
+	n += numGates * h * (float64(w) + h + 1) // LSTM wx, wh, b
+	n += h*h + h                             // attention w, v
+	n += (in+h)*k + k                        // output dense w, b
+	return n
+}
+
 // LSTMFCN is the two-branch classifier of Fig. 9: a fully convolutional
 // branch (three conv+BN+ReLU blocks and global average pooling) views the
 // window as a multivariate time series, while the dimension-shuffled

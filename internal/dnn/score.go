@@ -23,48 +23,34 @@ import (
 // input tensor — so only the K/2 edge rows per side are staged into a
 // zero-padded arena.
 //
-// Scoring is split into two stages so a pipeline can overlap them:
-// Prepare normalizes raw counter windows into one of two input slots
-// (the double buffer), Score runs the compiled cascade on a prepared
-// slot. Prepare touches only slot storage and Score only model arenas,
-// so one Prepare may run concurrently with one Score on a different
-// slot; neither may run concurrently with itself.
+// Scoring runs in two steps: Prepare normalizes raw counter windows into
+// the scorer's input slot, Score runs the compiled cascade on it. A
+// scorer has one slot and one set of arenas, so it serves one caller at
+// a time.
 //
-// Determinism: the float32 path inherits the kernel layer's schedule
-// guarantee — every output element accumulates identically regardless of
-// batch size or kernel worker count — so ScoreBatch over N windows is
-// byte-identical to N batch-1 calls. The int8 path (ScorerOptions.Int8)
-// trades that away across batch shapes: activation scales are computed
-// per batch, so grouping affects rounding; within a fixed batch it is
-// still exactly deterministic (integer accumulation).
+// Determinism: the scorer inherits the kernel layer's schedule guarantee
+// — every output element accumulates identically regardless of batch
+// size or kernel worker count — so ScoreFlat over N windows is
+// byte-identical to N batch-1 calls.
 type BatchScorer struct {
 	w       int // window length
 	numApps int
-	quant   bool
 
 	nmean, ninv [2]float32 // folded ChannelNorm: x' = (log1p(x)-mean)*inv
 	nvec        normVec    // the same, in the vector kernel's lane pattern
 
 	app, atk *modelProg
 
-	prep  [2]PreparedBatch
-	slot  int
-	cond  []float32 // conditioned attack-stage input [n][w][2+numApps]
-	stage []float64 // contiguous staging for PrepareWindows rows
+	prep PreparedBatch
+	cond []float32 // conditioned attack-stage input [n][w][2+numApps]
 }
 
-// ScorerOptions selects scorer variants.
-type ScorerOptions struct {
-	// Int8 quantizes the convolution and dense GEMMs to symmetric
-	// per-output-channel int8 weights with per-tensor dynamic activation
-	// scales. The LSTM and attention stay float32 (they are a small
-	// fraction of the MACs and the recurrence compounds rounding).
-	Int8 bool
-}
+// ScorerOptions is empty: the scorer has one numeric path. The type
+// remains because the constructors' callers pass it.
+type ScorerOptions struct{}
 
-// PreparedBatch is a normalized input batch staged in one of the
-// scorer's two slots. It is valid until the slot is reused: at most two
-// Prepare results are live at a time.
+// PreparedBatch is a normalized input batch staged in the scorer's input
+// slot. It is valid until the next Prepare.
 type PreparedBatch struct {
 	owner *BatchScorer
 	n     int
@@ -79,7 +65,7 @@ func (p *PreparedBatch) N() int { return p.n }
 // first); its lazily built LSTM branches are materialized here if needed.
 // Returns an error for windows shorter than the convolution stack's edge
 // region, where the compiled edge/interior split does not apply.
-func NewBatchScorer(c *Cascade, window int, opts ScorerOptions) (*BatchScorer, error) {
+func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dnn: scorer window must be positive, got %d", window)
 	}
@@ -92,18 +78,17 @@ func NewBatchScorer(c *Cascade, window int, opts ScorerOptions) (*BatchScorer, e
 	if c.Attack.lstm == nil {
 		c.Attack.Forward(NewTensor(1, window, 2+c.NumApps), false)
 	}
-	app, err := compileModel(c.App, window, opts.Int8)
+	app, err := compileModel(c.App, window)
 	if err != nil {
 		return nil, fmt.Errorf("dnn: compiling app stage: %w", err)
 	}
-	atk, err := compileModel(c.Attack, window, opts.Int8)
+	atk, err := compileModel(c.Attack, window)
 	if err != nil {
 		return nil, fmt.Errorf("dnn: compiling attack stage: %w", err)
 	}
 	s := &BatchScorer{
 		w:       window,
 		numApps: c.NumApps,
-		quant:   opts.Int8,
 		app:     app,
 		atk:     atk,
 	}
@@ -112,54 +97,24 @@ func NewBatchScorer(c *Cascade, window int, opts ScorerOptions) (*BatchScorer, e
 		s.ninv[ch] = float32(1 / c.Norm.Std[ch])
 	}
 	s.nvec = makeNormVec(s.nmean, s.ninv)
-	s.prep[0].owner = s
-	s.prep[1].owner = s
+	s.prep.owner = s
 	return s, nil
 }
 
 // Window returns the window length the scorer was compiled for.
 func (s *BatchScorer) Window() int { return s.w }
 
-// Quantized reports whether the conv/dense GEMMs run in int8.
-func (s *BatchScorer) Quantized() bool { return s.quant }
-
 // Prepare normalizes n raw windows, given flat as [n][w][2] row-major
-// counter values, into the next input slot and returns the staged batch.
-// Runs concurrently with Score on the other slot.
+// counter values, into the input slot and returns the staged batch.
 //
 //memdos:hotpath bench=dnn/infer-batched
 func (s *BatchScorer) Prepare(n int, flat []float64) *PreparedBatch {
 	if len(flat) != n*s.w*2 {
 		panic(fmt.Sprintf("dnn: Prepare got %d values, want %d windows x %d x 2", len(flat), n, s.w))
 	}
-	p := &s.prep[s.slot]
-	s.slot ^= 1
+	p := &s.prep
 	x := ensureF32(&p.x, n*s.w*2)
 	snormLog1p(x, flat, &s.nvec)
-	p.n = n
-	return p
-}
-
-// PrepareWindows is Prepare over [][][]float64 windows ([w][2] each).
-//
-//memdos:hotpath bench=dnn/infer-batched
-func (s *BatchScorer) PrepareWindows(windows [][][]float64) *PreparedBatch {
-	n := len(windows)
-	p := &s.prep[s.slot]
-	s.slot ^= 1
-	x := ensureF32(&p.x, n*s.w*2)
-	stage := ensureF64(&s.stage, n*s.w*2)
-	for b, w := range windows {
-		if len(w) != s.w {
-			panic(fmt.Sprintf("dnn: scorer compiled for window %d, got %d", s.w, len(w)))
-		}
-		base := b * s.w * 2
-		for t, row := range w {
-			stage[base+2*t] = row[0]
-			stage[base+2*t+1] = row[1]
-		}
-	}
-	snormLog1p(x, stage, &s.nvec)
 	p.n = n
 	return p
 }
@@ -214,14 +169,6 @@ func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
 // while the GEMM panels stay wide enough to amortize kernel entry.
 const scoreTile = 32
 
-// ScoreBatch is the one-call convenience: normalize and score a batch of
-// raw windows. Equivalent to Score(PrepareWindows(windows), ...).
-//
-//memdos:hotpath bench=dnn/infer-batched
-func (s *BatchScorer) ScoreBatch(windows [][][]float64, apps, attacks []int) {
-	s.Score(s.PrepareWindows(windows), apps, attacks)
-}
-
 // ScoreFlat normalizes and scores n windows given flat as [n][w][2].
 //
 //memdos:hotpath bench=dnn/infer-batched
@@ -234,7 +181,6 @@ func (s *BatchScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
 // modelProg is one LSTMFCN compiled to the float32 kernel layer.
 type modelProg struct {
 	T, cin, classes int
-	quant           bool
 
 	convs [3]convProg
 
@@ -248,8 +194,6 @@ type modelProg struct {
 
 	fcnC, J    int       // FCN branch width, joint width fcnC+H
 	outW, outB []float32 // [J][classes], [classes]
-	outWQ      []int8    // quantized output weights, NT layout [classes][J]
-	outWS      []float32 // per-class dequant scale
 
 	// arenas (grow-once, high-water sized)
 	bufA, bufB []float32 // conv ping-pong, [n][T][maxC]
@@ -262,25 +206,17 @@ type modelProg struct {
 	attnBuf    []float32 // [cin]
 	joint      []float32 // [n][J]: pooled FCN channels then attention ctx
 	logits     []float32 // [n][classes]
-
-	// int8 arenas
-	qIn   []int8
-	qEdge []int8
-	ci32  []int32
 }
 
-// convProg is one convolution with its BatchNorm folded in. The float
-// weights transpose to the NN layout [k*in][out]; the int8 copy keeps
-// the NT layout [out][k*in] that VPMADDWD's horizontal shape wants.
+// convProg is one convolution with its BatchNorm folded in, the weights
+// transposed to the NN layout [k*in][out].
 type convProg struct {
 	in, out, k, half int
 	w                []float32 // [k*in][out]
 	b                []float32 // [out]
-	wq               []int8    // symmetric per-output-channel quantized, [out][k*in]
-	ws               []float32 // [out] weight scales
 }
 
-func compileModel(m *LSTMFCN, T int, quant bool) (*modelProg, error) {
+func compileModel(m *LSTMFCN, T int) (*modelProg, error) {
 	if m.lstm == nil {
 		return nil, fmt.Errorf("model LSTM branch not built")
 	}
@@ -291,7 +227,6 @@ func compileModel(m *LSTMFCN, T int, quant bool) (*modelProg, error) {
 		T:       T,
 		cin:     m.cfg.Channels,
 		classes: m.cfg.Classes,
-		quant:   quant,
 		H:       m.cfg.LSTMCells,
 		fcnC:    m.fcnC,
 	}
@@ -304,7 +239,7 @@ func compileModel(m *LSTMFCN, T int, quant bool) (*modelProg, error) {
 		if T <= convs[i].K-1 {
 			return nil, fmt.Errorf("window %d too short for kernel %d edge split", T, convs[i].K)
 		}
-		p.convs[i] = compileConv(convs[i], bns[i], quant)
+		p.convs[i] = compileConv(convs[i], bns[i])
 	}
 
 	// LSTM gate weights, attention, and output dense are stored [k][n]
@@ -317,42 +252,20 @@ func compileModel(m *LSTMFCN, T int, quant bool) (*modelProg, error) {
 	p.va = f64to32(m.attn.va.W)
 	p.outW = f64to32(m.out.w.W)
 	p.outB = f64to32(m.out.b.W)
-	if quant {
-		// The int8 GEMM wants NT rows (one per class); build a transposed
-		// scratch just for quantization.
-		outNT := make([]float32, p.classes*p.J)
-		for o := 0; o < p.classes; o++ {
-			for j := 0; j < p.J; j++ {
-				outNT[o*p.J+j] = p.outW[j*p.classes+o]
-			}
-		}
-		p.outWQ, p.outWS = quantRows(outNT, p.classes, p.J)
-	}
 	return p, nil
 }
 
-func compileConv(c *Conv1D, bn *BatchNorm, quant bool) convProg {
+func compileConv(c *Conv1D, bn *BatchNorm) convProg {
 	ki := c.K * c.In
 	cp := convProg{in: c.In, out: c.Out, k: c.K, half: c.K / 2}
 	cp.w = make([]float32, ki*c.Out)
 	cp.b = make([]float32, c.Out)
-	var wNT []float32
-	if quant {
-		wNT = make([]float32, c.Out*ki)
-	}
 	for o := 0; o < c.Out; o++ {
 		g := bn.gamma.W[o] / math.Sqrt(bn.runVar[o]+bn.Eps)
 		for j := 0; j < ki; j++ {
-			f := float32(c.w.W[o*ki+j] * g)
-			cp.w[j*c.Out+o] = f
-			if quant {
-				wNT[o*ki+j] = f
-			}
+			cp.w[j*c.Out+o] = float32(c.w.W[o*ki+j] * g)
 		}
 		cp.b[o] = float32(bn.beta.W[o] + g*(c.b.W[o]-bn.runMean[o]))
-	}
-	if quant {
-		cp.wq, cp.ws = quantRows(wNT, c.Out, ki)
 	}
 	return cp
 }
@@ -363,49 +276,6 @@ func f64to32(src []float64) []float32 {
 		dst[i] = float32(v)
 	}
 	return dst
-}
-
-// quantRows quantizes rows of a [rows][k] matrix to symmetric int8 with
-// one scale per row (per output channel).
-func quantRows(w []float32, rows, k int) ([]int8, []float32) {
-	q := make([]int8, len(w))
-	scales := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		row := w[r*k : (r+1)*k]
-		s := maxAbs32(row) / 127
-		if s == 0 { //memdos:ignore floateq exact zero means an all-zero row; scale 1 avoids division by zero
-			s = 1
-		}
-		scales[r] = s
-		inv := 1 / s
-		quantizeTo(q[r*k:(r+1)*k], row, inv)
-	}
-	return q, scales
-}
-
-func maxAbs32(x []float32) float32 {
-	var mx float32
-	for _, v := range x {
-		if v > mx {
-			mx = v
-		} else if -v > mx {
-			mx = -v
-		}
-	}
-	return mx
-}
-
-// quantizeTo rounds src*inv half-away-from-zero into int8. inv must map
-// src into [-127, 127].
-func quantizeTo(dst []int8, src []float32, inv float32) {
-	for i, v := range src {
-		f := v * inv
-		if f >= 0 {
-			dst[i] = int8(f + 0.5)
-		} else {
-			dst[i] = int8(f - 0.5)
-		}
-	}
 }
 
 // forward classifies n windows ([n][T][cin] in x) into out[0:n], writing
@@ -520,12 +390,8 @@ func (p *modelProg) forward(n int, x []float32, out []int, logits []float32) {
 	}
 
 	// Output dense + argmax.
-	if p.quant {
-		p.denseForwardQ(n, joint, logits)
-	} else {
-		sbiasRows(n, p.classes, logits, p.classes, p.outB)
-		sgemm(n, p.classes, p.J, joint, p.J, p.outW, p.classes, logits, p.classes, epiAdd)
-	}
+	sbiasRows(n, p.classes, logits, p.classes, p.outB)
+	sgemm(n, p.classes, p.J, joint, p.J, p.outW, p.classes, logits, p.classes, epiAdd)
 	for b := 0; b < n; b++ {
 		out[b] = sargmax(logits[b*p.classes : (b+1)*p.classes])
 	}
@@ -550,11 +416,6 @@ func (p *modelProg) convForward(cp *convProg, n int, x, y []float32) {
 	in, out, K, half := cp.in, cp.out, cp.k, cp.half
 	ki := K * in
 	er := 2 * half
-
-	if p.quant {
-		p.convForwardQ(cp, n, x, y)
-		return
-	}
 
 	// Stage the zero-padded edge rows for the whole batch.
 	edge := ensureF32(&p.edge, n*er*ki)
@@ -614,144 +475,12 @@ func stageEdgeF32(dst, src []float32, t, T, K, half, in int) {
 	copy(dst[d0*in:d1*in], src[(lo+d0)*in:(lo+d1)*in])
 }
 
-func stageEdgeI8(dst, src []int8, t, T, K, half, in int) {
-	lo := t - half
-	d0 := 0
-	if lo < 0 {
-		d0 = -lo
-	}
-	d1 := K
-	if over := t + half - (T - 1); over > 0 {
-		d1 = K - over
-	}
-	copy(dst[d0*in:d1*in], src[(lo+d0)*in:(lo+d1)*in])
-}
-
-// convForwardQ is convForward with int8 GEMMs: per-tensor dynamic
-// activation scale, per-output-channel weight scales, int32
-// accumulation, float32 epilogue y = b + acc·ws·sx.
-func (p *modelProg) convForwardQ(cp *convProg, n int, x, y []float32) {
-	T := p.T
-	in, out, K, half := cp.in, cp.out, cp.k, cp.half
-	ki := K * in
-	er := 2 * half
-	nx := n * T * in
-
-	mx := maxAbs32(x[:nx])
-	if mx == 0 { //memdos:ignore floateq exact zero means an all-zero activation block; scale 1 avoids division by zero
-		mx = 1
-	}
-	sx := mx / 127
-	q := ensureI8(&p.qIn, nx)
-	quantizeTo(q, x[:nx], 1/sx)
-
-	qEdge := ensureI8(&p.qEdge, n*er*ki)
-	for b := 0; b < n; b++ {
-		src := q[b*T*in : (b+1)*T*in]
-		for e := 0; e < er; e++ {
-			dst := qEdge[(b*er+e)*ki : (b*er+e+1)*ki]
-			clear(dst)
-			stageEdgeI8(dst, src, edgeT(e, T, half), T, K, half, in)
-		}
-	}
-
-	acc := ensureI32(&p.ci32, n*T*out)
-	clear(acc)
-	if half < T-half {
-		if w := shardWorkers(n, n*T*out*ki); w > 1 {
-			forkRows(n, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the range body directly
-				p.convInteriorQ(cp, lo, hi, q, acc)
-			})
-		} else {
-			p.convInteriorQ(cp, 0, n, q, acc)
-		}
-	}
-	for b := 0; b < n; b++ {
-		i8NTBlock(half, out, ki, qEdge[b*er*ki:], ki, cp.wq, ki, acc[b*T*out:], out)
-		i8NTBlock(half, out, ki, qEdge[(b*er+half)*ki:], ki, cp.wq, ki, acc[(b*T+T-half)*out:], out)
-	}
-
-	for r := 0; r < n*T; r++ {
-		yr := y[r*out : (r+1)*out]
-		ar := acc[r*out : (r+1)*out]
-		for o := range yr {
-			v := cp.b[o] + float32(ar[o])*cp.ws[o]*sx
-			if v < 0 {
-				v = 0
-			}
-			yr[o] = v
-		}
-	}
-}
-
-func (p *modelProg) convInteriorQ(cp *convProg, blo, bhi int, q []int8, acc []int32) {
-	T := p.T
-	in, out, half := cp.in, cp.out, cp.half
-	ki := cp.k * in
-	inner := T - 2*half
-	for b := blo; b < bhi; b++ {
-		i8NTBlock(inner, out, ki, q[b*T*in:], in, cp.wq, ki, acc[(b*T+half)*out:], out)
-	}
-}
-
-// denseForwardQ is the int8 output layer: quantize the joint rows,
-// integer GEMM, dequantizing epilogue with the float bias.
-func (p *modelProg) denseForwardQ(n int, joint, logits []float32) {
-	nj := n * p.J
-	mx := maxAbs32(joint[:nj])
-	if mx == 0 { //memdos:ignore floateq exact zero means an all-zero activation block; scale 1 avoids division by zero
-		mx = 1
-	}
-	sx := mx / 127
-	q := ensureI8(&p.qIn, nj)
-	quantizeTo(q, joint[:nj], 1/sx)
-	acc := ensureI32(&p.ci32, n*p.classes)
-	clear(acc)
-	for b := 0; b < n; b++ {
-		i8NTRow(q[b*p.J:(b+1)*p.J], p.outWQ, p.J, acc[b*p.classes:(b+1)*p.classes], p.classes, p.J)
-	}
-	for b := 0; b < n; b++ {
-		lr := logits[b*p.classes : (b+1)*p.classes]
-		ar := acc[b*p.classes : (b+1)*p.classes]
-		for o := range lr {
-			lr[o] = p.outB[o] + float32(ar[o])*p.outWS[o]*sx
-		}
-	}
-}
-
-// ---- grow-once float32/int arenas ----
+// ---- grow-once float32 arenas ----
 
 func ensureF32(ws *[]float32, n int) []float32 {
 	s := *ws
 	if cap(s) < n {
 		s = make([]float32, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
-		*ws = s
-	}
-	return s[:n]
-}
-
-func ensureF64(ws *[]float64, n int) []float64 {
-	s := *ws
-	if cap(s) < n {
-		s = make([]float64, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
-		*ws = s
-	}
-	return s[:n]
-}
-
-func ensureI8(ws *[]int8, n int) []int8 {
-	s := *ws
-	if cap(s) < n {
-		s = make([]int8, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
-		*ws = s
-	}
-	return s[:n]
-}
-
-func ensureI32(ws *[]int32, n int) []int32 {
-	s := *ws
-	if cap(s) < n {
-		s = make([]int32, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
 		*ws = s
 	}
 	return s[:n]

@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"memdos/internal/sim"
@@ -40,67 +39,74 @@ func flattenWindows(samples []CascadeSample) []float64 {
 	return flat
 }
 
-// ScoreBatch over N windows must be byte-identical to N batch-1 calls —
+// ScoreFlat over N windows must be byte-identical to N batch-1 calls —
 // logits included, not just verdicts — and invariant under the kernel
-// worker count. This is the tentpole's float32 determinism guarantee.
+// worker count. The windows are chosen so the interior convolution
+// panels (kernels 9/5/3: T-8, T-4, T-2 rows) leave every possible
+// remainder after the kernel's 4-row tier — 0 and 2 at T=20, 1 and 3 at
+// T=21 and T=23 — and the batch of 37 crosses scoreTile with a 5-window
+// second tile, so the LSTM and dense panels see a row remainder too.
 func TestScoreBatchMatchesLooped(t *testing.T) {
-	const w = 20
-	c, samples := scorerFixture(t, w)
-	s, err := c.Scorer(w, ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(samples)
-	flat := flattenWindows(samples)
-
-	apps := make([]int, n)
-	attacks := make([]int, n)
-	s.ScoreFlat(n, flat, apps, attacks)
-	batchedApp := append([]float32(nil), s.app.logits[:n*s.app.classes]...)
-	batchedAtk := append([]float32(nil), s.atk.logits[:n*s.atk.classes]...)
-
-	defer SetKernelWorkers(1)
-	for _, workers := range []int{1, 8} {
-		SetKernelWorkers(workers)
-
-		// Batched at this worker count.
-		gotApps := make([]int, n)
-		gotAtks := make([]int, n)
-		s.ScoreFlat(n, flat, gotApps, gotAtks)
-		for i := 0; i < n*s.app.classes; i++ {
-			if s.app.logits[i] != batchedApp[i] {
-				t.Fatalf("workers=%d: app logit %d differs from workers=1 batch: %v vs %v",
-					workers, i, s.app.logits[i], batchedApp[i])
+	const n = scoreTile + 5
+	for _, w := range []int{20, 21, 23} {
+		t.Run(fmt.Sprintf("window%d", w), func(t *testing.T) {
+			c, samples := scorerFixture(t, w)
+			s, err := c.Scorer(w, ScorerOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := 0; i < n*s.atk.classes; i++ {
-			if s.atk.logits[i] != batchedAtk[i] {
-				t.Fatalf("workers=%d: attack logit %d differs: %v vs %v", workers, i, s.atk.logits[i], batchedAtk[i])
-			}
-		}
+			flat := flattenWindows(samples[:n])
 
-		// Looped batch-1 at this worker count.
-		a1 := make([]int, 1)
-		k1 := make([]int, 1)
-		for i := 0; i < n; i++ {
-			s.ScoreFlat(1, flat[i*w*2:(i+1)*w*2], a1, k1)
-			if a1[0] != apps[i] || k1[0] != attacks[i] {
-				t.Fatalf("workers=%d window %d: looped verdict (%d,%d) != batched (%d,%d)",
-					workers, i, a1[0], k1[0], apps[i], attacks[i])
-			}
-			for o := 0; o < s.app.classes; o++ {
-				if s.app.logits[o] != batchedApp[i*s.app.classes+o] {
-					t.Fatalf("workers=%d window %d: batch-1 app logit %d differs: %v vs %v",
-						workers, i, o, s.app.logits[o], batchedApp[i*s.app.classes+o])
+			apps := make([]int, n)
+			attacks := make([]int, n)
+			s.ScoreFlat(n, flat, apps, attacks)
+			batchedApp := append([]float32(nil), s.app.logits[:n*s.app.classes]...)
+			batchedAtk := append([]float32(nil), s.atk.logits[:n*s.atk.classes]...)
+
+			defer SetKernelWorkers(1)
+			for _, workers := range []int{1, 8} {
+				SetKernelWorkers(workers)
+
+				// Batched at this worker count.
+				gotApps := make([]int, n)
+				gotAtks := make([]int, n)
+				s.ScoreFlat(n, flat, gotApps, gotAtks)
+				for i := 0; i < n*s.app.classes; i++ {
+					if s.app.logits[i] != batchedApp[i] {
+						t.Fatalf("workers=%d: app logit %d differs from workers=1 batch: %v vs %v",
+							workers, i, s.app.logits[i], batchedApp[i])
+					}
+				}
+				for i := 0; i < n*s.atk.classes; i++ {
+					if s.atk.logits[i] != batchedAtk[i] {
+						t.Fatalf("workers=%d: attack logit %d differs: %v vs %v", workers, i, s.atk.logits[i], batchedAtk[i])
+					}
+				}
+
+				// Looped batch-1 at this worker count.
+				a1 := make([]int, 1)
+				k1 := make([]int, 1)
+				for i := 0; i < n; i++ {
+					s.ScoreFlat(1, flat[i*w*2:(i+1)*w*2], a1, k1)
+					if a1[0] != apps[i] || k1[0] != attacks[i] {
+						t.Fatalf("workers=%d window %d: looped verdict (%d,%d) != batched (%d,%d)",
+							workers, i, a1[0], k1[0], apps[i], attacks[i])
+					}
+					for o := 0; o < s.app.classes; o++ {
+						if s.app.logits[o] != batchedApp[i*s.app.classes+o] {
+							t.Fatalf("workers=%d window %d: batch-1 app logit %d differs: %v vs %v",
+								workers, i, o, s.app.logits[o], batchedApp[i*s.app.classes+o])
+						}
+					}
+					for o := 0; o < s.atk.classes; o++ {
+						if s.atk.logits[o] != batchedAtk[i*s.atk.classes+o] {
+							t.Fatalf("workers=%d window %d: batch-1 attack logit %d differs: %v vs %v",
+								workers, i, o, s.atk.logits[o], batchedAtk[i*s.atk.classes+o])
+						}
+					}
 				}
 			}
-			for o := 0; o < s.atk.classes; o++ {
-				if s.atk.logits[o] != batchedAtk[i*s.atk.classes+o] {
-					t.Fatalf("workers=%d window %d: batch-1 attack logit %d differs: %v vs %v",
-						workers, i, o, s.atk.logits[o], batchedAtk[i*s.atk.classes+o])
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -121,87 +127,6 @@ func TestScorerMatchesGraph(t *testing.T) {
 	// always (TestCascadeEndToEnd exercises that via Classify).
 	if agree < len(samples)*9/10 {
 		t.Fatalf("scorer agrees with graph on %d/%d windows", agree, len(samples))
-	}
-}
-
-// trainedOnce shares one trained tiny cascade across the accuracy tests;
-// training is the expensive part.
-var trainedOnce struct {
-	sync.Once
-	c   *Cascade
-	err error
-}
-
-func trainedCascade(t *testing.T) *Cascade {
-	t.Helper()
-	trainedOnce.Do(func() {
-		samples := synthCascadeSamples(sim.NewRNG(50), 360, 20)
-		c, err := NewCascade(2, tinyArch, sim.NewRNG(53))
-		if err != nil {
-			trainedOnce.err = err
-			return
-		}
-		cfg := DefaultTrainConfig()
-		cfg.Epochs = 12
-		if _, _, err := TrainCascade(c, samples, cfg); err != nil {
-			trainedOnce.err = err
-			return
-		}
-		trainedOnce.c = c
-	})
-	if trainedOnce.err != nil {
-		t.Fatal(trainedOnce.err)
-	}
-	return trainedOnce.c
-}
-
-// Int8 quantization is a speed/accuracy tradeoff: on the cascade corpus
-// its accuracy must stay within 5 points of float32, and its verdicts
-// must agree with float32 on the overwhelming majority of windows.
-func TestInt8AccuracyDelta(t *testing.T) {
-	c := trainedCascade(t)
-	const w = 20
-	test := synthCascadeSamples(sim.NewRNG(52), 120, w)
-
-	f32, err := c.Scorer(w, ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.Scorer(w, ScorerOptions{Int8: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	windows := make([][][]float64, len(test))
-	for i, s := range test {
-		windows[i] = s.Window
-	}
-	n := len(test)
-	fApps, fAtks := make([]int, n), make([]int, n)
-	qApps, qAtks := make([]int, n), make([]int, n)
-	f32.ScoreBatch(windows, fApps, fAtks)
-	q.ScoreBatch(windows, qApps, qAtks)
-
-	var fAcc, qAcc, agree int
-	for i, s := range test {
-		if fApps[i] == s.AppLabel && fAtks[i] == s.AttackLabel {
-			fAcc++
-		}
-		if qApps[i] == s.AppLabel && qAtks[i] == s.AttackLabel {
-			qAcc++
-		}
-		if fApps[i] == qApps[i] && fAtks[i] == qAtks[i] {
-			agree++
-		}
-	}
-	delta := float64(fAcc-qAcc) / float64(n)
-	t.Logf("float32 %d/%d, int8 %d/%d, agreement %d/%d", fAcc, n, qAcc, n, agree, n)
-	if delta > 0.05 {
-		t.Errorf("int8 accuracy %.3f below float32 %.3f by more than 0.05",
-			float64(qAcc)/float64(n), float64(fAcc)/float64(n))
-	}
-	if agree < n*9/10 {
-		t.Errorf("int8 agrees with float32 on only %d/%d windows", agree, n)
 	}
 }
 
@@ -236,20 +161,9 @@ func TestScoreFlatZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ScoreFlat allocates %v per run at steady state", allocs)
 	}
-
-	q, err := c.Scorer(w, ScorerOptions{Int8: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.ScoreFlat(n, flat, apps, attacks)
-	if allocs := testing.AllocsPerRun(20, func() {
-		q.ScoreFlat(n, flat, apps, attacks)
-	}); allocs != 0 {
-		t.Errorf("int8 ScoreFlat allocates %v per run at steady state", allocs)
-	}
 }
 
-func benchScorerSetup(b *testing.B, batch int, opts ScorerOptions) (*BatchScorer, []float64, []int, []int) {
+func benchScorerSetup(b *testing.B, batch int) (*BatchScorer, []float64, []int, []int) {
 	b.Helper()
 	const w = 50
 	samples := synthCascadeSamples(sim.NewRNG(7), batch, w)
@@ -264,7 +178,7 @@ func benchScorerSetup(b *testing.B, batch int, opts ScorerOptions) (*BatchScorer
 	if c.Norm, err = FitChannelNorm(raw); err != nil {
 		b.Fatal(err)
 	}
-	s, err := c.Scorer(w, opts)
+	s, err := c.Scorer(w, ScorerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,12 +188,12 @@ func benchScorerSetup(b *testing.B, batch int, opts ScorerOptions) (*BatchScorer
 	return s, flat, apps, attacks
 }
 
-// BenchmarkInferBatched* are the CI smoke companions of the
-// cmd/memdos bench entries dnn/infer-batched{,-int8}.
+// BenchmarkInferBatched is the CI smoke companion of the cmd/memdos
+// bench entry dnn/infer-batched.
 func BenchmarkInferBatched(b *testing.B) {
 	for _, batch := range []int{1, 32, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			s, flat, apps, attacks := benchScorerSetup(b, batch, ScorerOptions{})
+			s, flat, apps, attacks := benchScorerSetup(b, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -288,15 +202,4 @@ func BenchmarkInferBatched(b *testing.B) {
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 		})
 	}
-}
-
-func BenchmarkInferBatchedInt8(b *testing.B) {
-	const batch = 256
-	s, flat, apps, attacks := benchScorerSetup(b, batch, ScorerOptions{Int8: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScoreFlat(batch, flat, apps, attacks)
-	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 }

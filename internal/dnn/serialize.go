@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"memdos/internal/sim"
 )
@@ -118,11 +119,8 @@ func LoadCascade(r io.Reader) (*Cascade, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("dnn: decoding cascade: %w", err)
 	}
-	if snap.Version != serialFormatVersion {
-		return nil, fmt.Errorf("dnn: snapshot version %d, want %d", snap.Version, serialFormatVersion)
-	}
-	if snap.NumApps <= 1 {
-		return nil, fmt.Errorf("dnn: snapshot has %d apps", snap.NumApps)
+	if err := snap.validate(); err != nil {
+		return nil, err
 	}
 	// Architectures are embedded, so reconstruct with them directly.
 	mk := func(ms modelSnapshot) (*LSTMFCN, error) {
@@ -144,6 +142,57 @@ func LoadCascade(r io.Reader) (*Cascade, error) {
 		return nil, fmt.Errorf("dnn: attack model: %w", err)
 	}
 	return &Cascade{NumApps: snap.NumApps, Norm: snap.Norm, App: app, Attack: atk}, nil
+}
+
+// validate rejects a snapshot whose header does not describe a cascade
+// this package could have saved. The file is operator-supplied
+// (memdosd -score-model), so nothing in it is trusted: every check runs
+// before a model is built, and the weight count bounds what building
+// allocates by what the file actually carries.
+func (s *cascadeSnapshot) validate() error {
+	if s.Version != serialFormatVersion {
+		return fmt.Errorf("dnn: snapshot version %d, want %d", s.Version, serialFormatVersion)
+	}
+	if s.NumApps <= 1 {
+		return fmt.Errorf("dnn: snapshot has %d apps", s.NumApps)
+	}
+	if len(s.Norm.Mean) != 2 || len(s.Norm.Std) != 2 {
+		return fmt.Errorf("dnn: snapshot norm has %d means / %d stds, want 2 / 2", len(s.Norm.Mean), len(s.Norm.Std))
+	}
+	for ch := range s.Norm.Mean {
+		if m, sd := s.Norm.Mean[ch], s.Norm.Std[ch]; math.IsNaN(m) || math.IsInf(m, 0) || math.IsInf(sd, 0) || !(sd > 0) {
+			return fmt.Errorf("dnn: snapshot norm channel %d has mean %v, std %v; want finite and std > 0", ch, m, sd)
+		}
+	}
+	if s.App.Window <= 0 || s.App.Window != s.Attack.Window {
+		return fmt.Errorf("dnn: snapshot windows %d (app) / %d (attack), want equal and positive", s.App.Window, s.Attack.Window)
+	}
+	for _, st := range []struct {
+		name              string
+		ms                *modelSnapshot
+		channels, classes int
+	}{
+		{"app", &s.App, 2, s.NumApps},
+		{"attack", &s.Attack, 2 + s.NumApps, NumAttackClasses},
+	} {
+		cfg := st.ms.Config
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("dnn: %s model: %w", st.name, err)
+		}
+		if cfg.Channels != st.channels || cfg.Classes != st.classes {
+			return fmt.Errorf("dnn: %s model has %d channels / %d classes, a %d-app cascade needs %d / %d",
+				st.name, cfg.Channels, cfg.Classes, s.NumApps, st.channels, st.classes)
+		}
+		have := 0
+		for _, w := range st.ms.Params {
+			have += len(w)
+		}
+		if want := cfg.weights(st.ms.Window); float64(have) != want { //memdos:ignore floateq both sides are exact integer counts; float64 only keeps absurd dimensions from overflowing
+			return fmt.Errorf("dnn: %s model carries %d weights, its architecture at window %d needs %.0f",
+				st.name, have, st.ms.Window, want)
+		}
+	}
+	return nil
 }
 
 // newRestoreRNG seeds the throwaway initializer used before weights are

@@ -16,12 +16,12 @@ import (
 // [window][2] matrices (access count, miss count — the cascade's input
 // channels). Completed windows enter a bounded scoring queue;
 // overflowing windows are dropped and counted, never blocking a shard.
-// Two goroutines drain the queue through a pair of reusable batch
-// buffers: the assembler stages windows into one buffer while the
-// scorer runs the fused batch kernel over the other, so staging and
-// GEMM time overlap. Verdicts are written back onto the sessions and
-// surface in SessionInfo (and the /v1/sessions API) next to the
-// detector state.
+// One goroutine drains the queue through one reusable batch buffer:
+// stage what is queued, run the fused batch kernel, write the verdicts
+// back. Staging a window is one copy of it (3.2 KB at W=200) against
+// tens of microseconds of scoring, so there is nothing worth overlapping
+// with a second goroutine. Verdicts land on the sessions and surface in
+// SessionInfo (and the /v1/sessions API) next to the detector state.
 
 // WindowScorer is the batched inference engine the hub drives: one call
 // classifies n windows, given row-major [n][window][2] counter values.
@@ -92,23 +92,6 @@ type scoreItem struct {
 	flush chan<- struct{}
 }
 
-// scoreBatch is one of the two ping-pong staging buffers.
-type scoreBatch struct {
-	sess    []*Session
-	times   []float64
-	flat    []float64
-	apps    []int
-	attacks []int
-	flush   []chan<- struct{}
-}
-
-func (b *scoreBatch) reset() {
-	b.sess = b.sess[:0]
-	b.times = b.times[:0]
-	b.flat = b.flat[:0]
-	b.flush = b.flush[:0]
-}
-
 // hubScorer runs the scoring service for one hub.
 type hubScorer struct {
 	ws     WindowScorer
@@ -117,10 +100,8 @@ type hubScorer struct {
 	batch  int
 
 	queue   chan scoreItem
-	free    chan *scoreBatch // double buffer: assembler <- scorer
-	ready   chan *scoreBatch // double buffer: assembler -> scorer
-	done    chan struct{}    // scorer goroutine exited
-	bufPool sync.Pool        // *[]float64 window copies
+	done    chan struct{} // scorer goroutine exited
+	bufPool sync.Pool     // *[]float64 window copies
 
 	queueLen       atomic.Int64
 	windowsScored  atomic.Uint64
@@ -155,24 +136,12 @@ func (h *Hub) AttachScorer(ws WindowScorer, cfg ScorerConfig) error {
 		stride: cfg.Stride,
 		batch:  cfg.Batch,
 		queue:  make(chan scoreItem, cfg.QueueCap),
-		free:   make(chan *scoreBatch, 2),
-		ready:  make(chan *scoreBatch, 2),
 		done:   make(chan struct{}),
-	}
-	for i := 0; i < 2; i++ {
-		sc.free <- &scoreBatch{
-			sess:    make([]*Session, 0, cfg.Batch),
-			times:   make([]float64, 0, cfg.Batch),
-			flat:    make([]float64, 0, cfg.Batch*w*2),
-			apps:    make([]int, cfg.Batch),
-			attacks: make([]int, cfg.Batch),
-		}
 	}
 	if !h.scorer.CompareAndSwap(nil, sc) {
 		return fmt.Errorf("stream: scorer already attached")
 	}
-	go sc.runAssembler()
-	go sc.runScorer()
+	go sc.run()
 	return nil
 }
 
@@ -248,73 +217,51 @@ func (s *Session) pushSampleLocked(sc *hubScorer, smp pcm.Sample) {
 	s.scoreWin = s.scoreWin[:keep]
 }
 
-// runAssembler drains the scoring queue into the free staging buffer:
-// block for the first window of a round, then take whatever else is
-// already queued (up to the batch cap) without waiting, so batches grow
-// under load and stay prompt when idle.
-func (sc *hubScorer) runAssembler() {
-	b := <-sc.free
-	ship := func() {
-		sc.ready <- b
-		b = <-sc.free
-	}
-	for it := range sc.queue {
-		flushing := sc.absorb(b, it)
-		for !flushing && len(b.sess) < sc.batch {
-			select {
-			case it2, ok := <-sc.queue:
-				if !ok {
-					goto drained
-				}
-				flushing = sc.absorb(b, it2)
-			default:
-				goto roundDone
-			}
-		}
-	roundDone:
-		if len(b.sess) > 0 || len(b.flush) > 0 {
-			ship()
-		}
-	}
-drained:
-	if len(b.sess) > 0 || len(b.flush) > 0 {
-		sc.ready <- b
-	}
-	close(sc.ready)
-}
-
-// absorb folds one queue item into the staging buffer and reports
-// whether it was a flush barrier (which must ship immediately).
-func (sc *hubScorer) absorb(b *scoreBatch, it scoreItem) bool {
-	sc.queueLen.Add(-1)
-	if it.flush != nil {
-		b.flush = append(b.flush, it.flush)
-		return true
-	}
-	b.sess = append(b.sess, it.sess)
-	b.times = append(b.times, it.t)
-	b.flat = append(b.flat, *it.buf...)
-	sc.bufPool.Put(it.buf)
-	return false
-}
-
-// runScorer scores staged batches and writes verdicts back onto the
-// sessions.
-func (sc *hubScorer) runScorer() {
+// run is the scorer goroutine. A round blocks for its first window,
+// then stages whatever else is already queued (up to the batch cap)
+// without waiting, so batches grow under load and stay prompt when idle;
+// a flush barrier ends its round at once. The round is scored, the
+// verdicts are written back onto the sessions, and the barrier is
+// acknowledged. Exits when the queue is closed and empty.
+func (sc *hubScorer) run() {
 	defer close(sc.done)
 	namer, _ := sc.ws.(AttackNamer)
-	for b := range sc.ready {
-		if n := len(b.sess); n > 0 {
+	sess := make([]*Session, 0, sc.batch)
+	times := make([]float64, 0, sc.batch)
+	flat := make([]float64, 0, sc.batch*sc.window*2)
+	apps := make([]int, sc.batch)
+	attacks := make([]int, sc.batch)
+	for it := range sc.queue {
+		sess, times, flat = sess[:0], times[:0], flat[:0]
+		for queued := true; queued; {
+			sc.queueLen.Add(-1)
+			if it.flush != nil {
+				break
+			}
+			sess = append(sess, it.sess)
+			times = append(times, it.t)
+			flat = append(flat, *it.buf...)
+			sc.bufPool.Put(it.buf)
+			if len(sess) == sc.batch {
+				break
+			}
+			select {
+			case it, queued = <-sc.queue: // closed: it is zero, the outer range ends
+			default:
+				queued = false
+			}
+		}
+		if n := len(sess); n > 0 {
 			start := time.Now()
-			sc.ws.ScoreFlat(n, b.flat, b.apps[:n], b.attacks[:n])
+			sc.ws.ScoreFlat(n, flat, apps[:n], attacks[:n])
 			sc.scoreNanos.Add(time.Since(start).Nanoseconds())
 			sc.batchesScored.Add(1)
 			sc.windowsScored.Add(uint64(n))
-			for i, s := range b.sess {
+			for i, s := range sess {
 				v := CascadeVerdict{
-					App:         b.apps[i],
-					AttackClass: b.attacks[i],
-					Time:        b.times[i],
+					App:         apps[i],
+					AttackClass: attacks[i],
+					Time:        times[i],
 				}
 				if namer != nil {
 					v.Attack = namer.AttackName(v.AttackClass)
@@ -326,11 +273,9 @@ func (sc *hubScorer) runScorer() {
 				s.mu.Unlock()
 			}
 		}
-		for _, ch := range b.flush {
-			ch <- struct{}{}
+		if it.flush != nil {
+			it.flush <- struct{}{}
 		}
-		b.reset()
-		sc.free <- b
 	}
 }
 
@@ -346,8 +291,8 @@ func (sc *hubScorer) flushScorer() {
 }
 
 // closeScorer stops the service after the shard goroutines have exited
-// (no further enqueues): queued windows are still scored, then both
-// goroutines wind down.
+// (no further enqueues): queued windows are still scored, then the
+// scorer goroutine winds down.
 func (sc *hubScorer) closeScorer() {
 	close(sc.queue)
 	<-sc.done

@@ -2,8 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"memdos/internal/core"
 	"memdos/internal/pcm"
@@ -72,10 +75,10 @@ func ingestCounters(t *testing.T, h *Hub, id string, from, n int) {
 	}
 }
 
-// Sliding windows must come out of the assembler with exactly the
-// configured stride and the raw counter values, Drain must be a scoring
-// barrier, and the verdict must land in SessionInfo with the namer's
-// attack label.
+// Sliding windows must reach the scorer with exactly the configured
+// stride and the raw counter values, Drain must be a scoring barrier,
+// and the verdict must land in SessionInfo with the namer's attack
+// label, its Time and Windows advancing from one Drain to the next.
 func TestScoringServiceVerdicts(t *testing.T) {
 	h := scoringHub(t)
 	ss := &stubScorer{window: 4}
@@ -85,9 +88,22 @@ func TestScoringServiceVerdicts(t *testing.T) {
 	if err := h.Open("vm-a", "raw"); err != nil {
 		t.Fatal(err)
 	}
-	ingestCounters(t, h, "vm-a", 1, 10)
-	if err := h.Drain(); err != nil {
-		t.Fatal(err)
+	// One new window (2 samples at stride 2) per Drain after the first 4:
+	// every barrier must show a strictly later verdict.
+	var last CascadeVerdict
+	for _, step := range []struct{ from, n int }{{1, 4}, {5, 2}, {7, 2}, {9, 2}} {
+		ingestCounters(t, h, "vm-a", step.from, step.n)
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		in, ok := h.Session("vm-a")
+		if !ok || in.Cascade == nil {
+			t.Fatalf("no cascade verdict after samples %d..%d: %+v", step.from, step.from+step.n-1, in)
+		}
+		if in.Cascade.Time <= last.Time || in.Cascade.Windows <= last.Windows {
+			t.Fatalf("verdict did not advance across Drain: %+v after %+v", *in.Cascade, last)
+		}
+		last = *in.Cascade
 	}
 
 	// Samples 1..10, window 4, stride 2: windows starting at 1, 3, 5, 7.
@@ -143,7 +159,7 @@ func TestScoringQueueShedsAndFuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 80 samples = 40 windows, while the scorer is blocked. The pipeline
-	// holds at most QueueCap (6) plus two staging batches (8 each); the
+	// holds at most QueueCap (6) plus the one staging batch (8); the
 	// shard must shed the rest without stalling — Drain would hang here
 	// if a full queue blocked it.
 	ingestCounters(t, h, "vm-a", 1, 80)
@@ -169,13 +185,28 @@ func TestScoringQueueShedsAndFuses(t *testing.T) {
 	}
 }
 
+// scorerGoroutines counts live goroutines running hubScorer code.
+func scorerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stream.(*hubScorer).run(")
+}
+
 // Close must score everything still queued before sealing: verdicts are
-// part of the final session state.
+// part of the final session state. AttachScorer starts exactly one
+// goroutine, and after Close the process is back to the goroutines it
+// had before the hub existed.
 func TestScoringCloseDrainsQueue(t *testing.T) {
+	before := runtime.NumGoroutine()
 	h := scoringHub(t)
 	ss := &stubScorer{window: 5}
 	if err := h.AttachScorer(ss, ScorerConfig{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.Drain(); err != nil { // the barrier's ack proves the goroutine is up
+		t.Fatal(err)
+	}
+	if n := scorerGoroutines(); n != 1 {
+		t.Fatalf("AttachScorer started %d scorer goroutines, want 1", n)
 	}
 	if err := h.Open("vm-a", "raw"); err != nil {
 		t.Fatal(err)
@@ -186,6 +217,14 @@ func TestScoringCloseDrainsQueue(t *testing.T) {
 	}
 	if st := h.ScorerStats(); st.WindowsScored != 5 {
 		t.Fatalf("close scored %d windows, want 5: %+v", st.WindowsScored, st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before || scorerGoroutines() != 0 {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the hub, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 
