@@ -20,9 +20,6 @@
 //	memdos migration [-app KM] [-delay 60]
 //	memdos mitigate [-app KM] [-attack buslock] [-seed 7]
 //	memdos membw    [-app KM] [-sockets 1,2] [-dur 600] [-budget 2e9] [-dnn]
-//	memdos bench    [-quick] [-out BENCH.json] [-baseline BENCH_baseline.json]
-//	memdos loadgen  [-addr URL] [-sessions 4] [-batch 256] [-dur 2s]
-//	                [-codec json|binary|both] [-rate 0] [-min-ratio 0]
 package main
 
 import (
@@ -137,10 +134,6 @@ func dispatch(cmd string, args []string) error {
 		err = cmdContainers(args)
 	case "report":
 		err = cmdReport(args)
-	case "bench":
-		err = cmdBench(args)
-	case "loadgen":
-		err = cmdLoadgen(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -172,8 +165,6 @@ commands:
   membw      DRAM bandwidth-hog study on 1- and 2-socket NUMA topologies
   containers serverless/container future-work study (Sec. VIII)
   report     run the core experiment set, emit a markdown report
-  bench      performance benchmarks, machine-readable JSON output
-  loadgen    drive a memdosd daemon at fleet ingest rates (JSON vs binary)
 
 global flags (before the command):
   -cpuprofile FILE   write a CPU profile of the subcommand

@@ -5,7 +5,8 @@
 // per-VM detector state and incidents under /v1/sessions, and the hub
 // counters are scraped from /metrics. High-rate producers stream
 // length-prefixed binary frames to /v1/ingest/stream instead of JSON
-// (see memdos loadgen for the harness that measures both).
+// (e2ebench's fleet_paced and ingest_sat workloads measure that route,
+// its daemon.json_ns_per_sample probe the JSON one).
 //
 // Usage:
 //

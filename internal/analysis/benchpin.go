@@ -1,28 +1,20 @@
 package analysis
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // BenchPinChecker keeps the //memdos:hotpath annotation and its
 // enforcement from drifting apart: every *annotated* function must be
-// pinned by a regression gate that would catch an allocation creeping in.
-// Two forms of pin are accepted:
-//
-//   - a zero-alloc test — a _test.go function in the same package that
-//     calls testing.AllocsPerRun and references the hot function (by
-//     name for functions, by selector for methods); or
-//
-//   - a bench-gate entry — the directive names it as bench=<name>, and
-//     <name> must exist in the nearest BENCH_baseline.json (walking up
-//     from the package directory), whose allocs/op regression gate CI
-//     enforces via `memdos bench -baseline`.
+// pinned by a zero-alloc test — a _test.go function in the same package
+// that calls testing.AllocsPerRun and references the hot function (by
+// name for functions, by selector for methods). An allocation count is
+// deterministic, so the pin cannot flake; a timing benchmark cannot see
+// an allocation, so none is accepted in its place.
 //
 // Functions merely *reached* from an annotated root inherit its pin and
 // are not checked separately. Test files are parsed syntactically on
@@ -32,53 +24,23 @@ import (
 func BenchPinChecker() *Checker {
 	return &Checker{
 		Name: "benchpin",
-		Doc:  "require a zero-alloc test or bench-gate entry for every //memdos:hotpath function",
+		Doc:  "require a testing.AllocsPerRun test for every //memdos:hotpath function",
 		Run:  runBenchPin,
 	}
 }
 
-// BenchBaselineFile is the committed bench-gate document benchpin
-// resolves bench=<name> pins against.
-const BenchBaselineFile = "BENCH_baseline.json"
-
 func runBenchPin(pass *Pass) {
-	var annotated []*HotFunc
+	var allocTested map[string]bool
 	for _, hf := range hotFuncs(pass.Pkg) {
-		if hf.Annotated {
-			annotated = append(annotated, hf)
-		}
-	}
-	if len(annotated) == 0 {
-		return
-	}
-
-	allocTested := allocTestedNames(pass.Pkg)
-	var benchNames map[string]bool
-	var benchErr string
-
-	for _, hf := range annotated {
-		if hf.Bench != "" {
-			if benchNames == nil && benchErr == "" {
-				benchNames, benchErr = loadBenchGate(pass.Pkg.Dir)
-			}
-			if benchErr != "" {
-				pass.Reportf(hf.Pos, "hotpath %s pins bench=%s but %s", hf.Name, hf.Bench, benchErr)
-				continue
-			}
-			if !benchNames[hf.Bench] {
-				known := make([]string, 0, len(benchNames))
-				for n := range benchNames {
-					known = append(known, n)
-				}
-				sort.Strings(known)
-				pass.Reportf(hf.Pos, "hotpath %s pins bench=%s, which is not a %s entry (have %s)",
-					hf.Name, hf.Bench, BenchBaselineFile, strings.Join(known, ", "))
-			}
+		if !hf.Annotated {
 			continue
+		}
+		if allocTested == nil {
+			allocTested = allocTestedNames(pass.Pkg)
 		}
 		if !allocTested[hf.Decl.Name.Name] {
 			pass.Reportf(hf.Pos,
-				"hotpath %s has no zero-alloc pin: no testing.AllocsPerRun test in the package references it and the directive names no bench= gate entry",
+				"hotpath %s has no zero-alloc pin: no testing.AllocsPerRun test in the package references it",
 				hf.Name)
 		}
 	}
@@ -130,46 +92,4 @@ func allocTestedNames(pkg *Package) map[string]bool {
 		}
 	}
 	return names
-}
-
-// loadBenchGate finds the nearest BENCH_baseline.json above dir and
-// returns its benchmark names, or a diagnostic fragment on failure.
-func loadBenchGate(dir string) (map[string]bool, string) {
-	path := ""
-	for d := dir; ; {
-		cand := filepath.Join(d, BenchBaselineFile)
-		if _, err := os.Stat(cand); err == nil {
-			path = cand
-			break
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			break
-		}
-		// A go.mod marks the module root: the baseline lives at or below it.
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			break
-		}
-		d = parent
-	}
-	if path == "" {
-		return nil, "no " + BenchBaselineFile + " exists between the package and the module root"
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, BenchBaselineFile + " is unreadable: " + err.Error()
-	}
-	var doc struct {
-		Results []struct {
-			Name string `json:"name"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		return nil, BenchBaselineFile + " is unparsable: " + err.Error()
-	}
-	names := make(map[string]bool, len(doc.Results))
-	for _, r := range doc.Results {
-		names[r.Name] = true
-	}
-	return names, ""
 }

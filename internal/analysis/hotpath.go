@@ -17,13 +17,11 @@ import (
 
 // HotPathDirective marks a function as allocation-free steady state:
 //
-//	//memdos:hotpath [bench=<gate-entry>] [free-text rationale]
+//	//memdos:hotpath [free-text rationale]
 //
-// The directive goes in the function's doc comment. The optional
-// bench=<name> key names the cmd/memdos bench-gate entry (a "name" in
-// BENCH_baseline.json) whose allocs/op gate covers this function; without
-// it, benchpin requires a testing.AllocsPerRun test in the package that
-// references the function (see benchpin.go).
+// The directive goes in the function's doc comment. benchpin requires a
+// testing.AllocsPerRun test in the package that references the function
+// (see benchpin.go).
 const HotPathDirective = "//memdos:hotpath"
 
 // HotFunc is one function bound by the hot-path contract.
@@ -38,8 +36,6 @@ type HotFunc struct {
 	// Root is the display name of the annotated function this one was
 	// reached from (== Name when Annotated).
 	Root string
-	// Bench is the bench=<name> value of the root's directive, "" if none.
-	Bench string
 	// Pos is where the directive (or for callees, the declaration) sits.
 	Pos token.Pos
 }
@@ -62,24 +58,19 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// hotPathAnnotation returns (found, bench) for fd's doc comment.
-func hotPathAnnotation(fd *ast.FuncDecl) (bool, string) {
+// hotPathAnnotated reports whether fd's doc comment carries the
+// directive.
+func hotPathAnnotated(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
-		return false, ""
+		return false
 	}
 	for _, c := range fd.Doc.List {
 		rest, ok := strings.CutPrefix(c.Text, HotPathDirective)
-		if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-			continue
+		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return true
 		}
-		for _, f := range strings.Fields(rest) {
-			if b, ok := strings.CutPrefix(f, "bench="); ok {
-				return true, b
-			}
-		}
-		return true, ""
 	}
-	return false, ""
+	return false
 }
 
 // hotFuncs computes the package's hot set: annotated functions plus the
@@ -118,9 +109,9 @@ func hotFuncs(pkg *Package) []*HotFunc {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if ann, bench := hotPathAnnotation(fd); ann {
+			if hotPathAnnotated(fd) {
 				name := funcDisplayName(fd)
-				hf := &HotFunc{Decl: fd, Name: name, Annotated: true, Root: name, Bench: bench, Pos: fd.Pos()}
+				hf := &HotFunc{Decl: fd, Name: name, Annotated: true, Root: name, Pos: fd.Pos()}
 				byDecl[fd] = hf
 				queue = append(queue, hf)
 			}
@@ -145,7 +136,7 @@ func hotFuncs(pkg *Package) []*HotFunc {
 			if !ok || byDecl[fd] != nil {
 				return true
 			}
-			hf := &HotFunc{Decl: fd, Name: funcDisplayName(fd), Root: cur.Root, Bench: cur.Bench, Pos: fd.Pos()}
+			hf := &HotFunc{Decl: fd, Name: funcDisplayName(fd), Root: cur.Root, Pos: fd.Pos()}
 			byDecl[fd] = hf
 			queue = append(queue, hf)
 			return true

@@ -1,15 +1,12 @@
 // Package benchpin is golden-file input for the benchpin check: every
 // annotated //memdos:hotpath function needs a pin that would catch an
-// allocation creeping in — a testing.AllocsPerRun test in the package
-// or a bench=<name> entry resolved against the nearest
-// BENCH_baseline.json (a local one sits in this directory so the corpus
-// is self-contained).
+// allocation creeping in — a testing.AllocsPerRun test in the package.
 package benchpin
 
 // Unpinned carries the contract but nothing enforces it.
 //
 //memdos:hotpath
-func Unpinned(xs []float64) float64 { // want `hotpath Unpinned has no zero-alloc pin: no testing\.AllocsPerRun test in the package references it and the directive names no bench= gate entry`
+func Unpinned(xs []float64) float64 { // want `hotpath Unpinned has no zero-alloc pin: no testing\.AllocsPerRun test in the package references it$`
 	var sum float64
 	for _, v := range xs {
 		sum += v
@@ -17,17 +14,12 @@ func Unpinned(xs []float64) float64 { // want `hotpath Unpinned has no zero-allo
 	return sum
 }
 
-// BadGate names a gate entry the baseline does not have.
+// TimedOnly names a timing benchmark in its directive. Whatever follows
+// the directive is rationale, not a pin: a timing cannot see an
+// allocation.
 //
-//memdos:hotpath bench=demo/missing
-func BadGate() int { // want `hotpath BadGate pins bench=demo/missing, which is not a BENCH_baseline\.json entry \(have demo/covered\)`
-	return 1
-}
-
-// Gated is pinned by the demo/covered allocs/op gate entry.
-//
-//memdos:hotpath bench=demo/covered
-func Gated() int {
+//memdos:hotpath timed-by=BenchmarkTimedOnly
+func TimedOnly() int { // want `hotpath TimedOnly has no zero-alloc pin: no testing\.AllocsPerRun test in the package references it$`
 	return 2
 }
 

@@ -438,3 +438,21 @@ func TestNewMemBandwidth(t *testing.T) {
 		t.Error("nil schedule accepted")
 	}
 }
+
+// BenchmarkFindContested times the LLC cleansing attack's probing phase:
+// fill every set, let the victim touch a band of sets with fresh tags,
+// recheck.
+func BenchmarkFindContested(b *testing.B) {
+	c := cache.MustNew(cache.GeometryScaled)
+	prober := NewProber(c, 1)
+	const victim cache.Owner = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prober.FindContested(func() {
+			for set := 0; set < 32; set++ {
+				c.Access(victim, c.AddrForSet(set, uint64(i)<<8|uint64(set)))
+			}
+		}, 1)
+	}
+}

@@ -123,7 +123,7 @@ func (b *Bus) lockOf(o int) float64 {
 // are cleared for the next step; the returned view is valid until the next
 // Resolve.
 //
-//memdos:hotpath bench=bus/resolve
+//memdos:hotpath
 func (b *Bus) Resolve(dt float64) Deliveries {
 	if dt <= 0 {
 		panic(fmt.Sprintf("bus: non-positive step %v", dt))

@@ -175,3 +175,21 @@ func TestMoreLockMoreThrottle(t *testing.T) {
 		prev = got.Of(1)
 	}
 }
+
+func TestResolveNoAllocs(t *testing.T) {
+	// One arbitration round of the testbed's host: nine requesters and
+	// one locker. Once the per-owner tables have grown, a step must not
+	// allocate.
+	b := New(1e8)
+	step := func() {
+		for o := Owner(0); o < 9; o++ {
+			b.RequestAccesses(o, 1000)
+		}
+		b.RequestLock(9, 0.007)
+		b.Resolve(0.01)
+	}
+	step() // grow the per-owner tables
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("Resolve allocates %.2f objects/step in steady state, want 0", avg)
+	}
+}

@@ -202,7 +202,7 @@ func (c *Cache) statsFor(o Owner) *Stats {
 // resolves both the hit way and the first invalid (fill) way, owner stats
 // are a dense-slice index, and the steady state performs no allocations.
 //
-//memdos:hotpath bench=cache/access
+//memdos:hotpath
 func (c *Cache) Access(o Owner, addr uint64) bool {
 	set := c.setIndex(addr)
 	tag := addr >> c.setShift

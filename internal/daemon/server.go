@@ -1,9 +1,9 @@
 // Package daemon is memdosd's serving layer: the HTTP surface that
 // wires the multi-tenant streaming hub (internal/stream) — and
 // optionally the closed-loop mitigation engine (internal/respond) — to
-// sample producers and operators. It lives outside cmd/memdosd so other
-// binaries (memdos loadgen's in-process mode, tests) can assemble the
-// exact daemon data path without spawning a process.
+// sample producers and operators. It lives outside cmd/memdosd so tests
+// and the end-to-end benchmark (e2ebench) can assemble the exact daemon
+// data path without spawning a process.
 package daemon
 
 import (
@@ -87,12 +87,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Decode into a pooled request: at a steady ingest rate the batch and
-	// sample slices are recycled across requests instead of allocated and
-	// collected per call (TestIngestHandlerAllocs pins this).
-	req := stream.AcquireIngestRequest()
-	defer stream.ReleaseIngestRequest(req)
-	if err := stream.DecodeIngestInto(req, http.MaxBytesReader(w, r.Body, stream.MaxIngestBytes)); err != nil {
+	req, err := stream.DecodeIngest(http.MaxBytesReader(w, r.Body, stream.MaxIngestBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

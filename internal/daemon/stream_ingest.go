@@ -29,7 +29,7 @@ const maxStreamErrors = 32
 // The whole per-connection decode state — frame buffer, sample slice,
 // session-ID intern table — is allocated once and reused for every
 // frame, so a long-lived producer costs no steady-state garbage
-// (BenchmarkStreamIngest pins allocs/frame).
+// (TestStreamIngestAllocsDoNotGrowWithFrames pins it).
 //
 // The optional ?profile= query parameter auto-opens unknown sessions
 // with that detector profile on first contact, mirroring the JSON
@@ -42,7 +42,7 @@ const maxStreamErrors = 32
 // stop the stream until maxStreamErrors is reached. A closing hub
 // (daemon shutdown) yields 503 so producers know to back off.
 //
-//memdos:hotpath bench=ingest/stream
+//memdos:hotpath
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	profile := r.URL.Query().Get("profile")
 

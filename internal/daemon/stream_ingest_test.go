@@ -240,7 +240,7 @@ func TestStreamIngestErrorCap(t *testing.T) {
 }
 
 // TestGCMetricsExposed: the daemon's registry carries the runtime GC
-// counters the load generator and operators read.
+// counters operators read.
 func TestGCMetricsExposed(t *testing.T) {
 	ts, _ := newTestDaemon(t)
 	resp, body := doJSON(t, "GET", ts.URL+"/metrics", nil)
@@ -257,44 +257,83 @@ func TestGCMetricsExposed(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamIngest pushes a many-frame body through the full
-// handler — frame reader, binary decode, session intern, hub submit —
-// and reports per-frame cost. The decode path proper is allocation-free
-// (TestDecodeBatchIntoZeroAlloc); what remains here is the HTTP
-// machinery and the detector's own decision records.
-func BenchmarkStreamIngest(b *testing.B) {
+// flatStream builds a single-shard Block-policy daemon with session vm-1
+// open on det, and a stream body that repeats one 64-sample frame for it
+// n times (the detectors used here do not mind time running in circles).
+func flatStream(tb testing.TB, det core.Detector, n int) (*Server, []byte) {
+	tb.Helper()
 	cfg := stream.DefaultConfig()
 	cfg.Policy = stream.Block
 	cfg.Shards = 1
 	hub := stream.NewHub(cfg)
-	if err := hub.RegisterProfile("raw", func() (core.Detector, error) {
-		return core.NewRawThreshold(0.5)
-	}); err != nil {
+	tb.Cleanup(func() { hub.Close() })
+	if err := hub.RegisterProfile("flat", func() (core.Detector, error) { return det, nil }); err != nil {
+		tb.Fatal(err)
+	}
+	if err := hub.Open("vm-1", "flat"); err != nil {
+		tb.Fatal(err)
+	}
+	samples := make([]pcm.Sample, 64)
+	for i := range samples {
+		samples[i] = pcm.Sample{Time: 0.01 * float64(i+1), AccessNum: 100, MissNum: 10}
+	}
+	frame, err := pcm.AppendBatch(nil, "vm-1", samples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(hub, nil), bytes.Repeat(frame, n)
+}
+
+// silentDetector never decides, so what a request allocates is the
+// serving path's own and not the detector's decision slices.
+type silentDetector struct{}
+
+func (silentDetector) Name() string                    { return "silent" }
+func (silentDetector) Push(pcm.Sample) []core.Decision { return nil }
+func (silentDetector) Overhead() float64               { return 0 }
+
+// streamAllocs is the allocation count of one streaming request of n
+// frames, request and recorder included, with the hub drained.
+func streamAllocs(t *testing.T, det core.Detector, n int) float64 {
+	srv, body := flatStream(t, det, n)
+	rd := bytes.NewReader(body)
+	return testing.AllocsPerRun(100, func() {
+		rd.Reset(body)
+		w := httptest.NewRecorder()
+		srv.handleIngestStream(w, httptest.NewRequest("POST", "/v1/ingest/stream", rd))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if err := srv.hub.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestStreamIngestAllocsDoNotGrowWithFrames pins handleIngestStream's
+// contract: frame read, decode, session lookup and hub submit reuse the
+// connection's buffers, so a request's allocations are per request, not
+// per frame. Without the race detector the 8- and 64-frame requests
+// cost the same; with it sync.Pool sheds a quarter of the hub's batch
+// buffers, about half an allocation a frame, so the bound is one
+// allocation per extra frame.
+func TestStreamIngestAllocsDoNotGrowWithFrames(t *testing.T) {
+	small, big := streamAllocs(t, silentDetector{}, 8), streamAllocs(t, silentDetector{}, 64)
+	if big-small >= 64-8 {
+		t.Errorf("stream ingest allocates per frame: %.0f allocs at 8 frames, %.0f at 64", small, big)
+	}
+}
+
+// BenchmarkStreamIngest pushes a 64-frame body through the full
+// handler — frame reader, binary decode, session intern, hub submit —
+// with the raw-threshold detector, whose one-element decision slice
+// per sample is nearly all of the allocs/op it reports.
+func BenchmarkStreamIngest(b *testing.B) {
+	det, err := core.NewRawThreshold(0.5)
+	if err != nil {
 		b.Fatal(err)
 	}
-	defer hub.Close()
-	srv := New(hub, nil)
-	if err := hub.Open("vm-1", "raw"); err != nil {
-		b.Fatal(err)
-	}
-
-	const framesPerReq, samplesPerFrame = 64, 64
-	samples := make([]pcm.Sample, samplesPerFrame)
-	var body []byte
-	for f := 0; f < framesPerReq; f++ {
-		for i := range samples {
-			samples[i] = pcm.Sample{
-				Time:      0.01 * float64(f*samplesPerFrame+i+1),
-				AccessNum: 100, MissNum: 10,
-			}
-		}
-		var err error
-		body, err = pcm.AppendBatch(body, "vm-1", samples)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-
+	srv, body := flatStream(b, det, 64)
 	rd := bytes.NewReader(body)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(body)))

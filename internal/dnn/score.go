@@ -106,8 +106,6 @@ func (s *BatchScorer) Window() int { return s.w }
 
 // Prepare normalizes n raw windows, given flat as [n][w][2] row-major
 // counter values, into the input slot and returns the staged batch.
-//
-//memdos:hotpath bench=dnn/infer-batched
 func (s *BatchScorer) Prepare(n int, flat []float64) *PreparedBatch {
 	if len(flat) != n*s.w*2 {
 		panic(fmt.Sprintf("dnn: Prepare got %d values, want %d windows x %d x 2", len(flat), n, s.w))
@@ -124,8 +122,6 @@ func (s *BatchScorer) Prepare(n int, flat []float64) *PreparedBatch {
 // and the argmax verdicts land in apps[i] and attacks[i]. Zero
 // allocations at steady state; arena capacity sticks to the high-water
 // batch size.
-//
-//memdos:hotpath bench=dnn/infer-batched
 func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
 	if p.owner != s {
 		panic("dnn: PreparedBatch from a different scorer")
@@ -170,8 +166,10 @@ func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
 const scoreTile = 32
 
 // ScoreFlat normalizes and scores n windows given flat as [n][w][2].
+// Its zero-alloc contract binds Prepare and Score too, as the two
+// functions it reaches.
 //
-//memdos:hotpath bench=dnn/infer-batched
+//memdos:hotpath
 func (s *BatchScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
 	s.Score(s.Prepare(n, flat), apps, attacks)
 }

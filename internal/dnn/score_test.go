@@ -188,8 +188,8 @@ func benchScorerSetup(b *testing.B, batch int) (*BatchScorer, []float64, []int, 
 	return s, flat, apps, attacks
 }
 
-// BenchmarkInferBatched is the CI smoke companion of the cmd/memdos
-// bench entry dnn/infer-batched.
+// BenchmarkInferBatched times the compiled scorer at batch 1, 32 and
+// 256 (e2ebench's dnn.score_us_per_window_* probes are its twins).
 func BenchmarkInferBatched(b *testing.B) {
 	for _, batch := range []int{1, 32, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {

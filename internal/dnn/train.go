@@ -125,7 +125,7 @@ func NewStepper(m *LSTMFCN, opt *Adam) *Stepper {
 // returns the mean loss and the per-sample probabilities. The probability
 // tensor is workspace-backed: it is valid until the next Step.
 //
-//memdos:hotpath bench=dnn/train-step
+//memdos:hotpath
 func (s *Stepper) Step(x *Tensor, y []int) (float64, *Tensor) {
 	logits := s.M.Forward(x, true)
 	if s.params == nil {

@@ -380,7 +380,7 @@ func (c *Controller) Request(o Owner, bytes, rowHitFrac float64) {
 // (row-buffer interference + congestion), so they are identical at any
 // caller-side sharding of the same demand.
 //
-//memdos:hotpath bench=mem/resolve-1024-vms
+//memdos:hotpath
 func (c *Controller) Resolve(dt float64) Resolution {
 	if dt <= 0 {
 		panic(fmt.Sprintf("mem: non-positive step %v", dt))

@@ -2,8 +2,7 @@ package metrics
 
 // GC accounting for the serving path. The ingest work in this repo is
 // judged bmgc-style — throughput plus GC pause totals — so the daemon
-// exposes the runtime's collector counters and the load generator reads
-// them directly for before/after deltas.
+// exposes the runtime's collector counters.
 
 import "runtime"
 
@@ -25,15 +24,6 @@ func ReadGCStats() GCStats {
 	return GCStats{
 		PauseTotal: float64(ms.PauseTotalNs) / 1e9,
 		Cycles:     uint64(ms.NumGC),
-	}
-}
-
-// Sub returns the delta g minus earlier, for before/after measurements
-// around a load window.
-func (g GCStats) Sub(earlier GCStats) GCStats {
-	return GCStats{
-		PauseTotal: g.PauseTotal - earlier.PauseTotal,
-		Cycles:     g.Cycles - earlier.Cycles,
 	}
 }
 

@@ -127,7 +127,7 @@ func appendFloatField(dst []byte, v float64) []byte {
 // The returned session aliases body and is only valid while body is;
 // callers that outlive the buffer must copy it.
 //
-//memdos:hotpath bench=ingest/decode-batch
+//memdos:hotpath
 func DecodeBatchInto(dst []Sample, body []byte) (session []byte, samples []Sample, err error) {
 	if len(body) == 0 {
 		return nil, dst, fmt.Errorf("pcm: empty frame body")

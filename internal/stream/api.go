@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"memdos/internal/pcm"
 )
@@ -64,98 +63,35 @@ type IngestResponse struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// ingestReqPool recycles decoded requests — and, transitively, their
-// batch and sample slices — across DecodeIngestInto calls, so a daemon
-// ingesting at high rate does not allocate a fresh batch slice per
-// request (the JSON route's analogue of the binary path's reused
-// buffers).
-var ingestReqPool = sync.Pool{New: func() any { return new(IngestRequest) }}
-
-// AcquireIngestRequest returns a recycled request for DecodeIngestInto.
-// Pass it to ReleaseIngestRequest when the batches are no longer
-// referenced (the hub copies samples on Ingest, so right after the
-// ingest loop is safe).
-func AcquireIngestRequest() *IngestRequest {
-	return ingestReqPool.Get().(*IngestRequest)
-}
-
-// ReleaseIngestRequest recycles req. Oversized requests are dropped
-// instead of pooled so one huge body cannot pin its memory forever.
-func ReleaseIngestRequest(req *IngestRequest) {
-	if cap(req.Batches) > 1024 {
-		return
-	}
-	keep := true
-	for i := range req.Batches {
-		if cap(req.Batches[i].Samples) > MaxIngestSamples/8 {
-			keep = false
-			break
-		}
-	}
-	if keep {
-		ingestReqPool.Put(req)
-	}
-}
-
-// resetIngestRequest clears every element the next decode could reuse.
-// encoding/json appends into the existing backing array, reusing the
-// structs (and their Samples capacity) that live there — but it leaves
-// fields absent from the new document untouched, so a stale Session or
-// Profile from the previous request would silently leak into this one
-// unless wiped first.
-func resetIngestRequest(req *IngestRequest) {
-	batches := req.Batches[:cap(req.Batches)]
-	for i := range batches {
-		batches[i].Session = ""
-		batches[i].Profile = ""
-		batches[i].Samples = batches[i].Samples[:0]
-	}
-	req.Batches = req.Batches[:0]
-}
-
-// DecodeIngest parses and validates an ingest request body into a
-// freshly allocated request. Hot paths should prefer
-// AcquireIngestRequest + DecodeIngestInto + ReleaseIngestRequest.
+// DecodeIngest parses and validates an ingest request body.
 func DecodeIngest(r io.Reader) (*IngestRequest, error) {
 	req := new(IngestRequest)
-	if err := DecodeIngestInto(req, r); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// DecodeIngestInto parses and validates an ingest request body into
-// req, reusing whatever batch and sample capacity req already carries.
-//
-//memdos:hotpath
-func DecodeIngestInto(req *IngestRequest, r io.Reader) error {
-	resetIngestRequest(req)
 	dec := json.NewDecoder(io.LimitReader(r, MaxIngestBytes+1))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		return fmt.Errorf("stream: bad ingest request: %w", err)
+		return nil, fmt.Errorf("stream: bad ingest request: %w", err)
 	}
 	// A second value (or any trailing token) means the body was not one
 	// JSON document.
 	if dec.More() {
-		return fmt.Errorf("stream: trailing data after ingest request")
+		return nil, fmt.Errorf("stream: trailing data after ingest request")
 	}
 	if len(req.Batches) == 0 {
-		return fmt.Errorf("stream: ingest request has no batches")
+		return nil, fmt.Errorf("stream: ingest request has no batches")
 	}
 	total := 0
 	for i := range req.Batches {
 		b := &req.Batches[i]
 		if err := validSessionID(b.Session); err != nil {
-			return fmt.Errorf("stream: batch %d: %w", i, err)
+			return nil, fmt.Errorf("stream: batch %d: %w", i, err)
 		}
 		if len(b.Samples) == 0 {
-			return fmt.Errorf("stream: batch %d (%s) has no samples", i, b.Session)
+			return nil, fmt.Errorf("stream: batch %d (%s) has no samples", i, b.Session)
 		}
 		total += len(b.Samples)
 		if total > MaxIngestSamples {
-			return fmt.Errorf("stream: ingest request exceeds %d samples", MaxIngestSamples)
+			return nil, fmt.Errorf("stream: ingest request exceeds %d samples", MaxIngestSamples)
 		}
 	}
-	return nil
+	return req, nil
 }

@@ -265,7 +265,7 @@ func (h *Hub) CloseSession(sessionID string) error {
 // returns how many samples were accepted (all or none, per the queue
 // policy). The batch is copied; the caller may reuse the slice.
 //
-//memdos:hotpath bench=ingest/stream
+//memdos:hotpath
 func (h *Hub) Ingest(sessionID string, samples []pcm.Sample) (int, error) {
 	if len(samples) == 0 {
 		return 0, nil

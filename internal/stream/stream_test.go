@@ -463,3 +463,60 @@ func TestSubscriberDropAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestCopiesBatch: Hub.Ingest's contract says the caller may
+// reuse its slice immediately. With the pooled submit path the copy
+// happens into a recycled buffer — corrupting the caller's slice right
+// after Ingest must not corrupt what the detector sees.
+func TestIngestCopiesBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = Block
+	cfg.RecordDecisions = true
+	h := NewHub(cfg)
+	defer h.Close()
+	if err := h.RegisterProfile("raw", func() (core.Detector, error) {
+		return core.NewRawThreshold(0.5)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Open("vm-1", "raw"); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := make([]pcm.Sample, 64)
+	for round := 0; round < 50; round++ {
+		for i := range batch {
+			batch[i] = pcm.Sample{
+				Time:      float64(round*len(batch)+i+1) * 0.01,
+				AccessNum: 100,
+				MissNum:   10,
+			}
+		}
+		if _, err := h.Ingest("vm-1", batch); err != nil {
+			t.Fatal(err)
+		}
+		// Stomp the caller's slice while the batch may still be queued.
+		for i := range batch {
+			batch[i] = pcm.Sample{Time: -1, AccessNum: 1e12, MissNum: 1e12}
+		}
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	decisions := h.Decisions("vm-1")
+	// RawThreshold emits no decision for its very first sample (it needs
+	// a predecessor), so a contiguous stream yields samples-1 decisions.
+	if len(decisions) != 50*64-1 {
+		t.Fatalf("%d decisions, want %d", len(decisions), 50*64-1)
+	}
+	for i, d := range decisions {
+		// The stomped values would flip the raw-threshold detector's
+		// miss ratio to 1.0 and alarm; the real batch never alarms.
+		if d.Alarm {
+			t.Fatalf("decision %d alarmed: detector saw the stomped batch", i)
+		}
+		if want := float64(i+2) * 0.01; d.Time != want {
+			t.Fatalf("decision %d at t=%v, want %v", i, d.Time, want)
+		}
+	}
+}

@@ -356,7 +356,7 @@ type StepResult struct {
 // Step advances the server by one T_PCM tick and returns any completed PCM
 // samples.
 //
-//memdos:hotpath bench=vmm/step
+//memdos:hotpath
 func (s *Server) Step() StepResult {
 	now := s.clock.Now()
 	dt := s.cfg.TPCM

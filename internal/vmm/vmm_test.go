@@ -425,27 +425,45 @@ func TestCachePartitionContainsCleansing(t *testing.T) {
 	}
 }
 
-func BenchmarkServerStep(b *testing.B) {
-	// The testbed topology of the Scenario 1 runs: one victim, one
-	// attacker, seven utility VMs. Run with -benchmem — the per-tick loop
-	// should stay close to allocation-free (the only steady-state
-	// allocations are inside workload demand sampling, if any).
+// testbedServer builds the topology of the Scenario 1 runs: one victim,
+// one bus-locking attacker, seven utility VMs.
+func testbedServer(tb testing.TB) *Server {
+	tb.Helper()
 	s := MustNewServer(DefaultConfig())
 	if _, err := s.AddApp("victim", workload.MustByAbbrev("BA").Service()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	atk, err := attack.NewBusLock(attack.Always{}, 0.7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := s.AddAttacker("attacker", atk); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
 		if _, err := s.AddApp("util", workload.Utility()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return s
+}
+
+func TestStepNoAllocs(t *testing.T) {
+	// The per-tick loop of the testbed must not allocate once its
+	// scratch has grown. What is left is the counters' recorded trace
+	// series doubling (trace.Series.Append), far less than once a tick,
+	// so the contract is the average over many ticks.
+	s := testbedServer(t)
+	for i := 0; i < 100; i++ {
+		s.Step() // grow scratch
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg != 0 {
+		t.Errorf("Step allocates %.2f objects/tick in steady state, want 0", avg)
+	}
+}
+
+func BenchmarkServerStep(b *testing.B) {
+	s := testbedServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
