@@ -39,10 +39,12 @@ package pcm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -67,13 +69,49 @@ const (
 	maxFrameSession = 128
 )
 
+// The field varints are coded a word at a time. A uvarint is a run of
+// bytes carrying 7 value bits each, low group first, every byte but the
+// last with its top bit set; read as one little-endian uint64, eight of
+// them are eight 7-bit groups with a continuation bit above each, and
+// the groups close up into 56 contiguous bits in three mask-and-shift
+// steps (pack7) — or open out again (spread7) — instead of eight trips
+// round a shift-and-or loop. Simulated counters and k*0.01 timestamps
+// are full-mantissa floats, so most fields are 9 or 10 bytes long and
+// the byte loops were half of a saturated ingest's CPU (EXPERIMENTS.md
+// "Spending the budget"). The bytes on the wire are exactly
+// encoding/binary's, and so is the set of byte strings accepted.
+const (
+	contBits = 0x8080808080808080 // the continuation bit of eight varint bytes
+	// maxFieldBytes is the longest field varint (a full 64-bit pattern),
+	// and therefore what AppendBatch reserves per field.
+	maxFieldBytes = binary.MaxVarintLen64
+)
+
+// pack7 closes up the eight 7-bit groups of x, one per byte with the
+// continuation bits already cleared, into the low 56 bits.
+func pack7(x uint64) uint64 {
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	return x&0x000000000fffffff | x&0x0fffffff00000000>>4
+}
+
+// spread7 is pack7's inverse: the low 56 bits of v as eight 7-bit
+// groups, one per byte, continuation bits clear.
+func spread7(v uint64) uint64 {
+	v = v&0x000000000fffffff | v&0x00fffffff0000000<<4
+	v = v&0x00003fff00003fff | v&0x0fffc0000fffc000<<2
+	return v&0x007f007f007f007f | v&0x3f803f803f803f80<<1
+}
+
 // AppendBatch appends one complete frame — length prefix included — for
-// session's samples to dst and returns the extended slice. It allocates
-// only when dst lacks capacity, so a producer reusing its buffer
-// encodes at zero allocations steady state. Samples must pass Validate
-// and the session name must satisfy the same rules the stream package
-// enforces; refusing here keeps unsendable frames from ever reaching a
-// socket.
+// session's samples to dst and returns the extended slice. Room for the
+// largest frame the batch could need (50 bytes a sample) is reserved
+// once, up front, so it allocates only when dst lacks that capacity and
+// a producer reusing its buffer encodes at zero allocations steady
+// state; as with append, bytes of dst's array past the returned length
+// are scratch. Samples must pass Validate and the session name must
+// satisfy the same rules the stream package enforces; refusing here
+// keeps unsendable frames from ever reaching a socket.
 //
 //memdos:hotpath
 func AppendBatch(dst []byte, session string, samples []Sample) ([]byte, error) {
@@ -87,26 +125,23 @@ func AppendBatch(dst []byte, session string, samples []Sample) ([]byte, error) {
 		return dst, fmt.Errorf("pcm: batch of %d samples exceeds %d per frame", len(samples), MaxFrameSamples)
 	}
 	for i := range samples {
-		if err := samples[i].Validate(); err != nil {
-			return dst, fmt.Errorf("pcm: sample %d: %w", i, err)
+		if !samples[i].wellFormed() {
+			return dst, fmt.Errorf("pcm: sample %d: %w", i, samples[i].Validate())
 		}
 	}
 	start := len(dst)
+	fields := len(samples) * binaryFieldCount * maxFieldBytes
+	dst = slices.Grow(dst, FramePrefixBytes+1+3*binary.MaxVarintLen64+len(session)+fields)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	dst = append(dst, BinaryVersion)
 	dst = binary.AppendUvarint(dst, binaryFieldCount)
 	dst = binary.AppendUvarint(dst, uint64(len(session)))
 	dst = append(dst, session...)
 	dst = binary.AppendUvarint(dst, uint64(len(samples)))
-	for i := range samples {
-		s := &samples[i]
-		dst = appendFloatField(dst, s.Time)
-		dst = appendFloatField(dst, s.AccessNum)
-		dst = appendFloatField(dst, s.MissNum)
-		dst = appendFloatField(dst, s.BWBytes)
-		dst = appendFloatField(dst, s.AvgLatency)
-	}
-	body := len(dst) - start - FramePrefixBytes
+	n := len(dst)
+	n += encodeSamples(dst[n:n+fields], samples)
+	dst = dst[:n]
+	body := n - start - FramePrefixBytes
 	if body > MaxFrameBytes {
 		return dst[:start], fmt.Errorf("pcm: frame body %d bytes exceeds %d", body, MaxFrameBytes)
 	}
@@ -114,10 +149,45 @@ func AppendBatch(dst []byte, session string, samples []Sample) ([]byte, error) {
 	return dst, nil
 }
 
-// appendFloatField varint-encodes one float64 losslessly (see the
-// package comment for why the bit pattern is byte-reversed first).
-func appendFloatField(dst []byte, v float64) []byte {
-	return binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(v)))
+// encodeSamples writes the samples' field varints to the front of dst,
+// which must have maxFieldBytes of room for every field, and returns
+// how many bytes they took. It is a function of its own, like
+// decodeSamples, to keep the loop's few values in registers: inlined
+// among the header's live values either loop spills on every field and
+// runs a third slower.
+func encodeSamples(dst []byte, samples []Sample) int {
+	n := 0
+	for i := range samples {
+		s := &samples[i]
+		// Byte-reversed bit patterns (see the package comment for why).
+		for _, f := range [binaryFieldCount]float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency} {
+			v := bits.ReverseBytes64(math.Float64bits(f))
+			if v < 0x80 { // zero, the usual DRAM pair
+				dst[n] = byte(v)
+				n++
+				continue
+			}
+			// The field's first eight bytes go down as one word whatever
+			// its length: the bytes past its end are the next field's to
+			// overwrite.
+			p := dst[n : n+maxFieldBytes]
+			if v>>56 == 0 {
+				// Up to eight bytes: continuation bits below the last.
+				size := (bits.Len64(v) + 6) / 7
+				binary.LittleEndian.PutUint64(p, spread7(v)|contBits&(uint64(1)<<(8*size-8)-1))
+				n += size
+				continue
+			}
+			// Nine or ten: eight continued groups, bits 56-62, and bit
+			// 63 in a tenth byte when it is set.
+			binary.LittleEndian.PutUint64(p, spread7(v)|contBits)
+			top := byte(v >> 63)
+			p[8] = byte(v>>56)&0x7f | top<<7
+			p[9] = top
+			n += 9 + int(top)
+		}
+	}
+	return n
 }
 
 // DecodeBatchInto decodes one frame *body* (the bytes after the length
@@ -164,34 +234,17 @@ func DecodeBatchInto(dst []Sample, body []byte) (session []byte, samples []Sampl
 	if count == 0 || count > MaxFrameSamples {
 		return nil, dst, fmt.Errorf("pcm: frame sample count %d (want 1-%d)", count, MaxFrameSamples)
 	}
-	samples = dst
-	for i := uint64(0); i < count; i++ {
-		var s Sample
-		for f := uint64(0); f < fieldCount; f++ {
-			var v float64
-			v, p, err = decodeFloatField(p)
-			if err != nil {
-				return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, err)
-			}
-			switch f {
-			case 0:
-				s.Time = v
-			case 1:
-				s.AccessNum = v
-			case 2:
-				s.MissNum = v
-			case 3:
-				s.BWBytes = v
-			case 4:
-				s.AvgLatency = v
-				// Fields beyond the fifth were appended by a newer
-				// producer: decoded (to advance p) and dropped.
-			}
-		}
-		if err := s.Validate(); err != nil {
-			return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, err)
-		}
-		samples = append(samples, s)
+	// Room for the frame's samples is made once, not per sample. A sample
+	// is at least fieldCount bytes, so a hostile count reserves no more
+	// than the body could hold; a body that short then fails below.
+	room := int(min(count, uint64(len(p))/fieldCount))
+	samples = slices.Grow(dst, room)[:len(dst)+room]
+	p, bad, err := decodeSamples(samples[len(dst):], p, int(fieldCount))
+	if err == nil && uint64(room) < count {
+		bad, err = room, errFieldVarint
+	}
+	if err != nil {
+		return nil, dst, fmt.Errorf("pcm: sample %d: %w", bad, err)
 	}
 	if len(p) != 0 {
 		return nil, dst, fmt.Errorf("pcm: %d trailing bytes after frame samples", len(p))
@@ -199,7 +252,64 @@ func DecodeBatchInto(dst []Sample, body []byte) (session []byte, samples []Sampl
 	return session, samples, nil
 }
 
-// decodeUvarint reads one uvarint, naming the field in errors.
+// decodeSamples fills out with samples of fieldCount field varints each
+// from the front of p and returns what is left of p. On a refusal bad is
+// the index of the offending sample. One loop serves every fieldCount:
+// field k's bit pattern lands in v[k], slots a legacy producer never
+// wrote stay zero, and slots past the fifth — appended by a newer
+// producer — are decoded to advance p and dropped.
+func decodeSamples(out []Sample, p []byte, fieldCount int) (rest []byte, bad int, err error) {
+	var v [maxFieldCount]uint64
+	for i := range out {
+		for k := 0; k < fieldCount; k++ {
+			var size int
+			switch {
+			case len(p) > 0 && p[0] < 0x80: // zero, the usual DRAM pair
+				v[k], size = uint64(p[0]), 1
+			case len(p) >= maxFieldBytes:
+				x := binary.LittleEndian.Uint64(p)
+				if stop := ^x & contBits; stop != 0 {
+					// The lowest clear continuation bit ends the varint;
+					// stop^(stop-1) keeps the bytes up to and including it.
+					size = (bits.TrailingZeros64(stop) + 1) / 8
+					v[k] = pack7(x & (stop ^ (stop - 1)) &^ contBits)
+					break
+				}
+				// Nine or ten bytes. encoding/binary's overflow rule: a
+				// tenth byte may carry bit 63 and nothing else.
+				more := p[8] >> 7
+				last := p[9] & -more
+				if last > 1 {
+					return p, i, errFieldVarint
+				}
+				v[k] = pack7(x&^contBits) | uint64(p[8]&0x7f)<<56 | uint64(last)<<63
+				size = 9 + int(more)
+			default:
+				// Inside the last nine bytes of the body a word load
+				// would overrun: the byte loop finishes the frame.
+				if v[k], size = binary.Uvarint(p); size <= 0 {
+					return p, i, errFieldVarint
+				}
+			}
+			p = p[size:]
+		}
+		s := &out[i]
+		s.Time = floatField(v[0])
+		s.AccessNum = floatField(v[1])
+		s.MissNum = floatField(v[2])
+		s.BWBytes = floatField(v[3])
+		s.AvgLatency = floatField(v[4])
+		if !s.wellFormed() {
+			return p, i, s.Validate()
+		}
+	}
+	return p, 0, nil
+}
+
+var errFieldVarint = errors.New("pcm: truncated or overlong field varint")
+
+// decodeUvarint reads one of the three header uvarints, naming it in
+// errors.
 func decodeUvarint(p []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -208,13 +318,9 @@ func decodeUvarint(p []byte, what string) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// decodeFloatField reverses appendFloatField.
-func decodeFloatField(p []byte) (float64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, p, fmt.Errorf("pcm: truncated or overlong field varint")
-	}
-	return math.Float64frombits(bits.ReverseBytes64(v)), p[n:], nil
+// floatField undoes the encoder's byte reversal.
+func floatField(v uint64) float64 {
+	return math.Float64frombits(bits.ReverseBytes64(v))
 }
 
 // validFrameSession mirrors the stream package's session-id rules so a

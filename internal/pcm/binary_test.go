@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -374,38 +377,512 @@ func TestAppendBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkDecodeBatchInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	batch := randomBatch(rng, 64)
-	frame, err := AppendBatch(nil, "vm-bench", batch)
-	if err != nil {
-		b.Fatal(err)
+// The reference codec: the byte-at-a-time loops DecodeBatchInto and
+// AppendBatch ran before the word-at-a-time codec replaced them, kept
+// here verbatim as the oracle. Same frames out for the same samples,
+// same accept set, same error text — the differential tests below and
+// FuzzCodecMatchesReference hold the new codec to that.
+
+func refValidate(s Sample) error {
+	switch {
+	case math.IsNaN(s.Time) || math.IsInf(s.Time, 0):
+		return fmt.Errorf("pcm: non-finite sample time %v", s.Time)
+	case math.IsNaN(s.AccessNum) || math.IsInf(s.AccessNum, 0):
+		return fmt.Errorf("pcm: non-finite AccessNum %v", s.AccessNum)
+	case math.IsNaN(s.MissNum) || math.IsInf(s.MissNum, 0):
+		return fmt.Errorf("pcm: non-finite MissNum %v", s.MissNum)
+	case s.AccessNum < 0 || s.MissNum < 0:
+		return fmt.Errorf("pcm: negative counters %v/%v", s.AccessNum, s.MissNum)
+	case math.IsNaN(s.BWBytes) || math.IsInf(s.BWBytes, 0):
+		return fmt.Errorf("pcm: non-finite BWBytes %v", s.BWBytes)
+	case math.IsNaN(s.AvgLatency) || math.IsInf(s.AvgLatency, 0):
+		return fmt.Errorf("pcm: non-finite AvgLatency %v", s.AvgLatency)
+	case s.BWBytes < 0 || s.AvgLatency < 0:
+		return fmt.Errorf("pcm: negative DRAM counters %v/%v", s.BWBytes, s.AvgLatency)
 	}
-	body := frame[FramePrefixBytes:]
-	dst := make([]Sample, 0, len(batch))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, out, err := DecodeBatchInto(dst[:0], body)
-		if err != nil {
-			b.Fatal(err)
+	return nil
+}
+
+func refAppendBatch(dst []byte, session string, samples []Sample) ([]byte, error) {
+	if err := validFrameSession(session); err != nil {
+		return dst, err
+	}
+	if len(samples) == 0 {
+		return dst, fmt.Errorf("pcm: empty sample batch")
+	}
+	if len(samples) > MaxFrameSamples {
+		return dst, fmt.Errorf("pcm: batch of %d samples exceeds %d per frame", len(samples), MaxFrameSamples)
+	}
+	for i := range samples {
+		if err := refValidate(samples[i]); err != nil {
+			return dst, fmt.Errorf("pcm: sample %d: %w", i, err)
 		}
-		dst = out
+	}
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = append(dst, BinaryVersion)
+	dst = binary.AppendUvarint(dst, binaryFieldCount)
+	dst = binary.AppendUvarint(dst, uint64(len(session)))
+	dst = append(dst, session...)
+	dst = binary.AppendUvarint(dst, uint64(len(samples)))
+	for i := range samples {
+		s := &samples[i]
+		for _, v := range []float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency} {
+			dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(v)))
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-FramePrefixBytes))
+	return dst, nil
+}
+
+func refDecodeBatchInto(dst []Sample, body []byte) (session []byte, samples []Sample, err error) {
+	if len(body) == 0 {
+		return nil, dst, fmt.Errorf("pcm: empty frame body")
+	}
+	if body[0] != BinaryVersion {
+		return nil, dst, fmt.Errorf("pcm: unknown frame version %d (reader supports %d)", body[0], BinaryVersion)
+	}
+	p := body[1:]
+	fieldCount, p, err := decodeUvarint(p, "field count")
+	if err != nil {
+		return nil, dst, err
+	}
+	if fieldCount < 3 || fieldCount > maxFieldCount {
+		return nil, dst, fmt.Errorf("pcm: frame declares %d fields per sample (want 3-%d)", fieldCount, maxFieldCount)
+	}
+	sessLen, p, err := decodeUvarint(p, "session length")
+	if err != nil {
+		return nil, dst, err
+	}
+	if sessLen == 0 || sessLen > maxFrameSession {
+		return nil, dst, fmt.Errorf("pcm: frame session length %d (want 1-%d)", sessLen, maxFrameSession)
+	}
+	if uint64(len(p)) < sessLen {
+		return nil, dst, fmt.Errorf("pcm: truncated frame session")
+	}
+	session, p = p[:sessLen], p[sessLen:]
+	if err := validFrameSessionBytes(session); err != nil {
+		return nil, dst, err
+	}
+	count, p, err := decodeUvarint(p, "sample count")
+	if err != nil {
+		return nil, dst, err
+	}
+	if count == 0 || count > MaxFrameSamples {
+		return nil, dst, fmt.Errorf("pcm: frame sample count %d (want 1-%d)", count, MaxFrameSamples)
+	}
+	samples = dst
+	for i := uint64(0); i < count; i++ {
+		var s Sample
+		for f := uint64(0); f < fieldCount; f++ {
+			u, n := binary.Uvarint(p)
+			if n <= 0 {
+				return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, fmt.Errorf("pcm: truncated or overlong field varint"))
+			}
+			p = p[n:]
+			v := math.Float64frombits(bits.ReverseBytes64(u))
+			switch f {
+			case 0:
+				s.Time = v
+			case 1:
+				s.AccessNum = v
+			case 2:
+				s.MissNum = v
+			case 3:
+				s.BWBytes = v
+			case 4:
+				s.AvgLatency = v
+			}
+		}
+		if err := refValidate(s); err != nil {
+			return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, err)
+		}
+		samples = append(samples, s)
+	}
+	if len(p) != 0 {
+		return nil, dst, fmt.Errorf("pcm: %d trailing bytes after frame samples", len(p))
+	}
+	return session, samples, nil
+}
+
+// sameBits reports whether two samples are the same ten words: == would
+// let -0 pass for +0.
+func sameBits(a, b Sample) bool {
+	fa := [...]float64{a.Time, a.AccessNum, a.MissNum, a.BWBytes, a.AvgLatency}
+	fb := [...]float64{b.Time, b.AccessNum, b.MissNum, b.BWBytes, b.AvgLatency}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameErr reports whether two errors agree in presence and text.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// decodeBoth decodes body with the codec and with the reference and
+// fails the test on any disagreement: accept or reject, error text,
+// session bytes, sample bits.
+func decodeBoth(t testing.TB, body []byte) ([]byte, []Sample, error) {
+	t.Helper()
+	session, samples, err := DecodeBatchInto(make([]Sample, 0, 4), body)
+	refSession, refSamples, refErr := refDecodeBatchInto(nil, body)
+	if !sameErr(err, refErr) {
+		t.Fatalf("body %x: decode error %v, reference %v", body, err, refErr)
+	}
+	if err != nil {
+		if session != nil || len(samples) != 0 {
+			t.Fatalf("body %x: refused frame returned %q / %d samples", body, session, len(samples))
+		}
+		return nil, nil, err
+	}
+	if !bytes.Equal(session, refSession) || len(samples) != len(refSamples) {
+		t.Fatalf("body %x: decoded %q / %d samples, reference %q / %d", body, session, len(samples), refSession, len(refSamples))
+	}
+	for i := range samples {
+		if !sameBits(samples[i], refSamples[i]) {
+			t.Fatalf("body %x sample %d: %+v, reference %+v", body, i, samples[i], refSamples[i])
+		}
+	}
+	return session, samples, nil
+}
+
+// encodeBoth encodes the batch with the codec and with the reference
+// behind the same prefix and fails the test unless both refuse with the
+// same text or both write the same bytes.
+func encodeBoth(t testing.TB, session string, samples []Sample) ([]byte, error) {
+	t.Helper()
+	prefix := []byte("prefix")
+	got, err := AppendBatch(append([]byte(nil), prefix...), session, samples)
+	want, refErr := refAppendBatch(append([]byte(nil), prefix...), session, samples)
+	if !sameErr(err, refErr) {
+		t.Fatalf("encode %q %+v: error %v, reference %v", session, samples, err, refErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encode %q %+v:\n got %x\nwant %x", session, samples, got, want)
+	}
+	return got[len(prefix):], err
+}
+
+// rawFrame builds a frame body around field varints given as raw bytes,
+// so a test can put any byte string where a field belongs.
+func rawFrame(fieldCount uint64, session string, count uint64, fields ...[]byte) []byte {
+	b := []byte{BinaryVersion}
+	b = binary.AppendUvarint(b, fieldCount)
+	b = binary.AppendUvarint(b, uint64(len(session)))
+	b = append(b, session...)
+	b = binary.AppendUvarint(b, count)
+	for _, f := range fields {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// zeroFields is n zero fields, one byte each.
+func zeroFields(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = []byte{0}
+	}
+	return out
+}
+
+// fieldBytes is the minimal varint of a float's wire pattern.
+func fieldBytes(v float64) []byte {
+	return binary.AppendUvarint(nil, bits.ReverseBytes64(math.Float64bits(v)))
+}
+
+// patternOfSize is a field pattern whose varint is size bytes long: the
+// top bit such a varint can carry plus bit 0, which makes it a finite,
+// non-negative float in any slot (low byte 0x01 or 0x41).
+func patternOfSize(size int) uint64 {
+	return uint64(1)<<min(7*size-1, 63) | 1
+}
+
+// TestFieldVarintBoundaries walks a field varint of every length across
+// the point where the decoder stops loading words: ending exactly at
+// the end of the body and 1 to 9 bytes before it. The varint sits in
+// the slot that leaves pad one-byte zero fields behind it.
+func TestFieldVarintBoundaries(t *testing.T) {
+	for size := 1; size <= binary.MaxVarintLen64; size++ {
+		u := patternOfSize(size)
+		raw := binary.AppendUvarint(nil, u)
+		if len(raw) != size {
+			t.Fatalf("pattern %#x is %d bytes, want %d", u, len(raw), size)
+		}
+		want := math.Float64frombits(bits.ReverseBytes64(u))
+		for pad := 0; pad <= 9; pad++ {
+			fieldCount := max(3, pad+1)
+			slot := fieldCount - 1 - pad
+			fields := zeroFields(fieldCount)
+			fields[slot] = raw
+			body := rawFrame(uint64(fieldCount), "vm-edge", 1, fields...)
+			_, samples, err := decodeBoth(t, body)
+			if err != nil {
+				t.Fatalf("size %d pad %d: %v", size, pad, err)
+			}
+			got := [...]float64{samples[0].Time, samples[0].AccessNum, samples[0].MissNum}[slot]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("size %d pad %d: slot %d = %v, want %v", size, pad, slot, got, want)
+			}
+			// One byte short is a truncated frame, whatever the length.
+			if _, _, err := decodeBoth(t, body[:len(body)-1]); err == nil {
+				t.Fatalf("size %d pad %d: truncated body accepted", size, pad)
+			}
+		}
+	}
+}
+
+// TestFieldVarintForms pins the varint forms encoding/binary defines at
+// the edge of 64 bits, each met by the word loads (ten zero fields
+// behind it) and by the byte loop (nothing behind it). The field under
+// test is the sixth — a slot today's reader decodes and drops — so any
+// bit pattern passes validation and only the varint rule decides. (A
+// cut varint with zeros behind it swallows one and leaves the frame a
+// field short: the same refusal, one field later.)
+func TestFieldVarintForms(t *testing.T) {
+	ff := func(n int, last ...byte) []byte {
+		return append(bytes.Repeat([]byte{0xff}, n), last...)
+	}
+	cases := []struct {
+		name   string
+		field  []byte
+		reject string
+	}{
+		{"max uint64", ff(9, 0x01), ""},
+		{"ten bytes, bit 63 clear", ff(9, 0x00), ""},
+		{"nine bytes, top group zero", ff(8, 0x00), ""},
+		{"non-minimal zero", []byte{0x80, 0x00}, ""},
+		{"non-minimal one", []byte{0x81, 0x80, 0x80, 0x00}, ""},
+		{"overlong tenth byte", ff(9, 0x02), "truncated or overlong field varint"},
+		{"tenth byte 0x7f", ff(9, 0x7f), "truncated or overlong field varint"},
+		{"tenth byte continued", ff(9, 0x80, 0x00), "truncated or overlong field varint"},
+		{"eleven-byte run", ff(10, 0x01), "truncated or overlong field varint"},
+		{"cut after one byte", []byte{0x80}, "truncated or overlong field varint"},
+		{"cut after eight bytes", ff(8), "truncated or overlong field varint"},
+		{"cut after nine bytes", ff(9), "truncated or overlong field varint"},
+	}
+	for _, c := range cases {
+		for _, behind := range []int{0, 10} {
+			fields := append(append(zeroFields(5), c.field), zeroFields(behind)...)
+			body := rawFrame(uint64(len(fields)), "vm-form", 1, fields...)
+			_, samples, err := decodeBoth(t, body)
+			switch {
+			case c.reject == "" && err != nil:
+				t.Errorf("%s (+%d fields): %v", c.name, behind, err)
+			case c.reject == "" && (len(samples) != 1 || samples[0] != Sample{}):
+				t.Errorf("%s (+%d fields): decoded %+v", c.name, behind, samples)
+			case c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)):
+				t.Errorf("%s (+%d fields): error %v, want %q", c.name, behind, err, c.reject)
+			}
+		}
+	}
+
+	// The same all-ones pattern in a slot that is kept is a NaN.
+	nan := rawFrame(5, "vm-form", 1, append([][]byte{ff(9, 0x01)}, zeroFields(4)...)...)
+	if _, _, err := decodeBoth(t, nan); err == nil || !strings.Contains(err.Error(), "non-finite sample time NaN") {
+		t.Errorf("all-ones time: %v", err)
+	}
+}
+
+// TestCodecValueEdges: the floats at the edges of the accept set, in
+// every slot, through both directions and against the reference.
+func TestCodecValueEdges(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	accepted := []float64{0, negZero, math.SmallestNonzeroFloat64, 2.2250738585072009e-308, // largest subnormal
+		2.2250738585072014e-308, 1, 0.01, 1 << 53, math.MaxFloat64}
+	for _, v := range accepted {
+		for slot := 0; slot < binaryFieldCount; slot++ {
+			f := [binaryFieldCount]float64{}
+			f[slot] = v
+			in := []Sample{{f[0], f[1], f[2], f[3], f[4]}, {Time: 1, AccessNum: 2, MissNum: 3}}
+			frame, err := encodeBoth(t, "vm-val", in)
+			if err != nil {
+				t.Fatalf("%v in slot %d refused: %v", v, slot, err)
+			}
+			_, out, err := decodeBoth(t, frame[FramePrefixBytes:])
+			if err != nil || len(out) != 2 || !sameBits(out[0], in[0]) || !sameBits(out[1], in[1]) {
+				t.Fatalf("%v in slot %d came back as %+v (%v)", v, slot, out, err)
+			}
+		}
+	}
+	// Negative time is legal (relative clocks); everything else here is
+	// refused on both sides with the wording Validate has always used.
+	if _, err := encodeBoth(t, "vm-val", []Sample{{Time: -math.MaxFloat64}}); err != nil {
+		t.Fatalf("negative time refused: %v", err)
+	}
+	rejected := []struct {
+		slot int
+		v    float64
+		msg  string
+	}{
+		{0, math.NaN(), "pcm: sample 1: pcm: non-finite sample time NaN"},
+		{0, math.Inf(-1), "pcm: sample 1: pcm: non-finite sample time -Inf"},
+		{1, math.Inf(1), "pcm: sample 1: pcm: non-finite AccessNum +Inf"},
+		{1, -1, "pcm: sample 1: pcm: negative counters -1/0"},
+		{2, math.NaN(), "pcm: sample 1: pcm: non-finite MissNum NaN"},
+		{2, -math.SmallestNonzeroFloat64, "pcm: sample 1: pcm: negative counters 0/-5e-324"},
+		{3, math.Inf(1), "pcm: sample 1: pcm: non-finite BWBytes +Inf"},
+		{3, -2, "pcm: sample 1: pcm: negative DRAM counters -2/0"},
+		{4, math.NaN(), "pcm: sample 1: pcm: non-finite AvgLatency NaN"},
+		{4, -1e-9, "pcm: sample 1: pcm: negative DRAM counters 0/-1e-09"},
+	}
+	for _, c := range rejected {
+		f := [binaryFieldCount]float64{}
+		f[c.slot] = c.v
+		in := []Sample{{Time: 1}, {f[0], f[1], f[2], f[3], f[4]}}
+		if _, err := encodeBoth(t, "vm-val", in); err == nil || err.Error() != c.msg {
+			t.Errorf("encode %v in slot %d: %v, want %q", c.v, c.slot, err, c.msg)
+		}
+		var fields [][]byte
+		for _, s := range in {
+			for _, v := range []float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency} {
+				fields = append(fields, fieldBytes(v))
+			}
+		}
+		if _, _, err := decodeBoth(t, rawFrame(5, "vm-val", 2, fields...)); err == nil || err.Error() != c.msg {
+			t.Errorf("decode %v in slot %d: %v, want %q", c.v, c.slot, err, c.msg)
+		}
+	}
+}
+
+// TestCodecMatchesReferenceOnEveryLength drives a million field values,
+// spread evenly over every bit length (so over every varint length),
+// through both directions of the codec and the reference: 3-, 5- and
+// 16-field frames, values in kept and in dropped slots.
+func TestCodecMatchesReferenceOnEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pattern := func() uint64 { return rng.Uint64() >> uint(rng.Intn(65)) }
+	// finite forces a pattern's exponent off all-ones and, for a counter
+	// slot, its sign off, so the value is one the encoder accepts.
+	finite := func(u uint64, counter bool) float64 {
+		if u&0xf07f == 0xf07f {
+			u &^= 0x40
+		}
+		if counter {
+			u &^= 0x80
+		}
+		return math.Float64frombits(bits.ReverseBytes64(u))
+	}
+	const perFrame = 200
+	for done := 0; done < 1_000_000; {
+		// Encode side: valid samples, every slot a random length.
+		in := make([]Sample, perFrame)
+		for i := range in {
+			in[i] = Sample{finite(pattern(), false), finite(pattern(), true), finite(pattern(), true),
+				finite(pattern(), true), finite(pattern(), true)}
+		}
+		frame, err := encodeBoth(t, "vm-diff", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, out, err := decodeBoth(t, frame[FramePrefixBytes:]); err != nil || len(out) != perFrame {
+			t.Fatalf("round trip: %d samples, %v", len(out), err)
+		}
+		done += perFrame * binaryFieldCount
+
+		// Decode side: any pattern at all in the dropped slots of a
+		// 16-field frame, and a 3-field frame of the same kept values.
+		var wide, legacy [][]byte
+		for i := range in[:20] {
+			s := &in[i]
+			kept := [][]byte{fieldBytes(s.Time), fieldBytes(s.AccessNum), fieldBytes(s.MissNum)}
+			legacy = append(legacy, kept...)
+			wide = append(wide, kept...)
+			wide = append(wide, fieldBytes(s.BWBytes), fieldBytes(s.AvgLatency))
+			for k := binaryFieldCount; k < maxFieldCount; k++ {
+				wide = append(wide, binary.AppendUvarint(nil, pattern()))
+			}
+		}
+		if _, out, err := decodeBoth(t, rawFrame(maxFieldCount, "vm-diff", 20, wide...)); err != nil || !sameBits(out[19], in[19]) {
+			t.Fatalf("16-field frame: %v", err)
+		}
+		if _, out, err := decodeBoth(t, rawFrame(3, "vm-diff", 20, legacy...)); err != nil || out[19].MissNum != in[19].MissNum || out[19].BWBytes != 0 {
+			t.Fatalf("3-field frame: %v", err)
+		}
+		done += 20 * (maxFieldCount + 3)
+	}
+}
+
+// TestDecodeBatchIntoHostileCount: a tiny body declaring the largest
+// sample count is refused with the reference's error and without
+// reserving room for samples it cannot hold.
+func TestDecodeBatchIntoHostileCount(t *testing.T) {
+	body := rawFrame(3, "vm-lie", MaxFrameSamples, fieldBytes(0.01), fieldBytes(120), fieldBytes(8), fieldBytes(0.02))
+	if _, _, err := decodeBoth(t, body); err == nil || err.Error() != "pcm: sample 1: pcm: truncated or overlong field varint" {
+		t.Fatalf("hostile count: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		_, _, _ = DecodeBatchInto(nil, body)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4096 {
+		t.Fatalf("hostile count allocates %d bytes a frame", per)
+	}
+}
+
+// simulatedBatch is the shape the serving benchmarks carry: k*0.01
+// timestamps and simulator counters are full-mantissa floats (9- and
+// 10-byte fields), the DRAM pair is zero (1-byte fields) — about 30
+// wire bytes a sample.
+func simulatedBatch(rng *rand.Rand, n int) []Sample {
+	out := make([]Sample, n)
+	for i := range out {
+		out[i] = Sample{Time: float64(i+1) * 0.01, AccessNum: rng.Float64() * 1e6, MissNum: rng.Float64() * 1e5}
+	}
+	return out
+}
+
+// benchFrameSizes are e2ebench's two frame shapes: fleet_paced's
+// 10-sample frames, where the per-frame header work shows, and
+// ingest_sat's 256-sample ones, where only the field loop does.
+var benchFrameSizes = []int{10, 256}
+
+func BenchmarkDecodeBatchInto(b *testing.B) {
+	for _, n := range benchFrameSizes {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			batch := simulatedBatch(rand.New(rand.NewSource(1)), n)
+			frame, err := AppendBatch(nil, "vm-bench", batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			body := frame[FramePrefixBytes:]
+			dst := make([]Sample, 0, len(batch))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, out, err := DecodeBatchInto(dst[:0], body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst = out
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
+		})
 	}
 }
 
 func BenchmarkAppendBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	batch := randomBatch(rng, 64)
-	buf, err := AppendBatch(nil, "vm-bench", batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if buf, err = AppendBatch(buf[:0], "vm-bench", batch); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range benchFrameSizes {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			batch := simulatedBatch(rand.New(rand.NewSource(1)), n)
+			buf, err := AppendBatch(nil, "vm-bench", batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = AppendBatch(buf[:0], "vm-bench", batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
+		})
 	}
 }

@@ -21,10 +21,14 @@ type sampleJSON struct {
 }
 
 // Validate reports whether the sample is a usable counter observation:
-// every field finite and both counters non-negative. Detectors assume
+// every field finite and every counter non-negative. Detectors assume
 // these invariants (NaN would poison every EWMA downstream), so network
-// ingestion paths must call this before Push.
+// ingestion paths must call this before Push. The accept test is
+// wellFormed; the switch below only words the refusal.
 func (s Sample) Validate() error {
+	if s.wellFormed() {
+		return nil
+	}
 	switch {
 	case math.IsNaN(s.Time) || math.IsInf(s.Time, 0):
 		return fmt.Errorf("pcm: non-finite sample time %v", s.Time)
@@ -38,10 +42,20 @@ func (s Sample) Validate() error {
 		return fmt.Errorf("pcm: non-finite BWBytes %v", s.BWBytes)
 	case math.IsNaN(s.AvgLatency) || math.IsInf(s.AvgLatency, 0):
 		return fmt.Errorf("pcm: non-finite AvgLatency %v", s.AvgLatency)
-	case s.BWBytes < 0 || s.AvgLatency < 0:
-		return fmt.Errorf("pcm: negative DRAM counters %v/%v", s.BWBytes, s.AvgLatency)
 	}
-	return nil
+	return fmt.Errorf("pcm: negative DRAM counters %v/%v", s.BWBytes, s.AvgLatency)
+}
+
+// wellFormed is Validate's accept test in one fused expression: a
+// comparison with NaN is false and ±Inf lies outside [-MaxFloat64,
+// MaxFloat64], so each field costs two compares and no call. It is
+// small enough to inline into the frame codec's per-sample loops.
+func (s *Sample) wellFormed() bool {
+	return math.Abs(s.Time) <= math.MaxFloat64 &&
+		s.AccessNum >= 0 && s.AccessNum <= math.MaxFloat64 &&
+		s.MissNum >= 0 && s.MissNum <= math.MaxFloat64 &&
+		s.BWBytes >= 0 && s.BWBytes <= math.MaxFloat64 &&
+		s.AvgLatency >= 0 && s.AvgLatency <= math.MaxFloat64
 }
 
 // MarshalJSON encodes the sample as {"t":..,"access":..,"miss":..} plus

@@ -39,7 +39,8 @@ package respond
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"memdos/internal/metrics"
@@ -238,6 +239,10 @@ type Engine struct {
 	now float64
 	// sessions holds per-VM response state. guarded by mu.
 	sessions map[string]*session
+	// byName is the same records in name order — the order tickLocked
+	// walks them in — kept in step wherever the map is written, so no
+	// event pays to collect and sort the names. guarded by mu.
+	byName []*session
 
 	events           metrics.Counter
 	throttles        metrics.Counter
@@ -333,8 +338,18 @@ func (e *Engine) sessionLocked(name string) *session {
 	if !ok {
 		s = &session{name: name, forced: ForceNone, memLevel: 0, memUntil: -1}
 		e.sessions[name] = s
+		e.byName = slices.Insert(e.byName, e.rankLocked(name), s)
 	}
 	return s
+}
+
+// rankLocked returns how many sessions sort before name: its index in
+// byName, or the index to insert it at. Caller holds e.mu.
+func (e *Engine) rankLocked(name string) int {
+	i, _ := slices.BinarySearchFunc(e.byName, name, func(s *session, name string) int {
+		return strings.Compare(s.name, name)
+	})
+	return i
 }
 
 // Observe feeds one alarm transition: raised true for a raise, false for
@@ -398,13 +413,7 @@ func (e *Engine) Tick(now float64) {
 // tickLocked runs the time-based transitions for every session, in
 // sorted name order for determinism. Caller holds e.mu.
 func (e *Engine) tickLocked(now float64) {
-	names := make([]string, 0, len(e.sessions))
-	for name := range e.sessions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := e.sessions[name]
+	for _, s := range e.byName {
 		if s.paused || s.forced != ForceNone {
 			continue
 		}
@@ -648,6 +657,8 @@ func (e *Engine) Forget(name string) {
 	}
 	e.releaseLocked(s, e.now, reasonOverride)
 	delete(e.sessions, name)
+	i := e.rankLocked(name)
+	e.byName = slices.Delete(e.byName, i, i+1)
 }
 
 // State returns one session's response state.
@@ -665,11 +676,10 @@ func (e *Engine) State(name string) (SessionState, bool) {
 func (e *Engine) States() []SessionState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]SessionState, 0, len(e.sessions))
-	for _, s := range e.sessions {
+	out := make([]SessionState, 0, len(e.byName))
+	for _, s := range e.byName {
 		out = append(out, e.stateLocked(s))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Session < out[j].Session })
 	return out
 }
 

@@ -64,16 +64,23 @@ func EWMA(xs []float64, alpha float64) []float64 {
 // MAStream incrementally computes the MA of a raw sample stream. It is the
 // online counterpart of MA: feed raw samples with Push; each time a full
 // window is available it emits one averaged value and then slides by the
-// step size.
+// step size. The window lives in one buffer of capacity w that the first
+// Push allocates (opening a session stays as cheap as it was; a fleet
+// opens thousands of streams at once), so no later Push allocates.
 type MAStream struct {
 	w, dw int
 	buf   []float64
 }
 
-// NewMAStream returns a streaming moving-average with window w and step dw.
+// NewMAStream returns a streaming moving-average with window w and step
+// dw, which may not exceed w: a stream that slides past samples it has
+// not yet seen has no window to keep.
 func NewMAStream(w, dw int) *MAStream {
 	if w <= 0 || dw <= 0 {
 		panic(fmt.Sprintf("stats: MAStream with non-positive window %d or step %d", w, dw))
+	}
+	if dw > w {
+		panic(fmt.Sprintf("stats: MAStream step %d exceeds window %d", dw, w))
 	}
 	return &MAStream{w: w, dw: dw}
 }
@@ -85,16 +92,22 @@ func (m *MAStream) Reset() { m.buf = m.buf[:0] }
 // Push appends one raw sample and returns (avg, true) when a new window
 // average becomes available, else (0, false).
 func (m *MAStream) Push(v float64) (float64, bool) {
+	if m.buf == nil {
+		m.buf = make([]float64, 0, m.w)
+	}
 	m.buf = append(m.buf, v)
 	if len(m.buf) < m.w {
 		return 0, false
 	}
 	var sum float64
-	for _, x := range m.buf[len(m.buf)-m.w:] {
+	for _, x := range m.buf {
 		sum += x
 	}
-	// Slide: drop dw oldest samples so the next window starts dw later.
-	m.buf = m.buf[m.dw:]
+	// Slide: move the w-dw newest samples to the front of the buffer so
+	// the next window starts dw later. (Re-slicing past the dw oldest
+	// instead would walk the slice off its array and make append
+	// reallocate and copy the window every few emits.)
+	m.buf = m.buf[:copy(m.buf, m.buf[m.dw:])]
 	return sum / float64(m.w), true
 }
 
