@@ -15,7 +15,7 @@
 //	memdos compare  [-attack buslock] [-scenario 1] [-apps KM,TS] [-dnn] [-seeds 2]
 //	memdos overhead [-apps KM,BA]
 //	memdos sweep    -param alpha|k|w|dw|wp|dwp|dnnw|dnndw [-app KM] [-seeds 1]
-//	memdos train    [-apps KM,BA,TS] [-epochs 10]
+//	memdos train    [-apps KM,BA,TS] [-epochs 10] [-out cascade.json]
 //	memdos ablation -which raw|period|microsim
 //	memdos migration [-app KM] [-delay 60]
 //	memdos mitigate [-app KM] [-attack buslock] [-seed 7]
@@ -420,6 +420,7 @@ func cmdTrain(args []string) error {
 	appsFlag := fs.String("apps", strings.Join(workload.Abbrevs(), ","), "apps to train on")
 	epochs := fs.Int("epochs", 12, "training epochs")
 	verbose := fs.Bool("v", false, "per-epoch progress")
+	out := fs.String("out", "", "write the trained cascade to this file, for memdosd -score-model")
 	fs.Parse(args)
 	spec := experiments.DefaultTrainingSpec()
 	spec.Apps = strings.Split(*appsFlag, ",")
@@ -459,6 +460,21 @@ func cmdTrain(args []string) error {
 		appConf.Accuracy(), fmtRecalls(appConf.PerClassRecall()))
 	fmt.Printf("held-out attack classifier:      accuracy %.3f, per-class recall %v\n",
 		atkConf.Accuracy(), fmtRecalls(atkConf.PerClassRecall()))
+	if *out == "" {
+		return nil
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := cascade.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote cascade (window %d) to %s\n", cascade.Window(), *out)
 	return nil
 }
 

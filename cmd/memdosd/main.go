@@ -13,15 +13,16 @@
 //	memdosd [-addr :9464] [-apps KM,FN] [-profile-dur 120]
 //	        [-shards 0] [-queue 4096] [-policy drop|block] [-merge-gap 2]
 //	        [-respond] [-respond-tick 1s]
-//	        [-score-model cascade.bin] [-score-window 0] [-score-stride 0]
-//	        [-score-batch 64] [-score-queue 1024] [-score-workers 0]
+//	        [-score-model cascade.json] [-score-window 0] [-score-stride 0]
+//	        [-score-batch 64] [-score-queue 1024]
 //
-// With -score-model the daemon loads a saved LSTM-FCN cascade and runs
-// it as a batched scoring service: shard goroutines assemble per-session
-// sliding counter windows, a scorer goroutine classifies them in fused
-// batches, and the latest verdict appears as "cascade" in the
-// /v1/sessions views next to the detector state; memdos_dnn_* metrics
-// track throughput, batch fill, queue depth and sheds.
+// With -score-model the daemon loads a cascade saved by `memdos train
+// -out` and runs it as a batched scoring service: shard goroutines
+// assemble per-session sliding counter windows, a scorer goroutine
+// classifies them in fused batches, and the latest verdict appears as
+// "cascade" in the /v1/sessions views next to the detector state;
+// memdos_dnn_* metrics track throughput, batch fill, queue depth and
+// sheds.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
 // (internal/respond) to the hub's alarm feed: alarm raises walk the
@@ -91,7 +92,6 @@ func run(args []string) error {
 	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = window, non-overlapping)")
 	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
 	scoreQueue := fs.Int("score-queue", 0, "scoring queue capacity in windows (0 = 1024)")
-	scoreWorkers := fs.Int("score-workers", 0, "kernel worker goroutines for batched inference (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -115,9 +115,6 @@ func run(args []string) error {
 	}
 
 	if *scoreModel != "" {
-		if *scoreWorkers > 0 {
-			dnn.SetKernelWorkers(*scoreWorkers)
-		}
 		cs, err := daemon.LoadCascadeScorer(*scoreModel, *scoreWindow, dnn.ScorerOptions{})
 		if err != nil {
 			return err
@@ -141,7 +138,7 @@ func run(args []string) error {
 		defer stopTicker()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: daemon.New(hub, eng)}
+	srv := newHTTPServer(*addr, daemon.New(hub, eng))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -173,6 +170,28 @@ func run(args []string) error {
 	fmt.Printf("memdosd: bye (%d samples ingested, %d dropped, %d alarms raised)\n",
 		st.SamplesIngested, st.SamplesDropped, st.AlarmsRaised)
 	return nil
+}
+
+// Connection deadlines: a client gets readHeaderTimeout to finish its
+// request header and an idle keep-alive connection is closed after
+// idleTimeout, so a slow or silent client cannot hold a connection and
+// its goroutine forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's server. ReadTimeout and WriteTimeout
+// stay unset on purpose: /v1/ingest/stream is one long-lived request body
+// and either would cut a healthy producer off mid-stream; that route
+// needs a per-frame deadline instead (ROADMAP "Hardening").
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // tickFromDecisions periodically advances the mitigation engine's clock

@@ -11,11 +11,7 @@
 // same associativity so set-conflict behaviour is preserved.
 package cache
 
-import (
-	"fmt"
-
-	"memdos/internal/sim"
-)
+import "fmt"
 
 // Geometry describes a set-associative cache.
 type Geometry struct {
@@ -99,18 +95,10 @@ type Cache struct {
 	setShift uint    // log2(LineSize)
 	setMask  uint64
 	setsPow2 bool // Sets is a power of two: setIndex masks instead of mods
-	repl     replacer
-	policy   Policy
 }
 
-// New returns an empty cache with the given geometry and LRU replacement.
+// New returns an empty cache with the given geometry.
 func New(g Geometry) (*Cache, error) {
-	return NewWithPolicy(g, LRU, nil)
-}
-
-// NewWithPolicy returns an empty cache with the given replacement policy.
-// Random replacement requires an RNG; the other policies ignore it.
-func NewWithPolicy(g Geometry, policy Policy, rng *sim.RNG) (*Cache, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,33 +112,12 @@ func NewWithPolicy(g Geometry, policy Policy, rng *sim.RNG) (*Cache, error) {
 		setShift: shift,
 		setMask:  uint64(g.Sets - 1),
 		setsPow2: g.Sets&(g.Sets-1) == 0,
-		policy:   policy,
 	}
 	for i := range c.lines {
 		c.lines[i].owner = OwnerNone
 	}
-	switch policy {
-	case LRU:
-		c.repl = lruReplacer{c}
-	case Random:
-		if rng == nil {
-			return nil, fmt.Errorf("cache: random replacement requires an RNG")
-		}
-		c.repl = &randomReplacer{ways: g.Ways, rng: rng}
-	case TreePLRU:
-		r, err := newPLRUReplacer(g.Sets, g.Ways)
-		if err != nil {
-			return nil, err
-		}
-		c.repl = r
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %v", policy)
-	}
 	return c, nil
 }
-
-// Policy returns the cache's replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
 
 // MustNew is New but panics on invalid geometry; for tests and tables of
 // known-good geometries.
@@ -225,15 +192,20 @@ func (c *Cache) Access(o Owner, addr uint64) bool {
 		}
 		if l.tag == tag {
 			l.owner = o
-			c.repl.touch(set, i)
+			l.lru = c.lruClock
 			return true
 		}
 	}
-	// Miss: fill the invalid way if one exists, else ask the replacement
-	// policy for a victim.
+	// Miss: fill the invalid way if one exists, else evict the least
+	// recently used way (the first on ties).
 	way := invalid
 	if way < 0 {
-		way = c.repl.victim(set)
+		way = 0
+		for i := 1; i < len(ways); i++ {
+			if ways[i].lru < ways[way].lru {
+				way = i
+			}
+		}
 	}
 	victim := &ways[way]
 	st.Misses++
@@ -244,7 +216,7 @@ func (c *Cache) Access(o Owner, addr uint64) bool {
 	victim.tag = tag
 	victim.owner = o
 	victim.valid = true
-	c.repl.touch(set, way)
+	victim.lru = c.lruClock
 	return false
 }
 

@@ -272,101 +272,6 @@ func TestHitTransfersOwnership(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || Random.String() != "random" || TreePLRU.String() != "tree-PLRU" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should format")
-	}
-}
-
-func TestNewWithPolicyValidation(t *testing.T) {
-	g := Geometry{Sets: 8, Ways: 4, LineSize: 64}
-	if _, err := NewWithPolicy(g, Random, nil); err == nil {
-		t.Error("random without RNG accepted")
-	}
-	if _, err := NewWithPolicy(Geometry{Sets: 8, Ways: 20, LineSize: 64}, TreePLRU, nil); err == nil {
-		t.Error("tree-PLRU with non-power-of-two ways accepted")
-	}
-	if _, err := NewWithPolicy(g, Policy(9), nil); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	c, err := NewWithPolicy(g, TreePLRU, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Policy() != TreePLRU {
-		t.Error("Policy() wrong")
-	}
-}
-
-func TestRandomReplacementStillCaches(t *testing.T) {
-	g := Geometry{Sets: 8, Ways: 4, LineSize: 64}
-	c, err := NewWithPolicy(g, Random, sim.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A resident working set still hits 100% (invalid ways fill first).
-	for s := 0; s < 8; s++ {
-		for w := 0; w < 4; w++ {
-			c.Access(1, c.AddrForSet(s, uint64(w)))
-		}
-	}
-	c.ResetStats()
-	for s := 0; s < 8; s++ {
-		for w := 0; w < 4; w++ {
-			if !c.Access(1, c.AddrForSet(s, uint64(w))) {
-				t.Fatal("resident line missed under random replacement")
-			}
-		}
-	}
-}
-
-func TestTreePLRUApproximatesLRU(t *testing.T) {
-	g := Geometry{Sets: 4, Ways: 4, LineSize: 64}
-	c, err := NewWithPolicy(g, TreePLRU, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill a set, re-touch way-0's line, insert a new line: way 0 must
-	// survive (PLRU protects the most recently used path).
-	addrs := make([]uint64, 5)
-	for i := range addrs {
-		addrs[i] = c.AddrForSet(0, uint64(i))
-	}
-	for _, a := range addrs[:4] {
-		c.Access(1, a)
-	}
-	c.Access(1, addrs[0])
-	c.Access(1, addrs[4])
-	if !c.Access(1, addrs[0]) {
-		t.Error("PLRU evicted the most recently used line")
-	}
-}
-
-func TestPLRUVictimConsistency(t *testing.T) {
-	// Property: after touching way w, the immediate victim is never w.
-	r, err := newPLRUReplacer(1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		for i := 0; i < 100; i++ {
-			w := rng.Intn(8)
-			r.touch(0, w)
-			if r.victim(0) == w {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLRUClockCrossesUint32Wrap(t *testing.T) {
 	// Regression test for the recency clock width. A uint32 clock wraps
 	// after ~4B accesses: lines touched after the wrap get tiny stamps and
@@ -484,35 +389,4 @@ func TestSetOwnerOccupancyMatchesMap(t *testing.T) {
 		}
 	}()
 	c.SetOwnerOccupancy(99, 1)
-}
-
-func TestRandomReplacementBluntsDeterministicCleansing(t *testing.T) {
-	// Mitigation ablation: under LRU a cyclic over-capacity sweep evicts
-	// a resident victim line deterministically; under random replacement
-	// the victim line sometimes survives, so the same cleansing effort
-	// yields fewer victim evictions.
-	evictionsUnder := func(policy Policy) uint64 {
-		g := Geometry{Sets: 1, Ways: 8, LineSize: 64}
-		c, err := NewWithPolicy(g, policy, sim.NewRNG(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const victim, attacker = 1, 2
-		victimLine := c.AddrForSet(0, 999)
-		c.Access(victim, victimLine)
-		for sweep := 0; sweep < 200; sweep++ {
-			// Attacker cycles 8 fresh lines through the set...
-			for w := 0; w < 8; w++ {
-				c.Access(attacker, c.AddrForSet(0, uint64(sweep*8+w)))
-			}
-			// ...and the victim re-touches its line each round.
-			c.Access(victim, victimLine)
-		}
-		return c.Stats(victim).Evicted
-	}
-	lru := evictionsUnder(LRU)
-	random := evictionsUnder(Random)
-	if random >= lru {
-		t.Errorf("victim evictions: LRU %d, random %d — randomization should blunt cleansing", lru, random)
-	}
 }

@@ -93,69 +93,17 @@ func (a *actuator) undo(session string, kind mitKind) error {
 	return nil
 }
 
-// Throttle applies (or with duty 0 releases) the execution throttle on
-// the suspects co-resident with the session's victim.
-func (a *actuator) Throttle(session string, duty float64) error {
+// apply is the one body behind Throttle, LimitBandwidth and Partition.
+// It first releases what the session holds of this kind — a rung change
+// re-resolves suspects, and undoing the old entries first means an
+// attacker that moved since is not left behind at a stale setting — then,
+// when on, applies set to each suspect co-resident with the session's
+// victim and records the (host, vm) pair.
+func (a *actuator) apply(session string, kind mitKind, on bool, set func(*vmm.Server, vmm.VMID) error) error {
 	if a.applied == nil {
 		a.applied = make(map[string][]appliedEntry)
 	}
-	// A rung change re-resolves suspects: undo the old throttles first so
-	// an attacker that moved since is not left behind at a stale duty.
-	if err := a.undo(session, mitThrottle); err != nil {
-		return err
-	}
-	if duty <= 0 {
-		return nil
-	}
-	sus, err := a.suspects(session)
-	if err != nil {
-		return err
-	}
-	for _, e := range sus {
-		if err := a.c.hosts[e.host].srv.SetExecThrottle(e.id, duty); err != nil {
-			return err
-		}
-		a.applied[session] = append(a.applied[session], e)
-	}
-	return nil
-}
-
-// LimitBandwidth applies (or with 0 releases) a MemGuard-style DRAM
-// bandwidth budget on the suspects co-resident with the session's
-// victim. On a cluster whose hosts run without a memory-controller model
-// the underlying call fails and the engine logs the error and keeps
-// climbing the ladder.
-func (a *actuator) LimitBandwidth(session string, bytesPerSec float64) error {
-	if a.applied == nil {
-		a.applied = make(map[string][]appliedEntry)
-	}
-	if err := a.undo(session, mitBandwidth); err != nil {
-		return err
-	}
-	if bytesPerSec <= 0 {
-		return nil
-	}
-	sus, err := a.suspects(session)
-	if err != nil {
-		return err
-	}
-	for _, e := range sus {
-		e.kind = mitBandwidth
-		if err := a.c.hosts[e.host].srv.SetMemBandwidthLimit(e.id, bytesPerSec); err != nil {
-			return err
-		}
-		a.applied[session] = append(a.applied[session], e)
-	}
-	return nil
-}
-
-// Partition toggles pseudo cache-partitioning around the suspects
-// co-resident with the session's victim.
-func (a *actuator) Partition(session string, on bool) error {
-	if a.applied == nil {
-		a.applied = make(map[string][]appliedEntry)
-	}
-	if err := a.undo(session, mitPartition); err != nil {
+	if err := a.undo(session, kind); err != nil {
 		return err
 	}
 	if !on {
@@ -166,13 +114,40 @@ func (a *actuator) Partition(session string, on bool) error {
 		return err
 	}
 	for _, e := range sus {
-		e.kind = mitPartition
-		if err := a.c.hosts[e.host].srv.SetCachePartition(e.id, true); err != nil {
+		e.kind = kind
+		if err := set(a.c.hosts[e.host].srv, e.id); err != nil {
 			return err
 		}
 		a.applied[session] = append(a.applied[session], e)
 	}
 	return nil
+}
+
+// Throttle applies (or with duty 0 releases) the execution throttle on
+// the suspects co-resident with the session's victim.
+func (a *actuator) Throttle(session string, duty float64) error {
+	return a.apply(session, mitThrottle, duty > 0, func(srv *vmm.Server, id vmm.VMID) error {
+		return srv.SetExecThrottle(id, duty)
+	})
+}
+
+// LimitBandwidth applies (or with 0 releases) a MemGuard-style DRAM
+// bandwidth budget on the suspects co-resident with the session's
+// victim. On a cluster whose hosts run without a memory-controller model
+// the underlying call fails and the engine logs the error and keeps
+// climbing the ladder.
+func (a *actuator) LimitBandwidth(session string, bytesPerSec float64) error {
+	return a.apply(session, mitBandwidth, bytesPerSec > 0, func(srv *vmm.Server, id vmm.VMID) error {
+		return srv.SetMemBandwidthLimit(id, bytesPerSec)
+	})
+}
+
+// Partition toggles pseudo cache-partitioning around the suspects
+// co-resident with the session's victim.
+func (a *actuator) Partition(session string, on bool) error {
+	return a.apply(session, mitPartition, on, func(srv *vmm.Server, id vmm.VMID) error {
+		return srv.SetCachePartition(id, true)
+	})
 }
 
 // Migrate drains the session's victim to a scheduler-chosen clean host

@@ -10,6 +10,7 @@ import (
 
 	"memdos/internal/attack"
 	"memdos/internal/core"
+	"memdos/internal/mem"
 	"memdos/internal/pcm"
 	"memdos/internal/respond"
 	"memdos/internal/workload"
@@ -240,14 +241,18 @@ func TestMigrateVMDowntime(t *testing.T) {
 	}
 }
 
-// TestActuatorReleasesOnOldHost pins the stale-host release hazard: a
-// throttle applied on host A must be undone on host A even after the
-// victim migrated to host B in between.
+// TestActuatorReleasesOnOldHost pins the stale-host release hazard for
+// every mitigation kind: a throttle, a bandwidth budget and a partition
+// applied on host A must be undone on host A even after the victim
+// migrated to host B in between. The hosts run the DRAM model so the
+// bandwidth budget has a controller to land on.
 func TestActuatorReleasesOnOldHost(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hosts = 3
 	cfg.Scheduler = RoundRobin
 	cfg.Placement = AttackTargeted
+	numa := mem.DefaultNUMAConfig(1)
+	cfg.Host.Mem = &numa
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,23 +264,42 @@ func TestActuatorReleasesOnOldHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	act := &actuator{c: c}
-	if err := act.Throttle("v", 0.5); err != nil {
-		t.Fatal(err)
+	set := func(duty, bytesPerSec float64, partition bool) {
+		t.Helper()
+		if err := act.Throttle("v", duty); err != nil {
+			t.Fatal(err)
+		}
+		if err := act.LimitBandwidth("v", bytesPerSec); err != nil {
+			t.Fatal(err)
+		}
+		if err := act.Partition("v", partition); err != nil {
+			t.Fatal(err)
+		}
 	}
 	aRec := c.byName["a"]
-	oldHost := aRec.host
-	if got := c.hosts[oldHost].srv.ExecThrottle(aRec.id); got != 0.5 { //memdos:ignore floateq duty stored verbatim
-		t.Fatalf("attacker throttle = %v, want 0.5", got)
+	oldSrv := c.hosts[aRec.host].srv
+	check := func(when string, duty, bytesPerSec float64, partition bool) {
+		t.Helper()
+		if got := oldSrv.ExecThrottle(aRec.id); got != duty { //memdos:ignore floateq duty stored verbatim
+			t.Errorf("%s: attacker throttle = %v, want %v", when, got, duty)
+		}
+		if got := oldSrv.MemBandwidthLimit(aRec.id); got != bytesPerSec { //memdos:ignore floateq budget stored verbatim
+			t.Errorf("%s: attacker bandwidth budget = %v, want %v", when, got, bytesPerSec)
+		}
+		if got := oldSrv.CachePartitioned(aRec.id); got != partition {
+			t.Errorf("%s: attacker partitioned = %v, want %v", when, got, partition)
+		}
 	}
+	set(0.5, 2e9, true)
+	check("applied", 0.5, 2e9, true)
 	// Victim leaves; the engine then releases the session's mitigation.
 	if _, err := act.Migrate("v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := act.Throttle("v", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.hosts[oldHost].srv.ExecThrottle(aRec.id); got != 0 { //memdos:ignore floateq release writes literal 0
-		t.Fatalf("attacker still throttled at %v on old host after release", got)
+	set(0, 0, false)
+	check("released on old host after migration", 0, 0, false)
+	if left := act.applied["v"]; len(left) != 0 {
+		t.Errorf("session still records %d applied entries after release", len(left))
 	}
 }
 

@@ -27,12 +27,17 @@ type DNNDetector struct {
 	lastAttack int
 }
 
-// NewDNNDetector returns a detector around a trained cascade.
+// NewDNNDetector returns a detector around a trained cascade, compiled
+// here for windows of p.W samples so a window the cascade cannot score
+// is refused now, not at the first decision.
 func NewDNNDetector(cascade *dnn.Cascade, p Params) (*DNNDetector, error) {
 	if cascade == nil {
 		return nil, fmt.Errorf("core: nil cascade")
 	}
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cascade.Compile(p.W); err != nil {
 		return nil, err
 	}
 	return &DNNDetector{

@@ -1,38 +1,16 @@
 package core
 
-import "memdos/internal/dnn"
-
-// This file makes detector pipelines reusable and inspectable: every
-// detector in the package implements Resetter (return to the
-// just-constructed state, keeping its configuration, profile and trained
-// weights) and Snapshotter (a flat numeric view of the mutable state).
-// The streaming hub relies on both — Reset lets a session pipeline be
-// recycled for a reconnecting VM, StateSnapshot backs the per-session
-// inspection endpoint.
-
-// Resetter is implemented by detectors whose internal state can be
-// cleared without rebuilding them.
-type Resetter interface {
-	// Reset returns the detector to its just-constructed state. Static
-	// configuration (parameters, profiles, trained weights) is preserved.
-	Reset()
-}
+// This file makes detector pipelines inspectable: every detector in the
+// package implements Snapshotter, a flat numeric view of its mutable
+// state. The streaming hub's per-session inspection endpoint serves it
+// (stream/session.go); a session that reconnects gets a freshly built
+// pipeline, so nothing here resets one.
 
 // Snapshotter is implemented by detectors that can expose their mutable
 // state as a flat name → value map. Booleans are encoded as 0/1 and
 // enums as their integer value, keeping the map JSON-friendly.
 type Snapshotter interface {
 	StateSnapshot() map[string]float64
-}
-
-// ResetDetector resets d if it supports Resetter and reports whether it
-// did.
-func ResetDetector(d Detector) bool {
-	r, ok := d.(Resetter)
-	if ok {
-		r.Reset()
-	}
-	return ok
 }
 
 // SnapshotDetector returns d's state snapshot, or nil when d does not
@@ -49,20 +27,6 @@ func boolVal(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// Reset clears the violation streak.
-func (v *violationCounter) reset() { v.count = 0 }
-
-// Reset returns SDS/B to its just-constructed state; the profile and
-// parameters are kept.
-func (d *SDSB) Reset() {
-	d.accMA.Reset()
-	d.missMA.Reset()
-	d.accEW.Reset()
-	d.missEW.Reset()
-	d.accViol.reset()
-	d.missViol.reset()
 }
 
 // StateSnapshot exposes SDS/B's smoothing state, profiled bounds and
@@ -82,15 +46,6 @@ func (d *SDSB) StateSnapshot() map[string]float64 {
 	}
 }
 
-// Reset returns SDS/P to its just-constructed state.
-func (d *SDSP) Reset() {
-	d.ma.Reset()
-	d.maHistory = d.maHistory[:0]
-	d.sinceEval = 0
-	d.viol.reset()
-	d.lastPeriod = 0
-}
-
 // StateSnapshot exposes SDS/P's period tracking state.
 func (d *SDSP) StateSnapshot() map[string]float64 {
 	return map[string]float64{
@@ -99,15 +54,6 @@ func (d *SDSP) StateSnapshot() map[string]float64 {
 		"window_fill":       float64(len(d.maHistory)),
 		"period_violations": float64(d.viol.count),
 	}
-}
-
-// Reset returns the combined SDS to its just-constructed state.
-func (d *SDS) Reset() {
-	d.b.Reset()
-	if d.p != nil {
-		d.p.Reset()
-	}
-	d.bAlarm, d.pAlarm = false, false
 }
 
 // StateSnapshot merges the sub-schemes' snapshots under b_/p_ prefixes.
@@ -127,21 +73,6 @@ func (d *SDS) StateSnapshot() map[string]float64 {
 	return out
 }
 
-// Reset returns SDS/U to its just-constructed (uncalibrated) state: the
-// warm-up calibration runs again on the next samples.
-func (d *SDSU) Reset() {
-	d.utilMA.Reset()
-	d.missMA.Reset()
-	d.utilEW.Reset()
-	d.missEW.Reset()
-	d.utilCal = d.utilCal[:0]
-	d.missCal = d.missCal[:0]
-	d.calibrated = false
-	d.utilFloor, d.missCeil = 0, 0
-	d.utilViol.reset()
-	d.missViol.reset()
-}
-
 // StateSnapshot exposes SDS/U's calibration and violation state.
 func (d *SDSU) StateSnapshot() map[string]float64 {
 	return map[string]float64{
@@ -153,21 +84,6 @@ func (d *SDSU) StateSnapshot() map[string]float64 {
 		"util_violations": float64(d.utilViol.count),
 		"miss_violations": float64(d.missViol.count),
 	}
-}
-
-// Reset returns the KStest baseline to its just-constructed state: the
-// next sample starts a fresh reference-collection cycle.
-func (d *KSTestDetector) Reset() {
-	d.phase = ksCollectReference
-	d.phaseStart, d.cycleStart, d.nextTest = 0, 0, 0
-	d.started = false
-	d.refAccess = d.refAccess[:0]
-	d.refMiss = d.refMiss[:0]
-	d.monAccess = d.monAccess[:0]
-	d.monMiss = d.monMiss[:0]
-	d.viol.reset()
-	d.clear.reset()
-	d.alarm = false
 }
 
 // StateSnapshot exposes the protocol phase and test streaks.
@@ -182,16 +98,6 @@ func (d *KSTestDetector) StateSnapshot() map[string]float64 {
 	}
 }
 
-// Reset returns the DNN detector to its just-constructed state; the
-// trained cascade weights are untouched.
-func (d *DNNDetector) Reset() {
-	d.buf = d.buf[:0]
-	d.sinceEval = 0
-	d.viol.reset()
-	d.lastApp = -1
-	d.lastAttack = dnn.ClassNoAttack
-}
-
 // StateSnapshot exposes the window fill and latest classification.
 func (d *DNNDetector) StateSnapshot() map[string]float64 {
 	return map[string]float64{
@@ -202,31 +108,7 @@ func (d *DNNDetector) StateSnapshot() map[string]float64 {
 	}
 }
 
-// Reset forgets the previous sample.
-func (d *RawThreshold) Reset() { d.prev, d.hasPrev = 0, false }
-
 // StateSnapshot exposes the reference sample.
 func (d *RawThreshold) StateSnapshot() map[string]float64 {
 	return map[string]float64{"prev": d.prev, "has_prev": boolVal(d.hasPrev)}
-}
-
-// Reset resets every member implementing Resetter and clears the vote
-// state. It reports nothing about members that do not support Reset; use
-// ResetDetector per member when that matters.
-func (e *Ensemble) Reset() {
-	for i, m := range e.members {
-		ResetDetector(m)
-		e.state[i] = false
-		e.decided[i] = false
-	}
-}
-
-// StateSnapshot exposes each member's latest alarm state.
-func (e *Ensemble) StateSnapshot() map[string]float64 {
-	out := make(map[string]float64, 2*len(e.members))
-	for i, m := range e.members {
-		out[m.Name()+"_alarm"] = boolVal(e.state[i])
-		out[m.Name()+"_decided"] = boolVal(e.decided[i])
-	}
-	return out
 }

@@ -86,14 +86,12 @@ type Cascade struct {
 	App    *LSTMFCN
 	Attack *LSTMFCN
 
-	// Compiled batch-1 scorer backing Classify, built lazily from the
-	// current weights and invalidated whenever they change
-	// (InvalidateScorer). scorerTried latches a failed build so exotic
-	// shapes fall back to the graph path without recompiling per call.
-	scorer      *BatchScorer
-	scorerTried bool
-	flatBuf     []float64
-	app1, atk1  [1]int
+	// Compiled batch-1 scorer backing Classify, built from the current
+	// weights (Compile) and invalidated whenever they change
+	// (InvalidateScorer).
+	scorer     *BatchScorer
+	flatBuf    []float64
+	app1, atk1 [1]int
 }
 
 // NewCascade builds an untrained cascade. arch chooses the per-stage
@@ -127,14 +125,13 @@ func conditionWindow(window [][]float64, app, numApps int) [][]float64 {
 }
 
 // Classify runs the full cascade on one raw window and returns the
-// predicted application and attack class. It routes through the compiled
-// batch-1 scorer (allocation-free at steady state; see
-// TestClassifyZeroAllocs); windows the scorer cannot compile for fall
-// back to ClassifyGraph.
+// predicted application and attack class. It runs the compiled batch-1
+// scorer (allocation-free at steady state; see TestClassifyZeroAllocs)
+// and panics with Compile's error when the cascade cannot be compiled for
+// the window's length; callers that want the error call Compile first.
 func (c *Cascade) Classify(window [][]float64) (app, attackClass int) {
-	s := c.ensureScorer(len(window))
-	if s == nil {
-		return c.ClassifyGraph(window)
+	if err := c.Compile(len(window)); err != nil {
+		panic(err)
 	}
 	need := 2 * len(window)
 	if cap(c.flatBuf) < need {
@@ -145,13 +142,13 @@ func (c *Cascade) Classify(window [][]float64) (app, attackClass int) {
 		flat[2*t] = row[0]
 		flat[2*t+1] = row[1]
 	}
-	s.ScoreFlat(1, flat, c.app1[:], c.atk1[:])
+	c.scorer.ScoreFlat(1, flat, c.app1[:], c.atk1[:])
 	return c.app1[0], c.atk1[0]
 }
 
-// ClassifyGraph runs the cascade through the float64 training graph: the
-// unbatched reference implementation Classify's compiled path is
-// validated against (TestScorerMatchesGraph).
+// ClassifyGraph runs the cascade through the float64 training graph. It
+// exists only as the reference Classify's compiled path is validated
+// against (TestScorerMatchesGraph).
 func (c *Cascade) ClassifyGraph(window [][]float64) (app, attackClass int) {
 	norm := c.Norm.Apply(window)
 	app = c.classifyOne(c.App, norm)
@@ -176,35 +173,24 @@ func (c *Cascade) Window() int {
 
 // InvalidateScorer drops the compiled scorer backing Classify; callers
 // that mutate weights directly must invalidate before classifying again.
-// TrainCascade and restore do this automatically.
-func (c *Cascade) InvalidateScorer() {
-	c.scorer = nil
-	c.scorerTried = false
-}
+// TrainCascade does this automatically.
+func (c *Cascade) InvalidateScorer() { c.scorer = nil }
 
-// ensureScorer lazily compiles the batch-1 scorer for window length w,
-// returning nil when compilation is impossible (unfitted norm, window
-// shorter than the conv edge split).
-func (c *Cascade) ensureScorer(w int) *BatchScorer {
-	if c.scorer != nil {
-		if c.scorer.w == w {
-			return c.scorer
-		}
-		// Window length changed mid-stream: the underlying models panic
-		// on mismatch in the graph path too, so recompile attempts are
-		// fine to make loudly.
-		c.InvalidateScorer()
-	}
-	if c.scorerTried {
+// Compile builds the batch-1 scorer Classify runs for windows of length
+// w, unless the one it holds already has that length. It returns
+// NewBatchScorer's error — unfitted normalization, a window no longer
+// than a convolution kernel's edge split — so a caller can refuse a bad
+// window at start-up instead of at the first decision.
+func (c *Cascade) Compile(w int) error {
+	if c.scorer != nil && c.scorer.w == w {
 		return nil
 	}
-	c.scorerTried = true
 	s, err := NewBatchScorer(c, w, ScorerOptions{})
 	if err != nil {
-		return nil
+		return err
 	}
 	c.scorer = s
-	return s
+	return nil
 }
 
 func (c *Cascade) classifyOne(m *LSTMFCN, window [][]float64) int {

@@ -7,17 +7,11 @@ package dnn
 // tensor, a transposed weight block — feed the kernels without copies.
 //
 // Determinism contract: for a fixed kernel, every output element
-// accumulates its k-terms in ascending k order, and the tile-parallel
-// path partitions *output rows* into contiguous shards (shardBounds, the
-// same fixed-shard scheme GradShards uses) without ever splitting the
-// k-loop. A worker therefore owns its rows outright — no reduction across
-// workers exists — and results are byte-identical at workers=1 vs N.
+// accumulates its k-terms in ascending k order, and the schedule depends
+// only on the shape, so a row computes the same bits whatever batch it
+// arrives in. Every kernel runs on the calling goroutine.
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Blocking parameters. C is held in mc-row slabs so one slab (mc×n
 // float64) stays cache-resident across a K-block, while each K-block's
@@ -25,58 +19,7 @@ import (
 const (
 	gemmMC = 64  // output rows per C slab
 	gemmKC = 256 // K depth per B panel
-	// kernelParallelFlops gates the tile-parallel path: below ~256k
-	// multiply-adds the fork/join overhead exceeds the win.
-	kernelParallelFlops = 1 << 18
 )
-
-// kernelWorkers is the worker count for the tile-parallel GEMM path; 1
-// keeps every kernel serial (and allocation-free).
-var kernelWorkers atomic.Int32
-
-func init() { kernelWorkers.Store(1) }
-
-// SetKernelWorkers sets the tile-parallel GEMM worker count and returns
-// the previous value. n <= 1 selects the serial path. Any value yields
-// byte-identical results (see the determinism contract above); workers
-// only change wall time.
-func SetKernelWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(kernelWorkers.Swap(int32(n)))
-}
-
-// shardWorkers returns how many workers the tile-parallel path should use
-// for an m-row kernel costing flops multiply-adds; 1 selects the serial
-// path (below the threshold the fork/join overhead exceeds the win).
-func shardWorkers(m, flops int) int {
-	w := int(kernelWorkers.Load())
-	if w > m {
-		w = m
-	}
-	if flops < kernelParallelFlops {
-		return 1
-	}
-	return w
-}
-
-// forkRows runs body over [0, m) output rows, one contiguous shard per
-// worker. Only the tile-parallel path pays the closure and goroutine
-// costs; serial callers invoke their range kernel directly so the
-// workers=1 path stays allocation-free.
-func forkRows(m, w int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for j := 0; j < w; j++ {
-		lo, hi := shardBounds(m, w, j)
-		go func(lo, hi int) { //memdos:ignore hotalloc only the tile-parallel path pays the spawn; the workers=1 path never reaches forkRows
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // gemmNN computes C += A·B with A m×k (row stride lda), B k×n (ldb) and
 // C m×n (ldc), blocked over K and over C rows.
@@ -84,28 +27,17 @@ func gemmNN(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float6
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	if w := shardWorkers(m, m*n*k); w > 1 {
-		forkRows(m, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the range kernel directly
-			gemmNNRange(lo, hi, n, k, a, lda, bm, ldb, c, ldc)
-		})
-		return
-	}
-	gemmNNRange(0, m, n, k, a, lda, bm, ldb, c, ldc)
-}
-
-func gemmNNRange(rlo, rhi, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
 	for kk := 0; kk < k; kk += gemmKC {
 		kHi := min(kk+gemmKC, k)
-		for ii := rlo; ii < rhi; ii += gemmMC {
-			iHi := min(ii+gemmMC, rhi)
+		for ii := 0; ii < m; ii += gemmMC {
+			iHi := min(ii+gemmMC, m)
 			for i := ii; i < iHi; i++ {
 				ar := a[i*lda : i*lda+k]
 				cr := c[i*ldc : i*ldc+n]
 				// Four k-steps per pass quarter the C load/store traffic;
 				// each element still accumulates in ascending k order, and
 				// the unroll phase depends only on kk (a gemmKC multiple),
-				// never on the row shard, so worker counts cannot change
-				// the result.
+				// never on the row.
 				kc := kk
 				for ; kc+3 < kHi; kc += 4 {
 					a0, a1, a2, a3 := ar[kc], ar[kc+1], ar[kc+2], ar[kc+3]
@@ -136,19 +68,8 @@ func gemmTN(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float6
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	if w := shardWorkers(m, m*n*k); w > 1 {
-		forkRows(m, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the range kernel directly
-			gemmTNRange(lo, hi, n, k, a, lda, bm, ldb, c, ldc)
-		})
-		return
-	}
-	gemmTNRange(0, m, n, k, a, lda, bm, ldb, c, ldc)
-}
-
-func gemmTNRange(rlo, rhi, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
-	// Four k-steps per pass as in gemmNNRange: the unroll phase depends
-	// only on k, so every row shard performs identical per-element
-	// arithmetic.
+	// Four k-steps per pass as in gemmNN: the unroll phase depends only
+	// on k, so every row performs identical per-element arithmetic.
 	kc := 0
 	for ; kc+3 < k; kc += 4 {
 		a0, a1 := a[kc*lda:], a[(kc+1)*lda:]
@@ -157,7 +78,7 @@ func gemmTNRange(rlo, rhi, n, k int, a []float64, lda int, bm []float64, ldb int
 		b1 := bm[(kc+1)*ldb : (kc+1)*ldb+n]
 		b2 := bm[(kc+2)*ldb : (kc+2)*ldb+n]
 		b3 := bm[(kc+3)*ldb : (kc+3)*ldb+n]
-		for i := rlo; i < rhi; i++ {
+		for i := 0; i < m; i++ {
 			av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
 			cr := c[i*ldc : i*ldc+n]
 			for j, bv := range b0 {
@@ -168,7 +89,7 @@ func gemmTNRange(rlo, rhi, n, k int, a []float64, lda int, bm []float64, ldb int
 	for ; kc < k; kc++ {
 		arow := a[kc*lda:]
 		br := bm[kc*ldb : kc*ldb+n]
-		for i := rlo; i < rhi; i++ {
+		for i := 0; i < m; i++ {
 			av := arow[i]
 			cr := c[i*ldc : i*ldc+n]
 			for j, bv := range br {
@@ -185,21 +106,10 @@ func gemmNT(m, n, k int, a []float64, lda int, bm []float64, ldb int, c []float6
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	if w := shardWorkers(m, m*n*k); w > 1 {
-		forkRows(m, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the range kernel directly
-			gemmNTRange(lo, hi, n, k, a, lda, bm, ldb, c, ldc)
-		})
-		return
-	}
-	gemmNTRange(0, m, n, k, a, lda, bm, ldb, c, ldc)
-}
-
-func gemmNTRange(rlo, rhi, n, k int, a []float64, lda int, bm []float64, ldb int, c []float64, ldc int) {
-	// Column pairs share the A-row loads. Pairing depends only on n —
-	// rows are what shards partition — and each column's accumulation
-	// pattern matches dotVec exactly, so a column computes the same bits
-	// in the paired and tail paths at any worker count.
-	for i := rlo; i < rhi; i++ {
+	// Column pairs share the A-row loads. Pairing depends only on n, and
+	// each column's accumulation pattern matches dotVec exactly, so a
+	// column computes the same bits in the paired and tail paths.
+	for i := 0; i < m; i++ {
 		ar := a[i*lda : i*lda+k]
 		cr := c[i*ldc : i*ldc+n]
 		j := 0
@@ -238,8 +148,8 @@ func axpy(alpha float64, x, y []float64) {
 
 // dotVec returns x·y over equal-length slices, with four independent
 // accumulators to break the FP-add latency chain. The accumulation
-// pattern is a pure function of the length, so every caller — any shard,
-// any worker count — sums a given pair of slices identically.
+// pattern is a pure function of the length, so every caller sums a given
+// pair of slices identically.
 func dotVec(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64

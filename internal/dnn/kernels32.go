@@ -18,9 +18,7 @@ package dnn
 // Determinism contract, mirroring kernels.go: every output element
 // accumulates its k-terms in strictly ascending k order through a single
 // accumulator chain — identical in every register-block shape of the
-// assembly kernel — and the tile-parallel path shards output rows only
-// (forkRows), never the k-loop. Results are therefore byte-identical at
-// workers=1 vs N and independent of batch size.
+// assembly kernel. Results are therefore independent of batch size.
 
 import "math"
 
@@ -37,26 +35,10 @@ const (
 )
 
 // sgemm computes C += A·B over float32 with an optional fused epilogue:
-// A m×k (row stride lda), B k×n (ldb), C m×n (ldc). Rows shard across
-// kernel workers exactly like the float64 gemmNT.
+// A m×k (row stride lda), B k×n (ldb), C m×n (ldc). The whole m-row loop
+// runs inside the assembly kernel, amortizing the call overhead that
+// dominates small-model inference when dispatching one row at a time.
 func sgemm(m, n, k int, a []float32, lda int, bm []float32, ldb int, c []float32, ldc int, epi int) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	if w := shardWorkers(m, m*n*k); w > 1 {
-		forkRows(m, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the block kernel directly
-			sgemmBlock(hi-lo, n, k, a[lo*lda:], lda, bm, ldb, c[lo*ldc:], ldc, epi)
-		})
-		return
-	}
-	sgemmBlock(m, n, k, a, lda, bm, ldb, c, ldc, epi)
-}
-
-// sgemmBlock is the serial (already-sharded) GEMM panel: the whole
-// m-row loop runs inside the assembly kernel, amortizing the call
-// overhead that dominates small-model inference when dispatching one
-// row at a time.
-func sgemmBlock(m, n, k int, a []float32, lda int, bm []float32, ldb int, c []float32, ldc int, epi int) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}

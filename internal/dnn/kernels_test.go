@@ -135,47 +135,6 @@ func TestGemmStridedViews(t *testing.T) {
 	}
 }
 
-// TestGemmWorkerCountInvariant pins the determinism contract at the
-// kernel level: the tile-parallel path must produce bytes identical to
-// the serial path. The shape is large enough (m·n·k ≈ 666k flops) to
-// clear kernelParallelFlops, so workers=8 genuinely forks.
-func TestGemmWorkerCountInvariant(t *testing.T) {
-	const m, n, k = 67, 33, 301
-	rng := sim.NewRNG(104)
-	a := make([]float64, m*k)
-	bNN := make([]float64, k*n)
-	fillNormal(rng, a)
-	fillNormal(rng, bNN)
-	aTN := make([]float64, k*m)
-	bNT := make([]float64, n*k)
-	fillNormal(rng, aTN)
-	fillNormal(rng, bNT)
-
-	run := func(workers int) [3][]float64 {
-		prev := SetKernelWorkers(workers)
-		defer SetKernelWorkers(prev)
-		var out [3][]float64
-		for i := range out {
-			out[i] = make([]float64, m*n)
-		}
-		gemmNN(m, n, k, a, k, bNN, n, out[0], n)
-		gemmTN(m, n, k, aTN, m, bNN, n, out[1], n)
-		gemmNT(m, n, k, a, k, bNT, k, out[2], n)
-		return out
-	}
-	serial := run(1)
-	parallel := run(8)
-	names := [3]string{"gemmNN", "gemmTN", "gemmNT"}
-	for v := range serial {
-		for i := range serial[v] {
-			if serial[v][i] != parallel[v][i] {
-				t.Fatalf("%s: workers=1 and workers=8 differ at %d: %v vs %v",
-					names[v], i, serial[v][i], parallel[v][i])
-			}
-		}
-	}
-}
-
 func TestVectorKernels(t *testing.T) {
 	rng := sim.NewRNG(105)
 	const m, n = 7, 13
@@ -293,53 +252,6 @@ func TestDropoutInPlaceMatchesOutOfPlace(t *testing.T) {
 	for i := range gOut.Data {
 		if gOut.Data[i] != gIn.Data[i] {
 			t.Fatalf("backward differs at %d: %v vs %v", i, gOut.Data[i], gIn.Data[i])
-		}
-	}
-}
-
-// TestTrainingKernelWorkerInvariant trains the full model over the GEMM
-// layer at kernel workers 1 and 8 and requires byte-identical parameters
-// — the end-to-end form of the determinism contract, exercised at both
-// serial and sharded gradient configurations (run under -race this also
-// checks the forked kernels for data races). Batch 32 over window 12
-// puts the large conv GEMMs above kernelParallelFlops, so the parallel
-// path genuinely engages.
-func TestTrainingKernelWorkerInvariant(t *testing.T) {
-	trainedParams := func(shards, workers int) map[string][]float64 {
-		prev := SetKernelWorkers(workers)
-		defer SetKernelWorkers(prev)
-		rng := sim.NewRNG(120)
-		data := synthDataset(rng, 64, 12)
-		m, err := NewLSTMFCN(CompactLSTMFCNConfig(2, 3), sim.NewRNG(121))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultTrainConfig()
-		cfg.Epochs = 2 // 2 epochs × 2 batches = 4 Adam steps
-		cfg.GradShards = shards
-		if _, err := Train(m, data, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
-		out := map[string][]float64{}
-		for _, p := range m.Params() {
-			out[p.Name] = append([]float64(nil), p.W...)
-		}
-		return out
-	}
-	for _, shards := range []int{1, 8} {
-		serial := trainedParams(shards, 1)
-		parallel := trainedParams(shards, 8)
-		if len(serial) != len(parallel) {
-			t.Fatalf("shards=%d: param count differs", shards)
-		}
-		for name, w1 := range serial {
-			w8 := parallel[name]
-			for i := range w1 {
-				if w1[i] != w8[i] {
-					t.Fatalf("shards=%d: %s[%d] differs between kernel workers 1 and 8: %v vs %v",
-						shards, name, i, w1[i], w8[i])
-				}
-			}
 		}
 	}
 }

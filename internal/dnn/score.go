@@ -30,8 +30,8 @@ import (
 //
 // Determinism: the scorer inherits the kernel layer's schedule guarantee
 // — every output element accumulates identically regardless of batch
-// size or kernel worker count — so ScoreFlat over N windows is
-// byte-identical to N batch-1 calls.
+// size — so ScoreFlat over N windows is byte-identical to N batch-1
+// calls.
 type BatchScorer struct {
 	w       int // window length
 	numApps int
@@ -407,8 +407,7 @@ func edgeT(e, T, half int) int {
 // convForward computes y = conv(x) with folded bias, [n][T][in] ->
 // [n][T][out]. Interior rows read their receptive field directly from x
 // (it is contiguous); edge rows go through the zero-padded staging
-// arena. Sample ranges shard across kernel workers like every other
-// kernel; the k-schedule per output element is unchanged by sharding.
+// arena.
 func (p *modelProg) convForward(cp *convProg, n int, x, y []float32) {
 	T := p.T
 	in, out, K, half := cp.in, cp.out, cp.k, cp.half
@@ -429,32 +428,26 @@ func (p *modelProg) convForward(cp *convProg, n int, x, y []float32) {
 	sbiasRows(n*T, out, y, out, cp.b)
 
 	if half < T-half {
-		if w := shardWorkers(n, n*T*out*ki); w > 1 {
-			forkRows(n, w, func(lo, hi int) { //memdos:ignore hotalloc closure exists only on the tile-parallel path; the serial path calls the range body directly
-				p.convInterior(cp, lo, hi, x, y)
-			})
-		} else {
-			p.convInterior(cp, 0, n, x, y)
-		}
+		p.convInterior(cp, n, x, y)
 	}
 	// Edge rows are contiguous per side in both the staging arena and the
 	// output, so each side is one GEMM panel per sample.
 	for b := 0; b < n; b++ {
-		sgemmBlock(half, out, ki, edge[b*er*ki:], ki, cp.w, out, y[b*T*out:], out, epiAddRelu)
-		sgemmBlock(half, out, ki, edge[(b*er+half)*ki:], ki, cp.w, out, y[(b*T+T-half)*out:], out, epiAddRelu)
+		sgemm(half, out, ki, edge[b*er*ki:], ki, cp.w, out, y[b*T*out:], out, epiAddRelu)
+		sgemm(half, out, ki, edge[(b*er+half)*ki:], ki, cp.w, out, y[(b*T+T-half)*out:], out, epiAddRelu)
 	}
 }
 
-// convInterior runs the interior output rows of samples [blo, bhi) as
-// one GEMM panel per sample: consecutive rows' receptive fields overlap
-// in x at stride `in`, which the panel expresses as lda=in.
-func (p *modelProg) convInterior(cp *convProg, blo, bhi int, x, y []float32) {
+// convInterior runs the interior output rows of the n samples as one
+// GEMM panel per sample: consecutive rows' receptive fields overlap in x
+// at stride `in`, which the panel expresses as lda=in.
+func (p *modelProg) convInterior(cp *convProg, n int, x, y []float32) {
 	T := p.T
 	in, out, half := cp.in, cp.out, cp.half
 	ki := cp.k * in
 	inner := T - 2*half
-	for b := blo; b < bhi; b++ {
-		sgemmBlock(inner, out, ki, x[b*T*in:], in, cp.w, out, y[(b*T+half)*out:], out, epiAddRelu)
+	for b := 0; b < n; b++ {
+		sgemm(inner, out, ki, x[b*T*in:], in, cp.w, out, y[(b*T+half)*out:], out, epiAddRelu)
 	}
 }
 

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"memdos/internal/sim"
@@ -40,12 +41,12 @@ func flattenWindows(samples []CascadeSample) []float64 {
 }
 
 // ScoreFlat over N windows must be byte-identical to N batch-1 calls —
-// logits included, not just verdicts — and invariant under the kernel
-// worker count. The windows are chosen so the interior convolution
-// panels (kernels 9/5/3: T-8, T-4, T-2 rows) leave every possible
-// remainder after the kernel's 4-row tier — 0 and 2 at T=20, 1 and 3 at
-// T=21 and T=23 — and the batch of 37 crosses scoreTile with a 5-window
-// second tile, so the LSTM and dense panels see a row remainder too.
+// logits included, not just verdicts. The windows are chosen so the
+// interior convolution panels (kernels 9/5/3: T-8, T-4, T-2 rows) leave
+// every possible remainder after the kernel's 4-row tier — 0 and 2 at
+// T=20, 1 and 3 at T=21 and T=23 — and the batch of 37 crosses scoreTile
+// with a 5-window second tile, so the LSTM and dense panels see a row
+// remainder too.
 func TestScoreBatchMatchesLooped(t *testing.T) {
 	const n = scoreTile + 5
 	for _, w := range []int{20, 21, 23} {
@@ -63,46 +64,24 @@ func TestScoreBatchMatchesLooped(t *testing.T) {
 			batchedApp := append([]float32(nil), s.app.logits[:n*s.app.classes]...)
 			batchedAtk := append([]float32(nil), s.atk.logits[:n*s.atk.classes]...)
 
-			defer SetKernelWorkers(1)
-			for _, workers := range []int{1, 8} {
-				SetKernelWorkers(workers)
-
-				// Batched at this worker count.
-				gotApps := make([]int, n)
-				gotAtks := make([]int, n)
-				s.ScoreFlat(n, flat, gotApps, gotAtks)
-				for i := 0; i < n*s.app.classes; i++ {
-					if s.app.logits[i] != batchedApp[i] {
-						t.Fatalf("workers=%d: app logit %d differs from workers=1 batch: %v vs %v",
-							workers, i, s.app.logits[i], batchedApp[i])
+			a1 := make([]int, 1)
+			k1 := make([]int, 1)
+			for i := 0; i < n; i++ {
+				s.ScoreFlat(1, flat[i*w*2:(i+1)*w*2], a1, k1)
+				if a1[0] != apps[i] || k1[0] != attacks[i] {
+					t.Fatalf("window %d: looped verdict (%d,%d) != batched (%d,%d)",
+						i, a1[0], k1[0], apps[i], attacks[i])
+				}
+				for o := 0; o < s.app.classes; o++ {
+					if s.app.logits[o] != batchedApp[i*s.app.classes+o] {
+						t.Fatalf("window %d: batch-1 app logit %d differs: %v vs %v",
+							i, o, s.app.logits[o], batchedApp[i*s.app.classes+o])
 					}
 				}
-				for i := 0; i < n*s.atk.classes; i++ {
-					if s.atk.logits[i] != batchedAtk[i] {
-						t.Fatalf("workers=%d: attack logit %d differs: %v vs %v", workers, i, s.atk.logits[i], batchedAtk[i])
-					}
-				}
-
-				// Looped batch-1 at this worker count.
-				a1 := make([]int, 1)
-				k1 := make([]int, 1)
-				for i := 0; i < n; i++ {
-					s.ScoreFlat(1, flat[i*w*2:(i+1)*w*2], a1, k1)
-					if a1[0] != apps[i] || k1[0] != attacks[i] {
-						t.Fatalf("workers=%d window %d: looped verdict (%d,%d) != batched (%d,%d)",
-							workers, i, a1[0], k1[0], apps[i], attacks[i])
-					}
-					for o := 0; o < s.app.classes; o++ {
-						if s.app.logits[o] != batchedApp[i*s.app.classes+o] {
-							t.Fatalf("workers=%d window %d: batch-1 app logit %d differs: %v vs %v",
-								workers, i, o, s.app.logits[o], batchedApp[i*s.app.classes+o])
-						}
-					}
-					for o := 0; o < s.atk.classes; o++ {
-						if s.atk.logits[o] != batchedAtk[i*s.atk.classes+o] {
-							t.Fatalf("workers=%d window %d: batch-1 attack logit %d differs: %v vs %v",
-								workers, i, o, s.atk.logits[o], batchedAtk[i*s.atk.classes+o])
-						}
+				for o := 0; o < s.atk.classes; o++ {
+					if s.atk.logits[o] != batchedAtk[i*s.atk.classes+o] {
+						t.Fatalf("window %d: batch-1 attack logit %d differs: %v vs %v",
+							i, o, s.atk.logits[o], batchedAtk[i*s.atk.classes+o])
 					}
 				}
 			}
@@ -127,6 +106,43 @@ func TestScorerMatchesGraph(t *testing.T) {
 	// always (TestCascadeEndToEnd exercises that via Classify).
 	if agree < len(samples)*9/10 {
 		t.Fatalf("scorer agrees with graph on %d/%d windows", agree, len(samples))
+	}
+}
+
+// Classify has one path. A window the scorer cannot be compiled for — a
+// cascade with no fitted normalization, a window no longer than the
+// widest kernel's edge split — is a panic carrying the compile error, not
+// a silent pass through the float64 graph; Compile returns the same error
+// to callers that want it up front.
+func TestClassifyPanicsWithCompileError(t *testing.T) {
+	fitted, samples := scorerFixture(t, 20)
+	unfitted, err := NewCascade(2, tinyArch, sim.NewRNG(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		c      *Cascade
+		window [][]float64
+		want   string
+	}{
+		{"6-sample window", fitted, samples[0].Window[:6], "too short for kernel"},
+		{"unfitted norm", unfitted, samples[0].Window, "no fitted channel normalization"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compileErr := tc.c.Compile(len(tc.window))
+			if compileErr == nil || !strings.Contains(compileErr.Error(), tc.want) {
+				t.Fatalf("Compile error = %v, want one containing %q", compileErr, tc.want)
+			}
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != compileErr.Error() {
+					t.Fatalf("Classify panicked with %v, want the compile error %q", err, compileErr)
+				}
+			}()
+			tc.c.Classify(tc.window)
+			t.Fatal("Classify returned a verdict")
+		})
 	}
 }
 

@@ -69,45 +69,40 @@ func NewLogActuator() *LogActuator {
 	return &LogActuator{state: make(map[string]Applied)}
 }
 
-// Throttle records the duty.
-func (l *LogActuator) Throttle(session string, duty float64) error {
+// update applies f to the session's record under the lock.
+func (l *LogActuator) update(session string, f func(*Applied)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.state[session]
-	st.Duty = duty
+	f(&st)
 	l.state[session] = st
+}
+
+// Throttle records the duty.
+func (l *LogActuator) Throttle(session string, duty float64) error {
+	l.update(session, func(st *Applied) { st.Duty = duty })
 	return nil
 }
 
 // LimitBandwidth records the DRAM budget.
 func (l *LogActuator) LimitBandwidth(session string, bytesPerSec float64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state[session]
-	st.BandwidthLimit = bytesPerSec
-	l.state[session] = st
+	l.update(session, func(st *Applied) { st.BandwidthLimit = bytesPerSec })
 	return nil
 }
 
 // Partition records the partition state.
 func (l *LogActuator) Partition(session string, on bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state[session]
-	st.Partition = on
-	l.state[session] = st
+	l.update(session, func(st *Applied) { st.Partition = on })
 	return nil
 }
 
 // Migrate counts the migration. LogActuator has no host notion, so the
 // reported destination is empty.
 func (l *LogActuator) Migrate(session string) (MigrateResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state[session]
-	st.Migrations++
-	st.LastDest = ""
-	l.state[session] = st
+	l.update(session, func(st *Applied) {
+		st.Migrations++
+		st.LastDest = ""
+	})
 	return MigrateResult{}, nil
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Seconds is the unit of simulated time throughout the repository.
 type Seconds = float64
@@ -38,63 +35,4 @@ func (c *Clock) Ticks() uint64 { return c.tick }
 func (c *Clock) Tick() Seconds {
 	c.tick++
 	return c.Now()
-}
-
-// Duration converts a simulated-seconds span to a time.Duration, useful for
-// human-readable reporting only (simulated time never sleeps).
-func Duration(s Seconds) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}
-
-// Stepper is implemented by every component that evolves with the clock.
-// Step is called exactly once per clock tick with the tick's start time and
-// the step duration.
-type Stepper interface {
-	Step(now Seconds, dt Seconds)
-}
-
-// Engine drives a set of Steppers against one clock in registration order.
-// Registration order is significant: producers (workloads, attackers)
-// should be registered before consumers (bus, cache, monitors).
-type Engine struct {
-	clock    *Clock
-	steppers []Stepper
-}
-
-// NewEngine returns an engine around the given clock.
-func NewEngine(clock *Clock) *Engine {
-	return &Engine{clock: clock}
-}
-
-// Clock returns the engine's clock.
-func (e *Engine) Clock() *Clock { return e.clock }
-
-// Register appends s to the step order.
-func (e *Engine) Register(s Stepper) {
-	e.steppers = append(e.steppers, s)
-}
-
-// Run advances the simulation until the clock reaches at least until
-// simulated seconds, stepping every registered component each tick.
-func (e *Engine) Run(until Seconds) {
-	for e.clock.Now() < until {
-		now := e.clock.Now()
-		dt := e.clock.Step()
-		for _, s := range e.steppers {
-			s.Step(now, dt)
-		}
-		e.clock.Tick()
-	}
-}
-
-// RunSteps advances the simulation by exactly n ticks.
-func (e *Engine) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		now := e.clock.Now()
-		dt := e.clock.Step()
-		for _, s := range e.steppers {
-			s.Step(now, dt)
-		}
-		e.clock.Tick()
-	}
 }

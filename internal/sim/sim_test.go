@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -166,45 +165,4 @@ func TestClockPanicsOnBadStep(t *testing.T) {
 		}
 	}()
 	NewClock(0)
-}
-
-type countingStepper struct {
-	calls int
-	last  Seconds
-}
-
-func (c *countingStepper) Step(now, dt Seconds) {
-	c.calls++
-	c.last = now
-}
-
-func TestEngineRun(t *testing.T) {
-	e := NewEngine(NewClock(0.1))
-	s := &countingStepper{}
-	e.Register(s)
-	e.Run(1.0)
-	if s.calls != 10 {
-		t.Errorf("stepper called %d times, want 10", s.calls)
-	}
-	if math.Abs(s.last-0.9) > 1e-9 {
-		t.Errorf("last step at %v, want 0.9", s.last)
-	}
-}
-
-func TestEngineRunSteps(t *testing.T) {
-	e := NewEngine(NewClock(0.5))
-	a := &countingStepper{}
-	b := &countingStepper{}
-	e.Register(a)
-	e.Register(b)
-	e.RunSteps(7)
-	if a.calls != 7 || b.calls != 7 {
-		t.Errorf("steppers called %d/%d times, want 7/7", a.calls, b.calls)
-	}
-}
-
-func TestDuration(t *testing.T) {
-	if d := Duration(1.5); d != 1500*time.Millisecond {
-		t.Errorf("Duration(1.5) = %v", d)
-	}
 }
