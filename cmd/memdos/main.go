@@ -36,6 +36,7 @@ import (
 	"memdos/internal/core"
 	"memdos/internal/dnn"
 	"memdos/internal/experiments"
+	"memdos/internal/par"
 	"memdos/internal/trace"
 	"memdos/internal/workload"
 )
@@ -59,7 +60,7 @@ func run() int {
 		return 2
 	}
 	cmd, args := global.Arg(0), global.Args()[1:]
-	experiments.SetParallelism(*parallel)
+	par.SetParallelism(*parallel)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -161,7 +162,7 @@ commands:
   ablation   design-choice ablations (raw threshold / period / microsim)
   migration  detect-and-migrate response study (why migration alone fails)
   cluster    datacenter placement x scheduling study with real VM migration
-  mitigate   closed-loop mitigation study (stream alarms -> respond engine)
+  mitigate   closed-loop mitigation study (SDS alarms -> respond engine)
   membw      DRAM bandwidth-hog study on 1- and 2-socket NUMA topologies
   containers serverless/container future-work study (Sec. VIII)
   report     run the core experiment set, emit a markdown report

@@ -27,9 +27,9 @@
 // With -respond the daemon attaches a closed-loop mitigation engine
 // (internal/respond) to the hub's alarm feed: alarm raises walk the
 // suspect VM up a graduated throttle/partition/migrate ladder, clears
-// back off with hysteresis. Stand-alone the engine drives a recording
-// actuator — would-be actions are inspectable under GET /v1/responses
-// and adjustable via POST /v1/responses/{vm}/override
+// back off with hysteresis. Stand-alone the engine drives a no-op
+// actuator — the would-be actions are the engine's own per-session
+// action log, inspectable under GET /v1/responses and adjustable via POST /v1/responses/{vm}/override
 // ({"mode":"pause"|"resume"|"force","level":N}); embedders wire a real
 // hypervisor through respond.Actuator.
 //

@@ -16,7 +16,6 @@ var MetricNamePattern = regexp.MustCompile(`^memdos_[a-z0-9_]+$`)
 // first argument is a metric family name.
 var metricRegisterMethods = map[string]bool{
 	"RegisterCounter":     true,
-	"RegisterGauge":       true,
 	"RegisterCounterFunc": true,
 	"RegisterGaugeFunc":   true,
 }

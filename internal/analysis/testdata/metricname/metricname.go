@@ -13,12 +13,12 @@ import (
 const goodName = "memdos_testdata_ticks_total"
 
 // Register exercises every outcome against one registry.
-func Register(reg *metrics.Registry, c *metrics.Counter, g *metrics.Gauge, id int) {
+func Register(reg *metrics.Registry, c *metrics.Counter, id int) {
 	reg.RegisterCounter(goodName, "fine: constant, canonical shape", c)
-	reg.RegisterGauge("memdos_testdata_depth", "fine: literal, canonical shape", g)
+	reg.RegisterGaugeFunc("memdos_testdata_depth", "fine: literal, canonical shape", nil)
 
 	reg.RegisterCounter("testdata_ticks_total", "missing namespace", c) // want `metric name "testdata_ticks_total" does not match`
-	reg.RegisterGauge("memdos_Depth", "uppercase", g)                   // want `metric name "memdos_Depth" does not match`
+	reg.RegisterGaugeFunc("memdos_Depth", "uppercase", nil)             // want `metric name "memdos_Depth" does not match`
 	reg.RegisterCounterFunc("memdos-dashes", "bad separator", nil)      // want `metric name "memdos-dashes" does not match`
 
 	reg.RegisterGaugeFunc(fmt.Sprintf("memdos_shard_%d", id), "runtime-built", nil) // want `metric name passed to RegisterGaugeFunc is not a compile-time string constant`

@@ -26,7 +26,6 @@ import (
 
 	"memdos/internal/attack"
 	"memdos/internal/core"
-	"memdos/internal/metrics"
 	"memdos/internal/par"
 	"memdos/internal/respond"
 	"memdos/internal/sim"
@@ -289,9 +288,9 @@ type Cluster struct {
 
 	started bool
 
-	migrations    metrics.Counter
-	attackerMoves metrics.Counter
-	alarmEvents   metrics.Counter
+	// Control-plane event counts (Result); only the serial phase of a
+	// quantum writes them.
+	migrations, attackerMoves, alarmEvents int
 }
 
 // New builds an empty cluster. Populate it with AddVictim / AddAttacker /
@@ -475,7 +474,7 @@ func (c *Cluster) MigrateVM(name string) (string, error) {
 	if err := c.moveVM(rec, dest, c.ticksFor(c.cfg.Downtime)); err != nil {
 		return "", err
 	}
-	c.migrations.Inc()
+	c.migrations++
 	return c.hosts[dest].name, nil
 }
 
@@ -572,7 +571,7 @@ func (c *Cluster) Step(q int) error {
 	sort.SliceStable(c.eventBuf, func(i, j int) bool { return c.eventBuf[i].time < c.eventBuf[j].time })
 	if c.eng != nil {
 		for _, ev := range c.eventBuf {
-			c.alarmEvents.Inc()
+			c.alarmEvents++
 			if err := c.eng.Observe(ev.session, ev.time, ev.raised); err != nil {
 				return err
 			}
@@ -626,7 +625,7 @@ func (c *Cluster) driveAttackers(now float64) error {
 				if err := c.moveVM(rec, t.host, 0); err != nil {
 					return err
 				}
-				c.attackerMoves.Inc()
+				c.attackerMoves++
 				rec.chaseAt = 0
 			}
 		case AttackChurn:
@@ -638,7 +637,7 @@ func (c *Cluster) driveAttackers(now float64) error {
 					if err := c.moveVM(rec, dest, 0); err != nil {
 						return err
 					}
-					c.attackerMoves.Inc()
+					c.attackerMoves++
 				}
 				rec.nextChurn = now + c.cfg.ChurnInterval
 			}
@@ -694,9 +693,9 @@ func (c *Cluster) Run(dur float64) (*Result, error) {
 		Duration:         c.Now(),
 		Hosts:            len(c.hosts),
 		VMs:              len(c.recs),
-		Migrations:       int(c.migrations.Value()),
-		AttackerMoves:    int(c.attackerMoves.Value()),
-		AlarmTransitions: int(c.alarmEvents.Value()),
+		Migrations:       c.migrations,
+		AttackerMoves:    c.attackerMoves,
+		AlarmTransitions: c.alarmEvents,
 	}
 	var speedSum, alarmSum float64
 	victims := 0
@@ -719,26 +718,4 @@ func (c *Cluster) Run(dur float64) (*Result, error) {
 		res.Respond = c.eng.Stats()
 	}
 	return res, nil
-}
-
-// RegisterMetrics exposes the cluster's counters on a registry.
-func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("memdos_cluster_migrations_total",
-		"Defender-initiated victim migrations.", &c.migrations)
-	reg.RegisterCounter("memdos_cluster_attacker_moves_total",
-		"Attacker self-relocations (chases and churn).", &c.attackerMoves)
-	reg.RegisterCounter("memdos_cluster_alarm_transitions_total",
-		"Detector alarm raise/clear transitions observed by the control plane.", &c.alarmEvents)
-	reg.RegisterGaugeFunc("memdos_cluster_hosts",
-		"Number of simulated hosts.", func() []metrics.Point {
-			return []metrics.Point{{Value: float64(len(c.hosts))}}
-		})
-	reg.RegisterGaugeFunc("memdos_cluster_vms",
-		"Number of cluster VMs (resident plus in transit).", func() []metrics.Point {
-			return []metrics.Point{{Value: float64(len(c.recs))}}
-		})
-	reg.RegisterGaugeFunc("memdos_cluster_inflight_migrations",
-		"VM states currently in transit between hosts.", func() []metrics.Point {
-			return []metrics.Point{{Value: float64(len(c.inflight))}}
-		})
 }

@@ -343,6 +343,44 @@ func TestSDSCombined(t *testing.T) {
 	}
 }
 
+// TestSDSEqualsConjunctionOfParts: on a periodic trace the combined
+// scheme — which feeds SDS/P from SDS/B's moving average — decides exactly
+// what stand-alone SDS/B and SDS/P, each averaging for itself, decide
+// together: SDS/B's cadence, alarm = SDS/B's state AND SDS/P's latest.
+func TestSDSEqualsConjunctionOfParts(t *testing.T) {
+	p := DefaultParams()
+	prof := profileApp(t, "FN", 90, p)
+	sds, _ := NewSDS(prof, p)
+	b, _ := NewSDSB(prof, p)
+	pd, _ := NewSDSP(prof, p)
+	// runDetector's server is seeded, so each run sees the same samples.
+	run := func(det Detector) []Decision {
+		atk, _ := attack.NewBusLock(attack.Window{Start: 150, End: 300}, 0.7)
+		return runDetector(t, "FN", atk, 300, det)
+	}
+	got, bs, ps := run(sds), run(b), run(pd)
+	if len(got) == 0 || len(got) != len(bs) || len(ps) == 0 {
+		t.Fatalf("decision counts: SDS %d, SDS/B %d, SDS/P %d", len(got), len(bs), len(ps))
+	}
+	alarms, pAlarm, next := 0, false, 0
+	for i, d := range bs {
+		for next < len(ps) && ps[next].Time <= d.Time {
+			pAlarm = ps[next].Alarm
+			next++
+		}
+		want := Decision{Time: d.Time, Alarm: d.Alarm && pAlarm}
+		if got[i] != want {
+			t.Fatalf("decision %d: SDS %+v, parts give %+v", i, got[i], want)
+		}
+		if want.Alarm {
+			alarms++
+		}
+	}
+	if alarms == 0 || alarms == len(got) {
+		t.Errorf("trace does not exercise both outcomes: %d of %d alarm", alarms, len(got))
+	}
+}
+
 func TestSDSNames(t *testing.T) {
 	p := DefaultParams()
 	prof := profileApp(t, "KM", 60, p)

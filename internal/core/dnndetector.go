@@ -54,7 +54,7 @@ func (d *DNNDetector) Name() string { return "DNN" }
 
 // Overhead returns the modelled CPU cost of per-window inference (Fig. 14:
 // DNN costs 2-5%, above SDS's simple arithmetic).
-func (d *DNNDetector) Overhead() float64 { return 0.035 }
+func (d *DNNDetector) Overhead() float64 { return OverheadDNN }
 
 // Push feeds one PCM sample; a decision is produced every DW samples once
 // a full window is available.
@@ -72,10 +72,4 @@ func (d *DNNDetector) Push(s pcm.Sample) []Decision {
 	d.lastApp, d.lastAttack = app, attackClass
 	alarm := d.viol.observe(attackClass != dnn.ClassNoAttack)
 	return []Decision{{Time: s.Time, Alarm: alarm}}
-}
-
-// LastClassification returns the most recent (application, attack-class)
-// pair, for diagnostics; the application is -1 before the first window.
-func (d *DNNDetector) LastClassification() (app, attackClass int) {
-	return d.lastApp, d.lastAttack
 }

@@ -26,31 +26,52 @@ func (in Incident) String() string {
 	return fmt.Sprintf("[%.1f, %.1f) %s", in.Start, in.End, state)
 }
 
+// IncidentFold folds decisions into alarm episodes one at a time. It is
+// the single implementation of the fold: Incidents loops over it for a
+// recorded time-line, and a live stream session observes decisions as its
+// detector emits them. The zero value is an empty fold.
+type IncidentFold struct {
+	incidents []Incident
+	started   bool
+	last      float64
+}
+
+// Observe folds one decision in and reports whether it was in order. A
+// decision dated before its predecessor (a producer replaying history) is
+// skipped — the fold is unchanged — so a live session survives it.
+func (f *IncidentFold) Observe(d Decision) bool {
+	if f.started && d.Time < f.last {
+		return false
+	}
+	f.started = true
+	f.last = d.Time
+	if n := len(f.incidents); n > 0 && f.incidents[n-1].Open {
+		// The open episode continues or ends here.
+		f.incidents[n-1].End = d.Time
+		f.incidents[n-1].Open = d.Alarm
+	} else if d.Alarm {
+		f.incidents = append(f.incidents, Incident{Start: d.Time, End: d.Time, Open: true})
+	}
+	return true
+}
+
+// Merged returns a copy of the episodes folded so far, with flaps of at
+// most maxGap seconds joined (see MergeIncidents).
+func (f *IncidentFold) Merged(maxGap float64) []Incident {
+	return MergeIncidents(f.incidents, maxGap)
+}
+
 // Incidents folds a decision time-line into alarm episodes. Decisions must
 // be in chronological order (as every detector in this package emits
 // them); out-of-order input returns an error.
 func Incidents(decisions []Decision) ([]Incident, error) {
-	var out []Incident
-	var cur *Incident
-	last := -1.0
+	var f IncidentFold
 	for _, d := range decisions {
-		if d.Time < last {
+		if !f.Observe(d) {
 			return nil, fmt.Errorf("core: decisions out of order at t=%v", d.Time)
 		}
-		last = d.Time
-		switch {
-		case d.Alarm && cur == nil:
-			out = append(out, Incident{Start: d.Time, End: d.Time, Open: true})
-			cur = &out[len(out)-1]
-		case d.Alarm && cur != nil:
-			cur.End = d.Time
-		case !d.Alarm && cur != nil:
-			cur.End = d.Time
-			cur.Open = false
-			cur = nil
-		}
 	}
-	return out, nil
+	return f.incidents, nil
 }
 
 // MergeIncidents joins incidents separated by gaps of at most maxGap

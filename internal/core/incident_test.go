@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,80 @@ func TestIncidentsOutOfOrder(t *testing.T) {
 	ds := decisions(2.0, true, 1.0, false)
 	if _, err := Incidents(ds); err == nil {
 		t.Error("out-of-order decisions accepted")
+	}
+}
+
+// TestIncidentFold drives the one-decision-at-a-time fold a live session
+// uses and checks the batch Incidents (a loop over it) agrees: same
+// episodes for in-order input, an error where the fold skips.
+func TestIncidentFold(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ds      []Decision
+		gap     float64
+		want    []Incident
+		skipped int
+	}{
+		{
+			name: "first decision before t=-1 is in order",
+			ds:   decisions(-5.0, true, -4.0, true, -3.0, false),
+			want: []Incident{{Start: -5, End: -3}},
+		},
+		{
+			name:    "out-of-order decision is skipped, fold resumes",
+			ds:      decisions(2.0, true, 1.0, false, 3.0, false),
+			want:    []Incident{{Start: 2, End: 3}},
+			skipped: 1,
+		},
+		{
+			name:    "skipped decision cannot open an episode",
+			ds:      decisions(2.0, false, 1.0, true, 3.0, false),
+			skipped: 1,
+		},
+		{
+			name: "flap inside the gap is one incident",
+			ds:   decisions(1.0, true, 2.0, false, 3.5, true, 5.0, false),
+			gap:  2,
+			want: []Incident{{Start: 1, End: 5}},
+		},
+		{
+			name: "flap beyond the gap stays two",
+			ds:   decisions(1.0, true, 2.0, false, 4.5, true, 5.0, false),
+			gap:  2,
+			want: []Incident{{Start: 1, End: 2}, {Start: 4.5, End: 5}},
+		},
+		{
+			name: "merged flap still alarming stays open",
+			ds:   decisions(1.0, true, 2.0, false, 3.0, true),
+			gap:  2,
+			want: []Incident{{Start: 1, End: 3, Open: true}},
+		},
+	} {
+		var f IncidentFold
+		skipped := 0
+		for _, d := range tc.ds {
+			if !f.Observe(d) {
+				skipped++
+			}
+		}
+		if skipped != tc.skipped {
+			t.Errorf("%s: skipped %d decisions, want %d", tc.name, skipped, tc.skipped)
+		}
+		if got := f.Merged(tc.gap); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fold = %v, want %v", tc.name, got, tc.want)
+		}
+		batch, err := Incidents(tc.ds)
+		if tc.skipped > 0 {
+			if err == nil {
+				t.Errorf("%s: Incidents accepted out-of-order decisions", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if got := MergeIncidents(batch, tc.gap); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Incidents = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func (d *KSTestDetector) Name() string { return "KStest" }
 // Overhead returns the modelled CPU cost of running repeated KS tests on
 // the hypervisor. The dominant cost of the scheme — execution throttling —
 // is inflicted physically through the Throttle hook, not via this number.
-func (d *KSTestDetector) Overhead() float64 { return 0.02 }
+func (d *KSTestDetector) Overhead() float64 { return OverheadKSTest }
 
 // Push feeds one PCM sample of the protected VM and advances the protocol
 // state machine on the sample's timestamp.

@@ -38,13 +38,11 @@ func NewSDS(profile Profile, params Params) (*SDS, error) {
 // Name returns "SDS".
 func (d *SDS) Name() string { return "SDS" }
 
-// Overhead returns the modelled CPU cost: SDS/B's, plus SDS/P's when it is
-// engaged (the paper's Fig. 14 shows SDS costing 1-2%).
+// Overhead returns the modelled CPU cost: SDS/B's, or the combined cost
+// when SDS/P is engaged (the paper's Fig. 14 shows SDS costing 1-2%).
 func (d *SDS) Overhead() float64 {
 	if d.p != nil {
-		// The two share the MA pipeline; the combined cost is below the
-		// sum of the parts.
-		return 0.018
+		return OverheadSDS
 	}
 	return d.b.Overhead()
 }
@@ -54,23 +52,21 @@ func (d *SDS) Periodic() bool { return d.p != nil }
 
 // Push feeds one PCM sample to both sub-schemes. Decisions follow SDS/B's
 // cadence (every DW samples); for periodic applications a decision's alarm
-// state is the conjunction of SDS/B's and SDS/P's current states.
+// state is the conjunction of SDS/B's and SDS/P's current states. The two
+// share the MA pipeline: SDS/P is entered past its own MA stage (whose
+// lazily allocated window therefore never exists) with SDS/B's average.
 func (d *SDS) Push(s pcm.Sample) []Decision {
-	bd := d.b.Push(s)
-	if len(bd) > 0 {
-		d.bAlarm = bd[len(bd)-1].Alarm
-	}
-	if d.p != nil {
-		if pd := d.p.Push(s); len(pd) > 0 {
-			d.pAlarm = pd[len(pd)-1].Alarm
-		}
-	}
+	accAvg, bd := d.b.step(s)
 	if len(bd) == 0 {
 		return nil
 	}
-	alarm := d.bAlarm
-	if d.p != nil {
-		alarm = d.bAlarm && d.pAlarm
+	d.bAlarm = bd[0].Alarm
+	if d.p == nil {
+		return bd
 	}
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	if pd := d.p.pushMA(s.Time, accAvg); len(pd) > 0 {
+		d.pAlarm = pd[0].Alarm
+	}
+	bd[0].Alarm = d.bAlarm && d.pAlarm
+	return bd
 }

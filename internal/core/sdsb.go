@@ -30,10 +30,6 @@ type SDSB struct {
 
 	accViol  violationCounter
 	missViol violationCounter
-
-	// overhead is the modelled hypervisor CPU cost of the EWMA/bounds
-	// arithmetic (Fig. 14: SDS costs 1-2%).
-	overhead float64
 }
 
 // NewSDSB returns an SDS/B detector for an application with the given
@@ -54,24 +50,31 @@ func NewSDSB(profile Profile, p Params) (*SDSB, error) {
 		missEW:   stats.NewEWMAStream(p.Alpha),
 		accViol:  violationCounter{threshold: p.HC},
 		missViol: violationCounter{threshold: p.HC},
-		overhead: 0.012,
 	}, nil
 }
 
 // Name returns "SDS/B".
 func (d *SDSB) Name() string { return "SDS/B" }
 
-// Overhead returns the modelled CPU cost.
-func (d *SDSB) Overhead() float64 { return d.overhead }
+// Overhead returns the modelled CPU cost of the EWMA/bounds arithmetic.
+func (d *SDSB) Overhead() float64 { return OverheadSDSB }
 
 // Push feeds one PCM sample. A decision is produced whenever a new MA
 // window completes (every DW samples).
 func (d *SDSB) Push(s pcm.Sample) []Decision {
+	_, dec := d.step(s)
+	return dec
+}
+
+// step is Push that also hands back the AccessNum moving average behind
+// the decision (meaningful only when a decision is returned), so the
+// combined SDS can feed SDS/P from it instead of averaging twice.
+func (d *SDSB) step(s pcm.Sample) (accAvg float64, dec []Decision) {
 	accAvg, ok := d.accMA.Push(s.AccessNum)
 	missAvg, ok2 := d.missMA.Push(s.MissNum)
 	if !ok || !ok2 {
 		// The two streams share cadence; they fill in lockstep.
-		return nil
+		return 0, nil
 	}
 	accE := d.accEW.Push(accAvg)
 	missE := d.missEW.Push(missAvg)
@@ -82,7 +85,7 @@ func (d *SDSB) Push(s pcm.Sample) []Decision {
 	accAlarm := d.accViol.observe(accE < accLo || accE > accHi)
 	missAlarm := d.missViol.observe(missE < missLo || missE > missHi)
 
-	return []Decision{{Time: s.Time, Alarm: accAlarm || missAlarm}}
+	return accAvg, []Decision{{Time: s.Time, Alarm: accAlarm || missAlarm}}
 }
 
 // EWMAValues returns the latest EWMA of each channel, for diagnostics and

@@ -30,7 +30,6 @@ type SDSP struct {
 	viol      violationCounter
 
 	lastPeriod float64
-	overhead   float64
 }
 
 // NewSDSP returns an SDS/P detector. The profile must be periodic.
@@ -47,16 +46,14 @@ func NewSDSP(profile Profile, p Params) (*SDSP, error) {
 		ma:        stats.NewMAStream(p.W, p.DW),
 		estimator: period.NewEstimator(period.DefaultEstimatorConfig()),
 		viol:      violationCounter{threshold: p.HP},
-		overhead:  0.015,
 	}, nil
 }
 
 // Name returns "SDS/P".
 func (d *SDSP) Name() string { return "SDS/P" }
 
-// Overhead returns the modelled CPU cost (slightly above SDS/B's: the
-// DFT-ACF recomputation is the scheme's dominant cost).
-func (d *SDSP) Overhead() float64 { return d.overhead }
+// Overhead returns the modelled CPU cost.
+func (d *SDSP) Overhead() float64 { return OverheadSDSP }
 
 // windowSize returns W_P in MA samples.
 func (d *SDSP) windowSize() int {
@@ -74,6 +71,13 @@ func (d *SDSP) Push(s pcm.Sample) []Decision {
 	if !ok {
 		return nil
 	}
+	return d.pushMA(s.Time, avg)
+}
+
+// pushMA feeds one AccessNum moving-average value completed at time t:
+// the scheme past its own MA stage, which the combined SDS enters with
+// SDS/B's average.
+func (d *SDSP) pushMA(t, avg float64) []Decision {
 	wp := d.windowSize()
 	d.maHistory = append(d.maHistory, avg)
 	if over := len(d.maHistory) - wp; over > 0 {
@@ -95,7 +99,7 @@ func (d *SDSP) Push(s pcm.Sample) []Decision {
 		d.lastPeriod = 0
 	}
 	alarm := d.viol.observe(deviant)
-	return []Decision{{Time: s.Time, Alarm: alarm}}
+	return []Decision{{Time: t, Alarm: alarm}}
 }
 
 // LastPeriod returns the most recent period estimate in MA samples (0 when

@@ -87,8 +87,7 @@ type Cascade struct {
 	Attack *LSTMFCN
 
 	// Compiled batch-1 scorer backing Classify, built from the current
-	// weights (Compile) and invalidated whenever they change
-	// (InvalidateScorer).
+	// weights (Compile) and dropped when TrainCascade changes them.
 	scorer     *BatchScorer
 	flatBuf    []float64
 	app1, atk1 [1]int
@@ -171,11 +170,6 @@ func (c *Cascade) Window() int {
 	return c.App.lstm.In
 }
 
-// InvalidateScorer drops the compiled scorer backing Classify; callers
-// that mutate weights directly must invalidate before classifying again.
-// TrainCascade does this automatically.
-func (c *Cascade) InvalidateScorer() { c.scorer = nil }
-
 // Compile builds the batch-1 scorer Classify runs for windows of length
 // w, unless the one it holds already has that length. It returns
 // NewBatchScorer's error — unfitted normalization, a window no longer
@@ -243,6 +237,6 @@ func TrainCascade(c *Cascade, samples []CascadeSample, cfg TrainConfig) (appRes,
 		return appRes, TrainResult{}, err
 	}
 	atkRes, err = Train(c.Attack, atkTrain, atkVal, cfg)
-	c.InvalidateScorer()
+	c.scorer = nil // compiled from the old weights
 	return appRes, atkRes, err
 }

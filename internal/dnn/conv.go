@@ -44,9 +44,6 @@ func NewConv1D(in, out, k int, rng *sim.RNG) *Conv1D {
 	return c
 }
 
-// widx returns the flat index of w[o][dt][i].
-func (c *Conv1D) widx(o, dt, i int) int { return (o*c.K+dt)*c.In + i }
-
 // im2col fills c.cols with the receptive fields of x; rows are (b, t) in
 // batch-major order, columns are (dt, i). Out-of-window taps stay zero.
 func (c *Conv1D) im2col(x *Tensor) {

@@ -72,11 +72,6 @@ func (l *LSTM) gateRow(b, t int) []float64 {
 	return l.gates[off : off+g4]
 }
 
-// gateAt returns the cached activation of the given gate at (b, t, h).
-func (l *LSTM) gateAt(b, t, g, h int) float64 {
-	return l.gateRow(b, t)[g*l.Hidden+h]
-}
-
 // Forward runs the recurrence from zero initial state.
 func (l *LSTM) Forward(x *Tensor, train bool) *Tensor {
 	if x.C != l.In {

@@ -7,6 +7,7 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/mem"
+	"memdos/internal/par"
 )
 
 // The DRAM bandwidth study: the memory-DoS variant the paper's LLC-centric
@@ -150,7 +151,7 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 			}
 		}
 	}
-	accs, err := MapCells(DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
+	accs, err := par.MapCells(par.DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
 		j := jobs[i]
 		rs := DefaultRunSpec(spec.App, MemBW, j.seed)
 		rs.Duration = dur

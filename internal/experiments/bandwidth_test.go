@@ -7,6 +7,7 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/mem"
+	"memdos/internal/par"
 )
 
 func TestBandwidthSpecValidation(t *testing.T) {
@@ -89,13 +90,13 @@ func TestBandwidthStudyWorkerDeterminism(t *testing.T) {
 	}
 	spec := shortBandwidthSpec()
 	spec.Sockets = []int{2}
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
+	prev := par.SetParallelism(1)
+	defer par.SetParallelism(prev)
 	a, err := BandwidthStudy(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(8)
+	par.SetParallelism(8)
 	b, err := BandwidthStudy(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,8 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/core"
 	"memdos/internal/mem"
-	"memdos/internal/pcm"
+	"memdos/internal/par"
 	"memdos/internal/respond"
-	"memdos/internal/stream"
 	"memdos/internal/vmm"
 	"memdos/internal/workload"
 )
@@ -18,8 +17,8 @@ import (
 // of Fig. 14. Where Fig. 14 quantifies what always-on *detection* costs a
 // clean victim, ClosedLoop quantifies what detection-driven *response*
 // recovers for an attacked one. It co-locates a finite victim with a
-// persistent attacker, streams the victim's PCM samples through an SDS
-// session on a stream.Hub, and lets a respond.Engine drive the
+// persistent attacker, pushes the victim's PCM samples through an SDS
+// detector, and lets a respond.Engine fed its alarm transitions drive the
 // hypervisor's graduated mitigation (throttle the suspect, partition,
 // migrate). The headline metric is the victim's normalized execution
 // time — completion time divided by the attack-free completion time —
@@ -39,8 +38,6 @@ type ClosedLoopSpec struct {
 	UtilityVMs int
 	// Respond parameterizes the mitigation ladder.
 	Respond respond.Config
-	// MaxDuration caps each run (0 = 20x the app's nominal runtime).
-	MaxDuration float64
 	// Mem, when set, runs every arm on a server with the DRAM
 	// memory-controller model on this topology. Required for MemBW
 	// attacks and for the ladder's membw-limit rung to actuate.
@@ -138,8 +135,7 @@ func (a *loopActuator) Migrate(_ string) (respond.MigrateResult, error) {
 // ClosedLoop runs the three-arm study (clean, attacked, attacked with
 // mitigation) and reports the recovered performance. All three arms use
 // the same seed; with a fixed spec the result is bit-reproducible — the
-// hub runs one shard with Block backpressure and the engine is driven
-// only by simulated-time events.
+// detector and the engine are driven only by simulated-time events.
 func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 	if spec.AttackStart < 0 || spec.RelocationDelay <= 0 {
 		return nil, fmt.Errorf("experiments: invalid closed-loop times (start %v, delay %v)", spec.AttackStart, spec.RelocationDelay)
@@ -154,14 +150,12 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxDur := spec.MaxDuration
-	if maxDur <= 0 {
-		maxDur = 20 * ws.WorkSeconds
-	}
+	// Each run is capped at 20x the app's nominal runtime.
+	maxDur := 20 * ws.WorkSeconds
 
 	res := &ClosedLoopResult{App: spec.App, Mode: spec.Mode}
 	// The three arms share nothing but the spec — each builds its own
-	// server, hub and engine — so they run as parallel cells. Only the
+	// server, detector and engine — so they run as parallel cells. Only the
 	// mitigated arm writes the engine-side fields of res.
 	arms := []struct {
 		attacked, mitigate bool
@@ -172,7 +166,7 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 		{true, false, nil, &res.AttackedTime},
 		{true, true, res, &res.MitigatedTime},
 	}
-	err = DefaultRunner().Do(len(arms), func(i int) error {
+	err = par.DefaultRunner().Do(len(arms), func(i int) error {
 		t, err := closedLoopRun(spec, maxDur, arms[i].attacked, arms[i].mitigate, arms[i].out)
 		if err != nil {
 			return err
@@ -192,8 +186,8 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 }
 
 // closedLoopRun executes one arm and returns the victim's completion
-// time. With mitigate set it wires server → hub → engine → server and
-// fills the result's engine-side fields.
+// time. With mitigate set it wires server → detector → engine → server
+// and fills out's engine-side fields (out must be non-nil then).
 func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool, out *ClosedLoopResult) (float64, error) {
 	cfg := vmm.DefaultConfig()
 	cfg.Seed = spec.Seed
@@ -254,8 +248,7 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 	}
 
 	const sessionID = "victim"
-	var hub *stream.Hub
-	var events <-chan stream.AlarmEvent
+	var det *core.SDS
 	var eng *respond.Engine
 	if mitigate {
 		params := core.DefaultParams()
@@ -263,66 +256,37 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		if err != nil {
 			return 0, err
 		}
-		det, err := core.NewSDS(prof, params)
-		if err != nil {
+		if det, err = core.NewSDS(prof, params); err != nil {
 			return 0, err
 		}
 		// Charge the detector's hypervisor CPU cost, as Fig. 14 does.
 		if err := srv.SetHypervisorLoad(det.Overhead()); err != nil {
 			return 0, err
 		}
-		// One shard + Block backpressure keeps the hub bit-deterministic.
-		hcfg := stream.Config{Shards: 1, QueueCap: 1 << 14, ShardBuffer: 64, Policy: stream.Block}
-		hub = stream.NewHub(hcfg)
-		defer hub.Close()
-		if err := hub.RegisterProfile("sds", func() (core.Detector, error) {
-			return core.NewSDS(prof, params)
-		}); err != nil {
-			return 0, err
-		}
-		if err := hub.Open(sessionID, "sds"); err != nil {
-			return 0, err
-		}
-		ch, cancel := hub.Subscribe(256)
-		defer cancel()
-		events = ch
 		act := &loopActuator{srv: srv, suspect: atkVM.ID(), sched: sched, delay: spec.RelocationDelay}
 		if eng, err = respond.New(spec.Respond, act); err != nil {
 			return 0, err
 		}
 	}
 
+	raised := false
 	for !victim.Completed() && srv.Now() < maxDur {
 		step := srv.Step()
 		if !mitigate {
 			continue
 		}
 		if smp, ok := step.Samples[victim.ID()]; ok {
-			if _, err := hub.Ingest(sessionID, []pcm.Sample{smp}); err != nil {
-				return 0, err
-			}
-		}
-		// Drain is a barrier: after it, every alarm transition of this
-		// step sits in the subscription buffer, so consuming the channel
-		// non-blockingly here is deterministic.
-		if err := hub.Drain(); err != nil {
-			return 0, err
-		}
-	drained:
-		for {
-			select {
-			case ev, ok := <-events:
-				if !ok {
-					break drained
+			for _, d := range det.Push(smp) {
+				if d.Alarm == raised {
+					continue
 				}
-				if ev.Raised && out != nil {
+				raised = d.Alarm
+				if raised {
 					out.Alarms++
 				}
-				if err := eng.Observe(ev.Session, ev.Time, ev.Raised); err != nil {
+				if err := eng.Observe(sessionID, d.Time, raised); err != nil {
 					return 0, err
 				}
-			default:
-				break drained
 			}
 		}
 		eng.Tick(step.Time)
@@ -331,7 +295,7 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		return 0, fmt.Errorf("experiments: victim did not complete %s within %.0fs (attacked=%v mitigate=%v)",
 			spec.App, maxDur, attacked, mitigate)
 	}
-	if mitigate && out != nil {
+	if mitigate {
 		out.Stats = eng.Stats()
 		if st, ok := eng.State(sessionID); ok {
 			out.PeakLevel = st.PeakLevel

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"memdos/internal/respond"
 )
 
 func TestClosedLoopValidation(t *testing.T) {
@@ -48,8 +50,8 @@ func TestClosedLoopRecoversPerformance(t *testing.T) {
 	}
 }
 
-// TestClosedLoopDeterministic: the whole closed loop — server, hub,
-// detector, engine — is bit-reproducible under a fixed seed.
+// TestClosedLoopDeterministic: the whole closed loop — server, detector,
+// engine — is bit-reproducible under a fixed seed.
 func TestClosedLoopDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closed-loop simulation is seconds-long")
@@ -65,5 +67,39 @@ func TestClosedLoopDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("closed-loop runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestClosedLoopGolden pins the whole result of two closed-loop studies.
+// Server, detector and engine are deterministic, so any rewiring of the
+// loop between them (or of the engine's actuator calls) must reproduce
+// these values bit for bit.
+func TestClosedLoopGolden(t *testing.T) {
+	want := []ClosedLoopResult{
+		{
+			App: "KM", Mode: BusLock,
+			CleanTime: 150, AttackedTime: 430.01, MitigatedTime: 193.82999999999998,
+			AttackedNormalized: 2.8667333333333334, MitigatedNormalized: 1.2921999999999998,
+			Recovered: 0.8434698760758546,
+			Alarms:    1, PeakLevel: 4,
+			Stats: respond.Stats{Sessions: 1, Events: 2, Throttles: 3, Releases: 1, Migrations: 1, Escalations: 4},
+		},
+		{
+			App: "KM", Mode: Cleansing,
+			CleanTime: 150, AttackedTime: 232.09, MitigatedTime: 184.79,
+			AttackedNormalized: 1.5472666666666668, MitigatedNormalized: 1.2319333333333333,
+			Recovered: 0.5761968571080522,
+			Alarms:    2, PeakLevel: 4,
+			Stats: respond.Stats{Sessions: 1, Mitigated: 1, Events: 3, Throttles: 5, Partitions: 2, Escalations: 5, Deescalations: 2},
+		},
+	}
+	for _, w := range want {
+		got, err := ClosedLoop(DefaultClosedLoopSpec(w.App, w.Mode, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != w {
+			t.Errorf("%s/%v:\n got %+v\nwant %+v", w.App, w.Mode, *got, w)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/cluster"
 	"memdos/internal/core"
+	"memdos/internal/par"
 )
 
 // ClusterStudySpec sizes the datacenter placement study.
@@ -180,7 +181,7 @@ func ClusterStudy(spec ClusterStudySpec) (*ClusterStudyResult, error) {
 			arms = append(arms, clusterArm{sched: s, place: p, kind: 1}, clusterArm{sched: s, place: p, kind: 2})
 		}
 	}
-	results, err := MapCells(DefaultRunner(), len(arms), func(i int) (*cluster.Result, error) {
+	results, err := par.MapCells(par.DefaultRunner(), len(arms), func(i int) (*cluster.Result, error) {
 		c, err := buildStudyCluster(spec, arms[i], prof, params, overhead)
 		if err != nil {
 			return nil, err

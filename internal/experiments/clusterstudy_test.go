@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memdos/internal/cluster"
+	"memdos/internal/par"
 )
 
 // quickClusterSpec is a small grid that still exercises every policy
@@ -61,8 +62,8 @@ func TestClusterStudyDeterministic(t *testing.T) {
 	spec.Duration = 60
 	spec.RelocationDelay = 20
 	run := func(workers int) []byte {
-		prev := SetParallelism(workers)
-		defer SetParallelism(prev)
+		prev := par.SetParallelism(workers)
+		defer par.SetParallelism(prev)
 		res, err := ClusterStudy(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memdos/internal/core"
+	"memdos/internal/par"
 )
 
 // These tests pin the Runner's central guarantee: results merged by cell
@@ -19,8 +20,8 @@ import (
 // returns the result marshalled to JSON.
 func withWorkers(t *testing.T, w int, fn func() (any, error)) []byte {
 	t.Helper()
-	prev := SetParallelism(w)
-	defer SetParallelism(prev)
+	prev := par.SetParallelism(w)
+	defer par.SetParallelism(prev)
 	v, err := fn()
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +75,9 @@ func TestRunnerErrorMatchesSerial(t *testing.T) {
 		}
 		return nil
 	}
-	serialErr := Runner{Workers: 1}.Do(10, fail)
+	serialErr := par.Runner{Workers: 1}.Do(10, fail)
 	for _, w := range []int{2, 8} {
-		if err := (Runner{Workers: w}).Do(10, fail); err == nil || serialErr == nil || err.Error() != serialErr.Error() {
+		if err := (par.Runner{Workers: w}).Do(10, fail); err == nil || serialErr == nil || err.Error() != serialErr.Error() {
 			t.Errorf("workers=%d error = %v, serial = %v", w, err, serialErr)
 		}
 	}

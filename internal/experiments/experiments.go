@@ -117,8 +117,6 @@ type RunSpec struct {
 	// Service keeps the victim running for the whole run (detection
 	// scenarios); false lets it complete (overhead runs).
 	Service bool
-	// HyperLoad models the active detector's CPU cost on the hypervisor.
-	HyperLoad float64
 	// AttackStart overrides the non-adaptive attack window's start
 	// (0 = Scenario1AttackStart). Shorter studies place the transition
 	// mid-run so both regimes are observed.
@@ -238,11 +236,6 @@ func buildServer(spec RunSpec) (*vmm.Server, *vmm.VM, []metrics.Interval, error)
 			}
 		}
 	}
-	if spec.HyperLoad > 0 {
-		if err := srv.SetHypervisorLoad(spec.HyperLoad); err != nil {
-			return nil, nil, nil, err
-		}
-	}
 	return srv, victim, truth, nil
 }
 
@@ -293,9 +286,8 @@ func Run(spec RunSpec, params core.Params, factories map[string]DetectorFactory)
 		detectors[i] = det
 		totalOverhead += det.Overhead()
 	}
-	if spec.HyperLoad == 0 && totalOverhead > 0 { //memdos:ignore floateq HyperLoad 0 is the literal "caller did not choose" sentinel
-		// When the caller did not fix a load explicitly, charge the
-		// combined detector processing cost.
+	if totalOverhead > 0 {
+		// Charge the combined detector processing cost.
 		if err := srv.SetHypervisorLoad(totalOverhead); err != nil {
 			return nil, err
 		}

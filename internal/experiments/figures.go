@@ -8,6 +8,7 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/core"
 	"memdos/internal/metrics"
+	"memdos/internal/par"
 	"memdos/internal/pcm"
 	"memdos/internal/period"
 	"memdos/internal/stats"
@@ -59,7 +60,7 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		flags []bool
 		times []float64
 	}
-	cells, err := MapCells(DefaultRunner(), len(apps)*len(seeds), func(i int) (cell, error) {
+	cells, err := par.MapCells(par.DefaultRunner(), len(apps)*len(seeds), func(i int) (cell, error) {
 		app := apps[i/len(seeds)]
 		seed := seeds[i%len(seeds)]
 		recordFlags := app == "TS" && seed == seeds[0]
@@ -208,7 +209,7 @@ func buildServerWithWindow(spec RunSpec, attackStart, attackEnd float64) (*vmm.S
 func AllMeasurementTraces(seed uint64) ([]*TraceResult, error) {
 	apps := workload.Abbrevs()
 	modes := []AttackMode{BusLock, Cleansing}
-	return MapCells(DefaultRunner(), len(apps)*len(modes), func(i int) (*TraceResult, error) {
+	return par.MapCells(par.DefaultRunner(), len(apps)*len(modes), func(i int) (*TraceResult, error) {
 		return MeasurementTrace(apps[i/len(modes)], modes[i%len(modes)], seed)
 	})
 }
@@ -391,7 +392,7 @@ func CompareDetectors(apps []string, factories map[string]DetectorFactory, mode 
 			}
 		}
 	}
-	accs, err := MapCells(DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
+	accs, err := par.MapCells(par.DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
 		j := jobs[i]
 		spec := DefaultRunSpec(j.app, mode, j.seed)
 		spec.Adaptive = adaptive
@@ -467,16 +468,16 @@ type detectorLoad struct {
 func Fig14Overhead(apps []string) ([]Fig14Row, error) {
 	params := core.DefaultParams()
 	loads := []detectorLoad{
-		{name: "SDS", cpu: 0.018},
-		{name: "SDS/B", cpu: 0.012},
-		{name: "SDS/P", cpu: 0.015},
-		{name: "DNN", cpu: 0.035},
-		{name: "KStest", cpu: 0.02, throttled: true},
+		{name: "SDS", cpu: core.OverheadSDS},
+		{name: "SDS/B", cpu: core.OverheadSDSB},
+		{name: "SDS/P", cpu: core.OverheadSDSP},
+		{name: "DNN", cpu: core.OverheadDNN},
+		{name: "KStest", cpu: core.OverheadKSTest, throttled: true},
 	}
 	// Cell layout per app: index 0 is the no-detector baseline, then one
 	// cell per load.
 	perApp := 1 + len(loads)
-	times, err := MapCells(DefaultRunner(), len(apps)*perApp, func(i int) (float64, error) {
+	times, err := par.MapCells(par.DefaultRunner(), len(apps)*perApp, func(i int) (float64, error) {
 		app := apps[i/perApp]
 		j := i % perApp
 		if j == 0 {

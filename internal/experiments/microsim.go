@@ -7,7 +7,6 @@ import (
 	"memdos/internal/cache"
 	"memdos/internal/period"
 	"memdos/internal/sim"
-	"memdos/internal/workload"
 )
 
 // Thin wrappers keeping sensitivity.go readable.
@@ -25,10 +24,6 @@ func periodACFOnly(ma []float64) (float64, bool) {
 func periodDFTACF(ma []float64) (float64, bool) {
 	e := period.NewEstimator(period.DefaultEstimatorConfig()).Estimate(ma)
 	return e.Period, e.Periodic
-}
-
-func workloadByAbbrev(app string) (workload.Spec, error) {
-	return workload.ByAbbrev(app)
 }
 
 // microVictim is the microsimulation victim: a working set resident in the

@@ -7,6 +7,7 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/cluster"
 	"memdos/internal/core"
+	"memdos/internal/par"
 	"memdos/internal/respond"
 )
 
@@ -101,7 +102,7 @@ func MigrationStudy(app string, relocationDelay, dur float64, seed uint64) (*Mig
 		return c.Run(dur)
 	}
 
-	arms, err := MapCells(DefaultRunner(), 2, func(i int) (*cluster.Result, error) {
+	arms, err := par.MapCells(par.DefaultRunner(), 2, func(i int) (*cluster.Result, error) {
 		return run(i == 0)
 	})
 	if err != nil {

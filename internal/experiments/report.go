@@ -20,15 +20,6 @@ type ReportConfig struct {
 	WithDNN bool
 }
 
-// DefaultReportConfig returns a configuration that finishes in well under
-// a minute without the DNN.
-func DefaultReportConfig() ReportConfig {
-	return ReportConfig{
-		Seeds: []uint64{1},
-		Apps:  []string{"KM", "TS", "FN"},
-	}
-}
-
 // WriteReport runs the core experiment set and writes a self-contained
 // markdown report to w. It is the programmatic face of `memdos report`.
 // elapsed supplies the wall time consumed so far (nil omits the

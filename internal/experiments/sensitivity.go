@@ -6,7 +6,9 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/dnn"
+	"memdos/internal/par"
 	"memdos/internal/stats"
+	"memdos/internal/workload"
 )
 
 // SweepPoint is one sensitivity-curve sample: the parameter value and the
@@ -55,7 +57,7 @@ func mergeSweepPoint(accs []Accuracy) SweepPoint {
 // parameters and factory, fanning the seeds across the Runner, and
 // aggregates.
 func sweepRun(app string, params core.Params, factory DetectorFactory, seeds []uint64) (SweepPoint, error) {
-	accs, err := MapCells(DefaultRunner(), len(seeds), func(i int) (Accuracy, error) {
+	accs, err := par.MapCells(par.DefaultRunner(), len(seeds), func(i int) (Accuracy, error) {
 		return sweepCell(app, params, factory, seeds[i])
 	})
 	if err != nil {
@@ -77,7 +79,7 @@ func sweepParams(app string, variants []core.Params, values []float64, factory f
 			return nil, err
 		}
 	}
-	accs, err := MapCells(DefaultRunner(), len(variants)*len(seeds), func(i int) (Accuracy, error) {
+	accs, err := par.MapCells(par.DefaultRunner(), len(variants)*len(seeds), func(i int) (Accuracy, error) {
 		p := variants[i/len(seeds)]
 		return sweepCell(app, p, factory(p), seeds[i%len(seeds)])
 	})
@@ -289,7 +291,7 @@ func AblationRawThreshold(app string, seeds []uint64) (map[string]Accuracy, erro
 		"SDS":          SDSFactory,
 	}
 	names := []string{"naive-coarse", "naive-fine", "SDS"}
-	accs, err := MapCells(DefaultRunner(), len(names)*len(seeds), func(i int) (Accuracy, error) {
+	accs, err := par.MapCells(par.DefaultRunner(), len(names)*len(seeds), func(i int) (Accuracy, error) {
 		name := names[i/len(seeds)]
 		seed := seeds[i%len(seeds)]
 		res, err := Run(DefaultRunSpec(app, BusLock, seed), params, map[string]DetectorFactory{name: factories[name]})
@@ -324,7 +326,7 @@ func PeriodEstimatorAblation(app string, seeds []uint64) (dftErr, acfErr, dftacf
 	}
 	params := core.DefaultParams()
 	type cell struct{ dft, acf, both float64 }
-	cells, err2 := MapCells(DefaultRunner(), len(seeds), func(i int) (cell, error) {
+	cells, err2 := par.MapCells(par.DefaultRunner(), len(seeds), func(i int) (cell, error) {
 		run := DefaultRunSpec(app, NoAttack, seeds[i])
 		run.Duration = 120
 		res, err := Run(run, params, nil)
@@ -359,7 +361,7 @@ func PeriodEstimatorAblation(app string, seeds []uint64) (dftErr, acfErr, dftacf
 
 // appPeriodTruth returns the app's nominal period in MA samples.
 func appPeriodTruth(app string) (float64, error) {
-	s, err := workloadByAbbrev(app)
+	s, err := workload.ByAbbrev(app)
 	if err != nil {
 		return 0, err
 	}

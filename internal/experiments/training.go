@@ -7,6 +7,7 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/core"
 	"memdos/internal/dnn"
+	"memdos/internal/par"
 	"memdos/internal/sim"
 	"memdos/internal/vmm"
 	"memdos/internal/workload"
@@ -26,13 +27,10 @@ type TrainingSpec struct {
 	// Seed drives the generation runs.
 	Seed uint64
 	// Arch picks the per-stage architecture.
-	Arch func(channels, classes int) LSTMFCNConfigAlias
+	Arch func(channels, classes int) dnn.LSTMFCNConfig
 	// Train is the optimizer configuration.
 	Train dnn.TrainConfig
 }
-
-// LSTMFCNConfigAlias keeps the dnn dependency out of most call sites.
-type LSTMFCNConfigAlias = dnn.LSTMFCNConfig
 
 // DefaultTrainingSpec returns the configuration used by the shared cascade:
 // all ten applications, compact architecture, CPU-scale epochs.
@@ -51,8 +49,8 @@ func DefaultTrainingSpec() TrainingSpec {
 	}
 }
 
-// attackLabel maps an AttackMode to the cascade's class label.
-func attackLabel(mode AttackMode) int {
+// AttackClassOf maps an AttackMode to the cascade's class label.
+func AttackClassOf(mode AttackMode) int {
 	switch mode {
 	case BusLock:
 		return dnn.ClassBusLock
@@ -123,7 +121,7 @@ func GenerateCascadeSamples(spec TrainingSpec) ([]dnn.CascadeSample, error) {
 		return nil, fmt.Errorf("experiments: training needs at least 2 apps")
 	}
 	modes := []AttackMode{NoAttack, BusLock, Cleansing}
-	chunks, err := MapCells(DefaultRunner(), len(spec.Apps)*len(modes), func(i int) ([]dnn.CascadeSample, error) {
+	chunks, err := par.MapCells(par.DefaultRunner(), len(spec.Apps)*len(modes), func(i int) ([]dnn.CascadeSample, error) {
 		appIdx := i / len(modes)
 		mode := modes[i%len(modes)]
 		wins, err := collectWindows(spec.Apps[appIdx], mode, spec.RunSeconds,
@@ -136,7 +134,7 @@ func GenerateCascadeSamples(spec TrainingSpec) ([]dnn.CascadeSample, error) {
 			out = append(out, dnn.CascadeSample{
 				Window:      w,
 				AppLabel:    appIdx,
-				AttackLabel: attackLabel(mode),
+				AttackLabel: AttackClassOf(mode),
 			})
 		}
 		return out, nil
@@ -157,7 +155,7 @@ func TrainCascade(spec TrainingSpec) (*dnn.Cascade, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := simRNG(spec.Seed + 7)
+	rng := sim.NewRNG(spec.Seed + 7)
 	c, err := dnn.NewCascade(len(spec.Apps), spec.Arch, rng)
 	if err != nil {
 		return nil, err
@@ -184,10 +182,6 @@ func SharedCascade() (*dnn.Cascade, error) {
 	return sharedCascade, sharedErr
 }
 
-// AttackClassOf exposes the mode -> cascade-class mapping for callers
-// scoring classifications directly.
-func AttackClassOf(mode AttackMode) int { return attackLabel(mode) }
-
 // HeldOutWindows generates fresh windows for the (app, mode) pair from a
 // seed disjoint from the training runs, for held-out evaluation.
 func HeldOutWindows(app string, mode AttackMode, spec TrainingSpec) ([][][]float64, error) {
@@ -209,7 +203,3 @@ func DNNFactory(env *Env) (core.Detector, error) {
 	}
 	return core.NewDNNDetector(own, env.Params)
 }
-
-// simRNG is a tiny indirection so training.go does not import sim at every
-// call site.
-func simRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed) }

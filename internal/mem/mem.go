@@ -321,14 +321,6 @@ func (c *Controller) SetRemoteFraction(o Owner, frac float64) error {
 	return nil
 }
 
-// RemoteFraction returns the owner's remote-traffic fraction.
-func (c *Controller) RemoteFraction(o Owner) float64 {
-	if o >= 0 && int(o) < len(c.remoteFrac) {
-		return c.remoteFrac[o]
-	}
-	return 0
-}
-
 // SetBudget applies a MemGuard-style delivered-bandwidth cap to the owner
 // in bytes per simulated second; 0 clears the cap. The cap clamps the
 // owner's demand before fair-share arbitration, so a capped hog stops

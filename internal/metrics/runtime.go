@@ -1,7 +1,7 @@
 package metrics
 
-// This file adds *serving-path* metrics — lock-free counters and gauges
-// with Prometheus-style text exposition — as opposed to the paper's
+// This file adds *serving-path* metrics — lock-free counters and sampled
+// gauges with Prometheus-style text exposition — as opposed to the paper's
 // evaluation metrics in metrics.go. The streaming hub (internal/stream)
 // and the memdosd daemon use them for their /metrics endpoint; they are
 // deliberately tiny so hot-path increments cost one atomic add.
@@ -9,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,28 +27,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a float64 that can go up and down, safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by delta using a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Point is one exposed time-series value. Labels, when non-empty, is a
 // pre-formatted Prometheus label set without braces (`shard="3"`).
@@ -96,13 +73,6 @@ func (r *Registry) register(name, help, typ string, c collector) {
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 	r.register(name, help, "counter", func() []Point {
 		return []Point{{Value: float64(c.Value())}}
-	})
-}
-
-// RegisterGauge exposes g under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.register(name, help, "gauge", func() []Point {
-		return []Point{{Value: g.Value()}}
 	})
 }
 

@@ -25,39 +25,12 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdd(t *testing.T) {
-	var g Gauge
-	g.Set(100)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(0.5)
-				g.Add(-0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	// +0.5/-0.5 pairs cancel exactly in binary floating point.
-	if got := g.Value(); got != 100 {
-		t.Fatalf("gauge = %v, want 100", got)
-	}
-	g.Set(-3)
-	if g.Value() != -3 {
-		t.Fatalf("gauge after Set = %v", g.Value())
-	}
-}
-
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(7)
-	var g Gauge
-	g.Set(2.5)
 	r.RegisterCounter("demo_total", "demo counter", &c)
-	r.RegisterGauge("demo_depth", "demo gauge", &g)
+	r.RegisterGaugeFunc("demo_depth", "demo gauge", func() []Point { return []Point{{Value: 2.5}} })
 	r.RegisterGaugeFunc("demo_shards", "per-shard", func() []Point {
 		// Deliberately unsorted: WriteTo must sort by label set.
 		return []Point{{Labels: `shard="1"`, Value: 2}, {Labels: `shard="0"`, Value: 1}}

@@ -1,7 +1,5 @@
 package respond
 
-import "sync"
-
 // Actuator applies mitigation to the hypervisor. The engine addresses
 // actions by *detection session* (one session protects one VM); the
 // actuator is responsible for resolving the session to the concrete
@@ -39,76 +37,25 @@ type MigrateResult struct {
 	Dest string `json:"dest,omitempty"`
 }
 
-// Applied is the mitigation state a LogActuator currently holds for one
-// session.
-type Applied struct {
-	Duty float64 `json:"duty"`
-	// BandwidthLimit is the recorded DRAM budget in bytes/second
-	// (0 = no cap).
-	BandwidthLimit float64 `json:"bandwidth_limit,omitempty"`
-	Partition      bool    `json:"partition"`
-	Migrations     int     `json:"migrations"`
-	// LastDest is the destination reported for the most recent migration
-	// (always empty for LogActuator itself, which has no host notion, but
-	// kept in the record so mixed deployments serialize uniformly).
-	LastDest string `json:"last_dest,omitempty"`
-}
+// LogActuator is the Actuator for deployments without a hypervisor
+// hookup (e.g. memdosd run stand-alone): it accepts every action and does
+// nothing. The would-be actions are not lost — the engine records each
+// one in the session's action log (SessionState.Actions, served at
+// /v1/responses), which is where operators and tests inspect them.
+type LogActuator struct{}
 
-// LogActuator is an Actuator for deployments without a hypervisor
-// hookup (e.g. memdosd run stand-alone): it records the mitigation it
-// was asked to apply so operators and tests can inspect the would-be
-// actions. All methods are safe for concurrent use and never fail.
-type LogActuator struct {
-	mu sync.Mutex
-	// state is the per-session record of applied actions. guarded by mu.
-	state map[string]Applied
-}
+// NewLogActuator returns the no-op actuator.
+func NewLogActuator() *LogActuator { return &LogActuator{} }
 
-// NewLogActuator returns an empty recording actuator.
-func NewLogActuator() *LogActuator {
-	return &LogActuator{state: make(map[string]Applied)}
-}
+// Throttle accepts the duty.
+func (*LogActuator) Throttle(string, float64) error { return nil }
 
-// update applies f to the session's record under the lock.
-func (l *LogActuator) update(session string, f func(*Applied)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state[session]
-	f(&st)
-	l.state[session] = st
-}
+// LimitBandwidth accepts the DRAM budget.
+func (*LogActuator) LimitBandwidth(string, float64) error { return nil }
 
-// Throttle records the duty.
-func (l *LogActuator) Throttle(session string, duty float64) error {
-	l.update(session, func(st *Applied) { st.Duty = duty })
-	return nil
-}
+// Partition accepts the partition state.
+func (*LogActuator) Partition(string, bool) error { return nil }
 
-// LimitBandwidth records the DRAM budget.
-func (l *LogActuator) LimitBandwidth(session string, bytesPerSec float64) error {
-	l.update(session, func(st *Applied) { st.BandwidthLimit = bytesPerSec })
-	return nil
-}
-
-// Partition records the partition state.
-func (l *LogActuator) Partition(session string, on bool) error {
-	l.update(session, func(st *Applied) { st.Partition = on })
-	return nil
-}
-
-// Migrate counts the migration. LogActuator has no host notion, so the
+// Migrate accepts the migration. LogActuator has no host notion, so the
 // reported destination is empty.
-func (l *LogActuator) Migrate(session string) (MigrateResult, error) {
-	l.update(session, func(st *Applied) {
-		st.Migrations++
-		st.LastDest = ""
-	})
-	return MigrateResult{}, nil
-}
-
-// Applied returns the currently recorded mitigation for the session.
-func (l *LogActuator) Applied(session string) Applied {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state[session]
-}
+func (*LogActuator) Migrate(string) (MigrateResult, error) { return MigrateResult{}, nil }

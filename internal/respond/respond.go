@@ -1,6 +1,7 @@
 // Package respond closes the loop from detection to mitigation: a policy
-// engine consumes alarm raise/clear events from the streaming detection
-// hub (internal/stream) and drives graduated, reversible hypervisor
+// engine consumes alarm raise/clear events — from the streaming detection
+// hub (internal/stream, see Attach) or straight from a simulation's
+// detector loop — and drives graduated, reversible hypervisor
 // actions against the suspect VM of each protected session.
 //
 // The paper detects memory DoS attacks but leaves the response open. Its
@@ -193,6 +194,15 @@ type SessionState struct {
 	Actions []Action `json:"actions,omitempty"`
 }
 
+// hold is the local mitigation held against a session's suspect: the
+// throttle duty (0 = none), and whether the DRAM bandwidth cap and the
+// cache partition are on. Each ladder rung below migrate maps to one.
+type hold struct {
+	duty      float64
+	bandwidth bool
+	partition bool
+}
+
 // session is the engine's per-session mutable state.
 type session struct {
 	name  string
@@ -211,9 +221,8 @@ type session struct {
 	paused bool
 	forced int
 
-	partitionOn bool
-	bandwidthOn bool
-	curDuty     float64
+	// cur is what the actuator currently holds applied for the session.
+	cur hold
 
 	migrations    int
 	escalations   uint64
@@ -459,8 +468,7 @@ func (e *Engine) deescalate(s *session, now float64) {
 	}
 }
 
-// apply moves the session to the given rung, invoking the actuator with
-// only the calls needed for the transition. Caller holds e.mu.
+// apply moves the session to the given rung. Caller holds e.mu.
 func (e *Engine) apply(s *session, level int, now float64, reason string) {
 	if level < 0 {
 		level = 0
@@ -474,7 +482,7 @@ func (e *Engine) apply(s *session, level int, now float64, reason string) {
 		e.migrations.Inc()
 		s.migrations++
 		e.record(s, Action{Time: now, Kind: ActionMigrate, Level: 0, Reason: reasonMigrated, Dest: res.Dest}, err)
-		e.releaseLocked(s, now, reasonMigrated)
+		e.settle(s, hold{}, 0, now, reasonMigrated)
 		s.level = 0
 		s.levelSince = now
 		s.memLevel = e.throttleTop - 1
@@ -484,63 +492,16 @@ func (e *Engine) apply(s *session, level int, now float64, reason string) {
 		}
 		return
 	}
-	if s.partitionOn && (e.partitionLevel == 0 || level < e.partitionLevel) {
-		err := e.act.Partition(s.name, false)
-		e.partitions.Inc()
-		e.record(s, Action{Time: now, Kind: ActionPartition, Level: level, Reason: reason}, err)
-		s.partitionOn = false
+	// The rungs above throttleTop keep the strongest throttle underneath,
+	// and the partition rung keeps the bandwidth cap of the rung below it.
+	want := hold{
+		bandwidth: e.bandwidthLevel > 0 && level >= e.bandwidthLevel,
+		partition: e.partitionLevel > 0 && level >= e.partitionLevel,
 	}
-	if s.bandwidthOn && (e.bandwidthLevel == 0 || level < e.bandwidthLevel) {
-		err := e.act.LimitBandwidth(s.name, 0)
-		e.bwLimits.Inc()
-		e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: level, Reason: reason}, err)
-		s.bandwidthOn = false
+	if level > 0 {
+		want.duty = e.cfg.ThrottleDuties[min(level, e.throttleTop)-1]
 	}
-	// stackThrottle holds the session at the given throttle duty — the
-	// rungs above throttleTop keep the strongest throttle underneath.
-	stackThrottle := func(duty float64, level int) {
-		// curDuty only ever holds 0 or a value copied verbatim from
-		// ThrottleDuties, so exact comparison detects no-op transitions.
-		if s.curDuty != duty { //memdos:ignore floateq
-			err := e.act.Throttle(s.name, duty)
-			e.throttles.Inc()
-			e.record(s, Action{Time: now, Kind: ActionThrottle, Level: level, Duty: duty, Reason: reason}, err)
-			s.curDuty = duty
-		}
-	}
-	// stackBandwidth applies the MemGuard budget — the partition rung
-	// keeps the bandwidth cap of the rung below it active.
-	stackBandwidth := func(level int) {
-		if e.bandwidthLevel > 0 && !s.bandwidthOn {
-			err := e.act.LimitBandwidth(s.name, e.cfg.BandwidthBudget)
-			e.bwLimits.Inc()
-			e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: level, Duty: e.cfg.BandwidthBudget, Reason: reason}, err)
-			s.bandwidthOn = true
-		}
-	}
-	switch {
-	case level == 0:
-		if s.curDuty != 0 { //memdos:ignore floateq curDuty holds literal 0 or a cfg value copied verbatim; exact no-op detection
-			err := e.act.Throttle(s.name, 0)
-			e.releases.Inc()
-			e.record(s, Action{Time: now, Kind: ActionRelease, Level: 0, Reason: reason}, err)
-			s.curDuty = 0
-		}
-	case level <= e.throttleTop:
-		stackThrottle(e.cfg.ThrottleDuties[level-1], level)
-	case level == e.bandwidthLevel:
-		stackThrottle(e.cfg.ThrottleDuties[e.throttleTop-1], level)
-		stackBandwidth(level)
-	case level == e.partitionLevel:
-		stackThrottle(e.cfg.ThrottleDuties[e.throttleTop-1], level)
-		stackBandwidth(level)
-		if !s.partitionOn {
-			err := e.act.Partition(s.name, true)
-			e.partitions.Inc()
-			e.record(s, Action{Time: now, Kind: ActionPartition, Level: level, Reason: reason}, err)
-			s.partitionOn = true
-		}
-	}
+	e.settle(s, want, level, now, reason)
 	s.level = level
 	s.levelSince = now
 	if level > s.peak {
@@ -548,26 +509,43 @@ func (e *Engine) apply(s *session, level int, now float64, reason string) {
 	}
 }
 
-// releaseLocked clears every active mitigation of the session.
-func (e *Engine) releaseLocked(s *session, now float64, reason string) {
-	if s.partitionOn {
+// settle brings what the session holds to want, invoking the actuator
+// only for what differs and always in the same order: drop the partition,
+// drop the bandwidth cap, move the throttle, add the cap, add the
+// partition. settle(s, hold{}, 0, …) is the full release. Caller holds
+// e.mu.
+func (e *Engine) settle(s *session, want hold, level int, now float64, reason string) {
+	if s.cur.partition && !want.partition {
 		err := e.act.Partition(s.name, false)
 		e.partitions.Inc()
-		e.record(s, Action{Time: now, Kind: ActionPartition, Level: 0, Reason: reason}, err)
-		s.partitionOn = false
+		e.record(s, Action{Time: now, Kind: ActionPartition, Level: level, Reason: reason}, err)
 	}
-	if s.bandwidthOn {
+	if s.cur.bandwidth && !want.bandwidth {
 		err := e.act.LimitBandwidth(s.name, 0)
 		e.bwLimits.Inc()
-		e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: 0, Reason: reason}, err)
-		s.bandwidthOn = false
+		e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: level, Reason: reason}, err)
 	}
-	if s.curDuty != 0 { //memdos:ignore floateq curDuty holds literal 0 or a cfg value copied verbatim; exact no-op detection
-		err := e.act.Throttle(s.name, 0)
-		e.releases.Inc()
-		e.record(s, Action{Time: now, Kind: ActionRelease, Level: 0, Reason: reason}, err)
-		s.curDuty = 0
+	if s.cur.duty != want.duty { //memdos:ignore floateq duty holds literal 0 or a cfg value copied verbatim; exact no-op detection
+		err := e.act.Throttle(s.name, want.duty)
+		if want.duty > 0 {
+			e.throttles.Inc()
+			e.record(s, Action{Time: now, Kind: ActionThrottle, Level: level, Duty: want.duty, Reason: reason}, err)
+		} else {
+			e.releases.Inc()
+			e.record(s, Action{Time: now, Kind: ActionRelease, Level: 0, Reason: reason}, err)
+		}
 	}
+	if want.bandwidth && !s.cur.bandwidth {
+		err := e.act.LimitBandwidth(s.name, e.cfg.BandwidthBudget)
+		e.bwLimits.Inc()
+		e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: level, Duty: e.cfg.BandwidthBudget, Reason: reason}, err)
+	}
+	if want.partition && !s.cur.partition {
+		err := e.act.Partition(s.name, true)
+		e.partitions.Inc()
+		e.record(s, Action{Time: now, Kind: ActionPartition, Level: level, Reason: reason}, err)
+	}
+	s.cur = want
 }
 
 // record appends the action (annotated with any actuator error) to the
@@ -589,9 +567,7 @@ func (e *Engine) Pause(name string) (SessionState, error) {
 	return e.override(name, func(s *session, now float64) {
 		s.paused = true
 		s.forced = ForceNone
-		e.releaseLocked(s, now, reasonOverride)
-		s.level = 0
-		s.levelSince = now
+		e.apply(s, 0, now, reasonOverride)
 	})
 }
 
@@ -655,7 +631,7 @@ func (e *Engine) Forget(name string) {
 	if !ok {
 		return
 	}
-	e.releaseLocked(s, e.now, reasonOverride)
+	e.settle(s, hold{}, 0, e.now, reasonOverride)
 	delete(e.sessions, name)
 	i := e.rankLocked(name)
 	e.byName = slices.Delete(e.byName, i, i+1)

@@ -85,10 +85,6 @@ func NewMAStream(w, dw int) *MAStream {
 	return &MAStream{w: w, dw: dw}
 }
 
-// Reset discards all buffered samples, returning the stream to its
-// just-constructed state.
-func (m *MAStream) Reset() { m.buf = m.buf[:0] }
-
 // Push appends one raw sample and returns (avg, true) when a new window
 // average becomes available, else (0, false).
 func (m *MAStream) Push(v float64) (float64, bool) {
@@ -139,10 +135,6 @@ func (e *EWMAStream) Push(v float64) float64 {
 
 // Value returns the current EWMA (0 before the first Push).
 func (e *EWMAStream) Value() float64 { return e.value }
-
-// Reset discards the accumulated average, returning the stream to its
-// just-constructed state.
-func (e *EWMAStream) Reset() { e.value, e.init = 0, false }
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {

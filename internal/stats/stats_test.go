@@ -148,13 +148,12 @@ func TestMAStreamMatchesBatch(t *testing.T) {
 
 // TestMAStreamPushDoesNotAllocate: the window is one buffer made by the
 // first Push; sliding it re-uses the array however long the stream runs
-// and across Reset (at the paper's W = 200, dW = 50 the old re-slice
-// reallocated and copied the window every fourth emit).
+// (at the paper's W = 200, dW = 50 the old re-slice reallocated and
+// copied the window every fourth emit).
 func TestMAStreamPushDoesNotAllocate(t *testing.T) {
 	for _, c := range [][2]int{{200, 50}, {50, 20}, {7, 7}, {3, 1}} {
 		s := NewMAStream(c[0], c[1])
 		s.Push(0)
-		s.Reset()
 		v := 0.0
 		allocs := testing.AllocsPerRun(10, func() {
 			for i := 0; i < 4*c[0]; i++ {

@@ -60,7 +60,7 @@ type SessionInfo struct {
 }
 
 // Session is one protected VM's always-on detection pipeline. All
-// detector and tracker mutation happens on the session's shard
+// detector and incident-fold mutation happens on the session's shard
 // goroutine; mu only guards inspection against that single writer.
 type Session struct {
 	hub     *Hub
@@ -81,10 +81,10 @@ type Session struct {
 
 	// mu guards everything below (shard goroutine writes, info reads).
 	mu sync.Mutex
-	// tracker, decisions, outOfOrder, alarmsRaised, alarmActive,
+	// incidents, decisions, outOfOrder, alarmsRaised, alarmActive,
 	// lastDecision, hasDecision, recorded and sealed are all
 	// guarded by mu.
-	tracker      incidentTracker
+	incidents    core.IncidentFold
 	decisions    uint64
 	outOfOrder   uint64
 	alarmsRaised uint64
@@ -203,7 +203,7 @@ func (s *Session) foldLocked(d core.Decision) {
 	if s.hub.cfg.RecordDecisions {
 		s.recorded = append(s.recorded, d)
 	}
-	if !s.tracker.observe(d) {
+	if !s.incidents.Observe(d) {
 		s.outOfOrder++
 		return
 	}
@@ -245,7 +245,7 @@ func (s *Session) info() SessionInfo {
 		OutOfOrder:   s.outOfOrder,
 		AlarmActive:  s.alarmActive,
 		AlarmsRaised: s.alarmsRaised,
-		Incidents:    s.tracker.merged(s.hub.cfg.MergeGap),
+		Incidents:    s.incidents.Merged(s.hub.cfg.MergeGap),
 		State:        core.SnapshotDetector(s.det),
 	}
 	if s.hasDecision {
@@ -266,46 +266,3 @@ func (s *Session) recordedDecisions() []core.Decision {
 }
 
 func errRemoved(id string) error { return fmt.Errorf("stream: session %q closed", id) }
-
-// incidentTracker folds decisions into alarm episodes one at a time,
-// with semantics identical to core.Incidents over the same stream (see
-// TestTrackerMatchesBatchIncidents). Out-of-order decisions — which
-// core.Incidents rejects wholesale — are skipped and reported so a live
-// session survives a misbehaving producer.
-type incidentTracker struct {
-	incidents []core.Incident
-	open      bool
-	last      float64
-	started   bool
-}
-
-// observe folds one decision and reports whether it was in order.
-func (t *incidentTracker) observe(d core.Decision) bool {
-	if t.started && d.Time < t.last {
-		return false
-	}
-	t.started = true
-	t.last = d.Time
-	switch {
-	case d.Alarm && !t.open:
-		t.incidents = append(t.incidents, core.Incident{Start: d.Time, End: d.Time, Open: true})
-		t.open = true
-	case d.Alarm && t.open:
-		t.incidents[len(t.incidents)-1].End = d.Time
-	case !d.Alarm && t.open:
-		t.incidents[len(t.incidents)-1].End = d.Time
-		t.incidents[len(t.incidents)-1].Open = false
-		t.open = false
-	}
-	return true
-}
-
-// episodes returns a copy of the raw (unmerged) incident log.
-func (t *incidentTracker) episodes() []core.Incident {
-	return append([]core.Incident(nil), t.incidents...)
-}
-
-// merged returns the incident log with flaps up to maxGap joined.
-func (t *incidentTracker) merged(maxGap float64) []core.Incident {
-	return core.MergeIncidents(t.episodes(), maxGap)
-}

@@ -9,8 +9,8 @@
 // Producers hand sample batches to Ingest; bounded per-session queues
 // with an explicit policy (shed load or block) keep a slow detector from
 // taking the hub down. Decisions fold incrementally into incident
-// episodes with the same semantics as core.Incidents, and alarm
-// transitions fan out to subscriber channels.
+// episodes (core.IncidentFold), and alarm transitions fan out to
+// subscriber channels.
 //
 // Ordering: samples of one session are processed in the order Ingest
 // accepted them. With several concurrent producers for the *same*

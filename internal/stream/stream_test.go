@@ -344,45 +344,42 @@ func TestCloseSession(t *testing.T) {
 	}
 }
 
-// TestTrackerMatchesBatchIncidents pins the incremental tracker to
-// core.Incidents over random in-order decision streams.
-func TestTrackerMatchesBatchIncidents(t *testing.T) {
-	for seed := uint64(1); seed <= 50; seed++ {
-		r := sim.NewRNG(seed)
-		var ds []core.Decision
-		var tr incidentTracker
-		tm := 0.0
-		for i := 0; i < 200; i++ {
-			tm += 0.5
-			d := core.Decision{Time: tm, Alarm: r.Bool(0.4)}
-			ds = append(ds, d)
-			if !tr.observe(d) {
-				t.Fatalf("seed %d: in-order decision reported out of order", seed)
-			}
-		}
-		want, err := core.Incidents(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.episodes(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: tracker %v != batch %v", seed, got, want)
-		}
+// TestSessionSkipsOutOfOrderDecisions: a producer replaying history does
+// not corrupt the session — the backwards decision is counted, kept out
+// of the incident log and the alarm state, and folding resumes.
+func TestSessionSkipsOutOfOrderDecisions(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = Block
+	h := NewHub(cfg)
+	t.Cleanup(func() { h.Close() })
+	if err := h.RegisterProfile("raw", func() (core.Detector, error) { return core.NewRawThreshold(0.5) }); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestTrackerSkipsOutOfOrder(t *testing.T) {
-	var tr incidentTracker
-	if !tr.observe(core.Decision{Time: 2, Alarm: true}) {
-		t.Fatal("first decision rejected")
+	if err := h.Open("vm-1", "raw"); err != nil {
+		t.Fatal(err)
 	}
-	if tr.observe(core.Decision{Time: 1, Alarm: false}) {
-		t.Fatal("backwards decision accepted")
+	// The raw detector decides per sample from the step in AccessNum:
+	// t=2 alarms (100 -> 10), t=1 is the replayed sample (its step back
+	// up would alarm too), t=3 is steady and clears.
+	samples := []pcm.Sample{
+		{Time: 0, AccessNum: 100}, {Time: 2, AccessNum: 10},
+		{Time: 1, AccessNum: 100}, {Time: 3, AccessNum: 100}, {Time: 4, AccessNum: 100},
 	}
-	if !tr.observe(core.Decision{Time: 3, Alarm: false}) {
-		t.Fatal("resumed decision rejected")
+	if _, err := h.Ingest("vm-1", samples); err != nil {
+		t.Fatal(err)
 	}
-	if incs := tr.episodes(); len(incs) != 1 || incs[0].Open {
-		t.Fatalf("episodes = %v", incs)
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	in, _ := h.Session("vm-1")
+	if in.Decisions != 4 || in.OutOfOrder != 1 {
+		t.Fatalf("decisions %d, out of order %d; want 4 and 1", in.Decisions, in.OutOfOrder)
+	}
+	// The episode opened at t=2 closes at t=3; the replayed t=1 decision
+	// neither extends it backwards nor opens a second one.
+	want := []core.Incident{{Start: 2, End: 3}}
+	if !reflect.DeepEqual(in.Incidents, want) || in.AlarmActive || in.AlarmsRaised != 1 {
+		t.Errorf("incidents %v active %v raised %d; want %v, false, 1", in.Incidents, in.AlarmActive, in.AlarmsRaised, want)
 	}
 }
 

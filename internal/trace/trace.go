@@ -4,7 +4,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -39,22 +38,6 @@ func (s *Series) TimeAt(i int) float64 { return s.Start + float64(i)*s.Interval 
 // End returns the timestamp one interval past the final sample, i.e. the
 // time the series covers up to. An empty series ends at Start.
 func (s *Series) End() float64 { return s.Start + float64(len(s.Values))*s.Interval }
-
-// IndexAt returns the index of the sample covering time t, clamped to the
-// valid range. It returns -1 for an empty series.
-func (s *Series) IndexAt(t float64) int {
-	if len(s.Values) == 0 {
-		return -1
-	}
-	i := int(math.Floor((t - s.Start) / s.Interval))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.Values) {
-		i = len(s.Values) - 1
-	}
-	return i
-}
 
 // Slice returns a view of samples [i, j). The returned series shares the
 // underlying storage.
@@ -151,20 +134,4 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// ErrLengthMismatch is returned when combining series of different lengths.
-var ErrLengthMismatch = errors.New("trace: series length mismatch")
-
-// Zip returns a new series whose i-th value is f(a[i], b[i]). The result
-// inherits a's timing metadata.
-func Zip(a, b *Series, name string, f func(x, y float64) float64) (*Series, error) {
-	if len(a.Values) != len(b.Values) {
-		return nil, ErrLengthMismatch
-	}
-	out := &Series{Name: name, Start: a.Start, Interval: a.Interval, Values: make([]float64, len(a.Values))}
-	for i := range a.Values {
-		out.Values[i] = f(a.Values[i], b.Values[i])
-	}
-	return out, nil
 }

@@ -23,25 +23,6 @@ func TestTimeAtAndEnd(t *testing.T) {
 	}
 }
 
-func TestIndexAt(t *testing.T) {
-	s := mkSeries(1, 2, 3, 4)
-	cases := []struct {
-		t    float64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {0.49, 0}, {0.5, 1}, {1.6, 3}, {99, 3},
-	}
-	for _, c := range cases {
-		if got := s.IndexAt(c.t); got != c.want {
-			t.Errorf("IndexAt(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-	var empty Series
-	if empty.IndexAt(0) != -1 {
-		t.Error("IndexAt on empty series should be -1")
-	}
-}
-
 func TestSliceSharesStorageAndShiftsStart(t *testing.T) {
 	s := mkSeries(1, 2, 3, 4, 5)
 	sub := s.Slice(2, 4)
@@ -111,22 +92,6 @@ func TestStatsDegenerate(t *testing.T) {
 	one := mkSeries(7)
 	if one.Std() != 0 {
 		t.Error("single-sample std should be 0")
-	}
-}
-
-func TestZip(t *testing.T) {
-	a := mkSeries(1, 2, 3)
-	b := mkSeries(10, 20, 30)
-	sum, err := Zip(a, b, "sum", func(x, y float64) float64 { return x + y })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Values[2] != 33 {
-		t.Errorf("Zip sum = %v", sum.Values)
-	}
-	_, err = Zip(a, mkSeries(1), "bad", func(x, y float64) float64 { return 0 })
-	if err != ErrLengthMismatch {
-		t.Errorf("Zip length mismatch error = %v", err)
 	}
 }
 

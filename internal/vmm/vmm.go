@@ -63,9 +63,6 @@ type Config struct {
 	// MissPenalty converts excess miss ratio into progress stall:
 	// speed = 1 / (1 + MissPenalty * (missRatio - intrinsicMissRatio)).
 	MissPenalty float64
-	// BusCapacity caps total bus throughput in accesses per second
-	// (0 = uncapped).
-	BusCapacity float64
 	// Seed seeds the server's RNG; every VM derives its own stream.
 	Seed uint64
 	// Mem, when non-nil, puts a DRAM memory-controller model behind the
@@ -191,7 +188,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		clock:          sim.NewClock(cfg.TPCM),
-		bus:            bus.New(cfg.BusCapacity),
+		bus:            bus.New(0), // uncapped: contention comes from lock time
 		rng:            sim.NewRNG(cfg.Seed),
 		throttleExcept: -1,
 	}
@@ -521,7 +518,6 @@ type VMState struct {
 	doneAt   float64
 
 	exportTick uint64
-	exportedAt float64
 }
 
 // Name returns the migrating VM's name.
@@ -529,9 +525,6 @@ func (st *VMState) Name() string { return st.name }
 
 // IsAttacker reports whether the migrating VM runs an attack program.
 func (st *VMState) IsAttacker() bool { return st.attacker != nil }
-
-// ExportedAt returns the simulated time the state left its source host.
-func (st *VMState) ExportedAt() float64 { return st.exportedAt }
 
 // ExportVM removes the VM's runtime state from the server for migration
 // and returns it. The slot is left as an inert, departed husk (VM ids
@@ -552,7 +545,6 @@ func (s *Server) ExportVM(id VMID) (*VMState, error) {
 		counter:    s.counters[id],
 		doneAt:     vm.doneAt,
 		exportTick: s.clock.Ticks(),
-		exportedAt: s.clock.Now(),
 	}
 	vm.app, vm.attacker, vm.departed = nil, nil, true
 	vm.lastSpeed = 0

@@ -29,7 +29,6 @@ import (
 	"memdos/internal/dnn"
 	"memdos/internal/experiments"
 	"memdos/internal/metrics"
-	"memdos/internal/pcm"
 	"memdos/internal/vmm"
 	"memdos/internal/workload"
 )
@@ -60,11 +59,6 @@ var (
 	NewSDSU = core.NewSDSU
 )
 
-// AppendBatch encodes one session's batch as a length-prefixed binary
-// frame appended to dst: the wire format of POST /v1/ingest/stream (see
-// DESIGN.md §7b).
-var AppendBatch = pcm.AppendBatch
-
 // Simulated testbed (substrates).
 type (
 	// ServerStep is one simulation step's completed PCM samples.
@@ -79,8 +73,6 @@ var (
 	NewServer = vmm.NewServer
 	// DefaultServerConfig matches the paper's testbed (T_PCM = 0.01 s).
 	DefaultServerConfig = vmm.DefaultConfig
-	// Workloads returns the ten application models of Table II.
-	Workloads = workload.All
 	// WorkloadByAbbrev resolves a Table II abbreviation.
 	WorkloadByAbbrev = workload.ByAbbrev
 	// NewBusLockAttack builds the atomic bus locking attacker.
@@ -123,7 +115,4 @@ var (
 	SDSDetectorFactory = experiments.SDSFactory
 	// KSDetectorFactory builds the KStest baseline wired to throttling.
 	KSDetectorFactory = experiments.KSFactory
-	// MigrationStudy quantifies why migration alone cannot defeat the
-	// attacks (Section II).
-	MigrationStudy = experiments.MigrationStudy
 )

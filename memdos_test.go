@@ -76,21 +76,8 @@ func TestPublicExperimentHarness(t *testing.T) {
 }
 
 func TestPublicWorkloadRegistry(t *testing.T) {
-	if got := len(memdos.Workloads()); got != 10 {
-		t.Errorf("registry size = %d", got)
-	}
 	if _, err := memdos.WorkloadByAbbrev("NOPE"); err == nil {
 		t.Error("unknown abbrev accepted")
-	}
-}
-
-func TestPublicMigrationStudy(t *testing.T) {
-	res, err := memdos.MigrationStudy("KM", 60, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Migrations == 0 {
-		t.Error("no migrations triggered")
 	}
 }
 
