@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	memdos-vet [-checks list] [-format text|json|sarif] [-v] [packages...]
+//	memdos-vet [-checks list] [-format text|sarif] [-v] [packages...]
 //
 // With no package arguments it analyzes ./.... Exit status is 0 when no
 // active findings remain, 1 on findings, 2 on usage or load errors — and
@@ -14,9 +14,7 @@
 //
 //	//memdos:ignore <check>[,<check>...] <why this is safe>
 //
-// -format json emits the memdos-vet/v1 report; -format sarif emits SARIF
-// 2.1.0 for GitHub code-scanning annotations. -json is kept as an alias
-// for -format json.
+// -format sarif emits SARIF 2.1.0 for GitHub code-scanning annotations.
 package main
 
 import (
@@ -35,19 +33,15 @@ func main() {
 
 func run() int {
 	fs := flag.NewFlagSet("memdos-vet", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit a memdos-vet/v1 JSON report (alias for -format json)")
-	format := fs.String("format", "text", "output format: text, json or sarif")
+	format := fs.String("format", "text", "output format: text or sarif")
 	checksFlag := fs.String("checks", "", "comma-separated check names to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	verbose := fs.Bool("v", false, "also print suppressed findings")
 	fs.Parse(os.Args[1:])
-	if *jsonOut {
-		*format = "json"
-	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "memdos-vet: unknown -format %q (valid: text, json, sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "memdos-vet: unknown -format %q (valid: text, sarif)\n", *format)
 		return 2
 	}
 
@@ -79,13 +73,6 @@ func run() int {
 	relativize(res.Stale)
 
 	switch *format {
-	case "json":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.NewReport(pkgs, checks, res)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
 	case "sarif":
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

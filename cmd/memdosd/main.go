@@ -13,7 +13,7 @@
 //	memdosd [-addr :9464] [-apps KM,FN] [-profile-dur 120]
 //	        [-shards 0] [-queue 4096] [-policy drop|block] [-merge-gap 2]
 //	        [-respond] [-respond-tick 1s]
-//	        [-score-model cascade.json] [-score-window 0] [-score-stride 0]
+//	        [-score-model cascade.json] [-score-stride 0]
 //	        [-score-batch 64] [-score-queue 1024]
 //
 // With -score-model the daemon loads a cascade saved by `memdos train
@@ -88,7 +88,6 @@ func run(args []string) error {
 	respondOn := fs.Bool("respond", false, "attach the closed-loop mitigation engine to the alarm feed")
 	respondTick := fs.Duration("respond-tick", time.Second, "hysteresis tick interval for the mitigation engine")
 	scoreModel := fs.String("score-model", "", "saved dnn cascade to attach as the batched scoring service ('' disables)")
-	scoreWindow := fs.Int("score-window", 0, "cascade window length in samples (0 = the model's training window)")
 	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = window, non-overlapping)")
 	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
 	scoreQueue := fs.Int("score-queue", 0, "scoring queue capacity in windows (0 = 1024)")
@@ -115,7 +114,9 @@ func run(args []string) error {
 	}
 
 	if *scoreModel != "" {
-		cs, err := daemon.LoadCascadeScorer(*scoreModel, *scoreWindow, dnn.ScorerOptions{})
+		// Window 0: the one the model was trained on, the only one its
+		// compiled scorer accepts.
+		cs, err := daemon.LoadCascadeScorer(*scoreModel, 0, dnn.ScorerOptions{})
 		if err != nil {
 			return err
 		}

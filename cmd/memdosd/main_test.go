@@ -20,6 +20,11 @@ func TestRunFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "NOPE") {
 		t.Fatalf("bogus app: %v", err)
 	}
+	// The scoring window is the model's own; there is no flag for it.
+	if err := run([]string{"-score-window", "200"}); err == nil ||
+		!strings.Contains(err.Error(), "score-window") {
+		t.Fatalf("-score-window: %v", err)
+	}
 }
 
 // A client that starts a request header and stops sending (slowloris)

@@ -7,7 +7,7 @@
 // core must not read wall clocks or the global math/rand source, must
 // not let map iteration order leak into results, must not compare
 // floats with ==, must register metrics under canonical memdos_* names,
-// and must not copy locks or touch mutex-guarded fields unlocked.
+// and must not touch mutex-guarded fields unlocked.
 //
 // A finding can be suppressed where it is provably or deliberately
 // benign with a justification comment on the flagged line or the line
@@ -15,8 +15,8 @@
 //
 //	//memdos:ignore <check>[,<check>...] <why this is safe>
 //
-// Suppressions are counted and surfaced (memdos-vet -json) so they stay
-// auditable rather than silent.
+// Suppressions are counted and surfaced (memdos-vet -v, and as notes in
+// the SARIF output) so they stay auditable rather than silent.
 package analysis
 
 import (
@@ -30,11 +30,11 @@ import (
 // Diagnostic is one finding, addressed by file position so editors and
 // CI annotations can link straight to the offending line.
 type Diagnostic struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the conventional file:line:col: [check] message form.
@@ -81,8 +81,7 @@ func Checkers() []*Checker {
 		MapOrderChecker(),
 		FloatEqChecker(),
 		MetricNameChecker(),
-		LockCopyChecker(),
-		HotAllocChecker(),
+		GuardedChecker(),
 		GoLifeChecker(),
 		BenchPinChecker(),
 	}

@@ -16,8 +16,8 @@ import (
 // deterministic, so the pin cannot flake; a timing benchmark cannot see
 // an allocation, so none is accepted in its place.
 //
-// Functions merely *reached* from an annotated root inherit its pin and
-// are not checked separately. Test files are parsed syntactically on
+// Functions merely *called* from an annotated root are measured by its
+// pin and need none of their own. Test files are parsed syntactically on
 // demand (the loader only type-checks non-test sources); the reference
 // match is by name, which is the documented, deliberately loose limit of
 // the analysis.
@@ -31,17 +31,23 @@ func BenchPinChecker() *Checker {
 
 func runBenchPin(pass *Pass) {
 	var allocTested map[string]bool
-	for _, hf := range hotFuncs(pass.Pkg) {
-		if !hf.Annotated {
+	for _, f := range pass.Pkg.Files {
+		if isTestFile(pass.Pkg, f) {
 			continue
 		}
-		if allocTested == nil {
-			allocTested = allocTestedNames(pass.Pkg)
-		}
-		if !allocTested[hf.Decl.Name.Name] {
-			pass.Reportf(hf.Pos,
-				"hotpath %s has no zero-alloc pin: no testing.AllocsPerRun test in the package references it",
-				hf.Name)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !hotPathAnnotated(fd) {
+				continue
+			}
+			if allocTested == nil {
+				allocTested = allocTestedNames(pass.Pkg)
+			}
+			if !allocTested[fd.Name.Name] {
+				pass.Reportf(fd.Pos(),
+					"hotpath %s has no zero-alloc pin: no testing.AllocsPerRun test in the package references it",
+					funcDisplayName(fd))
+			}
 		}
 	}
 }

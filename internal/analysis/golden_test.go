@@ -22,8 +22,7 @@ var goldenPackages = []struct {
 	{"maporder", "maporder"},
 	{"floateq", "floateq"},
 	{"metricname", "metricname"},
-	{"lockcopy", "lockcopy"},
-	{"hotalloc", "hotalloc"},
+	{"guarded", "guarded"},
 	{"golife", "golife"},
 	{"benchpin", "benchpin"},
 	{"staleignore", ""},
@@ -82,14 +81,14 @@ func TestTestdataFailsFullSuite(t *testing.T) {
 }
 
 // TestSelectUnknownName pins the -checks typo experience: the error must
-// name the bad check and list every valid one, including the v2
-// checkers, so the user never has to guess at spellings.
+// name the bad check and list every valid one, so the user never has
+// to guess at spellings.
 func TestSelectUnknownName(t *testing.T) {
-	_, err := analysis.Select("hotalloc,floateqq")
+	_, err := analysis.Select("golife,floateqq")
 	if err == nil {
 		t.Fatal("Select accepted an unknown check name")
 	}
-	for _, frag := range []string{`"floateqq"`, "determinism", "maporder", "floateq", "metricname", "lockcopy", "hotalloc", "golife", "benchpin"} {
+	for _, frag := range []string{`"floateqq"`, "determinism", "maporder", "floateq", "metricname", "guarded", "golife", "benchpin"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("Select error %q does not mention %s", err, frag)
 		}

@@ -31,7 +31,7 @@ import (
 //     such variables are one shared cell across iterations in every Go
 //     version (Go 1.22 per-iteration semantics only covers := forms).
 //
-// Like the lock discipline in lockcopy, the analysis is function-local
+// Like the lock discipline in guarded, the analysis is function-local
 // and conservative: it proves participation in a shutdown protocol, not
 // liveness. Goroutines whose lifetime is genuinely the process lifetime
 // carry a //memdos:ignore golife justification.
@@ -295,7 +295,7 @@ func checkLoopVarCapture(pass *Pass, g *ast.GoStmt, lit *ast.FuncLit, loops []as
 		case *ast.RangeStmt:
 			if loop.Tok == token.ASSIGN {
 				for _, e := range []ast.Expr{loop.Key, loop.Value} {
-					if id, ok := e.(*ast.Ident); ok && !isBlank(id) {
+					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
 						if obj := info.Uses[id]; obj != nil {
 							shared[obj] = true
 						}

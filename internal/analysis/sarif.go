@@ -27,7 +27,6 @@ type SARIFTool struct {
 type SARIFDriver struct {
 	Name           string      `json:"name"`
 	InformationURI string      `json:"informationUri,omitempty"`
-	Version        string      `json:"version,omitempty"`
 	Rules          []SARIFRule `json:"rules"`
 }
 
@@ -106,7 +105,6 @@ func NewSARIF(checks []*Checker, res Result) SARIFLog {
 			Tool: SARIFTool{Driver: SARIFDriver{
 				Name:           "memdos-vet",
 				InformationURI: "https://github.com/memdos/memdos",
-				Version:        ReportVersion,
 				Rules:          rules,
 			}},
 			Results: results,

@@ -13,7 +13,7 @@ import (
 // suppressions, and note-level results carrying an inSource suppression
 // for justified ignores.
 func TestSARIFSchema(t *testing.T) {
-	find := analysis.Diagnostic{Check: "hotalloc", File: "a.go", Line: 3, Col: 9, Message: "make allocates"}
+	find := analysis.Diagnostic{Check: "floateq", File: "a.go", Line: 3, Col: 9, Message: "floating-point == comparison"}
 	sup := analysis.Diagnostic{Check: "golife", File: "b.go", Line: 7, Col: 2, Message: "goroutine loops forever"}
 	stale := analysis.Diagnostic{Check: analysis.StaleCheck, File: "c.go", Line: 1, Col: 5, Message: "suppression matches no finding"}
 
@@ -44,7 +44,7 @@ func TestSARIFSchema(t *testing.T) {
 	for _, r := range run.Results {
 		byRule[r.RuleID] = r
 	}
-	if r := byRule["hotalloc"]; r.Level != "error" || len(r.Suppressions) != 0 {
+	if r := byRule["floateq"]; r.Level != "error" || len(r.Suppressions) != 0 {
 		t.Errorf("finding result = %+v, want level error without suppressions", r)
 	}
 	if r := byRule[analysis.StaleCheck]; r.Level != "warning" {

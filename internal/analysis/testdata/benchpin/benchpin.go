@@ -27,6 +27,12 @@ func TimedOnly() int { // want `hotpath TimedOnly has no zero-alloc pin: no test
 //
 //memdos:hotpath
 func Tested(xs []float64) float64 {
+	return accumulate(xs)
+}
+
+// accumulate is only called from Tested, never named in a test: the
+// root's pin measures it, so it needs no pin (and no finding) of its own.
+func accumulate(xs []float64) float64 {
 	var sum float64
 	for _, v := range xs {
 		sum += v

@@ -138,7 +138,7 @@ func (b *Bus) Resolve(dt float64) Deliveries {
 	}
 
 	if cap(b.delivered) < len(b.requests) {
-		b.delivered = make([]float64, len(b.requests)) //memdos:ignore hotalloc grow-once scratch: capacity tracks the owner count and is reused every step
+		b.delivered = make([]float64, len(b.requests))
 	}
 	b.delivered = b.delivered[:len(b.requests)]
 	var totalDelivered float64

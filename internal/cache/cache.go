@@ -154,7 +154,7 @@ func (c *Cache) statsFor(o Owner) *Stats {
 		panic(fmt.Sprintf("cache: stats for invalid owner %d", o))
 	}
 	if int(o) >= len(c.stats) {
-		grown := make([]Stats, int(o)+1) //memdos:ignore hotalloc grow-once stats table: steady state (owners already seen) allocates nothing, pinned by TestAccessNoAllocs
+		grown := make([]Stats, int(o)+1)
 		copy(grown, c.stats)
 		c.stats = grown
 	}

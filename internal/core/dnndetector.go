@@ -59,9 +59,16 @@ func (d *DNNDetector) Overhead() float64 { return OverheadDNN }
 // Push feeds one PCM sample; a decision is produced every DW samples once
 // a full window is available.
 func (d *DNNDetector) Push(s pcm.Sample) []Decision {
-	d.buf = append(d.buf, []float64{s.AccessNum, s.MissNum})
-	if over := len(d.buf) - d.params.W; over > 0 {
-		d.buf = d.buf[over:]
+	if len(d.buf) < d.params.W {
+		d.buf = append(d.buf, []float64{s.AccessNum, s.MissNum})
+	} else {
+		// Slide in place, as stats.MAStream.Push does, and refill the
+		// evicted row: re-slicing past it would walk the slice off its
+		// array, and a fresh row per sample is an allocation per sample.
+		row := d.buf[0]
+		copy(d.buf, d.buf[1:])
+		row[0], row[1] = s.AccessNum, s.MissNum
+		d.buf[len(d.buf)-1] = row
 	}
 	d.sinceEval++
 	if len(d.buf) < d.params.W || d.sinceEval < d.params.DW {

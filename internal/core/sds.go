@@ -64,8 +64,8 @@ func (d *SDS) Push(s pcm.Sample) []Decision {
 	if d.p == nil {
 		return bd
 	}
-	if pd := d.p.pushMA(s.Time, accAvg); len(pd) > 0 {
-		d.pAlarm = pd[0].Alarm
+	if alarm, ok := d.p.pushMA(accAvg); ok {
+		d.pAlarm = alarm
 	}
 	bd[0].Alarm = d.bAlarm && d.pAlarm
 	return bd

@@ -71,21 +71,29 @@ func (d *SDSP) Push(s pcm.Sample) []Decision {
 	if !ok {
 		return nil
 	}
-	return d.pushMA(s.Time, avg)
+	alarm, ok := d.pushMA(avg)
+	if !ok {
+		return nil
+	}
+	return []Decision{{Time: s.Time, Alarm: alarm}}
 }
 
-// pushMA feeds one AccessNum moving-average value completed at time t:
-// the scheme past its own MA stage, which the combined SDS enters with
-// SDS/B's average.
-func (d *SDSP) pushMA(t, avg float64) []Decision {
+// pushMA feeds one AccessNum moving-average value: the scheme past its
+// own MA stage, which the combined SDS enters with SDS/B's average. ok
+// reports whether the value completed an evaluation.
+func (d *SDSP) pushMA(avg float64) (alarm, ok bool) {
 	wp := d.windowSize()
-	d.maHistory = append(d.maHistory, avg)
-	if over := len(d.maHistory) - wp; over > 0 {
-		d.maHistory = d.maHistory[over:]
+	if len(d.maHistory) < wp {
+		d.maHistory = append(d.maHistory, avg)
+	} else {
+		// Slide in place, as stats.MAStream.Push does: re-slicing past
+		// the oldest value would walk the slice off its array.
+		copy(d.maHistory, d.maHistory[1:])
+		d.maHistory[wp-1] = avg
 	}
 	d.sinceEval++
 	if d.sinceEval < d.params.DWP || len(d.maHistory) < wp {
-		return nil
+		return false, false
 	}
 	d.sinceEval = 0
 
@@ -98,8 +106,7 @@ func (d *SDSP) pushMA(t, avg float64) []Decision {
 	} else {
 		d.lastPeriod = 0
 	}
-	alarm := d.viol.observe(deviant)
-	return []Decision{{Time: t, Alarm: alarm}}
+	return d.viol.observe(deviant), true
 }
 
 // LastPeriod returns the most recent period estimate in MA samples (0 when

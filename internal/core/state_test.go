@@ -145,3 +145,62 @@ func TestNewDNNDetectorReturnsCompileError(t *testing.T) {
 		t.Errorf("6-sample window: err = %v", err)
 	}
 }
+
+// TestPushSteadyStateAllocs pins the two sliding windows that used to
+// walk off their arrays: once warm, SDS on a periodic profile and the DNN
+// detector allocate nothing per sample but the one-element []Decision
+// they emit. SDS/P's period estimate builds an FFT workspace per call and
+// is not part of the claim, so DWP is pushed out of the measured span;
+// the window slide under test runs on every MA value regardless.
+func TestPushSteadyStateAllocs(t *testing.T) {
+	p := DefaultParams()
+	p.DWP = 1 << 30
+	sds, err := NewSDS(profileApp(t, "FN", 90, p), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sds.Periodic() {
+		t.Fatal("FN profile is not periodic: SDS/P's window is not exercised")
+	}
+
+	rng := sim.NewRNG(7)
+	cascade, err := dnn.NewCascade(2, dnn.CompactLSTMFCNConfig, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cascade.Norm = dnn.ChannelNorm{Mean: []float64{0, 0}, Std: []float64{1, 1}}
+	dp := stateParams()
+	det, err := NewDNNDetector(cascade, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		det  Detector
+		dw   int
+		warm int // samples until every window is full
+	}{
+		{"SDS", sds, p.DW, p.W + p.DW*sds.p.windowSize()},
+		{"DNN", det, dp.DW, 2 * dp.W},
+	} {
+		const decisionsPerRun = 64
+		samples := stateSamples(decisionsPerRun * tc.dw)
+		for i := 0; i < tc.warm; i++ {
+			tc.det.Push(samples[i%len(samples)])
+		}
+		decisions := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			decisions = 0
+			for _, s := range samples {
+				decisions += len(tc.det.Push(s))
+			}
+		})
+		if decisions != decisionsPerRun {
+			t.Errorf("%s: %d decisions per run, want %d", tc.name, decisions, decisionsPerRun)
+		}
+		if allocs != float64(decisions) {
+			t.Errorf("%s: %.0f allocations for %d emitted decisions", tc.name, allocs, decisions)
+		}
+	}
+}

@@ -25,7 +25,7 @@ func NewCascadeScorer(c *dnn.Cascade, window int, opts dnn.ScorerOptions) (*Casc
 		window = c.Window()
 	}
 	if window <= 0 {
-		return nil, fmt.Errorf("daemon: cascade has no intrinsic window; pass -score-window")
+		return nil, fmt.Errorf("daemon: cascade has no intrinsic window and none was given")
 	}
 	s, err := c.Scorer(window, opts)
 	if err != nil {

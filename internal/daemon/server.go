@@ -83,7 +83,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()}) //memdos:ignore hotalloc error responses are the cold exit of every handler; the steady ingest path never reaches this
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -55,7 +55,7 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		// lookup is an allocation-free map hit on []byte-keyed string
 		// conversion. The value is "" while the session is known-bad
 		// (failed auto-open) so repeated frames don't retry the open.
-		sessions = make(map[string]string) //memdos:ignore hotalloc per-request setup, amortized over every frame the stream carries
+		sessions = make(map[string]string)
 	)
 	for {
 		body, err := fr.Next()
@@ -74,13 +74,13 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		}
 		samples = batch
 
-		sess, seen := sessions[string(sessBytes)] //memdos:ignore hotalloc no real alloc: the compiler elides the conversion for a map lookup keyed string(bytes)
+		sess, seen := sessions[string(sessBytes)]
 		if !seen {
-			sess = string(sessBytes) //memdos:ignore hotalloc interning: one conversion per distinct session for the whole stream
+			sess = string(sessBytes)
 			if profile != "" {
 				if err := s.ensureSession(sess, profile); err != nil {
 					sessions[sess] = ""
-					resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sess, err)) //memdos:ignore hotalloc error collection is the cold path, bounded by maxStreamErrors
+					resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sess, err))
 					if len(resp.Errors) >= maxStreamErrors {
 						s.finishStream(w, resp)
 						return
@@ -102,7 +102,7 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusServiceUnavailable, err)
 				return
 			}
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sess, err)) //memdos:ignore hotalloc error collection is the cold path, bounded by maxStreamErrors
+			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sess, err))
 			if len(resp.Errors) >= maxStreamErrors {
 				s.finishStream(w, resp)
 				return
@@ -122,5 +122,5 @@ func (s *Server) finishStream(w http.ResponseWriter, resp stream.IngestResponse)
 	if resp.Accepted == 0 && len(resp.Errors) > 0 {
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, resp) //memdos:ignore hotalloc one boxed terminal response per streaming request, not per frame
+	writeJSON(w, status, resp)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"memdos/internal/core"
@@ -95,36 +96,63 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	}
 }
 
+// recorder wraps a detector and keeps every decision it emits.
+type recorder struct {
+	core.Detector
+	mu  sync.Mutex
+	log []core.Decision
+}
+
+func (r *recorder) Push(s pcm.Sample) []core.Decision {
+	ds := r.Detector.Push(s)
+	r.mu.Lock()
+	r.log = append(r.log, ds...)
+	r.mu.Unlock()
+	return ds
+}
+
+func (r *recorder) decisions() []core.Decision {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]core.Decision(nil), r.log...)
+}
+
 // TestStreamMatchesJSONDecisions is the acceptance bar of the binary
 // route: the same sample stream pushed through /v1/ingest (JSON) and
 // /v1/ingest/stream (binary frames) must produce identical detector
 // decisions — the codec is lossless end to end, not just in unit tests.
 func TestStreamMatchesJSONDecisions(t *testing.T) {
-	newRecordingDaemon := func() (*httptest.Server, *stream.Hub) {
+	// Each daemon opens one session per profile, so a profile's recorder
+	// is that session's decision log.
+	newRecordingDaemon := func() (*httptest.Server, *stream.Hub, map[string]*recorder) {
 		cfg := stream.DefaultConfig()
 		cfg.Policy = stream.Block
-		cfg.RecordDecisions = true
 		hub := stream.NewHub(cfg)
-		if err := hub.RegisterProfile("raw", func() (core.Detector, error) {
-			return core.NewRawThreshold(0.5)
-		}); err != nil {
-			t.Fatal(err)
-		}
 		params := core.DefaultParams()
 		params.W, params.DW, params.HC = 20, 10, 2
 		prof := core.Profile{AccessMean: 100, AccessStd: 5, MissMean: 10, MissStd: 2}
-		if err := hub.RegisterProfile("sdsb:test", func() (core.Detector, error) {
-			return core.NewSDSB(prof, params)
-		}); err != nil {
-			t.Fatal(err)
+		recs := make(map[string]*recorder)
+		for profile, build := range map[string]stream.DetectorFactory{
+			"raw":       func() (core.Detector, error) { return core.NewRawThreshold(0.5) },
+			"sdsb:test": func() (core.Detector, error) { return core.NewSDSB(prof, params) },
+		} {
+			rec := &recorder{}
+			recs[profile] = rec
+			if err := hub.RegisterProfile(profile, func() (core.Detector, error) {
+				det, err := build()
+				rec.Detector = det
+				return rec, err
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		ts := httptest.NewServer(New(hub, nil))
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() { hub.Close() })
-		return ts, hub
+		return ts, hub, recs
 	}
-	jsonTS, jsonHub := newRecordingDaemon()
-	binTS, binHub := newRecordingDaemon()
+	jsonTS, jsonHub, jsonRecs := newRecordingDaemon()
+	binTS, binHub, binRecs := newRecordingDaemon()
 
 	// Full-mantissa values exercise the float packing, the attack shape
 	// exercises alarm transitions; 37 deliberately does not divide the
@@ -147,9 +175,9 @@ func TestStreamMatchesJSONDecisions(t *testing.T) {
 	if err := binHub.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sess := range []string{"vm-raw", "vm-sds"} {
-		want := jsonHub.Decisions(sess)
-		got := binHub.Decisions(sess)
+	for profile, sess := range map[string]string{"raw": "vm-raw", "sdsb:test": "vm-sds"} {
+		want := jsonRecs[profile].decisions()
+		got := binRecs[profile].decisions()
 		if len(want) == 0 {
 			t.Fatalf("%s: no decisions on the JSON route", sess)
 		}

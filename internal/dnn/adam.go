@@ -39,9 +39,9 @@ func (a *Adam) Step(params []*Param) {
 	for _, p := range params {
 		m := a.m[p]
 		if m == nil {
-			m = make([]float64, len(p.W)) //memdos:ignore hotalloc first-touch init of the moment buffers; every later step reuses them
+			m = make([]float64, len(p.W))
 			a.m[p] = m
-			a.v[p] = make([]float64, len(p.W)) //memdos:ignore hotalloc first-touch init of the moment buffers; every later step reuses them
+			a.v[p] = make([]float64, len(p.W))
 		}
 		v := a.v[p]
 		for i, g := range p.Grad {

@@ -43,11 +43,11 @@ const (
 // NewLSTM returns an LSTM with Glorot-initialized weights and forget-gate
 // bias 1.
 func NewLSTM(in, hidden int, rng *sim.RNG) *LSTM {
-	l := &LSTM{ //memdos:ignore hotalloc constructor runs once, on the lazy first forward; steps after that reuse the layer
+	l := &LSTM{
 		In: in, Hidden: hidden,
-		wx: newParam(fmt.Sprintf("lstm%dx%d.wx", in, hidden), in*numGates*hidden),     //memdos:ignore hotalloc constructor runs once, on the lazy first forward
-		wh: newParam(fmt.Sprintf("lstm%dx%d.wh", in, hidden), hidden*numGates*hidden), //memdos:ignore hotalloc constructor runs once, on the lazy first forward
-		b:  newParam(fmt.Sprintf("lstm%dx%d.b", in, hidden), numGates*hidden),         //memdos:ignore hotalloc constructor runs once, on the lazy first forward
+		wx: newParam(fmt.Sprintf("lstm%dx%d.wx", in, hidden), in*numGates*hidden),
+		wh: newParam(fmt.Sprintf("lstm%dx%d.wh", in, hidden), hidden*numGates*hidden),
+		b:  newParam(fmt.Sprintf("lstm%dx%d.b", in, hidden), numGates*hidden),
 	}
 	limX := math.Sqrt(6 / float64(in+hidden))
 	for i := range l.wx.W {
@@ -180,7 +180,7 @@ func (l *LSTM) Backward(grad *Tensor) *Tensor {
 }
 
 // Params returns the fused gate weights and biases.
-func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} } //memdos:ignore hotalloc called once per stepper: Stepper.Step caches the parameter list
+func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 
 // Attention pools a hidden-state sequence [B][T][H] into a context vector
 // [B][1][H] with additive (Bahdanau-style) attention:
@@ -204,10 +204,10 @@ type Attention struct {
 
 // NewAttention returns an attention layer over H-dimensional states.
 func NewAttention(h int, rng *sim.RNG) *Attention {
-	a := &Attention{ //memdos:ignore hotalloc constructor runs once, on the lazy first forward; steps after that reuse the layer
+	a := &Attention{
 		H:  h,
-		wa: newParam(fmt.Sprintf("attn%d.w", h), h*h), //memdos:ignore hotalloc constructor runs once, on the lazy first forward
-		va: newParam(fmt.Sprintf("attn%d.v", h), h),   //memdos:ignore hotalloc constructor runs once, on the lazy first forward
+		wa: newParam(fmt.Sprintf("attn%d.w", h), h*h),
+		va: newParam(fmt.Sprintf("attn%d.v", h), h),
 	}
 	limit := math.Sqrt(6 / float64(2*h))
 	for i := range a.wa.W {
@@ -295,4 +295,4 @@ func (a *Attention) Backward(grad *Tensor) *Tensor {
 }
 
 // Params returns the score-network parameters.
-func (a *Attention) Params() []*Param { return []*Param{a.wa, a.va} } //memdos:ignore hotalloc called once per stepper: Stepper.Step caches the parameter list
+func (a *Attention) Params() []*Param { return []*Param{a.wa, a.va} }

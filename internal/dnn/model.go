@@ -232,8 +232,8 @@ func (m *LSTMFCN) Backward(grad *Tensor) {
 
 // Params returns all trainable parameters.
 func (m *LSTMFCN) Params() []*Param {
-	ps := []*Param{}                                                                   //memdos:ignore hotalloc called once per stepper: Stepper.Step caches the parameter list
-	for _, l := range []Layer{m.conv1, m.bn1, m.conv2, m.bn2, m.conv3, m.bn3, m.out} { //memdos:ignore hotalloc called once per stepper: Stepper.Step caches the parameter list
+	ps := []*Param{}
+	for _, l := range []Layer{m.conv1, m.bn1, m.conv2, m.bn2, m.conv3, m.bn3, m.out} {
 		ps = append(ps, l.Params()...)
 	}
 	if m.lstm != nil {

@@ -471,7 +471,7 @@ func stageEdgeF32(dst, src []float32, t, T, K, half, in int) {
 func ensureF32(ws *[]float32, n int) []float32 {
 	s := *ws
 	if cap(s) < n {
-		s = make([]float32, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
+		s = make([]float32, n)
 		*ws = s
 	}
 	return s[:n]

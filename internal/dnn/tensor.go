@@ -25,7 +25,7 @@ func NewTensor(b, t, c int) *Tensor {
 	if b <= 0 || t <= 0 || c <= 0 {
 		panic(fmt.Sprintf("dnn: invalid tensor shape (%d,%d,%d)", b, t, c))
 	}
-	return &Tensor{B: b, T: t, C: c, Data: make([]float64, b*t*c)} //memdos:ignore hotalloc allocation is this constructor's contract; hot steady state goes through the ensure* workspace reuse instead
+	return &Tensor{B: b, T: t, C: c, Data: make([]float64, b*t*c)}
 }
 
 // At returns the element at (b, t, c).
@@ -79,7 +79,7 @@ func ensureTensor(ws **Tensor, b, t, c int) *Tensor {
 func ensureFloats(ws *[]float64, n int) []float64 {
 	s := *ws
 	if cap(s) < n {
-		s = make([]float64, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
+		s = make([]float64, n)
 	} else {
 		s = s[:n]
 		clear(s)
@@ -93,7 +93,7 @@ func ensureFloats(ws *[]float64, n int) []float64 {
 func ensureBools(ws *[]bool, n int) []bool {
 	s := *ws
 	if cap(s) < n {
-		s = make([]bool, n) //memdos:ignore hotalloc grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
+		s = make([]bool, n)
 	} else {
 		s = s[:n]
 	}
@@ -110,7 +110,7 @@ type Param struct {
 
 // newParam allocates a parameter of n weights.
 func newParam(name string, n int) *Param {
-	return &Param{Name: name, W: make([]float64, n), Grad: make([]float64, n)} //memdos:ignore hotalloc parameters are built once at model construction, never per step
+	return &Param{Name: name, W: make([]float64, n), Grad: make([]float64, n)}
 }
 
 // ZeroGrad clears the gradient accumulator.

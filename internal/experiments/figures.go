@@ -184,9 +184,6 @@ func buildServerWithWindow(spec RunSpec, attackStart, attackEnd float64) (*vmm.S
 	if spec.Mode == NoAttack {
 		return buildServer(spec)
 	}
-	// Reuse buildServer by shifting the Scenario 1 constants: run the
-	// generic path, then replace the attacker's schedule. Simpler: build
-	// here directly.
 	saved := spec
 	saved.Mode = NoAttack
 	srv, victim, _, err := buildServer(saved)

@@ -562,7 +562,7 @@ func (c *Controller) waterfill(n int, capUnits float64) {
 // growTo resizes s to exactly n elements, reusing capacity.
 func growTo(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n) //memdos:ignore hotalloc grow-once scratch: capacity tracks the owner count; TestResolveZeroAlloc pins the steady state
+		return make([]float64, n)
 	}
 	return s[:n]
 }

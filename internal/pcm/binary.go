@@ -391,7 +391,7 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("pcm: frame body of %d bytes (want 1-%d)", n, fr.max)
 	}
 	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n) //memdos:ignore hotalloc grow-once frame buffer: capacity sticks to the largest frame seen; TestDecodeBatchIntoZeroAlloc pins the warmed steady state
+		fr.buf = make([]byte, n)
 	}
 	body := fr.buf[:n]
 	if _, err := io.ReadFull(fr.r, body); err != nil {

@@ -148,21 +148,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs, or 0 for fewer than
-// two samples.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // MeanStd returns both the mean and population standard deviation in one
 // pass over xs.
 func MeanStd(xs []float64) (mean, std float64) {

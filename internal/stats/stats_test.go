@@ -102,7 +102,7 @@ func TestEWMASmoothsMoreWithSmallAlpha(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Normal(100, 15)
 	}
-	varOf := func(v []float64) float64 { s := Std(v); return s * s }
+	varOf := func(v []float64) float64 { _, s := MeanStd(v); return s * s }
 	if varOf(EWMA(xs, 0.1)) >= varOf(EWMA(xs, 0.9)) {
 		t.Error("smaller alpha should reduce variance more")
 	}
@@ -201,10 +201,10 @@ func TestMeanStd(t *testing.T) {
 	if m != 5 || math.Abs(s-2) > 1e-12 {
 		t.Errorf("MeanStd = %v, %v; want 5, 2", m, s)
 	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
+	if m, s := MeanStd(nil); m != 0 || s != 0 {
 		t.Error("empty input should give zeros")
 	}
-	if Std([]float64{42}) != 0 {
+	if _, s := MeanStd([]float64{42}); s != 0 {
 		t.Error("single sample std should be 0")
 	}
 }

@@ -82,8 +82,7 @@ type Session struct {
 	// mu guards everything below (shard goroutine writes, info reads).
 	mu sync.Mutex
 	// incidents, decisions, outOfOrder, alarmsRaised, alarmActive,
-	// lastDecision, hasDecision, recorded and sealed are all
-	// guarded by mu.
+	// lastDecision, hasDecision and sealed are all guarded by mu.
 	incidents    core.IncidentFold
 	decisions    uint64
 	outOfOrder   uint64
@@ -91,7 +90,6 @@ type Session struct {
 	alarmActive  bool
 	lastDecision core.Decision
 	hasDecision  bool
-	recorded     []core.Decision
 	sealed       bool
 
 	// scoreWin assembles the session's sliding cascade window (written on
@@ -200,9 +198,6 @@ func (s *Session) process(batch []pcm.Sample) {
 func (s *Session) foldLocked(d core.Decision) {
 	s.decisions++
 	s.hub.decisionsTotal.Inc()
-	if s.hub.cfg.RecordDecisions {
-		s.recorded = append(s.recorded, d)
-	}
 	if !s.incidents.Observe(d) {
 		s.outOfOrder++
 		return
@@ -257,12 +252,6 @@ func (s *Session) info() SessionInfo {
 		in.Cascade = &v
 	}
 	return in
-}
-
-func (s *Session) recordedDecisions() []core.Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]core.Decision(nil), s.recorded...)
 }
 
 func errRemoved(id string) error { return fmt.Errorf("stream: session %q closed", id) }

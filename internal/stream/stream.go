@@ -75,10 +75,6 @@ type Config struct {
 	// seconds in session views (core.MergeIncidents); 0 merges only
 	// touching episodes.
 	MergeGap float64
-	// RecordDecisions keeps every decision in memory per session, for
-	// offline scoring and equivalence tests. Leave off in production —
-	// the log grows without bound.
-	RecordDecisions bool
 }
 
 // DefaultConfig returns the deploy-default hub sizing.
@@ -366,7 +362,7 @@ func (h *Hub) Close() error {
 func (h *Hub) getBatch(samples []pcm.Sample) *batchBuf {
 	b, _ := h.batchPool.Get().(*batchBuf)
 	if b == nil {
-		b = new(batchBuf) //memdos:ignore hotalloc pool miss only; the steady ingest rate recycles buffers through batchPool
+		b = new(batchBuf)
 	}
 	b.samples = append(b.samples[:0], samples...)
 	return b
@@ -434,18 +430,6 @@ func (h *Hub) Sessions() []SessionInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Decisions returns the recorded decision log of one session (nil unless
-// Config.RecordDecisions is on).
-func (h *Hub) Decisions(sessionID string) []core.Decision {
-	h.mu.RLock()
-	s, ok := h.sessions[sessionID]
-	h.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return s.recordedDecisions()
 }
 
 // Subscribe registers an alarm listener. Events are delivered best-effort:

@@ -32,6 +32,45 @@ func sdsbFactory(p core.Params) DetectorFactory {
 	return func() (core.Detector, error) { return core.NewSDSB(testProfile(), p) }
 }
 
+// recorder wraps a detector and keeps every decision it emits, so a test
+// can hold a session's whole decision stream against an offline replay.
+type recorder struct {
+	core.Detector
+	mu  sync.Mutex
+	log []core.Decision
+}
+
+func (r *recorder) Push(s pcm.Sample) []core.Decision {
+	ds := r.Detector.Push(s)
+	r.mu.Lock()
+	r.log = append(r.log, ds...)
+	r.mu.Unlock()
+	return ds
+}
+
+func (r *recorder) decisions() []core.Decision {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]core.Decision(nil), r.log...)
+}
+
+// recorders wraps a factory so that every detector it builds records;
+// the hub builds one per Open, so all[i] belongs to the i-th session
+// opened on the profile (by one goroutine: all is not locked).
+type recorders struct{ all []*recorder }
+
+func (rs *recorders) wrap(f DetectorFactory) DetectorFactory {
+	return func() (core.Detector, error) {
+		d, err := f()
+		if err != nil {
+			return nil, err
+		}
+		r := &recorder{Detector: d}
+		rs.all = append(rs.all, r)
+		return r, nil
+	}
+}
+
 // sessionSamples generates a deterministic per-session stream: clean
 // around the profile for the first half, collapsed AccessNum (as under
 // bus locking) for the second.
@@ -135,8 +174,13 @@ func TestStressEquivalence(t *testing.T) {
 		batchLen  = 80
 	)
 	p := core.DefaultParams() // real Table I windows
-	cfg := Config{Shards: 4, QueueCap: 512, ShardBuffer: 64, Policy: Block, RecordDecisions: true}
-	h := newTestHub(t, cfg, p)
+	cfg := Config{Shards: 4, QueueCap: 512, ShardBuffer: 64, Policy: Block}
+	h := NewHub(cfg)
+	t.Cleanup(func() { h.Close() })
+	var recs recorders
+	if err := h.RegisterProfile("sdsb", recs.wrap(sdsbFactory(p))); err != nil {
+		t.Fatal(err)
+	}
 
 	ids := make([]string, nSessions)
 	for i := range ids {
@@ -175,7 +219,7 @@ func TestStressEquivalence(t *testing.T) {
 	}
 
 	for i, id := range ids {
-		got := h.Decisions(id)
+		got := recs.all[i].decisions()
 		ref, err := core.NewSDSB(testProfile(), p)
 		if err != nil {
 			t.Fatal(err)
@@ -286,9 +330,10 @@ func TestSubscribe(t *testing.T) {
 }
 
 func TestCloseDrainsAndRefuses(t *testing.T) {
-	cfg := Config{Shards: 2, QueueCap: 8192, ShardBuffer: 128, Policy: Block, RecordDecisions: true}
+	cfg := Config{Shards: 2, QueueCap: 8192, ShardBuffer: 128, Policy: Block}
 	h := NewHub(cfg)
-	if err := h.RegisterProfile("sdsb", sdsbFactory(fastParams())); err != nil {
+	var recs recorders
+	if err := h.RegisterProfile("sdsb", recs.wrap(sdsbFactory(fastParams()))); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Open("vm-1", "sdsb"); err != nil {
@@ -307,7 +352,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 	for _, s := range samples {
 		want = append(want, ref.Push(s)...)
 	}
-	if got := h.Decisions("vm-1"); !reflect.DeepEqual(got, want) {
+	if got := recs.all[0].decisions(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("decisions after Close: got %d want %d", len(got), len(want))
 	}
 	if _, err := h.Ingest("vm-1", samples); err == nil {
@@ -468,12 +513,12 @@ func TestSubscriberDropAccounting(t *testing.T) {
 func TestIngestCopiesBatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = Block
-	cfg.RecordDecisions = true
 	h := NewHub(cfg)
 	defer h.Close()
-	if err := h.RegisterProfile("raw", func() (core.Detector, error) {
+	var recs recorders
+	if err := h.RegisterProfile("raw", recs.wrap(func() (core.Detector, error) {
 		return core.NewRawThreshold(0.5)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Open("vm-1", "raw"); err != nil {
@@ -500,7 +545,7 @@ func TestIngestCopiesBatch(t *testing.T) {
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	decisions := h.Decisions("vm-1")
+	decisions := recs.all[0].decisions()
 	// RawThreshold emits no decision for its very first sample (it needs
 	// a predecessor), so a contiguous stream yields samples-1 decisions.
 	if len(decisions) != 50*64-1 {

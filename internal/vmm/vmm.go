@@ -395,7 +395,7 @@ func (s *Server) Step() StepResult {
 
 	// Phase 2: application demands, attenuated by cleansing stalls.
 	if len(s.stepStates) < len(s.vms) {
-		s.stepStates = make([]appState, len(s.vms)) //memdos:ignore hotalloc grow-once scratch sized to the VM population; reused every step
+		s.stepStates = make([]appState, len(s.vms))
 	}
 	states := s.stepStates[:len(s.vms)]
 	for i := range states {
@@ -433,7 +433,7 @@ func (s *Server) Step() StepResult {
 
 	// Phase 4: progress and PCM accounting.
 	if s.stepSamples == nil {
-		s.stepSamples = make(map[VMID]pcm.Sample, len(s.vms)) //memdos:ignore hotalloc built once, then cleared and reused every step
+		s.stepSamples = make(map[VMID]pcm.Sample, len(s.vms))
 	}
 	clear(s.stepSamples)
 	res := StepResult{Time: now + dt, Samples: s.stepSamples}
