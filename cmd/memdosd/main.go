@@ -21,8 +21,11 @@
 // assemble per-session sliding counter windows, a scorer goroutine
 // classifies them in fused batches, and the latest verdict appears as
 // "cascade" in the /v1/sessions views next to the detector state;
-// memdos_dnn_* metrics track throughput, batch fill, queue depth and
-// sheds.
+// memdos_dnn_* metrics track throughput, batch fill, queue depth,
+// sheds and how many windows were scored from carried rows. Windows
+// slide by -score-stride samples; 0 is the paper's ΔW = 50 (a verdict
+// every 0.5 s at T_PCM = 10 ms, as core.DNNDetector decides), clipped
+// to the model's window.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
 // (internal/respond) to the hub's alarm feed: alarm raises walk the
@@ -88,7 +91,7 @@ func run(args []string) error {
 	respondOn := fs.Bool("respond", false, "attach the closed-loop mitigation engine to the alarm feed")
 	respondTick := fs.Duration("respond-tick", time.Second, "hysteresis tick interval for the mitigation engine")
 	scoreModel := fs.String("score-model", "", "saved dnn cascade to attach as the batched scoring service ('' disables)")
-	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = window, non-overlapping)")
+	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = the paper's ΔW, 50, clipped to the model's window)")
 	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
 	scoreQueue := fs.Int("score-queue", 0, "scoring queue capacity in windows (0 = 1024)")
 	if err := fs.Parse(args); err != nil {
@@ -120,11 +123,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		scfg := stream.ScorerConfig{Stride: *scoreStride, Batch: *scoreBatch, QueueCap: *scoreQueue}
+		scfg := stream.ScorerConfig{Stride: scoreStrideFor(*scoreStride, cs.Window()), Batch: *scoreBatch, QueueCap: *scoreQueue}
 		if err := hub.AttachScorer(cs, scfg); err != nil {
 			return err
 		}
-		fmt.Printf("memdosd: batched cascade scoring on (window %d)\n", cs.Window())
+		fmt.Printf("memdosd: batched cascade scoring on (window %d, stride %d)\n", cs.Window(), scfg.Stride)
 	}
 
 	var eng *respond.Engine
@@ -221,6 +224,16 @@ func tickFromDecisions(hub *stream.Hub, eng *respond.Engine, every time.Duration
 		}
 	}()
 	return func() { close(done) }
+}
+
+// scoreStrideFor resolves -score-stride against the loaded model's
+// window: unset (<= 0) is the paper's sliding step ΔW, or the whole
+// window of a model shorter than that.
+func scoreStrideFor(flag, window int) int {
+	if flag > 0 {
+		return flag
+	}
+	return min(core.DefaultParams().DW, window)
 }
 
 func splitApps(s string) []string {

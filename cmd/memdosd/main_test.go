@@ -27,6 +27,25 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// -score-stride 0 is the paper's ΔW = 50 (what core.DNNDetector and
+// cascade_replay slide by), never the non-overlapping window, and a
+// short model's window caps it; an explicit stride passes through for
+// AttachScorer to judge.
+func TestScoreStrideDefault(t *testing.T) {
+	for _, tc := range []struct{ flag, window, want int }{
+		{0, 200, 50},
+		{-1, 200, 50},
+		{0, 20, 20},
+		{10, 200, 10},
+		{200, 200, 200},
+		{300, 200, 300},
+	} {
+		if got := scoreStrideFor(tc.flag, tc.window); got != tc.want {
+			t.Errorf("scoreStrideFor(%d, %d) = %d, want %d", tc.flag, tc.window, got, tc.want)
+		}
+	}
+}
+
 // A client that starts a request header and stops sending (slowloris)
 // must be disconnected by readHeaderTimeout, and must not keep the
 // daemon from answering other connections while it waits.

@@ -6,16 +6,19 @@ import (
 	"sync"
 
 	"memdos/internal/dnn"
+	"memdos/internal/stream"
 )
 
 // CascadeScorer adapts a compiled dnn.BatchScorer to the hub's
-// stream.WindowScorer interface, so the serving layer can drive batched
-// cascade inference without internal/stream depending on internal/dnn.
-// The hub calls ScoreFlat from its single scorer goroutine; the mutex
-// documents (and enforces) that the underlying arenas have one caller.
+// stream.WindowScorer and stream.SlidingScorer interfaces, so the serving
+// layer can drive batched cascade inference without internal/stream
+// depending on internal/dnn. The hub scores from its single scorer
+// goroutine; the mutex documents (and enforces) that the underlying
+// arenas have one caller.
 type CascadeScorer struct {
-	mu sync.Mutex
-	s  *dnn.BatchScorer
+	mu      sync.Mutex
+	s       *dnn.BatchScorer
+	carries []*dnn.Carry // ScoreCarried's typed view of the hub's carries
 }
 
 // NewCascadeScorer compiles the cascade for batched scoring. window <= 0
@@ -57,6 +60,20 @@ func (cs *CascadeScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.s.ScoreFlat(n, flat, apps, attacks)
+}
+
+// NewCarry implements stream.SlidingScorer.
+func (cs *CascadeScorer) NewCarry(stride int) stream.SessionCarry { return cs.s.NewCarry(stride) }
+
+// ScoreCarried implements stream.SlidingScorer.
+func (cs *CascadeScorer) ScoreCarried(n int, flat []float64, carry []stream.SessionCarry, ord []uint64, apps, attacks []int) int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.carries = cs.carries[:0]
+	for _, c := range carry {
+		cs.carries = append(cs.carries, c.(*dnn.Carry))
+	}
+	return cs.s.ScoreCarried(n, flat, cs.carries, ord, apps, attacks)
 }
 
 // AttackName implements stream.AttackNamer with the cascade's class

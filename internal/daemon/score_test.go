@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,14 +11,24 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/dnn"
+	"memdos/internal/pcm"
 	"memdos/internal/sim"
 	"memdos/internal/stream"
 )
 
-// testCascadeScorer builds a small untrained cascade with a fitted norm
-// and compiles it for batched scoring, the way run() does from a saved
-// model file.
+// testCascadeScorer compiles testCascade for batched scoring, the way
+// run() does from a saved model file.
 func testCascadeScorer(t *testing.T, window int) *CascadeScorer {
+	t.Helper()
+	cs, err := NewCascadeScorer(testCascade(t, window), window, dnn.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// testCascade builds a small untrained cascade with a fitted norm.
+func testCascade(t *testing.T, window int) *dnn.Cascade {
 	t.Helper()
 	rng := sim.NewRNG(91)
 	c, err := dnn.NewCascade(2, dnn.CompactLSTMFCNConfig, sim.NewRNG(92))
@@ -34,11 +46,7 @@ func testCascadeScorer(t *testing.T, window int) *CascadeScorer {
 	if c.Norm, err = dnn.FitChannelNorm(windows); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewCascadeScorer(c, window, dnn.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs
+	return c
 }
 
 // The full serving path must carry cascade verdicts: samples POSTed to
@@ -103,7 +111,8 @@ func TestEndToEndCascadeScoring(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	for _, m := range []string{"memdos_dnn_windows_scored_total", "memdos_dnn_batches_total"} {
+	for _, m := range []string{"memdos_dnn_windows_scored_total", "memdos_dnn_batches_total",
+		"memdos_dnn_windows_continued_total", "memdos_dnn_carry_bytes"} {
 		if !strings.Contains(string(body), m) {
 			t.Fatalf("metrics missing %s", m)
 		}
@@ -111,6 +120,143 @@ func TestEndToEndCascadeScoring(t *testing.T) {
 	st := hub.ScorerStats()
 	if !st.Attached || st.WindowsScored != 4 {
 		t.Fatalf("scorer stats %+v, want 4 windows scored", st)
+	}
+}
+
+// recordingScorer is a CascadeScorer that keeps every window the hub
+// scored through it, with the verdict it returned. An optional gate
+// holds the first call until closed, to let the scoring queue overflow.
+type recordingScorer struct {
+	*CascadeScorer
+	gate    chan struct{}
+	windows [][]float64
+	apps    []int
+	attacks []int
+}
+
+func (r *recordingScorer) ScoreCarried(n int, flat []float64, carry []stream.SessionCarry, ord []uint64, apps, attacks []int) int {
+	if r.gate != nil {
+		<-r.gate
+	}
+	continued := r.CascadeScorer.ScoreCarried(n, flat, carry, ord, apps, attacks)
+	w2 := 2 * r.Window()
+	for i := 0; i < n; i++ {
+		r.windows = append(r.windows, append([]float64(nil), flat[i*w2:(i+1)*w2]...))
+	}
+	r.apps = append(r.apps, apps...)
+	r.attacks = append(r.attacks, attacks...)
+	return continued
+}
+
+// shiftingSamples is n samples of a counter stream whose level shifts
+// every period samples, so the app verdict of a sliding window flips now
+// and then.
+func shiftingSamples(rng *sim.RNG, from, n, period int) []pcm.Sample {
+	out := make([]pcm.Sample, n)
+	for i := range out {
+		k := from + i
+		acc, miss := 100+rng.Normal(0, 8), 10+rng.Normal(0, 1)
+		if (k/period)%2 == 1 {
+			acc, miss = acc*0.05, miss*12
+		}
+		out[i] = pcm.Sample{Time: float64(k) / 100, AccessNum: math.Max(acc, 0), MissNum: math.Max(miss, 0)}
+	}
+	return out
+}
+
+// Every verdict the hub's sliding path hands out — not only each
+// session's last — must equal a stateless batch-1 ScoreFlat of the same
+// window on a second scorer: with every window scored (Block), and with
+// the scoring queue small enough that windows are shed and the sessions'
+// carries have to be abandoned and rebuilt (DropNewest).
+func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
+	const window, stride, sessions = 40, 5, 3
+	for _, tc := range []struct {
+		name   string
+		policy stream.Policy
+		scfg   stream.ScorerConfig
+		shed   bool
+	}{
+		{"block", stream.Block, stream.ScorerConfig{Stride: stride}, false},
+		{"shed", stream.DropNewest, stream.ScorerConfig{Stride: stride, Batch: 4, QueueCap: 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := stream.DefaultConfig()
+			cfg.Shards = 2
+			cfg.Policy = tc.policy
+			hub := stream.NewHub(cfg)
+			defer hub.Close()
+			if err := hub.RegisterProfile("raw", func() (core.Detector, error) {
+				return core.NewRawThreshold(0.5)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			c := testCascade(t, window)
+			rec := &recordingScorer{CascadeScorer: testCascadeScorer(t, window)}
+			if tc.shed {
+				rec.gate = make(chan struct{})
+			}
+			if err := hub.AttachScorer(rec, tc.scfg); err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(17)
+			feed := func(from, n int) {
+				for s := 0; s < sessions; s++ {
+					id := fmt.Sprintf("vm-%d", s)
+					if from == 0 {
+						if err := hub.Open(id, "raw"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got, err := hub.Ingest(id, shiftingSamples(rng, from, n, 30+7*s)); err != nil || got != n {
+						t.Fatalf("ingest %s: %d of %d accepted, %v", id, got, n, err)
+					}
+				}
+			}
+			feed(0, 400)
+			if tc.shed {
+				close(rec.gate) // the queue overflowed behind the held call
+			}
+			if err := hub.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			// One window a session between barriers fits any queue: these
+			// follow each other whatever was shed before them.
+			for from := 400; from < 480; from += stride {
+				feed(from, stride)
+				if err := hub.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st := hub.ScorerStats()
+			if int(st.WindowsScored) != len(rec.windows) || st.WindowsContinued == 0 {
+				t.Fatalf("stats %+v with %d windows recorded", st, len(rec.windows))
+			}
+			if tc.shed == (st.WindowsDropped == 0) {
+				t.Fatalf("shed=%v but %d windows dropped", tc.shed, st.WindowsDropped)
+			}
+			if want := int64(sessions * 4 * window * 2 * 12); st.CarryBytes != want {
+				t.Fatalf("carry bytes %d, want %d (2 stages x T x 12 channels x 4 B a session)", st.CarryBytes, want)
+			}
+			ref, err := c.Scorer(window, dnn.ScorerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var app, attack [1]int
+			seen := map[int]bool{}
+			for i, win := range rec.windows {
+				ref.ScoreFlat(1, win, app[:], attack[:])
+				if app[0] != rec.apps[i] || attack[0] != rec.attacks[i] {
+					t.Fatalf("window %d of %d: hub verdict (%d,%d), stateless (%d,%d)",
+						i, len(rec.windows), rec.apps[i], rec.attacks[i], app[0], attack[0])
+				}
+				seen[app[0]] = true
+			}
+			if !tc.shed && len(seen) < 2 {
+				t.Fatal("one app verdict throughout: inputs do not exercise the attack stage's condition check")
+			}
+		})
 	}
 }
 

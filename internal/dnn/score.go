@@ -6,11 +6,11 @@ import (
 )
 
 // BatchScorer is the cascade's production inference engine: a compiled,
-// float32, allocation-free forward path that fuses N session windows into
-// single [N·T × C] tensors and runs them through AVX2/FMA GEMM
-// microkernels (kernels32). It exists because the training graph —
-// float64, im2col copies, per-element BatchNorm, cached activations for
-// backward — is an order of magnitude too slow to serve a fleet.
+// float32, allocation-free forward path that runs session windows
+// through AVX2/FMA GEMM microkernels (kernels32). It exists because the
+// training graph — float64, im2col copies, per-element BatchNorm, cached
+// activations for backward — is an order of magnitude too slow to serve
+// a fleet.
 //
 // Compilation folds each BatchNorm into its convolution (w' = w·γ/σ,
 // b' = β + γ(b−μ)/σ), stages every weight matrix in the [k][n] layout
@@ -18,20 +18,25 @@ import (
 // layers that is their natural storage order; only conv weights
 // transpose), fuses the convolution ReLUs into the GEMM epilogue, and
 // drops everything inference never reads: ReLU masks, dropout,
-// activation caches. Interior convolution rows skip im2col entirely — a
-// window row's receptive field is already a contiguous slice of the
-// input tensor — so only the K/2 edge rows per side are staged into a
-// zero-padded arena.
+// activation caches.
 //
-// Scoring runs in two steps: Prepare normalizes raw counter windows into
-// the scorer's input slot, Score runs the compiled cascade on it. A
-// scorer has one slot and one set of arenas, so it serves one caller at
-// a time.
+// A batch is normalized into the scorer's input slot and scored in tiles
+// of scoreTile windows, each stage in two parts. The FCN branch runs one
+// sample at a time through convRows, "output rows [lo, hi) of one
+// sample": interior rows skip im2col entirely — a row's receptive field
+// is already a contiguous slice of the layer's input — and only the K/2
+// rows at a window end are staged zero-padded. The LSTM branch, the
+// attention and the dense head then run over the tile as [n × ·] GEMM
+// panels. ScoreFlat computes every conv row of every window;
+// ScoreCarried keeps each session's last conv3 output in a Carry and,
+// for a window that continues it, recomputes only the rows near the two
+// window ends (see Carry). A scorer has one input slot and one set of
+// arenas, so it serves one caller at a time.
 //
 // Determinism: the scorer inherits the kernel layer's schedule guarantee
-// — every output element accumulates identically regardless of batch
-// size — so ScoreFlat over N windows is byte-identical to N batch-1
-// calls.
+// — a GEMM output row's bits do not depend on the panel it was computed
+// in — so ScoreFlat over N windows is byte-identical to N batch-1 calls,
+// and ScoreCarried is byte-identical to ScoreFlat, logits included.
 type BatchScorer struct {
 	w       int // window length
 	numApps int
@@ -42,7 +47,10 @@ type BatchScorer struct {
 	app, atk *modelProg
 
 	prep PreparedBatch
-	cond []float32 // conditioned attack-stage input [n][w][2+numApps]
+	// one tile's arenas
+	shuf []float32      // dimension-shuffled counters [n][realChannels][w], both stages' LSTM input
+	cond []float32      // conditioned attack-stage input [n][w][realChannels+numApps]
+	hot  [scoreTile]int // one-hot channel per window: realChannels + app verdict
 }
 
 // ScorerOptions is empty: the scorer has one numeric path. The type
@@ -63,8 +71,8 @@ func (p *PreparedBatch) N() int { return p.n }
 // NewBatchScorer compiles the cascade for the given window length. The
 // cascade must have fitted normalization statistics (train or load
 // first); its lazily built LSTM branches are materialized here if needed.
-// Returns an error for windows shorter than the convolution stack's edge
-// region, where the compiled edge/interior split does not apply.
+// Returns an error for windows shorter than a convolution kernel, where
+// the compiled edge/interior split does not apply.
 func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dnn: scorer window must be positive, got %d", window)
@@ -78,11 +86,11 @@ func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, erro
 	if c.Attack.lstm == nil {
 		c.Attack.Forward(NewTensor(1, window, 2+c.NumApps), false)
 	}
-	app, err := compileModel(c.App, window)
+	app, err := compileModel(c.App, window, stageApp)
 	if err != nil {
 		return nil, fmt.Errorf("dnn: compiling app stage: %w", err)
 	}
-	atk, err := compileModel(c.Attack, window)
+	atk, err := compileModel(c.Attack, window, stageAttack)
 	if err != nil {
 		return nil, fmt.Errorf("dnn: compiling attack stage: %w", err)
 	}
@@ -123,6 +131,12 @@ func (s *BatchScorer) Prepare(n int, flat []float64) *PreparedBatch {
 // allocations at steady state; arena capacity sticks to the high-water
 // batch size.
 func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
+	s.score(p, nil, nil, apps, attacks)
+}
+
+// score is Score with the sessions' carries (nil for stateless scoring)
+// and returns how many windows reused carried rows in both stages.
+func (s *BatchScorer) score(p *PreparedBatch, carry []*Carry, ord []uint64, apps, attacks []int) (continued int) {
 	if p.owner != s {
 		panic("dnn: PreparedBatch from a different scorer")
 	}
@@ -130,34 +144,50 @@ func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
 	if len(apps) < n || len(attacks) < n {
 		panic(fmt.Sprintf("dnn: Score needs %d result slots, got %d/%d", n, len(apps), len(attacks)))
 	}
-	// Tile the batch so the forward pass's working set (conv ping-pong
-	// buffers and friends, ~10KB per window) stays L2-resident: one
-	// monolithic batch-256 pass streams megabytes through every layer and
-	// loses more to cache misses than it gains in GEMM amortization.
+	// Tile the batch: the LSTM branch and the heads run as GEMM panels a
+	// tile tall, wide enough to amortize kernel entry, while the tile's
+	// arenas (conditioned input, LSTM states; ~12KB per window at the
+	// compact config) stay L2-resident. The tile is also the unit the
+	// cascade is sequenced by: a window's attack stage may reuse its
+	// session's slab only under the app verdict of that same window, so
+	// the app stage of a tile completes before its attack stage starts.
 	// Tiling cannot change results — batched-equals-looped holds at every
 	// chunk size (see the determinism contract in kernels32.go).
-	ca := 2 + s.numApps
-	cond := ensureF32(&s.cond, min(n, scoreTile)*s.w*ca)
+	const r = realChannels
+	ca := r + s.numApps
+	tile := min(n, scoreTile)
+	shuf := ensureF32(&s.shuf, tile*r*s.w)
+	cond := ensureF32(&s.cond, tile*s.w*ca)
 	// Logits cover the whole batch (callers read them after Score); the
 	// per-tile forward passes write their slice of it.
 	appLog := ensureF32(&s.app.logits, n*s.app.classes)
 	atkLog := ensureF32(&s.atk.logits, n*s.atk.classes)
 	for lo := 0; lo < n; lo += scoreTile {
 		hi := min(lo+scoreTile, n)
-		s.app.forward(hi-lo, p.x[lo*s.w*2:hi*s.w*2], apps[lo:hi], appLog[lo*s.app.classes:hi*s.app.classes])
+		x := p.x[lo*s.w*r : hi*s.w*r]
+		var tc []*Carry
+		var to []uint64
+		if carry != nil {
+			tc, to = carry[lo:hi], ord[lo:hi]
+		}
+		// Dimension shuffle: [n][w][r] -> [n][r][w].
+		for b := 0; b < hi-lo; b++ {
+			stransposeRows(shuf[b*r*s.w:(b+1)*r*s.w], x[b*s.w*r:(b+1)*s.w*r], s.w, r)
+		}
+		s.app.forward(hi-lo, x, shuf, nil, tc, to, apps[lo:hi], appLog[lo*s.app.classes:hi*s.app.classes])
 		clear(cond[:(hi-lo)*s.w*ca])
-		for b := lo; b < hi; b++ {
-			hot := 2 + apps[b]
+		hot := s.hot[:hi-lo]
+		for b := range hot {
+			hot[b] = r + apps[lo+b]
 			for t := 0; t < s.w; t++ {
-				src := p.x[(b*s.w+t)*2:]
-				dst := cond[((b-lo)*s.w+t)*ca:]
-				dst[0] = src[0]
-				dst[1] = src[1]
-				dst[hot] = 1
+				dst := cond[(b*s.w+t)*ca:]
+				copy(dst[:r], x[(b*s.w+t)*r:])
+				dst[hot[b]] = 1
 			}
 		}
-		s.atk.forward(hi-lo, cond, attacks[lo:hi], atkLog[lo*s.atk.classes:hi*s.atk.classes])
+		continued += s.atk.forward(hi-lo, cond, shuf, hot, tc, to, attacks[lo:hi], atkLog[lo*s.atk.classes:hi*s.atk.classes])
 	}
+	return continued
 }
 
 // scoreTile bounds how many windows one forward pass carries. Chosen so
@@ -174,13 +204,98 @@ func (s *BatchScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
 	s.Score(s.Prepare(n, flat), apps, attacks)
 }
 
+// ---- sliding-window carry ----
+
+// Carry is what one session keeps between consecutive windows of its
+// stream: per stage, the FCN branch's conv3 output over the last window
+// scored. Away from the zero-padded window ends the branch is
+// shift-invariant — a conv3 row more than halo = ΣK/2 positions from
+// either end is the same number in the next window, stride rows earlier
+// — so a window that continues the carry moves those rows down and
+// computes only the halo rows at the head and the halo+stride rows at
+// the tail. Nothing of conv1/conv2 is kept: the few rows of them the
+// recomputed ends need are cheaper to redo from the raw window than to
+// hold. When stride >= T − 2·halo no row survives and no slab is
+// allocated. A Carry belongs to one scorer and, like it, to one caller
+// at a time.
+type Carry struct {
+	stride int
+	stage  [2]slab
+}
+
+// slab is one stage's carried conv3 output and what it is valid for.
+type slab struct {
+	rows []float32 // [T][fcnOut]; nil when the stride leaves nothing to carry
+	seen uint64    // ordinal of the window rows holds; 0 before the first
+	hot  int       // attack stage: the one-hot channel rows was computed under
+}
+
+// take records that the slab now holds window ord under condition hot
+// and reports whether that window continues the one held before: the
+// next ordinal (a gap is a shed window, whose rows were never computed)
+// under the same condition (the attack stage's input carries the app
+// verdict in every row, so a flipped verdict changes every row).
+func (st *slab) take(ord uint64, hot int) bool {
+	ok := st.seen != 0 && ord == st.seen+1 && hot == st.hot
+	st.seen, st.hot = ord, hot
+	return ok
+}
+
+// NewCarry returns an empty carry for a session whose consecutive windows
+// start stride samples apart.
+func (s *BatchScorer) NewCarry(stride int) *Carry {
+	c := &Carry{stride: stride}
+	for i, p := range [2]*modelProg{s.app, s.atk} {
+		if stride > 0 && stride < p.T-2*p.halo {
+			c.stage[i].rows = make([]float32, p.T*p.fcnOut)
+		}
+	}
+	return c
+}
+
+// Bytes returns the size of the carried slabs.
+func (c *Carry) Bytes() int {
+	return 4 * (len(c.stage[stageApp].rows) + len(c.stage[stageAttack].rows))
+}
+
+// ScoreCarried is ScoreFlat for windows cut from sessions' sliding
+// streams: window i is the ord[i]-th window (counting from 1, windows
+// that were never scored included) of the session that owns carry[i],
+// made by this scorer's NewCarry. Windows of one session must appear in
+// stream order, within a call and across calls; the same carry may appear
+// more than once in a call. Verdicts and logits are byte-identical to
+// ScoreFlat's. It returns how many windows recomputed only their ends in
+// both stages; with the carries allocated it does not allocate.
+//
+//memdos:hotpath
+func (s *BatchScorer) ScoreCarried(n int, flat []float64, carry []*Carry, ord []uint64, apps, attacks []int) int {
+	if len(carry) != n || len(ord) != n {
+		panic(fmt.Sprintf("dnn: ScoreCarried got %d carries and %d ordinals for %d windows", len(carry), len(ord), n))
+	}
+	return s.score(s.Prepare(n, flat), carry, ord, apps, attacks)
+}
+
 // ---- compiled model program ----
+
+// The cascade's two stages, as indices into Carry.stage.
+const (
+	stageApp = iota
+	stageAttack
+)
+
+// realChannels is how many leading input channels vary over the window:
+// the two counters. Whatever follows them is the attack stage's one-hot
+// app condition, constant down each column.
+const realChannels = 2
 
 // modelProg is one LSTMFCN compiled to the float32 kernel layer.
 type modelProg struct {
+	stage           int // stageApp or stageAttack
 	T, cin, classes int
 
-	convs [3]convProg
+	convs  [3]convProg
+	halo   int // ΣK/2: conv3 rows this close to a window end see its zero padding
+	fcnOut int // conv3 channels
 
 	// LSTM over the dimension-shuffled input: T' = cin steps of
 	// T-dimensional observations. Weights stay in their natural [k][n]
@@ -189,21 +304,26 @@ type modelProg struct {
 	wx, wh []float32 // [T][4H], [H][4H]
 	lb     []float32 // [4H]
 	wa, va []float32 // [H][H], [H]
+	// The pre-activation row lb + x·wx of a step whose observation is all
+	// zeros (cold) or all ones (hot): every step past the real channels.
+	preCold, preHot []float32 // [4H]
 
-	fcnC, J    int       // FCN branch width, joint width fcnC+H
+	J          int       // joint width fcnOut+H
 	outW, outB []float32 // [J][classes], [classes]
 
-	// arenas (grow-once, high-water sized)
-	bufA, bufB []float32 // conv ping-pong, [n][T][maxC]
-	edge       []float32 // zero-padded conv edge rows
-	shuf       []float32 // [n][cin][T]
-	hs         []float32 // [n][cin][H]
-	cs         []float32 // [n][H]
-	pre        []float32 // [n][4H]
-	tw         []float32 // [n][cin][H]
-	attnBuf    []float32 // [cin]
-	joint      []float32 // [n][J]: pooled FCN channels then attention ctx
-	logits     []float32 // [n][classes]
+	// per-sample FCN arenas, sized at compile time
+	bufA, bufB []float32 // conv1 and conv2 output, [T][out]
+	edge       []float32 // zero-padded rows of one window end
+	rows       []float32 // conv3 output of a window with no slab, [T][fcnOut]
+
+	// per-tile arenas (grow-once, high-water sized)
+	hs      []float32 // [n][cin][H]
+	cs      []float32 // [n][H]
+	pre     []float32 // [n][4H]
+	tw      []float32 // [n][cin][H]
+	attnBuf []float32 // [cin]
+	joint   []float32 // [n][J]: pooled FCN channels then attention ctx
+	logits  []float32 // [n][classes]
 }
 
 // convProg is one convolution with its BatchNorm folded in, the weights
@@ -214,7 +334,7 @@ type convProg struct {
 	b                []float32 // [out]
 }
 
-func compileModel(m *LSTMFCN, T int) (*modelProg, error) {
+func compileModel(m *LSTMFCN, T, stage int) (*modelProg, error) {
 	if m.lstm == nil {
 		return nil, fmt.Errorf("model LSTM branch not built")
 	}
@@ -222,23 +342,32 @@ func compileModel(m *LSTMFCN, T int) (*modelProg, error) {
 		return nil, fmt.Errorf("model built for window %d, scorer wants %d", m.lstm.In, T)
 	}
 	p := &modelProg{
+		stage:   stage,
 		T:       T,
 		cin:     m.cfg.Channels,
 		classes: m.cfg.Classes,
 		H:       m.cfg.LSTMCells,
-		fcnC:    m.fcnC,
 	}
 	p.g4 = numGates * p.H
-	p.J = p.fcnC + p.H
 
 	convs := [3]*Conv1D{m.conv1, m.conv2, m.conv3}
 	bns := [3]*BatchNorm{m.bn1, m.bn2, m.bn3}
+	edge := 0
 	for i := range convs {
 		if T <= convs[i].K-1 {
 			return nil, fmt.Errorf("window %d too short for kernel %d edge split", T, convs[i].K)
 		}
-		p.convs[i] = compileConv(convs[i], bns[i])
+		cp := compileConv(convs[i], bns[i])
+		p.convs[i] = cp
+		p.halo += cp.half
+		edge = max(edge, cp.half*cp.k*cp.in)
 	}
+	p.fcnOut = p.convs[2].out
+	p.J = p.fcnOut + p.H
+	p.bufA = make([]float32, T*p.convs[0].out)
+	p.bufB = make([]float32, T*p.convs[1].out)
+	p.edge = make([]float32, edge)
+	p.rows = make([]float32, T*p.fcnOut)
 
 	// LSTM gate weights, attention, and output dense are stored [k][n]
 	// row-major in the training graph already — straight narrowing copies.
@@ -250,6 +379,17 @@ func compileModel(m *LSTMFCN, T int) (*modelProg, error) {
 	p.va = f64to32(m.attn.va.W)
 	p.outW = f64to32(m.out.w.W)
 	p.outB = f64to32(m.out.b.W)
+
+	// The constant steps' pre-activations come out of the very GEMM they
+	// stand in for, so they carry its bits under either kernel.
+	obs := make([]float32, T)
+	p.preCold = append([]float32(nil), p.lb...)
+	sgemm(1, p.g4, T, obs, T, p.wx, p.g4, p.preCold, p.g4, epiAdd)
+	for i := range obs {
+		obs[i] = 1
+	}
+	p.preHot = append([]float32(nil), p.lb...)
+	sgemm(1, p.g4, T, obs, T, p.wx, p.g4, p.preHot, p.g4, epiAdd)
 	return p, nil
 }
 
@@ -278,51 +418,57 @@ func f64to32(src []float64) []float32 {
 
 // forward classifies n windows ([n][T][cin] in x) into out[0:n], writing
 // raw class scores to logits ([n][classes], provided by the caller so a
-// tiled Score can assemble the full batch's logits across calls).
-func (p *modelProg) forward(n int, x []float32, out []int, logits []float32) {
+// tiled Score can assemble the full batch's logits across calls). shuf
+// is the windows' counter channels dimension-shuffled,
+// [n][realChannels][T]; hot[b] is window b's one-hot channel among the
+// rest (nil in the app stage, which has none). carry and ord are the
+// windows' sessions and ordinals, nil for stateless scoring. Returns how
+// many windows reused their session's slab.
+func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry, ord []uint64, out []int, logits []float32) (continued int) {
 	T, cin, H := p.T, p.cin, p.H
 
-	// FCN branch: conv+foldedBN x3 into the ping-pong arenas, each ReLU
-	// fused into its convolution's GEMM epilogue (every output element has
-	// exactly one GEMM-panel writer, so clamping at the store is exact).
-	maxC := cin
-	for _, cp := range p.convs {
-		maxC = max(maxC, cp.out)
-	}
-	bufA := ensureF32(&p.bufA, n*T*maxC)
-	bufB := ensureF32(&p.bufB, n*T*maxC)
-	p.convForward(&p.convs[0], n, x, bufA)
-	p.convForward(&p.convs[1], n, bufA, bufB)
-	p.convForward(&p.convs[2], n, bufB, bufA)
-
-	// Global average pool straight into the joint rows.
+	// FCN branch, one sample at a time in queue order: a session's next
+	// window may sit later in this very tile, and continues the slab this
+	// one leaves behind. Pooled channels go straight into the joint rows.
 	joint := ensureF32(&p.joint, n*p.J)
-	fcnOut := p.convs[2].out
-	invT := 1 / float32(T)
 	for b := 0; b < n; b++ {
-		jr := joint[b*p.J : b*p.J+fcnOut]
-		clear(jr)
-		for t := 0; t < T; t++ {
-			saddTo(jr, bufA[(b*T+t)*fcnOut:(b*T+t+1)*fcnOut])
+		rows, stride := p.rows, 0
+		if carry != nil && carry[b].stage[p.stage].rows != nil {
+			st := &carry[b].stage[p.stage]
+			h := 0
+			if hot != nil {
+				h = hot[b]
+			}
+			rows = st.rows
+			if st.take(ord[b], h) {
+				stride = carry[b].stride
+				continued++
+			}
 		}
-		for c := range jr {
-			jr[c] *= invT
-		}
+		p.fcn(x[b*T*cin:(b+1)*T*cin], rows, stride, joint[b*p.J:b*p.J+p.fcnOut])
 	}
 
-	// Dimension shuffle: [n][T][cin] -> [n][cin][T].
-	shuf := ensureF32(&p.shuf, n*cin*T)
-	for b := 0; b < n; b++ {
-		stransposeRows(shuf[b*cin*T:(b+1)*cin*T], x[b*T*cin:(b+1)*T*cin], T, cin)
-	}
-
-	// LSTM recurrence over cin steps of T-dimensional observations.
+	// LSTM recurrence over cin steps of T-dimensional observations. A
+	// step past the real channels observes a constant column — all ones
+	// for the window's hot channel, all zeros otherwise — whose input
+	// GEMM row was computed once at compile time.
 	hs := ensureF32(&p.hs, n*cin*H)
 	cs := ensureF32(&p.cs, n*H)
 	pre := ensureF32(&p.pre, n*p.g4)
+	const r = realChannels
 	for t := 0; t < cin; t++ {
-		sbiasRows(n, p.g4, pre, p.g4, p.lb)
-		sgemm(n, p.g4, T, shuf[t*T:], cin*T, p.wx, p.g4, pre, p.g4, epiAdd)
+		if t < r {
+			sbiasRows(n, p.g4, pre, p.g4, p.lb)
+			sgemm(n, p.g4, T, shuf[t*T:], r*T, p.wx, p.g4, pre, p.g4, epiAdd)
+		} else {
+			for b := 0; b < n; b++ {
+				src := p.preCold
+				if hot[b] == t {
+					src = p.preHot
+				}
+				copy(pre[b*p.g4:(b+1)*p.g4], src)
+			}
+		}
 		if t > 0 {
 			sgemm(n, p.g4, H, hs[(t-1)*H:], cin*H, p.wh, p.g4, pre, p.g4, epiAdd)
 		}
@@ -380,7 +526,7 @@ func (p *modelProg) forward(n int, x []float32, out []int, logits []float32) {
 			sum += scores[t]
 		}
 		inv := 1 / sum
-		ctx := joint[b*p.J+fcnOut : (b+1)*p.J]
+		ctx := joint[b*p.J+p.fcnOut : (b+1)*p.J]
 		clear(ctx)
 		for t := 0; t < cin; t++ {
 			saxpy(scores[t]*inv, hs[(b*cin+t)*H:(b*cin+t+1)*H], ctx)
@@ -393,62 +539,77 @@ func (p *modelProg) forward(n int, x []float32, out []int, logits []float32) {
 	for b := 0; b < n; b++ {
 		out[b] = sargmax(logits[b*p.classes : (b+1)*p.classes])
 	}
+	return continued
 }
 
-// edgeT maps an edge-row index e in [0, 2·half) to its time step: the
-// first half rows at the window head, the rest at the tail.
-func edgeT(e, T, half int) int {
-	if e < half {
-		return e
+// fcn runs the FCN branch on one window x ([T][cin]): conv3 output into
+// rows ([T][fcnOut]), its global average into pooled. stride 0 computes
+// every row. stride > 0 says rows holds the conv3 output of the window
+// that started stride samples earlier: the rows clear of both windows'
+// padding move down by stride and only the two ends are computed.
+func (p *modelProg) fcn(x, rows []float32, stride int, pooled []float32) {
+	T, c, out := p.T, p.halo, p.fcnOut
+	if stride > 0 {
+		copy(rows[c*out:(T-c-stride)*out], rows[(c+stride)*out:(T-c)*out])
+		p.conv3Rows(x, rows, 0, c)
+		p.conv3Rows(x, rows, T-c-stride, T)
+	} else {
+		p.conv3Rows(x, rows, 0, T)
 	}
-	return T - 2*half + e
-}
-
-// convForward computes y = conv(x) with folded bias, [n][T][in] ->
-// [n][T][out]. Interior rows read their receptive field directly from x
-// (it is contiguous); edge rows go through the zero-padded staging
-// arena.
-func (p *modelProg) convForward(cp *convProg, n int, x, y []float32) {
-	T := p.T
-	in, out, K, half := cp.in, cp.out, cp.k, cp.half
-	ki := K * in
-	er := 2 * half
-
-	// Stage the zero-padded edge rows for the whole batch.
-	edge := ensureF32(&p.edge, n*er*ki)
-	for b := 0; b < n; b++ {
-		src := x[b*T*in : (b+1)*T*in]
-		for e := 0; e < er; e++ {
-			dst := edge[(b*er+e)*ki : (b*er+e+1)*ki]
-			clear(dst)
-			stageEdgeF32(dst, src, edgeT(e, T, half), T, K, half, in)
-		}
+	// Global average pool, from zero in ascending t whichever way the
+	// rows got there.
+	clear(pooled)
+	for t := 0; t < T; t++ {
+		saddTo(pooled, rows[t*out:(t+1)*out])
 	}
-
-	sbiasRows(n*T, out, y, out, cp.b)
-
-	if half < T-half {
-		p.convInterior(cp, n, x, y)
-	}
-	// Edge rows are contiguous per side in both the staging arena and the
-	// output, so each side is one GEMM panel per sample.
-	for b := 0; b < n; b++ {
-		sgemm(half, out, ki, edge[b*er*ki:], ki, cp.w, out, y[b*T*out:], out, epiAddRelu)
-		sgemm(half, out, ki, edge[(b*er+half)*ki:], ki, cp.w, out, y[(b*T+T-half)*out:], out, epiAddRelu)
+	invT := 1 / float32(T)
+	for ch := range pooled {
+		pooled[ch] *= invT
 	}
 }
 
-// convInterior runs the interior output rows of the n samples as one
-// GEMM panel per sample: consecutive rows' receptive fields overlap in x
-// at stride `in`, which the panel expresses as lda=in.
-func (p *modelProg) convInterior(cp *convProg, n int, x, y []float32) {
-	T := p.T
-	in, out, half := cp.in, cp.out, cp.half
-	ki := cp.k * in
-	inner := T - 2*half
-	for b := 0; b < n; b++ {
-		sgemm(inner, out, ki, x[b*T*in:], in, cp.w, out, y[(b*T+half)*out:], out, epiAddRelu)
+// conv3Rows computes conv3 output rows [lo, hi) of one window into y,
+// through the conv1 and conv2 rows they depend on: K/2 further out per
+// layer, clipped to the window.
+func (p *modelProg) conv3Rows(x, y []float32, lo, hi int) {
+	lo2, hi2 := max(lo-p.convs[2].half, 0), min(hi+p.convs[2].half, p.T)
+	lo1, hi1 := max(lo2-p.convs[1].half, 0), min(hi2+p.convs[1].half, p.T)
+	p.convRows(&p.convs[0], x, p.bufA, lo1, hi1)
+	p.convRows(&p.convs[1], p.bufA, p.bufB, lo2, hi2)
+	p.convRows(&p.convs[2], p.bufB, y, lo, hi)
+}
+
+// convRows computes output rows [lo, hi) of y = relu(conv(x) + b) for
+// one window, [T][in] -> [T][out]; it reads x rows [lo-K/2, hi+K/2)
+// where they exist. Interior rows are one GEMM panel reading x in place:
+// consecutive rows' receptive fields overlap in x at stride `in`, which
+// the panel expresses as lda=in. Rows within K/2 of a window end go
+// through the zero-padded staging arena, one panel per end. Each ReLU is
+// fused into the GEMM epilogue (every output element has exactly one
+// panel writing it, so clamping at the store is exact).
+func (p *modelProg) convRows(cp *convProg, x, y []float32, lo, hi int) {
+	T, half, out := p.T, cp.half, cp.out
+	sbiasRows(hi-lo, out, y[lo*out:], out, cp.b)
+	p.convEdge(cp, x, y, lo, min(hi, half))
+	if iLo, iHi := max(lo, half), min(hi, T-half); iLo < iHi {
+		sgemm(iHi-iLo, out, cp.k*cp.in, x[(iLo-half)*cp.in:], cp.in, cp.w, out, y[iLo*out:], out, epiAddRelu)
 	}
+	p.convEdge(cp, x, y, max(lo, T-half), hi)
+}
+
+// convEdge is convRows for rows [lo, hi) that all lie within K/2 of one
+// window end.
+func (p *modelProg) convEdge(cp *convProg, x, y []float32, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	ki := cp.k * cp.in
+	edge := p.edge[:(hi-lo)*ki]
+	clear(edge)
+	for t := lo; t < hi; t++ {
+		stageEdgeF32(edge[(t-lo)*ki:(t-lo+1)*ki], x, t, p.T, cp.k, cp.half, cp.in)
+	}
+	sgemm(hi-lo, cp.out, ki, edge, ki, cp.w, cp.out, y[lo*cp.out:], cp.out, epiAddRelu)
 }
 
 // stageEdgeF32 copies the valid taps of output row t into a zeroed

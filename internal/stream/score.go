@@ -35,6 +35,30 @@ type WindowScorer interface {
 	ScoreFlat(n int, flat []float64, apps, attacks []int)
 }
 
+// SlidingScorer is the optional capability of a WindowScorer that can
+// reuse work between one session's overlapping windows. The hub finds it
+// by type assertion and then scores through ScoreCarried alone.
+type SlidingScorer interface {
+	// NewCarry returns the state one session keeps between windows that
+	// start stride samples apart. The hub asks for it at the session's
+	// first scored window and hands it back with every later one.
+	NewCarry(stride int) SessionCarry
+	// ScoreCarried is ScoreFlat with each window's session state: window i
+	// is the ord[i]-th window its session has emitted (from 1; a gap means
+	// the windows between were shed), carry[i] that session's carry. A
+	// session's windows arrive in order; one session may own several
+	// windows of a call. Verdicts equal ScoreFlat's. Returns how many
+	// windows were scored from carried state rather than in full.
+	ScoreCarried(n int, flat []float64, carry []SessionCarry, ord []uint64, apps, attacks []int) int
+}
+
+// SessionCarry is a SlidingScorer's per-session state: opaque to the hub
+// but for its size.
+type SessionCarry interface {
+	// Bytes is how much memory the carry holds.
+	Bytes() int
+}
+
 // AttackNamer optionally maps attack-class indices to stable names for
 // API responses. Implemented by the daemon's scorer adapter.
 type AttackNamer interface {
@@ -88,6 +112,7 @@ func (c ScorerConfig) withDefaults(window int) (ScorerConfig, error) {
 type scoreItem struct {
 	sess  *Session
 	buf   *[]float64 // pooled [window*2] copy
+	ord   uint64     // the window's ordinal in its session, from 1
 	t     float64    // last sample's timestamp
 	flush chan<- struct{}
 }
@@ -103,11 +128,12 @@ type hubScorer struct {
 	done    chan struct{} // scorer goroutine exited
 	bufPool sync.Pool     // *[]float64 window copies
 
-	queueLen       atomic.Int64
-	windowsScored  atomic.Uint64
-	windowsDropped atomic.Uint64
-	batchesScored  atomic.Uint64
-	scoreNanos     atomic.Int64
+	queueLen         atomic.Int64
+	windowsScored    atomic.Uint64
+	windowsContinued atomic.Uint64
+	windowsDropped   atomic.Uint64
+	batchesScored    atomic.Uint64
+	scoreNanos       atomic.Int64
 }
 
 // AttachScorer starts the batched scoring service on the hub. At most
@@ -147,15 +173,22 @@ func (h *Hub) AttachScorer(ws WindowScorer, cfg ScorerConfig) error {
 
 // ScorerStats is a programmatic snapshot of the scoring service.
 type ScorerStats struct {
-	Attached       bool
-	Window         int
-	Stride         int
-	Batch          int
-	QueueDepth     int64
-	WindowsScored  uint64
-	WindowsDropped uint64
-	BatchesScored  uint64
-	ScoreSeconds   float64
+	Attached      bool
+	Window        int
+	Stride        int
+	Batch         int
+	QueueDepth    int64
+	WindowsScored uint64
+	// WindowsContinued counts the scored windows a SlidingScorer computed
+	// from its session's carry instead of in full — for the cascade, those
+	// that reused the carried rows in both stages. WindowsContinued /
+	// WindowsScored is the share of windows paying the reduced cost.
+	WindowsContinued uint64
+	WindowsDropped   uint64
+	BatchesScored    uint64
+	ScoreSeconds     float64
+	// CarryBytes is the memory the open sessions' carries hold.
+	CarryBytes int64
 }
 
 // ScorerStats snapshots the scoring-service counters.
@@ -165,16 +198,29 @@ func (h *Hub) ScorerStats() ScorerStats {
 		return ScorerStats{}
 	}
 	return ScorerStats{
-		Attached:       true,
-		Window:         sc.window,
-		Stride:         sc.stride,
-		Batch:          sc.batch,
-		QueueDepth:     sc.queueLen.Load(),
-		WindowsScored:  sc.windowsScored.Load(),
-		WindowsDropped: sc.windowsDropped.Load(),
-		BatchesScored:  sc.batchesScored.Load(),
-		ScoreSeconds:   float64(sc.scoreNanos.Load()) / 1e9,
+		Attached:         true,
+		Window:           sc.window,
+		Stride:           sc.stride,
+		Batch:            sc.batch,
+		QueueDepth:       sc.queueLen.Load(),
+		WindowsScored:    sc.windowsScored.Load(),
+		WindowsContinued: sc.windowsContinued.Load(),
+		WindowsDropped:   sc.windowsDropped.Load(),
+		BatchesScored:    sc.batchesScored.Load(),
+		ScoreSeconds:     float64(sc.scoreNanos.Load()) / 1e9,
+		CarryBytes:       h.carryBytes(),
 	}
+}
+
+// carryBytes sums the open sessions' carries.
+func (h *Hub) carryBytes() int64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	var total int64
+	for _, s := range h.sessions {
+		total += s.carryBytes.Load()
+	}
+	return total
 }
 
 func (sc *hubScorer) getBuf() *[]float64 {
@@ -204,8 +250,11 @@ func (s *Session) pushSampleLocked(sc *hubScorer, smp pcm.Sample) {
 	}
 	buf := sc.getBuf()
 	copy(*buf, s.scoreWin)
+	// The ordinal advances on shed windows too: the gap is how the scorer
+	// learns that the window before this one was never computed.
+	s.scoreOrd++
 	select {
-	case sc.queue <- scoreItem{sess: s, buf: buf, t: smp.Time}:
+	case sc.queue <- scoreItem{sess: s, buf: buf, ord: s.scoreOrd, t: smp.Time}:
 		sc.queueLen.Add(1)
 	default:
 		sc.windowsDropped.Add(1)
@@ -217,6 +266,17 @@ func (s *Session) pushSampleLocked(sc *hubScorer, smp pcm.Sample) {
 	s.scoreWin = s.scoreWin[:keep]
 }
 
+// carryFor returns the session's carry, made at its first scored window.
+// Only the scorer goroutine calls it, so s.carry needs no lock; the size
+// is published for ScorerStats.
+func (s *Session) carryFor(slider SlidingScorer, stride int) SessionCarry {
+	if s.carry == nil {
+		s.carry = slider.NewCarry(stride)
+		s.carryBytes.Store(int64(s.carry.Bytes()))
+	}
+	return s.carry
+}
+
 // run is the scorer goroutine. A round blocks for its first window,
 // then stages whatever else is already queued (up to the batch cap)
 // without waiting, so batches grow under load and stay prompt when idle;
@@ -226,13 +286,20 @@ func (s *Session) pushSampleLocked(sc *hubScorer, smp pcm.Sample) {
 func (sc *hubScorer) run() {
 	defer close(sc.done)
 	namer, _ := sc.ws.(AttackNamer)
+	slider, _ := sc.ws.(SlidingScorer)
 	sess := make([]*Session, 0, sc.batch)
 	times := make([]float64, 0, sc.batch)
 	flat := make([]float64, 0, sc.batch*sc.window*2)
+	var carries []SessionCarry
+	var ords []uint64
+	if slider != nil {
+		carries = make([]SessionCarry, 0, sc.batch)
+		ords = make([]uint64, 0, sc.batch)
+	}
 	apps := make([]int, sc.batch)
 	attacks := make([]int, sc.batch)
 	for it := range sc.queue {
-		sess, times, flat = sess[:0], times[:0], flat[:0]
+		sess, times, flat, carries, ords = sess[:0], times[:0], flat[:0], carries[:0], ords[:0]
 		for queued := true; queued; {
 			sc.queueLen.Add(-1)
 			if it.flush != nil {
@@ -242,6 +309,10 @@ func (sc *hubScorer) run() {
 			times = append(times, it.t)
 			flat = append(flat, *it.buf...)
 			sc.bufPool.Put(it.buf)
+			if slider != nil {
+				carries = append(carries, it.sess.carryFor(slider, sc.stride))
+				ords = append(ords, it.ord)
+			}
 			if len(sess) == sc.batch {
 				break
 			}
@@ -253,7 +324,12 @@ func (sc *hubScorer) run() {
 		}
 		if n := len(sess); n > 0 {
 			start := time.Now()
-			sc.ws.ScoreFlat(n, flat, apps[:n], attacks[:n])
+			if slider != nil {
+				continued := slider.ScoreCarried(n, flat, carries, ords, apps[:n], attacks[:n])
+				sc.windowsContinued.Add(uint64(continued))
+			} else {
+				sc.ws.ScoreFlat(n, flat, apps[:n], attacks[:n])
+			}
 			sc.scoreNanos.Add(time.Since(start).Nanoseconds())
 			sc.batchesScored.Add(1)
 			sc.windowsScored.Add(uint64(n))

@@ -246,3 +246,216 @@ func TestAttachScorerValidation(t *testing.T) {
 		t.Fatal("second scorer accepted")
 	}
 }
+
+// slideScorer is a stubScorer that also implements SlidingScorer: its
+// carries remember the last ordinal they saw, so a test can read back
+// what the hub handed over.
+type slideScorer struct {
+	stubScorer
+	strides []int         // NewCarry's arguments, in call order
+	made    []*slideCarry // NewCarry's results, in call order
+	log     []slideWindow
+}
+
+type slideCarry struct {
+	last uint64 // ordinal of the last window scored with this carry
+	hits int    // windows scored with it
+}
+
+type slideWindow struct {
+	carry *slideCarry
+	ord   uint64
+}
+
+func (*slideCarry) Bytes() int { return 100 }
+
+func (s *slideScorer) NewCarry(stride int) SessionCarry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := &slideCarry{}
+	s.strides = append(s.strides, stride)
+	s.made = append(s.made, c)
+	return c
+}
+
+func (s *slideScorer) ScoreCarried(n int, flat []float64, carry []SessionCarry, ord []uint64, apps, attacks []int) (continued int) {
+	s.ScoreFlat(n, flat, apps, attacks) // gate, record the call, fixed verdicts
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < n; i++ {
+		c := carry[i].(*slideCarry)
+		if c.last != 0 && ord[i] == c.last+1 {
+			continued++
+		}
+		c.last = ord[i]
+		c.hits++
+		s.log = append(s.log, slideWindow{c, ord[i]})
+	}
+	return continued
+}
+
+// A SlidingScorer is scored through ScoreCarried alone; every session
+// gets its own carry, made at its first scored window and handed back
+// with each later one; ordinals count from 1; the continued count and the
+// live carries' size surface in ScorerStats; and a closed session's
+// carry stops counting.
+func TestSlidingScorerCarriesPerSession(t *testing.T) {
+	h := scoringHub(t)
+	ss := &slideScorer{stubScorer: stubScorer{window: 4}}
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"vm-a", "vm-b"} {
+		if err := h.Open(id, "raw"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestCounters(t, h, "vm-a", 1, 3) // not a window yet
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.ScorerStats(); st.CarryBytes != 0 || len(ss.made) != 0 {
+		t.Fatalf("carry made before the first scored window: %+v, %d made", st, len(ss.made))
+	}
+	ingestCounters(t, h, "vm-a", 4, 7) // samples 1..10: 4 windows
+	ingestCounters(t, h, "vm-b", 1, 6) // 2 windows
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(ss.made) != 2 || ss.strides[0] != 2 || ss.strides[1] != 2 {
+		t.Fatalf("NewCarry calls %v, want one per session at stride 2", ss.strides)
+	}
+	next := map[*slideCarry]uint64{}
+	for _, w := range ss.log {
+		next[w.carry]++
+		if w.ord != next[w.carry] {
+			t.Fatalf("a session's windows arrived with ordinals out of 1,2,3…: %+v", ss.log)
+		}
+	}
+	if a, b := ss.made[0].hits, ss.made[1].hits; a+b != 6 || a*b != 8 {
+		t.Fatalf("carries saw %d and %d windows, want 4 and 2", a, b)
+	}
+	st := h.ScorerStats()
+	if st.WindowsScored != 6 || st.WindowsContinued != 4 || st.CarryBytes != 200 {
+		t.Fatalf("stats %+v, want 6 scored, 4 continued, 200 carry bytes", st)
+	}
+	if err := h.CloseSession("vm-b"); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.ScorerStats(); st.CarryBytes != 100 {
+		t.Fatalf("carry bytes %d after closing one of two sessions, want 100", st.CarryBytes)
+	}
+}
+
+// A shed window still consumes its ordinal: the scorer must see the gap,
+// or it would continue a carry across rows it never computed.
+func TestSlidingScorerSeesShedWindowsAsGaps(t *testing.T) {
+	h := scoringHub(t)
+	ss := &slideScorer{stubScorer: stubScorer{window: 2, gate: make(chan struct{})}}
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2, Batch: 8, QueueCap: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Open("vm-a", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	ingestCounters(t, h, "vm-a", 1, 80) // 40 windows against a blocked scorer
+	close(ss.gate)
+	ingestCounters(t, h, "vm-a", 81, 4) // two more once it runs again
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.ScorerStats()
+	if st.WindowsDropped == 0 || st.WindowsScored+st.WindowsDropped != 42 {
+		t.Fatalf("stats %+v, want sheds and 42 windows in all", st)
+	}
+	var prev uint64
+	gaps := uint64(0)
+	for _, w := range ss.log {
+		if w.ord <= prev {
+			t.Fatalf("ordinals not increasing: %d after %d", w.ord, prev)
+		}
+		gaps += w.ord - prev - 1
+		prev = w.ord
+	}
+	// The last window may itself have been shed, so the scored ones
+	// account for every window up to the last ordinal seen.
+	if prev > 42 || gaps != prev-st.WindowsScored {
+		t.Fatalf("last ordinal %d with %d skipped, %d scored, %d dropped", prev, gaps, st.WindowsScored, st.WindowsDropped)
+	}
+	if want := st.WindowsScored - 1 - countGaps(ss.log); st.WindowsContinued != want {
+		t.Fatalf("%d windows continued, want %d", st.WindowsContinued, want)
+	}
+}
+
+// countGaps is how many logged windows did not follow their predecessor.
+func countGaps(log []slideWindow) uint64 {
+	var n uint64
+	for i := 1; i < len(log); i++ {
+		if log[i].ord != log[i-1].ord+1 {
+			n++
+		}
+	}
+	return n
+}
+
+// Sessions closing and the hub shutting down while windows are in flight
+// must leave the carries with one toucher at a time (run under -race: a
+// carry is written on every ScoreCarried, and read by ScorerStats).
+func TestSlidingScorerCloseWhileInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	h := NewHub(cfg)
+	if err := h.RegisterProfile("raw", func() (core.Detector, error) {
+		return core.NewRawThreshold(0.5)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ss := &slideScorer{stubScorer: stubScorer{window: 4}}
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 1, Batch: 4, QueueCap: 8}); err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 6
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("vm-%d", i)
+		if err := h.Open(id, "raw"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			samples := make([]pcm.Sample, 16)
+			for k := 0; ; k++ {
+				for j := range samples {
+					samples[j] = pcm.Sample{Time: float64(k*16 + j), AccessNum: 1, MissNum: 1}
+				}
+				if _, err := h.Ingest(id, samples); err != nil {
+					return // session or hub closed under us
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Each close waits for more windows to have been scored, so it
+		// lands while the scorer is busy with the sessions' carries.
+		scored := func(n uint64) {
+			for h.ScorerStats().WindowsScored < n {
+				runtime.Gosched()
+			}
+		}
+		for i := 0; i < sessions/2; i++ {
+			scored(uint64(50 * (i + 1)))
+			h.CloseSession(fmt.Sprintf("vm-%d", i))
+		}
+		scored(50 * (sessions/2 + 1))
+		h.Close()
+	}()
+	wg.Wait()
+	st := h.ScorerStats()
+	if st.WindowsScored == 0 || st.CarryBytes > 100*sessions/2 {
+		t.Fatalf("stats after close %+v", st)
+	}
+}

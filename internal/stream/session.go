@@ -92,12 +92,20 @@ type Session struct {
 	hasDecision  bool
 	sealed       bool
 
-	// scoreWin assembles the session's sliding cascade window (written on
-	// the shard goroutine); cascade/cascadeWindows hold the latest verdict
-	// (written by the scorer goroutine). All guarded by mu.
+	// scoreWin assembles the session's sliding cascade window and scoreOrd
+	// counts the windows it has emitted (both written on the shard
+	// goroutine); cascade/cascadeWindows hold the latest verdict (written
+	// by the scorer goroutine). All guarded by mu.
 	scoreWin       []float64
+	scoreOrd       uint64
 	cascade        CascadeVerdict
 	cascadeWindows uint64
+
+	// carry is what a SlidingScorer keeps between the session's windows:
+	// nil until the first scored window, touched by the scorer goroutine
+	// alone. carryBytes is its size, for anyone to read.
+	carry      SessionCarry
+	carryBytes atomic.Int64
 }
 
 func newSession(h *Hub, id, profile string, det core.Detector, sh *shard) *Session {

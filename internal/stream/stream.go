@@ -564,6 +564,9 @@ func (h *Hub) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounterFunc("memdos_dnn_windows_scored_total",
 		"Session windows classified by the batched cascade scorer.",
 		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsScored.Load()) }))
+	reg.RegisterCounterFunc("memdos_dnn_windows_continued_total",
+		"Scored windows computed from the session's carried rows in both cascade stages, not in full.",
+		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsContinued.Load()) }))
 	reg.RegisterCounterFunc("memdos_dnn_windows_dropped_total",
 		"Session windows shed on a full scoring queue.",
 		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsDropped.Load()) }))
@@ -576,6 +579,9 @@ func (h *Hub) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterGaugeFunc("memdos_dnn_queue_depth",
 		"Windows waiting to be batched for scoring.",
 		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.queueLen.Load()) }))
+	reg.RegisterGaugeFunc("memdos_dnn_carry_bytes",
+		"Memory the open sessions' sliding-window carries hold.",
+		scorerPoint(func(*hubScorer) float64 { return float64(h.carryBytes()) }))
 }
 
 // validSessionID bounds session names for use as map keys, URL path
