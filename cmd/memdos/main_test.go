@@ -44,17 +44,21 @@ func TestTrainOutLoadsInDaemon(t *testing.T) {
 	if len(wins) == 0 {
 		t.Fatal("no held-out windows")
 	}
+	want, err := inMemory.Scorer(spec.Window, dnn.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	flat := make([]float64, 0, 2*spec.Window)
-	var app, atk [1]int
+	var app, atk, wantApp, wantAtk [1]int
 	for i, w := range wins {
 		flat = flat[:0]
 		for _, row := range w {
 			flat = append(flat, row[0], row[1])
 		}
 		loaded.ScoreFlat(1, flat, app[:], atk[:])
-		wantApp, wantAtk := inMemory.Classify(w)
-		if app[0] != wantApp || atk[0] != wantAtk {
-			t.Fatalf("window %d: loaded file scores (%d,%d), in-memory cascade (%d,%d)", i, app[0], atk[0], wantApp, wantAtk)
+		want.ScoreFlat(1, flat, wantApp[:], wantAtk[:])
+		if app != wantApp || atk != wantAtk {
+			t.Fatalf("window %d: loaded file scores (%d,%d), in-memory cascade (%d,%d)", i, app[0], atk[0], wantApp[0], wantAtk[0])
 		}
 	}
 }

@@ -14,17 +14,19 @@ import (
 //
 // Unlike SDS, the detector needs no per-application profile: the cascade's
 // first stage identifies the application and conditions the attack
-// classifier.
+// classifier. It scores the way the serving hub scores a session, through
+// its own scorer and sliding carry (ScoreCarried), so the cascade is only
+// read and detectors on other goroutines may share it.
 type DNNDetector struct {
-	cascade *dnn.Cascade
-	params  Params
+	params Params
+	scorer *dnn.BatchScorer
 
-	buf       [][]float64
-	sinceEval int
-	viol      violationCounter
-
-	lastApp    int
-	lastAttack int
+	win   []float64 // the current window, up to [W][2] flat
+	carry [1]*dnn.Carry
+	ord   [1]uint64 // windows scored so far
+	app   [1]int    // last verdicts; -1 before the first window
+	atk   [1]int
+	viol  violationCounter
 }
 
 // NewDNNDetector returns a detector around a trained cascade, compiled
@@ -37,15 +39,18 @@ func NewDNNDetector(cascade *dnn.Cascade, p Params) (*DNNDetector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cascade.Compile(p.W); err != nil {
+	scorer, err := cascade.Scorer(p.W, dnn.ScorerOptions{})
+	if err != nil {
 		return nil, err
 	}
 	return &DNNDetector{
-		cascade:    cascade,
-		params:     p,
-		viol:       violationCounter{threshold: p.HD},
-		lastApp:    -1,
-		lastAttack: dnn.ClassNoAttack,
+		params: p,
+		scorer: scorer,
+		win:    make([]float64, 0, 2*p.W),
+		carry:  [1]*dnn.Carry{scorer.NewCarry(p.DW)},
+		app:    [1]int{-1},
+		atk:    [1]int{dnn.ClassNoAttack},
+		viol:   violationCounter{threshold: p.HD},
 	}, nil
 }
 
@@ -59,24 +64,14 @@ func (d *DNNDetector) Overhead() float64 { return OverheadDNN }
 // Push feeds one PCM sample; a decision is produced every DW samples once
 // a full window is available.
 func (d *DNNDetector) Push(s pcm.Sample) []Decision {
-	if len(d.buf) < d.params.W {
-		d.buf = append(d.buf, []float64{s.AccessNum, s.MissNum})
-	} else {
-		// Slide in place, as stats.MAStream.Push does, and refill the
-		// evicted row: re-slicing past it would walk the slice off its
-		// array, and a fresh row per sample is an allocation per sample.
-		row := d.buf[0]
-		copy(d.buf, d.buf[1:])
-		row[0], row[1] = s.AccessNum, s.MissNum
-		d.buf[len(d.buf)-1] = row
-	}
-	d.sinceEval++
-	if len(d.buf) < d.params.W || d.sinceEval < d.params.DW {
+	d.win = append(d.win, s.AccessNum, s.MissNum)
+	if len(d.win) < 2*d.params.W {
 		return nil
 	}
-	d.sinceEval = 0
-	app, attackClass := d.cascade.Classify(d.buf)
-	d.lastApp, d.lastAttack = app, attackClass
-	alarm := d.viol.observe(attackClass != dnn.ClassNoAttack)
+	d.ord[0]++
+	d.scorer.ScoreCarried(1, d.win, d.carry[:], d.ord[:], d.app[:], d.atk[:])
+	// Slide: keep the window's tail for the next overlapping one.
+	d.win = d.win[:copy(d.win, d.win[2*d.params.DW:])]
+	alarm := d.viol.observe(d.atk[0] != dnn.ClassNoAttack)
 	return []Decision{{Time: s.Time, Alarm: alarm}}
 }

@@ -98,12 +98,17 @@ func (d *KSTestDetector) StateSnapshot() map[string]float64 {
 	}
 }
 
-// StateSnapshot exposes the window fill and latest classification.
+// StateSnapshot exposes the window fill (W from the first full window on)
+// and latest classification.
 func (d *DNNDetector) StateSnapshot() map[string]float64 {
+	fill := d.params.W
+	if d.ord[0] == 0 {
+		fill = len(d.win) / 2
+	}
 	return map[string]float64{
-		"window_fill":       float64(len(d.buf)),
-		"last_app":          float64(d.lastApp),
-		"last_attack_class": float64(d.lastAttack),
+		"window_fill":       float64(fill),
+		"last_app":          float64(d.app[0]),
+		"last_attack_class": float64(d.atk[0]),
 		"violations":        float64(d.viol.count),
 	}
 }

@@ -79,18 +79,19 @@ func (n ChannelNorm) Apply(window [][]float64) [][]float64 {
 // (none / bus locking / LLC cleansing). Conditioning appends the
 // application one-hot as constant channels, shrinking the second stage's
 // search space as the paper describes.
+//
+// A Cascade is weights only: inference runs through a BatchScorer compiled
+// from it (Scorer), which owns every buffer scoring writes. A trained or
+// loaded cascade is therefore safe to share across goroutines, each
+// compiling its own scorer; compiling writes only to build a never-run
+// model's lazy LSTM branch. (ClassifyGraph, the test reference, runs the
+// training graph and is not safe to share.)
 type Cascade struct {
 	NumApps int
 	Norm    ChannelNorm
 
 	App    *LSTMFCN
 	Attack *LSTMFCN
-
-	// Compiled batch-1 scorer backing Classify, built from the current
-	// weights (Compile) and dropped when TrainCascade changes them.
-	scorer     *BatchScorer
-	flatBuf    []float64
-	app1, atk1 [1]int
 }
 
 // NewCascade builds an untrained cascade. arch chooses the per-stage
@@ -123,31 +124,9 @@ func conditionWindow(window [][]float64, app, numApps int) [][]float64 {
 	return out
 }
 
-// Classify runs the full cascade on one raw window and returns the
-// predicted application and attack class. It runs the compiled batch-1
-// scorer (allocation-free at steady state; see TestClassifyZeroAllocs)
-// and panics with Compile's error when the cascade cannot be compiled for
-// the window's length; callers that want the error call Compile first.
-func (c *Cascade) Classify(window [][]float64) (app, attackClass int) {
-	if err := c.Compile(len(window)); err != nil {
-		panic(err)
-	}
-	need := 2 * len(window)
-	if cap(c.flatBuf) < need {
-		c.flatBuf = make([]float64, need) // grow-once workspace: capacity sticks to the high-water mark, zero allocs at steady shape
-	}
-	flat := c.flatBuf[:need]
-	for t, row := range window {
-		flat[2*t] = row[0]
-		flat[2*t+1] = row[1]
-	}
-	c.scorer.ScoreFlat(1, flat, c.app1[:], c.atk1[:])
-	return c.app1[0], c.atk1[0]
-}
-
 // ClassifyGraph runs the cascade through the float64 training graph. It
-// exists only as the reference Classify's compiled path is validated
-// against (TestScorerMatchesGraph).
+// exists only as the reference the compiled scorer is validated against
+// (TestScorerMatchesGraph).
 func (c *Cascade) ClassifyGraph(window [][]float64) (app, attackClass int) {
 	norm := c.Norm.Apply(window)
 	app = c.classifyOne(c.App, norm)
@@ -168,23 +147,6 @@ func (c *Cascade) Window() int {
 		return 0
 	}
 	return c.App.lstm.In
-}
-
-// Compile builds the batch-1 scorer Classify runs for windows of length
-// w, unless the one it holds already has that length. It returns
-// NewBatchScorer's error — unfitted normalization, a window no longer
-// than a convolution kernel's edge split — so a caller can refuse a bad
-// window at start-up instead of at the first decision.
-func (c *Cascade) Compile(w int) error {
-	if c.scorer != nil && c.scorer.w == w {
-		return nil
-	}
-	s, err := NewBatchScorer(c, w, ScorerOptions{})
-	if err != nil {
-		return err
-	}
-	c.scorer = s
-	return nil
 }
 
 func (c *Cascade) classifyOne(m *LSTMFCN, window [][]float64) int {
@@ -237,6 +199,5 @@ func TrainCascade(c *Cascade, samples []CascadeSample, cfg TrainConfig) (appRes,
 		return appRes, TrainResult{}, err
 	}
 	atkRes, err = Train(c.Attack, atkTrain, atkVal, cfg)
-	c.scorer = nil // compiled from the old weights
 	return appRes, atkRes, err
 }

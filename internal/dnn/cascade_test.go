@@ -142,13 +142,13 @@ func TestCascadeEndToEnd(t *testing.T) {
 	}
 	// Fresh windows through the full cascade.
 	test := synthCascadeSamples(sim.NewRNG(52), 60, 20)
+	apps, attacks := scoreAll(t, c, test)
 	appOK, atkOK := 0, 0
-	for _, s := range test {
-		app, atk := c.Classify(s.Window)
-		if app == s.AppLabel {
+	for i, s := range test {
+		if apps[i] == s.AppLabel {
 			appOK++
 		}
-		if atk == s.AttackLabel {
+		if attacks[i] == s.AttackLabel {
 			atkOK++
 		}
 	}
@@ -221,5 +221,9 @@ func TestEvaluateCascade(t *testing.T) {
 	}
 	if _, _, err := EvaluateCascade(c, nil); err == nil {
 		t.Error("empty samples accepted")
+	}
+	mixed := append(test[:1:1], synthCascadeSamples(sim.NewRNG(73), 1, 21)...)
+	if _, _, err := EvaluateCascade(c, mixed); err == nil {
+		t.Error("mixed window lengths accepted")
 	}
 }

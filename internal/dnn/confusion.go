@@ -77,12 +77,30 @@ func (c *ClassConfusion) String() string {
 	return sb.String()
 }
 
-// EvaluateCascade scores a trained cascade on labelled samples and returns
-// the application and attack confusion matrices.
+// EvaluateCascade scores a trained cascade on labelled samples, all of one
+// window length, in one batch and returns the application and attack
+// confusion matrices.
 func EvaluateCascade(c *Cascade, samples []CascadeSample) (app, atk *ClassConfusion, err error) {
 	if len(samples) == 0 {
 		return nil, nil, fmt.Errorf("dnn: no evaluation samples")
 	}
+	w := len(samples[0].Window)
+	flat := make([]float64, 0, len(samples)*w*2)
+	for i, s := range samples {
+		if len(s.Window) != w {
+			return nil, nil, fmt.Errorf("dnn: evaluation sample %d has window %d, sample 0 has %d", i, len(s.Window), w)
+		}
+		for _, row := range s.Window {
+			flat = append(flat, row[0], row[1])
+		}
+	}
+	scorer, err := c.Scorer(w, ScorerOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	apps, attacks := make([]int, len(samples)), make([]int, len(samples))
+	scorer.ScoreFlat(len(samples), flat, apps, attacks)
+
 	app, err = NewClassConfusion(c.NumApps)
 	if err != nil {
 		return nil, nil, err
@@ -91,12 +109,11 @@ func EvaluateCascade(c *Cascade, samples []CascadeSample) (app, atk *ClassConfus
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, s := range samples {
-		gotApp, gotAtk := c.Classify(s.Window)
-		if err := app.Add(s.AppLabel, gotApp); err != nil {
+	for i, s := range samples {
+		if err := app.Add(s.AppLabel, apps[i]); err != nil {
 			return nil, nil, err
 		}
-		if err := atk.Add(s.AttackLabel, gotAtk); err != nil {
+		if err := atk.Add(s.AttackLabel, attacks[i]); err != nil {
 			return nil, nil, err
 		}
 	}

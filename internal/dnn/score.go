@@ -70,9 +70,10 @@ func (p *PreparedBatch) N() int { return p.n }
 
 // NewBatchScorer compiles the cascade for the given window length. The
 // cascade must have fitted normalization statistics (train or load
-// first); its lazily built LSTM branches are materialized here if needed.
-// Returns an error for windows shorter than a convolution kernel, where
-// the compiled edge/interior split does not apply.
+// first); its lazily built LSTM branches are materialized here if needed,
+// the one write compiling makes to the cascade (see Cascade). Returns an
+// error for windows shorter than a convolution kernel, where the compiled
+// edge/interior split does not apply.
 func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dnn: scorer window must be positive, got %d", window)

@@ -89,33 +89,45 @@ func TestScoreBatchMatchesLooped(t *testing.T) {
 	}
 }
 
-// Cascade.Classify (the compiled batch-1 path) must agree with the
-// float64 graph path on all but rounding-marginal windows.
+// scoreAll runs samples through a scorer compiled at their window length
+// and returns the verdicts.
+func scoreAll(t testing.TB, c *Cascade, samples []CascadeSample) (apps, attacks []int) {
+	t.Helper()
+	s, err := c.Scorer(len(samples[0].Window), ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps, attacks = make([]int, len(samples)), make([]int, len(samples))
+	s.ScoreFlat(len(samples), flattenWindows(samples), apps, attacks)
+	return apps, attacks
+}
+
+// The compiled scorer must agree with the float64 graph path on all but
+// rounding-marginal windows.
 func TestScorerMatchesGraph(t *testing.T) {
 	const w = 20
 	c, samples := scorerFixture(t, w)
+	apps, attacks := scoreAll(t, c, samples)
 	agree := 0
-	for _, s := range samples {
-		app, atk := c.Classify(s.Window)
+	for i, s := range samples {
 		gApp, gAtk := c.ClassifyGraph(s.Window)
-		if app == gApp && atk == gAtk {
+		if apps[i] == gApp && attacks[i] == gAtk {
 			agree++
 		}
 	}
 	// Random weights leave tiny margins; trained models agree essentially
-	// always (TestCascadeEndToEnd exercises that via Classify).
+	// always (TestCascadeEndToEnd exercises that through the scorer).
 	if agree < len(samples)*9/10 {
 		t.Fatalf("scorer agrees with graph on %d/%d windows", agree, len(samples))
 	}
 }
 
-// Classify has one path. A window the scorer cannot be compiled for — a
-// cascade with no fitted normalization, a window no longer than the
-// widest kernel's edge split — is a panic carrying the compile error, not
-// a silent pass through the float64 graph; Compile returns the same error
-// to callers that want it up front.
-func TestClassifyPanicsWithCompileError(t *testing.T) {
-	fitted, samples := scorerFixture(t, 20)
+// The scorer has one path. A window it cannot be compiled for — a cascade
+// with no fitted normalization, a window no longer than the widest
+// kernel's edge split — is an error at compile time, not a silent pass
+// through the float64 graph.
+func TestScorerCompileErrors(t *testing.T) {
+	fitted, _ := scorerFixture(t, 20)
 	unfitted, err := NewCascade(2, tinyArch, sim.NewRNG(93))
 	if err != nil {
 		t.Fatal(err)
@@ -123,45 +135,22 @@ func TestClassifyPanicsWithCompileError(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		c      *Cascade
-		window [][]float64
+		window int
 		want   string
 	}{
-		{"6-sample window", fitted, samples[0].Window[:6], "too short for kernel"},
-		{"unfitted norm", unfitted, samples[0].Window, "no fitted channel normalization"},
+		{"6-sample window", fitted, 6, "too short for kernel"},
+		{"unfitted norm", unfitted, 20, "no fitted channel normalization"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			compileErr := tc.c.Compile(len(tc.window))
-			if compileErr == nil || !strings.Contains(compileErr.Error(), tc.want) {
-				t.Fatalf("Compile error = %v, want one containing %q", compileErr, tc.want)
+			if _, err := tc.c.Scorer(tc.window, ScorerOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Scorer error = %v, want one containing %q", err, tc.want)
 			}
-			defer func() {
-				err, ok := recover().(error)
-				if !ok || err.Error() != compileErr.Error() {
-					t.Fatalf("Classify panicked with %v, want the compile error %q", err, compileErr)
-				}
-			}()
-			tc.c.Classify(tc.window)
-			t.Fatal("Classify returned a verdict")
 		})
 	}
 }
 
-// Classify routes through the batch-1 scorer and must not allocate at
-// steady state (the benchpin companion of //memdos:hotpath on the Score
-// path).
-func TestClassifyZeroAllocs(t *testing.T) {
-	const w = 20
-	c, samples := scorerFixture(t, w)
-	win := samples[0].Window
-	c.Classify(win) // build + warm the scorer and arenas
-	if allocs := testing.AllocsPerRun(50, func() {
-		c.Classify(win)
-	}); allocs != 0 {
-		t.Errorf("Classify allocates %v per run at steady state", allocs)
-	}
-}
-
-// ScoreFlat at a steady batch size must not allocate either.
+// ScoreFlat at a steady batch size must not allocate (the benchpin
+// companion of //memdos:hotpath on the Score path).
 func TestScoreFlatZeroAllocs(t *testing.T) {
 	const w, n = 20, 16
 	c, samples := scorerFixture(t, w)

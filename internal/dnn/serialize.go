@@ -113,7 +113,7 @@ func (c *Cascade) Save(w io.Writer) error {
 }
 
 // LoadCascade reconstructs a cascade saved with Save. The returned cascade
-// is ready for Classify.
+// has its LSTM branches built, ready for Scorer at its Window.
 func LoadCascade(r io.Reader) (*Cascade, error) {
 	var snap cascadeSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -198,37 +198,3 @@ func (s *cascadeSnapshot) validate() error {
 // newRestoreRNG seeds the throwaway initializer used before weights are
 // overwritten by a snapshot.
 func newRestoreRNG() *sim.RNG { return sim.NewRNG(0xdecade) }
-
-// Clone returns an independent deep copy of a trained cascade. Forward
-// passes cache per-layer state, so a single cascade must not be shared by
-// concurrent detectors; cloning gives each its own. The cascade must have
-// run (or been trained) at least once.
-func (c *Cascade) Clone() (*Cascade, error) {
-	mk := func(m *LSTMFCN) (*LSTMFCN, error) {
-		snap, err := m.snapshot()
-		if err != nil {
-			return nil, err
-		}
-		fresh, err := NewLSTMFCN(snap.Config, newRestoreRNG())
-		if err != nil {
-			return nil, err
-		}
-		if err := fresh.restore(snap); err != nil {
-			return nil, err
-		}
-		return fresh, nil
-	}
-	app, err := mk(c.App)
-	if err != nil {
-		return nil, fmt.Errorf("dnn: cloning app model: %w", err)
-	}
-	atk, err := mk(c.Attack)
-	if err != nil {
-		return nil, fmt.Errorf("dnn: cloning attack model: %w", err)
-	}
-	norm := ChannelNorm{
-		Mean: append([]float64(nil), c.Norm.Mean...),
-		Std:  append([]float64(nil), c.Norm.Std...),
-	}
-	return &Cascade{NumApps: c.NumApps, Norm: norm, App: app, Attack: atk}, nil
-}

@@ -40,14 +40,11 @@ func TestCascadeSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("NumApps = %d, want %d", loaded.NumApps, c.NumApps)
 	}
 	// The reloaded cascade must classify identically to the original.
-	for i, s := range samples {
-		if i >= 40 {
-			break
-		}
-		a1, k1 := c.Classify(s.Window)
-		a2, k2 := loaded.Classify(s.Window)
-		if a1 != a2 || k1 != k2 {
-			t.Fatalf("sample %d: original (%d,%d) vs loaded (%d,%d)", i, a1, k1, a2, k2)
+	a1, k1 := scoreAll(t, c, samples[:40])
+	a2, k2 := scoreAll(t, loaded, samples[:40])
+	for i := range a1 {
+		if a1[i] != a2[i] || k1[i] != k2[i] {
+			t.Fatalf("sample %d: original (%d,%d) vs loaded (%d,%d)", i, a1[i], k1[i], a2[i], k2[i])
 		}
 	}
 }

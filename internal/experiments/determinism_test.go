@@ -66,6 +66,32 @@ func TestFig1ParallelDeterminism(t *testing.T) {
 	}
 }
 
+// Every cell of a DNN stride sweep builds its detector on one shared
+// cascade, as Fig22DWSweepDNN does: the cells may share its weights and
+// nothing they write.
+func TestDNNStrideSweepParallelDeterminism(t *testing.T) {
+	cascade := testCascade(t)
+	run := func() (any, error) {
+		var pts []SweepPoint
+		for _, dw := range []int{50, 100} {
+			p := core.DefaultParams()
+			p.DW = dw
+			factory := func(*Env) (core.Detector, error) { return core.NewDNNDetector(cascade, p) }
+			pt, err := sweepRun("KM", p, factory, []uint64{11, 12})
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, pt)
+		}
+		return pts, nil
+	}
+	serial := withWorkers(t, 1, run)
+	parallel := withWorkers(t, 8, run)
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("DNN stride sweep differs between workers=1 and workers=8:\nserial:   %s\nparallel: %s", serial, parallel)
+	}
+}
+
 func TestRunnerErrorMatchesSerial(t *testing.T) {
 	// The lowest-index failure wins regardless of scheduling, matching
 	// what a serial loop would have returned first.

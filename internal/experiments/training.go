@@ -189,17 +189,13 @@ func HeldOutWindows(app string, mode AttackMode, spec TrainingSpec) ([][][]float
 		spec.Seed+0x5eed0000+uint64(mode), spec.Window, spec.Stride)
 }
 
-// DNNFactory builds the DNN detector around the shared cascade. Each
-// detector gets its own clone: LSTM-FCN forward passes cache layer state,
-// so concurrent runs must not share one model instance.
+// DNNFactory builds the DNN detector around the shared cascade. The
+// detector compiles its own scorer and never writes the cascade, so
+// concurrent runs share the one model.
 func DNNFactory(env *Env) (core.Detector, error) {
 	c, err := SharedCascade()
 	if err != nil {
 		return nil, err
 	}
-	own, err := c.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewDNNDetector(own, env.Params)
+	return core.NewDNNDetector(c, env.Params)
 }

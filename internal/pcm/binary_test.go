@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // randomBatch builds n valid samples with the full counter set, mixing
@@ -316,6 +317,65 @@ func TestFrameReader(t *testing.T) {
 	if _, err := NewFrameReader(bytes.NewReader([]byte{0, 0, 0, 0}), 0).Next(); err == nil || err == io.EOF {
 		t.Fatalf("zero-length frame: %v", err)
 	}
+}
+
+// FuzzFrameReader: whatever the byte stream, Next never panics, returns
+// exactly the stream's length-prefixed frames in order, reports io.EOF
+// only on a frame boundary, and never buffers more than maxFrame bytes.
+func FuzzFrameReader(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	wire, err := AppendBatch(nil, "vm-fuzz", randomBatch(rng, 3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if wire, err = AppendBatch(wire, "vm-fuzz", randomBatch(rng, 1)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire, uint16(0), false)
+	f.Add(wire[:len(wire)-3], uint16(0), true)
+	f.Add(wire[:2], uint16(0), false)
+	f.Add([]byte{0, 0, 0, 0}, uint16(0), false)
+	f.Add([]byte{3, 0, 0, 0, 1, 2, 3, 9, 0, 0, 0}, uint16(4), true)
+	f.Fuzz(func(t *testing.T, data []byte, maxFrame uint16, oneByte bool) {
+		var r io.Reader = bytes.NewReader(data)
+		if oneByte {
+			r = iotest.OneByteReader(r)
+		}
+		fr := NewFrameReader(r, int(maxFrame))
+		limit := int(maxFrame)
+		if limit == 0 {
+			limit = MaxFrameBytes
+		}
+		for off := 0; ; {
+			body, err := fr.Next()
+			if cap(fr.buf) > limit {
+				t.Fatalf("buffer grew to %d, maxFrame %d", cap(fr.buf), limit)
+			}
+			rest := data[off:]
+			if len(rest) == 0 {
+				if err != io.EOF {
+					t.Fatalf("stream end at %d: got %v, want io.EOF", off, err)
+				}
+				return
+			}
+			var want []byte
+			if len(rest) >= FramePrefixBytes {
+				if n := int(binary.LittleEndian.Uint32(rest)); n > 0 && n <= limit && n <= len(rest)-FramePrefixBytes {
+					want = rest[FramePrefixBytes : FramePrefixBytes+n]
+				}
+			}
+			if want == nil {
+				if err == nil || err == io.EOF {
+					t.Fatalf("offset %d: got (%d bytes, %v), want an error", off, len(body), err)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(body, want) {
+				t.Fatalf("offset %d: got (%d bytes, %v), want the %d-byte frame", off, len(body), err, len(want))
+			}
+			off += FramePrefixBytes + len(want)
+		}
+	})
 }
 
 // TestDecodeBatchIntoZeroAlloc pins the decode hot path at zero
