@@ -8,15 +8,16 @@
 // clean host B.
 //
 // Hosts advance in sync quanta of Config.SyncEvery ticks. Within a
-// quantum every host steps independently (sharded across the bounded
-// worker pool of internal/par; all state touched is host-local, with
-// alarm transitions buffered per host), then a serial control plane
-// admits due migrations, merges the buffered detector events in
-// (time, host, order) order into the respond engine, and drives the
-// attacker placement dynamics. Because the merge order is fixed and the
-// control plane is serial, a run is byte-identical at any worker count —
-// the same determinism-by-construction contract the experiment harness
-// pins down (see TestClusterDeterminismAcrossWorkers).
+// quantum every host steps independently (each worker of the bounded
+// pool of internal/par steps one contiguous run of hosts, so two cores
+// never write neighbouring hosts' heap state at once; all state touched
+// is host-local, with alarm transitions buffered per host), then a
+// serial control plane admits due migrations, merges the buffered
+// detector events in (time, host, order) order into the respond engine,
+// and drives the attacker placement dynamics. Because the merge order is
+// fixed and the control plane is serial, a run is byte-identical at any
+// worker count — the same determinism-by-construction contract the
+// experiment harness pins down (see TestClusterDeterminismAcrossWorkers).
 package cluster
 
 import (
@@ -525,10 +526,16 @@ func (c *Cluster) admit(tr *transit) error {
 }
 
 // Step advances the whole cluster by one sync quantum of q ticks: all
-// hosts step in parallel (sharded across the worker pool), then the
-// serial control plane lands due migrations, feeds buffered alarm
-// transitions to the respond engine, and drives attacker placement
-// dynamics. Exposed for the benchmark harness; Run is the main loop.
+// hosts step in parallel, each worker stepping one contiguous run of
+// hosts in host order, then the serial control plane lands due
+// migrations, feeds buffered alarm transitions to the respond engine,
+// and drives attacker placement dynamics. Exposed for the benchmark
+// harness; Run is the main loop.
+//
+// Hosts are populated in turn, so neighbouring hosts' VM state sits in
+// neighbouring heap objects; workers stepping neighbouring hosts at once
+// would write the same cache lines every tick. One contiguous run per
+// worker keeps each core on its own hosts' lines.
 func (c *Cluster) Step(q int) error {
 	if q <= 0 {
 		return fmt.Errorf("cluster: non-positive quantum %d", q)
@@ -536,9 +543,18 @@ func (c *Cluster) Step(q int) error {
 	c.started = true
 	// Parallel phase: hosts are independent; everything run() touches is
 	// host-local, and the per-host event buffers are merged below in a
-	// fixed order, so any worker count produces identical state.
-	if err := c.runner.Do(len(c.hosts), func(i int) error {
-		c.hosts[i].run(q)
+	// fixed order, so any worker count produces identical state. Worker k
+	// steps hosts [k·n/w, (k+1)·n/w); at one worker that is the serial
+	// loop.
+	n, w := len(c.hosts), c.cfg.Workers
+	if w <= 0 {
+		w = par.Parallelism()
+	}
+	w = min(w, n)
+	if err := c.runner.Do(w, func(k int) error {
+		for _, h := range c.hosts[k*n/w : (k+1)*n/w] {
+			h.run(q)
+		}
 		return nil
 	}); err != nil {
 		return err
@@ -653,7 +669,8 @@ type Result struct {
 	// Hosts and VMs describe the population.
 	Hosts, VMs int
 	// MeanVictimSpeed is the victims' mean effective execution speed
-	// over the whole run (1 = full speed; in-flight ticks count as 0).
+	// over the whole run (1 = full speed; in-flight ticks count as 0;
+	// 0 before any tick is stepped).
 	MeanVictimSpeed float64
 	// Migrations counts defender-initiated victim migrations.
 	Migrations int
@@ -662,7 +679,7 @@ type Result struct {
 	// AlarmTransitions counts detector alarm raise/clear events.
 	AlarmTransitions int
 	// AlarmFraction is the fraction of victim-time spent under a raised
-	// alarm.
+	// alarm (0 before any tick is stepped).
 	AlarmFraction float64
 	// ColocationFraction is the fraction of attacker-time that targeted
 	// attackers spent co-resident with their target (quantum
@@ -675,8 +692,12 @@ type Result struct {
 
 // Run steps the cluster until simulated time dur and returns the run
 // summary. It may be called repeatedly to extend a run; the result
-// always covers the whole simulation so far.
+// always covers the whole simulation so far. A negative, NaN or
+// infinite dur is an error.
 func (c *Cluster) Run(dur float64) (*Result, error) {
+	if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
+		return nil, fmt.Errorf("cluster: invalid run duration %v", dur)
+	}
 	end := c.ticksFor(dur)
 	q := c.cfg.SyncEvery
 	for c.tick < end {
@@ -707,7 +728,7 @@ func (c *Cluster) Run(dur float64) (*Result, error) {
 		speedSum += rec.watch.speedSum / float64(c.tick)
 		alarmSum += float64(rec.watch.alarmTicks) / float64(c.tick)
 	}
-	if victims > 0 {
+	if victims > 0 && c.tick > 0 {
 		res.MeanVictimSpeed = speedSum / float64(victims)
 		res.AlarmFraction = alarmSum / float64(victims)
 	}

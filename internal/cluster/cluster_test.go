@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"memdos/internal/attack"
 	"memdos/internal/core"
@@ -122,7 +123,9 @@ func snapshot(t *testing.T, c *Cluster, res *Result) []byte {
 // TestClusterDeterminismAcrossWorkers is the cluster's determinism
 // contract: a full closed-loop run — parallel host stepping, detector
 // sessions, respond ladder driving real migrations, targeted attacker
-// chases — is byte-identical at any worker count.
+// chases — is byte-identical at any worker count. On 8 hosts the worker
+// counts give host ranges of unequal length (3, 5) and more workers than
+// hosts (13).
 func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) []byte {
 		cfg := DefaultConfig()
@@ -144,12 +147,73 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 		return snapshot(t, c, res)
 	}
 	serial := run(1)
-	parallel := run(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("cluster run differs between 1 and 8 workers:\n 1: %s\n 8: %s", serial, parallel)
-	}
 	if !json.Valid(serial) {
 		t.Fatalf("snapshot is not valid JSON: %s", serial)
+	}
+	for _, workers := range []int{2, 3, 5, 8, 13} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			if parallel := run(workers); !bytes.Equal(serial, parallel) {
+				t.Fatalf("cluster run differs between 1 and %d workers:\n 1: %s\n %d: %s", workers, serial, workers, parallel)
+			}
+		})
+	}
+}
+
+// TestRunDuration pins Run's handling of its duration: a negative, NaN
+// or infinite duration is an error rather than a near-endless run, and a
+// zero-length run of a populated cluster summarizes to finite fractions
+// that JSON can encode. Each case runs under a deadline so a Run that
+// never returns fails instead of hanging the package.
+func TestRunDuration(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dur     float64
+		wantErr bool
+	}{
+		{"negative", -1, true},
+		{"NaN", math.NaN(), true},
+		{"+Inf", math.Inf(1), true},
+		{"zero", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Hosts = 2
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(t, c, 2, 1, 1)
+			type outcome struct {
+				res *Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := c.Run(tc.dur)
+				done <- outcome{res, err}
+			}()
+			var got outcome
+			select {
+			case got = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Run(%v) did not return within 10 s", tc.dur)
+			}
+			if tc.wantErr {
+				if got.err == nil {
+					t.Fatalf("Run(%v) = %+v, want an error", tc.dur, got.res)
+				}
+				return
+			}
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if got.res.MeanVictimSpeed != 0 || got.res.AlarmFraction != 0 {
+				t.Errorf("zero-length run: MeanVictimSpeed %v, AlarmFraction %v, want 0 and 0", got.res.MeanVictimSpeed, got.res.AlarmFraction)
+			}
+			if _, err := json.Marshal(got.res); err != nil {
+				t.Fatalf("zero-length result does not marshal: %v", err)
+			}
+		})
 	}
 }
 

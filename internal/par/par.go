@@ -69,6 +69,10 @@ func (r Runner) workers(n int) int {
 // of them. If any cell fails, the error of the lowest-index failing cell
 // is returned (the same error a serial loop would have hit first), and
 // cells that have not started yet are skipped.
+//
+// Cells are claimed one index at a time, so neighbouring indices run on
+// different workers at once. A caller whose cells write index-adjacent
+// heap state on every iteration should hand each worker a range.
 func (r Runner) Do(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
