@@ -452,7 +452,6 @@ func (respondBenchDetector) Name() string { return "flip" }
 func (respondBenchDetector) Push(s pcm.Sample) []core.Decision {
 	return []core.Decision{{Time: s.Time, Alarm: s.MissNum > 50}}
 }
-func (respondBenchDetector) Overhead() float64 { return 0 }
 
 // BenchmarkRespondLoop measures the end-to-end closed-loop cycle of the
 // mitigation path: sample ingest through the hub's detector, alarm

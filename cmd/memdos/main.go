@@ -268,7 +268,7 @@ func cmdDetect(args []string) error {
 	}
 	spec := experiments.DefaultRunSpec(*app, mode, *seed)
 	spec.Adaptive = *adaptive
-	res, err := experiments.Run(spec, core.DefaultParams(), map[string]experiments.DetectorFactory{*detName: factory})
+	res, err := experiments.Run(spec, core.DefaultParams(), factory)
 	if err != nil {
 		return err
 	}
@@ -277,7 +277,7 @@ func cmdDetect(args []string) error {
 	for _, iv := range res.Truth {
 		fmt.Printf("attack on  [%6.1f, %6.1f)\n", iv.Start, iv.End)
 	}
-	incidents, err := core.Incidents(res.Decisions[*detName])
+	incidents, err := core.Incidents(res.Decisions)
 	if err != nil {
 		return err
 	}
@@ -290,7 +290,7 @@ func cmdDetect(args []string) error {
 	for _, in := range incidents {
 		fmt.Printf("  %v (%.0fs)\n", in, in.Duration())
 	}
-	a := experiments.Score(res, *detName, 30)
+	a := experiments.Score(res, 30)
 	fmt.Printf("recall %.3f  specificity %.3f  mean delay %.1fs\n", a.Recall, a.Specificity, a.MeanDelay)
 	return nil
 }

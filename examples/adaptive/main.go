@@ -23,26 +23,27 @@ func main() {
 	// alternative deployments, and KStest's execution throttling would
 	// otherwise perturb SDS's sample stream). The seed fixes the
 	// workload and attack schedule, so the runs are comparable.
-	factories := map[string]memdos.DetectorFactory{
-		"SDS":    memdos.SDSDetectorFactory,
-		"KStest": memdos.KSDetectorFactory,
+	schemes := []struct {
+		name    string
+		factory memdos.DetectorFactory
+	}{
+		{"SDS", memdos.SDSDetectorFactory},
+		{"KStest", memdos.KSDetectorFactory},
 	}
-	printedSchedule := false
-	for _, name := range []string{"SDS", "KStest"} {
-		res, err := memdos.RunExperiment(spec, params, map[string]memdos.DetectorFactory{name: factories[name]})
+	for i, s := range schemes {
+		res, err := memdos.RunExperiment(spec, params, s.factory)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !printedSchedule {
-			printedSchedule = true
+		if i == 0 {
 			fmt.Printf("adaptive schedule produced %d attack bursts over %vs:\n", len(res.Truth), spec.Duration)
 			for _, iv := range res.Truth {
 				fmt.Printf("  attack on  [%6.1f, %6.1f)  (%.0fs)\n", iv.Start, iv.End, iv.End-iv.Start)
 			}
 		}
-		a := memdos.ScoreRun(res, name, 5)
+		a := memdos.ScoreRun(res, 5)
 		fmt.Printf("%-7s recall %.3f  specificity %.3f  mean delay %.1fs\n",
-			name, a.Recall, a.Specificity, a.MeanDelay)
+			s.name, a.Recall, a.Specificity, a.MeanDelay)
 	}
 	fmt.Println("\nshort bursts routinely evade the statistical schemes —")
 	fmt.Println("run ./examples/dnntrain to see the DNN detector handle them.")

@@ -44,11 +44,11 @@ func main() {
 	factory := func(env *memdos.ExperimentEnv) (memdos.Detector, error) {
 		return memdos.NewDNNDetector(cascade, env.Params)
 	}
-	res, err := memdos.RunExperiment(run, params, map[string]memdos.DetectorFactory{"DNN": factory})
+	res, err := memdos.RunExperiment(run, params, factory)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := memdos.ScoreRun(res, "DNN", 5)
+	a := memdos.ScoreRun(res, 5)
 	fmt.Printf("\nadaptive Scenario 2 on k-means (%d attack bursts):\n", len(res.Truth))
 	fmt.Printf("DNN recall %.3f  specificity %.3f  mean delay %.1fs\n",
 		a.Recall, a.Specificity, a.MeanDelay)

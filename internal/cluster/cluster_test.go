@@ -28,8 +28,7 @@ type thresholdDetector struct {
 	raised       bool
 }
 
-func (d *thresholdDetector) Name() string      { return "threshold" }
-func (d *thresholdDetector) Overhead() float64 { return 0.02 }
+func (d *thresholdDetector) Name() string { return "threshold" }
 
 func (d *thresholdDetector) Push(s pcm.Sample) []core.Decision {
 	if s.AccessNum < 0.6*d.expect {

@@ -317,9 +317,6 @@ func TestSDSCombined(t *testing.T) {
 	if sdsKM.Periodic() {
 		t.Error("SDS engaged SDS/P for KM")
 	}
-	if sdsKM.Overhead() != sdsKM.b.Overhead() {
-		t.Error("non-periodic SDS overhead should equal SDS/B's")
-	}
 	// Periodic app: both engaged, alarm is the conjunction.
 	profFN := profileApp(t, "FN", 90, p)
 	sdsFN, err := NewSDS(profFN, p)

@@ -57,10 +57,6 @@ func NewDNNDetector(cascade *dnn.Cascade, p Params) (*DNNDetector, error) {
 // Name returns "DNN".
 func (d *DNNDetector) Name() string { return "DNN" }
 
-// Overhead returns the modelled CPU cost of per-window inference (Fig. 14:
-// DNN costs 2-5%, above SDS's simple arithmetic).
-func (d *DNNDetector) Overhead() float64 { return OverheadDNN }
-
 // Push feeds one PCM sample; a decision is produced every DW samples once
 // a full window is available.
 func (d *DNNDetector) Push(s pcm.Sample) []Decision {

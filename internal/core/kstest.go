@@ -131,11 +131,6 @@ func NewKSTestDetector(params KSParams, throttle Throttle) (*KSTestDetector, err
 // Name returns "KStest".
 func (d *KSTestDetector) Name() string { return "KStest" }
 
-// Overhead returns the modelled CPU cost of running repeated KS tests on
-// the hypervisor. The dominant cost of the scheme — execution throttling —
-// is inflicted physically through the Throttle hook, not via this number.
-func (d *KSTestDetector) Overhead() float64 { return OverheadKSTest }
-
 // Push feeds one PCM sample of the protected VM and advances the protocol
 // state machine on the sample's timestamp.
 func (d *KSTestDetector) Push(s pcm.Sample) []Decision {
@@ -226,6 +221,6 @@ func (d *KSTestDetector) compare() bool {
 	return accRes.Reject || missRes.Reject
 }
 
-// LastTestRejected reports the current consecutive-rejection count, for
-// Fig. 1 style diagnostics.
+// ConsecutiveRejections reports the current consecutive-rejection count,
+// for Fig. 1 style diagnostics.
 func (d *KSTestDetector) ConsecutiveRejections() int { return d.viol.count }

@@ -31,9 +31,6 @@ func NewRawThreshold(threshold float64) (*RawThreshold, error) {
 // Name returns "RawThreshold".
 func (d *RawThreshold) Name() string { return "RawThreshold" }
 
-// Overhead returns a negligible cost.
-func (d *RawThreshold) Overhead() float64 { return 0.001 }
-
 // Push compares each sample with its predecessor.
 func (d *RawThreshold) Push(s pcm.Sample) []Decision {
 	if !d.hasPrev {

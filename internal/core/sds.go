@@ -38,15 +38,6 @@ func NewSDS(profile Profile, params Params) (*SDS, error) {
 // Name returns "SDS".
 func (d *SDS) Name() string { return "SDS" }
 
-// Overhead returns the modelled CPU cost: SDS/B's, or the combined cost
-// when SDS/P is engaged (the paper's Fig. 14 shows SDS costing 1-2%).
-func (d *SDS) Overhead() float64 {
-	if d.p != nil {
-		return OverheadSDS
-	}
-	return d.b.Overhead()
-}
-
 // Periodic reports whether SDS/P is engaged.
 func (d *SDS) Periodic() bool { return d.p != nil }
 

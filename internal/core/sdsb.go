@@ -56,9 +56,6 @@ func NewSDSB(profile Profile, p Params) (*SDSB, error) {
 // Name returns "SDS/B".
 func (d *SDSB) Name() string { return "SDS/B" }
 
-// Overhead returns the modelled CPU cost of the EWMA/bounds arithmetic.
-func (d *SDSB) Overhead() float64 { return OverheadSDSB }
-
 // Push feeds one PCM sample. A decision is produced whenever a new MA
 // window completes (every DW samples).
 func (d *SDSB) Push(s pcm.Sample) []Decision {

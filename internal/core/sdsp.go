@@ -52,9 +52,6 @@ func NewSDSP(profile Profile, p Params) (*SDSP, error) {
 // Name returns "SDS/P".
 func (d *SDSP) Name() string { return "SDS/P" }
 
-// Overhead returns the modelled CPU cost.
-func (d *SDSP) Overhead() float64 { return OverheadSDSP }
-
 // windowSize returns W_P in MA samples.
 func (d *SDSP) windowSize() int {
 	wp := int(math.Round(float64(d.params.WPFactor) * d.profile.Period))

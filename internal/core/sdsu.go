@@ -82,10 +82,6 @@ func NewSDSU(util func() float64, p Params) (*SDSU, error) {
 // Name returns "SDS/U".
 func (d *SDSU) Name() string { return "SDS/U" }
 
-// Overhead returns the modelled CPU cost (comparable to SDS/B's — one
-// extra division per sample).
-func (d *SDSU) Overhead() float64 { return 0.013 }
-
 // Push feeds one PCM sample; the utilization source is sampled alongside.
 func (d *SDSU) Push(s pcm.Sample) []Decision {
 	missRatio := 0.0

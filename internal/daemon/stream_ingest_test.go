@@ -318,7 +318,6 @@ type silentDetector struct{}
 
 func (silentDetector) Name() string                    { return "silent" }
 func (silentDetector) Push(pcm.Sample) []core.Decision { return nil }
-func (silentDetector) Overhead() float64               { return 0 }
 
 // streamAllocs is the allocation count of one streaming request of n
 // frames, request and recorder included, with the hub drained.

@@ -159,11 +159,11 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 		mc := mem.DefaultNUMAConfig(j.sockets)
 		rs.Mem = &mc
 		rs.AttackerSocket = j.atkSocket
-		res, err := Run(rs, params, map[string]DetectorFactory{j.name: factories[j.name]})
+		res, err := Run(rs, params, factories[j.name])
 		if err != nil {
 			return Accuracy{}, err
 		}
-		return Score(res, j.name, EvalGrace), nil
+		return Score(res, EvalGrace), nil
 	})
 	if err != nil {
 		return nil, err
@@ -172,24 +172,12 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 	out := &BandwidthResult{App: spec.App}
 	for ai, arm := range arms {
 		for ni, name := range names {
-			cell := BandwidthCell{Sockets: arm[0], Remote: arm[1] != 0, Detector: name}
-			var rec, spc, dly []float64
-			for si := range spec.Seeds {
-				a := accs[(ai*len(names)+ni)*len(spec.Seeds)+si]
-				if !math.IsNaN(a.Recall) {
-					rec = append(rec, a.Recall)
-				}
-				if !math.IsNaN(a.Specificity) {
-					spc = append(spc, a.Specificity)
-				}
-				if !math.IsNaN(a.MeanDelay) {
-					dly = append(dly, a.MeanDelay)
-				}
-			}
-			cell.Recall = meanOrNaN(rec)
-			cell.Specificity = meanOrNaN(spc)
-			cell.Delay = meanOrNaN(dly)
-			out.Cells = append(out.Cells, cell)
+			first := (ai*len(names) + ni) * len(spec.Seeds)
+			rec, spc, dly := finite(accs[first : first+len(spec.Seeds)])
+			out.Cells = append(out.Cells, BandwidthCell{
+				Sockets: arm[0], Remote: arm[1] != 0, Detector: name,
+				Recall: meanOrNaN(rec), Specificity: meanOrNaN(spc), Delay: meanOrNaN(dly),
+			})
 		}
 	}
 

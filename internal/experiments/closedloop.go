@@ -260,7 +260,7 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 			return 0, err
 		}
 		// Charge the detector's hypervisor CPU cost, as Fig. 14 does.
-		if err := srv.SetHypervisorLoad(det.Overhead()); err != nil {
+		if err := srv.SetHypervisorLoad(charge(det)); err != nil {
 			return 0, err
 		}
 		act := &loopActuator{srv: srv, suspect: atkVM.ID(), sched: sched, delay: spec.RelocationDelay}

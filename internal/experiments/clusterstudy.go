@@ -162,11 +162,7 @@ func ClusterStudy(spec ClusterStudySpec) (*ClusterStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	overheadDet, err := core.NewSDS(prof, params)
-	if err != nil {
-		return nil, err
-	}
-	overhead := overheadDet.Overhead()
+	overhead := sdsCharge(prof.Periodic)
 
 	scheds := []cluster.SchedulerPolicy{cluster.RoundRobin, cluster.BinPack, cluster.Spread}
 	places := []cluster.AttackerPolicy{cluster.AttackRandom, cluster.AttackTargeted, cluster.AttackChurn}

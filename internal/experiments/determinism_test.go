@@ -114,26 +114,18 @@ type errAt int
 func (e errAt) Error() string { return fmt.Sprintf("cell %d failed", int(e)) }
 
 // TestRunRepeatedByteIdentical pins the determinism contract at the
-// single-run layer: Run with multiple detector factories (whose
-// overhead sum is a float accumulation that once depended on map
-// iteration order) must produce byte-for-byte identical JSON across
-// repeated executions in one process.
+// single-run layer: repeated executions of one Run in one process must
+// produce byte-for-byte identical JSON. The detector is KStest, whose
+// throttle hook feeds back into the server it monitors.
 func TestRunRepeatedByteIdentical(t *testing.T) {
 	execute := func() []byte {
 		spec := DefaultRunSpec("KM", BusLock, 7)
 		spec.Duration = 120
 		spec.UtilityVMs = 2
-		factories := map[string]DetectorFactory{
-			"SDS":    SDSFactory,
-			"SDS/B":  SDSBFactory,
-			"KStest": KSFactory,
-		}
-		res, err := Run(spec, core.DefaultParams(), factories)
+		res, err := Run(spec, core.DefaultParams(), KSFactory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// encoding/json emits map keys sorted, so this serializes the
-		// whole result deterministically iff the values are.
 		raw, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)

@@ -46,11 +46,11 @@ func TestDNNDetectorScenario1(t *testing.T) {
 	factory := testDNNFactory(t)
 	params := core.DefaultParams()
 	for _, mode := range []AttackMode{BusLock, Cleansing} {
-		res, err := Run(DefaultRunSpec("KM", mode, 21), params, map[string]DetectorFactory{"DNN": factory})
+		res, err := Run(DefaultRunSpec("KM", mode, 21), params, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := Score(res, "DNN", EvalGrace)
+		a := Score(res, EvalGrace)
 		if math.IsNaN(a.Recall) || a.Recall < 0.85 {
 			t.Errorf("%v: DNN recall = %v, want >= 0.85 (paper 90-95%%)", mode, a.Recall)
 		}
@@ -67,17 +67,17 @@ func TestDNNDetectorScenario1(t *testing.T) {
 func TestDNNFasterThanSDS(t *testing.T) {
 	factory := testDNNFactory(t)
 	params := core.DefaultParams()
-	res, err := Run(DefaultRunSpec("KM", BusLock, 22), params, map[string]DetectorFactory{"DNN": factory})
+	res, err := Run(DefaultRunSpec("KM", BusLock, 22), params, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dnnDelay := Score(res, "DNN", EvalGrace).MeanDelay
+	dnnDelay := Score(res, EvalGrace).MeanDelay
 
-	res, err = Run(DefaultRunSpec("KM", BusLock, 22), params, map[string]DetectorFactory{"SDS": SDSFactory})
+	res, err = Run(DefaultRunSpec("KM", BusLock, 22), params, SDSFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdsDelay := Score(res, "SDS", EvalGrace).MeanDelay
+	sdsDelay := Score(res, EvalGrace).MeanDelay
 	if !(dnnDelay < sdsDelay) {
 		t.Errorf("DNN delay %v should beat SDS %v", dnnDelay, sdsDelay)
 	}
@@ -88,25 +88,25 @@ func TestScenario2DNNMoreRobust(t *testing.T) {
 	// DNN's faster response yields higher recall than SDS and KStest.
 	factory := testDNNFactory(t)
 	params := core.DefaultParams()
-	score := func(name string, f DetectorFactory) Accuracy {
+	score := func(f DetectorFactory) Accuracy {
 		t.Helper()
 		var recs, spcs []float64
 		for _, seed := range []uint64{31, 32} {
 			spec := DefaultRunSpec("KM", BusLock, seed)
 			spec.Adaptive = true
-			res, err := Run(spec, params, map[string]DetectorFactory{name: f})
+			res, err := Run(spec, params, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := Score(res, name, Scenario2Grace)
+			a := Score(res, Scenario2Grace)
 			recs = append(recs, a.Recall)
 			spcs = append(spcs, a.Specificity)
 		}
 		return Accuracy{Recall: mean(recs), Specificity: mean(spcs)}
 	}
-	dnnAcc := score("DNN", factory)
-	sdsAcc := score("SDS", SDSFactory)
-	ksAcc := score("KStest", KSFactory)
+	dnnAcc := score(factory)
+	sdsAcc := score(SDSFactory)
+	ksAcc := score(KSFactory)
 
 	if dnnAcc.Recall < 0.7 {
 		t.Errorf("scenario 2 DNN recall = %v, want >= 0.7 (paper 80-95%%)", dnnAcc.Recall)

@@ -9,7 +9,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"memdos/internal/attack"
@@ -144,8 +144,9 @@ func DefaultRunSpec(app string, mode AttackMode, seed uint64) RunSpec {
 
 // RunResult is the outcome of one run.
 type RunResult struct {
-	// Decisions per detector name.
-	Decisions map[string][]core.Decision
+	// Decisions is the detector's decision time-line (nil with no
+	// detector).
+	Decisions []core.Decision
 	// Truth is the ground-truth attack interval set.
 	Truth []metrics.Interval
 	// Access and Miss are the victim's PCM series.
@@ -254,55 +255,35 @@ func newAttacker(mode AttackMode, sched attack.Schedule) (*attack.Attacker, erro
 	}
 }
 
-// Run executes the spec, streaming the victim's samples through every
-// detector built by the factories.
-func Run(spec RunSpec, params core.Params, factories map[string]DetectorFactory) (*RunResult, error) {
+// Run executes the spec, streaming the victim's samples through the
+// detector the factory builds and charging the hypervisor its Fig. 14
+// cost. A nil factory runs the testbed with no detector.
+func Run(spec RunSpec, params core.Params, factory DetectorFactory) (*RunResult, error) {
 	srv, victim, truth, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileFor(spec.App, params)
-	if err != nil {
-		return nil, err
-	}
-	env := &Env{Server: srv, Victim: victim, Params: params, Profile: prof}
-
-	// Iterate factories in sorted-name order: the overhead sum is a
-	// float accumulation (order changes the low bits, and through
-	// SetHypervisorLoad those bits feed every VM's progress), and the
-	// first build error must not depend on map iteration order.
-	names := make([]string, 0, len(factories))
-	for name := range factories { //memdos:ignore maporder keys are sorted on the next line before any use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	detectors := make([]core.Detector, len(names))
-	var totalOverhead float64
-	for i, name := range names {
-		det, err := factories[name](env)
+	res := &RunResult{Truth: truth}
+	var onStep func(vmm.StepResult)
+	if factory != nil {
+		prof, err := profileFor(spec.App, params)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: building %s: %w", name, err)
-		}
-		detectors[i] = det
-		totalOverhead += det.Overhead()
-	}
-	if totalOverhead > 0 {
-		// Charge the combined detector processing cost.
-		if err := srv.SetHypervisorLoad(totalOverhead); err != nil {
 			return nil, err
 		}
+		det, err := factory(&Env{Server: srv, Victim: victim, Params: params, Profile: prof})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: building detector: %w", err)
+		}
+		if err := srv.SetHypervisorLoad(charge(det)); err != nil {
+			return nil, err
+		}
+		onStep = func(step vmm.StepResult) {
+			if s, ok := step.Samples[victim.ID()]; ok {
+				res.Decisions = append(res.Decisions, det.Push(s)...)
+			}
+		}
 	}
-
-	res := &RunResult{Decisions: make(map[string][]core.Decision), Truth: truth}
-	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
-		for i, det := range detectors {
-			res.Decisions[names[i]] = append(res.Decisions[names[i]], det.Push(s)...)
-		}
-	})
+	srv.RunUntil(spec.Duration, onStep)
 	c := srv.Counter(victim.ID())
 	res.Access = c.AccessSeries()
 	res.Miss = c.MissSeries()
@@ -399,14 +380,31 @@ type Accuracy struct {
 	MeanDelay float64
 }
 
-// Score evaluates decisions against the run's ground truth with the given
-// grace.
-func Score(res *RunResult, detector string, grace float64) Accuracy {
-	ds := res.Decisions[detector]
-	conf := metrics.Evaluate(ds, res.Truth, grace)
+// Score evaluates the run's decisions against its ground truth with the
+// given grace.
+func Score(res *RunResult, grace float64) Accuracy {
+	conf := metrics.Evaluate(res.Decisions, res.Truth, grace)
 	return Accuracy{
 		Recall:      conf.Recall(),
 		Specificity: conf.Specificity(),
-		MeanDelay:   metrics.MeanDelay(metrics.DetectionDelay(ds, res.Truth)),
+		MeanDelay:   metrics.MeanDelay(metrics.DetectionDelay(res.Decisions, res.Truth)),
 	}
+}
+
+// finite splits per-seed accuracies into their recall, specificity and
+// delay values, in seed order, dropping each NaN (a seed with no attack,
+// no clean time or no detection).
+func finite(accs []Accuracy) (rec, spc, dly []float64) {
+	for _, a := range accs {
+		if !math.IsNaN(a.Recall) {
+			rec = append(rec, a.Recall)
+		}
+		if !math.IsNaN(a.Specificity) {
+			spc = append(spc, a.Specificity)
+		}
+		if !math.IsNaN(a.MeanDelay) {
+			dly = append(dly, a.MeanDelay)
+		}
+	}
+	return rec, spc, dly
 }

@@ -46,14 +46,14 @@ func TestRunCleanScenario(t *testing.T) {
 func TestRunScenario1Truth(t *testing.T) {
 	spec := DefaultRunSpec("KM", BusLock, 1)
 	spec.Duration = Scenario1Duration
-	res, err := Run(spec, core.DefaultParams(), map[string]DetectorFactory{"SDS": SDSFactory})
+	res, err := Run(spec, core.DefaultParams(), SDSFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Truth) != 1 || res.Truth[0].Start != Scenario1AttackStart {
 		t.Fatalf("truth = %v", res.Truth)
 	}
-	a := Score(res, "SDS", EvalGrace)
+	a := Score(res, EvalGrace)
 	if a.Recall < 0.95 {
 		t.Errorf("SDS recall = %v", a.Recall)
 	}
@@ -301,6 +301,66 @@ func TestFig14OverheadShape(t *testing.T) {
 	if !(norm["SDS"] < norm["DNN"] && norm["DNN"] < norm["KStest"]) {
 		t.Errorf("overhead ordering violated: %v", norm)
 	}
+	// Bit for bit: every row but KStest is 1 + its typed charge; KStest
+	// adds the simulated throttling. Moving the cost model must not move
+	// these.
+	want := []Fig14Row{
+		{"KM", "SDS", 1.0183333333333333},
+		{"KM", "SDS/B", 1.0122},
+		{"KM", "SDS/P", 1.0152666666666665},
+		{"KM", "DNN", 1.0363333333333333},
+		{"KM", "KStest", 1.0604666666666667},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", rows, want)
+	}
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
+func TestCharge(t *testing.T) {
+	params := core.DefaultParams()
+	profile := func(app string) core.Profile {
+		t.Helper()
+		prof, err := profileFor(app, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
+	}
+	build := func(det core.Detector, err error) core.Detector {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+	km, fn := profile("KM"), profile("FN")
+	for _, tc := range []struct {
+		name string
+		det  core.Detector
+		want float64
+	}{
+		// SDS on a non-periodic app is SDS/B alone and pays SDS/B's.
+		{"SDS on KM", build(core.NewSDS(km, params)), 0.012},
+		{"SDS on FN", build(core.NewSDS(fn, params)), 0.018},
+		{"SDS/B", build(core.NewSDSB(km, params)), 0.012},
+		{"SDS/P", build(core.NewSDSP(fn, params)), 0.015},
+		{"KStest", build(core.NewKSTestDetector(core.EvaluationKSParams(), nil)), 0.02},
+		// The charge does not look at the weights, so no cascade is trained.
+		{"DNN", &core.DNNDetector{}, 0.035},
+		{"RawThreshold", build(core.NewRawThreshold(0.5)), 0.001},
+	} {
+		if got := charge(tc.det); got != tc.want {
+			t.Errorf("charge(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if sdsCharge(km.Periodic) != 0.012 || sdsCharge(fn.Periodic) != 0.018 {
+		t.Errorf("sdsCharge from the profiles = %v (KM), %v (FN)", sdsCharge(km.Periodic), sdsCharge(fn.Periodic))
+	}
 }
 
 func TestSweepAlphaSmoke(t *testing.T) {
@@ -444,7 +504,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := DefaultRunSpec("KM", BusLock, 9)
-	live, err := Run(spec, params, map[string]DetectorFactory{"SDS": SDSFactory})
+	live, err := Run(spec, params, SDSFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +516,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveDs := live.Decisions["SDS"]
+	liveDs := live.Decisions
 	if len(replayed) != len(liveDs) {
 		t.Fatalf("replay produced %d decisions, live %d", len(replayed), len(liveDs))
 	}

@@ -393,11 +393,11 @@ func CompareDetectors(apps []string, factories map[string]DetectorFactory, mode 
 		j := jobs[i]
 		spec := DefaultRunSpec(j.app, mode, j.seed)
 		spec.Adaptive = adaptive
-		res, err := Run(spec, params, map[string]DetectorFactory{j.name: factories[j.name]})
+		res, err := Run(spec, params, factories[j.name])
 		if err != nil {
 			return Accuracy{}, err
 		}
-		return Score(res, j.name, grace), nil
+		return Score(res, grace), nil
 	})
 	if err != nil {
 		return nil, err
@@ -408,19 +408,8 @@ func CompareDetectors(apps []string, factories map[string]DetectorFactory, mode 
 	var cells []ComparisonCell
 	for ai, app := range apps {
 		for ni, name := range names {
-			var acc, spc, dly []float64
-			for si := range seeds {
-				a := accs[(ai*len(names)+ni)*len(seeds)+si]
-				if !math.IsNaN(a.Recall) {
-					acc = append(acc, a.Recall)
-				}
-				if !math.IsNaN(a.Specificity) {
-					spc = append(spc, a.Specificity)
-				}
-				if !math.IsNaN(a.MeanDelay) {
-					dly = append(dly, a.MeanDelay)
-				}
-			}
+			first := (ai*len(names) + ni) * len(seeds)
+			acc, spc, dly := finite(accs[first : first+len(seeds)])
 			cell := ComparisonCell{App: app, Detector: name}
 			if len(acc) > 0 {
 				cell.Recall = metrics.Summarize(acc)
@@ -450,38 +439,66 @@ type Fig14Row struct {
 	Normalized float64
 }
 
-// detectorLoad describes each scheme's overhead mechanism for the Fig. 14
-// experiment: a hypervisor CPU fraction, plus execution throttling for
-// KStest.
-type detectorLoad struct {
-	name      string
-	cpu       float64
-	throttled bool
+// fig14Charge is the Fig. 14 cost model: the hypervisor CPU fraction each
+// scheme's processing is charged, by detector name. The values are chosen
+// inside the paper's bands, not measured. Execution throttling, KStest's
+// dominant cost, is not in the table: the hypervisor inflicts it
+// physically. Run, closedLoopRun, ClusterStudy, MigrationStudy and
+// Fig14Overhead all charge from here.
+var fig14Charge = map[string]float64{
+	// SDS is below the sum of its parts: SDS/B and SDS/P share the MA
+	// pipeline.
+	"SDS":   0.018,
+	"SDS/B": 0.012,
+	// SDS/P is slightly above SDS/B: the DFT-ACF recomputation is its
+	// dominant cost.
+	"SDS/P": 0.015,
+	// Per-window inference (the paper reports 2-5%).
+	"DNN": 0.035,
+	// The repeated KS tests only.
+	"KStest": 0.02,
+	// The naive detector of the raw-threshold ablation; no Fig. 14 row.
+	"RawThreshold": 0.001,
+}
+
+// fig14Schemes are Fig. 14's rows, in the figure's order.
+var fig14Schemes = []string{"SDS", "SDS/B", "SDS/P", "DNN", "KStest"}
+
+// charge maps a built detector to its hypervisor charge. SDS without
+// SDS/P (a non-periodic application) is SDS/B alone and pays SDS/B's; a
+// detector the table does not name pays nothing.
+func charge(det core.Detector) float64 {
+	if sds, ok := det.(*core.SDS); ok {
+		return sdsCharge(sds.Periodic())
+	}
+	return fig14Charge[det.Name()]
+}
+
+// sdsCharge is SDS's charge on an application whose profile is (or is
+// not) periodic: SDS/P runs, and is paid for, only on a periodic one.
+func sdsCharge(periodic bool) float64 {
+	if periodic {
+		return fig14Charge["SDS"]
+	}
+	return fig14Charge["SDS/B"]
 }
 
 // Fig14Overhead measures normalized execution times (victim runs to
-// completion; no attack) under each detection scheme. Every (app, load)
+// completion; no attack) under each detection scheme. Every (app, scheme)
 // completion run — including each app's baseline — is one parallel cell.
 func Fig14Overhead(apps []string) ([]Fig14Row, error) {
 	params := core.DefaultParams()
-	loads := []detectorLoad{
-		{name: "SDS", cpu: core.OverheadSDS},
-		{name: "SDS/B", cpu: core.OverheadSDSB},
-		{name: "SDS/P", cpu: core.OverheadSDSP},
-		{name: "DNN", cpu: core.OverheadDNN},
-		{name: "KStest", cpu: core.OverheadKSTest, throttled: true},
-	}
 	// Cell layout per app: index 0 is the no-detector baseline, then one
-	// cell per load.
-	perApp := 1 + len(loads)
+	// cell per scheme.
+	perApp := 1 + len(fig14Schemes)
 	times, err := par.MapCells(par.DefaultRunner(), len(apps)*perApp, func(i int) (float64, error) {
 		app := apps[i/perApp]
 		j := i % perApp
 		if j == 0 {
 			return completionTime(app, 0, false, params)
 		}
-		ld := loads[j-1]
-		return completionTime(app, ld.cpu, ld.throttled, params)
+		name := fig14Schemes[j-1]
+		return completionTime(app, fig14Charge[name], name == "KStest", params)
 	})
 	if err != nil {
 		return nil, err
@@ -489,12 +506,12 @@ func Fig14Overhead(apps []string) ([]Fig14Row, error) {
 	var rows []Fig14Row
 	for ai, app := range apps {
 		baseline := times[ai*perApp]
-		for li, ld := range loads {
-			norm, err := metrics.NormalizedExecTime(baseline, times[ai*perApp+1+li])
+		for si, name := range fig14Schemes {
+			norm, err := metrics.NormalizedExecTime(baseline, times[ai*perApp+1+si])
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Fig14Row{App: app, Detector: ld.name, Normalized: norm})
+			rows = append(rows, Fig14Row{App: app, Detector: name, Normalized: norm})
 		}
 	}
 	return rows, nil

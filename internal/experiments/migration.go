@@ -61,10 +61,6 @@ func MigrationStudy(app string, relocationDelay, dur float64, seed uint64) (*Mig
 	if err != nil {
 		return nil, err
 	}
-	overheadDet, err := core.NewSDS(prof, params)
-	if err != nil {
-		return nil, err
-	}
 
 	run := func(withResponse bool) (*cluster.Result, error) {
 		cfg := cluster.DefaultConfig()
@@ -78,7 +74,7 @@ func MigrationStudy(app string, relocationDelay, dur float64, seed uint64) (*Mig
 		if withResponse {
 			cfg.Detector = func(string) (core.Detector, error) { return core.NewSDS(prof, params) }
 			cfg.Respond = migrationLadder()
-			cfg.HypervisorLoad = overheadDet.Overhead()
+			cfg.HypervisorLoad = sdsCharge(prof.Periodic)
 		}
 		c, err := cluster.New(cfg)
 		if err != nil {

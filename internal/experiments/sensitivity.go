@@ -23,29 +23,17 @@ type SweepPoint struct {
 // sweepCell is one Scenario 1 bus-locking run of the app with the given
 // parameters and factory under one seed.
 func sweepCell(app string, params core.Params, factory DetectorFactory, seed uint64) (Accuracy, error) {
-	spec := DefaultRunSpec(app, BusLock, seed)
-	res, err := Run(spec, params, map[string]DetectorFactory{"det": factory})
+	res, err := Run(DefaultRunSpec(app, BusLock, seed), params, factory)
 	if err != nil {
 		return Accuracy{}, err
 	}
-	return Score(res, "det", EvalGrace), nil
+	return Score(res, EvalGrace), nil
 }
 
 // mergeSweepPoint aggregates the per-seed accuracies of one sweep point,
 // in seed order, exactly as the serial loop did.
 func mergeSweepPoint(accs []Accuracy) SweepPoint {
-	var rec, spc, dly []float64
-	for _, a := range accs {
-		if !math.IsNaN(a.Recall) {
-			rec = append(rec, a.Recall)
-		}
-		if !math.IsNaN(a.Specificity) {
-			spc = append(spc, a.Specificity)
-		}
-		if !math.IsNaN(a.MeanDelay) {
-			dly = append(dly, a.MeanDelay)
-		}
-	}
+	rec, spc, dly := finite(accs)
 	return SweepPoint{
 		Recall:      stats.Mean(rec),
 		Specificity: stats.Mean(spc),
@@ -294,11 +282,11 @@ func AblationRawThreshold(app string, seeds []uint64) (map[string]Accuracy, erro
 	accs, err := par.MapCells(par.DefaultRunner(), len(names)*len(seeds), func(i int) (Accuracy, error) {
 		name := names[i/len(seeds)]
 		seed := seeds[i%len(seeds)]
-		res, err := Run(DefaultRunSpec(app, BusLock, seed), params, map[string]DetectorFactory{name: factories[name]})
+		res, err := Run(DefaultRunSpec(app, BusLock, seed), params, factories[name])
 		if err != nil {
 			return Accuracy{}, err
 		}
-		return Score(res, name, EvalGrace), nil
+		return Score(res, EvalGrace), nil
 	})
 	if err != nil {
 		return nil, err

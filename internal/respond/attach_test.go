@@ -19,8 +19,6 @@ func (flipDet) Push(s pcm.Sample) []core.Decision {
 	return []core.Decision{{Time: s.Time, Alarm: s.MissNum > 50}}
 }
 
-func (flipDet) Overhead() float64 { return 0 }
-
 // waitFor polls cond until it holds or the deadline passes. The Attach
 // pump is asynchronous, so hub-side effects need a grace period.
 func waitFor(t *testing.T, cond func() bool, msg string) {

@@ -48,7 +48,6 @@ type silentDetector struct{}
 
 func (silentDetector) Name() string                    { return "silent" }
 func (silentDetector) Push(pcm.Sample) []core.Decision { return nil }
-func (silentDetector) Overhead() float64               { return 0 }
 
 // TestIngestAllocsDoNotGrowWithFrames pins Hub.Ingest's contract — the
 // copy into a pooled buffer, the shard hand-off and the per-sample loop

@@ -28,8 +28,10 @@ import (
 // exactness must either size their buffer for the worst-case burst
 // (sessions × 2 transitions covers any instant) or reconcile against
 // SessionInfo.AlarmActive, which is always current. The respond engine
-// does the latter implicitly: a missed raise is recovered by its
-// sustained-alarm tick rule, a missed clear by the next transition.
+// (respond.Attach) does neither on its own: for it a lost edge stays
+// lost until the opposite edge arrives. A missed raise leaves the
+// session unmitigated, and a missed clear leaves it escalating on an
+// attack that has ended (see respond.Attach).
 
 // Decode limits: a request may not exceed MaxIngestBytes on the wire or
 // MaxIngestSamples decoded samples across all batches.

@@ -99,13 +99,13 @@ const (
 
 // Experiment harness entry points.
 var (
-	// RunExperiment executes one configured run.
+	// RunExperiment executes one configured run with one detector.
 	RunExperiment = experiments.Run
 	// DefaultRunSpec builds a Scenario 1 run.
 	DefaultRunSpec = experiments.DefaultRunSpec
 	// ProfileApplication profiles an app on a clean server.
 	ProfileApplication = experiments.ProfileApp
-	// ScoreRun scores one detector's output against ground truth.
+	// ScoreRun scores a run's decisions against its ground truth.
 	ScoreRun = experiments.Score
 	// Evaluate scores a decision time-line directly.
 	Evaluate = metrics.Evaluate

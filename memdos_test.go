@@ -63,13 +63,11 @@ func TestPublicQuickstartFlow(t *testing.T) {
 func TestPublicExperimentHarness(t *testing.T) {
 	params := memdos.DefaultParams()
 	spec := memdos.DefaultRunSpec("TS", memdos.LLCCleansing, 3)
-	res, err := memdos.RunExperiment(spec, params, map[string]memdos.DetectorFactory{
-		"SDS": memdos.SDSDetectorFactory,
-	})
+	res, err := memdos.RunExperiment(spec, params, memdos.SDSDetectorFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := memdos.ScoreRun(res, "SDS", 30)
+	a := memdos.ScoreRun(res, 30)
 	if a.Recall < 0.9 || a.Specificity < 0.9 {
 		t.Errorf("harness accuracy: %+v", a)
 	}
