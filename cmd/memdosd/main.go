@@ -12,7 +12,7 @@
 //
 //	memdosd [-addr :9464] [-apps KM,FN] [-profile-dur 120]
 //	        [-shards 0] [-queue 4096] [-policy drop|block] [-merge-gap 2]
-//	        [-respond] [-respond-tick 1s]
+//	        [-respond]
 //	        [-score-model cascade.json] [-score-stride 0]
 //	        [-score-batch 64] [-score-queue 1024]
 //
@@ -28,9 +28,12 @@
 // to the model's window.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
-// (internal/respond) to the hub's alarm feed: alarm raises walk the
-// suspect VM up a graduated throttle/partition/migrate ladder, clears
-// back off with hysteresis. Stand-alone the engine drives a no-op
+// (internal/respond) to the hub as an observer: the shard that folds an
+// alarm transition calls the engine with it, in order and never shed;
+// raises walk the suspect VM up a graduated throttle/partition/migrate
+// ladder, clears back off with hysteresis (advanced once a second to the
+// newest decision time), and DELETE /v1/sessions/{vm} releases whatever
+// the session held. Stand-alone the engine drives a no-op
 // actuator — the would-be actions are the engine's own per-session
 // action log, inspectable under GET /v1/responses and adjustable via POST /v1/responses/{vm}/override
 // ({"mode":"pause"|"resume"|"force","level":N}); embedders wire a real
@@ -89,7 +92,6 @@ func run(args []string) error {
 	policy := fs.String("policy", "drop", "full-queue policy: drop | block")
 	mergeGap := fs.Float64("merge-gap", 2, "merge incident episodes separated by <= this many seconds")
 	respondOn := fs.Bool("respond", false, "attach the closed-loop mitigation engine to the alarm feed")
-	respondTick := fs.Duration("respond-tick", time.Second, "hysteresis tick interval for the mitigation engine")
 	scoreModel := fs.String("score-model", "", "saved dnn cascade to attach as the batched scoring service ('' disables)")
 	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = the paper's ΔW, 50, clipped to the model's window)")
 	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
@@ -136,9 +138,9 @@ func run(args []string) error {
 		if eng, err = respond.New(respond.DefaultConfig(), respond.NewLogActuator()); err != nil {
 			return err
 		}
-		detach := respond.Attach(hub, eng, 256)
+		detach := hub.AddObserver(eng)
 		defer detach()
-		stopTicker := tickFromDecisions(hub, eng, *respondTick)
+		stopTicker := tickFromDecisions(hub, eng)
 		defer stopTicker()
 	}
 
@@ -165,7 +167,7 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	hub.Close() // drains queues, seals incident logs
+	hub.Close() // drains queues through the detectors
 	for _, in := range hub.Sessions() {
 		fmt.Printf("memdosd: session %s (%s): %d samples, %d decisions, %d incidents\n",
 			in.ID, in.Detector, in.Ingested, in.Decisions, len(in.Incidents))
@@ -198,15 +200,19 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// tickFromDecisions periodically advances the mitigation engine's clock
-// to the newest decision timestamp seen on the hub, so hysteresis
-// back-off progresses even while the alarm feed is quiet (alarm events
-// only fire on transitions). The engine stays in sample time — the
-// daemon never feeds it the wall clock.
-func tickFromDecisions(hub *stream.Hub, eng *respond.Engine, every time.Duration) (stop func()) {
+// respondTick is how often tickFromDecisions advances the mitigation
+// engine.
+const respondTick = time.Second
+
+// tickFromDecisions advances the mitigation engine's clock every
+// respondTick to the newest decision timestamp seen on the hub, so
+// hysteresis back-off progresses even while the alarm feed is quiet
+// (alarm events only fire on transitions). The engine stays in sample
+// time — the daemon never feeds it the wall clock.
+func tickFromDecisions(hub *stream.Hub, eng *respond.Engine) (stop func()) {
 	done := make(chan struct{})
 	go func() {
-		t := time.NewTicker(every)
+		t := time.NewTicker(respondTick)
 		defer t.Stop()
 		for {
 			select {

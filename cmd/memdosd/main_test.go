@@ -25,6 +25,11 @@ func TestRunFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "score-window") {
 		t.Fatalf("-score-window: %v", err)
 	}
+	// The mitigation engine ticks once a second; there is no flag for it.
+	if err := run([]string{"-respond-tick", "2s"}); err == nil ||
+		!strings.Contains(err.Error(), "respond-tick") {
+		t.Fatalf("-respond-tick: %v", err)
+	}
 }
 
 // -score-stride 0 is the paper's ΔW = 50 (what core.DNNDetector and

@@ -28,7 +28,7 @@ import (
 //	GET  /v1/sessions/{id} one session: detector state, open incidents
 //	DELETE /v1/sessions/{id}
 //	GET  /v1/responses     mitigation state per session (404 unless -respond)
-//	POST /v1/responses/{id}/override  operator pause/resume/force
+//	POST /v1/responses/{id}/override  operator pause/resume/force (404 unless {id} is open)
 //	GET  /metrics          Prometheus text exposition of the hub counters
 //	GET  /healthz          liveness
 //	GET  /debug/pprof/...  live CPU/heap/goroutine profiling (net/http/pprof)
@@ -175,13 +175,11 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
+	// The hub makes the attached engine forget the session, releasing any
+	// mitigation still applied on its behalf.
 	if err := s.hub.CloseSession(r.PathValue("id")); err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
-	}
-	if s.eng != nil {
-		// Releases any mitigation still applied on the session's behalf.
-		s.eng.Forget(r.PathValue("id"))
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"closed": r.PathValue("id")})
 }
@@ -211,6 +209,12 @@ func (s *Server) handleOverride(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("mitigation disabled (start memdosd with -respond)"))
 		return
 	}
+	// Only an open session has a close to end its engine record.
+	id := r.PathValue("id")
+	if _, ok := s.hub.Session(id); !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		return
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	var req overrideRequest
@@ -218,7 +222,6 @@ func (s *Server) handleOverride(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	id := r.PathValue("id")
 	var st respond.SessionState
 	var err error
 	switch req.Mode {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -383,5 +384,109 @@ func TestResponsesEndpoints(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestOverrideUnknownSession: the override route answers 404 for an id
+// the hub has no session for, and leaves no engine record behind that no
+// close would ever end.
+func TestOverrideUnknownSession(t *testing.T) {
+	ts, _, eng := newRespondDaemon(t)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/responses/ghost/override",
+		map[string]string{"mode": "pause"})
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "ghost") {
+		t.Errorf("override of an unknown session: %d %s", resp.StatusCode, body)
+	}
+	if _, ok := eng.State("ghost"); ok {
+		t.Error("engine keeps a record for a session the hub never had")
+	}
+}
+
+// gateDet alarms whenever MissNum exceeds 50. With entered set, its
+// first Push closes entered and then waits until gate closes.
+type gateDet struct {
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (*gateDet) Name() string { return "gate" }
+
+func (d *gateDet) Push(s pcm.Sample) []core.Decision {
+	if d.entered != nil {
+		close(d.entered)
+		d.entered = nil
+		<-d.gate
+	}
+	return []core.Decision{{Time: s.Time, Alarm: s.MissNum > 50}}
+}
+
+// TestDeleteWithRaiseQueued: DELETE /v1/sessions/{id} while a batch that
+// raises the session's alarm is still queued behind a blocked detector.
+// The batch still runs through the detector afterwards, but the engine
+// must not hear of it: once it has run, the engine holds no record of the
+// closed session.
+func TestDeleteWithRaiseQueued(t *testing.T) {
+	hub := stream.NewHub(stream.Config{Shards: 1, QueueCap: 1024, ShardBuffer: 8, Policy: stream.Block})
+	t.Cleanup(func() { hub.Close() })
+	entered, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before hub.Close, which waits for the shard
+	if err := hub.RegisterProfile("gate", func() (core.Detector, error) {
+		return &gateDet{entered: entered, gate: gate}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.RegisterProfile("flip", func() (core.Detector, error) { return &gateDet{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := respond.New(respond.DefaultConfig(), respond.NewLogActuator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(respond.Attach(hub, eng, 64))
+	ts := httptest.NewServer(New(hub, eng))
+	t.Cleanup(ts.Close)
+
+	ingest := func(id string, at, miss float64) {
+		t.Helper()
+		if _, err := hub.Ingest(id, []pcm.Sample{{Time: at, AccessNum: 100, MissNum: miss}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hub.Open("vm-0", "gate"); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Open("vm-1", "flip"); err != nil {
+		t.Fatal(err)
+	}
+	// vm-0's first sample holds the hub's one shard; vm-1's raise queues
+	// behind it.
+	ingest("vm-0", 1, 10)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the gate detector never ran")
+	}
+	ingest("vm-1", 1, 100)
+	if resp, body := doJSON(t, "DELETE", ts.URL+"/v1/sessions/vm-1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete session: %d %s", resp.StatusCode, body)
+	}
+	// vm-0 raises after vm-1's queued batch on the same shard, so once the
+	// engine knows vm-0 it has heard everything vm-1's batch could send.
+	ingest("vm-0", 2, 100)
+	release()
+	if err := hub.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := eng.State("vm-0"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("vm-0's raise never reached the engine")
+		}
+	}
+	if st, ok := eng.State("vm-1"); ok {
+		t.Errorf("engine holds a record for the closed session: %+v", st)
 	}
 }

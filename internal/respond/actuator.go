@@ -8,8 +8,11 @@ package respond
 // per-VM counter attribution.
 //
 // Calls happen with the engine lock held, in deterministic order, and
-// must not call back into the engine. Implementations should be fast;
-// a slow actuator delays alarm processing.
+// must not call back into the engine. When the engine observes a
+// stream.Hub (Attach), calls also run on the hub's shard goroutine with
+// hub locks held, so they must not call back into the hub either.
+// Implementations should be fast; a slow actuator delays detection on
+// the shard that raised the alarm.
 type Actuator interface {
 	// Throttle caps the suspect VM's execution to (1-duty) of its share.
 	// duty 0 clears the throttle.

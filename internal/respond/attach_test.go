@@ -1,6 +1,8 @@
 package respond
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,8 +21,7 @@ func (flipDet) Push(s pcm.Sample) []core.Decision {
 	return []core.Decision{{Time: s.Time, Alarm: s.MissNum > 50}}
 }
 
-// waitFor polls cond until it holds or the deadline passes. The Attach
-// pump is asynchronous, so hub-side effects need a grace period.
+// waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -104,5 +105,87 @@ func TestAttachClosesTheLoop(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if n := len(act.log()); n != 2 {
 		t.Errorf("detached engine still actuated: %d calls", n)
+	}
+}
+
+// stallAct is fakeAct whose first call announces itself on entered and
+// then waits until release closes.
+type stallAct struct {
+	fakeAct
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (a *stallAct) Throttle(sess string, duty float64) error {
+	a.once.Do(func() {
+		close(a.entered)
+		<-a.release
+	})
+	return a.fakeAct.Throttle(sess, duty)
+}
+
+// TestAttachLosesNoEdge: raise, clear and raise arrive while the engine
+// is stuck in its first actuator call, attached with a one-event
+// buffer. Afterwards the engine must agree with the hub that the alarm
+// is up, and must have acted exactly as an engine fed the three edges
+// directly.
+func TestAttachLosesNoEdge(t *testing.T) {
+	hub := stream.NewHub(stream.Config{Shards: 1, QueueCap: 1024, ShardBuffer: 8, Policy: stream.Block})
+	defer hub.Close()
+	if err := hub.RegisterProfile("flip", func() (core.Detector, error) { return flipDet{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Open("vm-a", "flip"); err != nil {
+		t.Fatal(err)
+	}
+	act := &stallAct{entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(act.release) })
+	defer release() // before hub.Close, which waits for the shard
+	eng, err := New(DefaultConfig(), act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := Attach(hub, eng, 1)
+	defer stop()
+
+	ingest := func(at, miss float64) {
+		t.Helper()
+		if _, err := hub.Ingest("vm-a", []pcm.Sample{{Time: at, AccessNum: 100, MissNum: miss}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(1, 100) // raise
+	select {
+	case <-act.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the raise never reached the actuator")
+	}
+	ingest(2, 10)  // clear
+	ingest(3, 100) // raise
+	// Give the hub the chance to fold both edges while the actuator is
+	// stuck. It has none when the engine runs on the shard: the shard is
+	// the goroutine that is stuck, so this waits out its deadline.
+	for deadline := time.Now().Add(100 * time.Millisecond); hub.Stats().Decisions < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := hub.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+
+	in, _ := hub.Session("vm-a")
+	st, ok := eng.State("vm-a")
+	if !in.AlarmActive || !ok || st.AlarmActive != in.AlarmActive {
+		t.Fatalf("hub alarm %v, engine alarm %v (record %v)", in.AlarmActive, st.AlarmActive, ok)
+	}
+	direct, _ := newTestEngine(t, DefaultConfig())
+	raise(t, direct, "vm-a", 1)
+	clear(t, direct, "vm-a", 2)
+	raise(t, direct, "vm-a", 3)
+	want, _ := direct.State("vm-a")
+	if !reflect.DeepEqual(st.Actions, want.Actions) {
+		t.Errorf("attached engine acted %+v, direct engine %+v", st.Actions, want.Actions)
 	}
 }

@@ -1,8 +1,10 @@
 // Package respond closes the loop from detection to mitigation: a policy
-// engine consumes alarm raise/clear events — from the streaming detection
-// hub (internal/stream, see Attach) or straight from a simulation's
-// detector loop — and drives graduated, reversible hypervisor
-// actions against the suspect VM of each protected session.
+// engine consumes alarm raise/clear events and drives graduated,
+// reversible hypervisor actions against the suspect VM of each protected
+// session. The streaming detection hub (internal/stream) calls the engine
+// directly, as an observer on the shard that folds each transition, and
+// makes it Forget a session when the session closes (see Attach); a
+// simulation's detector loop calls Observe itself.
 //
 // The paper detects memory DoS attacks but leaves the response open. Its
 // Section II argument — reproduced by experiments.MigrationStudy — is

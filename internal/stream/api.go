@@ -15,23 +15,28 @@ import (
 //
 // # Alarm delivery guarantee
 //
-// Subscribe delivers AlarmEvents best-effort: the hub publishes each
-// alarm transition (raise or clear, never intermediate decisions) to
+// The hub hands each alarm transition (raise or clear, never
+// intermediate decisions) to two kinds of consumer.
+//
+// Observers (AddObserver) are exact. The shard goroutine calls each one
+// at the transition and waits for it, so an observer sees every edge of
+// a session in order and none is shed. Closing a session makes every
+// observer Forget it, and nothing the session still had queued reaches an
+// observer afterwards. The respond engine is attached this way
+// (respond.Attach). The price is that a slow observer slows the shard.
+//
+// Subscribers (Subscribe) are best-effort: the hub offers the event to
 // every subscriber's buffered channel without ever blocking the
 // detection path. A subscriber that falls behind its buffer loses the
 // event — silently from the channel's point of view, but never
 // invisibly: every shed event increments the
 // memdos_stream_subscriber_dropped_total counter (HubStats.
 // SubscriberDropped). Within one session, events that are delivered
-// arrive in order; a dropped event therefore means a consumer may miss
-// a raise or a clear, never see them reordered. Consumers that need
-// exactness must either size their buffer for the worst-case burst
-// (sessions × 2 transitions covers any instant) or reconcile against
-// SessionInfo.AlarmActive, which is always current. The respond engine
-// (respond.Attach) does neither on its own: for it a lost edge stays
-// lost until the opposite edge arrives. A missed raise leaves the
-// session unmitigated, and a missed clear leaves it escalating on an
-// attack that has ended (see respond.Attach).
+// arrive in order; a dropped event therefore means a subscriber may miss
+// a raise or a clear, never see them reordered. A subscriber that needs
+// exactness must size its buffer for the worst-case burst (sessions × 2
+// transitions covers any instant), reconcile against
+// SessionInfo.AlarmActive, which is always current, or be an observer.
 
 // Decode limits: a request may not exceed MaxIngestBytes on the wire or
 // MaxIngestSamples decoded samples across all batches.

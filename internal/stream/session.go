@@ -61,7 +61,8 @@ type SessionInfo struct {
 
 // Session is one protected VM's always-on detection pipeline. All
 // detector and incident-fold mutation happens on the session's shard
-// goroutine; mu only guards inspection against that single writer.
+// goroutine; mu guards inspection against that single writer and orders
+// a close after any observer call in progress.
 type Session struct {
 	hub     *Hub
 	id      string
@@ -70,7 +71,8 @@ type Session struct {
 	shard   *shard
 
 	// queue accounting. pending is the number of accepted samples not
-	// yet processed; qmu/cond implement the Block policy.
+	// yet processed; qmu/cond implement the Block policy. removed is set
+	// once, under mu (see remove), and read by enqueue without it.
 	pending atomic.Int64
 	qmu     sync.Mutex
 	cond    *sync.Cond
@@ -82,7 +84,7 @@ type Session struct {
 	// mu guards everything below (shard goroutine writes, info reads).
 	mu sync.Mutex
 	// incidents, decisions, outOfOrder, alarmsRaised, alarmActive,
-	// lastDecision, hasDecision and sealed are all guarded by mu.
+	// lastDecision and hasDecision are all guarded by mu.
 	incidents    core.IncidentFold
 	decisions    uint64
 	outOfOrder   uint64
@@ -90,7 +92,6 @@ type Session struct {
 	alarmActive  bool
 	lastDecision core.Decision
 	hasDecision  bool
-	sealed       bool
 
 	// scoreWin assembles the session's sliding cascade window and scoreOrd
 	// counts the windows it has emitted (both written on the shard
@@ -179,9 +180,16 @@ func (s *Session) wake() {
 	s.qmu.Unlock()
 }
 
+// remove ends the session for its observers. removed is set under mu, so
+// a batch the shard is folding finishes its observer calls first and no
+// later batch makes any; only then does every observer forget the
+// session, so no queued batch can bring its record back.
 func (s *Session) remove() {
+	s.mu.Lock()
 	s.removed.Store(true)
+	s.mu.Unlock()
 	s.wake()
+	s.hub.forget(s.id)
 }
 
 // process runs the batch through the detector. It executes only on the
@@ -202,7 +210,8 @@ func (s *Session) process(batch []pcm.Sample) {
 }
 
 // foldLocked absorbs one decision: counters, incident tracking, alarm
-// transition fan-out. Caller holds s.mu.
+// transition fan-out (to observers only while the session is open).
+// Caller holds s.mu.
 func (s *Session) foldLocked(d core.Decision) {
 	s.decisions++
 	s.hub.decisionsTotal.Inc()
@@ -219,17 +228,8 @@ func (s *Session) foldLocked(d core.Decision) {
 			s.alarmsRaised++
 			s.hub.alarmsRaised.Inc()
 		}
-		s.hub.publish(AlarmEvent{Session: s.id, Detector: s.det.Name(), Time: d.Time, Raised: d.Alarm})
+		s.hub.publish(AlarmEvent{Session: s.id, Detector: s.det.Name(), Time: d.Time, Raised: d.Alarm}, !s.removed.Load())
 	}
-}
-
-// seal marks the session log final after hub shutdown has drained the
-// queues; any still-open incident stays flagged Open — truthfully "still
-// alarming when the stream ended".
-func (s *Session) seal() {
-	s.mu.Lock()
-	s.sealed = true
-	s.mu.Unlock()
 }
 
 // info snapshots the session.

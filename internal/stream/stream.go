@@ -9,8 +9,9 @@
 // Producers hand sample batches to Ingest; bounded per-session queues
 // with an explicit policy (shed load or block) keep a slow detector from
 // taking the hub down. Decisions fold incrementally into incident
-// episodes (core.IncidentFold), and alarm transitions fan out to
-// subscriber channels.
+// episodes (core.IncidentFold). Alarm transitions go to observers, which
+// the shard calls in order and never sheds (AddObserver), and to
+// best-effort subscriber channels (Subscribe).
 //
 // Ordering: samples of one session are processed in the order Ingest
 // accepted them. With several concurrent producers for the *same*
@@ -21,6 +22,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -161,8 +163,16 @@ type Hub struct {
 	subMu sync.Mutex
 	// subs holds alarm subscriber channels. guarded by subMu.
 	subs map[int]chan AlarmEvent
-	// nextSub is the next subscriber id. guarded by subMu.
+	// observers are called in registration order. guarded by subMu.
+	observers []observer
+	// nextSub is the next subscriber or observer id. guarded by subMu.
 	nextSub int
+}
+
+// observer is one AddObserver registration.
+type observer struct {
+	id int
+	o  AlarmObserver
 }
 
 // NewHub starts the worker shards and returns the hub.
@@ -242,7 +252,9 @@ func (h *Hub) Open(sessionID, profile string) error {
 }
 
 // CloseSession removes the session from the hub. Samples already
-// accepted are still processed; further Ingest calls for the id fail.
+// accepted are still processed, but no observer hears of them; every
+// observer forgets the session before CloseSession returns. Further
+// Ingest calls for the id fail.
 func (h *Hub) CloseSession(sessionID string) error {
 	h.mu.Lock()
 	s, ok := h.sessions[sessionID]
@@ -313,8 +325,10 @@ func (h *Hub) Drain() error {
 }
 
 // Close shuts the hub down gracefully: new ingests are refused, queued
-// samples drain through the detectors, open incidents are sealed into
-// the session logs, and subscriber channels close. Close is idempotent.
+// samples drain through the detectors (their transitions still reach
+// observers), and subscriber channels close. Sessions stay inspectable;
+// an incident still open at Close stays flagged Open — truthfully "still
+// alarming when the stream ended". Close is idempotent.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -341,13 +355,9 @@ func (h *Hub) Close() error {
 		<-sh.done
 	}
 	// Shards have exited, so no goroutine can enqueue more windows: drain
-	// the scoring pipeline before sealing the sessions, so final verdicts
-	// land in the logs.
+	// the scoring pipeline, so final verdicts land in the session views.
 	if sc := h.scorer.Load(); sc != nil {
 		sc.closeScorer()
-	}
-	for _, s := range sessions {
-		s.seal()
 	}
 	h.subMu.Lock()
 	for id, ch := range h.subs {
@@ -432,6 +442,45 @@ func (h *Hub) Sessions() []SessionInfo {
 	return out
 }
 
+// AlarmObserver hears every alarm transition of every session exactly,
+// in order per session: the shard that folds the transition calls
+// Observe and waits for it. When a session closes the hub calls Forget,
+// and no batch still queued for the closed session reaches Observe after
+// that. *respond.Engine is one.
+//
+// Both methods run with hub locks held, so an observer must not call back
+// into the hub. A slow observer stalls the shard that calls it, and any
+// other shard folding a transition meanwhile waits behind it.
+type AlarmObserver interface {
+	Observe(session string, t float64, raised bool) error
+	Forget(session string)
+}
+
+// AddObserver registers o after every observer already registered.
+// remove unregisters it; once remove has returned, the hub calls o no
+// more. remove may be called more than once.
+func (h *Hub) AddObserver(o AlarmObserver) (remove func()) {
+	h.subMu.Lock()
+	id := h.nextSub
+	h.nextSub++
+	h.observers = append(h.observers, observer{id: id, o: o})
+	h.subMu.Unlock()
+	return func() {
+		h.subMu.Lock()
+		h.observers = slices.DeleteFunc(h.observers, func(ob observer) bool { return ob.id == id })
+		h.subMu.Unlock()
+	}
+}
+
+// forget tells every observer that a session has closed.
+func (h *Hub) forget(sessionID string) {
+	h.subMu.Lock()
+	defer h.subMu.Unlock()
+	for _, ob := range h.observers {
+		ob.o.Forget(sessionID)
+	}
+}
+
 // Subscribe registers an alarm listener. Events are delivered best-effort:
 // when the buffer is full the event is counted as dropped, never blocking
 // a shard. cancel unsubscribes; the channel closes on cancel or hub Close.
@@ -461,9 +510,11 @@ func (h *Hub) Subscribe(buffer int) (<-chan AlarmEvent, func()) {
 	return ch, cancel
 }
 
-// publish fans one alarm transition out to every subscriber.
-func (h *Hub) publish(ev AlarmEvent) {
+// publish offers one alarm transition to every subscriber without
+// blocking, then, if observe is set, calls every observer in order.
+func (h *Hub) publish(ev AlarmEvent, observe bool) {
 	h.subMu.Lock()
+	defer h.subMu.Unlock()
 	for _, ch := range h.subs {
 		select {
 		case ch <- ev:
@@ -471,7 +522,15 @@ func (h *Hub) publish(ev AlarmEvent) {
 			h.subscriberDropped.Inc()
 		}
 	}
-	h.subMu.Unlock()
+	if !observe {
+		return
+	}
+	for _, ob := range h.observers {
+		// The hub has nothing to retry and delivers the next transition
+		// regardless; the engine's one error, a bad session name, cannot
+		// arise from an id the hub accepted.
+		_ = ob.o.Observe(ev.Session, ev.Time, ev.Raised)
+	}
 }
 
 // HubStats is a programmatic snapshot of the hub counters.

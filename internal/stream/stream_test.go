@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -502,6 +503,197 @@ func TestSubscriberDropAccounting(t *testing.T) {
 		in, ok := h.Session(fmt.Sprintf("vm-%d", i))
 		if !ok || in.Pending != 0 || in.Dropped != 0 {
 			t.Errorf("session vm-%d impeded: %+v", i, in)
+		}
+	}
+}
+
+// logObserver appends what the hub tells it to a log it may share with
+// other observers, tagged with its name.
+type logObserver struct {
+	name string
+	mu   *sync.Mutex
+	log  *[]string
+}
+
+func (o logObserver) Observe(session string, t float64, raised bool) error {
+	o.mu.Lock()
+	*o.log = append(*o.log, fmt.Sprintf("%s %s %v %v", o.name, session, t, raised))
+	o.mu.Unlock()
+	return nil
+}
+
+func (o logObserver) Forget(session string) {
+	o.mu.Lock()
+	*o.log = append(*o.log, fmt.Sprintf("%s %s forget", o.name, session))
+	o.mu.Unlock()
+}
+
+// edgeLog renders a subscriber's events as an observer named name
+// would have logged them.
+func edgeLog(name string, evs []AlarmEvent) []string {
+	var out []string
+	for _, ev := range evs {
+		out = append(out, fmt.Sprintf("%s %s %v %v", name, ev.Session, ev.Time, ev.Raised))
+	}
+	return out
+}
+
+// TestObserversAreExact pins the other half of the delivery guarantee:
+// while a one-slot subscriber sheds, every observer hears every
+// transition, in registration order; closing a session makes each one
+// forget it; and a removed observer hears nothing more.
+func TestObserversAreExact(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = Block
+	cfg.Shards = 1 // one fold order, so the expected log is a plain sequence
+	h := newTestHub(t, cfg, fastParams())
+
+	slow, cancelSlow := h.Subscribe(1)
+	defer cancelSlow()
+	wide, cancelWide := h.Subscribe(1 << 10)
+	defer cancelWide()
+	var mu sync.Mutex
+	var log []string
+	removeA := h.AddObserver(logObserver{"a", &mu, &log})
+	removeB := h.AddObserver(logObserver{"b", &mu, &log})
+
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("vm-%d", i)
+		if err := h.Open(id, "sdsb"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Ingest(id, sessionSamples(uint64(i+1), 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CloseSession("vm-1"); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []string
+	for len(wide) > 0 {
+		ev := <-wide
+		for _, name := range []string{"a", "b"} {
+			want = append(want, fmt.Sprintf("%s %s %v %v", name, ev.Session, ev.Time, ev.Raised))
+		}
+	}
+	want = append(want, "a vm-1 forget", "b vm-1 forget")
+	if len(want) < 8 || h.Stats().SubscriberDropped == 0 || len(slow) != 1 {
+		t.Fatalf("no shedding to compare against: %d observer calls, %d dropped", len(want), h.Stats().SubscriberDropped)
+	}
+	mu.Lock()
+	got := append([]string(nil), log...)
+	mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("observer log:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	removeA()
+	removeA() // idempotent
+	removeB()
+	more := sessionSamples(9, 200)
+	for i := range more {
+		more[i].Time += 2 // after the first stream, so it folds
+	}
+	if _, err := h.Ingest("vm-0", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wide) == 0 {
+		t.Fatal("second stream raised nothing")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(log) != len(got) {
+		t.Errorf("removed observers still called: %v", log[len(got):])
+	}
+}
+
+// TestObserversUnderConcurrentClose runs four shards at once while half
+// the sessions close mid-stream and a second observer comes and goes.
+// Per session the recording observer must have heard exactly the edges
+// the hub folded (an unshed subscriber's copy) — all of them for a
+// session left open, a prefix and then one Forget for a closed one.
+func TestObserversUnderConcurrentClose(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = Block
+	cfg.Shards = 4
+	h := newTestHub(t, cfg, fastParams())
+	wide, cancel := h.Subscribe(1 << 12)
+	defer cancel()
+	var mu, churnMu sync.Mutex
+	var log, churnLog []string
+	h.AddObserver(logObserver{"rec", &mu, &log})
+
+	const sessions = 8
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("vm-%d", i)
+		if err := h.Open(id, "sdsb"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			samples := sessionSamples(uint64(i+1), 600)
+			for j := 0; j < len(samples); j += 20 {
+				if _, err := h.Ingest(id, samples[j:j+20]); err != nil {
+					if i%2 == 0 {
+						t.Errorf("%s: %v", id, err) // never closed
+					}
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i < sessions; i += 2 {
+			remove := h.AddObserver(logObserver{"churn", &churnMu, &churnLog})
+			if err := h.CloseSession(fmt.Sprintf("vm-%d", i)); err != nil {
+				t.Error(err)
+			}
+			remove()
+		}
+	}()
+	wg.Wait()
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	folded := make(map[string][]AlarmEvent)
+	for len(wide) > 0 {
+		ev := <-wide
+		folded[ev.Session] = append(folded[ev.Session], ev)
+	}
+	heard := make(map[string][]string)
+	mu.Lock()
+	for _, e := range log {
+		id := strings.Fields(e)[1]
+		heard[id] = append(heard[id], e)
+	}
+	mu.Unlock()
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("vm-%d", i)
+		want, got := edgeLog("rec", folded[id]), heard[id]
+		if i%2 == 1 {
+			n := len(got) - 1
+			if n < 0 || got[n] != "rec "+id+" forget" {
+				t.Errorf("%s: closed, but its last observer call is not Forget: %v", id, got)
+				continue
+			}
+			want, got = want[:min(n, len(want))], got[:n]
+		} else if len(want) == 0 {
+			t.Errorf("%s: no alarm edges to compare", id)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: observer heard %v, hub folded %v", id, got, want)
 		}
 	}
 }
