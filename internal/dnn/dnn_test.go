@@ -1,7 +1,10 @@
 package dnn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"memdos/internal/sim"
@@ -520,6 +523,66 @@ func TestDataParallelTrainingDeterministic(t *testing.T) {
 	for i := range wA {
 		if wA[i] != wB[i] {
 			t.Fatalf("weight %d differs between identical sharded runs: %v vs %v", i, wA[i], wB[i])
+		}
+	}
+}
+
+// TestTrainPinned pins two epochs of a tiny model, serial and sharded, bit
+// for bit: the TrainResult, every verbose line and a digest of every
+// trained weight. The ragged last batch (45 windows in batches of 32) and
+// a one-epoch patience take every branch of the epoch loop.
+func TestTrainPinned(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		result  TrainResult
+		lines   []string
+		weights uint64
+	}{
+		{0, TrainResult{Epochs: 2, FinalLoss: 1.258737364494601, BestValAcc: 0, FinalLR: 0.0007937005259840997, TrainAccuracy: 0.2},
+			[]string{
+				"epoch 0: loss=1.2445 trainAcc=0.178 valAcc=0.000 lr=0.001",
+				"epoch 1: loss=1.2587 trainAcc=0.200 valAcc=0.000 lr=0.0007937005259840997",
+			}, 0x5ee8ecc945ae5619},
+		{2, TrainResult{Epochs: 2, FinalLoss: 1.2411086382210719, BestValAcc: 0, FinalLR: 0.0007937005259840997, TrainAccuracy: 0.17777777777777778},
+			[]string{
+				"epoch 0: loss=1.2134 trainAcc=0.267 valAcc=0.000 lr=0.001 shards=2",
+				"epoch 1: loss=1.2411 trainAcc=0.178 valAcc=0.000 lr=0.0007937005259840997 shards=2",
+			}, 0xeb8d029869332e5b},
+	} {
+		rng := sim.NewRNG(70)
+		train, val := synthDataset(rng, 60, 10).Split(0.25, rng)
+		m, err := NewLSTMFCN(LSTMFCNConfig{
+			Channels: 2, Classes: 3,
+			ConvFilters: [3]int{4, 4, 4},
+			Kernels:     [3]int{3, 3, 3},
+			LSTMCells:   4,
+			Dropout:     0.1,
+		}, sim.NewRNG(71))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultTrainConfig()
+		cfg.Epochs, cfg.Patience, cfg.GradShards = 2, 1, tc.shards
+		var lines []string
+		cfg.Verbose = func(s string) { lines = append(lines, s) }
+		res, err := Train(m, train, val, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, p := range m.Params() {
+			for _, w := range p.W {
+				binary.Write(h, binary.LittleEndian, math.Float64bits(w))
+			}
+		}
+		if res != tc.result {
+			t.Errorf("shards=%d: result %#v, want %#v", tc.shards, res, tc.result)
+		}
+		if !slices.Equal(lines, tc.lines) {
+			t.Errorf("shards=%d: verbose %#v, want %#v", tc.shards, lines, tc.lines)
+		}
+		if got := h.Sum64(); got != tc.weights {
+			t.Errorf("shards=%d: weight digest %#x, want %#x", tc.shards, got, tc.weights)
 		}
 	}
 }
