@@ -496,8 +496,9 @@ func BenchmarkRespondLoop(b *testing.B) {
 		if _, err := hub.Ingest("vm-1", clear); err != nil {
 			b.Fatal(err)
 		}
-		// The attach pump is asynchronous: wait until the engine has seen
-		// the clear before ticking the hysteresis forward.
+		// Ingest only queues the batch; the shard goroutine feeds it to
+		// the engine. Wait until the shard has delivered the clear before
+		// ticking the hysteresis forward.
 		for {
 			if st, ok := eng.State("vm-1"); ok && !st.AlarmActive {
 				break

@@ -51,11 +51,7 @@ func main() {
 	var firstAlarm, falseAlarms float64 = -1, 0
 	decisions := 0
 	srv.RunUntil(600, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
-		for _, d := range detector.Push(sample) {
+		for _, d := range detector.Push(step.Samples[victim.ID()]) {
 			decisions++
 			if d.Alarm && d.Time < 300 {
 				falseAlarms++

@@ -57,11 +57,7 @@ func main() {
 	var firstAlarm float64 = -1
 	lastReport := 0.0
 	srv.RunUntil(360, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
-		for _, d := range detector.Push(sample) {
+		for _, d := range detector.Push(step.Samples[victim.ID()]) {
 			if d.Time-lastReport >= 30 {
 				lastReport = d.Time
 				fmt.Printf("t=%5.1fs  measured period: %5.1f MA windows (normal %.1f)\n",

@@ -55,11 +55,7 @@ func main() {
 	}
 	var firstAlarm float64 = -1
 	srv.RunUntil(300, func(step memdos.ServerStep) {
-		sample, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
-		for _, d := range detector.Push(sample) {
+		for _, d := range detector.Push(step.Samples[victim.ID()]) {
 			if d.Alarm && firstAlarm < 0 {
 				firstAlarm = d.Time
 			}

@@ -192,11 +192,7 @@ func (h *host) run(q int) {
 			if w.det == nil {
 				continue
 			}
-			smp, ok := res.Samples[w.vm.ID()]
-			if !ok {
-				continue
-			}
-			for _, d := range w.det.Push(smp) {
+			for _, d := range w.det.Push(res.Samples[w.vm.ID()]) {
 				if d.Alarm != w.raised {
 					w.raised = d.Alarm
 					h.events = append(h.events, alarmEvent{time: d.Time, session: w.rec.name, raised: d.Alarm})

@@ -91,6 +91,10 @@ type Function struct {
 // Name returns the function name.
 func (f *Function) Name() string { return f.spec.Name }
 
+// Index returns the function's position in Deploy order, its slot in
+// StepResult.Samples.
+func (f *Function) Index() int { return f.id }
+
 // Completed returns the number of finished invocations so far.
 func (f *Function) Completed() int { return f.completed }
 
@@ -138,6 +142,9 @@ type Platform struct {
 
 	functions []*Function
 	attackers []*attack.Attacker
+
+	// samples backs StepResult.Samples, reused across steps.
+	samples []pcm.Sample
 }
 
 // NewPlatform returns an empty host.
@@ -164,7 +171,7 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 	f := &Function{
 		spec:    spec,
 		id:      len(p.functions),
-		counter: pcm.MustNewCounter(spec.Name, p.cfg.TPCM, p.cfg.TPCM),
+		counter: pcm.MustNewCounter(spec.Name, p.cfg.TPCM),
 		rng:     p.rng.Split(),
 	}
 	for i := 0; i < spec.Concurrency; i++ {
@@ -192,10 +199,12 @@ func (p *Platform) AddAttacker(a *attack.Attacker) error {
 // Now returns the simulated time.
 func (p *Platform) Now() float64 { return p.clock.Now() }
 
-// StepResult carries the per-function samples completed during a step.
+// StepResult carries the step's per-function samples, in Deploy order:
+// Samples[f.Index()] is function f's sample for the T_PCM interval ending
+// at Time. Samples is valid until the next Step.
 type StepResult struct {
 	Time    float64
-	Samples map[string]pcm.Sample
+	Samples []pcm.Sample
 }
 
 // attackerOwner is the bus owner id used for attack containers. The bus
@@ -287,11 +296,12 @@ func (p *Platform) Step() StepResult {
 		}
 	}
 
-	res := StepResult{Time: now + dt, Samples: make(map[string]pcm.Sample)}
+	if len(p.samples) < len(p.functions) {
+		p.samples = make([]pcm.Sample, len(p.functions))
+	}
+	res := StepResult{Time: now + dt, Samples: p.samples[:len(p.functions)]}
 	for _, f := range p.functions {
-		if s, ok := f.counter.Observe(accPerF[f.id], missPerF[f.id]); ok {
-			res.Samples[f.spec.Name] = s
-		}
+		res.Samples[f.id] = f.counter.Observe(accPerF[f.id], missPerF[f.id])
 	}
 	p.clock.Tick()
 	return res

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"math"
 	"testing"
 
 	"memdos/internal/attack"
@@ -79,6 +80,37 @@ func TestInvocationChurn(t *testing.T) {
 	if f.Counter().AccessSeries().Window(10, 60).Min() <= 0 {
 		t.Error("aggregate stream has dead samples despite concurrency 4")
 	}
+}
+
+// TestStepSamplesInDeployOrder: each step carries one sample per function,
+// in its Index slot, and it is the sample that function's counter recorded.
+func TestStepSamplesInDeployOrder(t *testing.T) {
+	p, _ := NewPlatform(DefaultConfig())
+	var fns []*Function
+	for _, name := range []string{"a", "b", "c"} {
+		spec := lambdaSpec(t)
+		spec.Name = name
+		spec.Concurrency = len(fns) + 1
+		f, err := p.Deploy(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns = append(fns, f)
+	}
+	p.RunUntil(1, func(res StepResult) {
+		if len(res.Samples) != len(fns) {
+			t.Fatalf("t=%v: %d samples for %d functions", res.Time, len(res.Samples), len(fns))
+		}
+		for i, f := range fns {
+			if f.Index() != i {
+				t.Fatalf("%s has index %d, want %d", f.Name(), f.Index(), i)
+			}
+			acc := f.Counter().AccessSeries().Values
+			if s := res.Samples[f.Index()]; s.AccessNum != acc[len(acc)-1] || math.Abs(s.Time-res.Time) > 1e-9 {
+				t.Fatalf("t=%v: %s slot %+v, counter last recorded %v", res.Time, f.Name(), s, acc[len(acc)-1])
+			}
+		}
+	})
 }
 
 func TestAttackCutsThroughput(t *testing.T) {

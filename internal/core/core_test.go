@@ -47,9 +47,7 @@ func runDetector(t *testing.T, app string, atk *attack.Attacker, dur float64, de
 	}
 	var decisions []Decision
 	srv.RunUntil(dur, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
-			decisions = append(decisions, det.Push(s)...)
-		}
+		decisions = append(decisions, det.Push(res.Samples[victim.ID()])...)
 	})
 	return decisions
 }
@@ -493,9 +491,7 @@ func TestKSTestEndToEndDetectsAttack(t *testing.T) {
 	})
 	var ds []Decision
 	srv.RunUntil(300, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
-			ds = append(ds, det.Push(s)...)
-		}
+		ds = append(ds, det.Push(res.Samples[victim.ID()])...)
 	})
 	// KStest may raise false positives before the attack (Section III-B
 	// measures ~20% for k-means); assert only that the attack itself is
@@ -532,9 +528,7 @@ func TestDetectionDelayOrdering(t *testing.T) {
 		}
 		var ds []Decision
 		srv.RunUntil(start+200, func(res vmm.StepResult) {
-			if s, ok := res.Samples[victim.ID()]; ok {
-				ds = append(ds, det.Push(s)...)
-			}
+			ds = append(ds, det.Push(res.Samples[victim.ID()])...)
 		})
 		return metrics.DetectionDelay(ds, []metrics.Interval{{Start: start, End: start + 200}})[0]
 	}

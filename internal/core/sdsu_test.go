@@ -28,9 +28,7 @@ func runDynamic(t *testing.T, atk *attack.Attacker, dur float64, seed uint64, mk
 	det := mk(victim)
 	var ds []Decision
 	srv.RunUntil(dur, func(res vmm.StepResult) {
-		if s, ok := res.Samples[victim.ID()]; ok {
-			ds = append(ds, det.Push(s)...)
-		}
+		ds = append(ds, det.Push(res.Samples[victim.ID()])...)
 	})
 	return ds
 }

@@ -50,8 +50,10 @@ func (m *LSTMFCN) copyRunningStats(src *LSTMFCN) {
 	}
 }
 
-// trainDataParallel is Train's GradShards > 1 path.
-func trainDataParallel(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error) {
+// dataParallelStep is Train's step at GradShards > 1: it builds one
+// replica of m per shard and returns the step that shards a minibatch
+// across them and reduces their gradients into m.
+func dataParallelStep(m *LSTMFCN, train *Dataset, opt *Adam, cfg TrainConfig) (trainStep, error) {
 	shards := cfg.GradShards
 
 	// Warm the master once in inference mode so the lazily built LSTM
@@ -60,7 +62,7 @@ func trainDataParallel(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainR
 	m.Forward(x0, false)
 	snap, err := m.snapshot()
 	if err != nil {
-		return TrainResult{}, err
+		return nil, err
 	}
 	reps := make([]*LSTMFCN, shards)
 	repPs := make([][]*Param, shards)
@@ -70,23 +72,17 @@ func trainDataParallel(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainR
 		// streams; restore overwrites the weights with the master's.
 		r, err := NewLSTMFCN(m.cfg, sim.NewRNG(cfg.Seed^uint64(0xd00d+j)))
 		if err != nil {
-			return TrainResult{}, err
+			return nil, err
 		}
 		if err := r.restore(snap); err != nil {
-			return TrainResult{}, err
+			return nil, err
 		}
 		reps[j] = r
 		repPs[j] = r.Params()
 		if len(repPs[j]) != len(masterPs) {
-			return TrainResult{}, fmt.Errorf("dnn: replica has %d params, master %d", len(repPs[j]), len(masterPs))
+			return nil, fmt.Errorf("dnn: replica has %d params, master %d", len(repPs[j]), len(masterPs))
 		}
 	}
-
-	rng := sim.NewRNG(cfg.Seed)
-	opt := NewAdam(cfg.InitialLR)
-	bestVal := -1.0
-	sincePlateau := 0
-	var res TrainResult
 
 	type shardOut struct {
 		loss    float64
@@ -101,100 +97,57 @@ func trainDataParallel(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainR
 	repY := make([][]int, shards)
 	repLoss := make([]LossBuffers, shards)
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		idx := rng.Perm(train.Len())
-		var epochLoss float64
-		batches := 0
+	return func(batch []int) (float64, int) {
+		var wg sync.WaitGroup
+		for j := 0; j < shards; j++ {
+			slo, shi := shardBounds(len(batch), shards, j)
+			outs[j] = shardOut{}
+			if slo >= shi {
+				continue
+			}
+			wg.Add(1)
+			go func(j, slo, shi int) {
+				defer wg.Done()
+				for k, p := range repPs[j] {
+					copy(p.W, masterPs[k].W)
+					p.ZeroGrad()
+				}
+				repX[j], repY[j] = train.batchTensorInto(repX[j], repY[j], batch[slo:shi])
+				x, y := repX[j], repY[j]
+				logits := reps[j].Forward(x, true)
+				loss, probs, grad := repLoss[j].SoftmaxCrossEntropy(logits, y)
+				reps[j].Backward(grad)
+				outs[j] = shardOut{loss: loss, correct: hits(probs, y), n: shi - slo}
+			}(j, slo, shi)
+		}
+		wg.Wait()
+
+		// Reduce in fixed shard order so the sum is independent of
+		// which goroutine finished first.
+		for _, p := range masterPs {
+			p.ZeroGrad()
+		}
+		batchN := float64(len(batch))
+		var batchLoss float64
 		correct := 0
-		for lo := 0; lo < len(idx); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(idx) {
-				hi = len(idx)
+		for j := 0; j < shards; j++ {
+			if outs[j].n == 0 {
+				continue
 			}
-			batch := idx[lo:hi]
-
-			var wg sync.WaitGroup
-			for j := 0; j < shards; j++ {
-				slo, shi := shardBounds(len(batch), shards, j)
-				outs[j] = shardOut{}
-				if slo >= shi {
-					continue
+			w := float64(outs[j].n) / batchN
+			batchLoss += w * outs[j].loss
+			for k, p := range masterPs {
+				g := repPs[j][k].Grad
+				for i := range p.Grad {
+					p.Grad[i] += w * g[i]
 				}
-				wg.Add(1)
-				go func(j, slo, shi int) {
-					defer wg.Done()
-					for k, p := range repPs[j] {
-						copy(p.W, masterPs[k].W)
-						p.ZeroGrad()
-					}
-					repX[j], repY[j] = train.batchTensorInto(repX[j], repY[j], batch[slo:shi])
-					x, y := repX[j], repY[j]
-					logits := reps[j].Forward(x, true)
-					loss, probs, grad := repLoss[j].SoftmaxCrossEntropy(logits, y)
-					reps[j].Backward(grad)
-					n := 0
-					for b := 0; b < x.B; b++ {
-						if Argmax(probs.Row(b, 0)) == y[b] {
-							n++
-						}
-					}
-					outs[j] = shardOut{loss: loss, correct: n, n: shi - slo}
-				}(j, slo, shi)
 			}
-			wg.Wait()
-
-			// Reduce in fixed shard order so the sum is independent of
-			// which goroutine finished first.
-			for _, p := range masterPs {
-				p.ZeroGrad()
-			}
-			batchN := float64(len(batch))
-			var batchLoss float64
-			for j := 0; j < shards; j++ {
-				if outs[j].n == 0 {
-					continue
-				}
-				w := float64(outs[j].n) / batchN
-				batchLoss += w * outs[j].loss
-				for k, p := range masterPs {
-					g := repPs[j][k].Grad
-					for i := range p.Grad {
-						p.Grad[i] += w * g[i]
-					}
-				}
-				correct += outs[j].correct
-			}
-			// Shard 0 is never empty while the batch is non-empty, so the
-			// master's inference statistics follow replica 0's stream.
-			m.copyRunningStats(reps[0])
-			opt.Step(masterPs)
-			epochLoss += batchLoss
-			batches++
+			correct += outs[j].correct
 		}
-		res.FinalLoss = epochLoss / float64(batches)
-		res.TrainAccuracy = float64(correct) / float64(train.Len())
-
-		valAcc := res.TrainAccuracy
-		if val != nil && val.Len() > 0 {
-			valAcc = Evaluate(m, val)
-		}
-		if valAcc > bestVal {
-			bestVal = valAcc
-			sincePlateau = 0
-		} else {
-			sincePlateau++
-			if sincePlateau >= cfg.Patience {
-				opt.ReduceLR()
-				sincePlateau = 0
-			}
-		}
-		if cfg.Verbose != nil {
-			cfg.Verbose(fmt.Sprintf("epoch %d: loss=%.4f trainAcc=%.3f valAcc=%.3f lr=%g shards=%d",
-				epoch, res.FinalLoss, res.TrainAccuracy, valAcc, opt.LR, shards))
-		}
-	}
-	res.Epochs = cfg.Epochs
-	res.BestValAcc = bestVal
-	res.FinalLR = opt.LR
-	return res, nil
+		// Shard 0 is never empty while the batch is non-empty, so the
+		// master's inference statistics follow replica 0's stream.
+		m.copyRunningStats(reps[0])
+		opt.Step(masterPs)
+		return batchLoss, correct
+	}, nil
 }

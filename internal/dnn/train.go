@@ -149,17 +149,19 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.GradShards < 0 {
 		return TrainResult{}, fmt.Errorf("dnn: invalid training config %+v", cfg)
 	}
+	opt := NewAdam(cfg.InitialLR)
+	step, suffix := serialStep(m, train, opt), ""
 	if cfg.GradShards > 1 {
-		return trainDataParallel(m, train, val, cfg)
+		var err error
+		if step, err = dataParallelStep(m, train, opt, cfg); err != nil {
+			return TrainResult{}, err
+		}
+		suffix = fmt.Sprintf(" shards=%d", cfg.GradShards)
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	opt := NewAdam(cfg.InitialLR)
-	stepper := NewStepper(m, opt)
 	bestVal := -1.0
 	sincePlateau := 0
 	var res TrainResult
-	var x *Tensor
-	var y []int
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		idx := rng.Perm(train.Len())
@@ -167,16 +169,10 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 		batches := 0
 		correct := 0
 		for lo := 0; lo < len(idx); lo += cfg.BatchSize {
-			hi := min(lo+cfg.BatchSize, len(idx))
-			x, y = train.batchTensorInto(x, y, idx[lo:hi])
-			loss, probs := stepper.Step(x, y)
+			loss, n := step(idx[lo:min(lo+cfg.BatchSize, len(idx))])
 			epochLoss += loss
 			batches++
-			for b := 0; b < x.B; b++ {
-				if Argmax(probs.Row(b, 0)) == y[b] {
-					correct++
-				}
-			}
+			correct += n
 		}
 		res.FinalLoss = epochLoss / float64(batches)
 		res.TrainAccuracy = float64(correct) / float64(train.Len())
@@ -196,14 +192,42 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 			}
 		}
 		if cfg.Verbose != nil {
-			cfg.Verbose(fmt.Sprintf("epoch %d: loss=%.4f trainAcc=%.3f valAcc=%.3f lr=%g",
-				epoch, res.FinalLoss, res.TrainAccuracy, valAcc, opt.LR))
+			cfg.Verbose(fmt.Sprintf("epoch %d: loss=%.4f trainAcc=%.3f valAcc=%.3f lr=%g%s",
+				epoch, res.FinalLoss, res.TrainAccuracy, valAcc, opt.LR, suffix))
 		}
 	}
 	res.Epochs = cfg.Epochs
 	res.BestValAcc = bestVal
 	res.FinalLR = opt.LR
 	return res, nil
+}
+
+// trainStep takes one optimization step on the minibatch of train
+// windows batch and returns its mean loss and how many of its windows the
+// model classified correctly.
+type trainStep func(batch []int) (loss float64, correct int)
+
+// serialStep is the Stepper on m.
+func serialStep(m *LSTMFCN, train *Dataset, opt *Adam) trainStep {
+	stepper := NewStepper(m, opt)
+	var x *Tensor
+	var y []int
+	return func(batch []int) (float64, int) {
+		x, y = train.batchTensorInto(x, y, batch)
+		loss, probs := stepper.Step(x, y)
+		return loss, hits(probs, y)
+	}
+}
+
+// hits counts the rows of probs whose argmax is the row's label.
+func hits(probs *Tensor, y []int) int {
+	n := 0
+	for b, label := range y {
+		if Argmax(probs.Row(b, 0)) == label {
+			n++
+		}
+	}
+	return n
 }
 
 // Evaluate returns the model's accuracy on the dataset. Inference runs

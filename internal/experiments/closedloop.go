@@ -275,18 +275,16 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		if !mitigate {
 			continue
 		}
-		if smp, ok := step.Samples[victim.ID()]; ok {
-			for _, d := range det.Push(smp) {
-				if d.Alarm == raised {
-					continue
-				}
-				raised = d.Alarm
-				if raised {
-					out.Alarms++
-				}
-				if err := eng.Observe(sessionID, d.Time, raised); err != nil {
-					return 0, err
-				}
+		for _, d := range det.Push(step.Samples[victim.ID()]) {
+			if d.Alarm == raised {
+				continue
+			}
+			raised = d.Alarm
+			if raised {
+				out.Alarms++
+			}
+			if err := eng.Observe(sessionID, d.Time, raised); err != nil {
+				return 0, err
 			}
 		}
 		eng.Tick(step.Time)

@@ -78,9 +78,7 @@ func ContainerStudy(mode AttackMode, dur float64, seed uint64) (*ContainerResult
 		if step.Time <= attackStart {
 			completedAtAttack = fn.Completed()
 		}
-		if s, ok := step.Samples["thumbnailer"]; ok {
-			decisions = append(decisions, det.Push(s)...)
-		}
+		decisions = append(decisions, det.Push(step.Samples[fn.Index()])...)
 	})
 
 	truth := []metrics.Interval{{Start: attackStart, End: dur}}

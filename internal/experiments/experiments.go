@@ -278,9 +278,7 @@ func Run(spec RunSpec, params core.Params, factory DetectorFactory) (*RunResult,
 			return nil, err
 		}
 		onStep = func(step vmm.StepResult) {
-			if s, ok := step.Samples[victim.ID()]; ok {
-				res.Decisions = append(res.Decisions, det.Push(s)...)
-			}
+			res.Decisions = append(res.Decisions, det.Push(step.Samples[victim.ID()])...)
 		}
 	}
 	srv.RunUntil(spec.Duration, onStep)
@@ -330,16 +328,7 @@ func profileFor(app string, params core.Params) (core.Profile, error) {
 // ProfileApp runs the app alone on a clean server for dur seconds and
 // builds its profile.
 func ProfileApp(app string, dur float64, params core.Params) (core.Profile, error) {
-	cfg := vmm.DefaultConfig()
-	srv, err := vmm.NewServer(cfg)
-	if err != nil {
-		return core.Profile{}, err
-	}
-	spec, err := workload.ByAbbrev(app)
-	if err != nil {
-		return core.Profile{}, err
-	}
-	vm, err := srv.AddApp("victim", spec.Service())
+	srv, vm, _, err := buildServer(RunSpec{App: app, Seed: vmm.DefaultConfig().Seed, Service: true})
 	if err != nil {
 		return core.Profile{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"memdos/internal/attack"
 	"memdos/internal/core"
 	"memdos/internal/metrics"
 	"memdos/internal/par"
@@ -65,14 +64,7 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		seed := seeds[i%len(seeds)]
 		recordFlags := app == "TS" && seed == seeds[0]
 		var out cell
-		cfg := vmm.DefaultConfig()
-		cfg.Seed = seed
-		srv, err := vmm.NewServer(cfg)
-		if err != nil {
-			return out, err
-		}
-		spec := workload.MustByAbbrev(app).Service()
-		victim, err := srv.AddApp("victim", spec)
+		srv, victim, _, err := buildServer(RunSpec{App: app, Seed: seed, Service: true})
 		if err != nil {
 			return out, err
 		}
@@ -84,11 +76,7 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		}
 		intervalAlarmed := make(map[int]bool)
 		srv.RunUntil(dur, func(step vmm.StepResult) {
-			s, ok := step.Samples[victim.ID()]
-			if !ok {
-				return
-			}
-			for _, d := range det.Push(s) {
+			for _, d := range det.Push(step.Samples[victim.ID()]) {
 				if recordFlags {
 					out.flags = append(out.flags, det.ConsecutiveRejections() > 0)
 					out.times = append(out.times, d.Time)
@@ -149,9 +137,9 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 	}
 	spec := RunSpec{
 		App: app, Mode: mode, Duration: 120, Seed: seed,
-		UtilityVMs: 7, Service: true,
+		UtilityVMs: 7, Service: true, AttackStart: 60,
 	}
-	srv, victim, _, err := buildServerWithWindow(spec, 60, 120)
+	srv, victim, _, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -177,28 +165,6 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 		res.AttackedPeriod = p.Period
 	}
 	return res, nil
-}
-
-// buildServerWithWindow is buildServer with an explicit attack window.
-func buildServerWithWindow(spec RunSpec, attackStart, attackEnd float64) (*vmm.Server, *vmm.VM, []metrics.Interval, error) {
-	if spec.Mode == NoAttack {
-		return buildServer(spec)
-	}
-	saved := spec
-	saved.Mode = NoAttack
-	srv, victim, _, err := buildServer(saved)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	atk, err := newAttacker(spec.Mode, attack.Window{Start: attackStart, End: attackEnd})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := srv.AddAttacker("attacker", atk); err != nil {
-		return nil, nil, nil, err
-	}
-	truth := []metrics.Interval{{Start: attackStart, End: attackEnd}}
-	return srv, victim, truth, nil
 }
 
 // AllMeasurementTraces regenerates every panel of Figs. 2-6, fanning the
@@ -236,8 +202,8 @@ func Fig7SDSBExample() (*Fig7Result, error) {
 		return nil, err
 	}
 	spec := DefaultRunSpec("KM", BusLock, 5)
-	spec.Duration = 160
-	srv, victim, _, err := buildServerWithWindow(spec, 75, 160)
+	spec.Duration, spec.AttackStart = 160, 75
+	srv, victim, _, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -249,11 +215,7 @@ func Fig7SDSBExample() (*Fig7Result, error) {
 	res.Lower, res.Upper = prof.AccessBounds(params.K)
 	widx := 0
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
-		for _, d := range det.Push(s) {
+		for _, d := range det.Push(step.Samples[victim.ID()]) {
 			acc, _ := det.EWMAValues()
 			res.EWMA = append(res.EWMA, acc)
 			if d.Time >= 75 && res.AttackWindow == 0 {
@@ -299,8 +261,8 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 		return nil, fmt.Errorf("experiments: FaceNet profile not periodic: %+v", prof)
 	}
 	spec := DefaultRunSpec("FN", BusLock, 6)
-	spec.Duration = 240
-	srv, victim, _, err := buildServerWithWindow(spec, 120, 240)
+	spec.Duration, spec.AttackStart = 240, 120
+	srv, victim, _, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -312,10 +274,7 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 	ma := stats.NewMAStream(params.W, params.DW)
 	widx := 0
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s, ok := step.Samples[victim.ID()]
-		if !ok {
-			return
-		}
+		s := step.Samples[victim.ID()]
 		if avg, ok := ma.Push(s.AccessNum); ok {
 			res.MA = append(res.MA, avg)
 			if s.Time >= 120 && res.AttackWindow == 0 {
@@ -560,11 +519,8 @@ func completionTime(app string, cpu float64, throttled bool, params core.Params)
 	}
 	const horizon = 4000.0
 	srv.RunUntil(horizon, func(step vmm.StepResult) {
-		if ks == nil {
-			return
-		}
-		if s, ok := step.Samples[protected.ID()]; ok {
-			ks.Push(s)
+		if ks != nil {
+			ks.Push(step.Samples[protected.ID()])
 		}
 	})
 	if !victim.Completed() {

@@ -369,8 +369,8 @@ func MicrosimCalibration() (microFactor, fastFactor float64, err error) {
 		return 0, 0, err
 	}
 	// Fast counter model: k-means with cleansing in the second half.
-	spec := RunSpec{App: "KM", Mode: Cleansing, Duration: 120, Seed: 3, UtilityVMs: 0, Service: true}
-	srv, victim, _, err := buildServerWithWindow(spec, 60, 120)
+	spec := RunSpec{App: "KM", Mode: Cleansing, Duration: 120, Seed: 3, Service: true, AttackStart: 60}
+	srv, victim, _, err := buildServer(spec)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -87,31 +87,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestCounterLargeRatioTolerance is the regression test for the sampling
-// tolerance fix: at large tick ratios (fine tick, coarse sample) the old
-// absolute 1e-9 comparison spuriously rejected exact multiples because
-// the float division error scales with the ratio itself.
-func TestCounterLargeRatioTolerance(t *testing.T) {
-	// 0.007/1e-8 = 7e5 ticks per sample; representable only to ~1e-11
-	// relative error, far above an absolute 1e-9 at this magnitude.
-	c, err := NewCounter("large", 0.007, 1e-8)
-	if err != nil {
-		t.Fatalf("large exact ratio rejected: %v", err)
-	}
-	if c.ticksPer != 700000 {
-		t.Fatalf("ticks per sample = %d", c.ticksPer)
-	}
-	// Genuine non-multiples must still fail.
-	if _, err := NewCounter("bad", 0.01, 0.003); err == nil {
-		t.Error("non-multiple ratio accepted")
-	}
-	// A ratio off by ~1% is rejected even at large magnitude.
-	if _, err := NewCounter("bad2", 0.00707, 1e-8); err != nil {
-		// 707000 is an exact multiple — this must be accepted.
-		t.Errorf("exact multiple 707000 rejected: %v", err)
-	}
-}
-
 // TestSampleJSONBackCompat is the regression test for the bw/lat wire
 // extension: samples produced before the DRAM fields existed (3-field
 // form) must still decode, with the missing fields reading as zero; a

@@ -1,6 +1,7 @@
 // Package pcm emulates the Processor Counter Monitor tool the paper runs on
-// the hypervisor: it aggregates each VM's LLC accesses and misses into one
+// the hypervisor: it reports each VM's LLC accesses and misses as one
 // (AccessNum, MissNum) sample every T_PCM seconds (0.01 s in the paper).
+// The simulators step once per T_PCM, so every step yields one sample.
 // Every detection scheme in this repository consumes these samples and
 // nothing else, mirroring the paper's threat model in which the detector
 // sees only hardware counters.
@@ -8,7 +9,6 @@ package pcm
 
 import (
 	"fmt"
-	"math"
 
 	"memdos/internal/trace"
 )
@@ -31,13 +31,11 @@ type Sample struct {
 	AvgLatency float64
 }
 
-// Counter aggregates one VM's per-tick access/miss counts into PCM samples.
+// Counter turns one VM's per-tick access/miss counts into PCM samples: the
+// caller steps once per T_PCM, so each Observe is one sampling interval
+// and returns its sample.
 type Counter struct {
-	tpcm        float64
-	ticksPer    int
-	tickCount   int
-	accessAccum float64
-	missAccum   float64
+	tpcm float64
 	// count is the number of completed samples. It is tracked separately
 	// from the series length so a counter can run with history retention
 	// off (see SetRetainHistory) without losing its sample timeline.
@@ -45,7 +43,7 @@ type Counter struct {
 	retain       bool
 	accessSeries *trace.Series
 	missSeries   *trace.Series
-	// DRAM accumulators fed by AddMem between Observe completions. The
+	// DRAM accumulators fed by AddMem before the interval's Observe. The
 	// latency average is delivered-line weighted, so latAccum holds the
 	// weighted sum and lineAccum the weight.
 	bwAccum   float64
@@ -53,24 +51,13 @@ type Counter struct {
 	lineAccum float64
 }
 
-// NewCounter returns a counter sampling every tpcm seconds for a simulation
-// advancing in steps of dt seconds. tpcm must be a (near-)integer multiple
-// of dt.
-func NewCounter(name string, tpcm, dt float64) (*Counter, error) {
-	if tpcm <= 0 || dt <= 0 {
-		return nil, fmt.Errorf("pcm: non-positive tpcm %v or dt %v", tpcm, dt)
-	}
-	ratio := tpcm / dt
-	ticks := int(math.Round(ratio))
-	// The tolerance is relative to the ratio: an absolute epsilon would
-	// reject valid large tpcm/dt ratios whose float division error alone
-	// exceeds it.
-	if ticks < 1 || math.Abs(ratio-float64(ticks)) > 1e-9*ratio {
-		return nil, fmt.Errorf("pcm: tpcm %v is not an integer multiple of dt %v", tpcm, dt)
+// NewCounter returns a counter sampling every tpcm seconds.
+func NewCounter(name string, tpcm float64) (*Counter, error) {
+	if tpcm <= 0 {
+		return nil, fmt.Errorf("pcm: non-positive tpcm %v", tpcm)
 	}
 	return &Counter{
 		tpcm:         tpcm,
-		ticksPer:     ticks,
 		retain:       true,
 		accessSeries: trace.NewSeries(name+".access", tpcm, tpcm),
 		missSeries:   trace.NewSeries(name+".miss", tpcm, tpcm),
@@ -78,8 +65,8 @@ func NewCounter(name string, tpcm, dt float64) (*Counter, error) {
 }
 
 // MustNewCounter is NewCounter but panics on invalid arguments.
-func MustNewCounter(name string, tpcm, dt float64) *Counter {
-	c, err := NewCounter(name, tpcm, dt)
+func MustNewCounter(name string, tpcm float64) *Counter {
+	c, err := NewCounter(name, tpcm)
 	if err != nil {
 		panic(err)
 	}
@@ -98,10 +85,11 @@ func (c *Counter) TPCM() float64 { return c.tpcm }
 // should not be used for figure traces.
 func (c *Counter) SetRetainHistory(on bool) { c.retain = on }
 
-// AddMem records one simulation tick's worth of DRAM traffic: bytes
-// delivered, the delivered-line-weighted latency sum in seconds, and the
-// line count carrying that weight. Hosts without a memory model simply
-// never call it, leaving the bandwidth fields of every sample zero.
+// AddMem records one sampling interval's DRAM traffic ahead of its
+// Observe: bytes delivered, the delivered-line-weighted latency sum in
+// seconds, and the line count carrying that weight. Hosts without a memory
+// model simply never call it, leaving the bandwidth fields of every sample
+// zero.
 func (c *Counter) AddMem(bytes, latencySum, lines float64) {
 	if bytes < 0 || latencySum < 0 || lines < 0 {
 		panic(fmt.Sprintf("pcm: negative DRAM accounting %v/%v/%v", bytes, latencySum, lines))
@@ -111,18 +99,11 @@ func (c *Counter) AddMem(bytes, latencySum, lines float64) {
 	c.lineAccum += lines
 }
 
-// Observe records one simulation tick's worth of accesses and misses. When
-// the tick completes a sampling interval, Observe returns the finished
-// sample and true.
-func (c *Counter) Observe(accesses, misses float64) (Sample, bool) {
+// Observe records one sampling interval's accesses and misses and returns
+// its sample.
+func (c *Counter) Observe(accesses, misses float64) Sample {
 	if accesses < 0 || misses < 0 {
 		panic(fmt.Sprintf("pcm: negative counts %v/%v", accesses, misses))
-	}
-	c.accessAccum += accesses
-	c.missAccum += misses
-	c.tickCount++
-	if c.tickCount < c.ticksPer {
-		return Sample{}, false
 	}
 	// The sample timeline starts at tpcm with interval tpcm, so the
 	// completed-sample count gives this sample's end-of-interval
@@ -130,8 +111,8 @@ func (c *Counter) Observe(accesses, misses float64) (Sample, bool) {
 	// on, but independent of it so retention-off counters keep time).
 	s := Sample{
 		Time:      c.tpcm + float64(c.count)*c.tpcm,
-		AccessNum: c.accessAccum,
-		MissNum:   c.missAccum,
+		AccessNum: accesses,
+		MissNum:   misses,
 		BWBytes:   c.bwAccum,
 	}
 	if c.lineAccum > 0 {
@@ -142,17 +123,16 @@ func (c *Counter) Observe(accesses, misses float64) (Sample, bool) {
 		c.missSeries.Append(s.MissNum)
 	}
 	c.count++
-	c.accessAccum, c.missAccum, c.tickCount = 0, 0, 0
 	c.bwAccum, c.latAccum, c.lineAccum = 0, 0, 0
-	return s, true
+	return s
 }
 
 // SkipToSample fast-forwards the counter to n completed samples without
 // observing anything: a migrated VM's counter rejoining a destination
 // host whose clock is ahead (transit downtime) skips the samples it
 // never produced, so its timeline stays aligned with wall time. Retained
-// series record zeros for the skipped interval. Any partial-interval
-// accumulation is dropped. Skipping backwards is a no-op.
+// series record zeros for the skipped interval. Any DRAM traffic added
+// since the last sample is dropped. Skipping backwards is a no-op.
 func (c *Counter) SkipToSample(n int) {
 	if n <= c.count {
 		return
@@ -164,7 +144,6 @@ func (c *Counter) SkipToSample(n int) {
 		}
 	}
 	c.count = n
-	c.accessAccum, c.missAccum, c.tickCount = 0, 0, 0
 	c.bwAccum, c.latAccum, c.lineAccum = 0, 0, 0
 }
 

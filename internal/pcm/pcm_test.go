@@ -6,17 +6,11 @@ import (
 )
 
 func TestCounterValidation(t *testing.T) {
-	if _, err := NewCounter("x", 0, 0.01); err == nil {
+	if _, err := NewCounter("x", 0); err == nil {
 		t.Error("tpcm=0 accepted")
 	}
-	if _, err := NewCounter("x", 0.01, 0); err == nil {
-		t.Error("dt=0 accepted")
-	}
-	if _, err := NewCounter("x", 0.01, 0.003); err == nil {
-		t.Error("non-integer tick ratio accepted")
-	}
-	if _, err := NewCounter("x", 0.01, 0.01); err != nil {
-		t.Errorf("1:1 ratio rejected: %v", err)
+	if _, err := NewCounter("x", 0.01); err != nil {
+		t.Errorf("tpcm=0.01 rejected: %v", err)
 	}
 }
 
@@ -26,15 +20,12 @@ func TestMustNewCounterPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MustNewCounter("x", 0, 0)
+	MustNewCounter("x", 0)
 }
 
 func TestOneTickPerSample(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.01)
-	s, ok := c.Observe(100, 10)
-	if !ok {
-		t.Fatal("sample not emitted at tick boundary")
-	}
+	c := MustNewCounter("vm", 0.01)
+	s := c.Observe(100, 10)
 	if s.AccessNum != 100 || s.MissNum != 10 {
 		t.Errorf("sample = %+v", s)
 	}
@@ -43,38 +34,10 @@ func TestOneTickPerSample(t *testing.T) {
 	}
 }
 
-func TestAggregationAcrossTicks(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.002) // 5 ticks per sample
-	for i := 0; i < 4; i++ {
-		if _, ok := c.Observe(10, 1); ok {
-			t.Fatal("sample emitted early")
-		}
-	}
-	s, ok := c.Observe(10, 1)
-	if !ok {
-		t.Fatal("sample not emitted after 5 ticks")
-	}
-	if s.AccessNum != 50 || s.MissNum != 5 {
-		t.Errorf("aggregated sample = %+v", s)
-	}
-}
-
-func TestAccumulatorsResetBetweenSamples(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.01)
-	c.Observe(100, 10)
-	s, _ := c.Observe(7, 3)
-	if s.AccessNum != 7 || s.MissNum != 3 {
-		t.Errorf("second sample = %+v, accumulators leaked", s)
-	}
-}
-
 func TestSampleTimestamps(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.01)
+	c := MustNewCounter("vm", 0.01)
 	for i := 1; i <= 10; i++ {
-		s, ok := c.Observe(1, 0)
-		if !ok {
-			t.Fatal("no sample")
-		}
+		s := c.Observe(1, 0)
 		if want := float64(i) * 0.01; math.Abs(s.Time-want) > 1e-9 {
 			t.Errorf("sample %d time = %v, want %v", i, s.Time, want)
 		}
@@ -82,7 +45,7 @@ func TestSampleTimestamps(t *testing.T) {
 }
 
 func TestSeriesRecorded(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.01)
+	c := MustNewCounter("vm", 0.01)
 	for i := 0; i < 20; i++ {
 		c.Observe(float64(i), float64(i)/2)
 	}
@@ -102,7 +65,7 @@ func TestSeriesRecorded(t *testing.T) {
 }
 
 func TestNegativeCountsPanic(t *testing.T) {
-	c := MustNewCounter("vm", 0.01, 0.01)
+	c := MustNewCounter("vm", 0.01)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative counts")
@@ -112,20 +75,16 @@ func TestNegativeCountsPanic(t *testing.T) {
 }
 
 func TestTPCM(t *testing.T) {
-	if got := MustNewCounter("vm", 0.05, 0.01).TPCM(); got != 0.05 {
+	if got := MustNewCounter("vm", 0.05).TPCM(); got != 0.05 {
 		t.Errorf("TPCM = %v", got)
 	}
 }
 
 func TestAddMemFoldsIntoSample(t *testing.T) {
-	c := MustNewCounter("mem", 0.02, 0.01)
+	c := MustNewCounter("mem", 0.01)
 	c.AddMem(1000, 2e-7, 10)
-	c.Observe(1, 0)
 	c.AddMem(3000, 6e-7, 30)
-	s, done := c.Observe(1, 0)
-	if !done {
-		t.Fatal("sample not completed")
-	}
+	s := c.Observe(1, 0)
 	if s.BWBytes != 4000 {
 		t.Fatalf("BWBytes = %v, want 4000", s.BWBytes)
 	}
@@ -133,18 +92,13 @@ func TestAddMemFoldsIntoSample(t *testing.T) {
 		t.Fatalf("AvgLatency = %v, want %v", s.AvgLatency, want)
 	}
 	// Accumulators reset: a DRAM-idle interval reads zero.
-	s, done = c.Observe(1, 0)
-	if done {
-		t.Fatal("early sample")
-	}
-	s, done = c.Observe(1, 0)
-	if !done || s.BWBytes != 0 || s.AvgLatency != 0 {
-		t.Fatalf("DRAM accumulators leaked across samples: %+v (done=%v)", s, done)
+	if s = c.Observe(1, 0); s.BWBytes != 0 || s.AvgLatency != 0 {
+		t.Fatalf("DRAM accumulators leaked across samples: %+v", s)
 	}
 }
 
 func TestAddMemNegativePanics(t *testing.T) {
-	c := MustNewCounter("mem", 0.01, 0.01)
+	c := MustNewCounter("mem", 0.01)
 	for i, fn := range []func(){
 		func() { c.AddMem(-1, 0, 0) },
 		func() { c.AddMem(0, -1, 0) },
@@ -162,11 +116,10 @@ func TestAddMemNegativePanics(t *testing.T) {
 }
 
 func TestSkipToSampleDropsDRAMAccum(t *testing.T) {
-	c := MustNewCounter("mem", 0.01, 0.01)
+	c := MustNewCounter("mem", 0.01)
 	c.AddMem(5000, 1e-7, 5)
 	c.SkipToSample(3)
-	s, done := c.Observe(1, 0)
-	if !done || s.BWBytes != 0 || s.AvgLatency != 0 {
-		t.Fatalf("skip kept partial DRAM accumulation: %+v (done=%v)", s, done)
+	if s := c.Observe(1, 0); s.BWBytes != 0 || s.AvgLatency != 0 {
+		t.Fatalf("skip kept DRAM accumulation: %+v", s)
 	}
 }

@@ -50,10 +50,8 @@ func TestServerRunsByteIdentical(t *testing.T) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		srv.RunUntil(60, func(step StepResult) {
-			if s, ok := step.Samples[victim.ID()]; ok {
-				if err := enc.Encode(s); err != nil {
-					t.Fatal(err)
-				}
+			if err := enc.Encode(step.Samples[victim.ID()]); err != nil {
+				t.Fatal(err)
 			}
 			if step.Time > 30 {
 				// Exercise the dense throttle/partition state mid-run.

@@ -66,11 +66,10 @@ func memRun(t *testing.T, cfg Config, hog *attack.Attacker, remote bool, dur flo
 	s.RunUntil(dur, func(res StepResult) {
 		speedSum += victim.LastSpeed()
 		steps++
-		if smp, ok := res.Samples[victim.ID()]; ok {
-			accSum += smp.AccessNum
-			bwSum += smp.BWBytes
-			samples++
-		}
+		smp := res.Samples[victim.ID()]
+		accSum += smp.AccessNum
+		bwSum += smp.BWBytes
+		samples++
 	})
 	if steps == 0 || samples == 0 {
 		t.Fatal("no steps or samples")
@@ -245,10 +244,8 @@ func memFingerprint(t *testing.T, seed uint64) []byte {
 	}
 	var buf bytes.Buffer
 	s.RunUntil(5, func(res StepResult) {
-		for id := VMID(0); int(id) < len(s.vms); id++ {
-			if smp, ok := res.Samples[id]; ok {
-				_ = binary.Write(&buf, binary.LittleEndian, smp)
-			}
+		for _, smp := range res.Samples {
+			_ = binary.Write(&buf, binary.LittleEndian, smp)
 		}
 	})
 	return buf.Bytes()

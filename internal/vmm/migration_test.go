@@ -1,22 +1,21 @@
 package vmm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"memdos/internal/attack"
 	"memdos/internal/pcm"
 	"memdos/internal/workload"
 )
 
 // collectSamples steps the server n times and returns the given VM's
-// completed samples.
+// samples.
 func collectSamples(s *Server, id VMID, n int) []pcm.Sample {
 	out := make([]pcm.Sample, 0, n)
 	for i := 0; i < n; i++ {
-		res := s.Step()
-		if smp, ok := res.Samples[id]; ok {
-			out = append(out, smp)
-		}
+		out = append(out, s.Step().Samples[id])
 	}
 	return out
 }
@@ -96,10 +95,7 @@ func TestMigrationHuskAndStateReuse(t *testing.T) {
 	if _, err := src.ExportVM(vm.ID()); err == nil {
 		t.Error("double export succeeded")
 	}
-	res := src.Step()
-	if _, ok := res.Samples[vm.ID()]; ok {
-		t.Error("departed husk produced a sample")
-	}
+	src.Step()
 	if vm.LastSpeed() != 0 {
 		t.Errorf("departed husk has speed %v, want 0", vm.LastSpeed())
 	}
@@ -124,6 +120,63 @@ func TestMigrationHuskAndStateReuse(t *testing.T) {
 	}
 	if _, err := bad.AdmitVM(st2); err == nil {
 		t.Error("TPCM-mismatched admit succeeded")
+	}
+}
+
+// TestStepSamplesEveryLiveVM: every step carries one sample per VM slot,
+// stamped with the step's time, for every VM that lives on the server —
+// before an export, after it, and for a VM admitted mid-run. A departed
+// husk's slot is the zero Sample, even though the reused scratch slot held
+// the VM's sample the step before.
+func TestStepSamplesEveryLiveVM(t *testing.T) {
+	src := MustNewServer(DefaultConfig())
+	vm, err := src.AddApp("vm", workload.MustByAbbrev("KM").Service())
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := attack.NewBusLock(attack.Always{}, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.AddAttacker("attacker", atk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.AddApp("util", workload.Utility()); err != nil {
+		t.Fatal(err)
+	}
+	dst := MustNewServer(DefaultConfig())
+	if _, err := dst.AddApp("resident", workload.Utility()); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Server, res StepResult) {
+		t.Helper()
+		if len(res.Samples) != len(s.VMs()) {
+			t.Fatalf("t=%v: %d samples for %d VM slots", res.Time, len(res.Samples), len(s.VMs()))
+		}
+		for _, v := range s.VMs() {
+			smp := res.Samples[v.ID()]
+			switch {
+			case v.Departed() && smp != (pcm.Sample{}):
+				t.Fatalf("t=%v: husk %s has sample %+v", res.Time, v.Name(), smp)
+			case !v.Departed() && math.Abs(smp.Time-res.Time) > 1e-9:
+				t.Fatalf("t=%v: %s sample stamped %v", res.Time, v.Name(), smp.Time)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		check(src, src.Step())
+		check(dst, dst.Step())
+	}
+	st, err := src.ExportVM(vm.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.AdmitVM(st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		check(src, src.Step())
+		check(dst, dst.Step())
 	}
 }
 

@@ -161,10 +161,10 @@ type Server struct {
 	memBaseLat float64
 
 	// Per-step scratch, reused across Step calls so the per-tick hot loop
-	// does not allocate: stepStates is indexed by VMID (VM ids are their
-	// index in vms), stepSamples backs StepResult.Samples.
+	// does not allocate. Both are indexed by VMID (VM ids are their index
+	// in vms); stepSamples backs StepResult.Samples.
 	stepStates  []appState
-	stepSamples map[VMID]pcm.Sample
+	stepSamples []pcm.Sample
 }
 
 // appState is the per-VM demand bookkeeping of one step's phase 2. The
@@ -235,7 +235,7 @@ func (s *Server) AddAttacker(name string, a *attack.Attacker) (*VM, error) {
 
 // addVM registers the VM in the dense per-VM state slices.
 func (s *Server) addVM(vm *VM, name string) {
-	c := pcm.MustNewCounter(name, s.cfg.TPCM, s.cfg.TPCM)
+	c := pcm.MustNewCounter(name, s.cfg.TPCM)
 	if s.cfg.DisableHistory {
 		c.SetRetainHistory(false)
 	}
@@ -340,18 +340,20 @@ func (s *Server) CachePartitioned(id VMID) bool {
 	return int(id) >= 0 && int(id) < len(s.partitioned) && s.partitioned[id]
 }
 
-// StepResult carries the PCM samples completed during a step, keyed by VM.
+// StepResult carries the step's PCM samples: Samples[id] is VM id's sample
+// for the T_PCM interval ending at Time. A departed VM's slot holds the
+// zero Sample.
 //
-// Samples is a view over the server's per-step scratch map: it is valid
+// Samples is a view over the server's per-step scratch slice: it is valid
 // until the next Step call and must not be retained across steps (every
 // in-tree caller consumes it inside the step callback).
 type StepResult struct {
 	Time    float64
-	Samples map[VMID]pcm.Sample
+	Samples []pcm.Sample
 }
 
-// Step advances the server by one T_PCM tick and returns any completed PCM
-// samples.
+// Step advances the server by one T_PCM tick and returns every VM's PCM
+// sample for it.
 //
 //memdos:hotpath
 func (s *Server) Step() StepResult {
@@ -396,6 +398,7 @@ func (s *Server) Step() StepResult {
 	// Phase 2: application demands, attenuated by cleansing stalls.
 	if len(s.stepStates) < len(s.vms) {
 		s.stepStates = make([]appState, len(s.vms))
+		s.stepSamples = make([]pcm.Sample, len(s.vms))
 	}
 	states := s.stepStates[:len(s.vms)]
 	for i := range states {
@@ -432,16 +435,13 @@ func (s *Server) Step() StepResult {
 	}
 
 	// Phase 4: progress and PCM accounting.
-	if s.stepSamples == nil {
-		s.stepSamples = make(map[VMID]pcm.Sample, len(s.vms))
-	}
-	clear(s.stepSamples)
-	res := StepResult{Time: now + dt, Samples: s.stepSamples}
+	res := StepResult{Time: now + dt, Samples: s.stepSamples[:len(s.vms)]}
 	for _, vm := range s.vms {
 		if vm.departed {
 			// The VM's counter migrated with it; the husk produces
 			// nothing.
 			vm.lastSpeed = 0
+			res.Samples[vm.id] = pcm.Sample{}
 			continue
 		}
 		var accesses, misses float64
@@ -482,9 +482,7 @@ func (s *Server) Step() StepResult {
 				s.counters[vm.id].AddMem(lines*s.cfg.Mem.LineBytes, memRes.LatencySumOf(o), lines)
 			}
 		}
-		if sample, ok := s.counters[vm.id].Observe(accesses, misses); ok {
-			res.Samples[vm.id] = sample
-		}
+		res.Samples[vm.id] = s.counters[vm.id].Observe(accesses, misses)
 	}
 
 	s.clock.Tick()
@@ -585,8 +583,8 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 	c := st.counter
 	c.SetRetainHistory(!s.cfg.DisableHistory)
 	// Transit downtime produced no samples; realign the counter's sample
-	// timeline with the destination clock (counters run at one sample per
-	// tick, see addVM). A lockstep zero-downtime admission is a no-op.
+	// timeline with the destination clock (a counter's sample count is its
+	// VM's tick count). A lockstep zero-downtime admission is a no-op.
 	c.SkipToSample(int(s.clock.Ticks()))
 	s.vms = append(s.vms, vm)
 	s.counters = append(s.counters, c)

@@ -44,9 +44,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 	var decisions []memdos.Decision
 	srv.RunUntil(300, func(step memdos.ServerStep) {
-		if s, ok := step.Samples[victim.ID()]; ok {
-			decisions = append(decisions, det.Push(s)...)
-		}
+		decisions = append(decisions, det.Push(step.Samples[victim.ID()])...)
 	})
 
 	truth := []memdos.Interval{{Start: 120, End: 300}}
