@@ -92,21 +92,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var resp stream.IngestResponse
-	for _, b := range req.Batches {
+	// Every batch whose session is open goes to the hub in one call; a
+	// batch whose auto-open failed goes as an empty frame, which the hub
+	// skips, and reports the open's error in its place.
+	frames := make([]stream.Frame, len(req.Batches))
+	openErrs := make([]error, len(req.Batches))
+	for i, b := range req.Batches {
 		if b.Profile != "" {
-			if err := s.ensureSession(b.Session, b.Profile); err != nil {
-				resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", b.Session, err))
+			if openErrs[i] = s.ensureSession(b.Session, b.Profile); openErrs[i] != nil {
 				continue
 			}
 		}
-		n, err := s.hub.Ingest(b.Session, b.Samples)
+		frames[i] = stream.Frame{Session: b.Session, Samples: b.Samples}
+	}
+	res := make([]stream.FrameResult, len(frames))
+	s.hub.IngestFrames(frames, res) // ErrClosed is in every refused frame's result
+	var resp stream.IngestResponse
+	for i, b := range req.Batches {
+		err := openErrs[i]
+		if err == nil {
+			err = res[i].Err
+		}
 		if err != nil {
 			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", b.Session, err))
 			continue
 		}
-		resp.Accepted += n
-		resp.Dropped += len(b.Samples) - n
+		resp.Accepted += res[i].Accepted
+		resp.Dropped += len(b.Samples) - res[i].Accepted
 	}
 	status := http.StatusOK
 	if resp.Accepted == 0 && len(resp.Errors) > 0 {

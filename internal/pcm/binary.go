@@ -38,6 +38,7 @@ package pcm
 // (FuzzDecodeBatchInto enforces this).
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -352,13 +353,19 @@ func validFrameSessionBytes(id []byte) error {
 	return nil
 }
 
+// FrameReadBuffer is the size of FrameReader's read buffer: the most
+// wire bytes it takes off the stream in one read, and so the most frames'
+// worth a caller that drains whatever is Ready holds at once.
+const FrameReadBuffer = 32 << 10
+
 // FrameReader reads length-prefixed frames off a byte stream (a
-// persistent ingest connection) into one internal buffer that is reused
-// across frames: steady state, Next performs no allocations. The
-// returned body is valid only until the next call.
+// persistent ingest connection) through one read buffer. A frame that
+// fits the buffer is returned in place, as a slice of it; a larger one is
+// copied into a second buffer that is reused across frames. Steady
+// state, Next performs no allocations. The returned body is valid only
+// until the next call.
 type FrameReader struct {
-	r   io.Reader
-	hdr [FramePrefixBytes]byte
+	br  *bufio.Reader
 	buf []byte
 	max int
 }
@@ -368,11 +375,26 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	if maxFrame <= 0 || maxFrame > MaxFrameBytes {
 		maxFrame = MaxFrameBytes
 	}
-	return &FrameReader{r: r, max: maxFrame}
+	return &FrameReader{br: bufio.NewReaderSize(r, FrameReadBuffer), max: maxFrame}
 }
 
-// Reset points the reader at a new stream, keeping the grown buffer.
-func (fr *FrameReader) Reset(r io.Reader) { fr.r = r }
+// Reset points the reader at a new stream, dropping whatever was
+// buffered from the old one and keeping the buffers.
+func (fr *FrameReader) Reset(r io.Reader) { fr.br.Reset(r) }
+
+// Ready reports whether the next frame is already whole in the read
+// buffer, so that Next will return it without reading from the stream.
+// A caller that must act on what it has before the stream can block
+// (the ingest handler hands its decoded frames to the hub) checks Ready
+// before each Next.
+func (fr *FrameReader) Ready() bool {
+	have := fr.br.Buffered()
+	if have < FramePrefixBytes {
+		return false
+	}
+	hdr, _ := fr.br.Peek(FramePrefixBytes)
+	return uint64(have-FramePrefixBytes) >= uint64(binary.LittleEndian.Uint32(hdr))
+}
 
 // Next returns the next frame body. A clean end of stream — EOF exactly
 // on a frame boundary — returns io.EOF; EOF inside a frame is an error,
@@ -380,22 +402,42 @@ func (fr *FrameReader) Reset(r io.Reader) { fr.r = r }
 //
 //memdos:hotpath
 func (fr *FrameReader) Next() ([]byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("pcm: truncated frame prefix: %w", err)
+	hdr, err := fr.br.Peek(FramePrefixBytes)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			return nil, fmt.Errorf("pcm: truncated frame prefix: %w", io.ErrUnexpectedEOF)
 		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n == 0 || n > fr.max {
 		return nil, fmt.Errorf("pcm: frame body of %d bytes (want 1-%d)", n, fr.max)
 	}
+	// Discarding bytes a Peek has returned cannot fail.
+	if FramePrefixBytes+n <= fr.br.Size() {
+		// Peek then Discard: the body stays where the read put it.
+		frame, err := fr.br.Peek(FramePrefixBytes + n)
+		if err != nil {
+			return nil, truncatedBody(err)
+		}
+		_, _ = fr.br.Discard(FramePrefixBytes + n)
+		return frame[FramePrefixBytes:], nil
+	}
+	_, _ = fr.br.Discard(FramePrefixBytes)
 	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
 	}
 	body := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return nil, fmt.Errorf("pcm: truncated frame body: %w", err)
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		return nil, truncatedBody(err)
 	}
 	return body, nil
+}
+
+// truncatedBody names a read that ended inside a frame body.
+func truncatedBody(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcm: truncated frame body: %w", err)
 }

@@ -256,7 +256,10 @@ func TestAppendBatchLeavesPrefixOnError(t *testing.T) {
 
 func TestFrameReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	batches := [][]Sample{randomBatch(rng, 10), randomBatch(rng, 1), randomBatch(rng, 333)}
+	// The 3000-sample frame is larger than the read buffer: it is copied
+	// out rather than returned in place. The short reads make frames
+	// straddle the buffer's refills.
+	batches := [][]Sample{randomBatch(rng, 10), randomBatch(rng, 1), randomBatch(rng, 333), randomBatch(rng, 3000), randomBatch(rng, 7)}
 	var wire []byte
 	var err error
 	for i, b := range batches {
@@ -264,8 +267,11 @@ func TestFrameReader(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
+	if len(wire) < 2*FrameReadBuffer {
+		t.Fatalf("stream of %d bytes never overflows the %d-byte read buffer", len(wire), FrameReadBuffer)
+	}
 
-	fr := NewFrameReader(bytes.NewReader(wire), 0)
+	fr := NewFrameReader(&shortReader{r: bytes.NewReader(wire), sizes: []byte{200, 3, 77}}, 0)
 	var dst []Sample
 	for i, want := range batches {
 		body, err := fr.Next()
@@ -297,7 +303,7 @@ func TestFrameReader(t *testing.T) {
 		off += FramePrefixBytes + int(binary.LittleEndian.Uint32(wire[off:]))
 		boundary[off] = true
 	}
-	for cut := 1; cut < len(wire); cut += 97 {
+	for cut := 1; cut < len(wire); cut += 997 {
 		fr := NewFrameReader(bytes.NewReader(wire[:cut]), 0)
 		var err error
 		for err == nil {
@@ -319,9 +325,43 @@ func TestFrameReader(t *testing.T) {
 	}
 }
 
-// FuzzFrameReader: whatever the byte stream, Next never panics, returns
-// exactly the stream's length-prefixed frames in order, reports io.EOF
-// only on a frame boundary, and never buffers more than maxFrame bytes.
+// shortReader returns at most the next of sizes bytes per Read, cycling
+// through sizes (a zero size reads one byte), and counts its reads: the
+// stream arrives in the pieces a network would cut it into.
+type shortReader struct {
+	r     io.Reader
+	sizes []byte
+	reads int
+}
+
+func (sr *shortReader) Read(p []byte) (int, error) {
+	n := 1
+	if len(sr.sizes) > 0 {
+		n = max(1, int(sr.sizes[sr.reads%len(sr.sizes)]))
+	}
+	sr.reads++
+	return sr.r.Read(p[:min(n, len(p))])
+}
+
+// readFrames runs fr to the end of its stream and returns every frame it
+// yielded and its final error.
+func readFrames(fr *FrameReader) (frames [][]byte, err error) {
+	for {
+		body, err := fr.Next()
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, append([]byte(nil), body...))
+	}
+}
+
+// FuzzFrameReader: whatever the byte stream and however it is cut into
+// reads, Next never panics, returns exactly the stream's length-prefixed
+// frames in order, reports io.EOF only on a frame boundary, never grows
+// its frame buffer past maxFrame, and reads from the stream only when
+// Ready said the next frame was not whole in memory. Frames that straddle
+// the read buffer's refills must come out the same as from a reader
+// handed the stream one byte at a time.
 func FuzzFrameReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	wire, err := AppendBatch(nil, "vm-fuzz", randomBatch(rng, 3))
@@ -331,23 +371,24 @@ func FuzzFrameReader(f *testing.F) {
 	if wire, err = AppendBatch(wire, "vm-fuzz", randomBatch(rng, 1)); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(wire, uint16(0), false)
-	f.Add(wire[:len(wire)-3], uint16(0), true)
-	f.Add(wire[:2], uint16(0), false)
-	f.Add([]byte{0, 0, 0, 0}, uint16(0), false)
-	f.Add([]byte{3, 0, 0, 0, 1, 2, 3, 9, 0, 0, 0}, uint16(4), true)
-	f.Fuzz(func(t *testing.T, data []byte, maxFrame uint16, oneByte bool) {
-		var r io.Reader = bytes.NewReader(data)
-		if oneByte {
-			r = iotest.OneByteReader(r)
-		}
-		fr := NewFrameReader(r, int(maxFrame))
+	f.Add(wire, uint16(0), []byte{7})
+	f.Add(wire[:len(wire)-3], uint16(0), []byte{1})
+	f.Add(wire[:2], uint16(0), []byte(nil))
+	f.Add([]byte{0, 0, 0, 0}, uint16(0), []byte{255})
+	f.Add([]byte{3, 0, 0, 0, 1, 2, 3, 9, 0, 0, 0}, uint16(4), []byte{5, 2})
+	f.Fuzz(func(t *testing.T, data []byte, maxFrame uint16, sizes []byte) {
 		limit := int(maxFrame)
 		if limit == 0 {
 			limit = MaxFrameBytes
 		}
+		sr := &shortReader{r: bytes.NewReader(data), sizes: sizes}
+		fr := NewFrameReader(sr, int(maxFrame))
 		for off := 0; ; {
+			ready, reads := fr.Ready(), sr.reads
 			body, err := fr.Next()
+			if ready && sr.reads != reads {
+				t.Fatalf("offset %d: Ready, yet Next read from the stream", off)
+			}
 			if cap(fr.buf) > limit {
 				t.Fatalf("buffer grew to %d, maxFrame %d", cap(fr.buf), limit)
 			}
@@ -356,7 +397,7 @@ func FuzzFrameReader(f *testing.F) {
 				if err != io.EOF {
 					t.Fatalf("stream end at %d: got %v, want io.EOF", off, err)
 				}
-				return
+				break
 			}
 			var want []byte
 			if len(rest) >= FramePrefixBytes {
@@ -368,12 +409,24 @@ func FuzzFrameReader(f *testing.F) {
 				if err == nil || err == io.EOF {
 					t.Fatalf("offset %d: got (%d bytes, %v), want an error", off, len(body), err)
 				}
-				return
+				break
 			}
 			if err != nil || !bytes.Equal(body, want) {
 				t.Fatalf("offset %d: got (%d bytes, %v), want the %d-byte frame", off, len(body), err, len(want))
 			}
 			off += FramePrefixBytes + len(want)
+		}
+		// The differential: short reads and single bytes agree on the
+		// frames and on the error that ends them.
+		cut, cutErr := readFrames(NewFrameReader(&shortReader{r: bytes.NewReader(data), sizes: sizes}, int(maxFrame)))
+		one, oneErr := readFrames(NewFrameReader(iotest.OneByteReader(bytes.NewReader(data)), int(maxFrame)))
+		if len(cut) != len(one) || fmt.Sprint(cutErr) != fmt.Sprint(oneErr) {
+			t.Fatalf("short reads gave %d frames then %v, one-byte reads %d then %v", len(cut), cutErr, len(one), oneErr)
+		}
+		for i := range cut {
+			if !bytes.Equal(cut[i], one[i]) {
+				t.Fatalf("frame %d differs between short and one-byte reads", i)
+			}
 		}
 	})
 }

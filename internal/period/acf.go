@@ -12,20 +12,26 @@ func ACF(x []float64, maxLag int) []float64 {
 	if maxLag >= n {
 		maxLag = n - 1
 	}
+	return acfInto(make([]float64, maxLag+1), make([]float64, n), x)
+}
+
+// acfInto writes the ACF of x for lags 0..len(out)-1 (at most len(x)-1)
+// into out, using centered (len(x) long) as scratch.
+func acfInto(out, centered, x []float64) []float64 {
+	n, maxLag := len(x), len(out)-1
 	mean := 0.0
 	for _, v := range x {
 		mean += v
 	}
 	mean /= float64(n)
-	centered := make([]float64, n)
 	var c0 float64
 	for i, v := range x {
 		centered[i] = v - mean
 		c0 += centered[i] * centered[i]
 	}
-	out := make([]float64, maxLag+1)
 	out[0] = 1
 	if c0 == 0 { //memdos:ignore floateq exact zero variance (constant window); division guard
+		clear(out[1:])
 		return out
 	}
 	// For the short windows SDS/P uses (a few hundred points), the direct

@@ -2,7 +2,7 @@ package period
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Estimate is the result of a DFT-ACF period search.
@@ -80,14 +80,29 @@ type candidate struct {
 	power  float64
 }
 
+// byPowerDesc orders candidates strongest first.
+func byPowerDesc(a, b candidate) int {
+	switch {
+	case a.power > b.power:
+		return -1
+	case a.power < b.power:
+		return 1
+	}
+	return 0
+}
+
 // Estimate runs the DFT-ACF search over x. Series shorter than 8 samples
-// are reported as non-periodic.
+// are reported as non-periodic. Its working memory comes from the plan
+// for len(x) and goes back when it returns.
 func (e *Estimator) Estimate(x []float64) Estimate {
 	n := len(x)
 	if n < 8 {
 		return Estimate{}
 	}
-	spec := Periodogram(x)
+	pl := planFor(n, false)
+	sc := pl.get()
+	defer pl.put(sc)
+	spec := pl.periodogram(sc.spec, x, sc.work)
 	// Mean power over non-DC bins forms the significance floor.
 	var meanPower float64
 	for _, p := range spec[1:] {
@@ -96,7 +111,7 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 	meanPower /= float64(len(spec) - 1)
 	threshold := e.cfg.PowerFactor * meanPower
 
-	var cands []candidate
+	cands := sc.cands[:0]
 	for k := 1; k < len(spec); k++ {
 		if spec[k] < threshold {
 			continue
@@ -109,16 +124,19 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 		}
 		cands = append(cands, candidate{period: p, power: spec[k]})
 	}
+	sc.cands = cands
 	if len(cands) == 0 {
 		return Estimate{}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].power > cands[j].power })
+	// The same pdqsort as sort.Slice, without its reflection: equal powers
+	// end up in the same order.
+	slices.SortFunc(cands, byPowerDesc)
 	if len(cands) > e.cfg.MaxCandidates {
 		cands = cands[:e.cfg.MaxCandidates]
 	}
 
 	maxLag := n - 1
-	acf := ACF(x, maxLag)
+	acf := acfInto(sc.acf, sc.centered, x)
 	best := Estimate{}
 	for _, c := range cands {
 		lag := int(math.Round(c.period))

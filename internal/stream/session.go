@@ -72,7 +72,7 @@ type Session struct {
 
 	// queue accounting. pending is the number of accepted samples not
 	// yet processed; qmu/cond implement the Block policy. removed is set
-	// once, under mu (see remove), and read by enqueue without it.
+	// once, under mu (see remove), and read by Hub.gather without it.
 	pending atomic.Int64
 	qmu     sync.Mutex
 	cond    *sync.Cond
@@ -115,59 +115,19 @@ func newSession(h *Hub, id, profile string, det core.Detector, sh *shard) *Sessi
 	return s
 }
 
-// enqueue applies the queue policy and hands the batch to the shard.
-func (s *Session) enqueue(samples []pcm.Sample) (int, error) {
-	n := int64(len(samples))
-	cap64 := int64(s.hub.cfg.QueueCap)
-	switch s.hub.cfg.Policy {
-	case Block:
-		s.qmu.Lock()
-		for s.pending.Load()+n > cap64 && !s.hub.closing.Load() && !s.removed.Load() {
-			s.cond.Wait()
-		}
-		if s.hub.closing.Load() {
-			s.qmu.Unlock()
-			return 0, ErrClosed
-		}
-		if s.removed.Load() {
-			s.qmu.Unlock()
-			return 0, errRemoved(s.id)
-		}
-		s.pending.Add(n)
-		s.qmu.Unlock()
-		s.shard.pending.Add(n)
-		s.shard.work <- work{sess: s, batch: s.hub.getBatch(samples)}
-	default: // DropNewest
-		if s.pending.Load()+n > cap64 {
-			s.drop(n)
-			return 0, nil
-		}
-		s.pending.Add(n)
-		s.shard.pending.Add(n)
-		batch := s.hub.getBatch(samples)
-		select {
-		case s.shard.work <- work{sess: s, batch: batch}:
-		default:
-			s.hub.putBatch(batch)
-			s.pending.Add(-n)
-			s.shard.pending.Add(-n)
-			s.drop(n)
-			return 0, nil
-		}
-	}
-	s.ingested.Add(uint64(n))
-	s.hub.samplesIngested.Add(uint64(n))
-	return len(samples), nil
-}
-
 func (s *Session) drop(n int64) {
 	s.dropped.Add(uint64(n))
 	s.hub.samplesDropped.Add(uint64(n))
 }
 
-// finishBatch is called by the shard goroutine after processing a batch.
+// finishBatch is called by the shard goroutine after processing one
+// segment. Only Block-policy producers wait on cond, so only Block pays
+// for the broadcast.
 func (s *Session) finishBatch(n int64) {
 	s.pending.Add(-n)
+	if s.hub.cfg.Policy != Block {
+		return
+	}
 	s.qmu.Lock()
 	s.cond.Broadcast()
 	s.qmu.Unlock()

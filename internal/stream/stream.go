@@ -6,18 +6,22 @@
 // pipeline (any core.Detector, built from a registered profile) and is
 // pinned to one worker shard by a hash of its name, so every detector has
 // exactly one writer goroutine and needs no locking on the hot path.
-// Producers hand sample batches to Ingest; bounded per-session queues
-// with an explicit policy (shed load or block) keep a slow detector from
-// taking the hub down. Decisions fold incrementally into incident
-// episodes (core.IncidentFold). Alarm transitions go to observers, which
-// the shard calls in order and never sheds (AddObserver), and to
-// best-effort subscriber channels (Subscribe).
+// Producers hand the hub frames — one session's sample batch each — many
+// at a time through IngestFrames, which sends each shard one hand-off
+// carrying all of the call's frames for its sessions, so the hub's
+// per-call costs (lock, WaitGroup, channel send, shard wake) are paid per
+// hand-off, not per frame; Ingest is the one-frame case. Bounded
+// per-session queues with an explicit policy (shed load or block) keep a
+// slow detector from taking the hub down. Decisions fold incrementally
+// into incident episodes (core.IncidentFold). Alarm transitions go to
+// observers, which the shard calls in order and never sheds
+// (AddObserver), and to best-effort subscriber channels (Subscribe).
 //
-// Ordering: samples of one session are processed in the order Ingest
-// accepted them. With several concurrent producers for the *same*
-// session, the inter-batch order is whichever producer enqueues first —
-// one producer per session (one VM, one PCM stream) is the intended
-// shape, matching the paper's threat model.
+// Ordering: samples of one session are processed in the order the hub
+// accepted them, within a call and across calls. With several concurrent
+// producers for the *same* session, the inter-call order is whichever
+// producer hands over first — one producer per session (one VM, one PCM
+// stream) is the intended shape, matching the paper's threat model.
 package stream
 
 import (
@@ -33,16 +37,18 @@ import (
 	"memdos/internal/pcm"
 )
 
-// Policy selects what Ingest does when a session's queue is full.
+// Policy selects what the hub does with a frame when its session's queue
+// is full, or, under DropNewest, when its shard's work channel is.
 type Policy int
 
 const (
-	// DropNewest sheds load: the incoming batch is dropped and counted.
+	// DropNewest sheds load: the incoming frame is dropped and counted,
+	// and so is a whole hand-off to a shard whose work channel is full.
 	// This is the deploy-default — a detection service must never stall
 	// the hypervisor's sampling loop.
 	DropNewest Policy = iota
-	// Block applies backpressure: Ingest waits until the queue has room
-	// (or the hub closes). Use for offline replay and tests that must
+	// Block applies backpressure: the call waits until the queue has
+	// room (or the hub closes). Use for offline replay and tests that must
 	// not lose samples.
 	Block
 )
@@ -68,8 +74,9 @@ type Config struct {
 	// processed) samples. <= 0 means 4096. The cap is approximate when
 	// several producers ingest one session concurrently.
 	QueueCap int
-	// ShardBuffer is each shard's work-channel capacity in batches.
-	// <= 0 means 256.
+	// ShardBuffer is each shard's work-channel capacity in hand-offs (an
+	// Ingest call is one; an IngestFrames call is one per shard it
+	// reaches, more under Block when it must wait). <= 0 means 256.
 	ShardBuffer int
 	// Policy is the full-queue behaviour.
 	Policy Policy
@@ -101,24 +108,39 @@ func (c Config) withDefaults() Config {
 // once per session so every session gets private state.
 type DetectorFactory func() (core.Detector, error)
 
-// work is one unit handed to a shard: either a sample batch for a
-// session, or a flush barrier.
+// work is one unit handed to a shard: either a hand-off of sample
+// segments, or a flush barrier.
 type work struct {
-	sess  *Session
 	batch *batchBuf
 	flush chan<- struct{}
 }
 
-// batchBuf is a reusable copy of one ingested batch. Ingest copies the
-// caller's samples into one of these (recycled through Hub.batchPool)
-// and the shard goroutine returns it to the pool after processing, so
-// the steady-state ingest path creates no per-batch garbage.
+// batchBuf is one hand-off to a shard: a run of segments, each one
+// frame's samples for one session, laid end to end in samples.
+// IngestFrames copies the callers' samples into one of these (recycled
+// through Hub.batchPool) and the shard goroutine returns it to the pool
+// after processing, so the steady-state ingest path creates no per-frame
+// garbage.
 type batchBuf struct {
 	samples []pcm.Sample
+	segs    []segment
+	// seg0 backs segs until a hand-off carries a second frame, so a
+	// fresh one-frame buffer costs Ingest no allocation beyond the copy.
+	seg0 [1]segment
 }
 
-// maxPooledBatch bounds the capacity a recycled buffer may keep: one
-// oversized batch must not pin megabytes in the pool forever.
+// segment is one frame's share of a batchBuf: n samples of sess. frame
+// is the frame's index in the IngestFrames call, for the caller's side
+// to settle a shed hand-off; the shard ignores it.
+type segment struct {
+	sess  *Session
+	n     int
+	frame int
+}
+
+// maxPooledBatch bounds the capacity a recycled buffer may keep, in
+// samples and in segments: one oversized hand-off must not pin megabytes
+// in the pool forever.
 const maxPooledBatch = 1 << 14
 
 // shard is one worker goroutine plus its queue and counters.
@@ -146,9 +168,11 @@ type Hub struct {
 	closing  atomic.Bool // readable without mu, for cond waiters
 	ingestWG sync.WaitGroup
 
-	// batchPool recycles batchBuf copies between Ingest and the shard
-	// goroutines (sync.Pool: safe without mu).
+	// batchPool recycles batchBuf copies between IngestFrames and the
+	// shard goroutines, and handoffs the scratch of many-frame calls
+	// (sync.Pool: safe without mu).
 	batchPool sync.Pool
+	handoffs  sync.Pool
 
 	// scorer is the batched cascade scoring service, nil until
 	// AttachScorer. Atomic so the shard hot path reads it without mu.
@@ -269,29 +293,236 @@ func (h *Hub) CloseSession(sessionID string) error {
 	return nil
 }
 
-// Ingest hands a batch of one session's PCM samples to its shard. It
-// returns how many samples were accepted (all or none, per the queue
-// policy). The batch is copied; the caller may reuse the slice.
+// Ingest hands a batch of one session's PCM samples to its shard: the
+// one-frame case of IngestFrames. It returns how many samples were
+// accepted (all or none, per the queue policy). The batch is copied; the
+// caller may reuse the slice.
 //
 //memdos:hotpath
 func (h *Hub) Ingest(sessionID string, samples []pcm.Sample) (int, error) {
 	if len(samples) == 0 {
 		return 0, nil
 	}
+	var res [1]FrameResult
+	if err := h.IngestFrames([]Frame{{Session: sessionID, Samples: samples}}, res[:]); err != nil {
+		return 0, err
+	}
+	return res[0].Accepted, res[0].Err
+}
+
+// Frame is one session's batch in an IngestFrames call.
+type Frame struct {
+	Session string
+	Samples []pcm.Sample
+}
+
+// FrameResult is what IngestFrames did with one frame: how many of its
+// samples were accepted (all or none, per the queue policy; a shed frame
+// is 0 with no error), or why it was refused.
+type FrameResult struct {
+	Accepted int
+	Err      error
+}
+
+// IngestFrames hands many frames, of any sessions, to their shards at
+// once: each shard receives one hand-off carrying all of the call's
+// frames for its sessions, in call order. res[i] reports on frames[i];
+// res must be at least as long as frames. Every accepted sample is
+// copied before IngestFrames returns, so the caller may reuse the
+// slices. The one error returned is ErrClosed, when the hub closes
+// before or during the call: the frames it had not accepted by then
+// carry ErrClosed too.
+//
+// Samples of one session keep their order. Under Block, a frame that
+// must wait for its session's queue first sends everything the call has
+// gathered, so a call carrying more than QueueCap of one session waits
+// on the shard, never on itself. Under DropNewest, a shard whose work
+// channel is full sheds the call's whole hand-off to it; each of its
+// frames then counts as dropped against its own session.
+//
+//memdos:hotpath
+func (h *Hub) IngestFrames(frames []Frame, res []FrameResult) error {
+	res = res[:len(frames)]
 	h.mu.RLock()
 	if h.closed {
 		h.mu.RUnlock()
-		return 0, ErrClosed
+		for i := range res {
+			res[i] = FrameResult{Err: ErrClosed}
+		}
+		return ErrClosed
 	}
-	s, ok := h.sessions[sessionID]
-	if !ok {
-		h.mu.RUnlock()
-		return 0, fmt.Errorf("stream: no session %q", sessionID)
+	// A one-frame call gathers into one slot on the stack and needs no
+	// pooled scratch.
+	var one struct {
+		sess [1]*Session
+		buf  [1]*batchBuf
+	}
+	g := &handoff{sess: one.sess[:], bufs: one.buf[:]}
+	var pooled *handoff
+	if len(frames) != 1 {
+		pooled = h.getHandoff(len(frames))
+		g = pooled
+	}
+	for i := range frames {
+		g.sess[i] = h.sessions[frames[i].Session]
 	}
 	h.ingestWG.Add(1)
 	h.mu.RUnlock()
-	defer h.ingestWG.Done()
-	return s.enqueue(samples)
+	err := h.gather(frames, res, g)
+	h.ingestWG.Done()
+	if pooled != nil {
+		h.putHandoff(pooled)
+	}
+	return err
+}
+
+// handoff is one IngestFrames call's scratch: the session each frame
+// resolved to (nil for an unknown id) and, per shard slot, the buffer
+// gathering that shard's accepted samples.
+type handoff struct {
+	sess []*Session
+	bufs []*batchBuf
+}
+
+// slot is where the call gathers sh's samples: the shard's own slot in a
+// many-frame call, the only slot in a one-frame call.
+func (g *handoff) slot(sh *shard) **batchBuf {
+	if len(g.bufs) == 1 {
+		return &g.bufs[0]
+	}
+	return &g.bufs[sh.id]
+}
+
+// holding reports whether the call has gathered samples it has not sent.
+func (g *handoff) holding() bool {
+	for _, b := range g.bufs {
+		if b != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// getHandoff returns pooled scratch for an n-frame call.
+func (h *Hub) getHandoff(n int) *handoff {
+	g, _ := h.handoffs.Get().(*handoff)
+	if g == nil {
+		g = &handoff{bufs: make([]*batchBuf, len(h.shards))}
+	}
+	g.sess = slices.Grow(g.sess[:0], n)[:n]
+	return g
+}
+
+// putHandoff recycles a many-frame call's scratch, holding no session.
+func (h *Hub) putHandoff(g *handoff) {
+	clear(g.sess)
+	if cap(g.sess) <= maxPooledBatch {
+		h.handoffs.Put(g)
+	}
+}
+
+// gather applies the queue policy to each frame in order, copies the
+// accepted ones into their shards' buffers, sends every buffer, and
+// counts what was accepted.
+func (h *Hub) gather(frames []Frame, res []FrameResult, g *handoff) error {
+	cap64 := int64(h.cfg.QueueCap)
+	var err error
+	for i := range frames {
+		res[i] = FrameResult{}
+		s, n := g.sess[i], int64(len(frames[i].Samples))
+		switch {
+		case n == 0:
+			continue
+		case s == nil:
+			res[i].Err = fmt.Errorf("stream: no session %q", frames[i].Session)
+			continue
+		}
+		if h.cfg.Policy == Block {
+			s.qmu.Lock()
+			for s.pending.Load()+n > cap64 && !h.closing.Load() && !s.removed.Load() {
+				if g.holding() {
+					// Never wait holding unsent samples: they may be what
+					// the queue is waiting to drain.
+					s.qmu.Unlock()
+					h.sendAll(g, res)
+					s.qmu.Lock()
+					continue
+				}
+				s.cond.Wait()
+			}
+			if h.closing.Load() {
+				s.qmu.Unlock()
+				for j := i; j < len(frames); j++ {
+					res[j] = FrameResult{Err: ErrClosed}
+				}
+				err = ErrClosed
+				frames = frames[:i]
+				break
+			}
+			if s.removed.Load() {
+				s.qmu.Unlock()
+				res[i].Err = errRemoved(s.id)
+				continue
+			}
+			s.pending.Add(n)
+			s.qmu.Unlock()
+		} else {
+			if s.pending.Load()+n > cap64 {
+				s.drop(n)
+				continue
+			}
+			s.pending.Add(n)
+		}
+		slot := g.slot(s.shard)
+		b := *slot
+		if b == nil {
+			b = h.getBatch()
+			*slot = b
+		}
+		b.samples = append(b.samples, frames[i].Samples...)
+		b.segs = append(b.segs, segment{sess: s, n: int(n), frame: i})
+		res[i].Accepted = int(n)
+	}
+	h.sendAll(g, res)
+	var total uint64
+	for i := range frames {
+		if a := uint64(res[i].Accepted); a > 0 {
+			g.sess[i].ingested.Add(a)
+			total += a
+		}
+	}
+	h.samplesIngested.Add(total)
+	return err
+}
+
+// sendAll hands every gathered buffer to its shard. Under DropNewest a
+// full work channel sheds the buffer: its frames are dropped and their
+// results zeroed.
+func (h *Hub) sendAll(g *handoff, res []FrameResult) {
+	for k, b := range g.bufs {
+		if b == nil {
+			continue
+		}
+		g.bufs[k] = nil
+		sh := b.segs[0].sess.shard
+		n := int64(len(b.samples))
+		sh.pending.Add(n)
+		if h.cfg.Policy == Block {
+			sh.work <- work{batch: b}
+			continue
+		}
+		select {
+		case sh.work <- work{batch: b}:
+		default:
+			sh.pending.Add(-n)
+			for _, seg := range b.segs {
+				seg.sess.pending.Add(-int64(seg.n))
+				seg.sess.drop(int64(seg.n))
+				res[seg.frame].Accepted = 0
+			}
+			h.putBatch(b)
+		}
+	}
 }
 
 // Drain blocks until every sample accepted before the call has been
@@ -368,26 +599,29 @@ func (h *Hub) Close() error {
 	return nil
 }
 
-// getBatch copies samples into a pooled buffer.
-func (h *Hub) getBatch(samples []pcm.Sample) *batchBuf {
+// getBatch returns an empty pooled buffer.
+func (h *Hub) getBatch() *batchBuf {
 	b, _ := h.batchPool.Get().(*batchBuf)
 	if b == nil {
 		b = new(batchBuf)
+		b.segs = b.seg0[:0]
 	}
-	b.samples = append(b.samples[:0], samples...)
 	return b
 }
 
-// putBatch recycles a processed buffer, dropping outliers so one giant
-// batch cannot pin its capacity in the pool.
+// putBatch recycles a processed buffer, holding no session, and drops
+// outliers so one giant hand-off cannot pin its capacity in the pool.
 func (h *Hub) putBatch(b *batchBuf) {
-	if cap(b.samples) > maxPooledBatch {
+	clear(b.segs)
+	b.samples, b.segs = b.samples[:0], b.segs[:0]
+	if cap(b.samples) > maxPooledBatch || cap(b.segs) > maxPooledBatch {
 		return
 	}
 	h.batchPool.Put(b)
 }
 
-// runShard is the single writer for every session pinned to sh.
+// runShard is the single writer for every session pinned to sh. It runs
+// each hand-off's segments in order, finishing each before the next.
 func (h *Hub) runShard(sh *shard) {
 	defer close(sh.done)
 	for w := range sh.work {
@@ -395,14 +629,19 @@ func (h *Hub) runShard(sh *shard) {
 			w.flush <- struct{}{}
 			continue
 		}
+		b := w.batch
 		start := time.Now()
-		w.sess.process(w.batch.samples)
+		off := 0
+		for _, seg := range b.segs {
+			seg.sess.process(b.samples[off : off+seg.n])
+			off += seg.n
+			n := int64(seg.n)
+			sh.pending.Add(-n)
+			seg.sess.finishBatch(n)
+		}
 		sh.busyNanos.Add(time.Since(start).Nanoseconds())
-		sh.batches.Add(1)
-		n := int64(len(w.batch.samples))
-		h.putBatch(w.batch)
-		sh.pending.Add(-n)
-		w.sess.finishBatch(n)
+		sh.batches.Add(int64(len(b.segs)))
+		h.putBatch(b)
 	}
 }
 
@@ -601,7 +840,7 @@ func (h *Hub) RegisterMetrics(reg *metrics.Registry) {
 			return pts
 		})
 	reg.RegisterCounterFunc("memdos_stream_shard_batches_total",
-		"Sample batches processed, per shard.", func() []metrics.Point {
+		"Sample batches (ingested frames) processed, per shard.", func() []metrics.Point {
 			pts := make([]metrics.Point, len(h.shards))
 			for i, sh := range h.shards {
 				pts[i] = metrics.Point{Labels: fmt.Sprintf("shard=%q", fmt.Sprint(sh.id)), Value: float64(sh.batches.Load())}
