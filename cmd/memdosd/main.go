@@ -31,13 +31,13 @@
 // (internal/respond) to the hub as an observer: the shard that folds an
 // alarm transition calls the engine with it, in order and never shed;
 // raises walk the suspect VM up a graduated throttle/partition/migrate
-// ladder, clears back off with hysteresis (advanced once a second to the
-// newest decision time), and DELETE /v1/sessions/{vm} releases whatever
-// the session held. Stand-alone the engine drives a no-op
-// actuator — the would-be actions are the engine's own per-session
-// action log, inspectable under GET /v1/responses and adjustable via POST /v1/responses/{vm}/override
-// ({"mode":"pause"|"resume"|"force","level":N}); embedders wire a real
-// hypervisor through respond.Actuator.
+// ladder, clears back off with hysteresis on the session's own decision
+// times (a session that stops reporting holds its rung), and DELETE
+// /v1/sessions/{vm} releases whatever the session held. Stand-alone the
+// engine drives a no-op actuator — the would-be actions are its own
+// per-session action log, under GET /v1/responses and adjustable via POST
+// /v1/responses/{vm}/override ({"mode":"pause"|"resume"|"force","level":N});
+// embedders wire a real hypervisor through respond.Actuator.
 //
 // Detector profiles available to sessions:
 //
@@ -140,8 +140,6 @@ func run(args []string) error {
 		}
 		detach := hub.AddObserver(eng)
 		defer detach()
-		stopTicker := tickFromDecisions(hub, eng)
-		defer stopTicker()
 	}
 
 	srv := newHTTPServer(*addr, daemon.New(hub, eng))
@@ -198,38 +196,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-}
-
-// respondTick is how often tickFromDecisions advances the mitigation
-// engine.
-const respondTick = time.Second
-
-// tickFromDecisions advances the mitigation engine's clock every
-// respondTick to the newest decision timestamp seen on the hub, so
-// hysteresis back-off progresses even while the alarm feed is quiet
-// (alarm events only fire on transitions). The engine stays in sample
-// time — the daemon never feeds it the wall clock.
-func tickFromDecisions(hub *stream.Hub, eng *respond.Engine) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(respondTick)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				latest := eng.Now()
-				for _, in := range hub.Sessions() {
-					if in.LastDecision != nil && in.LastDecision.Time > latest {
-						latest = in.LastDecision.Time
-					}
-				}
-				eng.Tick(latest)
-			}
-		}
-	}()
-	return func() { close(done) }
 }
 
 // scoreStrideFor resolves -score-stride against the loaded model's

@@ -25,7 +25,8 @@ func TestRunFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "score-window") {
 		t.Fatalf("-score-window: %v", err)
 	}
-	// The mitigation engine ticks once a second; there is no flag for it.
+	// The mitigation engine runs on each session's decision times; there
+	// is no flag for it.
 	if err := run([]string{"-respond-tick", "2s"}); err == nil ||
 		!strings.Contains(err.Error(), "respond-tick") {
 		t.Fatalf("-respond-tick: %v", err)

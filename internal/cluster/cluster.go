@@ -584,6 +584,8 @@ func (c *Cluster) Step(q int) error {
 	if c.eng != nil {
 		for _, ev := range c.eventBuf {
 			c.alarmEvents++
+			// The cluster is one clock: every session steps to ev.time.
+			c.eng.Tick(ev.time)
 			if err := c.eng.Observe(ev.session, ev.time, ev.raised); err != nil {
 				return err
 			}

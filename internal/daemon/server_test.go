@@ -237,6 +237,33 @@ func TestIngestRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestJSONIngestBlockOversizeFrame: under -policy block a /v1/ingest
+// batch of one sample more than the session's queue holds is answered
+// with a per-batch error, not held until shutdown.
+func TestJSONIngestBlockOversizeFrame(t *testing.T) {
+	ts, hub := newTestDaemon(t) // Block, QueueCap 4096
+	body, err := json.Marshal(ingestBody("vm-1", "raw", 4097, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("oversize batch: %v", err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "exceeds the queue capacity") {
+		t.Errorf("oversize batch: %d %s", resp.StatusCode, out)
+	}
+	if st := hub.Stats(); st.SamplesDropped != 4097 || st.SamplesIngested != 0 {
+		t.Errorf("hub after the oversize batch: %+v", st)
+	}
+}
+
 // TestGracefulShutdown covers the daemon's drain path: queued samples
 // are fully processed by hub.Close even when ingestion stops abruptly.
 func TestGracefulShutdown(t *testing.T) {

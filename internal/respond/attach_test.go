@@ -1,6 +1,7 @@
 package respond
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -187,5 +188,94 @@ func TestAttachLosesNoEdge(t *testing.T) {
 	want, _ := direct.State("vm-a")
 	if !reflect.DeepEqual(st.Actions, want.Actions) {
 		t.Errorf("attached engine acted %+v, direct engine %+v", st.Actions, want.Actions)
+	}
+}
+
+// flipHub opens ids with the flip detector on a Block hub of the given
+// shard count and attaches eng to it.
+func flipHub(t *testing.T, shards int, eng *Engine, ids ...string) *stream.Hub {
+	t.Helper()
+	hub := stream.NewHub(stream.Config{Shards: shards, QueueCap: 1024, ShardBuffer: 8, Policy: stream.Block})
+	t.Cleanup(func() { hub.Close() })
+	if err := hub.RegisterProfile("flip", func() (core.Detector, error) { return flipDet{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := hub.Open(id, "flip"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(Attach(hub, eng, 0))
+	return hub
+}
+
+// feed ingests one sample at t, alarming when miss exceeds 50.
+func feed(t *testing.T, hub *stream.Hub, id string, at, miss float64) {
+	t.Helper()
+	if _, err := hub.Ingest(id, []pcm.Sample{{Time: at, AccessNum: 100, MissNum: miss}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func drain(t *testing.T, hub *stream.Hub) {
+	t.Helper()
+	if err := hub.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionClockIsolatedOnHub: a session streaming far-future times
+// beside vm-a, on its shard or another, leaves vm-a's actions exactly as
+// they are alone, where vm-a escalates and backs off to idle on its own
+// decision times.
+func TestSessionClockIsolatedOnHub(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
+			run := func(intruder bool) []Action {
+				eng, _ := newTestEngine(t, DefaultConfig())
+				hub := flipHub(t, shards, eng, "vm-a", "vm-b")
+				for at := 1.0; at <= 100; at++ {
+					miss := 10.0
+					if at < 50 {
+						miss = 100
+					}
+					feed(t, hub, "vm-a", at, miss)
+					if intruder {
+						feed(t, hub, "vm-b", 1e12+at, 100)
+					}
+				}
+				drain(t, hub)
+				st, _ := eng.State("vm-a")
+				return st.Actions
+			}
+			alone, beside := run(false), run(true)
+			if !reflect.DeepEqual(beside, alone) {
+				t.Errorf("vm-a beside a far-future session acted %+v, alone %+v", beside, alone)
+			}
+			if n := len(alone); n < 3 || alone[n-1].Kind != ActionRelease {
+				t.Errorf("vm-a alone did not escalate and back off to idle: %+v", alone)
+			}
+		})
+	}
+}
+
+// TestSessionClockBacksOffWithoutTick: after a raise and a clear, the
+// session's own quiet decisions walk it back to idle through the hub
+// alone, once ClearAfter has passed on its sample time.
+func TestSessionClockBacksOffWithoutTick(t *testing.T) {
+	eng, act := newTestEngine(t, Config{ThrottleDuties: []float64{0.5}, EscalateAfter: 30, ClearAfter: 10})
+	hub := flipHub(t, 1, eng, "vm-a")
+	feed(t, hub, "vm-a", 1, 100) // raise
+	feed(t, hub, "vm-a", 2, 10)  // clear
+	feed(t, hub, "vm-a", 11.5, 10)
+	drain(t, hub)
+	if got := level(t, eng, "vm-a"); got != 1 {
+		t.Fatalf("released inside ClearAfter: level %d", got)
+	}
+	feed(t, hub, "vm-a", 12, 10)
+	drain(t, hub)
+	want := []call{{kind: "throttle", sess: "vm-a", duty: 0.5}, {kind: "throttle", sess: "vm-a", duty: 0}}
+	if got := act.log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("actuator calls %+v, want %+v", got, want)
 	}
 }

@@ -34,10 +34,11 @@
 //     co-residence, so all local mitigation is released and the session
 //     re-enters the ladder from the cooldown state.
 //
-// The engine never reads the wall clock. It advances only on event
-// timestamps and explicit Tick calls, and processes sessions in sorted
-// name order, so closed-loop simulation runs are bit-reproducible (see
-// experiments.ClosedLoop). All methods are safe for concurrent use.
+// The engine never reads the wall clock and keeps time per session: the
+// newest of its own Observe/Advance timestamps and the last Tick (the
+// fleet clock a simulation shares), so one session's far-future timestamp
+// moves no other. Tick steps sessions in name order, so closed-loop runs
+// are bit-reproducible (experiments.ClosedLoop). Safe for concurrent use.
 package respond
 
 import (
@@ -51,7 +52,9 @@ import (
 
 // Config parameterizes the mitigation ladder and its timing. All times
 // are in the seconds of whatever time domain feeds the engine (simulated
-// seconds in the experiments, sample timestamps in memdosd).
+// seconds in the experiments, sample timestamps in memdosd), on each
+// session's own time: a session that stops reporting holds its rung
+// until a Tick moves it or CloseSession/Forget releases it.
 type Config struct {
 	// ThrottleDuties are the escalating execution-throttle steps applied
 	// to the suspect VM: duty d withholds fraction d of its execution.
@@ -210,6 +213,7 @@ type session struct {
 	name  string
 	level int
 	alarm bool
+	now   float64 // the session's time, never behind the fleet clock
 
 	raisedAt   float64
 	clearedAt  float64
@@ -246,13 +250,13 @@ type Engine struct {
 	maxLevel       int
 
 	mu sync.Mutex
-	// now is the engine's monotonic clock. guarded by mu.
-	now float64
+	// tick is the fleet clock, the latest time passed to Tick. guarded by mu.
+	tick float64
 	// sessions holds per-VM response state. guarded by mu.
 	sessions map[string]*session
-	// byName is the same records in name order — the order tickLocked
-	// walks them in — kept in step wherever the map is written, so no
-	// event pays to collect and sort the names. guarded by mu.
+	// byName is the same records in name order — the order Tick walks
+	// them in — kept in step wherever the map is written, so no tick pays
+	// to collect and sort the names. guarded by mu.
 	byName []*session
 
 	events           metrics.Counter
@@ -327,13 +331,6 @@ func (e *Engine) Ladder() []string {
 	return out
 }
 
-// Now returns the engine's current (monotonic) time.
-func (e *Engine) Now() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
-
 // validName bounds session names the same way internal/stream does.
 func validName(name string) error {
 	if name == "" || len(name) > 128 {
@@ -347,7 +344,7 @@ func validName(name string) error {
 func (e *Engine) sessionLocked(name string) *session {
 	s, ok := e.sessions[name]
 	if !ok {
-		s = &session{name: name, forced: ForceNone, memLevel: 0, memUntil: -1}
+		s = &session{name: name, forced: ForceNone, memLevel: 0, memUntil: -1, now: e.tick}
 		e.sessions[name] = s
 		e.byName = slices.Insert(e.byName, e.rankLocked(name), s)
 	}
@@ -363,23 +360,20 @@ func (e *Engine) rankLocked(name string) int {
 	return i
 }
 
-// Observe feeds one alarm transition: raised true for a raise, false for
-// a clear. Time-based transitions due strictly before t are applied
-// first (Observe implies Tick(t)). Times before the engine's current
-// time are clamped forward — the engine is monotonic.
+// Observe feeds one alarm transition of the named session: raised true
+// for a raise, false for a clear. It implies Advance(name, t) first; a t
+// behind the session's time is clamped forward, and no other session
+// moves.
 func (e *Engine) Observe(name string, t float64, raised bool) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t > e.now {
-		e.now = t
-	}
-	now := e.now
-	e.tickLocked(now)
-	e.events.Inc()
 	s := e.sessionLocked(name)
+	e.stepLocked(s, t)
+	now := s.now
+	e.events.Inc()
 	if raised {
 		if s.alarm {
 			return nil // duplicate raise
@@ -410,37 +404,58 @@ func (e *Engine) Observe(name string, t float64, raised bool) error {
 	return nil
 }
 
-// Tick advances the engine to now, applying any sustained-alarm
-// escalations and quiet-period de-escalations that have come due.
+// Advance moves a known session's time to t and applies the time-based
+// transition, if any, due by then: the hub calls it with each decision
+// that raised or cleared nothing. It never creates a session.
+func (e *Engine) Advance(name string, t float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s, ok := e.sessions[name]; ok {
+		e.stepLocked(s, t)
+	}
+}
+
+// Tick moves the fleet clock to now and steps every session, in sorted
+// name order for determinism.
 func (e *Engine) Tick(now float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if now > e.now {
-		e.now = now
+	if now > e.tick {
+		e.tick = now
 	}
-	e.tickLocked(e.now)
+	for _, s := range e.byName {
+		e.stepLocked(s, e.tick)
+	}
 }
 
-// tickLocked runs the time-based transitions for every session, in
-// sorted name order for determinism. Caller holds e.mu.
-func (e *Engine) tickLocked(now float64) {
-	for _, s := range e.byName {
-		if s.paused || s.forced != ForceNone {
-			continue
-		}
-		switch {
-		case s.alarm && s.level > 0 && s.level < e.maxLevel &&
-			now-s.levelSince >= e.cfg.EscalateAfter:
-			e.escalate(s, s.level+1, now, reasonSustained)
-		case s.alarm && s.level == 0 &&
-			now-max(s.raisedAt, s.levelSince) >= e.cfg.EscalateAfter:
-			// Alarm still raised after a migration released everything
-			// (or the raise was suppressed): re-enter the ladder.
-			e.escalate(s, 1, now, reasonSustained)
-		case !s.alarm && s.level > 0 &&
-			now-max(s.clearedAt, s.levelSince) >= e.cfg.ClearAfter:
-			e.deescalate(s, now)
-		}
+// stepLocked moves the session's time to t unless it is already later;
+// it inlines, so Tick pays no call for an idle session. Caller holds e.mu.
+func (e *Engine) stepLocked(s *session, t float64) {
+	if t > s.now {
+		s.now = t
+	}
+	if s.alarm || s.level > 0 {
+		e.dueLocked(s, s.now)
+	}
+}
+
+// dueLocked runs the transition, if any, due at now. Caller holds e.mu.
+func (e *Engine) dueLocked(s *session, now float64) {
+	if s.paused || s.forced != ForceNone {
+		return
+	}
+	switch {
+	case s.alarm && s.level > 0 && s.level < e.maxLevel &&
+		now-s.levelSince >= e.cfg.EscalateAfter:
+		e.escalate(s, s.level+1, now, reasonSustained)
+	case s.alarm && s.level == 0 &&
+		now-max(s.raisedAt, s.levelSince) >= e.cfg.EscalateAfter:
+		// Alarm still raised after a migration released everything
+		// (or the raise was suppressed): re-enter the ladder.
+		e.escalate(s, 1, now, reasonSustained)
+	case !s.alarm && s.level > 0 &&
+		now-max(s.clearedAt, s.levelSince) >= e.cfg.ClearAfter:
+		e.deescalate(s, now)
 	}
 }
 
@@ -610,8 +625,8 @@ func (e *Engine) Resume(name string) (SessionState, error) {
 	})
 }
 
-// override runs fn under e.mu, handing it the engine's current time so
-// override closures never reach for the guarded clock themselves.
+// override runs fn under e.mu, handing it the session's time so override
+// closures never reach for the guarded clocks themselves.
 func (e *Engine) override(name string, fn func(*session, float64)) (SessionState, error) {
 	if err := validName(name); err != nil {
 		return SessionState{}, err
@@ -620,7 +635,7 @@ func (e *Engine) override(name string, fn func(*session, float64)) (SessionState
 	defer e.mu.Unlock()
 	e.overrides.Inc()
 	s := e.sessionLocked(name)
-	fn(s, e.now)
+	fn(s, s.now)
 	return e.stateLocked(s), nil
 }
 
@@ -633,7 +648,7 @@ func (e *Engine) Forget(name string) {
 	if !ok {
 		return
 	}
-	e.settle(s, hold{}, 0, e.now, reasonOverride)
+	e.settle(s, hold{}, 0, s.now, reasonOverride)
 	delete(e.sessions, name)
 	i := e.rankLocked(name)
 	e.byName = slices.Delete(e.byName, i, i+1)

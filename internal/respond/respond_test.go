@@ -399,16 +399,54 @@ func TestActuatorErrorsRecorded(t *testing.T) {
 	}
 }
 
+// TestMonotonicTime: each session keeps its own time, never behind the
+// fleet clock Tick sets and never running backwards.
 func TestMonotonicTime(t *testing.T) {
 	eng, _ := newTestEngine(t, testConfig())
 	raise(t, eng, "a", 10)
-	raise(t, eng, "b", 5) // behind the engine clock: clamped to 10
-	if now := eng.Now(); now != 10 {
-		t.Fatalf("Now = %v, want 10", now)
+	raise(t, eng, "b", 5) // behind a, but b's own time: acts at 5
+	clear(t, eng, "a", 12)
+	raise(t, eng, "a", 11) // behind a's own time: clamped to 12
+	eng.Tick(20)
+	raise(t, eng, "c", 15) // behind the fleet clock: clamped to 20
+	for name, want := range map[string]float64{"a": 12, "b": 5, "c": 20} {
+		st, _ := eng.State(name)
+		if n := len(st.Actions); n == 0 || st.Actions[n-1].Time != want {
+			t.Errorf("%s acted %+v, want its last action at %v", name, st.Actions, want)
+		}
 	}
-	st, _ := eng.State("b")
-	if len(st.Actions) != 1 || st.Actions[0].Time != 10 {
-		t.Errorf("clamped action = %+v", st.Actions)
+}
+
+// TestSessionClockIsolation: a far-future event on one session leaves
+// every other session's ladder as it would be alone, and that session
+// still backs off on its own times.
+func TestSessionClockIsolation(t *testing.T) {
+	drive := func(intruder bool) []Action {
+		eng, _ := newTestEngine(t, testConfig())
+		raise(t, eng, "a", 10)
+		if intruder {
+			raise(t, eng, "b", 1e12)
+			eng.Advance("ghost", 1e12) // never creates a session
+		}
+		for at := 11.0; at <= 500; at++ {
+			if at == 50 {
+				clear(t, eng, "a", at)
+				continue
+			}
+			eng.Advance("a", at)
+		}
+		if _, ok := eng.State("ghost"); ok {
+			t.Error("Advance created a session")
+		}
+		st, _ := eng.State("a")
+		return st.Actions
+	}
+	alone, beside := drive(false), drive(true)
+	if !reflect.DeepEqual(beside, alone) {
+		t.Errorf("a beside a far-future session acted %+v, alone %+v", beside, alone)
+	}
+	if n := len(alone); n < 3 || alone[n-1].Kind != ActionRelease || alone[n-1].Time >= 100 {
+		t.Errorf("a alone did not escalate and back off to idle on its own time: %+v", alone)
 	}
 }
 

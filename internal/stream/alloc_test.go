@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"memdos/internal/core"
@@ -49,24 +50,49 @@ type silentDetector struct{}
 func (silentDetector) Name() string                    { return "silent" }
 func (silentDetector) Push(pcm.Sample) []core.Decision { return nil }
 
+// steadyDetector decides on every sample, never alarms and reuses one
+// decision slice, so whatever a run allocates per decision is the hub's.
+type steadyDetector struct {
+	t float64
+	d [1]core.Decision
+}
+
+func (*steadyDetector) Name() string { return "steady" }
+
+func (s *steadyDetector) Push(pcm.Sample) []core.Decision {
+	s.t += 0.01
+	s.d[0] = core.Decision{Time: s.t}
+	return s.d[:]
+}
+
+// countObserver counts the Advance calls the hub makes.
+type countObserver struct{ advances *atomic.Int64 }
+
+func (countObserver) Observe(string, float64, bool) error { return nil }
+func (o countObserver) Advance(string, float64)           { o.advances.Add(1) }
+func (countObserver) Forget(string)                       {}
+
 // TestIngestAllocsDoNotGrowWithFrames pins Hub.Ingest's contract — the
-// copy into a pooled buffer, the shard hand-off and the per-sample loop
-// allocate nothing per frame — by submitting 8 and then 64 frames per
-// run. Without the race detector both runs cost the same (Drain's ack
-// channel); with it sync.Pool sheds a quarter of its Puts, about half an
-// allocation a frame, so the bound is one allocation per extra frame.
+// copy into a pooled buffer, the shard hand-off, the per-sample loop and
+// each decision's Advance to an attached observer allocate nothing per
+// frame — by submitting 8 and then 64 frames per run. Without the race
+// detector both runs cost the same (Drain's ack channel); with it
+// sync.Pool sheds a quarter of its Puts, about half an allocation a
+// frame, so the bound is one allocation per extra frame.
 func TestIngestAllocsDoNotGrowWithFrames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = Block
 	cfg.Shards = 1
 	h := NewHub(cfg)
 	defer h.Close()
-	if err := h.RegisterProfile("silent", func() (core.Detector, error) { return silentDetector{}, nil }); err != nil {
+	if err := h.RegisterProfile("steady", func() (core.Detector, error) { return new(steadyDetector), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Open("vm-1", "silent"); err != nil {
+	if err := h.Open("vm-1", "steady"); err != nil {
 		t.Fatal(err)
 	}
+	var advances atomic.Int64
+	h.AddObserver(countObserver{&advances})
 	batch := make([]pcm.Sample, 64)
 	for i := range batch {
 		batch[i] = pcm.Sample{Time: 0.01 * float64(i+1), AccessNum: 100, MissNum: 10}
@@ -86,5 +112,8 @@ func TestIngestAllocsDoNotGrowWithFrames(t *testing.T) {
 	small, big := perRun(8), perRun(64)
 	if big-small >= 64-8 {
 		t.Errorf("Ingest allocates per frame: %.0f allocs at 8 frames, %.0f at 64", small, big)
+	}
+	if advances.Load() == 0 {
+		t.Error("no decision reached the observer's Advance")
 	}
 }

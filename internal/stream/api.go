@@ -15,15 +15,16 @@ import (
 //
 // # Alarm delivery guarantee
 //
-// The hub hands each alarm transition (raise or clear, never
-// intermediate decisions) to two kinds of consumer.
+// The hub hands each alarm transition (raise or clear) to two kinds of
+// consumer.
 //
 // Observers (AddObserver) are exact. The shard goroutine calls each one
 // at the transition and waits for it, so an observer sees every edge of
-// a session in order and none is shed. Closing a session makes every
-// observer Forget it, and nothing the session still had queued reaches an
-// observer afterwards. The respond engine is attached this way
-// (respond.Attach). The price is that a slow observer slows the shard.
+// a session in order and none is shed; every other in-order decision
+// reaches its Advance. Closing a session makes every observer Forget it,
+// and nothing the session still had queued reaches an observer
+// afterwards. The respond engine is attached this way (respond.Attach).
+// The price is that a slow observer slows the shard.
 //
 // Subscribers (Subscribe) are best-effort: the hub offers the event to
 // every subscriber's buffered channel without ever blocking the

@@ -169,6 +169,38 @@ func TestIngestFramesBlockSelfWait(t *testing.T) {
 	}
 }
 
+// TestHubBlockOversizeFrameIsRefused: a frame larger than QueueCap, which
+// no queue could take, is refused with an error and counted as dropped
+// under either policy; under Block it used to wait forever. A frame that
+// fills the queue exactly still goes in.
+func TestHubBlockOversizeFrameIsRefused(t *testing.T) {
+	const queueCap = 4096
+	samples := sessionSamples(1, queueCap+1)
+	for _, policy := range []Policy{Block, DropNewest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			h := newTestHub(t, Config{Shards: 1, QueueCap: queueCap, Policy: policy}, fastParams())
+			if err := h.Open("vm-1", "sdsb"); err != nil {
+				t.Fatal(err)
+			}
+			var n int
+			var err error
+			withDeadline(t, 10*time.Second, func() { n, err = h.Ingest("vm-1", samples) })
+			if err == nil || n != 0 {
+				t.Fatalf("oversize frame: accepted %d, err %v", n, err)
+			}
+			if n, err = h.Ingest("vm-1", samples[:queueCap]); err != nil || n != queueCap {
+				t.Fatalf("full-queue frame: accepted %d, err %v", n, err)
+			}
+			if err := h.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if in, _ := h.Session("vm-1"); in.Dropped != queueCap+1 || in.Ingested != queueCap {
+				t.Fatalf("session after the frames: %+v", in)
+			}
+		})
+	}
+}
+
 // gateDetector blocks every Push until the gate closes, so a test can
 // hold a shard busy and fill its work channel.
 type gateDetector struct{ gate <-chan struct{} }

@@ -169,9 +169,8 @@ func (s *Session) process(batch []pcm.Sample) {
 	}
 }
 
-// foldLocked absorbs one decision: counters, incident tracking, alarm
-// transition fan-out (to observers only while the session is open).
-// Caller holds s.mu.
+// foldLocked absorbs one decision: counters, incident tracking, fan-out
+// (to observers only while the session is open). Caller holds s.mu.
 func (s *Session) foldLocked(d core.Decision) {
 	s.decisions++
 	s.hub.decisionsTotal.Inc()
@@ -189,6 +188,8 @@ func (s *Session) foldLocked(d core.Decision) {
 			s.hub.alarmsRaised.Inc()
 		}
 		s.hub.publish(AlarmEvent{Session: s.id, Detector: s.det.Name(), Time: d.Time, Raised: d.Alarm}, !s.removed.Load())
+	} else if !s.removed.Load() {
+		s.hub.advance(s.id, d.Time)
 	}
 }
 

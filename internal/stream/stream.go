@@ -38,7 +38,9 @@ import (
 )
 
 // Policy selects what the hub does with a frame when its session's queue
-// is full, or, under DropNewest, when its shard's work channel is.
+// is full, or, under DropNewest, when its shard's work channel is. Either
+// policy refuses a frame of more than QueueCap samples with a per-frame
+// error and counts it dropped: Block never waits for room that can't come.
 type Policy int
 
 const (
@@ -436,6 +438,10 @@ func (h *Hub) gather(frames []Frame, res []FrameResult, g *handoff) error {
 		case s == nil:
 			res[i].Err = fmt.Errorf("stream: no session %q", frames[i].Session)
 			continue
+		case n > cap64:
+			s.drop(n)
+			res[i].Err = fmt.Errorf("stream: frame of %d samples exceeds the queue capacity %d", n, cap64)
+			continue
 		}
 		if h.cfg.Policy == Block {
 			s.qmu.Lock()
@@ -683,15 +689,17 @@ func (h *Hub) Sessions() []SessionInfo {
 
 // AlarmObserver hears every alarm transition of every session exactly,
 // in order per session: the shard that folds the transition calls
-// Observe and waits for it. When a session closes the hub calls Forget,
-// and no batch still queued for the closed session reaches Observe after
+// Observe and waits for it, and calls Advance with every other in-order
+// decision's time. When a session closes the hub calls Forget, and no
+// batch still queued for the closed session reaches the observer after
 // that. *respond.Engine is one.
 //
-// Both methods run with hub locks held, so an observer must not call back
-// into the hub. A slow observer stalls the shard that calls it, and any
-// other shard folding a transition meanwhile waits behind it.
+// All three methods run with hub locks held, so an observer must not call
+// back into the hub. A slow observer stalls the shard that calls it, and
+// any other shard calling an observer meanwhile waits behind it.
 type AlarmObserver interface {
 	Observe(session string, t float64, raised bool) error
+	Advance(session string, t float64)
 	Forget(session string)
 }
 
@@ -708,6 +716,15 @@ func (h *Hub) AddObserver(o AlarmObserver) (remove func()) {
 		h.subMu.Lock()
 		h.observers = slices.DeleteFunc(h.observers, func(ob observer) bool { return ob.id == id })
 		h.subMu.Unlock()
+	}
+}
+
+// advance hands every observer a decision that raised or cleared nothing.
+func (h *Hub) advance(sessionID string, t float64) {
+	h.subMu.Lock()
+	defer h.subMu.Unlock()
+	for _, ob := range h.observers {
+		ob.o.Advance(sessionID, t)
 	}
 }
 

@@ -252,12 +252,13 @@ func TestDropPolicy(t *testing.T) {
 	}
 	samples := sessionSamples(3, 2000)
 	sent, accepted := 0, 0
-	for off := 0; off+100 <= len(samples); off += 100 {
-		n, err := h.Ingest("vm-1", samples[off:off+100])
+	// Frames fit the queue: a bigger one is refused outright, not shed.
+	for off := 0; off+40 <= len(samples); off += 40 {
+		n, err := h.Ingest("vm-1", samples[off:off+40])
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent += 100
+		sent += 40
 		accepted += n
 	}
 	h.Drain()
@@ -521,6 +522,8 @@ func (o logObserver) Observe(session string, t float64, raised bool) error {
 	o.mu.Unlock()
 	return nil
 }
+
+func (logObserver) Advance(string, float64) {}
 
 func (o logObserver) Forget(session string) {
 	o.mu.Lock()
