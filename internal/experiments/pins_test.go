@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"memdos/internal/attack"
+	"memdos/internal/cluster"
 	"memdos/internal/core"
+	"memdos/internal/mem"
+	"memdos/internal/respond"
 	"memdos/internal/trace"
 )
 
@@ -135,6 +139,33 @@ func TestSamplePathPins(t *testing.T) {
 {Scheduler:spread Placement:targeted CleanSpeed:1 AttackedSpeed:0.6500000000000098 MitigatedSpeed:0.7214458333333537 Recovered:0.2041309523809882 Migrations:6 AttackerMoves:2 Colocation:0.5722222222222222 AlarmFraction:0.3}
 {Scheduler:spread Placement:churn CleanSpeed:1 AttackedSpeed:0.8277777777778071 MitigatedSpeed:0.8166437500000773 Recovered:-0.06464919354811996 Migrations:4 AttackerMoves:6 Colocation:0.24722222222222223 AlarmFraction:0.17777777777777778}
 `},
+		{"BandwidthStudy/short", func() (string, error) {
+			// 1 and 2 sockets, the remote arm, and the full ladder's
+			// migration: the DRAM arbiter's multi-socket paths.
+			r, err := BandwidthStudy(shortBandwidthSpec())
+			if err != nil {
+				return "", err
+			}
+			var b strings.Builder
+			for _, c := range r.Cells {
+				fmt.Fprintf(&b, "%+v\n", c)
+			}
+			for _, l := range r.Loops {
+				fmt.Fprintf(&b, "%d/%v full=%+v contained=%+v throttle=%+v\n",
+					l.Sockets, l.Remote, *l.Full, *l.Contained, *l.ThrottleOnly)
+			}
+			return b.String(), nil
+		}, `{Sockets:1 Remote:false Detector:KStest Recall:1 Specificity:1 Delay:21.02000000000001}
+{Sockets:1 Remote:false Detector:SDS Recall:1 Specificity:1 Delay:10}
+{Sockets:2 Remote:false Detector:KStest Recall:1 Specificity:1 Delay:21.02000000000001}
+{Sockets:2 Remote:false Detector:SDS Recall:1 Specificity:1 Delay:10}
+{Sockets:2 Remote:true Detector:KStest Recall:1 Specificity:1 Delay:21.02000000000001}
+{Sockets:2 Remote:true Detector:SDS Recall:1 Specificity:1 Delay:10}
+1/false full={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:199.69 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.331177921471902 Recovered:0.8418992457753874 Alarms:1 PeakLevel:5 Stats:{Sessions:1 Mitigated:0 Events:2 Throttles:3 BandwidthLimits:2 Partitions:0 Releases:1 Migrations:1 Escalations:5 Deescalations:0 Overrides:0 ActuatorErrors:0}} contained={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:203.65 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.3575761615892274 Recovered:0.8292970117429908 Alarms:1 PeakLevel:4 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:1 Partitions:0 Releases:0 Migrations:0 Escalations:4 Deescalations:0 Overrides:0 ActuatorErrors:0}} throttle={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:229.07 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.5270315312312512 Recovered:0.7484008528784649 Alarms:1 PeakLevel:3 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:0 Partitions:0 Releases:0 Migrations:0 Escalations:3 Deescalations:0 Overrides:0 ActuatorErrors:0}}
+2/false full={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:199.69 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.331177921471902 Recovered:0.8418992457753874 Alarms:1 PeakLevel:5 Stats:{Sessions:1 Mitigated:0 Events:2 Throttles:3 BandwidthLimits:2 Partitions:0 Releases:1 Migrations:1 Escalations:5 Deescalations:0 Overrides:0 ActuatorErrors:0}} contained={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:203.65 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.3575761615892274 Recovered:0.8292970117429908 Alarms:1 PeakLevel:4 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:1 Partitions:0 Releases:0 Migrations:0 Escalations:4 Deescalations:0 Overrides:0 ActuatorErrors:0}} throttle={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:229.07 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.5270315312312512 Recovered:0.7484008528784649 Alarms:1 PeakLevel:3 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:0 Partitions:0 Releases:0 Migrations:0 Escalations:3 Deescalations:0 Overrides:0 ActuatorErrors:0}}
+2/true full={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:204.57999999999998 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.3637757482834478 Recovered:0.6444719525702 Alarms:1 PeakLevel:5 Stats:{Sessions:1 Mitigated:0 Events:2 Throttles:3 BandwidthLimits:2 Partitions:0 Releases:1 Migrations:1 Escalations:5 Deescalations:0 Overrides:0 ActuatorErrors:0}} contained={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:212.07 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.4137057529498034 Recovered:0.5956739852759138 Alarms:1 PeakLevel:4 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:1 Partitions:0 Releases:0 Migrations:0 Escalations:4 Deescalations:0 Overrides:0 ActuatorErrors:0}} throttle={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:261.96999999999997 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.746350243317112 Recovered:0.27057137272786513 Alarms:1 PeakLevel:3 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:0 Partitions:0 Releases:0 Migrations:0 Escalations:3 Deescalations:0 Overrides:0 ActuatorErrors:0}}
+`},
+		{"Cluster/dram-churn-husks", huskClusterPin, "{Duration:300 Hosts:8 VMs:32 MeanVictimSpeed:0.6477503641348317 Migrations:6 AttackerMoves:109 AlarmTransitions:41 AlarmFraction:0.42500000000000004 ColocationFraction:0 Respond:{Sessions:4 Mitigated:4 Events:41 Throttles:49 BandwidthLimits:28 Partitions:16 Releases:9 Migrations:6 Escalations:62 Deescalations:28 Overrides:0 ActuatorErrors:0}}"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := tc.run()
@@ -165,6 +196,61 @@ func runPin(app string, mode AttackMode, factory DetectorFactory) (string, error
 	}
 	return fmt.Sprintf("access=%s miss=%s times=%s alarms=%s",
 		seriesDigest(r.Access), seriesDigest(r.Miss), bitsDigest(times), intsDigest(alarms)), nil
+}
+
+// huskClusterPin renders a DRAM-on cluster whose churning attackers leave
+// a departed husk behind on every move, with the bandwidth rung on so the
+// ladder's releases land on husks too.
+func huskClusterPin() (string, error) {
+	params := core.DefaultParams()
+	prof, err := ProfileApp("KM", ProfileDuration, params)
+	if err != nil {
+		return "", err
+	}
+	cfg := cluster.DefaultConfig()
+	numa := mem.DefaultNUMAConfig(1)
+	cfg.Host.Mem = &numa
+	cfg.Placement = cluster.AttackChurn
+	cfg.ChurnInterval = 20
+	cfg.Workers = 1
+	cfg.Detector = func(string) (core.Detector, error) { return core.NewSDS(prof, params) }
+	cfg.Respond = respond.DefaultConfig()
+	cfg.Respond.EscalateAfter = 10
+	cfg.Respond.EnableBandwidth = true
+	cfg.Respond.BandwidthBudget = MemBWBudget
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return "", err
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.AddVictim(fmt.Sprintf("victim%d", i), "KM"); err != nil {
+			return "", err
+		}
+	}
+	for i := 0; i < 8; i++ {
+		var atk *attack.Attacker
+		if i%2 == 0 {
+			atk, err = attack.NewBusLock(attack.Always{}, BusLockDuty)
+		} else {
+			atk, err = attack.NewMemBandwidth(attack.Always{}, 3.2e10, 0.8, 1.0)
+		}
+		if err != nil {
+			return "", err
+		}
+		if err := c.AddAttacker(fmt.Sprintf("attacker%d", i), atk, ""); err != nil {
+			return "", err
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := c.AddUtility(fmt.Sprintf("util%d", i)); err != nil {
+			return "", err
+		}
+	}
+	r, err := c.Run(300)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%+v", *r), nil
 }
 
 // tracePin renders one Figs. 2-6 panel at seed 4.
