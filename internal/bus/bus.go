@@ -9,7 +9,10 @@
 // time claimed by *other* owners and the bus bandwidth cap.
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Owner identifies a bus client (a VM id); it matches cache.Owner
 // numerically but is declared separately so the packages stay decoupled.
@@ -34,35 +37,46 @@ func (s Stats) DeliveryRatio() float64 {
 }
 
 // Deliveries is the per-owner delivered access counts of one Resolve. It
-// is a view over the bus's scratch buffer: valid until the next Resolve
+// is a view over the bus's per-owner state: valid until the next Resolve
 // call, which is the lifetime every per-step caller needs. Owners that
-// requested nothing read as 0.
+// requested nothing, and released owners, read as 0.
 type Deliveries struct {
-	d []float64
+	own []owner
 }
 
 // Of returns the accesses delivered to owner this step.
 func (d Deliveries) Of(o Owner) float64 {
-	if o >= 0 && int(o) < len(d.d) {
-		return d.d[o]
+	if o >= 0 && int(o) < len(d.own) {
+		return d.own[o].delivered
 	}
 	return 0
 }
 
+// owner is one client's pending demand, last delivery and stats.
+type owner struct {
+	// registered marks an owner on the bus's owner list.
+	registered bool
+	req        float64 // accesses wanted this step
+	lock       float64 // lock seconds wanted this step
+	delivered  float64 // the last Resolve's delivery, read through Deliveries
+	stats      Stats
+}
+
 // Bus is the shared-bus arbiter. It is not safe for concurrent use.
 //
-// Per-owner state lives in dense slices indexed by Owner (owners are small
-// VM ids): Resolve runs once per simulation step, and with maps it was a
-// measurable share of the step's allocations.
+// Per-owner state lives in a dense slice indexed by Owner (owners are
+// small VM ids): Resolve runs once per simulation step, and with maps it
+// was a measurable share of the step's allocations. Resolve walks only
+// the owner list — the owners that requested since their last Release,
+// in ascending order — so a released owner (a migrated VM's husk) costs
+// nothing per step.
 type Bus struct {
 	// capacity caps total delivered accesses per simulated second. Zero or
 	// negative means uncapped.
 	capacity float64
 
-	requests  []float64 // per-owner accesses wanted this step
-	locks     []float64 // per-owner lock seconds wanted this step
-	stats     []Stats
-	delivered []float64 // scratch returned (as a view) by Resolve
+	own    []owner
+	owners []Owner
 }
 
 // New returns a bus with the given total bandwidth in accesses per
@@ -71,12 +85,34 @@ func New(capacityPerSecond float64) *Bus {
 	return &Bus{capacity: capacityPerSecond}
 }
 
-// grow extends s with zeros so index n is addressable.
-func grow(s []float64, n int) []float64 {
-	for len(s) <= n {
-		s = append(s, 0)
+// touch returns owner o's state, first putting o on the owner list if it
+// is not registered. o must be non-negative.
+func (b *Bus) touch(o Owner) *owner {
+	if int(o) < len(b.own) && b.own[o].registered {
+		return &b.own[o]
 	}
-	return s
+	for len(b.own) <= int(o) {
+		b.own = append(b.own, owner{})
+	}
+	b.own[o].registered = true
+	i, _ := slices.BinarySearch(b.owners, o)
+	b.owners = slices.Insert(b.owners, i, o)
+	return &b.own[o]
+}
+
+// Release takes owner o off the owner list: Resolve stops visiting it,
+// its pending requests are dropped and it reads as delivered 0. Its stats
+// are kept; its next request registers it again. Releasing an
+// unregistered owner is a no-op.
+func (b *Bus) Release(o Owner) {
+	if o < 0 || int(o) >= len(b.own) || !b.own[o].registered {
+		return
+	}
+	st := &b.own[o]
+	st.registered = false
+	st.req, st.lock, st.delivered = 0, 0, 0
+	i, _ := slices.BinarySearch(b.owners, o)
+	b.owners = slices.Delete(b.owners, i, i+1)
 }
 
 // RequestAccesses records that owner wants to perform n memory accesses in
@@ -88,8 +124,7 @@ func (b *Bus) RequestAccesses(o Owner, n float64) {
 	if o < 0 {
 		panic(fmt.Sprintf("bus: invalid owner %d", o))
 	}
-	b.requests = grow(b.requests, int(o))
-	b.requests[o] += n
+	b.touch(o).req += n
 }
 
 // RequestLock records that owner wants to hold the atomic bus lock for d
@@ -101,16 +136,7 @@ func (b *Bus) RequestLock(o Owner, d float64) {
 	if o < 0 {
 		panic(fmt.Sprintf("bus: invalid owner %d", o))
 	}
-	b.locks = grow(b.locks, int(o))
-	b.locks[o] += d
-}
-
-// lockOf returns owner o's pending lock time without growing the slice.
-func (b *Bus) lockOf(o int) float64 {
-	if o < len(b.locks) {
-		return b.locks[o]
-	}
-	return 0
+	b.touch(o).lock += d
 }
 
 // Resolve arbitrates the current step of length dt seconds and returns the
@@ -121,7 +147,8 @@ func (b *Bus) lockOf(o int) float64 {
 // aggregate demand exceeds the bandwidth cap for the unlocked fraction of
 // the step, deliveries scale down proportionally. Request and lock state
 // are cleared for the next step; the returned view is valid until the next
-// Resolve.
+// Resolve. Every pass walks the owner list in ascending order, so each
+// sum adds the same terms in the same order whatever was released.
 //
 //memdos:hotpath
 func (b *Bus) Resolve(dt float64) Deliveries {
@@ -129,32 +156,30 @@ func (b *Bus) Resolve(dt float64) Deliveries {
 		panic(fmt.Sprintf("bus: non-positive step %v", dt))
 	}
 	var totalLock float64
-	for _, d := range b.locks {
-		totalLock += d
+	for _, o := range b.owners {
+		totalLock += b.own[o].lock
 	}
 	lockScale := 1.0
 	if totalLock > dt {
 		lockScale = dt / totalLock
 	}
 
-	if cap(b.delivered) < len(b.requests) {
-		b.delivered = make([]float64, len(b.requests))
-	}
-	b.delivered = b.delivered[:len(b.requests)]
 	var totalDelivered float64
-	for o, req := range b.requests {
-		othersLock := (totalLock - b.lockOf(o)) * lockScale
+	for _, o := range b.owners {
+		st := &b.own[o]
+		othersLock := (totalLock - st.lock) * lockScale
 		avail := 1 - othersLock/dt
 		if avail < 0 {
 			avail = 0
 		}
-		d := req * avail
-		b.delivered[o] = d
-		totalDelivered += d
+		st.delivered = st.req * avail
+		totalDelivered += st.delivered
 	}
 
 	// Bandwidth cap applies to the fraction of the step the bus is not
-	// held by atomic locks.
+	// held by atomic locks. Scaling by 1 leaves a delivery bit-identical,
+	// so the stats pass applies the scale unconditionally.
+	scale := 1.0
 	if b.capacity > 0 {
 		freeFrac := 1 - (totalLock*lockScale)/dt
 		if freeFrac < 0 {
@@ -162,47 +187,34 @@ func (b *Bus) Resolve(dt float64) Deliveries {
 		}
 		budget := b.capacity * dt * freeFrac
 		if totalDelivered > budget && totalDelivered > 0 {
-			scale := budget / totalDelivered
-			for o := range b.delivered {
-				b.delivered[o] *= scale
-			}
+			scale = budget / totalDelivered
 		}
 	}
 
-	for o, req := range b.requests {
-		st := b.statsFor(Owner(o))
-		st.Requested += req
-		st.Delivered += b.delivered[o]
-	}
-	for o, d := range b.locks {
-		if d != 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip owners that never locked
-			b.statsFor(Owner(o)).LockTime += d * lockScale
+	for _, o := range b.owners {
+		st := &b.own[o]
+		st.delivered *= scale
+		st.stats.Requested += st.req
+		st.stats.Delivered += st.delivered
+		if st.lock != 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip owners that never locked
+			st.stats.LockTime += st.lock * lockScale
 		}
+		st.req, st.lock = 0, 0
 	}
-
-	clear(b.requests)
-	clear(b.locks)
-	return Deliveries{d: b.delivered}
-}
-
-func (b *Bus) statsFor(o Owner) *Stats {
-	for len(b.stats) <= int(o) {
-		b.stats = append(b.stats, Stats{})
-	}
-	return &b.stats[o]
+	return Deliveries{own: b.own}
 }
 
 // Stats returns a copy of the accumulated statistics for owner.
 func (b *Bus) Stats(o Owner) Stats {
-	if o >= 0 && int(o) < len(b.stats) {
-		return b.stats[o]
+	if o >= 0 && int(o) < len(b.own) {
+		return b.own[o].stats
 	}
 	return Stats{}
 }
 
 // ResetStats zeroes the accumulated statistics.
 func (b *Bus) ResetStats() {
-	for i := range b.stats {
-		b.stats[i] = Stats{}
+	for i := range b.own {
+		b.own[i].stats = Stats{}
 	}
 }

@@ -2,6 +2,8 @@ package bus
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,7 +181,8 @@ func TestMoreLockMoreThrottle(t *testing.T) {
 func TestResolveNoAllocs(t *testing.T) {
 	// One arbitration round of the testbed's host: nine requesters and
 	// one locker. Once the per-owner tables have grown, a step must not
-	// allocate.
+	// allocate, nor must an owner's Release and its re-registration by
+	// the next step's request.
 	b := New(1e8)
 	step := func() {
 		for o := Owner(0); o < 9; o++ {
@@ -187,9 +190,92 @@ func TestResolveNoAllocs(t *testing.T) {
 		}
 		b.RequestLock(9, 0.007)
 		b.Resolve(0.01)
+		b.Release(4)
 	}
 	step() // grow the per-owner tables
 	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
 		t.Errorf("Resolve allocates %.2f objects/step in steady state, want 0", avg)
 	}
+}
+
+// A released owner leaves the owner list, reads as delivered 0, keeps
+// its stats, and rejoins in order on its next request.
+func TestReleaseDropsOwner(t *testing.T) {
+	b := New(0)
+	for o := Owner(0); o < 4; o++ {
+		b.RequestAccesses(o, 100)
+	}
+	b.Resolve(0.01)
+	b.RequestAccesses(2, 50) // dropped by the Release
+	b.Release(2)
+	b.Release(2) // no-op
+	b.Release(9) // never registered: no-op
+	if !slices.Equal(b.owners, []Owner{0, 1, 3}) {
+		t.Fatalf("owners after Release = %v, want [0 1 3]", b.owners)
+	}
+	if got := b.Resolve(0.01).Of(2); got != 0 {
+		t.Fatalf("released owner delivered %v, want 0", got)
+	}
+	if s := b.Stats(2); s.Requested != 100 || s.Delivered != 100 {
+		t.Fatalf("Release lost stats: %+v", s)
+	}
+	b.RequestLock(2, 0.001)
+	if !slices.Equal(b.owners, []Owner{0, 1, 2, 3}) {
+		t.Fatalf("owners after re-touch = %v, want [0 1 2 3]", b.owners)
+	}
+}
+
+// FuzzResolveMatchesReference drives the bus and the original dense
+// arbiter (reference_test.go) through one script of access and lock
+// requests under a bandwidth cap, with owners released after a step and
+// requesting again later, and requires every delivery and every Stats
+// field to match the reference bit for bit after each step.
+func FuzzResolveMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		script := make([]byte, 3*(20+rng.Intn(200)))
+		rng.Read(script)
+		f.Add(uint8(1+rng.Intn(255)), script)
+	}
+	f.Fuzz(func(t *testing.T, capacity uint8, script []byte) {
+		const owners = 12
+		// 1..256 x 5e4 accesses/s: 500..128k accesses per 10 ms step.
+		b, ref := New(float64(int(capacity)+1)*5e4), newRef(float64(int(capacity)+1)*5e4)
+		same := func(step int, o Owner, what string, got, want float64) {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d owner %d %s = %v, reference %v", step, o, what, got, want)
+			}
+		}
+		step := 0
+		resolve := func() {
+			step++
+			d, rd := b.Resolve(0.01), ref.Resolve(0.01)
+			for o := Owner(-1); o <= owners; o++ {
+				same(step, o, "Of", d.Of(o), of(rd, o))
+				s, rs := b.Stats(o), ref.Stats(o)
+				same(step, o, "Requested", s.Requested, rs.Requested)
+				same(step, o, "Delivered", s.Delivered, rs.Delivered)
+				same(step, o, "LockTime", s.LockTime, rs.LockTime)
+			}
+		}
+		for ; len(script) >= 3; script = script[3:] {
+			op, o, v := script[0]%4, Owner(script[1]%owners), script[2]
+			switch op {
+			case 0, 1:
+				n := float64(v) * 250
+				b.RequestAccesses(o, n)
+				ref.RequestAccesses(o, n)
+			case 2:
+				d := float64(v) * 0.01 / 128 // up to 2 steps of lock
+				b.RequestLock(o, d)
+				ref.RequestLock(o, d)
+			case 3:
+				resolve()
+				if v&1 != 0 {
+					b.Release(o)
+				}
+			}
+		}
+		resolve()
+	})
 }

@@ -165,9 +165,7 @@ type host struct {
 	// events buffers this quantum's alarm transitions for the serial
 	// control-plane merge.
 	events []alarmEvent
-	// resVMs are the resident, non-departed VMs (for the contention
-	// signal); apps/attackers are the resident counts by role.
-	resVMs    []*vmm.VM
+	// apps/attackers are the resident counts by role.
 	apps      int
 	attackers int
 	// speed is the EWMA of resident application speed — the observable
@@ -201,10 +199,11 @@ func (h *host) run(q int) {
 		}
 	}
 	// Refresh the contention EWMA from the quantum's final tick: the
-	// mean speed of resident applications, 1 when the host is empty.
+	// mean speed of resident applications in ascending id order, 1 when
+	// the host is empty (a husk has no app).
 	sum, n := 0.0, 0
-	for _, vm := range h.resVMs {
-		if vm.App() != nil {
+	for id := vmm.VMID(0); h.srv.VM(id) != nil; id++ {
+		if vm := h.srv.VM(id); vm.App() != nil {
 			sum += vm.LastSpeed()
 			n++
 		}
@@ -216,28 +215,13 @@ func (h *host) run(q int) {
 	h.speed = 0.5*h.speed + 0.5*mean
 }
 
-// removeResident drops the VM from the host's resident bookkeeping.
-func (h *host) removeResident(vm *vmm.VM, kind vmKind) {
-	for i, r := range h.resVMs {
-		if r == vm {
-			h.resVMs = append(h.resVMs[:i], h.resVMs[i+1:]...)
-			break
-		}
-	}
+// resident adjusts the host's resident count for a VM of the given kind
+// by delta.
+func (h *host) resident(kind vmKind, delta int) {
 	if kind == kindAttacker {
-		h.attackers--
+		h.attackers += delta
 	} else {
-		h.apps--
-	}
-}
-
-// addResident registers the VM in the host's resident bookkeeping.
-func (h *host) addResident(vm *vmm.VM, kind vmKind) {
-	h.resVMs = append(h.resVMs, vm)
-	if kind == kindAttacker {
-		h.attackers++
-	} else {
-		h.apps++
+		h.apps += delta
 	}
 }
 
@@ -388,7 +372,7 @@ func (c *Cluster) addRec(rec *vmRec, h int, build func(srv *vmm.Server) (*vmm.VM
 		return nil, err
 	}
 	rec.host, rec.id = h, vm.ID()
-	c.hosts[h].addResident(vm, rec.kind)
+	c.hosts[h].resident(rec.kind, +1)
 	c.recs = append(c.recs, rec)
 	c.byName[rec.name] = rec
 	return vm, nil
@@ -486,12 +470,11 @@ func (c *Cluster) moveVM(rec *vmRec, dest int, downTicks uint64) error {
 		return fmt.Errorf("cluster: invalid migration target %d for VM %q on host %d", dest, rec.name, rec.host)
 	}
 	h := c.hosts[rec.host]
-	vm := h.srv.VMs()[rec.id]
 	st, err := h.srv.ExportVM(rec.id)
 	if err != nil {
 		return err
 	}
-	h.removeResident(vm, rec.kind)
+	h.resident(rec.kind, -1)
 	if rec.watch != nil {
 		h.detachWatch(rec.watch)
 	}
@@ -513,7 +496,7 @@ func (c *Cluster) admit(tr *transit) error {
 	}
 	rec := tr.rec
 	rec.host, rec.id, rec.inTransit = tr.dest, vm.ID(), false
-	h.addResident(vm, rec.kind)
+	h.resident(rec.kind, +1)
 	if rec.watch != nil {
 		rec.watch.vm = vm
 		h.watches = append(h.watches, rec.watch)

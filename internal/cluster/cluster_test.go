@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"memdos/internal/mem"
 	"memdos/internal/pcm"
 	"memdos/internal/respond"
+	"memdos/internal/vmm"
 	"memdos/internal/workload"
 )
 
@@ -363,6 +365,50 @@ func TestActuatorReleasesOnOldHost(t *testing.T) {
 	check("released on old host after migration", 0, 0, false)
 	if left := act.applied["v"]; len(left) != 0 {
 		t.Errorf("session still records %d applied entries after release", len(left))
+	}
+}
+
+// memOwners reads the length of a server's DRAM controller owner list —
+// the owners its Resolve walks every tick.
+func memOwners(srv *vmm.Server) int {
+	return reflect.ValueOf(srv).Elem().FieldByName("mc").Elem().FieldByName("owners").Len()
+}
+
+// TestActuatorReleaseOnHuskKeepsItOffTheArbiter: a bandwidth budget
+// applied to an attacker that then churned away is released on the
+// attacker's husk. The release succeeds and must not put the husk back on
+// the old host's memory-controller owner list.
+func TestActuatorReleaseOnHuskKeepsItOffTheArbiter(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hosts = 2
+	cfg.Placement = AttackTargeted
+	numa := mem.DefaultNUMAConfig(1)
+	cfg.Host.Mem = &numa
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddVictim("v", "KM"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddAttacker("a", busLock(t), "v"); err != nil {
+		t.Fatal(err)
+	}
+	act := &actuator{c: c}
+	if err := act.LimitBandwidth("v", 2e9); err != nil {
+		t.Fatal(err)
+	}
+	aRec := c.byName["a"]
+	oldSrv := c.hosts[aRec.host].srv
+	if err := c.moveVM(aRec, 1-aRec.host, 0); err != nil {
+		t.Fatal(err)
+	}
+	owners := memOwners(oldSrv)
+	if err := act.LimitBandwidth("v", 0); err != nil {
+		t.Fatalf("release on husk: %v", err)
+	}
+	if got := memOwners(oldSrv); got != owners {
+		t.Fatalf("release on husk re-registered it: %d memory-controller owners, want %d", got, owners)
 	}
 }
 

@@ -46,7 +46,10 @@
 // mitigation primitive the respond ladder's bandwidth rung actuates.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Owner identifies a memory-controller client (a VM id); it matches
 // bus.Owner and cache.Owner numerically but is declared separately so the
@@ -174,17 +177,17 @@ func (s Stats) AvgLatency() float64 {
 }
 
 // Resolution is the per-owner outcome of one Resolve. It is a view over
-// the controller's scratch buffers: valid until the next Resolve call,
+// the controller's per-owner state: valid until the next Resolve call,
 // which is the lifetime every per-step caller needs. Owners that
-// requested nothing read as zero (ratio 1).
+// requested nothing, and released owners, read as zero (ratio 1).
 type Resolution struct {
-	req, lines, latSum []float64
+	own []owner
 }
 
 // LinesOf returns the DRAM lines delivered to owner this step.
 func (r Resolution) LinesOf(o Owner) float64 {
-	if o >= 0 && int(o) < len(r.lines) {
-		return r.lines[o]
+	if o >= 0 && int(o) < len(r.own) {
+		return r.own[o].resLines
 	}
 	return 0
 }
@@ -192,60 +195,67 @@ func (r Resolution) LinesOf(o Owner) float64 {
 // RatioOf returns delivered/requested lines for owner this step (1 when
 // the owner requested nothing).
 func (r Resolution) RatioOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.req) || r.req[o] == 0 { //memdos:ignore floateq exact zero means no request this step; division guard
+	if o < 0 || int(o) >= len(r.own) || r.own[o].resReq == 0 { //memdos:ignore floateq exact zero means no request this step; division guard
 		return 1
 	}
-	return r.lines[o] / r.req[o]
+	return r.own[o].resLines / r.own[o].resReq
 }
 
 // LatencyOf returns owner's average per-line latency this step in
 // seconds, or 0 when nothing was delivered.
 func (r Resolution) LatencyOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.lines) || r.lines[o] == 0 { //memdos:ignore floateq exact zero means nothing was delivered; division guard
+	if o < 0 || int(o) >= len(r.own) || r.own[o].resLines == 0 { //memdos:ignore floateq exact zero means nothing was delivered; division guard
 		return 0
 	}
-	return r.latSum[o] / r.lines[o]
+	return r.own[o].resLat / r.own[o].resLines
 }
 
 // LatencySumOf returns owner's delivered-line-weighted latency total this
 // step in seconds.
 func (r Resolution) LatencySumOf(o Owner) float64 {
-	if o >= 0 && int(o) < len(r.latSum) {
-		return r.latSum[o]
+	if o >= 0 && int(o) < len(r.own) {
+		return r.own[o].resLat
 	}
 	return 0
+}
+
+// owner is one client's configuration, pending demand, last outcome and
+// Resolve scratch.
+type owner struct {
+	// registered marks an owner on the controller's owner list.
+	registered bool
+	home       int32   // home socket
+	remoteFrac float64 // fraction of traffic on remotely-homed pages
+	budget     float64 // MemGuard cap in bytes/second (0 = unlimited)
+
+	// Per-step demand, cleared by Resolve.
+	reqLines float64 // lines wanted this step (pre-budget)
+	hitSum   float64 // rowHitFrac x lines, for the demand-weighted mean
+
+	// The last Resolve's outcome, read through Resolution.
+	resReq, resLines, resLat float64
+
+	// Resolve scratch: budget-clamped lines, then the owner's flow on the
+	// socket under arbitration in lines and in channel-time units, and
+	// the units waterfill granted it.
+	capped, sockLines, sockUnits, grant float64
+
+	stats Stats
 }
 
 // Controller is the multi-socket memory-controller arbiter. It is not
 // safe for concurrent use.
 //
-// Per-owner state lives in dense slices indexed by Owner (owners are
-// small VM ids), mirroring internal/bus: Resolve runs once per simulation
-// step and must not allocate in steady state.
+// Per-owner state lives in a dense slice indexed by Owner (owners are
+// small VM ids), mirroring internal/bus. Resolve walks only the owner
+// list — the owners touched since their last Release, in ascending order
+// — so a released owner (a migrated VM's husk) costs nothing per step.
+// Resolve runs once per simulation step and must not allocate in steady
+// state.
 type Controller struct {
-	cfg NUMAConfig
-
-	// Per-owner configuration (grown on first touch).
-	homes      []int32   // home socket
-	remoteFrac []float64 // fraction of traffic on remotely-homed pages
-	budgets    []float64 // MemGuard cap in bytes/second (0 = unlimited)
-
-	// Per-step demand, cleared by Resolve.
-	reqLines []float64 // lines wanted this step (pre-budget)
-	hitSum   []float64 // rowHitFrac x lines, for the demand-weighted mean
-
-	stats []Stats
-
-	// Resolve scratch, reused across steps and returned as a view.
-	capped   []float64 // budget-clamped lines
-	resReq   []float64 // pre-budget lines (ratio denominator)
-	resLines []float64
-	resLat   []float64
-
-	// Per-socket waterfill scratch.
-	sockLines []float64 // owner's line demand on the socket under arbitration
-	sockUnits []float64 // the same demand in channel-time units
-	grant     []float64 // granted units
+	cfg    NUMAConfig
+	own    []owner
+	owners []Owner
 }
 
 // New returns a controller for the topology.
@@ -268,26 +278,39 @@ func MustNew(cfg NUMAConfig) *Controller {
 // Config returns the controller's topology.
 func (c *Controller) Config() NUMAConfig { return c.cfg }
 
-// grow extends s with zeros so index n is addressable.
-func grow(s []float64, n int) []float64 {
-	for len(s) <= n {
-		s = append(s, 0)
+// touch returns owner o's state, first putting o on the owner list if it
+// is not registered.
+func (c *Controller) touch(o Owner) *owner {
+	if o >= 0 && int(o) < len(c.own) && c.own[o].registered {
+		return &c.own[o]
 	}
-	return s
-}
-
-// touch makes owner o addressable in every per-owner slice.
-func (c *Controller) touch(o Owner) {
 	if o < 0 {
 		panic(fmt.Sprintf("mem: invalid owner %d", o))
 	}
-	for len(c.homes) <= int(o) {
-		c.homes = append(c.homes, 0)
+	for len(c.own) <= int(o) {
+		c.own = append(c.own, owner{})
 	}
-	c.remoteFrac = grow(c.remoteFrac, int(o))
-	c.budgets = grow(c.budgets, int(o))
-	c.reqLines = grow(c.reqLines, int(o))
-	c.hitSum = grow(c.hitSum, int(o))
+	c.own[o].registered = true
+	i, _ := slices.BinarySearch(c.owners, o)
+	c.owners = slices.Insert(c.owners, i, o)
+	return &c.own[o]
+}
+
+// Release takes owner o off the owner list: Resolve stops visiting it,
+// its pending demand is dropped, and its Resolution entries read as an
+// idle owner's (0 lines, ratio 1, latency 0). Its home, remote fraction,
+// budget and stats are kept; the next Request or setter registers it
+// again. Releasing an unregistered owner is a no-op.
+func (c *Controller) Release(o Owner) {
+	if o < 0 || int(o) >= len(c.own) || !c.own[o].registered {
+		return
+	}
+	st := &c.own[o]
+	st.registered = false
+	st.reqLines, st.hitSum = 0, 0
+	st.resReq, st.resLines, st.resLat = 0, 0, 0
+	i, _ := slices.BinarySearch(c.owners, o)
+	c.owners = slices.Delete(c.owners, i, i+1)
 }
 
 // SetHome assigns the owner's home socket (NUMA affinity). New owners
@@ -296,15 +319,14 @@ func (c *Controller) SetHome(o Owner, socket int) error {
 	if socket < 0 || socket >= c.cfg.Sockets {
 		return fmt.Errorf("mem: socket %d outside [0,%d)", socket, c.cfg.Sockets)
 	}
-	c.touch(o)
-	c.homes[o] = int32(socket)
+	c.touch(o).home = int32(socket)
 	return nil
 }
 
 // Home returns the owner's home socket.
 func (c *Controller) Home(o Owner) int {
-	if o >= 0 && int(o) < len(c.homes) {
-		return int(c.homes[o])
+	if o >= 0 && int(o) < len(c.own) {
+		return int(c.own[o].home)
 	}
 	return 0
 }
@@ -316,8 +338,7 @@ func (c *Controller) SetRemoteFraction(o Owner, frac float64) error {
 	if frac < 0 || frac > 1 {
 		return fmt.Errorf("mem: remote fraction %v outside [0,1]", frac)
 	}
-	c.touch(o)
-	c.remoteFrac[o] = frac
+	c.touch(o).remoteFrac = frac
 	return nil
 }
 
@@ -329,15 +350,14 @@ func (c *Controller) SetBudget(o Owner, bytesPerSec float64) error {
 	if bytesPerSec < 0 {
 		return fmt.Errorf("mem: negative bandwidth budget %v", bytesPerSec)
 	}
-	c.touch(o)
-	c.budgets[o] = bytesPerSec
+	c.touch(o).budget = bytesPerSec
 	return nil
 }
 
 // Budget returns the owner's bandwidth budget (0 = unlimited).
 func (c *Controller) Budget(o Owner) float64 {
-	if o >= 0 && int(o) < len(c.budgets) {
-		return c.budgets[o]
+	if o >= 0 && int(o) < len(c.own) {
+		return c.own[o].budget
 	}
 	return 0
 }
@@ -354,10 +374,10 @@ func (c *Controller) Request(o Owner, bytes, rowHitFrac float64) {
 	if rowHitFrac < 0 || rowHitFrac > 1 {
 		panic(fmt.Sprintf("mem: row-hit fraction %v outside [0,1]", rowHitFrac))
 	}
-	c.touch(o)
+	st := c.touch(o)
 	lines := bytes / c.cfg.LineBytes
-	c.reqLines[o] += lines
-	c.hitSum[o] += rowHitFrac * lines
+	st.reqLines += lines
+	st.hitSum += rowHitFrac * lines
 }
 
 // Resolve arbitrates the current step of length dt seconds and returns
@@ -372,33 +392,16 @@ func (c *Controller) Request(o Owner, bytes, rowHitFrac float64) {
 // (row-buffer interference + congestion), so they are identical at any
 // caller-side sharding of the same demand.
 //
+// Every pass walks the owner list in ascending order, so each sum adds
+// the same terms in the same order as a pass over every owner slot
+// would (an unlisted owner only ever contributed exact zeros): results
+// do not depend on how many owners were released.
+//
 //memdos:hotpath
 func (c *Controller) Resolve(dt float64) Resolution {
 	if dt <= 0 {
 		panic(fmt.Sprintf("mem: non-positive step %v", dt))
 	}
-	n := len(c.reqLines)
-	c.capped = growTo(c.capped, n)
-	c.resReq = growTo(c.resReq, n)
-	c.resLines = growTo(c.resLines, n)
-	c.resLat = growTo(c.resLat, n)
-	c.sockLines = growTo(c.sockLines, n)
-	c.sockUnits = growTo(c.sockUnits, n)
-	c.grant = growTo(c.grant, n)
-
-	// Budget clamp: a MemGuard cap bounds the lines an owner may move
-	// this step before any of its demand reaches a channel.
-	for o := 0; o < n; o++ {
-		c.resLines[o], c.resLat[o] = 0, 0
-		c.resReq[o] = c.reqLines[o]
-		c.capped[o] = c.reqLines[o]
-		if b := c.budgets[o]; b > 0 {
-			if lim := b * dt / c.cfg.LineBytes; c.capped[o] > lim {
-				c.capped[o] = lim
-			}
-		}
-	}
-
 	sockets := c.cfg.Sockets
 	capUnits := c.cfg.SocketCapacity() * dt
 	interCap := 0.0
@@ -407,141 +410,165 @@ func (c *Controller) Resolve(dt float64) Resolution {
 	}
 
 	for s := 0; s < sockets; s++ {
-		// Gather this socket's flows: each owner's local or remote line
-		// demand, and the interconnect-capped remote total.
-		var remoteTotal float64
-		for o := 0; o < n; o++ {
-			lines := c.capped[o]
+		// One pass gathers this socket's flows. On the first socket it
+		// also applies the budget clamp: a MemGuard cap bounds the lines
+		// an owner may move this step before any of its demand reaches a
+		// channel. A local flow's units are its lines, so the local flows
+		// settle total, the unit demand and waterfill's active count here;
+		// a remote flow waits for the interconnect scale.
+		var remoteTotal, total float64
+		active, remote := 0, false
+		for _, o := range c.owners {
+			st := &c.own[o]
+			if s == 0 {
+				st.resLines, st.resLat = 0, 0
+				st.resReq = st.reqLines
+				st.capped = st.reqLines
+				if b := st.budget; b > 0 {
+					if lim := b * dt / c.cfg.LineBytes; st.capped > lim {
+						st.capped = lim
+					}
+				}
+			}
+			st.sockLines, st.sockUnits = 0, 0
+			lines := st.capped
 			if lines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
-				c.sockLines[o] = 0
 				continue
 			}
-			r := c.remoteFrac[o]
+			r := st.remoteFrac
 			if sockets == 1 {
 				r = 0
 			}
-			if int(c.homes[o]) == s {
-				c.sockLines[o] = lines * (1 - r)
+			if int(st.home) == s {
+				st.sockLines = lines * (1 - r)
+				st.sockUnits = st.sockLines
+				total += st.sockLines
+				if st.sockUnits > 0 {
+					active++
+				}
 			} else {
-				rem := lines * r / float64(sockets-1)
-				c.sockLines[o] = rem
-				remoteTotal += rem
+				st.sockLines = lines * r / float64(sockets-1)
+				remoteTotal += st.sockLines
+				remote = remote || st.sockLines > 0
 			}
 		}
-		// Interconnect cap: remote flows into this socket scale down
-		// proportionally; the capped-out portion never reaches a channel.
-		remScale := 1.0
-		if interCap > 0 && remoteTotal > interCap {
-			remScale = interCap / remoteTotal
-		}
-		var total float64
-		for o := 0; o < n; o++ {
-			lines := c.sockLines[o]
-			if lines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
-				c.sockUnits[o] = 0
-				continue
+		// With only local flows every unit is a line, so the unit demand
+		// is total, summed in the same order.
+		demand := total
+		if remote {
+			// Interconnect cap: remote flows into this socket scale down
+			// proportionally; the capped-out portion never reaches a
+			// channel. The sums restart so local and remote terms add in
+			// owner order.
+			remScale := 1.0
+			if interCap > 0 && remoteTotal > interCap {
+				remScale = interCap / remoteTotal
 			}
-			if int(c.homes[o]) != s {
-				lines *= remScale
-				c.sockLines[o] = lines
-				c.sockUnits[o] = lines / c.cfg.RemoteBandwidthFactor
-			} else {
-				c.sockUnits[o] = lines
+			total, demand, active = 0, 0, 0
+			for _, o := range c.owners {
+				st := &c.own[o]
+				if st.sockLines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+					continue
+				}
+				if int(st.home) != s {
+					st.sockLines *= remScale
+					st.sockUnits = st.sockLines / c.cfg.RemoteBandwidthFactor
+				}
+				total += st.sockLines
+				demand += st.sockUnits
+				if st.sockUnits > 0 {
+					active++
+				}
 			}
-			total += c.sockLines[o]
 		}
 		if total == 0 { //memdos:ignore floateq exact zero means the socket is idle this step
 			continue
 		}
-		c.waterfill(n, capUnits)
+		fits := demand <= capUnits
+		if !fits {
+			c.waterfill(capUnits, demand, active)
+		}
 
 		// Demand-composition latency: collisions with other tenants'
 		// streams decide row-buffer survival (scaled by utilization, so
 		// idle channels don't interfere); congestion stretches everything.
-		var unitsDemand float64
-		for o := 0; o < n; o++ {
-			unitsDemand += c.sockUnits[o]
-		}
 		congestion := 1.0
 		util := 1.0
 		if capUnits > 0 {
-			if unitsDemand > capUnits {
-				congestion = unitsDemand / capUnits
+			if demand > capUnits {
+				congestion = demand / capUnits
 			} else {
-				util = unitsDemand / capUnits
+				util = demand / capUnits
 			}
 		}
-		for o := 0; o < n; o++ {
-			if c.sockUnits[o] == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+		for _, o := range c.owners {
+			st := &c.own[o]
+			if st.sockUnits == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
 				continue
 			}
-			grantedLines := c.grant[o]
-			if int(c.homes[o]) != s {
+			// When demand fits, every flow is granted in full.
+			grantedLines := st.grant
+			if fits {
+				grantedLines = st.sockUnits
+			}
+			if int(st.home) != s {
 				grantedLines *= c.cfg.RemoteBandwidthFactor
 			}
-			share := c.sockLines[o] / total
+			share := st.sockLines / total
 			hit := 0.0
-			if c.capped[o] > 0 && c.reqLines[o] > 0 {
-				hit = c.hitSum[o] / c.reqLines[o]
+			if st.capped > 0 && st.reqLines > 0 {
+				hit = st.hitSum / st.reqLines
 			}
 			interf := util * (1 - share)
 			effHit := hit * (1 - interf)
 			lat := effHit*c.cfg.RowHitLatency +
 				(1-effHit)*((1-interf)*c.cfg.RowMissLatency+interf*c.cfg.RowConflictLatency)
 			lat *= congestion
-			if int(c.homes[o]) != s {
+			if int(st.home) != s {
 				lat *= c.cfg.RemoteLatencyFactor
 			}
-			c.resLines[o] += grantedLines
-			c.resLat[o] += lat * grantedLines
+			st.resLines += grantedLines
+			st.resLat += lat * grantedLines
 		}
 	}
 
-	for o := 0; o < n; o++ {
-		st := c.statsFor(Owner(o))
-		st.Requested += c.reqLines[o]
-		st.Delivered += c.resLines[o]
-		st.Bytes += c.resLines[o] * c.cfg.LineBytes
-		st.LatencySum += c.resLat[o]
+	for _, o := range c.owners {
+		st := &c.own[o]
+		st.stats.Requested += st.reqLines
+		st.stats.Delivered += st.resLines
+		st.stats.Bytes += st.resLines * c.cfg.LineBytes
+		st.stats.LatencySum += st.resLat
+		st.reqLines, st.hitSum = 0, 0
 	}
-
-	for o := 0; o < n; o++ {
-		c.reqLines[o], c.hitSum[o] = 0, 0
-	}
-	return Resolution{req: c.resReq, lines: c.resLines, latSum: c.resLat}
+	return Resolution{own: c.own}
 }
 
 // waterfill max-min fair-shares capUnits of channel time among the
-// per-owner unit demands in c.sockUnits, writing grants to c.grant.
-// Exact max-min: repeatedly satisfy every flow below the current fair
-// share in full, then split what remains evenly. Deterministic in owner
-// order; terminates in at most n rounds.
-func (c *Controller) waterfill(n int, capUnits float64) {
+// owners' unit demands (sockUnits), whose sum over the active flows is
+// demand, writing each owner's grant. Exact max-min: repeatedly satisfy
+// every flow below the current fair share in full, then split what
+// remains evenly. Deterministic in owner order; terminates in at most
+// len(owners) rounds.
+func (c *Controller) waterfill(capUnits, demand float64, active int) {
 	remaining := capUnits
-	active := 0
-	var demand float64
-	for o := 0; o < n; o++ {
-		c.grant[o] = 0
-		if c.sockUnits[o] > 0 {
-			active++
-			demand += c.sockUnits[o]
-		}
+	for _, o := range c.owners {
+		c.own[o].grant = 0
 	}
 	for active > 0 {
 		if demand <= remaining {
-			for o := 0; o < n; o++ {
-				if c.sockUnits[o] > 0 && c.grant[o] == 0 { //memdos:ignore floateq grant is exactly 0 until assigned below
-					c.grant[o] = c.sockUnits[o]
+			for _, o := range c.owners {
+				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { //memdos:ignore floateq grant is exactly 0 until assigned below
+					st.grant = st.sockUnits
 				}
 			}
 			return
 		}
 		fair := remaining / float64(active)
 		progressed := false
-		for o := 0; o < n; o++ {
-			d := c.sockUnits[o]
-			if d > 0 && c.grant[o] == 0 && d <= fair { //memdos:ignore floateq grant is exactly 0 until assigned
-				c.grant[o] = d
+		for _, o := range c.owners {
+			st := &c.own[o]
+			if d := st.sockUnits; d > 0 && st.grant == 0 && d <= fair { //memdos:ignore floateq grant is exactly 0 until assigned
+				st.grant = d
 				remaining -= d
 				demand -= d
 				active--
@@ -549,9 +576,9 @@ func (c *Controller) waterfill(n int, capUnits float64) {
 			}
 		}
 		if !progressed {
-			for o := 0; o < n; o++ {
-				if c.sockUnits[o] > 0 && c.grant[o] == 0 { //memdos:ignore floateq grant is exactly 0 until assigned
-					c.grant[o] = fair
+			for _, o := range c.owners {
+				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { //memdos:ignore floateq grant is exactly 0 until assigned
+					st.grant = fair
 				}
 			}
 			return
@@ -559,32 +586,17 @@ func (c *Controller) waterfill(n int, capUnits float64) {
 	}
 }
 
-// growTo resizes s to exactly n elements, reusing capacity.
-func growTo(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func (c *Controller) statsFor(o Owner) *Stats {
-	for len(c.stats) <= int(o) {
-		c.stats = append(c.stats, Stats{})
-	}
-	return &c.stats[o]
-}
-
 // Stats returns a copy of the accumulated statistics for owner.
 func (c *Controller) Stats(o Owner) Stats {
-	if o >= 0 && int(o) < len(c.stats) {
-		return c.stats[o]
+	if o >= 0 && int(o) < len(c.own) {
+		return c.own[o].stats
 	}
 	return Stats{}
 }
 
 // ResetStats zeroes the accumulated statistics.
 func (c *Controller) ResetStats() {
-	for i := range c.stats {
-		c.stats[i] = Stats{}
+	for i := range c.own {
+		c.own[i].stats = Stats{}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"memdos/internal/par"
@@ -400,7 +402,8 @@ func TestMemDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Resolve must not allocate in steady state.
+// Resolve must not allocate in steady state, nor must an owner's Release
+// and its re-registration by the next step's Request.
 func TestResolveZeroAlloc(t *testing.T) {
 	c := newTest(t, 2)
 	for o := Owner(0); o < 64; o++ {
@@ -412,6 +415,7 @@ func TestResolveZeroAlloc(t *testing.T) {
 			c.Request(o, 1e7, 0.7)
 		}
 		c.Resolve(0.01)
+		c.Release(17)
 	}
 	load() // warm up scratch
 	load()
@@ -432,6 +436,105 @@ func TestResetStats(t *testing.T) {
 	if s := c.Stats(0); s != (Stats{}) {
 		t.Fatalf("stats not reset: %+v", s)
 	}
+}
+
+// A released owner leaves the owner list, reads as idle, keeps its
+// configuration and stats, and rejoins in order on its next Request.
+func TestReleaseDropsOwner(t *testing.T) {
+	c := newTest(t, 2)
+	for o := Owner(0); o < 4; o++ {
+		c.Request(o, 1e7, 0.7)
+	}
+	if err := c.SetBudget(2, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	c.Resolve(0.01)
+	before := c.Stats(2)
+	c.Release(2)
+	c.Release(2) // no-op
+	c.Release(9) // never registered: no-op
+	if !slices.Equal(c.owners, []Owner{0, 1, 3}) {
+		t.Fatalf("owners after Release = %v, want [0 1 3]", c.owners)
+	}
+	res := c.Resolve(0.01)
+	if res.LinesOf(2) != 0 || res.RatioOf(2) != 1 || res.LatencyOf(2) != 0 || res.LatencySumOf(2) != 0 {
+		t.Fatalf("released owner not idle: lines=%v ratio=%v lat=%v",
+			res.LinesOf(2), res.RatioOf(2), res.LatencyOf(2))
+	}
+	if c.Stats(2) != before || c.Budget(2) != 1e9 {
+		t.Fatalf("Release lost state: stats %+v (was %+v), budget %v", c.Stats(2), before, c.Budget(2))
+	}
+	c.Request(2, 1e7, 0.7)
+	if !slices.Equal(c.owners, []Owner{0, 1, 2, 3}) {
+		t.Fatalf("owners after re-touch = %v, want [0 1 2 3]", c.owners)
+	}
+}
+
+// FuzzResolveMatchesReference drives the controller and the original
+// dense arbiter (reference_test.go) through one script — 1 to 3 sockets,
+// homes, remote fractions, budgets, an interconnect cap, requests, and
+// owners released after a step and touched again later — and requires
+// every Resolution accessor and every Stats field to match the
+// reference bit for bit after each step.
+func FuzzResolveMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 12; i++ {
+		script := make([]byte, 3*(20+rng.Intn(200)))
+		rng.Read(script)
+		f.Add(uint8(i), uint8(rng.Intn(4)*rng.Intn(256)), script)
+	}
+	f.Fuzz(func(t *testing.T, topo, link uint8, script []byte) {
+		const owners = 12
+		cfg := DefaultNUMAConfig(1 + int(topo)%3)
+		cfg.InterSocketBandwidth = float64(link) * 1e8 // 0: unbounded
+		c, ref := MustNew(cfg), newRef(cfg)
+		steps := [...]float64{0.01, 0.001, 1}
+		same := func(step int, o Owner, what string, got, want float64) {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d owner %d %s = %v, reference %v", step, o, what, got, want)
+			}
+		}
+		step := 0
+		resolve := func(dt float64) {
+			step++
+			r, rr := c.Resolve(dt), ref.Resolve(dt)
+			for o := Owner(-1); o <= owners; o++ {
+				same(step, o, "LinesOf", r.LinesOf(o), rr.LinesOf(o))
+				same(step, o, "RatioOf", r.RatioOf(o), rr.RatioOf(o))
+				same(step, o, "LatencyOf", r.LatencyOf(o), rr.LatencyOf(o))
+				same(step, o, "LatencySumOf", r.LatencySumOf(o), rr.LatencySumOf(o))
+				s, rs := c.Stats(o), ref.Stats(o)
+				same(step, o, "Requested", s.Requested, rs.Requested)
+				same(step, o, "Delivered", s.Delivered, rs.Delivered)
+				same(step, o, "Bytes", s.Bytes, rs.Bytes)
+				same(step, o, "LatencySum", s.LatencySum, rs.LatencySum)
+			}
+		}
+		for ; len(script) >= 3; script = script[3:] {
+			op, o, v := script[0]%6, Owner(script[1]%owners), script[2]
+			switch op {
+			case 0:
+				_, _ = c.SetHome(o, int(v)%cfg.Sockets), ref.SetHome(o, int(v)%cfg.Sockets)
+			case 1:
+				_, _ = c.SetRemoteFraction(o, float64(v)/255), ref.SetRemoteFraction(o, float64(v)/255)
+			case 2:
+				b := float64(v%4) * cfg.ChannelBandwidth / 2 // 0 clears
+				_, _ = c.SetBudget(o, b), ref.SetBudget(o, b)
+			case 3, 4:
+				// Up to four sockets' worth of one step's capacity.
+				bytes := float64(v) * cfg.SocketCapacity() * cfg.LineBytes * 0.01 / 64
+				hit := float64(v%11) / 10
+				c.Request(o, bytes, hit)
+				ref.Request(o, bytes, hit)
+			case 5:
+				resolve(steps[int(v)%len(steps)])
+				if v&4 != 0 {
+					c.Release(o)
+				}
+			}
+		}
+		resolve(0.01)
+	})
 }
 
 func BenchmarkResolve1024VMs(b *testing.B) {

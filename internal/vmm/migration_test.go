@@ -3,6 +3,7 @@ package vmm
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"memdos/internal/attack"
@@ -177,6 +178,104 @@ func TestStepSamplesEveryLiveVM(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		check(src, src.Step())
 		check(dst, dst.Step())
+	}
+}
+
+// ownerList reads an arbiter's registered owners (the unexported owners
+// list of a *bus.Bus or *mem.Controller, which Resolve walks every tick).
+func ownerList(arbiter any) []int64 {
+	v := reflect.ValueOf(arbiter).Elem().FieldByName("owners")
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.Index(i).Int()
+	}
+	return out
+}
+
+// TestExportTakesHuskOffArbiters: after ExportVM the husk is on neither
+// the bus's nor the memory controller's owner list, so it costs them
+// nothing per tick, and no setter on it puts it back.
+func TestExportTakesHuskOffArbiters(t *testing.T) {
+	s := MustNewServer(memConfig(2))
+	vm, err := s.AddApp("vm", workload.MustByAbbrev("KM").Service())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddAttacker("hog", newHog(t)); err != nil {
+		t.Fatal(err)
+	}
+	collectSamples(s, vm.ID(), 10)
+	if !slices.Contains(ownerList(s.bus), int64(vm.ID())) || !slices.Contains(ownerList(s.mc), int64(vm.ID())) {
+		t.Fatal("a running VM is missing from an arbiter's owner list")
+	}
+	if _, err := s.ExportVM(vm.ID()); err != nil {
+		t.Fatal(err)
+	}
+	id := vm.ID()
+	for _, set := range []func() error{
+		func() error { return s.SetExecThrottle(id, 0.5) },
+		func() error { return s.SetCachePartition(id, true) },
+		func() error { return s.SetVMSocket(id, 1) },
+		func() error { return s.SetMemRemoteFraction(id, 0.5) },
+		func() error { return s.SetMemBandwidthLimit(id, 0) },
+		func() error { return s.SetMemBandwidthLimit(id, 1e9) },
+	} {
+		if err := set(); err != nil {
+			t.Fatalf("setter on a husk: %v", err)
+		}
+	}
+	collectSamples(s, 1, 10)
+	for name, arbiter := range map[string]any{"bus": s.bus, "mem": s.mc} {
+		if got := ownerList(arbiter); !slices.Equal(got, []int64{1}) {
+			t.Errorf("%s owners after export = %v, want [1]", name, got)
+		}
+	}
+	if s.ExecThrottle(id) != 0 || s.CachePartitioned(id) || s.MemBandwidthLimit(id) != 0 || s.VMSocket(id) != 0 {
+		t.Error("a setter on a husk changed its state")
+	}
+}
+
+// TestStepNoAllocsAfterMigrations: a DRAM-on host whose VMs have come and
+// gone through export/admit cycles still steps without allocating.
+func TestStepNoAllocsAfterMigrations(t *testing.T) {
+	cfg := memConfig(2)
+	cfg.DisableHistory = true
+	a, b := MustNewServer(cfg), MustNewServer(cfg)
+	if _, err := a.AddAttacker("hog", newHog(t)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := a.AddApp("util", workload.Utility()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.AddApp("util", workload.MustByAbbrev("KM").Service()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	move := func(src, dst *Server, id VMID) {
+		st, err := src.ExportVM(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.AdmitVM(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		a.Step()
+		b.Step()
+		move(a, b, a.live[len(a.live)/2].ID())
+		move(b, a, b.live[0].ID())
+	}
+	step := func() {
+		a.Step()
+		b.Step()
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("Step allocates %.2f objects/tick after migrations, want 0", avg)
 	}
 }
 

@@ -23,6 +23,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 
 	"memdos/internal/attack"
 	"memdos/internal/bus"
@@ -97,8 +98,9 @@ type VM struct {
 	// lastSpeed is the effective speed of the most recent step.
 	lastSpeed float64
 	// departed marks a VM whose state was exported for migration: the
-	// slot remains (VM ids are dense slice indices) but the husk no
-	// longer runs, demands bus time, or produces samples.
+	// slot remains (VM ids are dense slice indices) but the husk is off
+	// the server's live list and both arbiters' owner lists, so Step never
+	// visits it, and every setter on it is a successful no-op.
 	departed bool
 }
 
@@ -138,6 +140,10 @@ type Server struct {
 	// randomized visit order, and the hot path stays allocation-free.
 	vms      []*VM
 	counters []*pcm.Counter
+	// live lists the non-departed VMs in ascending id order (an added or
+	// admitted VM's id is always the largest yet). Step walks it alone,
+	// so a husk costs nothing per tick.
+	live []*VM
 
 	hyperLoad      float64
 	throttleUntil  float64
@@ -160,9 +166,10 @@ type Server struct {
 	memStall   []float64
 	memBaseLat float64
 
-	// Per-step scratch, reused across Step calls so the per-tick hot loop
-	// does not allocate. Both are indexed by VMID (VM ids are their index
-	// in vms); stepSamples backs StepResult.Samples.
+	// Per-step scratch, grown with vms so the per-tick hot loop does not
+	// allocate. stepStates is indexed by position in live; stepSamples by
+	// VMID, and backs StepResult.Samples (a husk's slot is zeroed once, on
+	// export).
 	stepStates  []appState
 	stepSamples []pcm.Sample
 }
@@ -219,7 +226,7 @@ func (s *Server) AddApp(name string, spec workload.Spec) (*VM, error) {
 		return nil, err
 	}
 	vm := &VM{id: VMID(len(s.vms)), name: name, app: in, lastSpeed: 1}
-	s.addVM(vm, name)
+	s.addVM(vm, s.newCounter(name))
 	return vm, nil
 }
 
@@ -229,26 +236,42 @@ func (s *Server) AddAttacker(name string, a *attack.Attacker) (*VM, error) {
 		return nil, fmt.Errorf("vmm: nil attacker")
 	}
 	vm := &VM{id: VMID(len(s.vms)), name: name, attacker: a, lastSpeed: 1}
-	s.addVM(vm, name)
+	s.addVM(vm, s.newCounter(name))
 	return vm, nil
 }
 
-// addVM registers the VM in the dense per-VM state slices.
-func (s *Server) addVM(vm *VM, name string) {
+// newCounter returns a fresh PCM counter honouring DisableHistory.
+func (s *Server) newCounter(name string) *pcm.Counter {
 	c := pcm.MustNewCounter(name, s.cfg.TPCM)
-	if s.cfg.DisableHistory {
-		c.SetRetainHistory(false)
-	}
+	c.SetRetainHistory(!s.cfg.DisableHistory)
+	return c
+}
+
+// addVM registers the VM and its counter in the dense per-VM state
+// slices and on the live list.
+func (s *Server) addVM(vm *VM, c *pcm.Counter) {
 	s.vms = append(s.vms, vm)
+	s.live = append(s.live, vm)
 	s.counters = append(s.counters, c)
 	s.execThrottle = append(s.execThrottle, 0)
 	s.partitioned = append(s.partitioned, false)
 	s.memStall = append(s.memStall, 1)
+	s.stepStates = append(s.stepStates, appState{})
+	s.stepSamples = append(s.stepSamples, pcm.Sample{})
 	if s.mc != nil {
 		// Default NUMA affinity: round-robin over sockets, overridable via
 		// SetVMSocket.
 		_ = s.mc.SetHome(mem.Owner(vm.id), int(vm.id)%s.cfg.Mem.Sockets)
 	}
+}
+
+// VM returns the VM in slot id (a departed husk included), or nil if
+// the id is unknown.
+func (s *Server) VM(id VMID) *VM {
+	if int(id) < 0 || int(id) >= len(s.vms) {
+		return nil
+	}
+	return s.vms[id]
 }
 
 // Counter returns the PCM counter of the given VM, or nil if unknown.
@@ -310,7 +333,9 @@ func (s *Server) SetExecThrottle(id VMID, frac float64) error {
 	if int(id) < 0 || int(id) >= len(s.vms) {
 		return fmt.Errorf("vmm: no VM %d", id)
 	}
-	s.execThrottle[id] = frac
+	if !s.vms[id].departed {
+		s.execThrottle[id] = frac
+	}
 	return nil
 }
 
@@ -331,7 +356,9 @@ func (s *Server) SetCachePartition(id VMID, on bool) error {
 	if int(id) < 0 || int(id) >= len(s.vms) {
 		return fmt.Errorf("vmm: no VM %d", id)
 	}
-	s.partitioned[id] = on
+	if !s.vms[id].departed {
+		s.partitioned[id] = on
+	}
 	return nil
 }
 
@@ -362,7 +389,7 @@ func (s *Server) Step() StepResult {
 
 	// Phase 1: attacker demands, scaled by any per-VM execution throttle.
 	cleansePressure := 0.0
-	for _, vm := range s.vms {
+	for _, vm := range s.live {
 		if vm.attacker == nil || s.Throttled(vm.id) || !vm.attacker.Active(now) {
 			continue
 		}
@@ -396,16 +423,10 @@ func (s *Server) Step() StepResult {
 	}
 
 	// Phase 2: application demands, attenuated by cleansing stalls.
-	if len(s.stepStates) < len(s.vms) {
-		s.stepStates = make([]appState, len(s.vms))
-		s.stepSamples = make([]pcm.Sample, len(s.vms))
-	}
-	states := s.stepStates[:len(s.vms)]
-	for i := range states {
-		states[i] = appState{}
-	}
-	for _, vm := range s.vms {
+	states := s.stepStates[:len(s.live)]
+	for i, vm := range s.live {
 		if vm.app == nil || s.Throttled(vm.id) || vm.app.Done() {
+			states[i] = appState{}
 			continue
 		}
 		demand, m0 := vm.app.Demand(dt)
@@ -424,7 +445,7 @@ func (s *Server) Step() StepResult {
 			s.mc.Request(mem.Owner(vm.id), requested*m*s.cfg.Mem.LineBytes, memAppRowHit)
 		}
 		s.bus.RequestAccesses(bus.Owner(vm.id), requested)
-		states[vm.id] = appState{requested: requested, miss: m, stall: stall, thr: thr, active: true}
+		states[i] = appState{requested: requested, miss: m, stall: stall, thr: thr, active: true}
 	}
 
 	// Phase 3: bus arbitration, then DRAM arbitration behind it.
@@ -435,17 +456,10 @@ func (s *Server) Step() StepResult {
 	}
 
 	// Phase 4: progress and PCM accounting.
-	res := StepResult{Time: now + dt, Samples: s.stepSamples[:len(s.vms)]}
-	for _, vm := range s.vms {
-		if vm.departed {
-			// The VM's counter migrated with it; the husk produces
-			// nothing.
-			vm.lastSpeed = 0
-			res.Samples[vm.id] = pcm.Sample{}
-			continue
-		}
+	res := StepResult{Time: now + dt, Samples: s.stepSamples}
+	for i, vm := range s.live {
 		var accesses, misses float64
-		if st := states[vm.id]; st.active {
+		if st := states[i]; st.active {
 			d := delivered.Of(bus.Owner(vm.id))
 			ratio := 1.0
 			if st.requested > 0 {
@@ -526,8 +540,10 @@ func (st *VMState) IsAttacker() bool { return st.attacker != nil }
 
 // ExportVM removes the VM's runtime state from the server for migration
 // and returns it. The slot is left as an inert, departed husk (VM ids
-// are dense slice indices, so slots never shift); any execution throttle
-// or cache partition applied to the VM is released.
+// are dense slice indices, so slots never shift): its sample slot is
+// zeroed, it leaves the live list and both arbiters' owner lists, and
+// any execution throttle, cache partition, bandwidth budget or NUMA
+// override applied to the VM is released.
 func (s *Server) ExportVM(id VMID) (*VMState, error) {
 	if int(id) < 0 || int(id) >= len(s.vms) {
 		return nil, fmt.Errorf("vmm: no VM %d", id)
@@ -546,15 +562,18 @@ func (s *Server) ExportVM(id VMID) (*VMState, error) {
 	}
 	vm.app, vm.attacker, vm.departed = nil, nil, true
 	vm.lastSpeed = 0
+	s.live = slices.DeleteFunc(s.live, func(v *VM) bool { return v == vm })
 	s.counters[id] = nil
 	s.execThrottle[id] = 0
 	s.partitioned[id] = false
-	s.memStall[id] = 1
+	s.stepSamples[id] = pcm.Sample{}
+	s.bus.Release(bus.Owner(id))
 	if s.mc != nil {
 		// Mitigation state stays with the source hypervisor: the husk's
 		// slot drops its bandwidth budget and NUMA overrides.
 		_ = s.mc.SetBudget(mem.Owner(id), 0)
 		_ = s.mc.SetRemoteFraction(mem.Owner(id), 0)
+		s.mc.Release(mem.Owner(id))
 	}
 	return st, nil
 }
@@ -586,14 +605,7 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 	// timeline with the destination clock (a counter's sample count is its
 	// VM's tick count). A lockstep zero-downtime admission is a no-op.
 	c.SkipToSample(int(s.clock.Ticks()))
-	s.vms = append(s.vms, vm)
-	s.counters = append(s.counters, c)
-	s.execThrottle = append(s.execThrottle, 0)
-	s.partitioned = append(s.partitioned, false)
-	s.memStall = append(s.memStall, 1)
-	if s.mc != nil {
-		_ = s.mc.SetHome(mem.Owner(vm.id), int(vm.id)%s.cfg.Mem.Sockets)
-	}
+	s.addVM(vm, c)
 	st.app, st.attacker, st.counter = nil, nil, nil
 	return vm, nil
 }
@@ -602,22 +614,25 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 // model (Config.Mem was set).
 func (s *Server) HasMem() bool { return s.mc != nil }
 
-// errNoMem is the shared guard for memory-model-only operations.
-func (s *Server) memCheck(id VMID) error {
+// memCheck is the shared guard for memory-model-only operations: it
+// fails without a memory model or for an unknown VM, and reports whether
+// the VM is live. A setter on a departed husk is a successful no-op, so
+// the husk never rejoins the controller's owner list.
+func (s *Server) memCheck(id VMID) (bool, error) {
 	if s.mc == nil {
-		return fmt.Errorf("vmm: server has no memory model (Config.Mem is nil)")
+		return false, fmt.Errorf("vmm: server has no memory model (Config.Mem is nil)")
 	}
 	if int(id) < 0 || int(id) >= len(s.vms) {
-		return fmt.Errorf("vmm: no VM %d", id)
+		return false, fmt.Errorf("vmm: no VM %d", id)
 	}
-	return nil
+	return !s.vms[id].departed, nil
 }
 
 // SetVMSocket pins the VM's NUMA home socket (default: VM id modulo
 // socket count). Placement decides attack reach: a hog homed on the
 // victim's socket contends for the victim's channels directly.
 func (s *Server) SetVMSocket(id VMID, socket int) error {
-	if err := s.memCheck(id); err != nil {
+	if live, err := s.memCheck(id); !live {
 		return err
 	}
 	return s.mc.SetHome(mem.Owner(id), socket)
@@ -635,7 +650,7 @@ func (s *Server) VMSocket(id VMID) int {
 // targets remotely-homed pages — cross-socket reach for an attacker, or
 // a poorly-placed victim's working set.
 func (s *Server) SetMemRemoteFraction(id VMID, frac float64) error {
-	if err := s.memCheck(id); err != nil {
+	if live, err := s.memCheck(id); !live {
 		return err
 	}
 	return s.mc.SetRemoteFraction(mem.Owner(id), frac)
@@ -646,7 +661,7 @@ func (s *Server) SetMemRemoteFraction(id VMID, frac float64) error {
 // primitive behind the respond ladder's bandwidth rung (Zhang et al.,
 // arXiv:1603.03404).
 func (s *Server) SetMemBandwidthLimit(id VMID, bytesPerSec float64) error {
-	if err := s.memCheck(id); err != nil {
+	if live, err := s.memCheck(id); !live {
 		return err
 	}
 	return s.mc.SetBudget(mem.Owner(id), bytesPerSec)
@@ -663,7 +678,7 @@ func (s *Server) MemBandwidthLimit(id VMID) float64 {
 
 // MemStats returns the VM's accumulated DRAM statistics.
 func (s *Server) MemStats(id VMID) (mem.Stats, error) {
-	if err := s.memCheck(id); err != nil {
+	if _, err := s.memCheck(id); err != nil {
 		return mem.Stats{}, err
 	}
 	return s.mc.Stats(mem.Owner(id)), nil
