@@ -165,6 +165,34 @@ func TestSamplePathPins(t *testing.T) {
 2/false full={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:199.69 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.331177921471902 Recovered:0.8418992457753874 Alarms:1 PeakLevel:5 Stats:{Sessions:1 Mitigated:0 Events:2 Throttles:3 BandwidthLimits:2 Partitions:0 Releases:1 Migrations:1 Escalations:5 Deescalations:0 Overrides:0 ActuatorErrors:0}} contained={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:203.65 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.3575761615892274 Recovered:0.8292970117429908 Alarms:1 PeakLevel:4 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:1 Partitions:0 Releases:0 Migrations:0 Escalations:4 Deescalations:0 Overrides:0 ActuatorErrors:0}} throttle={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:464.24 MitigatedTime:229.07 AttackedNormalized:3.094727018198787 MitigatedNormalized:1.5270315312312512 Recovered:0.7484008528784649 Alarms:1 PeakLevel:3 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:0 Partitions:0 Releases:0 Migrations:0 Escalations:3 Deescalations:0 Overrides:0 ActuatorErrors:0}}
 2/true full={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:204.57999999999998 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.3637757482834478 Recovered:0.6444719525702 Alarms:1 PeakLevel:5 Stats:{Sessions:1 Mitigated:0 Events:2 Throttles:3 BandwidthLimits:2 Partitions:0 Releases:1 Migrations:1 Escalations:5 Deescalations:0 Overrides:0 ActuatorErrors:0}} contained={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:212.07 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.4137057529498034 Recovered:0.5956739852759138 Alarms:1 PeakLevel:4 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:1 Partitions:0 Releases:0 Migrations:0 Escalations:4 Deescalations:0 Overrides:0 ActuatorErrors:0}} throttle={App:KM Mode:DRAM bandwidth CleanTime:150.01 AttackedTime:303.5 MitigatedTime:261.96999999999997 AttackedNormalized:2.0231984534364376 MitigatedNormalized:1.746350243317112 Recovered:0.27057137272786513 Alarms:1 PeakLevel:3 Stats:{Sessions:1 Mitigated:1 Events:1 Throttles:3 BandwidthLimits:0 Partitions:0 Releases:0 Migrations:0 Escalations:3 Deescalations:0 Overrides:0 ActuatorErrors:0}}
 `},
+		{"CompareDetectors/buslock/scenario1", func() (string, error) {
+			return comparePin(CompareDetectors([]string{"KM", "FN"}, StandardFactories(false), BusLock, false, []uint64{1, 2}))
+		}, "{App:KM Detector:KStest Recall:{Median:1 P10:1 P90:1} Spec:{Median:0.97 P10:0.946 P90:0.994} Delay:21.029999999999973}\n{App:KM Detector:SDS Recall:{Median:1 P10:1 P90:1} Spec:{Median:1 P10:1 P90:1} Delay:14}\n{App:FN Detector:KStest Recall:{Median:1 P10:1 P90:1} Spec:{Median:0.06 P10:0.06 P90:0.06} Delay:6.029999999999973}\n{App:FN Detector:SDS Recall:{Median:1 P10:1 P90:1} Spec:{Median:1 P10:1 P90:1} Delay:23.5}\n"},
+		{"CompareDetectors/cleansing/scenario2", func() (string, error) {
+			return comparePin(CompareDetectors([]string{"KM", "FN"}, StandardFactories(false), Cleansing, true, []uint64{1, 2}))
+		}, "{App:KM Detector:KStest Recall:{Median:0.4936323366555925 P10:0.4606312292358804 P90:0.5266334440753044} Spec:{Median:0.626984126984127 P10:0.5063492063492063 P90:0.7476190476190476} Delay:17.57742902873064}\n{App:KM Detector:SDS Recall:{Median:0.7699490408951077 P10:0.7649877715191439 P90:0.7749103102710717} Spec:{Median:0.6833132193742457 P10:0.6570509933894123 P90:0.7095754453590792} Delay:9.831648368478128}\n{App:FN Detector:KStest Recall:{Median:1 P10:1 P90:1} Spec:{Median:0.06904761904761905 P10:0.06714285714285714 P90:0.07095238095238095} Delay:3.409537257367003}\n{App:FN Detector:SDS Recall:{Median:0.40585347979105063 P10:0.38911366948163173 P90:0.42259329010046953} Spec:{Median:0.8238899796458743 P10:0.8032245978709225 P90:0.8445553614208261} Delay:20.835558411836498}\n"},
+		{"Sweep/alpha", func() (string, error) {
+			return sweepPin(Fig17AlphaSweep("KM", []float64{0.2, 0.8}, []uint64{7}))
+		}, "[{Value:0.2 Recall:1 Specificity:0.9530201342281879 Delay:15} {Value:0.8 Recall:1 Specificity:1 Delay:15}]"},
+		{"Sweep/k", func() (string, error) {
+			return sweepPin(Fig18KSweep("KM", []float64{1.125, 1.5}, []uint64{7}))
+		}, "[{Value:1.125 Recall:1 Specificity:0.9530201342281879 Delay:15} {Value:1.5 Recall:1 Specificity:0.9328859060402684 Delay:4.5}]"},
+		{"Sweep/w", func() (string, error) {
+			return sweepPin(Fig19WSweep("KM", []int{100, 400}, []uint64{7}))
+		}, "[{Value:100 Recall:1 Specificity:0.9531772575250836 Delay:15} {Value:400 Recall:1 Specificity:0.918918918918919 Delay:15}]"},
+		{"Sweep/dw", func() (string, error) {
+			return sweepPin(Fig21DWSweep("KM", []int{20, 200}, []uint64{7}))
+		}, "[{Value:20 Recall:1 Specificity:0.9362416107382551 Delay:6} {Value:200 Recall:0.8888888888888888 Specificity:1 Delay:60}]"},
+		{"Sweep/wp", func() (string, error) {
+			return sweepPin(Fig23WPSweep("FN", []int{2, 6}, []uint64{7}))
+		}, "[{Value:2 Recall:1 Specificity:1 Delay:23.5} {Value:6 Recall:1 Specificity:1 Delay:27.5}]"},
+		{"Sweep/dwp", func() (string, error) {
+			return sweepPin(Fig24DWPSweep("FN", []int{5, 25}, []uint64{7}))
+		}, "[{Value:5 Recall:1 Specificity:1 Delay:13.5} {Value:25 Recall:0.9090909090909091 Specificity:1 Delay:56}]"},
+		{"AblationRawThreshold/TS", func() (string, error) {
+			accs, err := AblationRawThreshold("TS", []uint64{8})
+			return fmt.Sprintf("%+v", accs), err
+		}, "map[SDS:{Recall:1 Specificity:0.9026845637583892 MeanDelay:0} naive-coarse:{Recall:0.00974074074074074 Specificity:0.9887659177278485 MeanDelay:0} naive-fine:{Recall:0.37125925925925923 Specificity:0.6245749716647776 MeanDelay:0}]"},
 		{"Cluster/dram-churn-husks", huskClusterPin, "{Duration:300 Hosts:8 VMs:32 MeanVictimSpeed:0.6477503641348317 Migrations:6 AttackerMoves:109 AlarmTransitions:41 AlarmFraction:0.42500000000000004 ColocationFraction:0 Respond:{Sessions:4 Mitigated:4 Events:41 Throttles:49 BandwidthLimits:28 Partitions:16 Releases:9 Migrations:6 Escalations:62 Deescalations:28 Overrides:0 ActuatorErrors:0}}"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,6 +205,20 @@ func TestSamplePathPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// comparePin renders every cell of a detector comparison, one per line.
+func comparePin(cells []ComparisonCell, err error) (string, error) {
+	var b strings.Builder
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%+v\n", c)
+	}
+	return b.String(), err
+}
+
+// sweepPin renders every point of a sensitivity sweep.
+func sweepPin(pts []SweepPoint, err error) (string, error) {
+	return fmt.Sprintf("%+v", pts), err
 }
 
 // runPin renders one Scenario 1 run at seed 3: the victim's two series
