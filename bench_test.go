@@ -226,100 +226,23 @@ func reportSweep(b *testing.B, pts []experiments.SweepPoint) {
 	b.ReportMetric(last.Specificity, "spec_at_max")
 }
 
-func BenchmarkFig17AlphaSweep(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig17AlphaSweep("KM", []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSweeps runs every sensitivity figure of Figs. 17-24 over its
+// default values, one sub-benchmark per row of experiments.Sweeps
+// (Fig17-alpha ... Fig24-dwp); the DNN rows train their cascades first.
+func BenchmarkSweeps(b *testing.B) {
+	for _, sw := range experiments.Sweeps {
+		b.Run(fmt.Sprintf("Fig%d-%s", sw.Figure, sw.Param), func(b *testing.B) {
+			var pts []experiments.SweepPoint
+			for i := 0; i < b.N; i++ {
+				var err error
+				pts, err = sw.Run("KM", sw.Values, benchSeeds[:1])
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportSweep(b, pts)
+		})
 	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig18KSweep(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig18KSweep("KM", []float64{1.1, 1.125, 1.2, 1.5, 2.0}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig19WSweepSDS(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig19WSweep("KM", []int{100, 200, 400, 600, 1000}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig20WSweepDNN(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig20WSweepDNN([]int{100, 200, 400}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig21DWSweepSDS(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig21DWSweep("KM", []int{20, 50, 100, 200}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig22DWSweepDNN(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig22DWSweepDNN([]int{20, 50, 100, 200}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig23WPSweep(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig23WPSweep("FN", []int{2, 3, 4, 6}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
-}
-
-func BenchmarkFig24DWPSweep(b *testing.B) {
-	var pts []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig24DWPSweep("FN", []int{5, 10, 15, 25}, benchSeeds[:1])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSweep(b, pts)
 }
 
 func BenchmarkAblationRawThreshold(b *testing.B) {

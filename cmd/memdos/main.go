@@ -188,12 +188,16 @@ func parseMode(s string) (experiments.AttackMode, error) {
 	}
 }
 
-func seedList(n int) []uint64 {
+// seedList returns the seeds 1..n of a -seeds flag, refusing n < 1.
+func seedList(n int) ([]uint64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-seeds must be at least 1, got %d", n)
+	}
 	out := make([]uint64, n)
 	for i := range out {
 		out[i] = uint64(i + 1)
 	}
-	return out
+	return out, nil
 }
 
 func cmdApps() error {
@@ -300,7 +304,11 @@ func cmdFig1(args []string) error {
 	dur := fs.Float64("dur", 600, "run duration per app (s)")
 	seeds := fs.Int("seeds", 3, "number of seeds")
 	fs.Parse(args)
-	res, err := experiments.Fig1KStestFalsePositives(*dur, seedList(*seeds))
+	sl, err := seedList(*seeds)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig1KStestFalsePositives(*dur, sl)
 	if err != nil {
 		return err
 	}
@@ -343,18 +351,21 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	apps := strings.Split(*appsFlag, ",")
-	factories := experiments.StandardFactories(*withDNN)
-	cells, err := experiments.CompareDetectors(apps, factories, mode, *scenario == 2, seedList(*seeds))
+	if *scenario != 1 && *scenario != 2 {
+		return fmt.Errorf("-scenario must be 1 or 2, got %d", *scenario)
+	}
+	sl, err := seedList(*seeds)
 	if err != nil {
 		return err
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].App != cells[j].App {
-			return cells[i].App < cells[j].App
-		}
-		return cells[i].Detector < cells[j].Detector
-	})
+	// Cells come out in app order, then detector-name order, so sorting
+	// the apps sorts the table.
+	apps := strings.Split(*appsFlag, ",")
+	sort.Strings(apps)
+	cells, err := experiments.CompareDetectors(apps, experiments.StandardFactories(*withDNN), mode, *scenario == 2, sl)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-6s %-8s %8s %8s %8s\n", "APP", "SCHEME", "RECALL", "SPEC", "DELAY(s)")
 	for _, c := range cells {
 		fmt.Printf("%-6s %-8s %8.3f %8.3f %8.1f\n", c.App, c.Detector, c.Recall.Median, c.Spec.Median, c.Delay)
@@ -379,41 +390,33 @@ func cmdOverhead(args []string) error {
 
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	param := fs.String("param", "alpha", "alpha|k|w|dw|wp|dwp|dnnw|dnndw")
+	var params []string
+	for _, sw := range experiments.Sweeps {
+		params = append(params, sw.Param)
+	}
+	param := fs.String("param", "alpha", strings.Join(params, "|"))
 	app := fs.String("app", "KM", "application (periodic sweeps use FN)")
 	seeds := fs.Int("seeds", 1, "seeds per point")
 	fs.Parse(args)
-	sl := seedList(*seeds)
-	var pts []experiments.SweepPoint
-	var err error
-	switch *param {
-	case "alpha":
-		pts, err = experiments.Fig17AlphaSweep(*app, []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, sl)
-	case "k":
-		pts, err = experiments.Fig18KSweep(*app, []float64{1.1, 1.125, 1.2, 1.5, 2.0}, sl)
-	case "w":
-		pts, err = experiments.Fig19WSweep(*app, []int{100, 200, 400, 600, 1000}, sl)
-	case "dw":
-		pts, err = experiments.Fig21DWSweep(*app, []int{20, 50, 100, 200}, sl)
-	case "wp":
-		pts, err = experiments.Fig23WPSweep("FN", []int{2, 3, 4, 6}, sl)
-	case "dwp":
-		pts, err = experiments.Fig24DWPSweep("FN", []int{5, 10, 15, 25}, sl)
-	case "dnnw":
-		pts, err = experiments.Fig20WSweepDNN([]int{100, 200, 400}, sl)
-	case "dnndw":
-		pts, err = experiments.Fig22DWSweepDNN([]int{20, 50, 100, 200}, sl)
-	default:
-		return fmt.Errorf("unknown sweep parameter %q", *param)
-	}
+	sl, err := seedList(*seeds)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %8s %8s %8s\n", strings.ToUpper(*param), "RECALL", "SPEC", "DELAY(s)")
-	for _, p := range pts {
-		fmt.Printf("%-10.4g %8.3f %8.3f %8.1f\n", p.Value, p.Recall, p.Specificity, p.Delay)
+	for _, sw := range experiments.Sweeps {
+		if sw.Param != *param {
+			continue
+		}
+		pts, err := sw.Run(*app, sw.Values, sl)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-10s %8s %8s %8s\n", strings.ToUpper(*param), "RECALL", "SPEC", "DELAY(s)")
+		for _, p := range pts {
+			fmt.Printf("%-10.4g %8.3f %8.3f %8.1f\n", p.Value, p.Recall, p.Specificity, p.Delay)
+		}
+		return nil
 	}
-	return nil
+	return fmt.Errorf("unknown sweep parameter %q", *param)
 }
 
 func cmdTrain(args []string) error {
@@ -547,8 +550,12 @@ func cmdReport(args []string) error {
 	seeds := fs.Int("seeds", 1, "seeds per experiment")
 	withDNN := fs.Bool("dnn", false, "include the DNN detector (slow: trains first)")
 	fs.Parse(args)
+	sl, err := seedList(*seeds)
+	if err != nil {
+		return err
+	}
 	cfg := experiments.ReportConfig{
-		Seeds:   seedList(*seeds),
+		Seeds:   sl,
 		Apps:    strings.Split(*appsFlag, ","),
 		WithDNN: *withDNN,
 	}
@@ -597,7 +604,7 @@ func cmdAblation(args []string) error {
 	fs.Parse(args)
 	switch *which {
 	case "raw":
-		accs, err := experiments.AblationRawThreshold("TS", seedList(1))
+		accs, err := experiments.AblationRawThreshold("TS", []uint64{1})
 		if err != nil {
 			return err
 		}
@@ -606,7 +613,7 @@ func cmdAblation(args []string) error {
 			fmt.Printf("%-14s recall %.3f  specificity %.3f\n", name, a.Recall, a.Specificity)
 		}
 	case "period":
-		dft, acf, both, err := experiments.PeriodEstimatorAblation("FN", seedList(3))
+		dft, acf, both, err := experiments.PeriodEstimatorAblation("FN", []uint64{1, 2, 3})
 		if err != nil {
 			return err
 		}

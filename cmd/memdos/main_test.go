@@ -62,3 +62,25 @@ func TestTrainOutLoadsInDaemon(t *testing.T) {
 		}
 	}
 }
+
+// Subcommands refuse a seed count below one and an unknown scenario
+// before running anything, rather than printing zeros and NaN, panicking,
+// or silently running Scenario 1.
+func TestDispatchRefusesBadSeedsAndScenario(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"sweep", []string{"-seeds", "0"}},
+		{"compare", []string{"-seeds", "-1"}},
+		{"compare", []string{"-seeds", "0"}},
+		{"compare", []string{"-scenario", "3"}},
+		{"fig1", []string{"-seeds", "0"}},
+		{"membw", []string{"-seeds", "0"}},
+		{"report", []string{"-seeds", "0"}},
+	} {
+		if err := dispatch(tc.cmd, tc.args); err == nil {
+			t.Errorf("memdos %s %v: accepted", tc.cmd, tc.args)
+		}
+	}
+}

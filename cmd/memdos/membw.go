@@ -22,9 +22,13 @@ func cmdMemBW(args []string) error {
 	budget := fs.Float64("budget", experiments.MemBWBudget, "membw-limit rung budget (bytes/s)")
 	withDNN := fs.Bool("dnn", false, "include the DNN detector (slow: trains first)")
 	fs.Parse(args)
+	sl, err := seedList(*seeds)
+	if err != nil {
+		return err
+	}
 
 	spec := experiments.DefaultBandwidthSpec(*app)
-	spec.Seeds = seedList(*seeds)
+	spec.Seeds = sl
 	spec.Duration = *dur
 	spec.Budget = *budget
 	spec.WithDNN = *withDNN

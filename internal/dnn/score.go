@@ -46,7 +46,9 @@ type BatchScorer struct {
 
 	app, atk *modelProg
 
-	prep PreparedBatch
+	// the input slot Prepare stages: n windows, normalized, [n][w][2]
+	n int
+	x []float32
 	// one tile's arenas
 	shuf []float32      // dimension-shuffled counters [n][realChannels][w], both stages' LSTM input
 	cond []float32      // conditioned attack-stage input [n][w][realChannels+numApps]
@@ -56,17 +58,6 @@ type BatchScorer struct {
 // ScorerOptions is empty: the scorer has one numeric path. The type
 // remains because the constructors' callers pass it.
 type ScorerOptions struct{}
-
-// PreparedBatch is a normalized input batch staged in the scorer's input
-// slot. It is valid until the next Prepare.
-type PreparedBatch struct {
-	owner *BatchScorer
-	n     int
-	x     []float32 // [n][w][2]
-}
-
-// N returns the number of windows in the batch.
-func (p *PreparedBatch) N() int { return p.n }
 
 // NewBatchScorer compiles the cascade for the given window length. The
 // cascade must have fitted normalization statistics (train or load
@@ -106,7 +97,6 @@ func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, erro
 		s.ninv[ch] = float32(1 / c.Norm.Std[ch])
 	}
 	s.nvec = makeNormVec(s.nmean, s.ninv)
-	s.prep.owner = s
 	return s, nil
 }
 
@@ -114,36 +104,25 @@ func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, erro
 func (s *BatchScorer) Window() int { return s.w }
 
 // Prepare normalizes n raw windows, given flat as [n][w][2] row-major
-// counter values, into the input slot and returns the staged batch.
-func (s *BatchScorer) Prepare(n int, flat []float64) *PreparedBatch {
+// counter values, into the scorer's input slot.
+func (s *BatchScorer) Prepare(n int, flat []float64) {
 	if len(flat) != n*s.w*2 {
 		panic(fmt.Sprintf("dnn: Prepare got %d values, want %d windows x %d x 2", len(flat), n, s.w))
 	}
-	p := &s.prep
-	x := ensureF32(&p.x, n*s.w*2)
-	snormLog1p(x, flat, &s.nvec)
-	p.n = n
-	return p
+	snormLog1p(ensureF32(&s.x, n*s.w*2), flat, &s.nvec)
+	s.n = n
 }
 
-// Score runs the full cascade on a prepared batch: the app stage
+// score runs the full cascade on the staged batch: the app stage
 // classifies every window, the one-hot conditioned attack stage follows,
-// and the argmax verdicts land in apps[i] and attacks[i]. Zero
-// allocations at steady state; arena capacity sticks to the high-water
-// batch size.
-func (s *BatchScorer) Score(p *PreparedBatch, apps, attacks []int) {
-	s.score(p, nil, nil, apps, attacks)
-}
-
-// score is Score with the sessions' carries (nil for stateless scoring)
-// and returns how many windows reused carried rows in both stages.
-func (s *BatchScorer) score(p *PreparedBatch, carry []*Carry, ord []uint64, apps, attacks []int) (continued int) {
-	if p.owner != s {
-		panic("dnn: PreparedBatch from a different scorer")
-	}
-	n := p.n
+// and the argmax verdicts land in apps[i] and attacks[i]. carry and ord
+// are the sessions' carries (nil for stateless scoring); it returns how
+// many windows reused carried rows in both stages. Zero allocations at
+// steady state; arena capacity sticks to the high-water batch size.
+func (s *BatchScorer) score(carry []*Carry, ord []uint64, apps, attacks []int) (continued int) {
+	n := s.n
 	if len(apps) < n || len(attacks) < n {
-		panic(fmt.Sprintf("dnn: Score needs %d result slots, got %d/%d", n, len(apps), len(attacks)))
+		panic(fmt.Sprintf("dnn: scoring needs %d result slots, got %d/%d", n, len(apps), len(attacks)))
 	}
 	// Tile the batch: the LSTM branch and the heads run as GEMM panels a
 	// tile tall, wide enough to amortize kernel entry, while the tile's
@@ -159,13 +138,13 @@ func (s *BatchScorer) score(p *PreparedBatch, carry []*Carry, ord []uint64, apps
 	tile := min(n, scoreTile)
 	shuf := ensureF32(&s.shuf, tile*r*s.w)
 	cond := ensureF32(&s.cond, tile*s.w*ca)
-	// Logits cover the whole batch (callers read them after Score); the
+	// Logits cover the whole batch (callers read them after scoring); the
 	// per-tile forward passes write their slice of it.
 	appLog := ensureF32(&s.app.logits, n*s.app.classes)
 	atkLog := ensureF32(&s.atk.logits, n*s.atk.classes)
 	for lo := 0; lo < n; lo += scoreTile {
 		hi := min(lo+scoreTile, n)
-		x := p.x[lo*s.w*r : hi*s.w*r]
+		x := s.x[lo*s.w*r : hi*s.w*r]
 		var tc []*Carry
 		var to []uint64
 		if carry != nil {
@@ -197,12 +176,13 @@ func (s *BatchScorer) score(p *PreparedBatch, carry []*Carry, ord []uint64, apps
 const scoreTile = 32
 
 // ScoreFlat normalizes and scores n windows given flat as [n][w][2].
-// Its zero-alloc contract binds Prepare and Score too, as the two
+// Its zero-alloc contract binds Prepare and score too, as the two
 // functions it reaches.
 //
 //memdos:hotpath
 func (s *BatchScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
-	s.Score(s.Prepare(n, flat), apps, attacks)
+	s.Prepare(n, flat)
+	s.score(nil, nil, apps, attacks)
 }
 
 // ---- sliding-window carry ----
@@ -273,7 +253,8 @@ func (s *BatchScorer) ScoreCarried(n int, flat []float64, carry []*Carry, ord []
 	if len(carry) != n || len(ord) != n {
 		panic(fmt.Sprintf("dnn: ScoreCarried got %d carries and %d ordinals for %d windows", len(carry), len(ord), n))
 	}
-	return s.score(s.Prepare(n, flat), carry, ord, apps, attacks)
+	s.Prepare(n, flat)
+	return s.score(carry, ord, apps, attacks)
 }
 
 // ---- compiled model program ----

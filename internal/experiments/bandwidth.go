@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"memdos/internal/core"
 	"memdos/internal/mem"
-	"memdos/internal/par"
+	"memdos/internal/metrics"
 )
 
 // The DRAM bandwidth study: the memory-DoS variant the paper's LLC-centric
@@ -97,9 +95,8 @@ func placements(sockets []int) [][2]int {
 
 // BandwidthStudy runs the detection matrix and the closed-loop arms.
 // With a fixed spec the result is bit-reproducible at any worker count:
-// the matrix cells are independent deterministic runs merged in index
-// order, and the closed-loop arms run serially after the fan-out
-// (ClosedLoop fans its own arms on the shared pool).
+// the matrix is one scored grid, and the closed-loop arms run serially
+// after it (ClosedLoop fans its own arms on the shared pool).
 func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 	if spec.App == "" || len(spec.Seeds) == 0 || len(spec.Sockets) == 0 {
 		return nil, fmt.Errorf("experiments: bandwidth study needs an app, seeds and sockets")
@@ -117,68 +114,33 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 	if budget <= 0 {
 		budget = MemBWBudget
 	}
-	params := core.DefaultParams()
-	factories := StandardFactories(spec.WithDNN)
-	if _, isDNN := factories["DNN"]; isDNN {
-		// Resolve the shared cascade up front: its training fans out on
-		// the same pool the matrix cells run on.
-		if _, err := SharedCascade(); err != nil {
-			return nil, err
-		}
-	}
-	// The victim's profile is memoized behind a sync.Once; resolve it
-	// before the fan-out for the same reason.
-	if _, err := profileFor(spec.App, params); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(factories))
-	for name := range factories { //memdos:ignore maporder keys are sorted on the next line before any use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
+	dets := StandardFactories(spec.WithDNN)
 	arms := placements(spec.Sockets)
-	type job struct {
-		sockets, atkSocket int
-		name               string
-		seed               uint64
-	}
-	var jobs []job
+	var grid []gridCell
 	for _, arm := range arms {
-		for _, name := range names {
-			for _, seed := range spec.Seeds {
-				jobs = append(jobs, job{sockets: arm[0], atkSocket: arm[1], name: name, seed: seed})
-			}
+		for _, d := range dets {
+			rs := DefaultRunSpec(spec.App, MemBW, 0)
+			rs.Duration = dur
+			rs.AttackStart = dur / 2
+			mc := mem.DefaultNUMAConfig(arm[0])
+			rs.Mem = &mc
+			rs.AttackerSocket = arm[1]
+			grid = append(grid, gridCell{spec: rs, params: core.DefaultParams(), factory: d.Factory})
 		}
 	}
-	accs, err := par.MapCells(par.DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
-		j := jobs[i]
-		rs := DefaultRunSpec(spec.App, MemBW, j.seed)
-		rs.Duration = dur
-		rs.AttackStart = dur / 2
-		mc := mem.DefaultNUMAConfig(j.sockets)
-		rs.Mem = &mc
-		rs.AttackerSocket = j.atkSocket
-		res, err := Run(rs, params, factories[j.name])
-		if err != nil {
-			return Accuracy{}, err
-		}
-		return Score(res, EvalGrace), nil
-	})
+	accs, err := scoreGrid(grid, spec.Seeds)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &BandwidthResult{App: spec.App}
-	for ai, arm := range arms {
-		for ni, name := range names {
-			first := (ai*len(names) + ni) * len(spec.Seeds)
-			rec, spc, dly := finite(accs[first : first+len(spec.Seeds)])
-			out.Cells = append(out.Cells, BandwidthCell{
-				Sockets: arm[0], Remote: arm[1] != 0, Detector: name,
-				Recall: meanOrNaN(rec), Specificity: meanOrNaN(spc), Delay: meanOrNaN(dly),
-			})
-		}
+	for i, a := range accs {
+		arm := arms[i/len(dets)]
+		rec, spc, dly := finite(a)
+		out.Cells = append(out.Cells, BandwidthCell{
+			Sockets: arm[0], Remote: arm[1] != 0, Detector: dets[i%len(dets)].Name,
+			Recall: metrics.MeanDelay(rec), Specificity: metrics.MeanDelay(spc), Delay: metrics.MeanDelay(dly),
+		})
 	}
 
 	// Closed-loop arms, serial: each ClosedLoop fans its three arms out
@@ -211,16 +173,4 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 		out.Loops = append(out.Loops, loop)
 	}
 	return out, nil
-}
-
-// meanOrNaN averages vs, NaN when empty.
-func meanOrNaN(vs []float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
 }

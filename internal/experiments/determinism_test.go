@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memdos/internal/core"
+	"memdos/internal/dnn"
 	"memdos/internal/par"
 )
 
@@ -46,12 +47,12 @@ func TestCompareDetectorsParallelDeterminism(t *testing.T) {
 
 func TestAlphaSweepParallelDeterminism(t *testing.T) {
 	run := func() (any, error) {
-		return Fig17AlphaSweep("KM", []float64{0.2, 0.8}, []uint64{7, 8})
+		return sweepFor("alpha").Run("KM", []float64{0.2, 0.8}, []uint64{7, 8})
 	}
 	serial := withWorkers(t, 1, run)
 	parallel := withWorkers(t, 8, run)
 	if !bytes.Equal(serial, parallel) {
-		t.Errorf("Fig17AlphaSweep output differs between workers=1 and workers=8:\nserial:   %s\nparallel: %s", serial, parallel)
+		t.Errorf("alpha sweep output differs between workers=1 and workers=8:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
 }
 
@@ -67,23 +68,14 @@ func TestFig1ParallelDeterminism(t *testing.T) {
 }
 
 // Every cell of a DNN stride sweep builds its detector on one shared
-// cascade, as Fig22DWSweepDNN does: the cells may share its weights and
+// cascade, as the dnndw row does: the cells may share its weights and
 // nothing they write.
 func TestDNNStrideSweepParallelDeterminism(t *testing.T) {
 	cascade := testCascade(t)
+	sweep := sweepFor("dnndw")
+	sweep.train = func(int) (*dnn.Cascade, error) { return cascade, nil }
 	run := func() (any, error) {
-		var pts []SweepPoint
-		for _, dw := range []int{50, 100} {
-			p := core.DefaultParams()
-			p.DW = dw
-			factory := func(*Env) (core.Detector, error) { return core.NewDNNDetector(cascade, p) }
-			pt, err := sweepRun("KM", p, factory, []uint64{11, 12})
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, pt)
-		}
-		return pts, nil
+		return sweep.Run("KM", []float64{50, 100}, []uint64{11, 12})
 	}
 	serial := withWorkers(t, 1, run)
 	parallel := withWorkers(t, 8, run)

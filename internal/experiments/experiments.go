@@ -2,9 +2,10 @@
 // study (Figs. 1-8), the Scenario 1 and Scenario 2 detector comparisons
 // (Figs. 11-16), the performance-overhead experiment (Fig. 14), the
 // sensitivity sweeps (Figs. 17-24), and the ablation studies called out in
-// DESIGN.md. Each public function regenerates the data behind one table or
-// figure; cmd/memdos renders them and bench_test.go wraps them as
-// benchmarks.
+// DESIGN.md. Each public function (or, for Figs. 17-24, each row of
+// Sweeps) regenerates the data behind one table or figure, and cmd/memdos
+// renders them. Every accuracy experiment is a grid of independent
+// (run, seed) pairs scored through one fan-out, scoreGrid.
 package experiments
 
 import (
@@ -16,6 +17,7 @@ import (
 	"memdos/internal/core"
 	"memdos/internal/mem"
 	"memdos/internal/metrics"
+	"memdos/internal/par"
 	"memdos/internal/sim"
 	"memdos/internal/trace"
 	"memdos/internal/vmm"
@@ -378,6 +380,48 @@ func Score(res *RunResult, grace float64) Accuracy {
 		Specificity: conf.Specificity(),
 		MeanDelay:   metrics.MeanDelay(metrics.DetectionDelay(res.Decisions, res.Truth)),
 	}
+}
+
+// gridCell is one point of a scored grid: the run (its Seed is set per
+// seed), the detector parameters and the detector factory.
+type gridCell struct {
+	spec    RunSpec
+	params  core.Params
+	factory DetectorFactory
+}
+
+// scoreGrid is every accuracy experiment's fan-out: it runs and scores
+// each (cell, seed) pair once on the shared Runner and returns each
+// cell's accuracies in seed order. The pairs are independent
+// deterministic runs merged by index, so the result does not depend on
+// the worker count. An adaptive run is scored with Scenario2Grace, any
+// other with EvalGrace.
+func scoreGrid(cells []gridCell, seeds []uint64) ([][]Accuracy, error) {
+	if len(cells) == 0 || len(seeds) == 0 {
+		return nil, fmt.Errorf("experiments: a scored grid needs cells and seeds, got %d and %d", len(cells), len(seeds))
+	}
+	n := len(seeds)
+	flat, err := par.MapCells(par.DefaultRunner(), len(cells)*n, func(i int) (Accuracy, error) {
+		c := cells[i/n]
+		spec := c.spec
+		spec.Seed = seeds[i%n]
+		res, err := Run(spec, c.params, c.factory)
+		if err != nil {
+			return Accuracy{}, err
+		}
+		if spec.Adaptive {
+			return Score(res, Scenario2Grace), nil
+		}
+		return Score(res, EvalGrace), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Accuracy, len(cells))
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n]
+	}
+	return out, nil
 }
 
 // finite splits per-seed accuracies into their recall, specificity and

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -363,8 +364,18 @@ func TestCharge(t *testing.T) {
 	}
 }
 
+// sweepFor returns the Sweeps row for a -param name.
+func sweepFor(param string) Sweep {
+	for _, s := range Sweeps {
+		if s.Param == param {
+			return s
+		}
+	}
+	panic("no sweep " + param)
+}
+
 func TestSweepAlphaSmoke(t *testing.T) {
-	pts, err := Fig17AlphaSweep("KM", []float64{0.2, 0.8}, []uint64{7})
+	pts, err := sweepFor("alpha").Run("KM", []float64{0.2, 0.8}, []uint64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +387,7 @@ func TestSweepAlphaSmoke(t *testing.T) {
 }
 
 func TestSweepKShape(t *testing.T) {
-	pts, err := Fig18KSweep("KM", []float64{1.125, 1.5}, []uint64{7})
+	pts, err := sweepFor("k").Run("KM", []float64{1.125, 1.5}, []uint64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +398,7 @@ func TestSweepKShape(t *testing.T) {
 }
 
 func TestSweepDWShape(t *testing.T) {
-	pts, err := Fig21DWSweep("KM", []int{20, 200}, []uint64{7})
+	pts, err := sweepFor("dw").Run("KM", []float64{20, 200}, []uint64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +409,60 @@ func TestSweepDWShape(t *testing.T) {
 }
 
 func TestSweepWPShape(t *testing.T) {
-	pts, err := Fig23WPSweep("FN", []int{2, 6}, []uint64{7})
+	pts, err := sweepFor("wp").Run("FN", []float64{2, 6}, []uint64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fig. 23b: delay grows with W_P.
 	if !(pts[0].Delay < pts[1].Delay) {
 		t.Errorf("delay should grow with WP: %v vs %v", pts[0].Delay, pts[1].Delay)
+	}
+}
+
+// The detector sets are in name order: CompareDetectors emits cells in
+// set order, and memdos compare and report print them sorted by name.
+func TestFactorySetsNameOrdered(t *testing.T) {
+	byName := func(a, b NamedFactory) int { return strings.Compare(a.Name, b.Name) }
+	for _, withDNN := range []bool{false, true} {
+		for _, dets := range [][]NamedFactory{StandardFactories(withDNN), PeriodicFactories(withDNN)} {
+			if !slices.IsSortedFunc(dets, byName) {
+				t.Errorf("withDNN=%v: %d detectors not in name order", withDNN, len(dets))
+			}
+		}
+	}
+}
+
+// Every grid refuses an empty seed list instead of aggregating nothing
+// into zeros and NaN.
+func TestEmptySeedsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"CompareDetectors", func() error {
+			_, err := CompareDetectors([]string{"KM"}, StandardFactories(false), BusLock, false, nil)
+			return err
+		}},
+		{"Sweep", func() error {
+			_, err := sweepFor("alpha").Run("KM", []float64{0.2}, nil)
+			return err
+		}},
+		{"AblationRawThreshold", func() error {
+			_, err := AblationRawThreshold("TS", []uint64{})
+			return err
+		}},
+		{"Fig1KStestFalsePositives", func() error {
+			_, err := Fig1KStestFalsePositives(120, nil)
+			return err
+		}},
+		{"scoreGrid/no cells", func() error {
+			_, err := scoreGrid(nil, []uint64{1})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: empty list accepted", tc.name)
+		}
 	}
 }
 

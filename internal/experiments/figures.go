@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"memdos/internal/core"
 	"memdos/internal/metrics"
@@ -45,8 +43,8 @@ type Fig1Result struct {
 // parallel Runner; each cell owns its server and seed, so the merged rows
 // are identical to a serial sweep.
 func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) {
-	if dur < 60 {
-		return nil, fmt.Errorf("experiments: Fig1 needs at least 60s runs")
+	if dur < 60 || len(seeds) == 0 {
+		return nil, fmt.Errorf("experiments: Fig1 needs at least 60s runs and one seed")
 	}
 	ksParams := core.DefaultKSParams()
 	intervalsPerRun := int(dur / ksParams.LR)
@@ -313,75 +311,33 @@ type ComparisonCell struct {
 // box plots (median, 10th, 90th percentile). Each detector gets its own
 // run, as in the paper: the schemes are alternative deployments, and the
 // KStest baseline's execution throttling must not contaminate the others'
-// sample streams (nor their overheads stack).
-func CompareDetectors(apps []string, factories map[string]DetectorFactory, mode AttackMode, adaptive bool, seeds []uint64) ([]ComparisonCell, error) {
+// sample streams (nor their overheads stack). Cells come out in app
+// order, then in the detector set's order.
+func CompareDetectors(apps []string, dets []NamedFactory, mode AttackMode, adaptive bool, seeds []uint64) ([]ComparisonCell, error) {
 	params := core.DefaultParams()
-	grace := EvalGrace
-	if adaptive {
-		grace = Scenario2Grace
-	}
-	// The (app, detector, seed) runs are independent and deterministic,
-	// so fan them out on the shared Runner. Profiles and the shared DNN
-	// cascade are memoized behind sync primitives; the first DNN run
-	// trains the cascade, so it is resolved once up front rather than
-	// racing inside the pool.
-	if _, isDNN := factories["DNN"]; isDNN {
-		if _, err := SharedCascade(); err != nil {
-			return nil, err
-		}
-	}
-	names := make([]string, 0, len(factories))
-	for name := range factories { //memdos:ignore maporder keys are sorted on the next line before any use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	type job struct {
-		app, name string
-		seed      uint64
-	}
-	var jobs []job
+	var grid []gridCell
 	for _, app := range apps {
-		for _, name := range names {
-			for _, seed := range seeds {
-				jobs = append(jobs, job{app: app, name: name, seed: seed})
-			}
+		for _, d := range dets {
+			spec := DefaultRunSpec(app, mode, 0)
+			spec.Adaptive = adaptive
+			grid = append(grid, gridCell{spec: spec, params: params, factory: d.Factory})
 		}
 	}
-	accs, err := par.MapCells(par.DefaultRunner(), len(jobs), func(i int) (Accuracy, error) {
-		j := jobs[i]
-		spec := DefaultRunSpec(j.app, mode, j.seed)
-		spec.Adaptive = adaptive
-		res, err := Run(spec, params, factories[j.name])
-		if err != nil {
-			return Accuracy{}, err
-		}
-		return Score(res, grace), nil
-	})
+	accs, err := scoreGrid(grid, seeds)
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge in job order: cells come out sorted (app order, then detector
-	// name), independent of how the pool scheduled the runs.
-	var cells []ComparisonCell
-	for ai, app := range apps {
-		for ni, name := range names {
-			first := (ai*len(names) + ni) * len(seeds)
-			acc, spc, dly := finite(accs[first : first+len(seeds)])
-			cell := ComparisonCell{App: app, Detector: name}
-			if len(acc) > 0 {
-				cell.Recall = metrics.Summarize(acc)
-			}
-			if len(spc) > 0 {
-				cell.Spec = metrics.Summarize(spc)
-			}
-			cell.Delay = metrics.MeanDelay(dly)
-			if len(dly) == 0 {
-				cell.Delay = math.NaN()
-			}
-			cells = append(cells, cell)
+	cells := make([]ComparisonCell, len(grid))
+	for i, a := range accs {
+		acc, spc, dly := finite(a)
+		cell := ComparisonCell{App: apps[i/len(dets)], Detector: dets[i%len(dets)].Name, Delay: metrics.MeanDelay(dly)}
+		if len(acc) > 0 {
+			cell.Recall = metrics.Summarize(acc)
 		}
+		if len(spc) > 0 {
+			cell.Spec = metrics.Summarize(spc)
+		}
+		cells[i] = cell
 	}
 	return cells, nil
 }
@@ -533,26 +489,27 @@ func completionTime(app string, cpu float64, throttled bool, params core.Params)
 // Helpers shared with the CLI.
 // ---------------------------------------------------------------------------
 
-// StandardFactories returns the detector set of the Section VI comparison.
-// DNN training is triggered lazily on first use.
-func StandardFactories(withDNN bool) map[string]DetectorFactory {
-	fs := map[string]DetectorFactory{
-		"SDS":    SDSFactory,
-		"KStest": KSFactory,
-	}
+// NamedFactory is one detector of a comparison set.
+type NamedFactory struct {
+	Name    string
+	Factory DetectorFactory
+}
+
+// StandardFactories returns the detector set of the Section VI
+// comparison, in name order. DNN training is triggered lazily on first
+// use.
+func StandardFactories(withDNN bool) []NamedFactory {
+	fs := []NamedFactory{{"KStest", KSFactory}, {"SDS", SDSFactory}}
 	if withDNN {
-		fs["DNN"] = DNNFactory
+		fs = append([]NamedFactory{{"DNN", DNNFactory}}, fs...)
 	}
 	return fs
 }
 
 // PeriodicFactories adds the stand-alone SDS/B and SDS/P detectors used on
-// the periodic applications in Figs. 11-13.
-func PeriodicFactories(withDNN bool) map[string]DetectorFactory {
-	fs := StandardFactories(withDNN)
-	fs["SDS/B"] = SDSBFactory
-	fs["SDS/P"] = SDSPFactory
-	return fs
+// the periodic applications in Figs. 11-13, keeping name order.
+func PeriodicFactories(withDNN bool) []NamedFactory {
+	return append(StandardFactories(withDNN), NamedFactory{"SDS/B", SDSBFactory}, NamedFactory{"SDS/P", SDSPFactory})
 }
 
 // Replay runs a recorded counter trace through a detector offline — e.g.

@@ -172,22 +172,22 @@ func TestSamplePathPins(t *testing.T) {
 			return comparePin(CompareDetectors([]string{"KM", "FN"}, StandardFactories(false), Cleansing, true, []uint64{1, 2}))
 		}, "{App:KM Detector:KStest Recall:{Median:0.4936323366555925 P10:0.4606312292358804 P90:0.5266334440753044} Spec:{Median:0.626984126984127 P10:0.5063492063492063 P90:0.7476190476190476} Delay:17.57742902873064}\n{App:KM Detector:SDS Recall:{Median:0.7699490408951077 P10:0.7649877715191439 P90:0.7749103102710717} Spec:{Median:0.6833132193742457 P10:0.6570509933894123 P90:0.7095754453590792} Delay:9.831648368478128}\n{App:FN Detector:KStest Recall:{Median:1 P10:1 P90:1} Spec:{Median:0.06904761904761905 P10:0.06714285714285714 P90:0.07095238095238095} Delay:3.409537257367003}\n{App:FN Detector:SDS Recall:{Median:0.40585347979105063 P10:0.38911366948163173 P90:0.42259329010046953} Spec:{Median:0.8238899796458743 P10:0.8032245978709225 P90:0.8445553614208261} Delay:20.835558411836498}\n"},
 		{"Sweep/alpha", func() (string, error) {
-			return sweepPin(Fig17AlphaSweep("KM", []float64{0.2, 0.8}, []uint64{7}))
+			return sweepPin(sweepFor("alpha").Run("KM", []float64{0.2, 0.8}, []uint64{7}))
 		}, "[{Value:0.2 Recall:1 Specificity:0.9530201342281879 Delay:15} {Value:0.8 Recall:1 Specificity:1 Delay:15}]"},
 		{"Sweep/k", func() (string, error) {
-			return sweepPin(Fig18KSweep("KM", []float64{1.125, 1.5}, []uint64{7}))
+			return sweepPin(sweepFor("k").Run("KM", []float64{1.125, 1.5}, []uint64{7}))
 		}, "[{Value:1.125 Recall:1 Specificity:0.9530201342281879 Delay:15} {Value:1.5 Recall:1 Specificity:0.9328859060402684 Delay:4.5}]"},
 		{"Sweep/w", func() (string, error) {
-			return sweepPin(Fig19WSweep("KM", []int{100, 400}, []uint64{7}))
+			return sweepPin(sweepFor("w").Run("KM", []float64{100, 400}, []uint64{7}))
 		}, "[{Value:100 Recall:1 Specificity:0.9531772575250836 Delay:15} {Value:400 Recall:1 Specificity:0.918918918918919 Delay:15}]"},
 		{"Sweep/dw", func() (string, error) {
-			return sweepPin(Fig21DWSweep("KM", []int{20, 200}, []uint64{7}))
+			return sweepPin(sweepFor("dw").Run("KM", []float64{20, 200}, []uint64{7}))
 		}, "[{Value:20 Recall:1 Specificity:0.9362416107382551 Delay:6} {Value:200 Recall:0.8888888888888888 Specificity:1 Delay:60}]"},
 		{"Sweep/wp", func() (string, error) {
-			return sweepPin(Fig23WPSweep("FN", []int{2, 6}, []uint64{7}))
+			return sweepPin(sweepFor("wp").Run("FN", []float64{2, 6}, []uint64{7}))
 		}, "[{Value:2 Recall:1 Specificity:1 Delay:23.5} {Value:6 Recall:1 Specificity:1 Delay:27.5}]"},
 		{"Sweep/dwp", func() (string, error) {
-			return sweepPin(Fig24DWPSweep("FN", []int{5, 25}, []uint64{7}))
+			return sweepPin(sweepFor("dwp").Run("FN", []float64{5, 25}, []uint64{7}))
 		}, "[{Value:5 Recall:1 Specificity:1 Delay:13.5} {Value:25 Recall:0.9090909090909091 Specificity:1 Delay:56}]"},
 		{"AblationRawThreshold/TS", func() (string, error) {
 			accs, err := AblationRawThreshold("TS", []uint64{8})

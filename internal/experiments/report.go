@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"memdos/internal/trace"
@@ -65,8 +65,10 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 		}
 	}
 
-	// 3. Detector comparison, both scenarios (Figs. 11-13, 15-16).
-	factories := StandardFactories(cfg.WithDNN)
+	// 3. Detector comparison, both scenarios (Figs. 11-13, 15-16), in
+	// app-name order.
+	apps := slices.Clone(cfg.Apps)
+	slices.Sort(apps)
 	for _, adaptive := range []bool{false, true} {
 		scenario := "Scenario 1 (Figs. 11–13)"
 		if adaptive {
@@ -74,16 +76,10 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 		}
 		p("## Detector comparison — %s\n\n", scenario)
 		p("| App | Scheme | Recall | Specificity | Delay (s) |\n|---|---|---|---|---|\n")
-		cells, err := CompareDetectors(cfg.Apps, factories, BusLock, adaptive, cfg.Seeds)
+		cells, err := CompareDetectors(apps, StandardFactories(cfg.WithDNN), BusLock, adaptive, cfg.Seeds)
 		if err != nil {
 			return err
 		}
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].App != cells[j].App {
-				return cells[i].App < cells[j].App
-			}
-			return cells[i].Detector < cells[j].Detector
-		})
 		for _, c := range cells {
 			p("| %s | %s | %.3f | %.3f | %.1f |\n",
 				c.App, c.Detector, c.Recall.Median, c.Spec.Median, c.Delay)

@@ -20,171 +20,132 @@ type SweepPoint struct {
 	Delay       float64
 }
 
-// sweepCell is one Scenario 1 bus-locking run of the app with the given
-// parameters and factory under one seed.
-func sweepCell(app string, params core.Params, factory DetectorFactory, seed uint64) (Accuracy, error) {
-	res, err := Run(DefaultRunSpec(app, BusLock, seed), params, factory)
-	if err != nil {
-		return Accuracy{}, err
-	}
-	return Score(res, EvalGrace), nil
+// Sweep is one sensitivity figure of Figs. 17-24: a Table I parameter
+// varied over Scenario 1 bus-locking runs, one detector, one app.
+type Sweep struct {
+	// Param is the name `memdos sweep -param` takes.
+	Param string
+	// Figure is the paper's figure number.
+	Figure int
+	// App fixes the application; empty lets the caller choose.
+	App string
+	// Values are the default points. An integer parameter takes a
+	// value's integer part.
+	Values []float64
+
+	set     func(p *core.Params, v float64) error
+	factory DetectorFactory
+	// train builds the DNN cascade for a window length; set on the DNN
+	// rows, whose factory is built over the trained cascades.
+	train func(w int) (*dnn.Cascade, error)
 }
 
-// mergeSweepPoint aggregates the per-seed accuracies of one sweep point,
-// in seed order, exactly as the serial loop did.
-func mergeSweepPoint(accs []Accuracy) SweepPoint {
-	rec, spc, dly := finite(accs)
-	return SweepPoint{
-		Recall:      stats.Mean(rec),
-		Specificity: stats.Mean(spc),
-		Delay:       stats.Mean(dly),
-	}
+// Sweeps are Figs. 17-24, in the order `memdos sweep` lists them.
+var Sweeps = []Sweep{
+	{Param: "alpha", Figure: 17, Values: []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, set: setAlpha, factory: SDSFactory},
+	{Param: "k", Figure: 18, Values: []float64{1.1, 1.125, 1.2, 1.5, 2.0}, set: setK, factory: SDSFactory},
+	{Param: "w", Figure: 19, Values: []float64{100, 200, 400, 600, 1000}, set: setW, factory: SDSFactory},
+	{Param: "dw", Figure: 21, Values: []float64{20, 50, 100, 200}, set: setDW, factory: SDSFactory},
+	{Param: "wp", Figure: 23, App: "FN", Values: []float64{2, 3, 4, 6}, set: setWP, factory: SDSPFactory},
+	{Param: "dwp", Figure: 24, App: "FN", Values: []float64{5, 10, 15, 25}, set: setDWP, factory: SDSPFactory},
+	{Param: "dnnw", Figure: 20, App: "KM", Values: []float64{100, 200, 400}, set: setW, train: dnnCascadeForW},
+	{Param: "dnndw", Figure: 22, App: "KM", Values: []float64{20, 50, 100, 200}, set: setDW, train: dnnCascadeForW},
 }
 
-// sweepRun executes Scenario 1 bus-locking runs of the app with the given
-// parameters and factory, fanning the seeds across the Runner, and
-// aggregates.
-func sweepRun(app string, params core.Params, factory DetectorFactory, seeds []uint64) (SweepPoint, error) {
-	accs, err := par.MapCells(par.DefaultRunner(), len(seeds), func(i int) (Accuracy, error) {
-		return sweepCell(app, params, factory, seeds[i])
-	})
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return mergeSweepPoint(accs), nil
+// setAlpha sets the EWMA smoothing factor (paper range [0, 1]; alpha = 1
+// degenerates to the MA series).
+func setAlpha(p *core.Params, v float64) error {
+	p.Alpha = v
+	return nil
 }
 
-// sweepParams runs one sweep over parameter variants for a detector bound
-// to the varied params. The whole (variant x seed) grid is flattened into
-// one parallel fan-out so a sweep saturates the pool even with one seed
-// per point.
-func sweepParams(app string, variants []core.Params, values []float64, factory func(core.Params) DetectorFactory, seeds []uint64) ([]SweepPoint, error) {
-	if len(variants) != len(values) {
-		return nil, fmt.Errorf("experiments: %d variants vs %d values", len(variants), len(values))
+// setK sets the boundary factor k, re-deriving H_C for the 99.9%
+// Chebyshev confidence as the paper does.
+func setK(p *core.Params, v float64) error {
+	h, err := stats.ChebyshevH(v, 0.999)
+	p.K, p.HC = v, h
+	return err
+}
+
+// setW sets the MA window W, clamping the step to it.
+func setW(p *core.Params, v float64) error {
+	p.W = int(v)
+	p.DW = min(p.DW, p.W)
+	return nil
+}
+
+// setDW sets the MA sliding step (for the DNN, the decision stride; its
+// model is unchanged).
+func setDW(p *core.Params, v float64) error {
+	p.DW = int(v)
+	return nil
+}
+
+// setWP sets SDS/P's analysis window W_P, in multiples of the profiled
+// period.
+func setWP(p *core.Params, v float64) error {
+	p.WPFactor = int(v)
+	return nil
+}
+
+// setDWP sets SDS/P's evaluation stride DW_P.
+func setDWP(p *core.Params, v float64) error {
+	p.DWP = int(v)
+	return nil
+}
+
+// Run scores the sweep's detector at each value on Scenario 1 bus-locking
+// runs of app, or of the row's App when it fixes one, aggregating each
+// point over the seeds. Every (value, seed) pair is one cell of a single
+// scored grid, so a sweep saturates the pool even with one seed per
+// point. Run re-profiles per parameter set (the profile cache keys on the
+// smoothing parameters), so each detector sees its own profile.
+func (s Sweep) Run(app string, values []float64, seeds []uint64) ([]SweepPoint, error) {
+	if s.App != "" {
+		app = s.App
 	}
-	for _, p := range variants {
+	grid := make([]gridCell, len(values))
+	for i, v := range values {
+		p := core.DefaultParams()
+		if err := s.set(&p, v); err != nil {
+			return nil, err
+		}
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
+		grid[i] = gridCell{spec: DefaultRunSpec(app, BusLock, 0), params: p, factory: s.factory}
 	}
-	accs, err := par.MapCells(par.DefaultRunner(), len(variants)*len(seeds), func(i int) (Accuracy, error) {
-		p := variants[i/len(seeds)]
-		return sweepCell(app, p, factory(p), seeds[i%len(seeds)])
-	})
+	if s.train != nil {
+		// One cascade per distinct window, trained serially before the
+		// grid fans out; the cells share its weights and nothing they
+		// write.
+		cascades := map[int]*dnn.Cascade{}
+		for _, c := range grid {
+			if w := c.params.W; cascades[w] == nil {
+				cascade, err := s.train(w)
+				if err != nil {
+					return nil, err
+				}
+				cascades[w] = cascade
+			}
+		}
+		factory := func(env *Env) (core.Detector, error) {
+			return core.NewDNNDetector(cascades[env.Params.W], env.Params)
+		}
+		for i := range grid {
+			grid[i].factory = factory
+		}
+	}
+	accs, err := scoreGrid(grid, seeds)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(variants))
-	for vi := range variants {
-		pt := mergeSweepPoint(accs[vi*len(seeds) : (vi+1)*len(seeds)])
-		pt.Value = values[vi]
-		out[vi] = pt
+	out := make([]SweepPoint, len(values))
+	for i, a := range accs {
+		rec, spc, dly := finite(a)
+		out[i] = SweepPoint{Value: values[i], Recall: stats.Mean(rec), Specificity: stats.Mean(spc), Delay: stats.Mean(dly)}
 	}
 	return out, nil
-}
-
-// sdsFactoryWith builds an SDS factory whose detector uses exactly the
-// varied parameters. Run re-profiles per parameter set (the profile cache
-// keys on the smoothing parameters), so env.Profile already matches p.
-func sdsFactoryWith(p core.Params) DetectorFactory {
-	return func(env *Env) (core.Detector, error) {
-		return core.NewSDS(env.Profile, p)
-	}
-}
-
-// Fig17AlphaSweep varies the EWMA smoothing factor alpha (paper range
-// [0, 1]; alpha = 1 degenerates to the MA series).
-func Fig17AlphaSweep(app string, alphas []float64, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	for _, a := range alphas {
-		p := core.DefaultParams()
-		p.Alpha = a
-		variants = append(variants, p)
-	}
-	return sweepParams(app, variants, alphas, sdsFactoryWith, seeds)
-}
-
-// Fig18KSweep varies the boundary factor k, re-deriving H_C for the 99.9%
-// Chebyshev confidence as the paper does.
-func Fig18KSweep(app string, ks []float64, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	for _, k := range ks {
-		p := core.DefaultParams()
-		p.K = k
-		h, err := stats.ChebyshevH(k, 0.999)
-		if err != nil {
-			return nil, err
-		}
-		p.HC = h
-		variants = append(variants, p)
-	}
-	return sweepParams(app, variants, ks, sdsFactoryWith, seeds)
-}
-
-// Fig19WSweep varies the MA window size W for SDS.
-func Fig19WSweep(app string, ws []int, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	var values []float64
-	for _, w := range ws {
-		p := core.DefaultParams()
-		p.W = w
-		if p.DW > w {
-			p.DW = w
-		}
-		variants = append(variants, p)
-		values = append(values, float64(w))
-	}
-	return sweepParams(app, variants, values, sdsFactoryWith, seeds)
-}
-
-// Fig21DWSweep varies the MA sliding step for SDS.
-func Fig21DWSweep(app string, dws []int, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	var values []float64
-	for _, dw := range dws {
-		p := core.DefaultParams()
-		p.DW = dw
-		variants = append(variants, p)
-		values = append(values, float64(dw))
-	}
-	return sweepParams(app, variants, values, sdsFactoryWith, seeds)
-}
-
-// Fig23WPSweep varies SDS/P's analysis window W_P (in multiples of the
-// profiled period) on a periodic app.
-func Fig23WPSweep(app string, factors []int, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	var values []float64
-	for _, f := range factors {
-		p := core.DefaultParams()
-		p.WPFactor = f
-		variants = append(variants, p)
-		values = append(values, float64(f))
-	}
-	factory := func(p core.Params) DetectorFactory {
-		return func(env *Env) (core.Detector, error) {
-			return core.NewSDSP(env.Profile, p)
-		}
-	}
-	return sweepParams(app, variants, values, factory, seeds)
-}
-
-// Fig24DWPSweep varies SDS/P's evaluation stride DW_P.
-func Fig24DWPSweep(app string, dwps []int, seeds []uint64) ([]SweepPoint, error) {
-	var variants []core.Params
-	var values []float64
-	for _, d := range dwps {
-		p := core.DefaultParams()
-		p.DWP = d
-		variants = append(variants, p)
-		values = append(values, float64(d))
-	}
-	factory := func(p core.Params) DetectorFactory {
-		return func(env *Env) (core.Detector, error) {
-			return core.NewSDSP(env.Profile, p)
-		}
-	}
-	return sweepParams(app, variants, values, factory, seeds)
 }
 
 // dnnSweepApps are the applications used to train the reduced sweep
@@ -192,7 +153,7 @@ func Fig24DWPSweep(app string, dwps []int, seeds []uint64) ([]SweepPoint, error)
 var dnnSweepApps = []string{"KM", "BA", "TS"}
 
 // dnnCascadeForW trains a reduced cascade with window size w. Sweep
-// cascades are throwaway models retrained per sweep point, so they use
+// cascades are throwaway models retrained per window, so they use
 // data-parallel minibatch gradients (a fixed shard count keeps the result
 // deterministic and core-count-independent); the shared cascade keeps the
 // serial trajectory the accuracy experiments were tuned against.
@@ -205,57 +166,6 @@ func dnnCascadeForW(w int) (*dnn.Cascade, error) {
 	spec.Train.Epochs = 8
 	spec.Train.GradShards = 4
 	return TrainCascade(spec)
-}
-
-// Fig20WSweepDNN varies the window size for the DNN detector, retraining
-// the (reduced) cascade per window length.
-func Fig20WSweepDNN(ws []int, seeds []uint64) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, w := range ws {
-		cascade, err := dnnCascadeForW(w)
-		if err != nil {
-			return nil, err
-		}
-		p := core.DefaultParams()
-		p.W = w
-		if p.DW > w {
-			p.DW = w
-		}
-		factory := func(env *Env) (core.Detector, error) {
-			return core.NewDNNDetector(cascade, p)
-		}
-		pt, err := sweepRun("KM", p, factory, seeds)
-		if err != nil {
-			return nil, err
-		}
-		pt.Value = float64(w)
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// Fig22DWSweepDNN varies the decision stride for the DNN detector; the
-// model is unchanged (the stride only affects evaluation cadence).
-func Fig22DWSweepDNN(dws []int, seeds []uint64) ([]SweepPoint, error) {
-	cascade, err := dnnCascadeForW(200)
-	if err != nil {
-		return nil, err
-	}
-	var out []SweepPoint
-	for _, dw := range dws {
-		p := core.DefaultParams()
-		p.DW = dw
-		factory := func(env *Env) (core.Detector, error) {
-			return core.NewDNNDetector(cascade, p)
-		}
-		pt, err := sweepRun("KM", p, factory, seeds)
-		if err != nil {
-			return nil, err
-		}
-		pt.Value = float64(dw)
-		out = append(out, pt)
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -272,34 +182,27 @@ func Fig22DWSweepDNN(dws []int, seeds []uint64) ([]SweepPoint, error) {
 // The returned map has keys "naive-coarse" (threshold 0.5),
 // "naive-fine" (threshold 0.15) and "SDS".
 func AblationRawThreshold(app string, seeds []uint64) (map[string]Accuracy, error) {
-	params := core.DefaultParams()
-	factories := map[string]DetectorFactory{
-		"naive-coarse": func(env *Env) (core.Detector, error) { return core.NewRawThreshold(0.5) },
-		"naive-fine":   func(env *Env) (core.Detector, error) { return core.NewRawThreshold(0.15) },
-		"SDS":          SDSFactory,
+	dets := []NamedFactory{
+		{"naive-coarse", func(*Env) (core.Detector, error) { return core.NewRawThreshold(0.5) }},
+		{"naive-fine", func(*Env) (core.Detector, error) { return core.NewRawThreshold(0.15) }},
+		{"SDS", SDSFactory},
 	}
-	names := []string{"naive-coarse", "naive-fine", "SDS"}
-	accs, err := par.MapCells(par.DefaultRunner(), len(names)*len(seeds), func(i int) (Accuracy, error) {
-		name := names[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		res, err := Run(DefaultRunSpec(app, BusLock, seed), params, factories[name])
-		if err != nil {
-			return Accuracy{}, err
-		}
-		return Score(res, EvalGrace), nil
-	})
+	grid := make([]gridCell, len(dets))
+	for i, d := range dets {
+		grid[i] = gridCell{spec: DefaultRunSpec(app, BusLock, 0), params: core.DefaultParams(), factory: d.Factory}
+	}
+	accs, err := scoreGrid(grid, seeds)
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]Accuracy{}
-	for ni, name := range names {
+	for i, d := range dets {
 		var rec, spc []float64
-		for si := range seeds {
-			a := accs[ni*len(seeds)+si]
+		for _, a := range accs[i] {
 			rec = append(rec, a.Recall)
 			spc = append(spc, a.Specificity)
 		}
-		out[name] = Accuracy{Recall: stats.Mean(rec), Specificity: stats.Mean(spc)}
+		out[d.Name] = Accuracy{Recall: stats.Mean(rec), Specificity: stats.Mean(spc)}
 	}
 	return out, nil
 }
