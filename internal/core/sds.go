@@ -11,7 +11,7 @@ import (
 // paper reports a 3-6% specificity improvement over the individual
 // schemes).
 type SDS struct {
-	b *SDSB
+	b SDSB
 	p *SDSP // nil for non-periodic applications
 
 	bAlarm, pAlarm bool
@@ -20,7 +20,7 @@ type SDS struct {
 // NewSDS builds the combined detector from an application profile: SDS/P is
 // engaged only when the profile is periodic.
 func NewSDS(profile Profile, params Params) (*SDS, error) {
-	b, err := NewSDSB(profile, params)
+	b, err := newSDSB(profile, params)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,8 @@ func (d *SDS) Periodic() bool { return d.p != nil }
 // cadence (every DW samples); for periodic applications a decision's alarm
 // state is the conjunction of SDS/B's and SDS/P's current states. The two
 // share the MA pipeline: SDS/P is entered past its own MA stage (whose
-// lazily allocated window therefore never exists) with SDS/B's average.
+// running sums, allocated by its first Push, therefore never exist) with
+// SDS/B's AccessNum average.
 func (d *SDS) Push(s pcm.Sample) []Decision {
 	accAvg, bd := d.b.step(s)
 	if len(bd) == 0 {

@@ -23,10 +23,9 @@ type SDSB struct {
 	params  Params
 	profile Profile
 
-	accMA  *stats.MAStream
-	missMA *stats.MAStream
-	accEW  *stats.EWMAStream
-	missEW *stats.EWMAStream
+	ma     stats.MAStream // AccessNum, MissNum
+	accEW  stats.EWMAStream
+	missEW stats.EWMAStream
 
 	accViol  violationCounter
 	missViol violationCounter
@@ -35,17 +34,25 @@ type SDSB struct {
 // NewSDSB returns an SDS/B detector for an application with the given
 // attack-free profile.
 func NewSDSB(profile Profile, p Params) (*SDSB, error) {
-	if err := p.Validate(); err != nil {
+	d, err := newSDSB(profile, p)
+	if err != nil {
 		return nil, err
 	}
-	if profile.AccessStd < 0 || profile.MissStd < 0 {
-		return nil, fmt.Errorf("core: negative profile deviations %+v", profile)
+	return &d, nil
+}
+
+// newSDSB is NewSDSB by value, for the combined SDS to embed.
+func newSDSB(profile Profile, p Params) (SDSB, error) {
+	if err := p.Validate(); err != nil {
+		return SDSB{}, err
 	}
-	return &SDSB{
+	if profile.AccessStd < 0 || profile.MissStd < 0 {
+		return SDSB{}, fmt.Errorf("core: negative profile deviations %+v", profile)
+	}
+	return SDSB{
 		params:   p,
 		profile:  profile,
-		accMA:    stats.NewMAStream(p.W, p.DW),
-		missMA:   stats.NewMAStream(p.W, p.DW),
+		ma:       stats.NewMAStream(p.W, p.DW),
 		accEW:    stats.NewEWMAStream(p.Alpha),
 		missEW:   stats.NewEWMAStream(p.Alpha),
 		accViol:  violationCounter{threshold: p.HC},
@@ -67,10 +74,8 @@ func (d *SDSB) Push(s pcm.Sample) []Decision {
 // the decision (meaningful only when a decision is returned), so the
 // combined SDS can feed SDS/P from it instead of averaging twice.
 func (d *SDSB) step(s pcm.Sample) (accAvg float64, dec []Decision) {
-	accAvg, ok := d.accMA.Push(s.AccessNum)
-	missAvg, ok2 := d.missMA.Push(s.MissNum)
-	if !ok || !ok2 {
-		// The two streams share cadence; they fill in lockstep.
+	accAvg, missAvg, ok := d.ma.Push(s.AccessNum, s.MissNum)
+	if !ok {
 		return 0, nil
 	}
 	accE := d.accEW.Push(accAvg)

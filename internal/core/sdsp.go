@@ -22,7 +22,7 @@ type SDSP struct {
 	params  Params
 	profile Profile
 
-	ma        *stats.MAStream
+	ma        stats.MAStream
 	maHistory []float64
 	sinceEval int
 
@@ -64,7 +64,7 @@ func (d *SDSP) windowSize() int {
 // Push feeds one PCM sample. A decision is produced each time DWP new MA
 // values have accumulated and a full W_P window is available.
 func (d *SDSP) Push(s pcm.Sample) []Decision {
-	avg, ok := d.ma.Push(s.AccessNum)
+	avg, _, ok := d.ma.Push(s.AccessNum, 0)
 	if !ok {
 		return nil
 	}
@@ -83,8 +83,8 @@ func (d *SDSP) pushMA(avg float64) (alarm, ok bool) {
 	if len(d.maHistory) < wp {
 		d.maHistory = append(d.maHistory, avg)
 	} else {
-		// Slide in place, as stats.MAStream.Push does: re-slicing past
-		// the oldest value would walk the slice off its array.
+		// Slide in place: re-slicing past the oldest value would walk
+		// the slice off its array.
 		copy(d.maHistory, d.maHistory[1:])
 		d.maHistory[wp-1] = avg
 	}

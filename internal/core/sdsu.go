@@ -31,10 +31,9 @@ type SDSU struct {
 	// util returns the victim's current CPU efficiency in [0, 1].
 	util func() float64
 
-	utilMA *stats.MAStream
-	missMA *stats.MAStream
-	utilEW *stats.EWMAStream
-	missEW *stats.EWMAStream
+	ma     stats.MAStream // CPU efficiency, miss ratio
+	utilEW stats.EWMAStream
+	missEW stats.EWMAStream
 
 	// Online calibration over the first CalibWindows windows.
 	calibWindows int
@@ -69,8 +68,7 @@ func NewSDSU(util func() float64, p Params) (*SDSU, error) {
 	return &SDSU{
 		params:       p,
 		util:         util,
-		utilMA:       stats.NewMAStream(p.W, p.DW),
-		missMA:       stats.NewMAStream(p.W, p.DW),
+		ma:           stats.NewMAStream(p.W, p.DW),
 		utilEW:       stats.NewEWMAStream(p.Alpha),
 		missEW:       stats.NewEWMAStream(p.Alpha),
 		calibWindows: sdsuCalibWindows,
@@ -88,9 +86,8 @@ func (d *SDSU) Push(s pcm.Sample) []Decision {
 	if s.AccessNum > 0 {
 		missRatio = s.MissNum / s.AccessNum
 	}
-	uAvg, ok := d.utilMA.Push(d.util())
-	mAvg, ok2 := d.missMA.Push(missRatio)
-	if !ok || !ok2 {
+	uAvg, mAvg, ok := d.ma.Push(d.util(), missRatio)
+	if !ok {
 		return nil
 	}
 	uE := d.utilEW.Push(uAvg)

@@ -273,7 +273,7 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 	widx := 0
 	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
 		s := step.Samples[victim.ID()]
-		if avg, ok := ma.Push(s.AccessNum); ok {
+		if avg, _, ok := ma.Push(s.AccessNum, 0); ok {
 			res.MA = append(res.MA, avg)
 			if s.Time >= 120 && res.AttackWindow == 0 {
 				res.AttackWindow = widx

@@ -77,5 +77,78 @@ func FuzzMA(f *testing.F) {
 	})
 }
 
+// FuzzMAStreamMatchesReference holds the running-sum MAStream to the
+// re-summing original in reference_test.go, one reference per channel:
+// the same emit positions and Float64bits-equal averages on both
+// channels, for every window shape from W = 1 to 256 and values that mix
+// signs, signed zeros, magnitudes from 1e-300 to 1e300, NaN and ±Inf.
+// Each 2-byte pair of script is one sample: a value code per channel.
+//
+// A NaN average must meet a NaN: its payload is not compared. When both
+// operands of an add are NaN (math.NaN() meets the Inf-Inf NaN), the
+// hardware keeps whichever the compiler made the first operand, and that
+// choice moves with register allocation: under -fuzz's coverage
+// instrumentation the reference keeps the sample's NaN where a plain
+// build of it keeps the sum's.
+func FuzzMAStreamMatchesReference(f *testing.F) {
+	f.Add(uint8(199), uint8(49), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(0), uint8(0), []byte{10, 11, 12, 13})
+	f.Add(uint8(6), uint8(2), []byte{14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31})
+	script := make([]byte, 4000)
+	for i := range script {
+		script[i] = byte(i * 37 >> 2)
+	}
+	f.Add(uint8(19), uint8(4), script)
+	f.Fuzz(func(t *testing.T, wCode, dwCode uint8, script []byte) {
+		w := 1 + int(wCode)
+		dw := 1 + int(dwCode)%w
+		if len(script) > 4000 {
+			script = script[:4000]
+		}
+		m := NewMAStream(w, dw)
+		ra, rb := newRefMAStream(w, dw), newRefMAStream(w, dw)
+		for i := 0; i+1 < len(script); i += 2 {
+			a, b := maFuzzValue(script[i]), maFuzzValue(script[i+1])
+			gotA, gotB, ok := m.Push(a, b)
+			wantA, okA := ra.Push(a)
+			wantB, okB := rb.Push(b)
+			if ok != okA || ok != okB {
+				t.Fatalf("W=%d dW=%d sample %d: emit %v, reference %v/%v", w, dw, i/2, ok, okA, okB)
+			}
+			if !sameAverage(gotA, wantA) || !sameAverage(gotB, wantB) {
+				t.Fatalf("W=%d dW=%d sample %d: averages %v, %v; reference %v, %v", w, dw, i/2, gotA, gotB, wantA, wantB)
+			}
+		}
+	})
+}
+
+// sameAverage reports whether got and want have the same bits, or are
+// both NaN.
+func sameAverage(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+}
+
+// maFuzzValue maps one byte to a sample value: NaN, ±Inf, ±0, or a
+// signed mantissa times a power of ten between 1e-300 and 1e300.
+func maFuzzValue(c byte) float64 {
+	switch c {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return 0
+	case 4:
+		return math.Copysign(0, -1)
+	}
+	v := float64(1+c%7) * math.Pow10(int(c>>3)%25*25-300)
+	if c&1 != 0 {
+		v = -v
+	}
+	return v
+}
+
 // newFuzzRNG keeps the fuzz file self-contained.
 func newFuzzRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed) }

@@ -61,50 +61,68 @@ func EWMA(xs []float64, alpha float64) []float64 {
 	return out
 }
 
-// MAStream incrementally computes the MA of a raw sample stream. It is the
-// online counterpart of MA: feed raw samples with Push; each time a full
-// window is available it emits one averaged value and then slides by the
-// step size. The window lives in one buffer of capacity w that the first
-// Push allocates (opening a session stays as cheap as it was; a fleet
-// opens thousands of streams at once), so no later Push allocates.
+// MAStream incrementally computes the MA of two raw sample channels that
+// share one cadence. It is the online counterpart of MA: feed one sample
+// of each channel with Push; each time a full window is available it
+// emits both channels' averages and then slides by the step size.
+//
+// It keeps no window of samples. A new window opens, at zero, at every
+// dw-th sample, and each Push adds its pair to every open window: at most
+// ceil(w/dw) running-sum pairs (64 B at the paper's W = 200, dW = 50),
+// which the first Push allocates, so opening a stream allocates nothing
+// and no later Push allocates. Every window is thus summed from zero in
+// sample order — the very additions of re-summing a buffered window — so
+// each average is bit-identical to that re-sum's.
 type MAStream struct {
 	w, dw int
-	buf   []float64
+	// untilOpen counts the samples before the next window opens (at 0,
+	// on the next Push); untilEmit those before the oldest one is full.
+	untilOpen, untilEmit int
+	// sums holds the open windows' running sums, oldest first.
+	sums []maSum
 }
+
+// maSum is one open window's running sum on each channel.
+type maSum struct{ a, b float64 }
 
 // NewMAStream returns a streaming moving-average with window w and step
 // dw, which may not exceed w: a stream that slides past samples it has
 // not yet seen has no window to keep.
-func NewMAStream(w, dw int) *MAStream {
+func NewMAStream(w, dw int) MAStream {
 	if w <= 0 || dw <= 0 {
 		panic(fmt.Sprintf("stats: MAStream with non-positive window %d or step %d", w, dw))
 	}
 	if dw > w {
 		panic(fmt.Sprintf("stats: MAStream step %d exceeds window %d", dw, w))
 	}
-	return &MAStream{w: w, dw: dw}
+	return MAStream{w: w, dw: dw, untilEmit: w}
 }
 
-// Push appends one raw sample and returns (avg, true) when a new window
-// average becomes available, else (0, false).
-func (m *MAStream) Push(v float64) (float64, bool) {
-	if m.buf == nil {
-		m.buf = make([]float64, 0, m.w)
+// Push appends one raw sample of each channel and returns (avgA, avgB,
+// true) when a window completes, else (0, 0, false).
+func (m *MAStream) Push(a, b float64) (avgA, avgB float64, ok bool) {
+	if m.untilOpen == 0 {
+		if m.sums == nil {
+			m.sums = make([]maSum, 0, (m.w+m.dw-1)/m.dw)
+		}
+		m.sums = append(m.sums, maSum{})
+		m.untilOpen = m.dw
 	}
-	m.buf = append(m.buf, v)
-	if len(m.buf) < m.w {
-		return 0, false
+	m.untilOpen--
+	sums := m.sums
+	for i := range sums {
+		sums[i].a += a
+		sums[i].b += b
 	}
-	var sum float64
-	for _, x := range m.buf {
-		sum += x
+	if m.untilEmit--; m.untilEmit > 0 {
+		return 0, 0, false
 	}
-	// Slide: move the w-dw newest samples to the front of the buffer so
-	// the next window starts dw later. (Re-slicing past the dw oldest
-	// instead would walk the slice off its array and make append
-	// reallocate and copy the window every few emits.)
-	m.buf = m.buf[:copy(m.buf, m.buf[m.dw:])]
-	return sum / float64(m.w), true
+	// The oldest window is full: emit it and shift the rest down. The
+	// next-oldest opened dw samples after it.
+	s := sums[0]
+	m.sums = sums[:copy(sums, sums[1:])]
+	m.untilEmit = m.dw
+	return s.a / float64(m.w), s.b / float64(m.w), true
 }
 
 // EWMAStream incrementally computes the EWMA of a value stream.
@@ -115,11 +133,11 @@ type EWMAStream struct {
 }
 
 // NewEWMAStream returns a streaming EWMA with smoothing factor alpha.
-func NewEWMAStream(alpha float64) *EWMAStream {
+func NewEWMAStream(alpha float64) EWMAStream {
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("stats: EWMAStream alpha %v outside (0,1]", alpha))
 	}
-	return &EWMAStream{alpha: alpha}
+	return EWMAStream{alpha: alpha}
 }
 
 // Push folds one value into the stream and returns the updated EWMA.

@@ -132,7 +132,11 @@ func TestMAStreamMatchesBatch(t *testing.T) {
 	s := NewMAStream(w, dw)
 	var stream []float64
 	for _, v := range raw {
-		if avg, ok := s.Push(v); ok {
+		avg, neg, ok := s.Push(v, -v)
+		if ok {
+			if neg != -avg {
+				t.Errorf("second channel %v, want %v", neg, -avg)
+			}
 			stream = append(stream, avg)
 		}
 	}
@@ -146,19 +150,19 @@ func TestMAStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestMAStreamPushDoesNotAllocate: the window is one buffer made by the
-// first Push; sliding it re-uses the array however long the stream runs
-// (at the paper's W = 200, dW = 50 the old re-slice reallocated and
-// copied the window every fourth emit).
+// TestMAStreamPushDoesNotAllocate: the running sums are one slice of
+// ceil(W/dW) pairs made by the first Push and never grown, however long
+// the stream runs; the corners include the Figs. 19/21 sweeps' W = 1000,
+// dW = 50 and W = 200, dW = 20.
 func TestMAStreamPushDoesNotAllocate(t *testing.T) {
-	for _, c := range [][2]int{{200, 50}, {50, 20}, {7, 7}, {3, 1}} {
+	for _, c := range [][2]int{{200, 50}, {1000, 50}, {200, 20}, {50, 20}, {7, 7}, {3, 1}} {
 		s := NewMAStream(c[0], c[1])
-		s.Push(0)
+		s.Push(0, 0)
 		v := 0.0
 		allocs := testing.AllocsPerRun(10, func() {
 			for i := 0; i < 4*c[0]; i++ {
 				v++
-				s.Push(v)
+				s.Push(v, -v)
 			}
 		})
 		if allocs != 0 {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -115,5 +116,51 @@ func TestIngestAllocsDoNotGrowWithFrames(t *testing.T) {
 	}
 	if advances.Load() == 0 {
 		t.Error("no decision reached the observer's Advance")
+	}
+}
+
+// TestSDSSessionAllocBytes bounds what one SDS session's detector costs
+// in heap: opening it at Table I and pushing W+dW samples (two decisions)
+// must allocate less than one W-sample window of float64s. Both SDS/B
+// channels share one moving average of ceil(W/dW) running-sum pairs;
+// buffering a window per channel would cost twice the bound on its own.
+// The minimum over five rounds discounts allocations other goroutines
+// make meanwhile.
+func TestSDSSessionAllocBytes(t *testing.T) {
+	params := core.DefaultParams()
+	samples := make([]pcm.Sample, params.W+params.DW)
+	for i := range samples {
+		samples[i] = pcm.Sample{Time: 0.01 * float64(i+1), AccessNum: 100 + float64(i%7), MissNum: 10}
+	}
+	periodic := testProfile()
+	periodic.Periodic, periodic.Period = true, 10
+	for _, tc := range []struct {
+		name    string
+		profile core.Profile
+	}{{"non-periodic", testProfile()}, {"periodic", periodic}} {
+		const runs = 100
+		best := uint64(1 << 63)
+		for round := 0; round < 5; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < runs; r++ {
+				d, err := core.NewSDS(tc.profile, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decisions := 0
+				for _, s := range samples {
+					decisions += len(d.Push(s))
+				}
+				if decisions != 2 {
+					t.Fatalf("%s: %d decisions over W+dW samples, want 2", tc.name, decisions)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if bound := uint64(8 * params.W); best >= bound {
+			t.Errorf("%s SDS session: %d B allocated by open and W+dW pushes, want < %d", tc.name, best, bound)
+		}
 	}
 }
