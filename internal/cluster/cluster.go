@@ -7,7 +7,7 @@
 // rung of the respond ladder: detect on host A, drain the victim to a
 // clean host B.
 //
-// Hosts advance in sync quanta of Config.SyncEvery ticks. Within a
+// Hosts advance in sync quanta of syncEvery (50) ticks. Within a
 // quantum every host steps independently (each worker of the bounded
 // pool of internal/par steps one contiguous run of hosts, so two cores
 // never write neighbouring hosts' heap state at once; all state touched
@@ -52,11 +52,6 @@ type Config struct {
 	Scheduler SchedulerPolicy
 	// Placement is the attacker co-location strategy.
 	Placement AttackerPolicy
-	// SyncEvery is the sync-quantum length in ticks: hosts step this
-	// many ticks in parallel between control-plane syncs. Migrations,
-	// alarm processing and attacker moves happen at quantum granularity.
-	// 0 means 50 ticks (0.5 s at the paper's T_PCM).
-	SyncEvery int
 	// Downtime is the victim migration transit time in seconds: the VM
 	// makes no progress and produces no samples while in flight, and is
 	// admitted at the first sync quantum after the downtime elapses.
@@ -100,6 +95,12 @@ func DefaultConfig() Config {
 		Placement: AttackTargeted,
 	}
 }
+
+// syncEvery is the sync-quantum length in ticks (0.5 s at the paper's
+// T_PCM): hosts step this many ticks in parallel between control-plane
+// syncs, so migrations, alarm processing and attacker moves happen at
+// quantum granularity.
+const syncEvery = 50
 
 // vmKind distinguishes the cluster's VM roles.
 type vmKind uint8
@@ -200,10 +201,10 @@ func (h *host) run(q int) {
 	}
 	// Refresh the contention EWMA from the quantum's final tick: the
 	// mean speed of resident applications in ascending id order, 1 when
-	// the host is empty (a husk has no app).
+	// the host is empty.
 	sum, n := 0.0, 0
-	for id := vmm.VMID(0); h.srv.VM(id) != nil; id++ {
-		if vm := h.srv.VM(id); vm.App() != nil {
+	for _, vm := range h.srv.LiveVMs() {
+		if vm.App() != nil {
 			sum += vm.LastSpeed()
 			n++
 		}
@@ -282,9 +283,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Downtime < 0 {
 		return nil, fmt.Errorf("cluster: negative migration downtime %v", cfg.Downtime)
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 50
 	}
 	if cfg.RelocationDelay <= 0 {
 		cfg.RelocationDelay = 120
@@ -680,9 +678,8 @@ func (c *Cluster) Run(dur float64) (*Result, error) {
 		return nil, fmt.Errorf("cluster: invalid run duration %v", dur)
 	}
 	end := c.ticksFor(dur)
-	q := c.cfg.SyncEvery
 	for c.tick < end {
-		step := q
+		step := syncEvery
 		if rem := end - c.tick; uint64(step) > rem {
 			step = int(rem)
 		}

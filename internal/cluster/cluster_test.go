@@ -269,7 +269,6 @@ func TestMigrateVMDowntime(t *testing.T) {
 	cfg.Hosts = 2
 	cfg.Scheduler = RoundRobin
 	cfg.Downtime = 1.0
-	cfg.SyncEvery = 50 // 0.5 s quanta
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

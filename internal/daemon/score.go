@@ -10,9 +10,9 @@ import (
 )
 
 // CascadeScorer adapts a compiled dnn.BatchScorer to the hub's
-// stream.WindowScorer and stream.SlidingScorer interfaces, so the serving
-// layer can drive batched cascade inference without internal/stream
-// depending on internal/dnn. The hub scores from its single scorer
+// stream.WindowScorer and stream.SlidingScorer interfaces, the seam the
+// hub scores through (tests and e2ebench plug their own scorers into the
+// same interfaces). The hub scores from its single scorer
 // goroutine; the mutex documents (and enforces) that the underlying
 // arenas have one caller.
 type CascadeScorer struct {

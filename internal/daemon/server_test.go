@@ -321,7 +321,8 @@ func TestResponsesEndpoints(t *testing.T) {
 	if err := hub.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// The Attach pump is asynchronous: wait for the raise to land.
+	// The engine observes the raise on the shard goroutine: poll until
+	// its level shows it.
 	waitForLevel := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)

@@ -627,13 +627,16 @@ func TestContainerStudyValidation(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := ReportConfig{Seeds: []uint64{1}, Apps: []string{"KM"}}
+	cfg := ReportConfig{Seeds: []uint64{1}, Apps: []string{"KM", "FN"}}
 	if err := WriteReport(&buf, cfg, func() time.Duration { return time.Second }); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
 		"# memdos experiment report",
+		"Detection parameters (Table I)",
+		"| 200 | 50 | 0.2 | 1.125 | 30 | 2 × period | 10 | 5 | 5 |",
+		"Chebyshev confidence 0.999; minimum detection delay 15 s (SDS/B), 25 s (SDS/P)",
 		"KStest false positives",
 		"Attack impact traces",
 		"Scenario 1",
@@ -644,6 +647,16 @@ func TestWriteReport(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing section %q", want)
+		}
+	}
+	// Scenario 1 carries the stand-alone SDS/B and SDS/P rows on the
+	// periodic FN only.
+	scenario1 := out[strings.Index(out, "Scenario 1"):strings.Index(out, "Scenario 2")]
+	for row, want := range map[string]int{
+		"| FN | SDS/B |": 1, "| FN | SDS/P |": 1, "| KM | SDS/B |": 0, "| KM | SDS/P |": 0,
+	} {
+		if got := strings.Count(scenario1, row); got != want {
+			t.Errorf("Scenario 1 has %d %q rows, want %d", got, row, want)
 		}
 	}
 	if err := WriteReport(&buf, ReportConfig{}, nil); err == nil {

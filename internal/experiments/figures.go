@@ -165,16 +165,6 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 	return res, nil
 }
 
-// AllMeasurementTraces regenerates every panel of Figs. 2-6, fanning the
-// (app, attack) panels across the parallel Runner.
-func AllMeasurementTraces(seed uint64) ([]*TraceResult, error) {
-	apps := workload.Abbrevs()
-	modes := []AttackMode{BusLock, Cleansing}
-	return par.MapCells(par.DefaultRunner(), len(apps)*len(modes), func(i int) (*TraceResult, error) {
-		return MeasurementTrace(apps[i/len(modes)], modes[i%len(modes)], seed)
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 7: SDS/B detection example on k-means.
 // ---------------------------------------------------------------------------

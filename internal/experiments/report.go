@@ -6,7 +6,9 @@ import (
 	"slices"
 	"time"
 
+	"memdos/internal/core"
 	"memdos/internal/trace"
+	"memdos/internal/workload"
 )
 
 // ReportConfig scales the one-shot report.
@@ -35,7 +37,16 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 	p("# memdos experiment report\n\n")
 	p("Apps: %v · seeds: %v · DNN: %v\n\n", cfg.Apps, cfg.Seeds, cfg.WithDNN)
 
-	// 1. KStest false positives (Fig. 1).
+	// 1. Detection parameters and their derived guarantees (Table I).
+	dp := core.DefaultParams()
+	p("## Detection parameters (Table I)\n\n")
+	p("| W | ΔW | α | k | H_C | W_P | ΔW_P | H_P | H_D |\n|---|---|---|---|---|---|---|---|---|\n")
+	p("| %d | %d | %g | %g | %d | %d × period | %d | %d | %d |\n\n",
+		dp.W, dp.DW, dp.Alpha, dp.K, dp.HC, dp.WPFactor, dp.DWP, dp.HP, dp.HD)
+	p("Chebyshev confidence %.3f; minimum detection delay %.0f s (SDS/B), %.0f s (SDS/P) at T_PCM = %g s.\n\n",
+		dp.Confidence(), dp.MinDetectionDelayB(), dp.MinDetectionDelayP(), dp.TPCM)
+
+	// 2. KStest false positives (Fig. 1).
 	fig1, err := Fig1KStestFalsePositives(600, cfg.Seeds)
 	if err != nil {
 		return err
@@ -47,7 +58,7 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 	}
 	p("\n")
 
-	// 2. Measurement traces (Figs. 2-6), with sparklines.
+	// 3. Measurement traces (Figs. 2-6), with sparklines.
 	p("## Attack impact traces (Figs. 2–6)\n\n")
 	for _, app := range cfg.Apps {
 		for _, mode := range []AttackMode{BusLock, Cleansing} {
@@ -65,8 +76,9 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 		}
 	}
 
-	// 3. Detector comparison, both scenarios (Figs. 11-13, 15-16), in
-	// app-name order.
+	// 4. Detector comparison, both scenarios (Figs. 11-13, 15-16), in
+	// app-name order. Scenario 1 adds the stand-alone SDS/B and SDS/P rows
+	// on the periodic apps.
 	apps := slices.Clone(cfg.Apps)
 	slices.Sort(apps)
 	for _, adaptive := range []bool{false, true} {
@@ -76,18 +88,24 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 		}
 		p("## Detector comparison — %s\n\n", scenario)
 		p("| App | Scheme | Recall | Specificity | Delay (s) |\n|---|---|---|---|---|\n")
-		cells, err := CompareDetectors(apps, StandardFactories(cfg.WithDNN), BusLock, adaptive, cfg.Seeds)
-		if err != nil {
-			return err
-		}
-		for _, c := range cells {
-			p("| %s | %s | %.3f | %.3f | %.1f |\n",
-				c.App, c.Detector, c.Recall.Median, c.Spec.Median, c.Delay)
+		for _, app := range apps {
+			dets := StandardFactories(cfg.WithDNN)
+			if !adaptive && slices.Contains(workload.PeriodicAbbrevs(), app) {
+				dets = PeriodicFactories(cfg.WithDNN)
+			}
+			cells, err := CompareDetectors([]string{app}, dets, BusLock, adaptive, cfg.Seeds)
+			if err != nil {
+				return err
+			}
+			for _, c := range cells {
+				p("| %s | %s | %.3f | %.3f | %.1f |\n",
+					c.App, c.Detector, c.Recall.Median, c.Spec.Median, c.Delay)
+			}
 		}
 		p("\n")
 	}
 
-	// 4. Overhead (Fig. 14).
+	// 5. Overhead (Fig. 14).
 	p("## Performance overhead (Fig. 14)\n\n")
 	p("| App | Scheme | Normalized exec time |\n|---|---|---|\n")
 	overheadApps := cfg.Apps
@@ -103,7 +121,7 @@ func WriteReport(w io.Writer, cfg ReportConfig, elapsed func() time.Duration) er
 	}
 	p("\n")
 
-	// 5. Extensions.
+	// 6. Extensions.
 	p("## Extensions\n\n")
 	mig, err := MigrationStudy("KM", 60, 600, cfg.Seeds[0])
 	if err != nil {

@@ -57,8 +57,8 @@ func TestAttachClosesTheLoop(t *testing.T) {
 	stop := Attach(hub, eng, 16)
 	defer stop()
 
-	// Raise: an anomalous sample flips the detector, the hub publishes the
-	// transition, the pump feeds the engine, the engine throttles.
+	// Raise: an anomalous sample flips the detector, the shard hands the
+	// transition to the engine, the engine throttles.
 	if _, err := hub.Ingest("vm-a", []pcm.Sample{{Time: 1, AccessNum: 100, MissNum: 100}}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,9 @@ import (
 
 // WindowScorer is the batched inference engine the hub drives: one call
 // classifies n windows, given row-major [n][window][2] counter values.
-// internal/dnn's BatchScorer satisfies this shape via a thin adapter
-// (the hub cannot import dnn — the daemon wires the two together).
+// internal/dnn's BatchScorer satisfies this shape via a thin adapter in
+// the daemon. The interface is a seam: tests and e2ebench's no-op scorer
+// plug in here without compiling a cascade.
 type WindowScorer interface {
 	// Window is the window length the scorer was compiled for.
 	Window() int

@@ -193,8 +193,8 @@ func ownerList(arbiter any) []int64 {
 }
 
 // TestExportTakesHuskOffArbiters: after ExportVM the husk is on neither
-// the bus's nor the memory controller's owner list, so it costs them
-// nothing per tick, and no setter on it puts it back.
+// the bus's nor the memory controller's owner list nor LiveVMs, so it
+// costs them nothing per tick, and no setter on it puts it back.
 func TestExportTakesHuskOffArbiters(t *testing.T) {
 	s := MustNewServer(memConfig(2))
 	vm, err := s.AddApp("vm", workload.MustByAbbrev("KM").Service())
@@ -232,6 +232,9 @@ func TestExportTakesHuskOffArbiters(t *testing.T) {
 	}
 	if s.ExecThrottle(id) != 0 || s.CachePartitioned(id) || s.MemBandwidthLimit(id) != 0 || s.VMSocket(id) != 0 {
 		t.Error("a setter on a husk changed its state")
+	}
+	if live := s.LiveVMs(); len(live) != 1 || live[0].ID() != 1 {
+		t.Errorf("LiveVMs after export = %v, want the hog alone", live)
 	}
 }
 

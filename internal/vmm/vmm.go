@@ -285,6 +285,11 @@ func (s *Server) Counter(id VMID) *pcm.Counter {
 // VMs returns the server's VMs in creation order.
 func (s *Server) VMs() []*VM { return append([]*VM(nil), s.vms...) }
 
+// LiveVMs returns the non-departed VMs in ascending id order, without
+// copying: the slice is the server's own, valid until the next add,
+// admission or export, and callers must not modify it.
+func (s *Server) LiveVMs() []*VM { return s.live }
+
 // Now returns the current simulated time.
 func (s *Server) Now() float64 { return s.clock.Now() }
 
