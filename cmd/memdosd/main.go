@@ -10,9 +10,8 @@
 //
 // Usage:
 //
-//	memdosd [-addr :9464] [-apps KM,FN] [-profile-dur 120]
-//	        [-shards 0] [-queue 4096] [-policy drop|block] [-merge-gap 2]
-//	        [-respond]
+//	memdosd [-addr :9464] [-apps KM,FN] [-shards 0] [-queue 4096]
+//	        [-policy drop|block] [-merge-gap 2] [-respond]
 //	        [-score-model cascade.json] [-score-stride 0]
 //	        [-score-batch 64] [-score-queue 1024]
 //
@@ -46,9 +45,11 @@
 //	sds:<APP>   combined SDS with <APP>'s attack-free profile
 //
 // The per-application profiles are built at startup by running the named
-// workloads attack-free on the simulation substrate for -profile-dur
-// simulated seconds — the paper's "profile right after the VM starts,
-// before an adversary can co-locate" assumption.
+// workloads attack-free on the simulation substrate for 300 simulated
+// seconds (experiments.ProfileDuration) — the paper's "profile right
+// after the VM starts, before an adversary can co-locate" assumption, and
+// the profile every accuracy table scores, so an sds:<APP> session
+// decides exactly as experiments.Run does on the same samples.
 //
 // Shutdown (SIGINT/SIGTERM) is graceful: the listener stops accepting,
 // in-flight requests finish, queued samples drain through the detectors,
@@ -86,7 +87,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("memdosd", flag.ContinueOnError)
 	addr := fs.String("addr", ":9464", "listen address")
 	apps := fs.String("apps", "KM", "comma-separated Table II apps to pre-profile ('' for none)")
-	profileDur := fs.Float64("profile-dur", 120, "attack-free profiling duration per app (simulated seconds)")
 	shards := fs.Int("shards", 0, "worker shards (0 = one per CPU)")
 	queue := fs.Int("queue", 4096, "per-session queue capacity in samples")
 	policy := fs.String("policy", "drop", "full-queue policy: drop | block")
@@ -114,7 +114,7 @@ func run(args []string) error {
 	}
 
 	hub := stream.NewHub(cfg)
-	if err := registerProfiles(hub, splitApps(*apps), *profileDur); err != nil {
+	if err := registerProfiles(hub, splitApps(*apps)); err != nil {
 		return err
 	}
 
@@ -221,7 +221,7 @@ func splitApps(s string) []string {
 // registerProfiles installs the daemon's detector profiles: the
 // profile-free "raw" fallback plus per-application SDS pipelines built
 // from attack-free profiling runs.
-func registerProfiles(hub *stream.Hub, apps []string, profileDur float64) error {
+func registerProfiles(hub *stream.Hub, apps []string) error {
 	if err := hub.RegisterProfile("raw", func() (core.Detector, error) {
 		return core.NewRawThreshold(0.5)
 	}); err != nil {
@@ -229,7 +229,7 @@ func registerProfiles(hub *stream.Hub, apps []string, profileDur float64) error 
 	}
 	params := core.DefaultParams()
 	for _, app := range apps {
-		prof, err := experiments.ProfileApp(app, profileDur, params)
+		prof, err := experiments.ProfileApp(app, experiments.ProfileDuration, params)
 		if err != nil {
 			return fmt.Errorf("profiling %s: %w", app, err)
 		}

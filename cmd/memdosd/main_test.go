@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"memdos/internal/core"
 	"memdos/internal/daemon"
+	"memdos/internal/experiments"
+	"memdos/internal/pcm"
 	"memdos/internal/stream"
 )
 
@@ -30,6 +37,111 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-respond-tick", "2s"}); err == nil ||
 		!strings.Contains(err.Error(), "respond-tick") {
 		t.Fatalf("-respond-tick: %v", err)
+	}
+	// Profiles last experiments.ProfileDuration, the tables' own; there
+	// is no flag for it.
+	if err := run([]string{"-profile-dur", "120"}); err == nil ||
+		!strings.Contains(err.Error(), "profile-dur") {
+		t.Fatalf("-profile-dur: %v", err)
+	}
+}
+
+// decisionLog is an AlarmObserver that rebuilds each session's decision
+// timeline from what the hub tells its observers: Observe for the alarm
+// edges, Advance for every other decision.
+type decisionLog struct {
+	mu    sync.Mutex
+	alarm map[string]bool
+	log   map[string][]core.Decision
+}
+
+func (l *decisionLog) Observe(session string, t float64, raised bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.alarm[session] = raised
+	l.log[session] = append(l.log[session], core.Decision{Time: t, Alarm: raised})
+	return nil
+}
+
+func (l *decisionLog) Advance(session string, t float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log[session] = append(l.log[session], core.Decision{Time: t, Alarm: l.alarm[session]})
+}
+
+func (l *decisionLog) Forget(string) {}
+
+// The daemon serves the detector the accuracy tables score: the victim
+// samples of an experiments.Run, sent over the wire as binary frames
+// into an sds:<APP> session of a hub built the way memdosd builds it,
+// must yield Run's decisions exactly. BA and TS on seed 2 separate a
+// profile of experiments.ProfileDuration from a shorter one.
+func TestDaemonMatchesScoredRun(t *testing.T) {
+	apps := []string{"KM", "BA", "TS", "FN"}
+	cfg := stream.DefaultConfig()
+	cfg.Policy = stream.Block // memdosd -policy block: no sample is shed
+	hub := stream.NewHub(cfg)
+	defer hub.Close()
+	if err := registerProfiles(hub, apps); err != nil {
+		t.Fatal(err)
+	}
+	rec := &decisionLog{alarm: map[string]bool{}, log: map[string][]core.Decision{}}
+	defer hub.AddObserver(rec)()
+	srv := httptest.NewServer(daemon.New(hub, nil))
+	defer srv.Close()
+
+	params := core.DefaultParams()
+	for _, app := range apps {
+		for _, mode := range []experiments.AttackMode{experiments.BusLock, experiments.Cleansing} {
+			live, err := experiments.Run(experiments.DefaultRunSpec(app, mode, 2), params, experiments.SDSFactory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			session := fmt.Sprintf("%s-%d", app, mode)
+			samples := make([]pcm.Sample, live.Access.Len())
+			for i := range samples {
+				samples[i] = pcm.Sample{Time: live.Access.TimeAt(i), AccessNum: live.Access.Values[i], MissNum: live.Miss.Values[i]}
+			}
+			var body []byte
+			for off := 0; off < len(samples); off += 256 {
+				if body, err = pcm.AppendBatch(body, session, samples[off:min(off+256, len(samples))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp, err := http.Post(srv.URL+"/v1/ingest/stream?profile=sds:"+app, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v: ingest status %d: %s", app, mode, resp.StatusCode, msg)
+			}
+			if err := hub.Drain(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec.mu.Lock()
+			got := rec.log[session]
+			rec.mu.Unlock()
+			if len(got) != len(live.Decisions) {
+				t.Errorf("%s %v: daemon made %d decisions, Run %d", app, mode, len(got), len(live.Decisions))
+				continue
+			}
+			first, differ := -1, 0
+			for i, want := range live.Decisions {
+				if got[i].Time != want.Time || got[i].Alarm != want.Alarm {
+					if differ++; first < 0 {
+						first = i
+					}
+				}
+			}
+			if differ > 0 {
+				want := live.Decisions[first]
+				t.Errorf("%s %v: %d of %d decisions differ, first %d: daemon (t=%v alarm=%v), Run (t=%v alarm=%v)",
+					app, mode, differ, len(got), first, got[first].Time, got[first].Alarm, want.Time, want.Alarm)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func main() {
 	params := memdos.DefaultParams()
 
-	profile, err := memdos.ProfileApplication("FN", 300, params)
+	profile, err := memdos.ProfileApplication("FN", memdos.ProfileDuration, params)
 	if err != nil {
 		log.Fatal(err)
 	}

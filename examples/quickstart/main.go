@@ -16,7 +16,7 @@ func main() {
 
 	// 1. Profile k-means while it is known to be safe (right after VM
 	// start, before an adversary can co-locate).
-	profile, err := memdos.ProfileApplication("KM", 300, params)
+	profile, err := memdos.ProfileApplication("KM", memdos.ProfileDuration, params)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (b *refBus) Resolve(dt float64) []float64 {
 		st.Delivered += b.delivered[o]
 	}
 	for o, d := range b.locks {
-		if d != 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip owners that never locked
+		if d != 0 {
 			b.statsFor(Owner(o)).LockTime += d * lockScale
 		}
 	}

@@ -342,12 +342,13 @@ func TestActuatorReleasesOnOldHost(t *testing.T) {
 	}
 	aRec := c.byName["a"]
 	oldSrv := c.hosts[aRec.host].srv
+	// The server stores both limits verbatim, so they compare exactly.
 	check := func(when string, duty, bytesPerSec float64, partition bool) {
 		t.Helper()
-		if got := oldSrv.ExecThrottle(aRec.id); got != duty { //memdos:ignore floateq duty stored verbatim
+		if got := oldSrv.ExecThrottle(aRec.id); got != duty {
 			t.Errorf("%s: attacker throttle = %v, want %v", when, got, duty)
 		}
-		if got := oldSrv.MemBandwidthLimit(aRec.id); got != bytesPerSec { //memdos:ignore floateq budget stored verbatim
+		if got := oldSrv.MemBandwidthLimit(aRec.id); got != bytesPerSec {
 			t.Errorf("%s: attacker bandwidth budget = %v, want %v", when, got, bytesPerSec)
 		}
 		if got := oldSrv.CachePartitioned(aRec.id); got != partition {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"memdos/internal/core"
-	"memdos/internal/trace"
 	"memdos/internal/workload"
 )
 
@@ -550,48 +549,6 @@ func TestMigrationStudyValidation(t *testing.T) {
 	}
 	if _, err := MigrationStudy("KM", 60, 30, 1); err == nil {
 		t.Error("dur < delay accepted")
-	}
-}
-
-func TestReplayMatchesLiveRun(t *testing.T) {
-	// Replaying the recorded trace through an identical detector must
-	// reproduce the live decisions exactly.
-	params := core.DefaultParams()
-	prof, err := profileFor("KM", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := DefaultRunSpec("KM", BusLock, 9)
-	live, err := Run(spec, params, SDSFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.NewSDS(prof, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Replay(det, live.Access, live.Miss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveDs := live.Decisions
-	if len(replayed) != len(liveDs) {
-		t.Fatalf("replay produced %d decisions, live %d", len(replayed), len(liveDs))
-	}
-	for i := range liveDs {
-		if replayed[i] != liveDs[i] {
-			t.Fatalf("decision %d differs: live %+v, replay %+v", i, liveDs[i], replayed[i])
-		}
-	}
-}
-
-func TestReplayLengthMismatch(t *testing.T) {
-	det, _ := core.NewRawThreshold(0.5)
-	a := trace.NewSeries("a", 0, 0.01)
-	b := trace.NewSeries("b", 0, 0.01)
-	a.Append(1)
-	if _, err := Replay(det, a, b); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 

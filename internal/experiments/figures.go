@@ -6,7 +6,6 @@ import (
 	"memdos/internal/core"
 	"memdos/internal/metrics"
 	"memdos/internal/par"
-	"memdos/internal/pcm"
 	"memdos/internal/period"
 	"memdos/internal/stats"
 	"memdos/internal/trace"
@@ -500,20 +499,4 @@ func StandardFactories(withDNN bool) []NamedFactory {
 // the periodic applications in Figs. 11-13, keeping name order.
 func PeriodicFactories(withDNN bool) []NamedFactory {
 	return append(StandardFactories(withDNN), NamedFactory{"SDS/B", SDSBFactory}, NamedFactory{"SDS/P", SDSPFactory})
-}
-
-// Replay runs a recorded counter trace through a detector offline — e.g.
-// to re-analyze an exported CSV trace with different detector parameters,
-// or to score a detector against archived incidents. The two series must
-// share length and timing.
-func Replay(det core.Detector, access, miss *trace.Series) ([]core.Decision, error) {
-	if access.Len() != miss.Len() {
-		return nil, fmt.Errorf("experiments: access/miss length mismatch (%d vs %d)", access.Len(), miss.Len())
-	}
-	var out []core.Decision
-	for i := range access.Values {
-		s := pcm.Sample{Time: access.TimeAt(i), AccessNum: access.Values[i], MissNum: miss.Values[i]}
-		out = append(out, det.Push(s)...)
-	}
-	return out, nil
 }

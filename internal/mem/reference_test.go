@@ -44,14 +44,14 @@ func (r refResolution) LinesOf(o Owner) float64 {
 }
 
 func (r refResolution) RatioOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.req) || r.req[o] == 0 { //memdos:ignore floateq exact zero means no request this step; division guard
+	if o < 0 || int(o) >= len(r.req) || r.req[o] == 0 {
 		return 1
 	}
 	return r.lines[o] / r.req[o]
 }
 
 func (r refResolution) LatencyOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.lines) || r.lines[o] == 0 { //memdos:ignore floateq exact zero means nothing was delivered; division guard
+	if o < 0 || int(o) >= len(r.lines) || r.lines[o] == 0 {
 		return 0
 	}
 	return r.latSum[o] / r.lines[o]
@@ -161,7 +161,7 @@ func (c *refController) Resolve(dt float64) refResolution {
 		var remoteTotal float64
 		for o := 0; o < n; o++ {
 			lines := c.capped[o]
-			if lines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+			if lines == 0 {
 				c.sockLines[o] = 0
 				continue
 			}
@@ -184,7 +184,7 @@ func (c *refController) Resolve(dt float64) refResolution {
 		var total float64
 		for o := 0; o < n; o++ {
 			lines := c.sockLines[o]
-			if lines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+			if lines == 0 {
 				c.sockUnits[o] = 0
 				continue
 			}
@@ -197,7 +197,7 @@ func (c *refController) Resolve(dt float64) refResolution {
 			}
 			total += c.sockLines[o]
 		}
-		if total == 0 { //memdos:ignore floateq exact zero means the socket is idle this step
+		if total == 0 {
 			continue
 		}
 		c.waterfill(n, capUnits)
@@ -216,7 +216,7 @@ func (c *refController) Resolve(dt float64) refResolution {
 			}
 		}
 		for o := 0; o < n; o++ {
-			if c.sockUnits[o] == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+			if c.sockUnits[o] == 0 {
 				continue
 			}
 			grantedLines := c.grant[o]
@@ -269,7 +269,7 @@ func (c *refController) waterfill(n int, capUnits float64) {
 	for active > 0 {
 		if demand <= remaining {
 			for o := 0; o < n; o++ {
-				if c.sockUnits[o] > 0 && c.grant[o] == 0 { //memdos:ignore floateq grant is exactly 0 until assigned below
+				if c.sockUnits[o] > 0 && c.grant[o] == 0 { // grant is 0 until assigned below
 					c.grant[o] = c.sockUnits[o]
 				}
 			}
@@ -279,7 +279,7 @@ func (c *refController) waterfill(n int, capUnits float64) {
 		progressed := false
 		for o := 0; o < n; o++ {
 			d := c.sockUnits[o]
-			if d > 0 && c.grant[o] == 0 && d <= fair { //memdos:ignore floateq grant is exactly 0 until assigned
+			if d > 0 && c.grant[o] == 0 && d <= fair {
 				c.grant[o] = d
 				remaining -= d
 				demand -= d
@@ -289,7 +289,7 @@ func (c *refController) waterfill(n int, capUnits float64) {
 		}
 		if !progressed {
 			for o := 0; o < n; o++ {
-				if c.sockUnits[o] > 0 && c.grant[o] == 0 { //memdos:ignore floateq grant is exactly 0 until assigned
+				if c.sockUnits[o] > 0 && c.grant[o] == 0 {
 					c.grant[o] = fair
 				}
 			}

@@ -44,53 +44,3 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV reads a table written by WriteCSV and reconstructs the series.
-// The time column must be uniformly spaced; the reconstructed interval is
-// inferred from the first two rows (or 1.0 for single-row tables).
-func ReadCSV(r io.Reader) ([]*Series, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	header := records[0]
-	if len(header) < 2 || header[0] != "time" {
-		return nil, fmt.Errorf("trace: malformed CSV header %q", header)
-	}
-	start, interval := 0.0, 1.0
-	if len(records) > 1 {
-		start, err = strconv.ParseFloat(records[1][0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad time cell: %w", err)
-		}
-	}
-	if len(records) > 2 {
-		t1, err := strconv.ParseFloat(records[2][0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad time cell: %w", err)
-		}
-		interval = t1 - start
-	}
-	out := make([]*Series, len(header)-1)
-	for j := range out {
-		out[j] = NewSeries(header[j+1], start, interval)
-	}
-	for _, rec := range records[1:] {
-		for j := range out {
-			cell := rec[j+1]
-			if cell == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad value cell %q: %w", cell, err)
-			}
-			out[j].Append(v)
-		}
-	}
-	return out, nil
-}

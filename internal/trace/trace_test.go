@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -95,55 +97,58 @@ func TestStatsDegenerate(t *testing.T) {
 	}
 }
 
+// WriteCSV is what `memdos trace -out` writes: a "time" header cell and
+// the series names, then one row per sample with every number in its
+// shortest round-trip form ('g', -1), so each cell parses back to the
+// exact float64 it was written from.
 func TestCSVRoundTrip(t *testing.T) {
-	a := NewSeries("access", 0, 0.01)
-	b := NewSeries("miss", 0, 0.01)
-	for i := 0; i < 50; i++ {
-		a.Append(float64(i) * 1.5)
-		b.Append(float64(i) * -0.25)
-	}
+	access := NewSeries("access", 0, 0.1)
+	access.Values = []float64{1.5, 2e21, -0.25, 1e-7}
+	miss := NewSeries("miss", 0, 0.1)
+	miss.Values = []float64{3, 0.1, 0, -4e-300}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, a, b); err != nil {
+	if err := WriteCSV(&buf, access, miss); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	const want = "time,access,miss\n" +
+		"0,1.5,3\n" +
+		"0.1,2e+21,0.1\n" +
+		"0.2,-0.25,0\n" +
+		"0.30000000000000004,1e-07,-4e-300\n"
+	got := buf.String()
+	if got != want {
+		t.Fatalf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d series", len(got))
-	}
-	for i := range a.Values {
-		if got[0].Values[i] != a.Values[i] || got[1].Values[i] != b.Values[i] {
-			t.Fatalf("round trip mismatch at %d", i)
+	rows := strings.Split(strings.TrimSuffix(got, "\n"), "\n")[1:]
+	for i, row := range rows {
+		cells := strings.Split(row, ",")
+		for j, s := range []*Series{access, miss} {
+			v, err := strconv.ParseFloat(cells[j+1], 64)
+			if err != nil || v != s.Values[i] {
+				t.Errorf("row %d %s cell %q parses to %v (%v), want %v", i, s.Name, cells[j+1], v, err, s.Values[i])
+			}
 		}
 	}
-	if math.Abs(got[0].Interval-0.01) > 1e-12 {
-		t.Errorf("interval = %v, want 0.01", got[0].Interval)
+	if err := WriteCSV(&buf); err == nil {
+		t.Error("WriteCSV with no series succeeded")
 	}
 }
 
+// A series that runs out before the longest one leaves its cells empty.
 func TestCSVUnequalLengths(t *testing.T) {
 	a := mkSeries(1, 2, 3)
 	b := mkSeries(9)
+	b.Name = "y"
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, a, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Len() != 3 || got[1].Len() != 1 {
-		t.Errorf("lens = %d,%d want 3,1", got[0].Len(), got[1].Len())
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	for _, bad := range []string{"", "a,b\n1,2\n", "time,x\nzzz,1\n", "time,x\n0,zzz\n"} {
-		if _, err := ReadCSV(bytes.NewBufferString(bad)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", bad)
-		}
+	const want = "time,x,y\n" +
+		"0,1,9\n" +
+		"0.5,2,\n" +
+		"1,3,\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -91,10 +91,12 @@ type (
 	DetectorFactory = experiments.DetectorFactory
 )
 
-// Attack modes for a run.
+// Attack modes for a run, and how long ProfileApplication profiles a
+// fresh VM in every experiment (Section IV-B.1's safe start).
 const (
-	BusLock      = experiments.BusLock
-	LLCCleansing = experiments.Cleansing
+	BusLock         = experiments.BusLock
+	LLCCleansing    = experiments.Cleansing
+	ProfileDuration = experiments.ProfileDuration
 )
 
 // Experiment harness entry points.

@@ -11,7 +11,7 @@ import (
 
 func TestPublicQuickstartFlow(t *testing.T) {
 	params := memdos.DefaultParams()
-	profile, err := memdos.ProfileApplication("KM", 300, params)
+	profile, err := memdos.ProfileApplication("KM", memdos.ProfileDuration, params)
 	if err != nil {
 		t.Fatal(err)
 	}
