@@ -234,7 +234,7 @@ func TestConstantStepMatchesGEMM(t *testing.T) {
 			}
 		}
 		pre := make([]float32, m*p.g4)
-		sbiasRows(m, p.g4, pre, p.g4, p.lb)
+		sbiasRows(m, p.g4, pre, p.lb)
 		sgemm(m, p.g4, w, obs, w, p.wx, p.g4, pre, p.g4, epiAdd)
 		for r := 0; r < m; r++ {
 			want := p.preCold

@@ -76,19 +76,14 @@ func sgemmGeneric(m, n, k int, a []float32, lda int, bm []float32, ldb int, c []
 	}
 }
 
-// sbiasRows initializes each of the m rows of C (ldc) to the bias vector
-// (length n): the beta=0 preamble of every float32 bias-affine GEMM.
-func sbiasRows(m, n int, c []float32, ldc int, bias []float32) {
-	for i := 0; i < m; i++ {
-		copy(c[i*ldc:i*ldc+n], bias)
-	}
-}
-
-// saddTo computes dst += src over equal-length slices.
-func saddTo(dst, src []float32) {
-	_ = dst[len(src)-1]
-	for i, v := range src {
-		dst[i] += v
+// sbiasRows initializes each of the m rows of the packed m×n matrix C to
+// the bias vector (length n): the beta=0 preamble of every float32
+// bias-affine GEMM. It copies the bias once, then doubles the filled
+// prefix, so m rows take log2(m) copies rather than m.
+func sbiasRows(m, n int, c []float32, bias []float32) {
+	c = c[:m*n]
+	for filled := copy(c, bias[:n]); 0 < filled && filled < len(c); {
+		filled += copy(c[filled:], c[:filled])
 	}
 }
 

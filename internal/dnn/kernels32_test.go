@@ -90,8 +90,8 @@ func TestSgemmEpilogueRelu(t *testing.T) {
 	bias := randF32(rng, n)
 	plain := make([]float32, m*n)
 	fused := make([]float32, m*n)
-	sbiasRows(m, n, plain, n, bias)
-	sbiasRows(m, n, fused, n, bias)
+	sbiasRows(m, n, plain, bias)
+	sbiasRows(m, n, fused, bias)
 	sgemm(m, n, k, a, k, bm, n, plain, n, epiAdd)
 	sgemm(m, n, k, a, k, bm, n, fused, n, epiAddRelu)
 	sawNeg := false

@@ -3,6 +3,7 @@ package dnn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // BatchScorer is the cascade's production inference engine: a compiled,
@@ -18,7 +19,11 @@ import (
 // layers that is their natural storage order; only conv weights
 // transpose), fuses the convolution ReLUs into the GEMM epilogue, and
 // drops everything inference never reads: ReLU masks, dropout,
-// activation caches.
+// activation caches. The attack stage's one-hot app channels, constant
+// down the window, are folded away: in the LSTM as precomputed constant
+// steps (preCold/preHot), in conv1 as one three-column conv1 per app
+// (foldConv1). A model whose float32 values could leave float32 range
+// does not compile (reach).
 //
 // A batch is normalized into the scorer's input slot and scored in tiles
 // of scoreTile windows, each stage in two parts. The FCN branch runs one
@@ -51,7 +56,7 @@ type BatchScorer struct {
 	x []float32
 	// one tile's arenas
 	shuf []float32      // dimension-shuffled counters [n][realChannels][w], both stages' LSTM input
-	cond []float32      // conditioned attack-stage input [n][w][realChannels+numApps]
+	cond []float32      // attack-stage FCN input [n][w][realChannels+1]: the counters and a column of ones
 	hot  [scoreTile]int // one-hot channel per window: realChannels + app verdict
 }
 
@@ -78,25 +83,24 @@ func NewBatchScorer(c *Cascade, window int, _ ScorerOptions) (*BatchScorer, erro
 	if c.Attack.lstm == nil {
 		c.Attack.Forward(NewTensor(1, window, 2+c.NumApps), false)
 	}
-	app, err := compileModel(c.App, window, stageApp)
-	if err != nil {
-		return nil, fmt.Errorf("dnn: compiling app stage: %w", err)
-	}
-	atk, err := compileModel(c.Attack, window, stageAttack)
-	if err != nil {
-		return nil, fmt.Errorf("dnn: compiling attack stage: %w", err)
-	}
-	s := &BatchScorer{
-		w:       window,
-		numApps: c.NumApps,
-		app:     app,
-		atk:     atk,
-	}
+	s := &BatchScorer{w: window, numApps: c.NumApps}
+	// in bounds a normalized input: a finite non-negative float32 counter
+	// has 0 <= log1p <= ln(MaxFloat32), and the ones column is 1.
+	in := 1.0
 	for ch := 0; ch < 2; ch++ {
 		s.nmean[ch] = float32(c.Norm.Mean[ch])
 		s.ninv[ch] = float32(1 / c.Norm.Std[ch])
+		mean, inv := float64(s.nmean[ch]), float64(s.ninv[ch])
+		in = max(in, math.Abs(mean)*inv, math.Abs(math.Log(math.MaxFloat32)-mean)*inv)
 	}
 	s.nvec = makeNormVec(s.nmean, s.ninv)
+	var err error
+	if s.app, err = compileModel(c.App, window, stageApp, in); err != nil {
+		return nil, fmt.Errorf("dnn: compiling app stage: %w", err)
+	}
+	if s.atk, err = compileModel(c.Attack, window, stageAttack, in); err != nil {
+		return nil, fmt.Errorf("dnn: compiling attack stage: %w", err)
+	}
 	return s, nil
 }
 
@@ -126,7 +130,7 @@ func (s *BatchScorer) score(carry []*Carry, ord []uint64, apps, attacks []int) (
 	}
 	// Tile the batch: the LSTM branch and the heads run as GEMM panels a
 	// tile tall, wide enough to amortize kernel entry, while the tile's
-	// arenas (conditioned input, LSTM states; ~12KB per window at the
+	// arenas (attack FCN input, LSTM states; ~12KB per window at the
 	// compact config) stay L2-resident. The tile is also the unit the
 	// cascade is sequenced by: a window's attack stage may reuse its
 	// session's slab only under the app verdict of that same window, so
@@ -134,10 +138,9 @@ func (s *BatchScorer) score(carry []*Carry, ord []uint64, apps, attacks []int) (
 	// Tiling cannot change results — batched-equals-looped holds at every
 	// chunk size (see the determinism contract in kernels32.go).
 	const r = realChannels
-	ca := r + s.numApps
 	tile := min(n, scoreTile)
 	shuf := ensureF32(&s.shuf, tile*r*s.w)
-	cond := ensureF32(&s.cond, tile*s.w*ca)
+	cond := ensureF32(&s.cond, tile*s.w*(r+1))
 	// Logits cover the whole batch (callers read them after scoring); the
 	// per-tile forward passes write their slice of it.
 	appLog := ensureF32(&s.app.logits, n*s.app.classes)
@@ -155,15 +158,12 @@ func (s *BatchScorer) score(carry []*Carry, ord []uint64, apps, attacks []int) (
 			stransposeRows(shuf[b*r*s.w:(b+1)*r*s.w], x[b*s.w*r:(b+1)*s.w*r], s.w, r)
 		}
 		s.app.forward(hi-lo, x, shuf, nil, tc, to, apps[lo:hi], appLog[lo*s.app.classes:hi*s.app.classes])
-		clear(cond[:(hi-lo)*s.w*ca])
 		hot := s.hot[:hi-lo]
 		for b := range hot {
 			hot[b] = r + apps[lo+b]
-			for t := 0; t < s.w; t++ {
-				dst := cond[(b*s.w+t)*ca:]
-				copy(dst[:r], x[(b*s.w+t)*r:])
-				dst[hot[b]] = 1
-			}
+		}
+		for i := 0; i < (hi-lo)*s.w; i++ {
+			cond[i*(r+1)], cond[i*(r+1)+1], cond[i*(r+1)+2] = x[i*r], x[i*r+1], 1
 		}
 		continued += s.atk.forward(hi-lo, cond, shuf, hot, tc, to, attacks[lo:hi], atkLog[lo*s.atk.classes:hi*s.atk.classes])
 	}
@@ -267,17 +267,24 @@ const (
 
 // realChannels is how many leading input channels vary over the window:
 // the two counters. Whatever follows them is the attack stage's one-hot
-// app condition, constant down each column.
+// app condition, constant down each column, which compiling folds away.
 const realChannels = 2
 
 // modelProg is one LSTMFCN compiled to the float32 kernel layer.
 type modelProg struct {
-	stage           int // stageApp or stageAttack
-	T, cin, classes int
+	stage      int // stageApp or stageAttack
+	T, classes int
+	cin        int // input channels: the LSTM's steps
+	fin        int // FCN input width: the counters, plus a ones column in the attack stage
 
+	// convs[0] is conv1 over fin input columns. conv1 is the conv1 a
+	// window runs under: one per app condition in the attack stage (see
+	// foldConv1), convs[0] alone in the app stage.
 	convs  [3]convProg
-	halo   int // ΣK/2: conv3 rows this close to a window end see its zero padding
-	fcnOut int // conv3 channels
+	conv1  []convProg
+	halo   int       // ΣK/2: conv3 rows this close to a window end see its zero padding
+	fcnOut int       // conv3 channels
+	ones   []float32 // [T] of 1: the pooling GEMM row, the hot LSTM step
 
 	// LSTM over the dimension-shuffled input: T' = cin steps of
 	// T-dimensional observations. Weights stay in their natural [k][n]
@@ -316,7 +323,8 @@ type convProg struct {
 	b                []float32 // [out]
 }
 
-func compileModel(m *LSTMFCN, T, stage int) (*modelProg, error) {
+// compileModel compiles one stage whose inputs lie within ±in (see reach).
+func compileModel(m *LSTMFCN, T, stage int, in float64) (*modelProg, error) {
 	if m.lstm == nil {
 		return nil, fmt.Errorf("model LSTM branch not built")
 	}
@@ -334,17 +342,28 @@ func compileModel(m *LSTMFCN, T, stage int) (*modelProg, error) {
 
 	convs := [3]*Conv1D{m.conv1, m.conv2, m.conv3}
 	bns := [3]*BatchNorm{m.bn1, m.bn2, m.bn3}
-	edge := 0
 	for i := range convs {
 		if T <= convs[i].K-1 {
 			return nil, fmt.Errorf("window %d too short for kernel %d edge split", T, convs[i].K)
 		}
-		cp := compileConv(convs[i], bns[i])
-		p.convs[i] = cp
+		p.convs[i] = compileConv(convs[i], bns[i])
+	}
+	p.conv1 = p.convs[:1]
+	if stage == stageAttack {
+		p.conv1 = foldConv1(p.convs[0], p.cin-realChannels)
+		p.convs[0] = p.conv1[0]
+	}
+	p.fin = p.convs[0].in
+	edge := 0
+	for _, cp := range p.convs {
 		p.halo += cp.half
 		edge = max(edge, cp.half*cp.k*cp.in)
 	}
 	p.fcnOut = p.convs[2].out
+	p.ones = make([]float32, T)
+	for i := range p.ones {
+		p.ones[i] = 1
+	}
 	p.J = p.fcnOut + p.H
 	p.bufA = make([]float32, T*p.convs[0].out)
 	p.bufB = make([]float32, T*p.convs[1].out)
@@ -364,15 +383,77 @@ func compileModel(m *LSTMFCN, T, stage int) (*modelProg, error) {
 
 	// The constant steps' pre-activations come out of the very GEMM they
 	// stand in for, so they carry its bits under either kernel.
-	obs := make([]float32, T)
 	p.preCold = append([]float32(nil), p.lb...)
-	sgemm(1, p.g4, T, obs, T, p.wx, p.g4, p.preCold, p.g4, epiAdd)
-	for i := range obs {
-		obs[i] = 1
-	}
+	sgemm(1, p.g4, T, make([]float32, T), T, p.wx, p.g4, p.preCold, p.g4, epiAdd)
 	p.preHot = append([]float32(nil), p.lb...)
-	sgemm(1, p.g4, T, obs, T, p.wx, p.g4, p.preHot, p.g4, epiAdd)
+	sgemm(1, p.g4, T, p.ones, T, p.wx, p.g4, p.preHot, p.g4, epiAdd)
+
+	if r := p.reach(in); !(r < math.MaxFloat32/2) {
+		return nil, fmt.Errorf("values can reach %g, past float32 range: the model is corrupt", r)
+	}
 	return p, nil
+}
+
+// reach bounds the magnitude of every value the forward pass computes for
+// inputs within ±in, layer by layer. It is NaN or Inf when a compiled
+// weight is not finite (say, from a negative running variance), and past
+// float32 range when finite weights can still overflow (a huge BatchNorm
+// scale); either would serve ±Inf or NaN logits. Finite weights also
+// keep conv1's fold exact.
+func (p *modelProg) reach(in float64) float64 {
+	y := 0.0
+	for _, c1 := range p.conv1 {
+		y = max(y, affineBound(c1.w, c1.b, len(c1.b), in))
+	}
+	r := y
+	for _, cp := range p.convs[1:] {
+		y = affineBound(cp.w, cp.b, len(cp.b), y)
+		r = max(r, y)
+	}
+	r = max(r, float64(p.T)*y) // the pooling sum
+	// LSTM pre-activations and attention: h, tanh and the softmax weights
+	// lie within ±1.
+	r = max(r, affineBound(p.wx, p.lb, p.g4, in)+affineBound(p.wh, nil, p.g4, 1),
+		affineBound(p.wa, nil, p.H, 1), affineBound(p.va, nil, 1, 1))
+	return max(r, affineBound(p.outW, p.outB, p.classes, max(y, 1)))
+}
+
+// affineBound bounds |b + x·w| for w stored [k][n] over inputs |x_k| <=
+// in: the largest |b_j| + in·Σ_k |w_kj|. b may be nil.
+func affineBound(w, b []float32, n int, in float64) float64 {
+	col := make([]float64, n)
+	for j, v := range b {
+		col[j] = math.Abs(float64(v))
+	}
+	for k := 0; k < len(w); k += n {
+		for j, v := range w[k : k+n] {
+			col[j] += in * math.Abs(float64(v))
+		}
+	}
+	return slices.Max(col)
+}
+
+// foldConv1 folds the attack stage's one-hot app channels into conv1,
+// once per app: conv1 under app a reads the two counters and a column of
+// ones, and that column's tap rows are the one-hot channel's. A window's
+// dropped channels are all zero, and each output element's GEMM chain
+// runs the kept terms in the same ascending order, so the outputs are
+// bit-identical to conv1 over the one-hot input (adding 0·w to a chain
+// is exact for the finite w compileModel insists on).
+func foldConv1(cp convProg, apps int) []convProg {
+	const r = realChannels
+	folded := make([]convProg, apps)
+	for a := range folded {
+		f := convProg{in: r + 1, out: cp.out, k: cp.k, half: cp.half, b: cp.b}
+		f.w = make([]float32, cp.k*f.in*cp.out)
+		for t := 0; t < cp.k; t++ {
+			for ch, src := range [r + 1]int{0, 1, r + a} {
+				copy(f.w[(t*f.in+ch)*cp.out:][:cp.out], cp.w[(t*cp.in+src)*cp.out:])
+			}
+		}
+		folded[a] = f
+	}
+	return folded
 }
 
 func compileConv(c *Conv1D, bn *BatchNorm) convProg {
@@ -398,12 +479,13 @@ func f64to32(src []float64) []float32 {
 	return dst
 }
 
-// forward classifies n windows ([n][T][cin] in x) into out[0:n], writing
+// forward classifies n windows ([n][T][fin] in x) into out[0:n], writing
 // raw class scores to logits ([n][classes], provided by the caller so a
 // tiled Score can assemble the full batch's logits across calls). shuf
 // is the windows' counter channels dimension-shuffled,
 // [n][realChannels][T]; hot[b] is window b's one-hot channel among the
-// rest (nil in the app stage, which has none). carry and ord are the
+// LSTM's steps, which picks its folded conv1 (nil in the app stage,
+// which has none). carry and ord are the
 // windows' sessions and ordinals, nil for stateless scoring. Returns how
 // many windows reused their session's slab.
 func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry, ord []uint64, out []int, logits []float32) (continued int) {
@@ -415,19 +497,19 @@ func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry,
 	joint := ensureF32(&p.joint, n*p.J)
 	for b := 0; b < n; b++ {
 		rows, stride := p.rows, 0
+		h, c1 := 0, &p.conv1[0]
+		if hot != nil {
+			h, c1 = hot[b], &p.conv1[hot[b]-realChannels]
+		}
 		if carry != nil && carry[b].stage[p.stage].rows != nil {
 			st := &carry[b].stage[p.stage]
-			h := 0
-			if hot != nil {
-				h = hot[b]
-			}
 			rows = st.rows
 			if st.take(ord[b], h) {
 				stride = carry[b].stride
 				continued++
 			}
 		}
-		p.fcn(x[b*T*cin:(b+1)*T*cin], rows, stride, joint[b*p.J:b*p.J+p.fcnOut])
+		p.fcn(c1, x[b*T*p.fin:(b+1)*T*p.fin], rows, stride, joint[b*p.J:b*p.J+p.fcnOut])
 	}
 
 	// LSTM recurrence over cin steps of T-dimensional observations. A
@@ -440,7 +522,7 @@ func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry,
 	const r = realChannels
 	for t := 0; t < cin; t++ {
 		if t < r {
-			sbiasRows(n, p.g4, pre, p.g4, p.lb)
+			sbiasRows(n, p.g4, pre, p.lb)
 			sgemm(n, p.g4, T, shuf[t*T:], r*T, p.wx, p.g4, pre, p.g4, epiAdd)
 		} else {
 			for b := 0; b < n; b++ {
@@ -516,7 +598,7 @@ func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry,
 	}
 
 	// Output dense + argmax.
-	sbiasRows(n, p.classes, logits, p.classes, p.outB)
+	sbiasRows(n, p.classes, logits, p.outB)
 	sgemm(n, p.classes, p.J, joint, p.J, p.outW, p.classes, logits, p.classes, epiAdd)
 	for b := 0; b < n; b++ {
 		out[b] = sargmax(logits[b*p.classes : (b+1)*p.classes])
@@ -524,26 +606,26 @@ func (p *modelProg) forward(n int, x, shuf []float32, hot []int, carry []*Carry,
 	return continued
 }
 
-// fcn runs the FCN branch on one window x ([T][cin]): conv3 output into
-// rows ([T][fcnOut]), its global average into pooled. stride 0 computes
-// every row. stride > 0 says rows holds the conv3 output of the window
-// that started stride samples earlier: the rows clear of both windows'
-// padding move down by stride and only the two ends are computed.
-func (p *modelProg) fcn(x, rows []float32, stride int, pooled []float32) {
+// fcn runs the FCN branch, with c1 as its conv1, on one window x
+// ([T][fin]): conv3 output into rows ([T][fcnOut]), its global average
+// into pooled. stride 0 computes every row. stride > 0 says rows holds
+// the conv3 output of the window that started stride samples earlier:
+// the rows clear of both windows' padding move down by stride and only
+// the two ends are computed.
+func (p *modelProg) fcn(c1 *convProg, x, rows []float32, stride int, pooled []float32) {
 	T, c, out := p.T, p.halo, p.fcnOut
 	if stride > 0 {
 		copy(rows[c*out:(T-c-stride)*out], rows[(c+stride)*out:(T-c)*out])
-		p.conv3Rows(x, rows, 0, c)
-		p.conv3Rows(x, rows, T-c-stride, T)
+		p.conv3Rows(c1, x, rows, 0, c)
+		p.conv3Rows(c1, x, rows, T-c-stride, T)
 	} else {
-		p.conv3Rows(x, rows, 0, T)
+		p.conv3Rows(c1, x, rows, 0, T)
 	}
-	// Global average pool, from zero in ascending t whichever way the
-	// rows got there.
+	// Global average pool as one GEMM row, ones·rows: from zero in
+	// ascending t whichever way the rows got there, and 1·r + acc rounds
+	// as acc + r does.
 	clear(pooled)
-	for t := 0; t < T; t++ {
-		saddTo(pooled, rows[t*out:(t+1)*out])
-	}
+	sgemm(1, out, T, p.ones, T, rows, out, pooled, out, epiAdd)
 	invT := 1 / float32(T)
 	for ch := range pooled {
 		pooled[ch] *= invT
@@ -551,12 +633,12 @@ func (p *modelProg) fcn(x, rows []float32, stride int, pooled []float32) {
 }
 
 // conv3Rows computes conv3 output rows [lo, hi) of one window into y,
-// through the conv1 and conv2 rows they depend on: K/2 further out per
-// layer, clipped to the window.
-func (p *modelProg) conv3Rows(x, y []float32, lo, hi int) {
+// through the conv1 (c1) and conv2 rows they depend on: K/2 further out
+// per layer, clipped to the window.
+func (p *modelProg) conv3Rows(c1 *convProg, x, y []float32, lo, hi int) {
 	lo2, hi2 := max(lo-p.convs[2].half, 0), min(hi+p.convs[2].half, p.T)
 	lo1, hi1 := max(lo2-p.convs[1].half, 0), min(hi2+p.convs[1].half, p.T)
-	p.convRows(&p.convs[0], x, p.bufA, lo1, hi1)
+	p.convRows(c1, x, p.bufA, lo1, hi1)
 	p.convRows(&p.convs[1], p.bufA, p.bufB, lo2, hi2)
 	p.convRows(&p.convs[2], p.bufB, y, lo, hi)
 }
@@ -571,7 +653,7 @@ func (p *modelProg) conv3Rows(x, y []float32, lo, hi int) {
 // panel writing it, so clamping at the store is exact).
 func (p *modelProg) convRows(cp *convProg, x, y []float32, lo, hi int) {
 	T, half, out := p.T, cp.half, cp.out
-	sbiasRows(hi-lo, out, y[lo*out:], out, cp.b)
+	sbiasRows(hi-lo, out, y[lo*out:], cp.b)
 	p.convEdge(cp, x, y, lo, min(hi, half))
 	if iLo, iHi := max(lo, half), min(hi, T-half); iLo < iHi {
 		sgemm(iHi-iLo, out, cp.k*cp.in, x[(iLo-half)*cp.in:], cp.in, cp.w, out, y[iLo*out:], out, epiAddRelu)
