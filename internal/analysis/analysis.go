@@ -2,26 +2,27 @@
 // stdlib-only (go/ast + go/types) driver that runs project-specific
 // checkers over type-checked packages and reports diagnostics.
 //
-// The checkers mechanically enforce the simulator's written contracts
-// (see DESIGN.md "Determinism & analysis contract"): the deterministic
-// core must not read wall clocks or the global math/rand source, must
-// not let map iteration order leak into results, must not compare
-// floats with ==, must register metrics under canonical memdos_* names,
-// and must not touch mutex-guarded fields unlocked.
+// The checkers mechanically enforce the contracts no test or pin can
+// see (see DESIGN.md "Determinism & analysis contract"): the
+// deterministic core must not read wall clocks or the global math/rand
+// source and must not let map iteration order leak into results;
+// mutex-guarded fields are touched only by functions that lock them;
+// every goroutine can be stopped; and every //memdos:hotpath function
+// has an allocation pin.
 //
 // A finding can be suppressed where it is provably or deliberately
-// benign with a justification comment on the flagged line or the line
-// above it:
+// benign with a comment on the flagged line or the line above it that
+// states why:
 //
 //	//memdos:ignore <check>[,<check>...] <why this is safe>
 //
-// Suppressions are counted and surfaced (memdos-vet -v, and as notes in
-// the SARIF output) so they stay auditable rather than silent.
+// memdos-vet prints every suppressed finding, so the ledger stays
+// auditable rather than silent. A suppression with no reason, or with
+// no check, is itself reported (see StaleCheck).
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -44,10 +45,8 @@ func (d Diagnostic) String() string {
 
 // Checker is one named analysis pass.
 type Checker struct {
-	// Name is the check ID used in -checks selection and ignore comments.
+	// Name is the check ID used in ignore comments and diagnostics.
 	Name string
-	// Doc is a one-line description for -list output.
-	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -79,48 +78,10 @@ func Checkers() []*Checker {
 	return []*Checker{
 		DeterminismChecker(),
 		MapOrderChecker(),
-		FloatEqChecker(),
-		MetricNameChecker(),
 		GuardedChecker(),
 		GoLifeChecker(),
 		BenchPinChecker(),
 	}
-}
-
-// Select resolves comma-separated check names against the full suite.
-func Select(names string) ([]*Checker, error) {
-	all := Checkers()
-	if names == "" {
-		return all, nil
-	}
-	byName := make(map[string]*Checker, len(all))
-	for _, c := range all {
-		byName[c.Name] = c
-	}
-	var out []*Checker
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		c, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown check %q (have %s)", n, strings.Join(checkNames(all), ", "))
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: no checks selected from %q", names)
-	}
-	return out, nil
-}
-
-func checkNames(cs []*Checker) []string {
-	names := make([]string, len(cs))
-	for i, c := range cs {
-		names[i] = c.Name
-	}
-	return names
 }
 
 // Result is the outcome of running a checker suite over packages.
@@ -130,15 +91,17 @@ type Result struct {
 	// Suppressed are diagnostics neutralized by //memdos:ignore comments,
 	// kept for auditing.
 	Suppressed []Diagnostic
-	// Stale are //memdos:ignore entries that suppressed nothing: entries
-	// naming a checker that ran yet matched no diagnostic, or naming no
-	// known checker at all. A suppression that outlives its finding is a
-	// contract hole — memdos-vet reports it with exit status 2.
+	// Stale are //memdos:ignore comments that cannot stand: entries
+	// naming a checker that ran yet matched no diagnostic, entries naming
+	// no known checker, and comments that name no check or give no
+	// reason. A suppression that outlives its finding, or never said why
+	// it was safe, is a contract hole — memdos-vet reports it with exit
+	// status 2.
 	Stale []Diagnostic
 }
 
 // StaleCheck is the pseudo-check name stale-suppression diagnostics are
-// reported under. It is not selectable and cannot itself be ignored.
+// reported under. It cannot itself be ignored.
 const StaleCheck = "staleignore"
 
 // Run applies every checker to every package, resolves suppressions and
@@ -150,7 +113,9 @@ const StaleCheck = "staleignore"
 // finding it once justified is gone — delete the comment), and an entry
 // naming no known checker is stale outright (it can never suppress
 // anything). Entries for known checkers that did not run are left alone,
-// so partial -checks runs never misreport live suppressions.
+// so a run of a single checker never misreports live suppressions. A
+// comment that names no check or states no reason suppresses nothing
+// and is reported whichever checkers ran.
 func Run(pkgs []*Package, checks []*Checker) Result {
 	known := make(map[string]bool)
 	for _, c := range Checkers() {
@@ -220,6 +185,9 @@ type ignoreEntry struct {
 type ignoreIndex struct {
 	byLine  map[string]map[int][]*ignoreEntry
 	entries []*ignoreEntry // in source order, for the stale audit
+	// malformed are comments that name no check or give no reason; they
+	// index no entry and are reported as they are found.
+	malformed []Diagnostic
 }
 
 func (ix *ignoreIndex) covers(d Diagnostic) bool {
@@ -239,11 +207,11 @@ func (ix *ignoreIndex) covers(d Diagnostic) bool {
 	return hit
 }
 
-// stale returns diagnostics for entries that suppressed nothing: entries
-// whose check ran (selected) yet matched no diagnostic, and entries
-// naming no known checker at all.
+// stale returns diagnostics for the malformed comments and for entries
+// that suppressed nothing: entries whose check ran (selected) yet matched
+// no diagnostic, and entries naming no known checker at all.
 func (ix *ignoreIndex) stale(selected, known map[string]bool) []Diagnostic {
-	var out []Diagnostic
+	out := ix.malformed
 	for _, e := range ix.entries {
 		if e.used {
 			continue
@@ -278,10 +246,17 @@ func collectIgnores(pkg *Package) *ignoreIndex {
 					continue
 				}
 				fields := strings.Fields(rest)
-				if len(fields) == 0 {
+				pos := pkg.Fset.Position(c.Pos())
+				if len(fields) < 2 {
+					msg := "suppression names no check; write " + IgnoreDirective + " <check> <why this is safe>"
+					if len(fields) == 1 {
+						msg = fmt.Sprintf("suppression for %s states no reason; say why the finding is safe", fields[0])
+					}
+					ix.malformed = append(ix.malformed, Diagnostic{
+						Check: StaleCheck, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg,
+					})
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
 				lines := ix.byLine[pos.Filename]
 				if lines == nil {
 					lines = make(map[int][]*ignoreEntry)
@@ -301,11 +276,4 @@ func collectIgnores(pkg *Package) *ignoreIndex {
 		}
 	}
 	return ix
-}
-
-// isTestFile reports whether the position is inside a _test.go file.
-// The loader only parses non-test sources, but checkers guard anyway so
-// they stay correct if handed a test file directly.
-func isTestFile(pkg *Package, f *ast.File) bool {
-	return strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -24,7 +24,6 @@ import (
 func BenchPinChecker() *Checker {
 	return &Checker{
 		Name: "benchpin",
-		Doc:  "require a testing.AllocsPerRun test for every //memdos:hotpath function",
 		Run:  runBenchPin,
 	}
 }
@@ -32,9 +31,6 @@ func BenchPinChecker() *Checker {
 func runBenchPin(pass *Pass) {
 	var allocTested map[string]bool
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg, f) {
-			continue
-		}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !hotPathAnnotated(fd) {

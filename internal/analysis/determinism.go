@@ -36,7 +36,6 @@ var globalRandExempt = map[string]bool{
 func DeterminismChecker() *Checker {
 	return &Checker{
 		Name: "determinism",
-		Doc:  "forbid time.Now/time.Since and global math/rand in deterministic packages",
 		Run:  runDeterminism,
 	}
 }
@@ -46,9 +45,6 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {

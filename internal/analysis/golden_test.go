@@ -10,22 +10,36 @@ import (
 	"memdos/internal/analysis"
 )
 
-// goldenPackages pairs each testdata corpus with the -checks selection
-// its markers were written against ("" = the full default suite). The
-// staleignore corpus runs the full suite because the stale audit is not
-// a selectable checker — it rides along with every run.
+// goldenPackages pairs each testdata corpus with the checker its markers
+// were written against ("" = the full suite). The staleignore corpus runs
+// the full suite because the stale audit is not a checker — it rides
+// along with every run.
 var goldenPackages = []struct {
-	dir    string
-	checks string
+	dir   string
+	check string
 }{
 	{"determinism", "determinism"},
 	{"maporder", "maporder"},
-	{"floateq", "floateq"},
-	{"metricname", "metricname"},
 	{"guarded", "guarded"},
 	{"golife", "golife"},
 	{"benchpin", "benchpin"},
 	{"staleignore", ""},
+}
+
+// checkers returns the named checker alone, or the full suite for "".
+func checkers(t *testing.T, name string) []*analysis.Checker {
+	t.Helper()
+	all := analysis.Checkers()
+	if name == "" {
+		return all
+	}
+	for _, c := range all {
+		if c.Name == name {
+			return []*analysis.Checker{c}
+		}
+	}
+	t.Fatalf("no checker named %q", name)
+	return nil
 }
 
 // TestGolden diffs each checker's output over its golden package in
@@ -46,11 +60,7 @@ func TestGolden(t *testing.T) {
 			if len(pkgs) != 1 {
 				t.Fatalf("loaded %d packages, want 1", len(pkgs))
 			}
-			checks, err := analysis.Select(g.checks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := analysis.Run(pkgs, checks)
+			res := analysis.Run(pkgs, checkers(t, g.check))
 			exps := parseExpectations(t, pkgs[0].Dir)
 
 			if len(res.Findings) == 0 {
@@ -80,24 +90,10 @@ func TestTestdataFailsFullSuite(t *testing.T) {
 	}
 }
 
-// TestSelectUnknownName pins the -checks typo experience: the error must
-// name the bad check and list every valid one, so the user never has
-// to guess at spellings.
-func TestSelectUnknownName(t *testing.T) {
-	_, err := analysis.Select("golife,floateqq")
-	if err == nil {
-		t.Fatal("Select accepted an unknown check name")
-	}
-	for _, frag := range []string{`"floateqq"`, "determinism", "maporder", "floateq", "metricname", "guarded", "golife", "benchpin"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("Select error %q does not mention %s", err, frag)
-		}
-	}
-}
-
 // TestRepoClean is the self-application gate: the full suite over the
-// whole module must be finding-free, and every suppression must carry a
-// justification beyond the bare check name.
+// whole module must be finding-free and its stale audit empty, which
+// includes every suppression stating a reason beyond the bare check
+// name.
 func TestRepoClean(t *testing.T) {
 	pkgs, err := analysis.Load("", "memdos/...")
 	if err != nil {

@@ -38,7 +38,6 @@ import (
 func GoLifeChecker() *Checker {
 	return &Checker{
 		Name: "golife",
-		Doc:  "flag unstoppable goroutines, blocking shutdown sends, in-goroutine WaitGroup.Add, shared loop-var capture",
 		Run:  runGoLife,
 	}
 }
@@ -46,9 +45,6 @@ func GoLifeChecker() *Checker {
 func runGoLife(pass *Pass) {
 	declOf := packageFuncDecls(pass.Pkg)
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -67,9 +63,6 @@ func runGoLife(pass *Pass) {
 func packageFuncDecls(pkg *Package) map[types.Object]*ast.FuncDecl {
 	declOf := make(map[types.Object]*ast.FuncDecl)
 	for _, f := range pkg.Files {
-		if isTestFile(pkg, f) {
-			continue
-		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				if obj := pkg.Info.Defs[fd.Name]; obj != nil {

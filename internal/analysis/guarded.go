@@ -21,7 +21,6 @@ import (
 func GuardedChecker() *Checker {
 	return &Checker{
 		Name: "guarded",
-		Doc:  "flag access to `guarded by` fields outside functions that lock the named mutex",
 		Run:  checkGuardedFields,
 	}
 }
@@ -57,9 +56,6 @@ func checkGuardedFields(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -20,7 +20,6 @@ import (
 func MapOrderChecker() *Checker {
 	return &Checker{
 		Name: "maporder",
-		Doc:  "flag order-sensitive map iteration in deterministic packages",
 		Run:  runMapOrder,
 	}
 }
@@ -31,9 +30,6 @@ func runMapOrder(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Pkg, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {

@@ -30,7 +30,7 @@ type Stats struct {
 // DeliveryRatio returns Delivered/Requested, or 1 when nothing was
 // requested (an idle client is not considered throttled).
 func (s Stats) DeliveryRatio() float64 {
-	if s.Requested == 0 { //memdos:ignore floateq exact zero means no request was ever recorded; division guard
+	if s.Requested == 0 {
 		return 1
 	}
 	return s.Delivered / s.Requested
@@ -196,7 +196,7 @@ func (b *Bus) Resolve(dt float64) Deliveries {
 		st.delivered *= scale
 		st.stats.Requested += st.req
 		st.stats.Delivered += st.delivered
-		if st.lock != 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip owners that never locked
+		if st.lock != 0 { // sparsity fast path: skip owners that never locked
 			st.stats.LockTime += st.lock * lockScale
 		}
 		st.req, st.lock = 0, 0

@@ -58,7 +58,7 @@ func sgemmGeneric(m, n, k int, a []float32, lda int, bm []float32, ldb int, c []
 		ar := a[i*lda : i*lda+k]
 		cr := c[i*ldc : i*ldc+n]
 		for kc, av := range ar {
-			if av == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip multiplies by untouched weights
+			if av == 0 { // sparsity fast path: skip multiplies by untouched weights
 				continue
 			}
 			br := bm[kc*ldb : kc*ldb+n]
@@ -272,7 +272,7 @@ func tanhf(x float32) float32 {
 // math.Log; the scorer only feeds it 1+counter >= 1.
 func logf(x float32) float32 {
 	if x <= 0 {
-		if x == 0 { //memdos:ignore floateq exact zero maps to -inf like math.Log
+		if x == 0 { // -inf, like math.Log
 			return float32(math.Inf(-1))
 		}
 		return float32(math.NaN())
@@ -308,7 +308,7 @@ func logf(x float32) float32 {
 // float32. Counters are either zero or order-one and larger, so the
 // naive form loses nothing that the norm statistics could see.
 func log1pf(x float32) float32 {
-	if x == 0 { //memdos:ignore floateq exact zero short-circuits log1p(0) = 0
+	if x == 0 { // log1p(0) = 0
 		return 0
 	}
 	return logf(1 + x)

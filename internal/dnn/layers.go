@@ -128,7 +128,7 @@ func NewDropout(rate float64, rng *sim.RNG) *Dropout {
 
 // Forward applies the mask during training; identity at inference.
 func (d *Dropout) Forward(x *Tensor, train bool) *Tensor {
-	if !train || d.Rate == 0 { //memdos:ignore floateq Rate is a config literal; exact zero means dropout disabled
+	if !train || d.Rate == 0 { // Rate is a config literal; zero means dropout disabled
 		d.mask = nil
 		return x
 	}

@@ -187,7 +187,7 @@ func (s *cascadeSnapshot) validate() error {
 		for _, w := range st.ms.Params {
 			have += len(w)
 		}
-		if want := cfg.weights(st.ms.Window); float64(have) != want { //memdos:ignore floateq both sides are exact integer counts; float64 only keeps absurd dimensions from overflowing
+		if want := cfg.weights(st.ms.Window); float64(have) != want { // both sides are integer counts; float64 only keeps absurd dimensions from overflowing
 			return fmt.Errorf("dnn: %s model carries %d weights, its architecture at window %d needs %.0f",
 				st.name, have, st.ms.Window, want)
 		}

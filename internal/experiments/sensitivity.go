@@ -282,14 +282,14 @@ func MicrosimCalibration() (microFactor, fastFactor float64, err error) {
 	access, miss := c.AccessSeries(), c.MissSeries()
 	ratio := func(t0, t1 float64) float64 {
 		acc := access.Window(t0, t1).Mean()
-		if stats.ApproxEqual(acc, 0, 1e-12) {
+		if math.Abs(acc) <= 1e-12 {
 			return 0
 		}
 		return miss.Window(t0, t1).Mean() / acc
 	}
 	before := ratio(10, 60)
 	during := ratio(70, 120)
-	if stats.ApproxEqual(before, 0, 1e-12) {
+	if math.Abs(before) <= 1e-12 {
 		return 0, 0, fmt.Errorf("experiments: zero baseline miss ratio")
 	}
 	fastFactor = during / before

@@ -161,7 +161,7 @@ type Stats struct {
 // DeliveryRatio returns Delivered/Requested, or 1 when nothing was
 // requested (an idle client is not considered throttled).
 func (s Stats) DeliveryRatio() float64 {
-	if s.Requested == 0 { //memdos:ignore floateq exact zero means no request was ever recorded; division guard
+	if s.Requested == 0 {
 		return 1
 	}
 	return s.Delivered / s.Requested
@@ -170,7 +170,7 @@ func (s Stats) DeliveryRatio() float64 {
 // AvgLatency returns the average per-line latency in seconds, or 0 when
 // nothing was delivered.
 func (s Stats) AvgLatency() float64 {
-	if s.Delivered == 0 { //memdos:ignore floateq exact zero means nothing was delivered; division guard
+	if s.Delivered == 0 {
 		return 0
 	}
 	return s.LatencySum / s.Delivered
@@ -195,7 +195,7 @@ func (r Resolution) LinesOf(o Owner) float64 {
 // RatioOf returns delivered/requested lines for owner this step (1 when
 // the owner requested nothing).
 func (r Resolution) RatioOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.own) || r.own[o].resReq == 0 { //memdos:ignore floateq exact zero means no request this step; division guard
+	if o < 0 || int(o) >= len(r.own) || r.own[o].resReq == 0 {
 		return 1
 	}
 	return r.own[o].resLines / r.own[o].resReq
@@ -204,7 +204,7 @@ func (r Resolution) RatioOf(o Owner) float64 {
 // LatencyOf returns owner's average per-line latency this step in
 // seconds, or 0 when nothing was delivered.
 func (r Resolution) LatencyOf(o Owner) float64 {
-	if o < 0 || int(o) >= len(r.own) || r.own[o].resLines == 0 { //memdos:ignore floateq exact zero means nothing was delivered; division guard
+	if o < 0 || int(o) >= len(r.own) || r.own[o].resLines == 0 {
 		return 0
 	}
 	return r.own[o].resLat / r.own[o].resLines
@@ -432,7 +432,7 @@ func (c *Controller) Resolve(dt float64) Resolution {
 			}
 			st.sockLines, st.sockUnits = 0, 0
 			lines := st.capped
-			if lines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+			if lines == 0 { // sparsity fast path: skip idle owners
 				continue
 			}
 			r := st.remoteFrac
@@ -467,7 +467,7 @@ func (c *Controller) Resolve(dt float64) Resolution {
 			total, demand, active = 0, 0, 0
 			for _, o := range c.owners {
 				st := &c.own[o]
-				if st.sockLines == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+				if st.sockLines == 0 { // sparsity fast path: skip idle owners
 					continue
 				}
 				if int(st.home) != s {
@@ -481,7 +481,7 @@ func (c *Controller) Resolve(dt float64) Resolution {
 				}
 			}
 		}
-		if total == 0 { //memdos:ignore floateq exact zero means the socket is idle this step
+		if total == 0 { // the socket is idle this step
 			continue
 		}
 		fits := demand <= capUnits
@@ -503,7 +503,7 @@ func (c *Controller) Resolve(dt float64) Resolution {
 		}
 		for _, o := range c.owners {
 			st := &c.own[o]
-			if st.sockUnits == 0 { //memdos:ignore floateq exact-zero sparsity fast path: skip idle owners
+			if st.sockUnits == 0 { // sparsity fast path: skip idle owners
 				continue
 			}
 			// When demand fits, every flow is granted in full.
@@ -557,7 +557,7 @@ func (c *Controller) waterfill(capUnits, demand float64, active int) {
 	for active > 0 {
 		if demand <= remaining {
 			for _, o := range c.owners {
-				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { //memdos:ignore floateq grant is exactly 0 until assigned below
+				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { // grant is exactly 0 until assigned below
 					st.grant = st.sockUnits
 				}
 			}
@@ -567,7 +567,7 @@ func (c *Controller) waterfill(capUnits, demand float64, active int) {
 		progressed := false
 		for _, o := range c.owners {
 			st := &c.own[o]
-			if d := st.sockUnits; d > 0 && st.grant == 0 && d <= fair { //memdos:ignore floateq grant is exactly 0 until assigned
+			if d := st.sockUnits; d > 0 && st.grant == 0 && d <= fair { // grant is exactly 0 until assigned
 				st.grant = d
 				remaining -= d
 				demand -= d
@@ -577,7 +577,7 @@ func (c *Controller) waterfill(capUnits, demand float64, active int) {
 		}
 		if !progressed {
 			for _, o := range c.owners {
-				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { //memdos:ignore floateq grant is exactly 0 until assigned
+				if st := &c.own[o]; st.sockUnits > 0 && st.grant == 0 { // grant is exactly 0 until assigned
 					st.grant = fair
 				}
 			}

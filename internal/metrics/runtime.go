@@ -9,6 +9,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,8 @@ type family struct {
 
 // Registry holds named metric families and renders them in the Prometheus
 // text exposition format. Register* calls may happen at any time; WriteTo
-// is safe concurrently with them.
+// is safe concurrently with them. A Register* call panics on a name that
+// is already registered or does not match namePattern.
 type Registry struct {
 	mu sync.Mutex
 	// families and byName hold the registered metric families, in
@@ -59,7 +61,14 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]int)}
 }
 
+// namePattern is the one shape a memdos metric family name may take: the
+// memdos_ namespace followed by lower_snake_case.
+var namePattern = regexp.MustCompile(`^memdos_[a-z0-9_]+$`)
+
 func (r *Registry) register(name, help, typ string, c collector) {
+	if !namePattern.MatchString(name) {
+		panic(fmt.Sprintf("metrics: name %q does not match %s", name, namePattern))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[name]; dup {

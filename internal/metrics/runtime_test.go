@@ -29,9 +29,9 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(7)
-	r.RegisterCounter("demo_total", "demo counter", &c)
-	r.RegisterGaugeFunc("demo_depth", "demo gauge", func() []Point { return []Point{{Value: 2.5}} })
-	r.RegisterGaugeFunc("demo_shards", "per-shard", func() []Point {
+	r.RegisterCounter("memdos_demo_total", "demo counter", &c)
+	r.RegisterGaugeFunc("memdos_demo_depth", "demo gauge", func() []Point { return []Point{{Value: 2.5}} })
+	r.RegisterGaugeFunc("memdos_demo_shards", "per-shard", func() []Point {
 		// Deliberately unsorted: WriteTo must sort by label set.
 		return []Point{{Labels: `shard="1"`, Value: 2}, {Labels: `shard="0"`, Value: 1}}
 	})
@@ -42,13 +42,13 @@ func TestRegistryExposition(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# HELP demo_total demo counter",
-		"# TYPE demo_total counter",
-		"demo_total 7",
-		"# TYPE demo_depth gauge",
-		"demo_depth 2.5",
-		"demo_shards{shard=\"0\"} 1",
-		"demo_shards{shard=\"1\"} 2",
+		"# HELP memdos_demo_total demo counter",
+		"# TYPE memdos_demo_total counter",
+		"memdos_demo_total 7",
+		"# TYPE memdos_demo_depth gauge",
+		"memdos_demo_depth 2.5",
+		"memdos_demo_shards{shard=\"0\"} 1",
+		"memdos_demo_shards{shard=\"1\"} 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -59,17 +59,17 @@ func TestRegistryExposition(t *testing.T) {
 		t.Error("labelled points not sorted")
 	}
 	// Families render in registration order.
-	if strings.Index(out, "demo_total") > strings.Index(out, "demo_depth") {
+	if strings.Index(out, "memdos_demo_total") > strings.Index(out, "memdos_demo_depth") {
 		t.Error("families not in registration order")
 	}
 }
 
 func TestRegistryEmptyFamilyOmitted(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterGaugeFunc("empty_family", "nothing yet", func() []Point { return nil })
+	r.RegisterGaugeFunc("memdos_empty_family", "nothing yet", func() []Point { return nil })
 	var sb strings.Builder
 	r.WriteTo(&sb)
-	if strings.Contains(sb.String(), "empty_family") {
+	if strings.Contains(sb.String(), "memdos_empty_family") {
 		t.Errorf("empty family rendered: %s", sb.String())
 	}
 }
@@ -77,11 +77,25 @@ func TestRegistryEmptyFamilyOmitted(t *testing.T) {
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
-	r.RegisterCounter("dup_total", "", &c)
+	r.RegisterCounter("memdos_dup_total", "", &c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.RegisterCounter("dup_total", "", &c)
+	r.RegisterCounter("memdos_dup_total", "", &c)
+}
+
+func TestRegisterRejectsNonCanonicalName(t *testing.T) {
+	for _, name := range []string{"demo_total", "memdos_Demo_total", "memdos_demo-total", ""} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering %q did not panic", name)
+				}
+			}()
+			var c Counter
+			NewRegistry().RegisterCounter(name, "", &c)
+		}()
+	}
 }

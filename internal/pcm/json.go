@@ -68,7 +68,7 @@ func (s Sample) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	w := sampleJSON{Time: &s.Time, AccessNum: &s.AccessNum, MissNum: &s.MissNum}
-	if s.BWBytes != 0 || s.AvgLatency != 0 { //memdos:ignore floateq exact zero elides the optional wire fields
+	if s.BWBytes != 0 || s.AvgLatency != 0 { // zero elides the optional wire fields
 		w.BWBytes, w.AvgLatency = &s.BWBytes, &s.AvgLatency
 	}
 	return json.Marshal(w)

@@ -30,7 +30,7 @@ func acfInto(out, centered, x []float64) []float64 {
 		c0 += centered[i] * centered[i]
 	}
 	out[0] = 1
-	if c0 == 0 { //memdos:ignore floateq exact zero variance (constant window); division guard
+	if c0 == 0 { // constant window: zero variance
 		clear(out[1:])
 		return out
 	}
@@ -55,12 +55,11 @@ func isACFPeak(acf []float64, lag int) bool {
 		return false
 	}
 	l, r := lag-1, lag+1
-	// Walk off equal-valued plateaus.
-	//memdos:ignore floateq plateau walk wants bit-identical stored values, not approximate ones
+	// Walk off equal-valued plateaus; a plateau is bit-identical stored
+	// values, not approximately equal ones.
 	for l > 0 && acf[l] == acf[lag] {
 		l--
 	}
-	//memdos:ignore floateq plateau walk wants bit-identical stored values, not approximate ones
 	for r < len(acf)-1 && acf[r] == acf[lag] {
 		r++
 	}

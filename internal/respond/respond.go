@@ -542,7 +542,7 @@ func (e *Engine) settle(s *session, want hold, level int, now float64, reason st
 		e.bwLimits.Inc()
 		e.record(s, Action{Time: now, Kind: ActionBandwidth, Level: level, Reason: reason}, err)
 	}
-	if s.cur.duty != want.duty { //memdos:ignore floateq duty holds literal 0 or a cfg value copied verbatim; exact no-op detection
+	if s.cur.duty != want.duty { // duty holds literal 0 or a cfg value copied verbatim, so != detects a no-op exactly
 		err := e.act.Throttle(s.name, want.duty)
 		if want.duty > 0 {
 			e.throttles.Inc()

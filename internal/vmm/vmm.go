@@ -595,7 +595,7 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 	}
 	// Both sides hold a TPCM copied verbatim from their configs, so exact
 	// comparison is the intended integrity check.
-	if st.counter.TPCM() != s.cfg.TPCM { //memdos:ignore floateq
+	if st.counter.TPCM() != s.cfg.TPCM {
 		return nil, fmt.Errorf("vmm: sampling interval mismatch: migrating VM %s has TPCM %v, host %v",
 			st.name, st.counter.TPCM(), s.cfg.TPCM)
 	}
