@@ -17,7 +17,7 @@ func periodDFTOnly(ma []float64) (float64, bool) {
 }
 
 func periodACFOnly(ma []float64) (float64, bool) {
-	e := period.EstimateACFOnly(ma, 0.2)
+	e := period.EstimateACFOnly(ma)
 	return e.Period, e.Periodic
 }
 

@@ -18,32 +18,29 @@ type Estimate struct {
 	Power float64
 }
 
-// EstimatorConfig tunes the DFT-ACF estimator.
-type EstimatorConfig struct {
-	// MaxCandidates bounds how many periodogram peaks are validated
+// The estimator's settings.
+const (
+	// maxCandidates bounds how many periodogram peaks are validated
 	// against the ACF (Vlachos et al. use the top few "power hints").
-	MaxCandidates int
-	// PowerFactor is the significance multiplier: a candidate frequency
-	// must carry at least PowerFactor times the mean spectral power.
-	PowerFactor float64
-	// MinCorrelation is the minimum ACF value at the candidate period for
+	maxCandidates = 5
+	// powerFactor is the significance multiplier: a candidate frequency
+	// must carry at least powerFactor times the mean spectral power.
+	powerFactor = 3
+	// minCorrelation is the minimum ACF value at the candidate period for
 	// the period to be accepted.
-	MinCorrelation float64
-	// SearchRadiusFrac widens the ACF hill search around each DFT
+	minCorrelation = 0.2
+	// searchRadiusFrac widens the ACF hill search around each DFT
 	// candidate period by this fraction of the period (minimum 2 lags),
 	// compensating for the coarse DFT frequency grid.
-	SearchRadiusFrac float64
-}
+	searchRadiusFrac = 0.25
+)
+
+// EstimatorConfig is empty: the estimator's settings are the constants
+// above. The type remains because NewEstimator's callers pass it.
+type EstimatorConfig struct{}
 
 // DefaultEstimatorConfig returns the configuration used by SDS/P.
-func DefaultEstimatorConfig() EstimatorConfig {
-	return EstimatorConfig{
-		MaxCandidates:    5,
-		PowerFactor:      3,
-		MinCorrelation:   0.2,
-		SearchRadiusFrac: 0.25,
-	}
-}
+func DefaultEstimatorConfig() EstimatorConfig { return EstimatorConfig{} }
 
 // Estimator finds the dominant period of a time series using the DFT-ACF
 // combination of Vlachos et al.: the DFT proposes candidate periods (it
@@ -51,28 +48,10 @@ func DefaultEstimatorConfig() EstimatorConfig {
 // propose frequencies that don't exist), and the ACF validates each
 // candidate on a hill (avoiding DFT false frequencies while not wandering
 // to ACF's period multiples).
-type Estimator struct {
-	cfg EstimatorConfig
-}
+type Estimator struct{}
 
-// NewEstimator returns an Estimator with the given configuration. Zero
-// fields are replaced by the defaults.
-func NewEstimator(cfg EstimatorConfig) *Estimator {
-	def := DefaultEstimatorConfig()
-	if cfg.MaxCandidates <= 0 {
-		cfg.MaxCandidates = def.MaxCandidates
-	}
-	if cfg.PowerFactor <= 0 {
-		cfg.PowerFactor = def.PowerFactor
-	}
-	if cfg.MinCorrelation <= 0 {
-		cfg.MinCorrelation = def.MinCorrelation
-	}
-	if cfg.SearchRadiusFrac <= 0 {
-		cfg.SearchRadiusFrac = def.SearchRadiusFrac
-	}
-	return &Estimator{cfg: cfg}
-}
+// NewEstimator returns an Estimator.
+func NewEstimator(EstimatorConfig) *Estimator { return &Estimator{} }
 
 // candidate couples a periodogram bin with its implied period.
 type candidate struct {
@@ -92,24 +71,23 @@ func byPowerDesc(a, b candidate) int {
 }
 
 // Estimate runs the DFT-ACF search over x. Series shorter than 8 samples
-// are reported as non-periodic. Its working memory comes from the plan
-// for len(x) and goes back when it returns.
+// are reported as non-periodic. Its working memory comes from a pool and
+// goes back when it returns.
 func (e *Estimator) Estimate(x []float64) Estimate {
 	n := len(x)
 	if n < 8 {
 		return Estimate{}
 	}
-	pl := planFor(n, false)
-	sc := pl.get()
-	defer pl.put(sc)
-	spec := pl.periodogram(sc.spec, x, sc.work)
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	spec := periodogram(sc.spec, x, sc)
 	// Mean power over non-DC bins forms the significance floor.
 	var meanPower float64
 	for _, p := range spec[1:] {
 		meanPower += p
 	}
 	meanPower /= float64(len(spec) - 1)
-	threshold := e.cfg.PowerFactor * meanPower
+	threshold := powerFactor * meanPower
 
 	cands := sc.cands[:0]
 	for k := 1; k < len(spec); k++ {
@@ -131,8 +109,8 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 	// The same pdqsort as sort.Slice, without its reflection: equal powers
 	// end up in the same order.
 	slices.SortFunc(cands, byPowerDesc)
-	if len(cands) > e.cfg.MaxCandidates {
-		cands = cands[:e.cfg.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 
 	maxLag := n - 1
@@ -140,7 +118,7 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 	best := Estimate{}
 	for _, c := range cands {
 		lag := int(math.Round(c.period))
-		radius := int(math.Ceil(e.cfg.SearchRadiusFrac * c.period))
+		radius := int(math.Ceil(searchRadiusFrac * c.period))
 		if radius < 2 {
 			radius = 2
 		}
@@ -155,7 +133,7 @@ func (e *Estimator) Estimate(x []float64) Estimate {
 				bestLag, bestVal = l, acf[l]
 			}
 		}
-		if bestLag < 0 || bestVal < e.cfg.MinCorrelation {
+		if bestLag < 0 || bestVal < minCorrelation {
 			continue
 		}
 		if !best.Periodic || bestVal > best.Correlation {
@@ -188,8 +166,9 @@ func EstimateDFTOnly(x []float64) Estimate {
 
 // EstimateACFOnly returns the first significant ACF hill with no DFT
 // guidance. It exists for the ablation study: plain ACF tends to lock onto
-// multiples of the true period.
-func EstimateACFOnly(x []float64, minCorrelation float64) Estimate {
+// multiples of the true period. A hill must reach the estimator's minimum
+// correlation.
+func EstimateACFOnly(x []float64) Estimate {
 	n := len(x)
 	if n < 8 {
 		return Estimate{}

@@ -1,8 +1,11 @@
 package period
 
 import (
+	"encoding/binary"
 	"math"
 	"math/cmplx"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,120 +27,111 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
-func complexClose(a, b []complex128, tol float64) bool {
-	if len(a) != len(b) {
+// naivePeriodogram is Periodogram through naiveDFT: the mean-removed
+// series' |X_k|^2 / n for k = 0..n/2, and the series' energy sum((x-mean)^2),
+// which bounds every bin.
+func naivePeriodogram(x []float64) (spec []float64, energy float64) {
+	n := len(x)
+	mean := 0.0
+	for _, v := range x {
+		mean += v
+	}
+	mean /= float64(n)
+	c := make([]complex128, n)
+	for i, v := range x {
+		c[i] = complex(v-mean, 0)
+		energy += (v - mean) * (v - mean)
+	}
+	for _, xk := range naiveDFT(c)[:n/2+1] {
+		m := cmplx.Abs(xk)
+		spec = append(spec, m*m/float64(n))
+	}
+	return spec, energy
+}
+
+// periodogramClose reports whether Periodogram(x) is within tol times
+// the series' energy of the naive one, bin by bin.
+func periodogramClose(t *testing.T, x []float64, tol float64) bool {
+	t.Helper()
+	got := Periodogram(x)
+	want, energy := naivePeriodogram(x)
+	if len(got) != len(want) {
+		t.Errorf("n=%d: %d bins, want %d", len(x), len(got), len(want))
 		return false
 	}
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > tol {
+	for k := range got {
+		if math.Abs(got[k]-want[k]) > tol*energy {
+			t.Errorf("n=%d bin %d: %v, naive DFT %v (energy %v)", len(x), k, got[k], want[k], energy)
 			return false
 		}
 	}
 	return true
 }
 
-func TestFFTMatchesNaivePow2(t *testing.T) {
-	r := sim.NewRNG(1)
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
-		}
-		if !complexClose(FFT(x), naiveDFT(x), 1e-8*float64(n)) {
-			t.Errorf("FFT mismatch vs naive DFT at n=%d", n)
-		}
-	}
-}
-
-func TestFFTMatchesNaiveArbitraryLength(t *testing.T) {
+// TestPeriodogramMatchesNaiveDFT holds the direct sum, with its paired
+// terms and t = n/2 fold, to the complex O(n^2) transform on every length
+// 1-300, odd and even.
+func TestPeriodogramMatchesNaiveDFT(t *testing.T) {
 	r := sim.NewRNG(2)
-	for _, n := range []int{3, 5, 6, 7, 12, 17, 31, 100, 243} {
-		x := make([]complex128, n)
+	for n := 1; n <= 300; n++ {
+		x := make([]float64, n)
 		for i := range x {
-			x[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
+			x[i] = 100 + 20*math.Sin(2*math.Pi*float64(i)/7) + r.Normal(0, 5)
 		}
-		if !complexClose(FFT(x), naiveDFT(x), 1e-7*float64(n)) {
-			t.Errorf("Bluestein FFT mismatch vs naive DFT at n=%d", n)
-		}
-	}
-}
-
-func TestFFTDoesNotModifyInput(t *testing.T) {
-	x := []complex128{1, 2, 3, 4, 5} // non-power-of-two
-	orig := append([]complex128(nil), x...)
-	FFT(x)
-	for i := range x {
-		if x[i] != orig[i] {
-			t.Fatal("FFT modified its input")
-		}
-	}
-	y := []complex128{1, 2, 3, 4}
-	origY := append([]complex128(nil), y...)
-	FFT(y)
-	for i := range y {
-		if y[i] != origY[i] {
-			t.Fatal("FFT modified its power-of-two input")
+		if !periodogramClose(t, x, 1e-9) {
+			return
 		}
 	}
 }
 
-func TestIFFTInvertsFFT(t *testing.T) {
-	check := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%120) + 1
-		r := sim.NewRNG(seed)
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.Normal(0, 10), r.Normal(0, 10))
-		}
-		return complexClose(IFFT(FFT(x)), x, 1e-7*float64(n))
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFFTEmpty(t *testing.T) {
-	if FFT(nil) != nil || IFFT(nil) != nil {
-		t.Error("FFT/IFFT of empty input should be nil")
-	}
-}
-
-func TestFFTLinearity(t *testing.T) {
-	r := sim.NewRNG(3)
-	n := 48
-	x := make([]complex128, n)
-	y := make([]complex128, n)
-	z := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(r.Normal(0, 1), 0)
-		y[i] = complex(r.Normal(0, 1), 0)
-		z[i] = 2*x[i] + 3*y[i]
-	}
-	fx, fy, fz := FFT(x), FFT(y), FFT(z)
-	for i := range fz {
-		if cmplx.Abs(fz[i]-(2*fx[i]+3*fy[i])) > 1e-8 {
-			t.Fatal("FFT not linear")
+func TestPeriodogramDoesNotModifyInput(t *testing.T) {
+	// Odd and even lengths, long enough for Estimate to run.
+	for _, x := range [][]float64{{3, 1, 4, 1, 5, 9, 2, 6, 5}, {3, 1, 4, 1, 5, 9, 2, 6}} {
+		orig := append([]float64(nil), x...)
+		Periodogram(x)
+		NewEstimator(DefaultEstimatorConfig()).Estimate(x)
+		if !slices.Equal(x, orig) {
+			t.Fatalf("Periodogram or Estimate modified its input of length %d", len(x))
 		}
 	}
 }
 
+func TestPeriodogramEmpty(t *testing.T) {
+	if Periodogram(nil) != nil {
+		t.Error("Periodogram of empty input should be nil")
+	}
+	if NewEstimator(DefaultEstimatorConfig()).Estimate(nil).Periodic {
+		t.Error("empty input should not be periodic")
+	}
+}
+
+// TestParsevalTheorem: the periodogram's bins, each counted for itself
+// and its mirror k' = n-k, sum to the mean-removed series' energy.
 func TestParsevalTheorem(t *testing.T) {
 	r := sim.NewRNG(4)
-	n := 100
-	x := make([]float64, n)
-	var timeEnergy float64
-	for i := range x {
-		x[i] = r.Normal(0, 2)
-		timeEnergy += x[i] * x[i]
-	}
-	spec := FFTReal(x)
-	var freqEnergy float64
-	for _, c := range spec {
-		freqEnergy += real(c)*real(c) + imag(c)*imag(c)
-	}
-	freqEnergy /= float64(n)
-	if math.Abs(timeEnergy-freqEnergy) > 1e-6*timeEnergy {
-		t.Errorf("Parseval violated: time %v vs freq %v", timeEnergy, freqEnergy)
+	for _, n := range []int{99, 100} {
+		x := make([]float64, n)
+		mean := 0.0
+		for i := range x {
+			x[i] = r.Normal(0, 2)
+			mean += x[i]
+		}
+		mean /= float64(n)
+		var timeEnergy float64
+		for _, v := range x {
+			timeEnergy += (v - mean) * (v - mean)
+		}
+		var freqEnergy float64
+		for k, p := range Periodogram(x) {
+			if k == 0 || 2*k == n {
+				freqEnergy += p
+			} else {
+				freqEnergy += 2 * p
+			}
+		}
+		if math.Abs(timeEnergy-freqEnergy) > 1e-9*timeEnergy {
+			t.Errorf("n=%d: Parseval violated: time %v vs freq %v", n, timeEnergy, freqEnergy)
+		}
 	}
 }
 
@@ -302,7 +296,7 @@ func TestACFOnlyFindsMultiples(t *testing.T) {
 	// assert DFT-ACF's correctness and that ACF-only returns *some* hill.
 	r := sim.NewRNG(13)
 	x := sineSeries(r, 240, 20, 0.5)
-	acfOnly := EstimateACFOnly(x, 0.2)
+	acfOnly := EstimateACFOnly(x)
 	if !acfOnly.Periodic {
 		t.Fatal("ACF-only found nothing")
 	}
@@ -327,13 +321,6 @@ func TestDFTOnlyOnTone(t *testing.T) {
 	}
 }
 
-func TestEstimatorDefaultsFilledIn(t *testing.T) {
-	est := NewEstimator(EstimatorConfig{})
-	if est.cfg.MaxCandidates != 5 || est.cfg.PowerFactor != 3 {
-		t.Errorf("zero config not defaulted: %+v", est.cfg)
-	}
-}
-
 func TestIsACFPeakPlateau(t *testing.T) {
 	acf := []float64{0, 0.5, 0.9, 0.9, 0.5, 0}
 	if !isACFPeak(acf, 2) || !isACFPeak(acf, 3) {
@@ -344,5 +331,113 @@ func TestIsACFPeakPlateau(t *testing.T) {
 	}
 	if isACFPeak(acf, 4) {
 		t.Error("descending lag misreported as peak")
+	}
+}
+
+// TestCandidateOrderMatchesSortSlice: slices.SortFunc with byPowerDesc
+// leaves candidates in sort.Slice's order, ties included, so the first of
+// two equally strong candidates is the same one as before.
+func TestCandidateOrderMatchesSortSlice(t *testing.T) {
+	r := sim.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		cands := make([]candidate, 1+trial%150)
+		for i := range cands {
+			// Few distinct powers: many ties.
+			cands[i] = candidate{period: float64(i), power: float64(r.Intn(4))}
+		}
+		want := append([]candidate(nil), cands...)
+		sort.Slice(want, func(i, j int) bool { return want[i].power > want[j].power })
+		slices.SortFunc(cands, byPowerDesc)
+		if !slices.Equal(cands, want) {
+			t.Fatalf("trial %d: order differs from sort.Slice", trial)
+		}
+	}
+}
+
+// TestEstimateAllocs bounds what one SDS/P evaluation allocates: its
+// scratch comes from the package's pool.
+func TestEstimateAllocs(t *testing.T) {
+	r := sim.NewRNG(7)
+	x := make([]float64, 34) // FN's W_P
+	for i := range x {
+		x[i] = 100 + 20*math.Sin(2*math.Pi*float64(i)/8) + r.Normal(0, 2)
+	}
+	est := NewEstimator(DefaultEstimatorConfig())
+	if !est.Estimate(x).Periodic {
+		t.Fatal("test series not periodic")
+	}
+	// With the race detector sync.Pool drops a quarter of its Puts, and
+	// each drop costs the seven allocations of a fresh scratch.
+	bound := 0.0
+	if raceEnabled {
+		bound = 4
+	}
+	if allocs := testing.AllocsPerRun(100, func() { est.Estimate(x) }); allocs > bound {
+		t.Errorf("Estimate allocates %.1f times per call, want at most %.0f", allocs, bound)
+	}
+}
+
+// FuzzEstimate feeds the estimator arbitrary windows of 1-300 float64s,
+// NaN, ±Inf and huge values included. Estimate must not panic; a period
+// it accepts must lie on a lag the ACF can validate and carry at least
+// the minimum correlation; and on bounded finite windows the periodogram
+// must agree with the naive DFT.
+func FuzzEstimate(f *testing.F) {
+	r := sim.NewRNG(5)
+	for _, n := range []int{8, 34, 64, 300} {
+		seed := make([]byte, 0, 8*n)
+		for i := 0; i < n; i++ {
+			v := 100 + 20*math.Sin(2*math.Pi*float64(i)/17) + r.Normal(0, 2)
+			seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+		}
+		f.Add(seed)
+	}
+	f.Add(binary.LittleEndian.AppendUint64(make([]byte, 8*33), math.Float64bits(math.NaN())))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/8, 300)
+		if n == 0 {
+			return
+		}
+		x := make([]float64, n)
+		bounded := true
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			// Past 1e100 the energy's squares could overflow.
+			bounded = bounded && math.Abs(x[i]) <= 1e100
+		}
+		e := NewEstimator(DefaultEstimatorConfig()).Estimate(x)
+		if e.Periodic && (e.Period < 2 || e.Period > float64(n-2) || !(e.Correlation >= minCorrelation)) {
+			t.Fatalf("n=%d: accepted %+v", n, e)
+		}
+		if bounded {
+			periodogramClose(t, x, 1e-9)
+		}
+	})
+}
+
+// BenchmarkEstimate times one SDS/P evaluation at FN's W_P = 34.
+func BenchmarkEstimate(b *testing.B) {
+	r := sim.NewRNG(7)
+	x := make([]float64, 34)
+	for i := range x {
+		x[i] = 100 + 20*math.Sin(2*math.Pi*float64(i)/8) + r.Normal(0, 2)
+	}
+	est := NewEstimator(DefaultEstimatorConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		est.Estimate(x)
+	}
+}
+
+// BenchmarkPeriodogram times the spectrum alone at W_P = 34.
+func BenchmarkPeriodogram(b *testing.B) {
+	r := sim.NewRNG(7)
+	x := make([]float64, 34)
+	for i := range x {
+		x[i] = r.Normal(100, 10)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Periodogram(x)
 	}
 }
