@@ -7,6 +7,7 @@ import (
 	"memdos/internal/attack"
 	"memdos/internal/metrics"
 	"memdos/internal/pcm"
+	"memdos/internal/stats"
 	"memdos/internal/vmm"
 	"memdos/internal/workload"
 )
@@ -155,6 +156,73 @@ func TestBuildProfileValidation(t *testing.T) {
 	if _, err := BuildProfile(make([]float64, 300), make([]float64, 300), bad); err == nil {
 		t.Error("invalid params accepted")
 	}
+	// One NaN AccessNum among 30,000 samples, or two near-overflow ones,
+	// would make a NaN or infinite bound that blinds SDS/B.
+	for _, spoil := range []map[int]float64{
+		{12345: math.NaN()},
+		{100: 1e308, 101: 1e308},
+		{29999: math.Inf(1)},
+		{0: math.Inf(-1), 20000: math.Inf(1)},
+	} {
+		access, miss := make([]float64, 30000), make([]float64, 30000)
+		for i := range access {
+			access[i], miss[i] = 1000+float64(i%7), 50
+		}
+		for i, v := range spoil {
+			access[i] = v
+		}
+		if prof, err := BuildProfile(access, miss, p); err == nil {
+			t.Errorf("AccessNum %v: non-finite profile %+v accepted", spoil, prof)
+		}
+	}
+}
+
+// TestBuildProfileMatchesSDSB: a profile is SDS/B's own smoothing of the
+// same samples, so its four moments are, bit for bit, MeanStd over the
+// EWMA values SDS/B reports at each of its decisions.
+func TestBuildProfileMatchesSDSB(t *testing.T) {
+	p := DefaultParams()
+	for _, app := range []string{"KM", "FN"} {
+		srv := vmm.MustNewServer(vmm.DefaultConfig())
+		vm, err := srv.AddApp("victim", workload.MustByAbbrev(app).Service())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.RunUntil(120, nil)
+		c := srv.Counter(vm.ID())
+		access, miss := c.AccessSeries().Values, c.MissSeries().Values
+		prof, err := BuildProfile(access, miss, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := NewSDSB(prof, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accE, missE []float64
+		for i := range access {
+			if len(det.Push(pcm.Sample{AccessNum: access[i], MissNum: miss[i]})) > 0 {
+				a, m := det.EWMAValues()
+				accE, missE = append(accE, a), append(missE, m)
+			}
+		}
+		var want Profile
+		want.AccessMean, want.AccessStd = stats.MeanStd(accE)
+		want.MissMean, want.MissStd = stats.MeanStd(missE)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"AccessMean", prof.AccessMean, want.AccessMean},
+			{"AccessStd", prof.AccessStd, want.AccessStd},
+			{"MissMean", prof.MissMean, want.MissMean},
+			{"MissStd", prof.MissStd, want.MissStd},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s %s: profile %v, SDS/B's EWMA %v", app, c.name, c.got, c.want)
+			}
+		}
+	}
 }
 
 func TestProfileNonPeriodicApp(t *testing.T) {
@@ -246,6 +314,17 @@ func TestSDSBRejectsBadProfile(t *testing.T) {
 	if _, err := NewSDSB(Profile{AccessStd: -1}, p); err == nil {
 		t.Error("negative std accepted")
 	}
+	for _, prof := range []Profile{
+		{AccessMean: math.NaN(), AccessStd: math.NaN()},
+		{AccessMean: math.Inf(1), AccessStd: math.NaN()},
+		{AccessMean: 1000, AccessStd: math.Inf(1)},
+		{MissMean: math.Inf(-1)},
+		{MissStd: math.NaN()},
+	} {
+		if _, err := NewSDSB(prof, p); err == nil {
+			t.Errorf("non-finite profile %+v accepted", prof)
+		}
+	}
 	bad := p
 	bad.W = 0
 	if _, err := NewSDSB(Profile{}, bad); err == nil {
@@ -256,6 +335,11 @@ func TestSDSBRejectsBadProfile(t *testing.T) {
 func TestSDSPRequiresPeriodicProfile(t *testing.T) {
 	if _, err := NewSDSP(Profile{}, DefaultParams()); err == nil {
 		t.Error("non-periodic profile accepted")
+	}
+	for _, period := range []float64{0, -17, math.NaN(), math.Inf(1)} {
+		if _, err := NewSDSP(Profile{Periodic: true, Period: period}, DefaultParams()); err == nil {
+			t.Errorf("period %v accepted", period)
+		}
 	}
 }
 

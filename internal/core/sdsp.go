@@ -37,8 +37,8 @@ func NewSDSP(profile Profile, p Params) (*SDSP, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !profile.Periodic || profile.Period <= 0 {
-		return nil, fmt.Errorf("core: SDS/P requires a periodic profile (got %+v)", profile)
+	if !profile.Periodic || !(profile.Period > 0) || math.IsInf(profile.Period, 1) {
+		return nil, fmt.Errorf("core: SDS/P requires a periodic profile with a finite positive period (got %+v)", profile)
 	}
 	return &SDSP{
 		params:    p,

@@ -133,3 +133,16 @@ func mean(xs []float64) float64 {
 	}
 	return sum / float64(n)
 }
+
+// TestHeldOutWindowsRefusesUnclassedModes: the cascade has classes for no
+// attack, bus locking and LLC cleansing only. Windows of any other mode
+// would be labelled no-attack by AttackClassOf, so they are refused
+// rather than collected.
+func TestHeldOutWindowsRefusesUnclassedModes(t *testing.T) {
+	spec := DefaultTrainingSpec()
+	for _, mode := range []AttackMode{MemBW, AttackMode(99)} {
+		if wins, err := HeldOutWindows("KM", mode, spec); err == nil {
+			t.Errorf("%v: %d windows, want an error", mode, len(wins))
+		}
+	}
+}

@@ -49,7 +49,8 @@ func TestMAWindowEqualsStep(t *testing.T) {
 }
 
 func TestMAMatchesNaive(t *testing.T) {
-	// Property: incremental MA equals the direct per-window mean.
+	// Property: MA is the per-window mean summed from zero, bit for bit,
+	// for steps below, at and above the window.
 	check := func(seed uint64, wRaw, dwRaw uint8) bool {
 		w := int(wRaw%20) + 1
 		dw := int(dwRaw%10) + 1
@@ -58,13 +59,16 @@ func TestMAMatchesNaive(t *testing.T) {
 		for i := range raw {
 			raw[i] = r.Normal(0, 10)
 		}
-		fast := MA(raw, w, dw)
-		for n := range fast {
+		got := MA(raw, w, dw)
+		if len(got) != (len(raw)-w)/dw+1 {
+			return false
+		}
+		for n := range got {
 			var sum float64
 			for _, v := range raw[n*dw : n*dw+w] {
 				sum += v
 			}
-			if math.Abs(fast[n]-sum/float64(w)) > 1e-9 {
+			if math.Float64bits(got[n]) != math.Float64bits(sum/float64(w)) {
 				return false
 			}
 		}
@@ -75,9 +79,19 @@ func TestMAMatchesNaive(t *testing.T) {
 	}
 }
 
+// ewma pushes xs through one EWMAStream and returns every value it emits.
+func ewma(xs []float64, alpha float64) []float64 {
+	s := NewEWMAStream(alpha)
+	out := make([]float64, len(xs))
+	for i, v := range xs {
+		out[i] = s.Push(v)
+	}
+	return out
+}
+
 func TestEWMAAlphaOne(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	got := EWMA(xs, 1)
+	got := ewma(xs, 1)
 	for i := range xs {
 		if got[i] != xs[i] {
 			t.Fatalf("EWMA alpha=1 should be identity, got %v", got)
@@ -86,12 +100,17 @@ func TestEWMAAlphaOne(t *testing.T) {
 }
 
 func TestEWMARecurrence(t *testing.T) {
+	s := NewEWMAStream(0.5)
+	if s.Value() != 0 {
+		t.Errorf("Value before the first Push = %v, want 0", s.Value())
+	}
 	xs := []float64{10, 20, 30}
-	got := EWMA(xs, 0.5)
-	want := []float64{10, 15, 22.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("EWMA[%d] = %v, want %v", i, got[i], want[i])
+	for i, want := range []float64{10, 15, 22.5} {
+		if got := s.Push(xs[i]); got != want {
+			t.Errorf("EWMA[%d] = %v, want %v", i, got, want)
+		}
+		if s.Value() != want {
+			t.Errorf("Value after EWMA[%d] = %v, want %v", i, s.Value(), want)
 		}
 	}
 }
@@ -103,7 +122,7 @@ func TestEWMASmoothsMoreWithSmallAlpha(t *testing.T) {
 		xs[i] = r.Normal(100, 15)
 	}
 	varOf := func(v []float64) float64 { _, s := MeanStd(v); return s * s }
-	if varOf(EWMA(xs, 0.1)) >= varOf(EWMA(xs, 0.9)) {
+	if varOf(ewma(xs, 0.1)) >= varOf(ewma(xs, 0.9)) {
 		t.Error("smaller alpha should reduce variance more")
 	}
 }
@@ -116,7 +135,7 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 					t.Errorf("EWMA alpha=%v did not panic", alpha)
 				}
 			}()
-			EWMA([]float64{1}, alpha)
+			NewEWMAStream(alpha)
 		}()
 	}
 }
@@ -144,7 +163,7 @@ func TestMAStreamMatchesBatch(t *testing.T) {
 		t.Fatalf("stream emitted %d values, batch %d", len(stream), len(batch))
 	}
 	for i := range batch {
-		if math.Abs(stream[i]-batch[i]) > 1e-9 {
+		if math.Float64bits(stream[i]) != math.Float64bits(batch[i]) {
 			t.Errorf("stream[%d] = %v, batch %v", i, stream[i], batch[i])
 		}
 	}
@@ -181,21 +200,6 @@ func TestMAStreamPanicsOnBadArguments(t *testing.T) {
 			}()
 			NewMAStream(c[0], c[1])
 		}()
-	}
-}
-
-func TestEWMAStreamMatchesBatch(t *testing.T) {
-	xs := []float64{5, 1, 9, 2, 6, 8}
-	batch := EWMA(xs, 0.3)
-	s := NewEWMAStream(0.3)
-	for i, v := range xs {
-		got := s.Push(v)
-		if math.Abs(got-batch[i]) > 1e-12 {
-			t.Errorf("stream EWMA[%d] = %v, batch %v", i, got, batch[i])
-		}
-	}
-	if s.Value() != batch[len(batch)-1] {
-		t.Error("Value() mismatch")
 	}
 }
 
