@@ -61,7 +61,7 @@ func TestSamplePathPins(t *testing.T) {
 			}
 			return fmt.Sprintf("lower=%v upper=%v alarm=%d attack=%d ewma=%s",
 				r.Lower, r.Upper, r.AlarmWindow, r.AttackWindow, bitsDigest(r.EWMA)), nil
-		}, "lower=19464.470464949172 upper=20050.29317953077 alarm=176 attack=146 ewma=317/71d67d43d19036f5"},
+		}, "lower=19464.470464949147 upper=20050.293179530745 alarm=176 attack=146 ewma=317/71d67d43d19036f5"},
 		{"Fig8SDSPExample", func() (string, error) {
 			r, err := Fig8SDSPExample()
 			if err != nil {
@@ -76,11 +76,11 @@ func TestSamplePathPins(t *testing.T) {
 		{"ProfileApp/KM", func() (string, error) {
 			p, err := ProfileApp("KM", ProfileDuration, params)
 			return fmt.Sprintf("%+v", p), err
-		}, "{AccessMean:19757.38182223997 AccessStd:260.3656509251554 MissMean:987.8690911119999 MissStd:13.018282546257796 Periodic:false Period:0}"},
+		}, "{AccessMean:19757.381822239946 AccessStd:260.36565092515605 MissMean:987.8690911119992 MissStd:13.018282546257778 Periodic:false Period:0}"},
 		{"ProfileApp/FN", func() (string, error) {
 			p, err := ProfileApp("FN", ProfileDuration, params)
 			return fmt.Sprintf("%+v", p), err
-		}, "{AccessMean:16997.438170968377 AccessStd:660.8318922230648 MissMean:1019.8462902581022 MissStd:39.649913533383916 Periodic:true Period:17}"},
+		}, "{AccessMean:16997.43817096838 AccessStd:660.8318922230646 MissMean:1019.8462902581022 MissStd:39.64991353338394 Periodic:true Period:17}"},
 		{"Fig1KStestFalsePositives", func() (string, error) {
 			r, err := Fig1KStestFalsePositives(120, []uint64{2})
 			if err != nil {
