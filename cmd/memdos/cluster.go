@@ -13,7 +13,7 @@ import (
 // closed loop (SDS detection -> respond ladder -> real VM migration)
 // drains attacked victims to clean hosts.
 func cmdCluster(args []string) error {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
+	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	hosts := fs.Int("hosts", 128, "number of simulated hosts")
 	victims := fs.Int("victims", 64, "number of protected victim VMs")
 	attackers := fs.Int("attackers", 32, "number of attack VMs")
@@ -23,7 +23,9 @@ func cmdCluster(args []string) error {
 	delay := fs.Float64("delay", 120, "targeted attacker re-co-location delay (s)")
 	churn := fs.Float64("churn", 60, "churn attacker relocation interval (s)")
 	seed := fs.Uint64("seed", 7, "seed")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	spec := experiments.DefaultClusterStudySpec()
 	spec.Hosts = *hosts

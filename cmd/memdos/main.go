@@ -20,9 +20,11 @@
 //	memdos migration [-app KM] [-delay 60]
 //	memdos mitigate [-app KM] [-attack buslock] [-seed 7]
 //	memdos membw    [-app KM] [-sockets 1,2] [-dur 600] [-budget 2e9] [-dnn]
+//	memdos report   [-dnn] [-out report.md]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +32,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"memdos"
 	"memdos/internal/core"
@@ -90,12 +91,30 @@ func run() int {
 		}()
 	}
 
-	err := dispatch(cmd, args)
-	if err != nil {
+	switch err := dispatch(cmd, args); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
 		fmt.Fprintf(os.Stderr, "memdos %s: %v\n", cmd, err)
 		return 1
 	}
-	return 0
+}
+
+// errUsage is a command line refused before the subcommand ran. The
+// refusal and the usage text are already on stderr; run exits 2.
+var errUsage = errors.New("usage error")
+
+// parseFlags parses a subcommand's flags. A flag set made with
+// flag.ContinueOnError prints its own refusal, so a parse error comes back
+// as errUsage, and -h as flag.ErrHelp.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && err != flag.ErrHelp {
+		return errUsage
+	}
+	return err
 }
 
 func dispatch(cmd string, args []string) error {
@@ -140,7 +159,7 @@ func dispatch(cmd string, args []string) error {
 	default:
 		fmt.Fprintf(os.Stderr, "memdos: unknown command %q\n", cmd)
 		usage()
-		os.Exit(2)
+		err = errUsage
 	}
 	return err
 }
@@ -165,7 +184,7 @@ commands:
   mitigate   closed-loop mitigation study (SDS alarms -> respond engine)
   membw      DRAM bandwidth-hog study on 1- and 2-socket NUMA topologies
   containers serverless/container future-work study (Sec. VIII)
-  report     run the core experiment set, emit a markdown report
+  report     paper-vs-measured tables (with -dnn: EXPERIMENTS.md's block)
 
 global flags (before the command):
   -cpuprofile FILE   write a CPU profile of the subcommand
@@ -213,12 +232,14 @@ func cmdApps() error {
 }
 
 func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	app := fs.String("app", "KM", "application abbreviation")
 	atk := fs.String("attack", "buslock", "attack kind (buslock|cleansing)")
 	out := fs.String("out", "", "optional CSV output path")
 	seed := fs.Uint64("seed", 1, "run seed")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*atk)
 	if err != nil {
 		return err
@@ -250,13 +271,15 @@ func cmdTrace(args []string) error {
 }
 
 func cmdDetect(args []string) error {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
+	fs := flag.NewFlagSet("detect", flag.ContinueOnError)
 	app := fs.String("app", "KM", "application abbreviation")
 	atk := fs.String("attack", "buslock", "attack kind (buslock|cleansing|none)")
 	detName := fs.String("detector", "SDS", "SDS|KStest")
 	adaptive := fs.Bool("adaptive", false, "use the Scenario 2 on/off schedule")
 	seed := fs.Uint64("seed", 1, "run seed")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*atk)
 	if err != nil {
 		return err
@@ -300,10 +323,12 @@ func cmdDetect(args []string) error {
 }
 
 func cmdFig1(args []string) error {
-	fs := flag.NewFlagSet("fig1", flag.ExitOnError)
+	fs := flag.NewFlagSet("fig1", flag.ContinueOnError)
 	dur := fs.Float64("dur", 600, "run duration per app (s)")
 	seeds := fs.Int("seeds", 3, "number of seeds")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sl, err := seedList(*seeds)
 	if err != nil {
 		return err
@@ -340,13 +365,15 @@ func cmdFig8() error {
 }
 
 func cmdCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	atk := fs.String("attack", "buslock", "attack kind")
 	scenario := fs.Int("scenario", 1, "1 (half-run attack) or 2 (adaptive)")
 	appsFlag := fs.String("apps", strings.Join(workload.Abbrevs(), ","), "comma-separated apps")
 	withDNN := fs.Bool("dnn", false, "include the DNN detector (trains on first use)")
 	seeds := fs.Int("seeds", 2, "seeds per cell")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*atk)
 	if err != nil {
 		return err
@@ -374,9 +401,11 @@ func cmdCompare(args []string) error {
 }
 
 func cmdOverhead(args []string) error {
-	fs := flag.NewFlagSet("overhead", flag.ExitOnError)
+	fs := flag.NewFlagSet("overhead", flag.ContinueOnError)
 	appsFlag := fs.String("apps", "KM,BA", "comma-separated apps")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	rows, err := experiments.Fig14Overhead(strings.Split(*appsFlag, ","))
 	if err != nil {
 		return err
@@ -389,7 +418,7 @@ func cmdOverhead(args []string) error {
 }
 
 func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var params []string
 	for _, sw := range experiments.Sweeps {
 		params = append(params, sw.Param)
@@ -397,7 +426,9 @@ func cmdSweep(args []string) error {
 	param := fs.String("param", "alpha", strings.Join(params, "|"))
 	app := fs.String("app", "KM", "application (periodic sweeps use FN)")
 	seeds := fs.Int("seeds", 1, "seeds per point")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sl, err := seedList(*seeds)
 	if err != nil {
 		return err
@@ -420,12 +451,14 @@ func cmdSweep(args []string) error {
 }
 
 func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	appsFlag := fs.String("apps", strings.Join(workload.Abbrevs(), ","), "apps to train on")
 	epochs := fs.Int("epochs", 12, "training epochs")
 	verbose := fs.Bool("v", false, "per-epoch progress")
 	out := fs.String("out", "", "write the trained cascade to this file, for memdosd -score-model")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	spec := experiments.DefaultTrainingSpec()
 	spec.Apps = strings.Split(*appsFlag, ",")
 	spec.Train.Epochs = *epochs
@@ -492,11 +525,13 @@ func fmtRecalls(rs []float64) string {
 }
 
 func cmdMigration(args []string) error {
-	fs := flag.NewFlagSet("migration", flag.ExitOnError)
+	fs := flag.NewFlagSet("migration", flag.ContinueOnError)
 	app := fs.String("app", "KM", "application")
 	delay := fs.Float64("delay", 60, "attacker re-co-location delay (s)")
 	dur := fs.Float64("dur", 600, "run duration (s)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	res, err := experiments.MigrationStudy(*app, *delay, *dur, 13)
 	if err != nil {
 		return err
@@ -512,13 +547,15 @@ func cmdMigration(args []string) error {
 }
 
 func cmdMitigate(args []string) error {
-	fs := flag.NewFlagSet("mitigate", flag.ExitOnError)
+	fs := flag.NewFlagSet("mitigate", flag.ContinueOnError)
 	app := fs.String("app", "KM", "application")
 	atk := fs.String("attack", "buslock", "attack kind (buslock|cleansing)")
 	seed := fs.Uint64("seed", 7, "run seed")
 	start := fs.Float64("start", 30, "attack co-location time (s)")
 	delay := fs.Float64("delay", 120, "attacker re-co-location delay after migration (s)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*atk)
 	if err != nil {
 		return err
@@ -544,20 +581,11 @@ func cmdMitigate(args []string) error {
 }
 
 func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	out := fs.String("out", "", "output path (default stdout)")
-	appsFlag := fs.String("apps", "KM,TS,FN", "comma-separated apps")
-	seeds := fs.Int("seeds", 1, "seeds per experiment")
-	withDNN := fs.Bool("dnn", false, "include the DNN detector (slow: trains first)")
-	fs.Parse(args)
-	sl, err := seedList(*seeds)
-	if err != nil {
+	withDNN := fs.Bool("dnn", false, "include the DNN rows (slow: trains first)")
+	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	cfg := experiments.ReportConfig{
-		Seeds:   sl,
-		Apps:    strings.Split(*appsFlag, ","),
-		WithDNN: *withDNN,
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -568,8 +596,7 @@ func cmdReport(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	started := time.Now()
-	if err := experiments.WriteReport(w, cfg, func() time.Duration { return time.Since(started) }); err != nil {
+	if err := experiments.WriteReport(w, *withDNN); err != nil {
 		return err
 	}
 	if *out != "" {
@@ -579,9 +606,11 @@ func cmdReport(args []string) error {
 }
 
 func cmdContainers(args []string) error {
-	fs := flag.NewFlagSet("containers", flag.ExitOnError)
+	fs := flag.NewFlagSet("containers", flag.ContinueOnError)
 	atk := fs.String("attack", "buslock", "attack kind")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*atk)
 	if err != nil {
 		return err
@@ -599,9 +628,11 @@ func cmdContainers(args []string) error {
 }
 
 func cmdAblation(args []string) error {
-	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
+	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
 	which := fs.String("which", "raw", "raw|period|microsim")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	switch *which {
 	case "raw":
 		accs, err := experiments.AblationRawThreshold("TS", []uint64{1})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -77,10 +78,29 @@ func TestDispatchRefusesBadSeedsAndScenario(t *testing.T) {
 		{"compare", []string{"-scenario", "3"}},
 		{"fig1", []string{"-seeds", "0"}},
 		{"membw", []string{"-seeds", "0"}},
-		{"report", []string{"-seeds", "0"}},
 	} {
 		if err := dispatch(tc.cmd, tc.args); err == nil {
 			t.Errorf("memdos %s %v: accepted", tc.cmd, tc.args)
+		}
+	}
+}
+
+// A refused command line exits 2 from run, after its defers: the CPU
+// profile asked for is still written, not left empty.
+func TestUsageErrorsWriteProfile(t *testing.T) {
+	defer func(args []string) { os.Args = args }(os.Args)
+	for _, tc := range [][]string{
+		{"bogus"},
+		{"fig1", "-bogus"},
+		{"report", "-seeds", "3"},
+	} {
+		path := filepath.Join(t.TempDir(), "cpu.pprof")
+		os.Args = append([]string{"memdos", "-cpuprofile", path}, tc...)
+		if code := run(); code != 2 {
+			t.Errorf("memdos %v: exit %d, want 2", tc, code)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("memdos %v: CPU profile not written (%v)", tc, err)
 		}
 	}
 }

@@ -14,14 +14,16 @@ import (
 // streaming hog on the requested topologies, then the closed loop with
 // the membw-limit rung enabled.
 func cmdMemBW(args []string) error {
-	fs := flag.NewFlagSet("membw", flag.ExitOnError)
+	fs := flag.NewFlagSet("membw", flag.ContinueOnError)
 	app := fs.String("app", "KM", "victim application abbreviation")
 	sockets := fs.String("sockets", "1,2", "comma-separated socket counts to run")
 	dur := fs.Float64("dur", experiments.Scenario1Duration, "detection run duration (s); attack starts at the midpoint")
 	seeds := fs.Int("seeds", 1, "seeds per cell")
 	budget := fs.Float64("budget", experiments.MemBWBudget, "membw-limit rung budget (bytes/s)")
 	withDNN := fs.Bool("dnn", false, "include the DNN detector (slow: trains first)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	sl, err := seedList(*seeds)
 	if err != nil {
 		return err

@@ -129,19 +129,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // ensureSession opens the session on first contact; an existing session
 // with the same profile is fine, a conflicting profile is an error.
+// The check runs again under autoOpen: a racing caller may have opened
+// the session with another profile in between.
 func (s *Server) ensureSession(id, profile string) error {
-	if in, ok := s.hub.Session(id); ok {
-		if in.Profile != profile {
-			return fmt.Errorf("session open with profile %q, request says %q", in.Profile, profile)
+	in, ok := s.hub.Session(id)
+	if !ok {
+		s.autoOpen.Lock()
+		defer s.autoOpen.Unlock()
+		if in, ok = s.hub.Session(id); !ok {
+			return s.hub.Open(id, profile)
 		}
-		return nil
 	}
-	s.autoOpen.Lock()
-	defer s.autoOpen.Unlock()
-	if _, ok := s.hub.Session(id); ok {
-		return nil
+	if in.Profile != profile {
+		return fmt.Errorf("session open with profile %q, request says %q", in.Profile, profile)
 	}
-	return s.hub.Open(id, profile)
+	return nil
 }
 
 // OpenSessionRequest is the body of POST /v1/sessions.

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -516,5 +517,49 @@ func TestDeleteWithRaiseQueued(t *testing.T) {
 	}
 	if st, ok := eng.State("vm-1"); ok {
 		t.Errorf("engine holds a record for the closed session: %+v", st)
+	}
+}
+
+// Concurrent first contacts with different profiles open the session once,
+// and every caller whose profile lost is refused: none may feed its samples
+// to the winner's detector.
+func TestEnsureSessionRefusesLosingProfile(t *testing.T) {
+	hub := stream.NewHub(stream.DefaultConfig())
+	t.Cleanup(func() { hub.Close() })
+	profiles := [2]string{"a", "b"}
+	for _, name := range profiles {
+		if err := hub.RegisterProfile(name, func() (core.Detector, error) {
+			return core.NewRawThreshold(0.5)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(hub, nil)
+	const callers = 16
+	for round := range 200 {
+		id := fmt.Sprintf("s%d", round)
+		errs := make([]error, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = s.ensureSession(id, profiles[i%2])
+			}()
+		}
+		close(start)
+		wg.Wait()
+		in, ok := hub.Session(id)
+		if !ok {
+			t.Fatalf("round %d: no session opened", round)
+		}
+		for i, err := range errs {
+			if won := profiles[i%2] == in.Profile; won != (err == nil) {
+				t.Fatalf("round %d: session opened as %q, caller with %q got %v",
+					round, in.Profile, profiles[i%2], err)
+			}
+		}
 	}
 }

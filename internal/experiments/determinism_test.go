@@ -135,3 +135,14 @@ func TestRunRepeatedByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// The report renders the same bytes at any worker count: the EXPERIMENTS.md
+// block can only be checked by a byte diff if nothing in it depends on the
+// run.
+func TestReportDeterministic(t *testing.T) {
+	serial := renderSmallReport(t, 1)
+	parallel := renderSmallReport(t, 8)
+	if serial != parallel {
+		t.Errorf("report differs between workers=1 and workers=8:\nserial:   %s\nparallel: %s", serial, parallel)
+	}
+}

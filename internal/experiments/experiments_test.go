@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"memdos/internal/core"
+	"memdos/internal/par"
 	"memdos/internal/workload"
 )
 
@@ -582,41 +581,63 @@ func TestContainerStudyValidation(t *testing.T) {
 	}
 }
 
-func TestWriteReport(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := ReportConfig{Seeds: []uint64{1}, Apps: []string{"KM", "FN"}}
-	if err := WriteReport(&buf, cfg, func() time.Duration { return time.Second }); err != nil {
+// smallReport is the report's shape at a unit test's cost: one periodic
+// app, so the SDS/B and SDS/P rows are measured, and one seed. Fig. 14
+// costs a fixed simulated horizon per app, so one app is the cheapest.
+var smallReport = reportScale{apps: []string{"PCA"}, seeds: []uint64{1}}
+
+// smallRenders holds writeReport's output at smallReport by worker count,
+// so the report tests share renders: one costs about a minute under -race.
+var smallRenders = map[int]string{}
+
+// renderSmallReport renders smallReport with the process-wide parallelism
+// forced to workers, once per worker count.
+func renderSmallReport(t *testing.T, workers int) string {
+	t.Helper()
+	if out, ok := smallRenders[workers]; ok {
+		return out
+	}
+	prev := par.SetParallelism(workers)
+	defer par.SetParallelism(prev)
+	var buf strings.Builder
+	if err := writeReport(&buf, smallReport, false); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	smallRenders[workers] = buf.String()
+	return buf.String()
+}
+
+func TestWriteReport(t *testing.T) {
+	out := renderSmallReport(t, 8)
+	// Every paper row is rendered once, with the paper's text beside its
+	// label. The table is keyed by section, so a label may repeat across
+	// sections, but never with the same paper text.
+	for section, rows := range paperTable {
+		for _, row := range rows {
+			cell := "| " + row.label + " | " + row.paper + " | "
+			if got := strings.Count(out, cell); got != 1 {
+				t.Errorf("%s row %q rendered %d times, want 1", section, row.label, got)
+			}
+		}
+	}
 	for _, want := range []string{
-		"# memdos experiment report",
-		"Detection parameters (Table I)",
-		"| 200 | 50 | 0.2 | 1.125 | 30 | 2 × period | 10 | 5 | 5 |",
-		"Chebyshev confidence 0.999; minimum detection delay 15 s (SDS/B), 25 s (SDS/P)",
-		"KStest false positives",
-		"Attack impact traces",
-		"Scenario 1",
-		"Scenario 2",
-		"Performance overhead",
-		"Migration response",
-		"Containers",
+		"| W | 200 | 200 |",
+		"| Chebyshev confidence of (k, H_C) | 99.9 % | 99.9 % |",
+		"| SDS/B minimum delay | H_C·ΔW·T_PCM | 15 s |",
+		"| SDS/P minimum delay | H_P·ΔW_P·ΔW·T_PCM | 25 s |",
+		"| DNN recall | 90–95 % | " + needsDNN + " |",
+		"| 20 (dnnw) | accuracy ~flat, delay grows | " + needsDNN + " |",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("report missing section %q", want)
+			t.Errorf("report missing %q", want)
 		}
 	}
-	// Scenario 1 carries the stand-alone SDS/B and SDS/P rows on the
-	// periodic FN only.
-	scenario1 := out[strings.Index(out, "Scenario 1"):strings.Index(out, "Scenario 2")]
-	for row, want := range map[string]int{
-		"| FN | SDS/B |": 1, "| FN | SDS/P |": 1, "| KM | SDS/B |": 0, "| KM | SDS/P |": 0,
-	} {
-		if got := strings.Count(scenario1, row); got != want {
-			t.Errorf("Scenario 1 has %d %q rows, want %d", got, row, want)
+	// The stand-alone SDS/B and SDS/P rows are measured on the periodic
+	// PCA: they read numbers, not NaN.
+	for _, row := range []string{"SDS/B specificity, periodic apps", "SDS/P specificity, periodic apps", "SDS/P, periodic apps"} {
+		line := out[strings.Index(out, "| "+row+" |"):]
+		if line = line[:strings.Index(line, "\n")]; strings.Contains(line, "NaN") {
+			t.Errorf("periodic-only row not measured: %s", line)
 		}
-	}
-	if err := WriteReport(&buf, ReportConfig{}, nil); err == nil {
-		t.Error("empty config accepted")
 	}
 }
