@@ -13,7 +13,6 @@
 //	memdosd [-addr :9464] [-apps KM,FN] [-shards 0] [-queue 4096]
 //	        [-policy drop|block] [-merge-gap 2] [-respond]
 //	        [-score-model cascade.json] [-score-stride 0]
-//	        [-score-batch 64] [-score-queue 1024]
 //
 // With -score-model the daemon loads a cascade saved by `memdos train
 // -out` and runs it as a batched scoring service: shard goroutines
@@ -24,7 +23,9 @@
 // sheds and how many windows were scored from carried rows. Windows
 // slide by -score-stride samples; 0 is the paper's ΔW = 50 (a verdict
 // every 0.5 s at T_PCM = 10 ms, as core.DNNDetector decides), clipped
-// to the model's window.
+// to the model's window. Batches fuse up to 64 windows and the scoring
+// queue holds 1,024 (stream.ScorerConfig's defaults); a full queue sheds
+// windows, never stalls ingest.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
 // (internal/respond) to the hub as an observer: the shard that folds an
@@ -94,8 +95,6 @@ func run(args []string) error {
 	respondOn := fs.Bool("respond", false, "attach the closed-loop mitigation engine to the alarm feed")
 	scoreModel := fs.String("score-model", "", "saved dnn cascade to attach as the batched scoring service ('' disables)")
 	scoreStride := fs.Int("score-stride", 0, "samples between consecutive windows (0 = the paper's ΔW, 50, clipped to the model's window)")
-	scoreBatch := fs.Int("score-batch", 0, "max windows fused per scorer call (0 = 64)")
-	scoreQueue := fs.Int("score-queue", 0, "scoring queue capacity in windows (0 = 1024)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -125,7 +124,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		scfg := stream.ScorerConfig{Stride: scoreStrideFor(*scoreStride, cs.Window()), Batch: *scoreBatch, QueueCap: *scoreQueue}
+		scfg := stream.ScorerConfig{Stride: scoreStrideFor(*scoreStride, cs.Window())}
 		if err := hub.AttachScorer(cs, scfg); err != nil {
 			return err
 		}

@@ -41,8 +41,7 @@ type Config struct {
 	Hosts int
 	// Host is the per-host hypervisor configuration template. Each
 	// host's RNG seed is derived from Seed; the template's own Seed is
-	// ignored. DisableHistory is forced on — a cluster's thousands of
-	// VMs would otherwise retain trace history nothing reads.
+	// ignored.
 	Host vmm.Config
 	// Seed seeds the cluster RNG; host seeds and all placement
 	// randomness derive from it.
@@ -308,9 +307,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Hosts; i++ {
 		hcfg := cfg.Host
 		hcfg.Seed = c.rng.Uint64()
-		// Thousands of VMs stepping for minutes would otherwise retain
-		// trace history nothing reads; the cluster always disables it.
-		hcfg.DisableHistory = true
 		srv, err := vmm.NewServer(hcfg)
 		if err != nil {
 			return nil, err

@@ -98,9 +98,6 @@ func (f *Function) Index() int { return f.id }
 // Completed returns the number of finished invocations so far.
 func (f *Function) Completed() int { return f.completed }
 
-// Counter returns the function's aggregated PCM counter.
-func (f *Function) Counter() *pcm.Counter { return f.counter }
-
 // MeanSpeed returns the mean execution speed of the currently running
 // instances (1.0 = unimpeded; idle slots excluded, 1.0 if all idle).
 func (f *Function) MeanSpeed() float64 {
@@ -171,7 +168,7 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 	f := &Function{
 		spec:    spec,
 		id:      len(p.functions),
-		counter: pcm.MustNewCounter(spec.Name, p.cfg.TPCM),
+		counter: pcm.MustNewCounter(p.cfg.TPCM),
 		rng:     p.rng.Split(),
 	}
 	for i := 0; i < spec.Concurrency; i++ {

@@ -5,8 +5,22 @@ import (
 	"testing"
 
 	"memdos/internal/attack"
+	"memdos/internal/trace"
 	"memdos/internal/workload"
 )
+
+// runTrace runs p to time t and returns function f's AccessNum and MissNum
+// samples as series on the sample grid (Start = Interval = T_PCM), read
+// from each step's StepResult (a counter keeps no history).
+func runTrace(p *Platform, f *Function, t float64) (access, miss *trace.Series) {
+	access = trace.NewSeries("access", p.cfg.TPCM, p.cfg.TPCM)
+	miss = trace.NewSeries("miss", p.cfg.TPCM, p.cfg.TPCM)
+	p.RunUntil(t, func(res StepResult) {
+		access.Append(res.Samples[f.Index()].AccessNum)
+		miss.Append(res.Samples[f.Index()].MissNum)
+	})
+	return access, miss
+}
 
 // lambdaSpec is a short Lambda-style invocation (2 s of work).
 func lambdaSpec(t *testing.T) FunctionSpec {
@@ -68,22 +82,23 @@ func TestInvocationChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RunUntil(60, nil)
+	acc, _ := runTrace(p, f, 60)
 	// 4 slots, ~2.2s per invocation cycle, 60s: ~108 completions.
 	if got := f.Completed(); got < 80 || got > 130 {
 		t.Errorf("completions = %d, want ~108", got)
 	}
 	// The per-function counter stream is continuous despite churn.
-	if f.Counter().Samples() != 6000 {
-		t.Errorf("samples = %d, want 6000", f.Counter().Samples())
+	if acc.Len() != 6000 {
+		t.Errorf("samples = %d, want 6000", acc.Len())
 	}
-	if f.Counter().AccessSeries().Window(10, 60).Min() <= 0 {
+	if acc.Window(10, 60).Min() <= 0 {
 		t.Error("aggregate stream has dead samples despite concurrency 4")
 	}
 }
 
 // TestStepSamplesInDeployOrder: each step carries one sample per function,
-// in its Index slot, and it is the sample that function's counter recorded.
+// in its Index slot, for the interval ending at the step's time; the
+// function running more instances fills its slot with more accesses.
 func TestStepSamplesInDeployOrder(t *testing.T) {
 	p, _ := NewPlatform(DefaultConfig())
 	var fns []*Function
@@ -97,6 +112,7 @@ func TestStepSamplesInDeployOrder(t *testing.T) {
 		}
 		fns = append(fns, f)
 	}
+	sums := make([]float64, len(fns))
 	p.RunUntil(1, func(res StepResult) {
 		if len(res.Samples) != len(fns) {
 			t.Fatalf("t=%v: %d samples for %d functions", res.Time, len(res.Samples), len(fns))
@@ -105,12 +121,20 @@ func TestStepSamplesInDeployOrder(t *testing.T) {
 			if f.Index() != i {
 				t.Fatalf("%s has index %d, want %d", f.Name(), f.Index(), i)
 			}
-			acc := f.Counter().AccessSeries().Values
-			if s := res.Samples[f.Index()]; s.AccessNum != acc[len(acc)-1] || math.Abs(s.Time-res.Time) > 1e-9 {
-				t.Fatalf("t=%v: %s slot %+v, counter last recorded %v", res.Time, f.Name(), s, acc[len(acc)-1])
+			s := res.Samples[f.Index()]
+			if math.Abs(s.Time-res.Time) > 1e-9 {
+				t.Fatalf("t=%v: %s slot %+v", res.Time, f.Name(), s)
 			}
+			sums[i] += s.AccessNum
 		}
 	})
+	// Concurrency 1, 2, 3 in Deploy order.
+	for i := 1; i < len(fns); i++ {
+		if sums[i] <= sums[i-1] {
+			t.Errorf("%s (concurrency %d) drew %v accesses, %s (concurrency %d) %v",
+				fns[i].Name(), i+1, sums[i], fns[i-1].Name(), i, sums[i-1])
+		}
+	}
 }
 
 func TestAttackCutsThroughput(t *testing.T) {
@@ -136,8 +160,7 @@ func TestCleansingInflatesFunctionMisses(t *testing.T) {
 	f, _ := p.Deploy(lambdaSpec(t))
 	atk, _ := attack.NewLLCCleansing(attack.Window{Start: 30, End: 60}, 0.6, 2e6)
 	p.AddAttacker(atk)
-	p.RunUntil(60, nil)
-	miss := f.Counter().MissSeries()
+	_, miss := runTrace(p, f, 60)
 	before := miss.Window(5, 30).Mean()
 	during := miss.Window(35, 60).Mean()
 	if during < 2.5*before {

@@ -12,6 +12,17 @@ import (
 	"memdos/internal/workload"
 )
 
+// runSamples runs srv to time dur and returns VM id's AccessNum and
+// MissNum samples, read from each step's StepResult (a counter keeps no
+// history).
+func runSamples(srv *vmm.Server, id vmm.VMID, dur float64) (access, miss []float64) {
+	srv.RunUntil(dur, func(step vmm.StepResult) {
+		access = append(access, step.Samples[id].AccessNum)
+		miss = append(miss, step.Samples[id].MissNum)
+	})
+	return access, miss
+}
+
 // profileApp runs a clean server for dur seconds and builds the app's
 // profile — the "known safe right after VM start" assumption of the paper.
 func profileApp(t *testing.T, app string, dur float64, p Params) Profile {
@@ -21,9 +32,8 @@ func profileApp(t *testing.T, app string, dur float64, p Params) Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RunUntil(dur, nil)
-	c := srv.Counter(vm.ID())
-	prof, err := BuildProfile(c.AccessSeries().Values, c.MissSeries().Values, p)
+	access, miss := runSamples(srv, vm.ID(), dur)
+	prof, err := BuildProfile(access, miss, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +198,7 @@ func TestBuildProfileMatchesSDSB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.RunUntil(120, nil)
-		c := srv.Counter(vm.ID())
-		access, miss := c.AccessSeries().Values, c.MissSeries().Values
+		access, miss := runSamples(srv, vm.ID(), 120)
 		prof, err := BuildProfile(access, miss, p)
 		if err != nil {
 			t.Fatal(err)

@@ -97,9 +97,8 @@ func TestSDSBBreaksOnDynamicApp(t *testing.T) {
 	cfg := vmm.DefaultConfig()
 	srv := vmm.MustNewServer(cfg)
 	vm, _ := srv.AddApp("victim", workload.Dynamic())
-	srv.RunUntil(300, nil)
-	c := srv.Counter(vm.ID())
-	prof, err := BuildProfile(c.AccessSeries().Values, c.MissSeries().Values, DefaultParams())
+	access, miss := runSamples(srv, vm.ID(), 300)
+	prof, err := BuildProfile(access, miss, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

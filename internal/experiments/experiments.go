@@ -242,6 +242,31 @@ func buildServer(spec RunSpec) (*vmm.Server, *vmm.VM, []metrics.Interval, error)
 	return srv, victim, truth, nil
 }
 
+// victimTrace records one VM's AccessNum and MissNum samples as the
+// series victim.access and victim.miss on the counters' own grid (Start =
+// Interval = T_PCM). A PCM counter keeps no history, so each study that
+// reads the victim's trace records it from the samples of every step.
+type victimTrace struct {
+	id           vmm.VMID
+	access, miss *trace.Series
+}
+
+// newVictimTrace returns an empty trace of vm on srv.
+func newVictimTrace(srv *vmm.Server, vm *vmm.VM) *victimTrace {
+	return &victimTrace{
+		id:     vm.ID(),
+		access: trace.NewSeries("victim.access", srv.TPCM(), srv.TPCM()),
+		miss:   trace.NewSeries("victim.miss", srv.TPCM(), srv.TPCM()),
+	}
+}
+
+// record appends the traced VM's sample of one step.
+func (t *victimTrace) record(step vmm.StepResult) {
+	s := step.Samples[t.id]
+	t.access.Append(s.AccessNum)
+	t.miss.Append(s.MissNum)
+}
+
 // newAttacker builds the attacker for a mode with the standard
 // intensities.
 func newAttacker(mode AttackMode, sched attack.Schedule) (*attack.Attacker, error) {
@@ -266,7 +291,8 @@ func Run(spec RunSpec, params core.Params, factory DetectorFactory) (*RunResult,
 		return nil, err
 	}
 	res := &RunResult{Truth: truth}
-	var onStep func(vmm.StepResult)
+	rec := newVictimTrace(srv, victim)
+	onStep := rec.record
 	if factory != nil {
 		prof, err := profileFor(spec.App, params)
 		if err != nil {
@@ -280,13 +306,12 @@ func Run(spec RunSpec, params core.Params, factory DetectorFactory) (*RunResult,
 			return nil, err
 		}
 		onStep = func(step vmm.StepResult) {
+			rec.record(step)
 			res.Decisions = append(res.Decisions, det.Push(step.Samples[victim.ID()])...)
 		}
 	}
 	srv.RunUntil(spec.Duration, onStep)
-	c := srv.Counter(victim.ID())
-	res.Access = c.AccessSeries()
-	res.Miss = c.MissSeries()
+	res.Access, res.Miss = rec.access, rec.miss
 	res.VictimDoneAt = victim.DoneAt()
 	return res, nil
 }
@@ -334,9 +359,9 @@ func ProfileApp(app string, dur float64, params core.Params) (core.Profile, erro
 	if err != nil {
 		return core.Profile{}, err
 	}
-	srv.RunUntil(dur, nil)
-	c := srv.Counter(vm.ID())
-	return core.BuildProfile(c.AccessSeries().Values, c.MissSeries().Values, params)
+	rec := newVictimTrace(srv, vm)
+	srv.RunUntil(dur, rec.record)
+	return core.BuildProfile(rec.access.Values, rec.miss.Values, params)
 }
 
 // Standard detector factories.

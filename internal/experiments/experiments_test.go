@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -161,6 +162,55 @@ func TestMeasurementTracesObservations(t *testing.T) {
 		if tr.AttackedPeriod != 0 && tr.AttackedPeriod <= tr.CleanPeriod {
 			t.Errorf("%s: period %v -> %v, expected elongation", app, tr.CleanPeriod, tr.AttackedPeriod)
 		}
+	}
+}
+
+// TestMeasurementTraceNonPeriodicHasNoPeriod: an app Table II lists as
+// non-periodic reports no period, although the estimator finds one in
+// the 60 s clean halves of these two traces.
+func TestMeasurementTraceNonPeriodicHasNoPeriod(t *testing.T) {
+	for _, tc := range []struct {
+		app  string
+		mode AttackMode
+	}{{"KM", BusLock}, {"BA", Cleansing}} {
+		if workload.MustByAbbrev(tc.app).Periodic {
+			t.Fatalf("%s is periodic in Table II", tc.app)
+		}
+		tr, err := MeasurementTrace(tc.app, tc.mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.CleanPeriod != 0 || tr.AttackedPeriod != 0 {
+			t.Errorf("%s under %v: period %v -> %v, want 0 -> 0", tc.app, tc.mode, tr.CleanPeriod, tr.AttackedPeriod)
+		}
+	}
+}
+
+// TestRunRecordsOnlyTheVictim: a Run keeps the sample history of the
+// victim and of no other VM. One 600 s KM bus-lock run under SDS
+// allocates about 5 MB with the victim's two series; with two series per
+// counter, for all nine VMs, it allocated about 45 MB.
+func TestRunRecordsOnlyTheVictim(t *testing.T) {
+	spec, params := DefaultRunSpec("KM", BusLock, 1), core.DefaultParams()
+	// Prime the profile cache: the profiling run is not the one measured.
+	if _, err := Run(spec, params, SDSFactory); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(spec, params, SDSFactory)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Access.Len() != 60000 || res.Miss.Len() != 60000 {
+		t.Fatalf("victim trace holds %d/%d samples, want 60000", res.Access.Len(), res.Miss.Len())
+	}
+	const limit = 12 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one Run allocated %.1f MB", float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("one Run allocated %.1f MB, want under %d MB", float64(got)/(1<<20), limit>>20)
 	}
 }
 

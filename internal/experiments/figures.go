@@ -122,7 +122,8 @@ type TraceResult struct {
 	// during the attack.
 	BeforeMean, DuringMean float64
 	// Periods are the DFT-ACF period estimates (in MA samples) of the
-	// clean and attacked halves, 0 when not periodic.
+	// clean and attacked halves, 0 when none is found and always 0 for
+	// an app Table II lists as non-periodic.
 	CleanPeriod, AttackedPeriod float64
 }
 
@@ -140,9 +141,9 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 	if err != nil {
 		return nil, err
 	}
-	srv.RunUntil(120, nil)
-	c := srv.Counter(victim.ID())
-	res := &TraceResult{App: app, Mode: mode, Access: c.AccessSeries(), Miss: c.MissSeries()}
+	rec := newVictimTrace(srv, victim)
+	srv.RunUntil(spec.Duration, rec.record)
+	res := &TraceResult{App: app, Mode: mode, Access: rec.access, Miss: rec.miss}
 
 	channel := res.Access
 	if mode == Cleansing {
@@ -151,6 +152,11 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 	res.BeforeMean = channel.Window(5, 60).Mean()
 	res.DuringMean = channel.Window(65, 120).Mean()
 
+	if !isPeriodic(app) {
+		// The estimator can find a period in a non-periodic app's noise;
+		// only Table II's periodic apps have one to report.
+		return res, nil
+	}
 	params := core.DefaultParams()
 	est := period.NewEstimator(period.DefaultEstimatorConfig())
 	cleanMA := stats.MA(res.Access.Window(0, 60).Values, params.W, params.DW)
@@ -462,12 +468,14 @@ func completionTime(app string, cpu float64, throttled bool, params core.Params)
 			return 0, err
 		}
 	}
+	// DoneAt is fixed once the victim completes, so the run stops there.
 	const horizon = 4000.0
-	srv.RunUntil(horizon, func(step vmm.StepResult) {
+	for !victim.Completed() && srv.Now() < horizon {
+		step := srv.Step()
 		if ks != nil {
 			ks.Push(step.Samples[protected.ID()])
 		}
-	})
+	}
 	if !victim.Completed() {
 		return 0, fmt.Errorf("experiments: %s did not complete within %v s", app, horizon)
 	}

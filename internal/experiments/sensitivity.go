@@ -277,9 +277,9 @@ func MicrosimCalibration() (microFactor, fastFactor float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	srv.RunUntil(120, nil)
-	c := srv.Counter(victim.ID())
-	access, miss := c.AccessSeries(), c.MissSeries()
+	rec := newVictimTrace(srv, victim)
+	srv.RunUntil(spec.Duration, rec.record)
+	access, miss := rec.access, rec.miss
 	ratio := func(t0, t1 float64) float64 {
 		acc := access.Window(t0, t1).Mean()
 		if math.Abs(acc) <= 1e-12 {

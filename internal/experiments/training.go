@@ -92,10 +92,9 @@ func collectWindows(app string, mode AttackMode, dur float64, seed uint64, w, st
 			return nil, err
 		}
 	}
-	srv.RunUntil(dur, nil)
-	c := srv.Counter(victim.ID())
-	acc := c.AccessSeries().Values
-	miss := c.MissSeries().Values
+	rec := newVictimTrace(srv, victim)
+	srv.RunUntil(dur, rec.record)
+	acc, miss := rec.access.Values, rec.miss.Values
 
 	var out [][][]float64
 	for lo := 0; lo+w <= len(acc); lo += stride {

