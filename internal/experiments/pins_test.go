@@ -193,6 +193,9 @@ func TestSamplePathPins(t *testing.T) {
 			accs, err := AblationRawThreshold("TS", []uint64{8})
 			return fmt.Sprintf("%+v", accs), err
 		}, "map[SDS:{Recall:1 Specificity:0.9026845637583892 MeanDelay:0} naive-coarse:{Recall:0.00974074074074074 Specificity:0.9887659177278485 MeanDelay:0} naive-fine:{Recall:0.37125925925925923 Specificity:0.6245749716647776 MeanDelay:0}]"},
+		{"HeldOutWindows/KM/none", func() (string, error) { return heldOutPin("KM", NoAttack) }, "windows=9 values=3600/0d342144d73257b5"},
+		{"HeldOutWindows/KM/buslock", func() (string, error) { return heldOutPin("KM", BusLock) }, "windows=9 values=3600/d6f21e9c3ed3fc4d"},
+		{"HeldOutWindows/KM/cleansing", func() (string, error) { return heldOutPin("KM", Cleansing) }, "windows=9 values=3600/169142b50fc43210"},
 		{"Cluster/dram-churn-husks", huskClusterPin, "{Duration:300 Hosts:8 VMs:32 MeanVictimSpeed:0.6477503641348317 Migrations:6 AttackerMoves:109 AlarmTransitions:41 AlarmFraction:0.42500000000000004 ColocationFraction:0 Respond:{Sessions:4 Mitigated:4 Events:41 Throttles:49 BandwidthLimits:28 Partitions:16 Releases:9 Migrations:6 Escalations:62 Deescalations:28 Overrides:0 ActuatorErrors:0}}"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,4 +307,22 @@ func tracePin(app string, mode AttackMode) (string, error) {
 	return fmt.Sprintf("access=%s miss=%s before=%v during=%v periods=%v/%v",
 		seriesDigest(r.Access), seriesDigest(r.Miss), r.BeforeMean, r.DuringMean,
 		r.CleanPeriod, r.AttackedPeriod), nil
+}
+
+// heldOutPin renders one reduced DNN-corpus collection: the digest of
+// every value of every window, in window order.
+func heldOutPin(app string, mode AttackMode) (string, error) {
+	spec := DefaultTrainingSpec()
+	spec.RunSeconds, spec.Window, spec.Stride = 20, 200, 100
+	wins, err := HeldOutWindows(app, mode, spec)
+	if err != nil {
+		return "", err
+	}
+	var vals []float64
+	for _, w := range wins {
+		for _, row := range w {
+			vals = append(vals, row...)
+		}
+	}
+	return fmt.Sprintf("windows=%d values=%s", len(wins), bitsDigest(vals)), nil
 }
