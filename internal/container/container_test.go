@@ -25,14 +25,9 @@ func runTrace(p *Platform, f *Function, t float64) (access, miss *trace.Series) 
 // lambdaSpec is a short Lambda-style invocation (2 s of work).
 func lambdaSpec(t *testing.T) FunctionSpec {
 	t.Helper()
-	inv, err := workload.NewBuilder("thumbnailer", "THUMB").
-		AccessRate(1.5e6).
-		MissRatio(0.07).
-		Noise(0.1).
-		Runtime(2).
-		Build()
-	if err != nil {
-		t.Fatal(err)
+	inv := workload.Spec{
+		Name: "thumbnailer", Abbrev: "THUMB",
+		BaseAccessRate: 1.5e6, BaseMissRatio: 0.07, NoiseFrac: 0.1, WorkSeconds: 2,
 	}
 	return FunctionSpec{Name: "thumbnailer", Invocation: inv, ColdStart: 0.2, Concurrency: 4}
 }

@@ -50,11 +50,6 @@ func (x *Tensor) Clone() *Tensor {
 	return y
 }
 
-// ShapeEquals reports whether y has the same shape as x.
-func (x *Tensor) ShapeEquals(y *Tensor) bool {
-	return x.B == y.B && x.T == y.T && x.C == y.C
-}
-
 // ensureTensor reshapes the workspace tensor at *ws to (b, t, c), reusing
 // the backing array when its capacity suffices, and zeroes the data. Every
 // layer keeps its outputs and input gradients in such workspaces, so a

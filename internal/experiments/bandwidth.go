@@ -19,7 +19,9 @@ import (
 // (local and remote attacker placements) and then closes the loop with
 // the respond engine's MemGuard-style membw-limit rung enabled.
 
-// BandwidthSpec configures the study.
+// BandwidthSpec configures the study. Every field is taken as given:
+// DefaultBandwidthSpec fills in the standard values, and BandwidthStudy
+// refuses a non-positive Duration or Budget rather than replacing it.
 type BandwidthSpec struct {
 	// App is the victim workload abbreviation.
 	App string
@@ -27,22 +29,24 @@ type BandwidthSpec struct {
 	Seeds []uint64
 	// Sockets lists the topologies to run (e.g. {1, 2}).
 	Sockets []int
-	// Duration of each detection run (0 = Scenario1Duration).
+	// Duration of each detection run in seconds; the attack starts at
+	// its midpoint.
 	Duration float64
 	// WithDNN adds the DNN detector (trains the shared cascade on first
 	// use).
 	WithDNN bool
-	// Budget is the closed loop's membw-limit rung budget in bytes/s
-	// (0 = MemBWBudget).
+	// Budget is the closed loop's membw-limit rung budget in bytes/s.
 	Budget float64
 }
 
 // DefaultBandwidthSpec returns the standard study of the given app.
 func DefaultBandwidthSpec(app string) BandwidthSpec {
 	return BandwidthSpec{
-		App:     app,
-		Seeds:   []uint64{1},
-		Sockets: []int{1, 2},
+		App:      app,
+		Seeds:    []uint64{1},
+		Sockets:  []int{1, 2},
+		Duration: Scenario1Duration,
+		Budget:   MemBWBudget,
 	}
 }
 
@@ -106,13 +110,8 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 			return nil, fmt.Errorf("experiments: invalid socket count %d", s)
 		}
 	}
-	dur := spec.Duration
-	if dur <= 0 {
-		dur = Scenario1Duration
-	}
-	budget := spec.Budget
-	if budget <= 0 {
-		budget = MemBWBudget
+	if !(spec.Duration > 0) || !(spec.Budget > 0) {
+		return nil, fmt.Errorf("experiments: bandwidth study needs a positive duration and budget (got %v s, %v B/s)", spec.Duration, spec.Budget)
 	}
 	dets := StandardFactories(spec.WithDNN)
 	arms := placements(spec.Sockets)
@@ -120,8 +119,8 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 	for _, arm := range arms {
 		for _, d := range dets {
 			rs := DefaultRunSpec(spec.App, MemBW, 0)
-			rs.Duration = dur
-			rs.AttackStart = dur / 2
+			rs.Duration = spec.Duration
+			rs.AttackStart = spec.Duration / 2
 			mc := mem.DefaultNUMAConfig(arm[0])
 			rs.Mem = &mc
 			rs.AttackerSocket = arm[1]
@@ -147,7 +146,7 @@ func BandwidthStudy(spec BandwidthSpec) (*BandwidthResult, error) {
 	// on the shared pool itself.
 	for _, arm := range arms {
 		base := DefaultClosedLoopSpec(spec.App, MemBW, spec.Seeds[0])
-		base.Respond.BandwidthBudget = budget
+		base.Respond.BandwidthBudget = spec.Budget
 		mc := mem.DefaultNUMAConfig(arm[0])
 		base.Mem = &mc
 		base.AttackerSocket = arm[1]

@@ -26,6 +26,30 @@ func TestBandwidthSpecValidation(t *testing.T) {
 	}
 }
 
+// A zero duration or budget is refused, not replaced by a default: the
+// defaults live in DefaultBandwidthSpec.
+func TestBandwidthSpecTakesValuesAsGiven(t *testing.T) {
+	def := DefaultBandwidthSpec("KM")
+	if def.Duration != Scenario1Duration || def.Budget != MemBWBudget {
+		t.Errorf("default spec = %+v, want duration %v and budget %v", def, Scenario1Duration, MemBWBudget)
+	}
+	for _, bad := range []func(*BandwidthSpec){
+		func(s *BandwidthSpec) { s.Duration = 0 },
+		func(s *BandwidthSpec) { s.Duration = -1 },
+		func(s *BandwidthSpec) { s.Duration = math.NaN() },
+		func(s *BandwidthSpec) { s.Budget = 0 },
+		func(s *BandwidthSpec) { s.Budget = -1 },
+		func(s *BandwidthSpec) { s.Budget = math.NaN() },
+	} {
+		spec := DefaultBandwidthSpec("KM")
+		spec.Sockets = []int{1}
+		bad(&spec)
+		if _, err := BandwidthStudy(spec); err == nil {
+			t.Errorf("duration %v, budget %v accepted", spec.Duration, spec.Budget)
+		}
+	}
+}
+
 // shortBandwidthSpec keeps the study small enough for CI: one app, one
 // seed, quarter-length runs.
 func shortBandwidthSpec() BandwidthSpec {

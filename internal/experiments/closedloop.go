@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"memdos/internal/attack"
 	"memdos/internal/core"
@@ -143,9 +142,6 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 	if spec.Mode == NoAttack {
 		return nil, fmt.Errorf("experiments: closed loop needs an attack mode")
 	}
-	if spec.Mode == MemBW && spec.Mem == nil {
-		return nil, fmt.Errorf("experiments: the %v attack needs a memory-controller model (ClosedLoopSpec.Mem)", MemBW)
-	}
 	ws, err := workload.ByAbbrev(spec.App)
 	if err != nil {
 		return nil, err
@@ -189,63 +185,19 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 // time. With mitigate set it wires server → detector → engine → server
 // and fills out's engine-side fields (out must be non-nil then).
 func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool, out *ClosedLoopResult) (float64, error) {
-	cfg := vmm.DefaultConfig()
-	cfg.Seed = spec.Seed
-	cfg.Mem = spec.Mem
-	srv, err := vmm.NewServer(cfg)
-	if err != nil {
-		return 0, err
+	// The loop stops at maxDur, so the attack window never closes.
+	rs := RunSpec{
+		App: spec.App, Duration: maxDur, Seed: spec.Seed, UtilityVMs: spec.UtilityVMs,
+		AttackStart: spec.AttackStart, Mem: spec.Mem, AttackerSocket: spec.AttackerSocket,
 	}
-	appSpec, err := workload.ByAbbrev(spec.App)
-	if err != nil {
-		return 0, err
-	}
-	victim, err := srv.AddApp("victim", appSpec)
-	if err != nil {
-		return 0, err
-	}
-	if spec.Mem != nil {
-		if err := srv.SetVMSocket(victim.ID(), 0); err != nil {
-			return 0, err
-		}
-	}
-	var sched *attack.Suppressor
-	var atkVM *vmm.VM
 	if attacked {
-		if sched, err = attack.NewSuppressor(attack.Window{Start: spec.AttackStart, End: math.Inf(1)}); err != nil {
-			return 0, err
-		}
-		atk, err := newAttacker(spec.Mode, sched)
-		if err != nil {
-			return 0, err
-		}
-		if atkVM, err = srv.AddAttacker("attacker", atk); err != nil {
-			return 0, err
-		}
-		if spec.Mem != nil {
-			if err := srv.SetVMSocket(atkVM.ID(), spec.AttackerSocket); err != nil {
-				return 0, err
-			}
-			if spec.AttackerSocket != 0 {
-				// A cross-socket hog streams entirely into the victim's
-				// memory, so all its traffic is remote.
-				if err := srv.SetMemRemoteFraction(atkVM.ID(), 1); err != nil {
-					return 0, err
-				}
-			}
-		}
+		rs.Mode = spec.Mode
 	}
-	for i := 0; i < spec.UtilityVMs; i++ {
-		util, err := srv.AddApp(fmt.Sprintf("util%d", i), workload.Utility())
-		if err != nil {
-			return 0, err
-		}
-		if spec.Mem != nil {
-			if err := srv.SetVMSocket(util.ID(), 0); err != nil {
-				return 0, err
-			}
-		}
+	tb, err := buildServer(rs)
+	if err != nil {
+		return 0, err
 	}
+	srv, victim := tb.srv, tb.victim
 
 	const sessionID = "victim"
 	var det *core.SDS
@@ -263,7 +215,7 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		if err := srv.SetHypervisorLoad(charge(det)); err != nil {
 			return 0, err
 		}
-		act := &loopActuator{srv: srv, suspect: atkVM.ID(), sched: sched, delay: spec.RelocationDelay}
+		act := &loopActuator{srv: srv, suspect: tb.attacker.ID(), sched: tb.sched, delay: spec.RelocationDelay}
 		if eng, err = respond.New(spec.Respond, act); err != nil {
 			return 0, err
 		}

@@ -42,14 +42,9 @@ func ContainerStudy(mode AttackMode, dur float64, seed uint64) (*ContainerResult
 	if err != nil {
 		return nil, err
 	}
-	inv, err := workload.NewBuilder("image thumbnailer", "THUMB").
-		AccessRate(1.5e6).
-		MissRatio(0.07).
-		Noise(0.1).
-		Runtime(2).
-		Build()
-	if err != nil {
-		return nil, err
+	inv := workload.Spec{
+		Name: "image thumbnailer", Abbrev: "THUMB",
+		BaseAccessRate: 1.5e6, BaseMissRatio: 0.07, NoiseFrac: 0.1, WorkSeconds: 2,
 	}
 	fn, err := plat.Deploy(container.FunctionSpec{
 		Name: "thumbnailer", Invocation: inv, ColdStart: 0.2, Concurrency: 4,

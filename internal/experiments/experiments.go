@@ -119,9 +119,10 @@ type RunSpec struct {
 	// Service keeps the victim running for the whole run (detection
 	// scenarios); false lets it complete (overhead runs).
 	Service bool
-	// AttackStart overrides the non-adaptive attack window's start
-	// (0 = Scenario1AttackStart). Shorter studies place the transition
-	// mid-run so both regimes are observed.
+	// AttackStart is when the non-adaptive attack window opens; it
+	// stays open to Duration. Zero attacks from the first sample.
+	// DefaultRunSpec sets Scenario1AttackStart; shorter studies place
+	// the transition mid-run so both regimes are observed.
 	AttackStart float64
 	// Mem, when set, runs the testbed on a server with the DRAM
 	// memory-controller model on this topology. Required for MemBW.
@@ -135,12 +136,13 @@ type RunSpec struct {
 // DefaultRunSpec returns a Scenario 1 run of the given app and mode.
 func DefaultRunSpec(app string, mode AttackMode, seed uint64) RunSpec {
 	return RunSpec{
-		App:        app,
-		Mode:       mode,
-		Duration:   Scenario1Duration,
-		Seed:       seed,
-		UtilityVMs: 7,
-		Service:    true,
+		App:         app,
+		Mode:        mode,
+		Duration:    Scenario1Duration,
+		AttackStart: Scenario1AttackStart,
+		Seed:        seed,
+		UtilityVMs:  7,
+		Service:     true,
 	}
 }
 
@@ -157,73 +159,83 @@ type RunResult struct {
 	VictimDoneAt float64
 }
 
+// testbed is the server of Section VI-A1 as buildServer assembles it.
+type testbed struct {
+	srv    *vmm.Server
+	victim *vmm.VM
+	// attacker is the attack VM and sched its schedule (both nil with
+	// NoAttack). sched passes the spec's schedule through until a
+	// migrated-away victim's actuator suppresses it.
+	attacker *vmm.VM
+	sched    *attack.Suppressor
+	// truth is the ground-truth attack interval set.
+	truth []metrics.Interval
+}
+
 // buildServer assembles the testbed of Section VI-A1: one victim VM, one
 // attack VM, and UtilityVMs benign VMs.
-func buildServer(spec RunSpec) (*vmm.Server, *vmm.VM, []metrics.Interval, error) {
+func buildServer(spec RunSpec) (*testbed, error) {
 	if spec.Mode == MemBW && spec.Mem == nil {
-		return nil, nil, nil, fmt.Errorf("experiments: the %v attack needs a memory-controller model (RunSpec.Mem)", MemBW)
+		return nil, fmt.Errorf("experiments: the %v attack needs a memory-controller model (Mem)", MemBW)
 	}
 	cfg := vmm.DefaultConfig()
 	cfg.Seed = spec.Seed
 	cfg.Mem = spec.Mem
 	srv, err := vmm.NewServer(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	appSpec, err := workload.ByAbbrev(spec.App)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if spec.Service {
 		appSpec = appSpec.Service()
 	}
-	victim, err := srv.AddApp("victim", appSpec)
-	if err != nil {
-		return nil, nil, nil, err
+	tb := &testbed{srv: srv}
+	if tb.victim, err = srv.AddApp("victim", appSpec); err != nil {
+		return nil, err
 	}
 	if spec.Mem != nil {
-		if err := srv.SetVMSocket(victim.ID(), 0); err != nil {
-			return nil, nil, nil, err
+		if err := srv.SetVMSocket(tb.victim.ID(), 0); err != nil {
+			return nil, err
 		}
 	}
 
-	var truth []metrics.Interval
 	if spec.Mode != NoAttack {
 		var sched attack.Schedule
 		if spec.Adaptive {
 			ad, err := attack.NewAdaptive(sim.NewRNG(spec.Seed^0xadada), 10, 50)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			for _, w := range ad.ActiveWindows(spec.Duration) {
-				truth = append(truth, metrics.Interval{Start: w.Start, End: w.End})
+				tb.truth = append(tb.truth, metrics.Interval{Start: w.Start, End: w.End})
 			}
 			sched = ad
 		} else {
-			start := spec.AttackStart
-			if start <= 0 {
-				start = Scenario1AttackStart
-			}
-			sched = attack.Window{Start: start, End: spec.Duration}
-			truth = []metrics.Interval{{Start: start, End: spec.Duration}}
+			sched = attack.Window{Start: spec.AttackStart, End: spec.Duration}
+			tb.truth = []metrics.Interval{{Start: spec.AttackStart, End: spec.Duration}}
 		}
-		atk, err := newAttacker(spec.Mode, sched)
-		if err != nil {
-			return nil, nil, nil, err
+		if tb.sched, err = attack.NewSuppressor(sched); err != nil {
+			return nil, err
 		}
-		atkVM, err := srv.AddAttacker("attacker", atk)
+		atk, err := newAttacker(spec.Mode, tb.sched)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
+		}
+		if tb.attacker, err = srv.AddAttacker("attacker", atk); err != nil {
+			return nil, err
 		}
 		if spec.Mem != nil {
-			if err := srv.SetVMSocket(atkVM.ID(), spec.AttackerSocket); err != nil {
-				return nil, nil, nil, err
+			if err := srv.SetVMSocket(tb.attacker.ID(), spec.AttackerSocket); err != nil {
+				return nil, err
 			}
 			if spec.AttackerSocket != 0 {
 				// A cross-socket hog streams entirely into the victim's
 				// memory, so all its traffic is remote.
-				if err := srv.SetMemRemoteFraction(atkVM.ID(), 1); err != nil {
-					return nil, nil, nil, err
+				if err := srv.SetMemRemoteFraction(tb.attacker.ID(), 1); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -231,15 +243,22 @@ func buildServer(spec RunSpec) (*vmm.Server, *vmm.VM, []metrics.Interval, error)
 	for i := 0; i < spec.UtilityVMs; i++ {
 		util, err := srv.AddApp(fmt.Sprintf("util%d", i), workload.Utility())
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if spec.Mem != nil {
 			if err := srv.SetVMSocket(util.ID(), 0); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	return srv, victim, truth, nil
+	return tb, nil
+}
+
+// traceUntil runs the testbed until t and returns the victim's trace.
+func (tb *testbed) traceUntil(t float64) *victimTrace {
+	rec := newVictimTrace(tb)
+	tb.srv.RunUntil(t, rec.record)
+	return rec
 }
 
 // victimTrace records one VM's AccessNum and MissNum samples as the
@@ -251,12 +270,13 @@ type victimTrace struct {
 	access, miss *trace.Series
 }
 
-// newVictimTrace returns an empty trace of vm on srv.
-func newVictimTrace(srv *vmm.Server, vm *vmm.VM) *victimTrace {
+// newVictimTrace returns an empty trace of the testbed's victim.
+func newVictimTrace(tb *testbed) *victimTrace {
+	tpcm := tb.srv.TPCM()
 	return &victimTrace{
-		id:     vm.ID(),
-		access: trace.NewSeries("victim.access", srv.TPCM(), srv.TPCM()),
-		miss:   trace.NewSeries("victim.miss", srv.TPCM(), srv.TPCM()),
+		id:     tb.victim.ID(),
+		access: trace.NewSeries("victim.access", tpcm, tpcm),
+		miss:   trace.NewSeries("victim.miss", tpcm, tpcm),
 	}
 }
 
@@ -286,33 +306,33 @@ func newAttacker(mode AttackMode, sched attack.Schedule) (*attack.Attacker, erro
 // detector the factory builds and charging the hypervisor its Fig. 14
 // cost. A nil factory runs the testbed with no detector.
 func Run(spec RunSpec, params core.Params, factory DetectorFactory) (*RunResult, error) {
-	srv, victim, truth, err := buildServer(spec)
+	tb, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Truth: truth}
-	rec := newVictimTrace(srv, victim)
+	res := &RunResult{Truth: tb.truth}
+	rec := newVictimTrace(tb)
 	onStep := rec.record
 	if factory != nil {
 		prof, err := profileFor(spec.App, params)
 		if err != nil {
 			return nil, err
 		}
-		det, err := factory(&Env{Server: srv, Victim: victim, Params: params, Profile: prof})
+		det, err := factory(&Env{Server: tb.srv, Victim: tb.victim, Params: params, Profile: prof})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building detector: %w", err)
 		}
-		if err := srv.SetHypervisorLoad(charge(det)); err != nil {
+		if err := tb.srv.SetHypervisorLoad(charge(det)); err != nil {
 			return nil, err
 		}
 		onStep = func(step vmm.StepResult) {
 			rec.record(step)
-			res.Decisions = append(res.Decisions, det.Push(step.Samples[victim.ID()])...)
+			res.Decisions = append(res.Decisions, det.Push(step.Samples[tb.victim.ID()])...)
 		}
 	}
-	srv.RunUntil(spec.Duration, onStep)
+	tb.srv.RunUntil(spec.Duration, onStep)
 	res.Access, res.Miss = rec.access, rec.miss
-	res.VictimDoneAt = victim.DoneAt()
+	res.VictimDoneAt = tb.victim.DoneAt()
 	return res, nil
 }
 
@@ -355,12 +375,11 @@ func profileFor(app string, params core.Params) (core.Profile, error) {
 // ProfileApp runs the app alone on a clean server for dur seconds and
 // builds its profile.
 func ProfileApp(app string, dur float64, params core.Params) (core.Profile, error) {
-	srv, vm, _, err := buildServer(RunSpec{App: app, Seed: vmm.DefaultConfig().Seed, Service: true})
+	tb, err := buildServer(RunSpec{App: app, Seed: vmm.DefaultConfig().Seed, Service: true})
 	if err != nil {
 		return core.Profile{}, err
 	}
-	rec := newVictimTrace(srv, vm)
-	srv.RunUntil(dur, rec.record)
+	rec := tb.traceUntil(dur)
 	return core.BuildProfile(rec.access.Values, rec.miss.Values, params)
 }
 

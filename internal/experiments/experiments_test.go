@@ -9,6 +9,7 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/par"
+	"memdos/internal/pcm"
 	"memdos/internal/workload"
 )
 
@@ -464,6 +465,29 @@ func TestSweepWPShape(t *testing.T) {
 	// Fig. 23b: delay grows with W_P.
 	if !(pts[0].Delay < pts[1].Delay) {
 		t.Errorf("delay should grow with WP: %v vs %v", pts[0].Delay, pts[1].Delay)
+	}
+}
+
+// silentDetector decides "no alarm" on every sample.
+type silentDetector struct{}
+
+func (silentDetector) Name() string { return "silent" }
+
+func (silentDetector) Push(s pcm.Sample) []core.Decision {
+	return []core.Decision{{Time: s.Time}}
+}
+
+// A sweep point whose detector never fires has no detection delay to
+// report: Delay is NaN, not the zero an empty mean would give.
+func TestSweepNeverDetectedDelayIsNaN(t *testing.T) {
+	s := Sweep{Param: "silent", set: setAlpha,
+		factory: func(*Env) (core.Detector, error) { return silentDetector{}, nil }}
+	pts, err := s.Run("KM", []float64{0.8}, []uint64{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := pts[0]; p.Recall != 0 || p.Specificity != 1 || !math.IsNaN(p.Delay) {
+		t.Errorf("never-alarming sweep point = %+v, want recall 0, specificity 1, delay NaN", p)
 	}
 }
 

@@ -61,19 +61,19 @@ func Fig1KStestFalsePositives(dur float64, seeds []uint64) (*Fig1Result, error) 
 		seed := seeds[i%len(seeds)]
 		recordFlags := app == "TS" && seed == seeds[0]
 		var out cell
-		srv, victim, _, err := buildServer(RunSpec{App: app, Seed: seed, Service: true})
+		tb, err := buildServer(RunSpec{App: app, Seed: seed, Service: true})
 		if err != nil {
 			return out, err
 		}
 		det, err := core.NewKSTestDetector(ksParams, func(d float64) {
-			srv.ThrottleOthers(victim.ID(), d)
+			tb.srv.ThrottleOthers(tb.victim.ID(), d)
 		})
 		if err != nil {
 			return out, err
 		}
 		intervalAlarmed := make(map[int]bool)
-		srv.RunUntil(dur, func(step vmm.StepResult) {
-			for _, d := range det.Push(step.Samples[victim.ID()]) {
+		tb.srv.RunUntil(dur, func(step vmm.StepResult) {
+			for _, d := range det.Push(step.Samples[tb.victim.ID()]) {
 				if recordFlags {
 					out.flags = append(out.flags, det.ConsecutiveRejections() > 0)
 					out.times = append(out.times, d.Time)
@@ -137,12 +137,11 @@ func MeasurementTrace(app string, mode AttackMode, seed uint64) (*TraceResult, e
 		App: app, Mode: mode, Duration: 120, Seed: seed,
 		UtilityVMs: 7, Service: true, AttackStart: 60,
 	}
-	srv, victim, _, err := buildServer(spec)
+	tb, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
-	rec := newVictimTrace(srv, victim)
-	srv.RunUntil(spec.Duration, rec.record)
+	rec := tb.traceUntil(spec.Duration)
 	res := &TraceResult{App: app, Mode: mode, Access: rec.access, Miss: rec.miss}
 
 	channel := res.Access
@@ -196,7 +195,7 @@ func Fig7SDSBExample() (*Fig7Result, error) {
 	}
 	spec := DefaultRunSpec("KM", BusLock, 5)
 	spec.Duration, spec.AttackStart = 160, 75
-	srv, victim, _, err := buildServer(spec)
+	tb, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +206,8 @@ func Fig7SDSBExample() (*Fig7Result, error) {
 	res := &Fig7Result{AlarmWindow: -1}
 	res.Lower, res.Upper = prof.AccessBounds(params.K)
 	widx := 0
-	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		for _, d := range det.Push(step.Samples[victim.ID()]) {
+	tb.srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
+		for _, d := range det.Push(step.Samples[tb.victim.ID()]) {
 			acc, _ := det.EWMAValues()
 			res.EWMA = append(res.EWMA, acc)
 			if d.Time >= 75 && res.AttackWindow == 0 {
@@ -255,7 +254,7 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 	}
 	spec := DefaultRunSpec("FN", BusLock, 6)
 	spec.Duration, spec.AttackStart = 240, 120
-	srv, victim, _, err := buildServer(spec)
+	tb, err := buildServer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -266,8 +265,8 @@ func Fig8SDSPExample() (*Fig8Result, error) {
 	res := &Fig8Result{NormalPeriod: prof.Period, AlarmWindow: -1}
 	ma := stats.NewMAStream(params.W, params.DW)
 	widx := 0
-	srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
-		s := step.Samples[victim.ID()]
+	tb.srv.RunUntil(spec.Duration, func(step vmm.StepResult) {
+		s := step.Samples[tb.victim.ID()]
 		if avg, _, ok := ma.Push(s.AccessNum, 0); ok {
 			res.MA = append(res.MA, avg)
 			if s.Time >= 120 && res.AttackWindow == 0 {

@@ -6,13 +6,15 @@ import (
 
 	"memdos/internal/core"
 	"memdos/internal/dnn"
+	"memdos/internal/metrics"
 	"memdos/internal/par"
 	"memdos/internal/stats"
 	"memdos/internal/workload"
 )
 
 // SweepPoint is one sensitivity-curve sample: the parameter value and the
-// resulting accuracy and delay (aggregated over seeds).
+// resulting accuracy and delay, each a mean over the seeds with NaN
+// seeds dropped (Delay is NaN if the detector never fired).
 type SweepPoint struct {
 	Value       float64
 	Recall      float64
@@ -143,7 +145,7 @@ func (s Sweep) Run(app string, values []float64, seeds []uint64) ([]SweepPoint, 
 	out := make([]SweepPoint, len(values))
 	for i, a := range accs {
 		rec, spc, dly := finite(a)
-		out[i] = SweepPoint{Value: values[i], Recall: stats.Mean(rec), Specificity: stats.Mean(spc), Delay: stats.Mean(dly)}
+		out[i] = SweepPoint{Value: values[i], Recall: metrics.MeanDelay(rec), Specificity: metrics.MeanDelay(spc), Delay: metrics.MeanDelay(dly)}
 	}
 	return out, nil
 }
@@ -197,12 +199,8 @@ func AblationRawThreshold(app string, seeds []uint64) (map[string]Accuracy, erro
 	}
 	out := map[string]Accuracy{}
 	for i, d := range dets {
-		var rec, spc []float64
-		for _, a := range accs[i] {
-			rec = append(rec, a.Recall)
-			spc = append(spc, a.Specificity)
-		}
-		out[d.Name] = Accuracy{Recall: stats.Mean(rec), Specificity: stats.Mean(spc)}
+		rec, spc, _ := finite(accs[i])
+		out[d.Name] = Accuracy{Recall: metrics.MeanDelay(rec), Specificity: metrics.MeanDelay(spc)}
 	}
 	return out, nil
 }
@@ -273,12 +271,11 @@ func MicrosimCalibration() (microFactor, fastFactor float64, err error) {
 	}
 	// Fast counter model: k-means with cleansing in the second half.
 	spec := RunSpec{App: "KM", Mode: Cleansing, Duration: 120, Seed: 3, Service: true, AttackStart: 60}
-	srv, victim, _, err := buildServer(spec)
+	tb, err := buildServer(spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	rec := newVictimTrace(srv, victim)
-	srv.RunUntil(spec.Duration, rec.record)
+	rec := tb.traceUntil(spec.Duration)
 	access, miss := rec.access, rec.miss
 	ratio := func(t0, t1 float64) float64 {
 		acc := access.Window(t0, t1).Mean()

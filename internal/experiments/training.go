@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"sync"
 
-	"memdos/internal/attack"
 	"memdos/internal/core"
 	"memdos/internal/dnn"
 	"memdos/internal/par"
 	"memdos/internal/sim"
-	"memdos/internal/vmm"
 	"memdos/internal/workload"
 )
 
@@ -61,39 +59,19 @@ func AttackClassOf(mode AttackMode) int {
 	}
 }
 
-// collectWindows runs one (app, mode) pair with the attack active for the
-// whole run and slices the victim's counter stream into windows. It
-// refuses a mode the cascade has no class for: AttackClassOf would label
-// its windows no-attack.
+// collectWindows runs one (app, mode) pair, with no utility VMs and the
+// attack active for the whole run, and slices the victim's counter stream
+// into windows. It refuses a mode the cascade has no class for:
+// AttackClassOf would label its windows no-attack.
 func collectWindows(app string, mode AttackMode, dur float64, seed uint64, w, stride int) ([][][]float64, error) {
 	if mode != NoAttack && AttackClassOf(mode) == dnn.ClassNoAttack {
 		return nil, fmt.Errorf("experiments: the cascade has no class for the %v attack", mode)
 	}
-	cfg := vmm.DefaultConfig()
-	cfg.Seed = seed
-	srv, err := vmm.NewServer(cfg)
+	tb, err := buildServer(RunSpec{App: app, Mode: mode, Duration: dur, Seed: seed, Service: true})
 	if err != nil {
 		return nil, err
 	}
-	spec, err := workload.ByAbbrev(app)
-	if err != nil {
-		return nil, err
-	}
-	victim, err := srv.AddApp("victim", spec.Service())
-	if err != nil {
-		return nil, err
-	}
-	if mode != NoAttack {
-		atk, err := newAttacker(mode, attack.Always{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := srv.AddAttacker("attacker", atk); err != nil {
-			return nil, err
-		}
-	}
-	rec := newVictimTrace(srv, victim)
-	srv.RunUntil(dur, rec.record)
+	rec := tb.traceUntil(dur)
 	acc, miss := rec.access.Values, rec.miss.Values
 
 	var out [][][]float64

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The ten applications of the paper's measurement study (Table II), with
 // regime chains calibrated so that (a) the no-attack KStest false-alarm
@@ -147,19 +144,6 @@ func Abbrevs() []string {
 	for i, s := range specs {
 		out[i] = s.Abbrev
 	}
-	return out
-}
-
-// PeriodicAbbrevs returns the abbreviations of the periodic applications
-// (PCA and FN in the paper).
-func PeriodicAbbrevs() []string {
-	var out []string
-	for _, s := range specs {
-		if s.Periodic {
-			out = append(out, s.Abbrev)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

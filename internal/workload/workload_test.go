@@ -30,13 +30,6 @@ func TestAllSpecsValid(t *testing.T) {
 	}
 }
 
-func TestPeriodicApps(t *testing.T) {
-	got := PeriodicAbbrevs()
-	if len(got) != 2 || got[0] != "FN" || got[1] != "PCA" {
-		t.Errorf("periodic apps = %v, want [FN PCA]", got)
-	}
-}
-
 func TestByAbbrev(t *testing.T) {
 	s, err := ByAbbrev("TS")
 	if err != nil {
@@ -261,50 +254,6 @@ func TestDemandPanicsOnBadDt(t *testing.T) {
 		}
 	}()
 	MustByAbbrev("BA").MustNew(sim.NewRNG(1)).Demand(0)
-}
-
-func TestBuilderHappyPath(t *testing.T) {
-	spec, err := NewBuilder("My service", "SVC").
-		AccessRate(1.5e6).
-		MissRatio(0.09).
-		Noise(0.1).
-		Phase(1.0, 1.0, 6).
-		Phase(0.7, 1.3, 4).
-		Runtime(90).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "My service" || len(spec.Phases) != 2 || spec.WorkSeconds != 90 {
-		t.Errorf("built spec = %+v", spec)
-	}
-	in := spec.MustNew(sim.NewRNG(1))
-	a, m := in.Demand(0.01)
-	if a <= 0 || m <= 0 {
-		t.Errorf("built spec demand = %v, %v", a, m)
-	}
-}
-
-func TestBuilderPeriodic(t *testing.T) {
-	spec, err := NewBuilder("Batchy", "B").
-		AccessRate(1e6).
-		Periodic(5, 0.3).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Periodic || spec.PeriodSec != 5 {
-		t.Errorf("spec = %+v", spec)
-	}
-}
-
-func TestBuilderValidates(t *testing.T) {
-	if _, err := NewBuilder("x", "x").Build(); err == nil {
-		t.Error("builder accepted spec without access rate")
-	}
-	if _, err := NewBuilder("x", "x").AccessRate(1).Phase(0, 0, 0).Build(); err == nil {
-		t.Error("builder accepted invalid phase")
-	}
 }
 
 func TestDynamicSpec(t *testing.T) {
