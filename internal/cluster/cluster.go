@@ -58,12 +58,12 @@ type Config struct {
 	Downtime float64
 	// RelocationDelay is how long a targeted attacker needs to re-achieve
 	// co-residence after its victim migrates away (Section III-B's
-	// probing cost). 0 means 120 s.
+	// probing cost), in seconds (> 0).
 	RelocationDelay float64
-	// ChurnInterval is how often a churn attacker relocates. 0 means 60 s.
+	// ChurnInterval is how often a churn attacker relocates, in seconds
+	// (> 0).
 	ChurnInterval float64
-	// HostCapacity is the resident-VM budget bin-packing fills to.
-	// 0 means 16.
+	// HostCapacity is the resident-VM budget bin-packing fills to (> 0).
 	HostCapacity int
 	// Workers caps the host-sharding worker pool (0 = the process-wide
 	// default, shared with the experiment harness).
@@ -87,11 +87,14 @@ type Config struct {
 // contention-aware placement and targeted attackers.
 func DefaultConfig() Config {
 	return Config{
-		Hosts:     8,
-		Host:      vmm.DefaultConfig(),
-		Seed:      1,
-		Scheduler: Spread,
-		Placement: AttackTargeted,
+		Hosts:           8,
+		Host:            vmm.DefaultConfig(),
+		Seed:            1,
+		Scheduler:       Spread,
+		Placement:       AttackTargeted,
+		RelocationDelay: 120,
+		ChurnInterval:   60,
+		HostCapacity:    16,
 	}
 }
 
@@ -283,14 +286,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Downtime < 0 {
 		return nil, fmt.Errorf("cluster: negative migration downtime %v", cfg.Downtime)
 	}
-	if cfg.RelocationDelay <= 0 {
-		cfg.RelocationDelay = 120
-	}
-	if cfg.ChurnInterval <= 0 {
-		cfg.ChurnInterval = 60
-	}
-	if cfg.HostCapacity <= 0 {
-		cfg.HostCapacity = 16
+	if !(cfg.RelocationDelay > 0) || !(cfg.ChurnInterval > 0) || cfg.HostCapacity <= 0 {
+		return nil, fmt.Errorf("cluster: relocation delay %v, churn interval %v and host capacity %d must be positive",
+			cfg.RelocationDelay, cfg.ChurnInterval, cfg.HostCapacity)
 	}
 	sched, err := newScheduler(cfg.Scheduler)
 	if err != nil {

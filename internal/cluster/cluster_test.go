@@ -247,7 +247,7 @@ func TestPlacementPolicies(t *testing.T) {
 	// Round-robin and spread both yield an even 2/2/2/2 (spread ties
 	// break toward the emptiest host).
 	for _, p := range []SchedulerPolicy{RoundRobin, Spread} {
-		c := build(p, 0)
+		c := build(p, 16)
 		for i, n := range counts(c) {
 			if n != 2 {
 				t.Errorf("%v: host %d has %d residents, want 2", p, i, n)
@@ -258,6 +258,32 @@ func TestPlacementPolicies(t *testing.T) {
 	c := build(BinPack, 3)
 	if got, want := fmt.Sprint(counts(c)), "[3 3 2 0]"; got != want {
 		t.Errorf("bin-pack residents = %s, want %s", got, want)
+	}
+}
+
+// TestConfigTakesValuesAsGiven: the relocation delay, churn interval and
+// host capacity are DefaultConfig's to set; New refuses a non-positive
+// one instead of replacing it.
+func TestConfigTakesValuesAsGiven(t *testing.T) {
+	def := DefaultConfig()
+	if def.RelocationDelay != 120 || def.ChurnInterval != 60 || def.HostCapacity != 16 {
+		t.Errorf("default config: relocation %v, churn %v, capacity %d; want 120, 60, 16",
+			def.RelocationDelay, def.ChurnInterval, def.HostCapacity)
+	}
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.RelocationDelay = 0 },
+		func(c *Config) { c.RelocationDelay = math.NaN() },
+		func(c *Config) { c.ChurnInterval = 0 },
+		func(c *Config) { c.ChurnInterval = -1 },
+		func(c *Config) { c.HostCapacity = 0 },
+		func(c *Config) { c.HostCapacity = -1 },
+	} {
+		cfg := DefaultConfig()
+		bad(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("relocation %v, churn %v, capacity %d accepted",
+				cfg.RelocationDelay, cfg.ChurnInterval, cfg.HostCapacity)
+		}
 	}
 }
 

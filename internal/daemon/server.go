@@ -8,11 +8,10 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
-	"sync"
 
 	"memdos/internal/metrics"
 	"memdos/internal/respond"
@@ -23,6 +22,7 @@ import (
 //
 //	POST /v1/ingest        batched JSON samples, many sessions per call
 //	POST /v1/ingest/stream persistent binary frame stream (see stream_ingest.go)
+//	                       (both: 503 on shutdown, at most 32 errors a request)
 //	POST /v1/sessions      open a session {"session":..,"profile":..}
 //	GET  /v1/sessions      list all sessions
 //	GET  /v1/sessions/{id} one session: detector state, open incidents
@@ -37,10 +37,6 @@ type Server struct {
 	eng      *respond.Engine // nil when the daemon runs detection-only
 	registry *metrics.Registry
 	mux      *http.ServeMux
-
-	// autoOpen serializes concurrent first-contact session creation so
-	// two racing ingest requests do not both try to open one session.
-	autoOpen sync.Mutex
 }
 
 // New assembles the daemon's HTTP handler around hub. eng may be nil
@@ -92,58 +88,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Every batch whose session is open goes to the hub in one call; a
-	// batch whose auto-open failed goes as an empty frame, which the hub
-	// skips, and reports the open's error in its place.
-	frames := make([]stream.Frame, len(req.Batches))
-	openErrs := make([]error, len(req.Batches))
-	for i, b := range req.Batches {
-		if b.Profile != "" {
-			if openErrs[i] = s.ensureSession(b.Session, b.Profile); openErrs[i] != nil {
-				continue
-			}
-		}
-		frames[i] = stream.Frame{Session: b.Session, Samples: b.Samples}
-	}
-	res := make([]stream.FrameResult, len(frames))
-	s.hub.IngestFrames(frames, res) // ErrClosed is in every refused frame's result
-	var resp stream.IngestResponse
-	for i, b := range req.Batches {
-		err := openErrs[i]
-		if err == nil {
-			err = res[i].Err
-		}
-		if err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", b.Session, err))
+	// The whole request is one hand-off: every batch whose session is
+	// open goes to the hub in one call.
+	in := ingest{hub: s.hub, frames: make([]stream.Frame, 0, len(req.Batches))}
+	for i := 0; i < len(req.Batches) && in.more(); i++ {
+		b := &req.Batches[i]
+		if b.Profile != "" && !in.open(b.Session, b.Profile) {
 			continue
 		}
-		resp.Accepted += res[i].Accepted
-		resp.Dropped += len(b.Samples) - res[i].Accepted
+		in.frames = append(in.frames, stream.Frame{Session: b.Session, Samples: b.Samples})
 	}
-	status := http.StatusOK
-	if resp.Accepted == 0 && len(resp.Errors) > 0 {
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, resp)
-}
-
-// ensureSession opens the session on first contact; an existing session
-// with the same profile is fine, a conflicting profile is an error.
-// The check runs again under autoOpen: a racing caller may have opened
-// the session with another profile in between.
-func (s *Server) ensureSession(id, profile string) error {
-	in, ok := s.hub.Session(id)
-	if !ok {
-		s.autoOpen.Lock()
-		defer s.autoOpen.Unlock()
-		if in, ok = s.hub.Session(id); !ok {
-			return s.hub.Open(id, profile)
-		}
-	}
-	if in.Profile != profile {
-		return fmt.Errorf("session open with profile %q, request says %q", in.Profile, profile)
-	}
-	return nil
+	in.finish(w, nil)
 }
 
 // OpenSessionRequest is the body of POST /v1/sessions.
@@ -162,7 +117,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.hub.Open(req.Session, req.Profile); err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already open") {
+		if errors.Is(err, stream.ErrSessionOpen) {
 			status = http.StatusConflict
 		}
 		writeError(w, status, err)

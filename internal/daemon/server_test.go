@@ -265,6 +265,71 @@ func TestJSONIngestBlockOversizeFrame(t *testing.T) {
 	}
 }
 
+// TestIngestClosedHub: a JSON producer still sending when the hub shuts
+// down gets 503, as a streaming one does (TestStreamIngestClosedHub),
+// whether its batch names an open session or asks for a new one.
+func TestIngestClosedHub(t *testing.T) {
+	ts, hub := newTestDaemon(t)
+	if err := hub.Open("vm-1", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []stream.IngestRequest{
+		ingestBody("vm-1", "", 10, 0),
+		ingestBody("vm-2", "raw", 10, 0),
+	} {
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/ingest", req)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("ingest of %s to a closed hub: %d %s", req.Batches[0].Session, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestIngestErrorCap: a JSON request stops at its maxStreamErrors-th
+// failing batch, as a stream does (TestStreamIngestErrorCap); the batches
+// before it are applied and the ones after it are not.
+func TestIngestErrorCap(t *testing.T) {
+	ts, hub := newTestDaemon(t)
+	req := ingestBody("vm-1", "raw", 10, 0)
+	for i := 0; i < maxStreamErrors+8; i++ {
+		req.Batches = append(req.Batches, ingestBody(fmt.Sprintf("g%d", i), "nope", 2, 0).Batches...)
+	}
+	req.Batches = append(req.Batches, ingestBody("vm-2", "raw", 10, 0).Batches...)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/ingest", req)
+	var ir stream.IngestResponse
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatalf("%d %s: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusOK || ir.Accepted != 10 || len(ir.Errors) != maxStreamErrors {
+		t.Fatalf("error-capped ingest: %d %+v, want 200, 10 accepted and %d errors", resp.StatusCode, ir, maxStreamErrors)
+	}
+	if _, ok := hub.Session("vm-2"); ok {
+		t.Error("the batch after the last error was applied")
+	}
+}
+
+// TestIngestProfileConflict: a batch whose session is open under another
+// profile is refused with an error naming the open profile, and none of its samples reach the
+// session's detector.
+func TestIngestProfileConflict(t *testing.T) {
+	ts, hub := newTestDaemon(t)
+	if err := hub.Open("vm-1", "sdsb:test"); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/ingest", ingestBody("vm-1", "raw", 10, 0))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "sdsb:test") {
+		t.Errorf("conflicting profile: %d %s", resp.StatusCode, body)
+	}
+	if err := hub.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := hub.Session("vm-1"); in.Ingested != 0 || in.Profile != "sdsb:test" {
+		t.Errorf("session after the refused batch: %+v", in)
+	}
+}
+
 // TestGracefulShutdown covers the daemon's drain path: queued samples
 // are fully processed by hub.Close even when ingestion stops abruptly.
 func TestGracefulShutdown(t *testing.T) {
@@ -534,7 +599,6 @@ func TestEnsureSessionRefusesLosingProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := New(hub, nil)
 	const callers = 16
 	for round := range 200 {
 		id := fmt.Sprintf("s%d", round)
@@ -546,7 +610,7 @@ func TestEnsureSessionRefusesLosingProfile(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				errs[i] = s.ensureSession(id, profiles[i%2])
+				errs[i] = hub.Ensure(id, profiles[i%2])
 			}()
 		}
 		close(start)

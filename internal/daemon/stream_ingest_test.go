@@ -267,6 +267,26 @@ func TestStreamIngestErrorCap(t *testing.T) {
 	}
 }
 
+// TestStreamIngestProfileConflict: a stream whose ?profile= differs from
+// the profile its session is open under is refused with an error naming
+// the open profile, and none of its frames reach the session's detector.
+func TestStreamIngestProfileConflict(t *testing.T) {
+	ts, hub := newTestDaemon(t)
+	if err := hub.Open("vm-1", "sdsb:test"); err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postStream(t, ts.URL, frames(t, "vm-1", attackSamples(30, 0), 10), "raw")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "sdsb:test") {
+		t.Errorf("conflicting profile: %d %s", resp.StatusCode, out)
+	}
+	if err := hub.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := hub.Session("vm-1"); in.Ingested != 0 || in.Profile != "sdsb:test" {
+		t.Errorf("session after the refused stream: %+v", in)
+	}
+}
+
 // TestGCMetricsExposed: the daemon's registry carries the runtime GC
 // counters operators read.
 func TestGCMetricsExposed(t *testing.T) {

@@ -142,6 +142,10 @@ func ClosedLoop(spec ClosedLoopSpec) (*ClosedLoopResult, error) {
 	if spec.Mode == NoAttack {
 		return nil, fmt.Errorf("experiments: closed loop needs an attack mode")
 	}
+	// Checked before the arms fan out, so a refused spec runs no arm.
+	if err := checkMem(spec.Mode, spec.Mem); err != nil {
+		return nil, err
+	}
 	ws, err := workload.ByAbbrev(spec.App)
 	if err != nil {
 		return nil, err

@@ -96,8 +96,30 @@ type clusterArm struct {
 	kind int
 }
 
+// runStudyArms profiles spec.App and runs each arm's cluster for
+// spec.Duration. The arms are independent cells on the shared worker
+// pool; each arm's cluster runs single-worker inside its cell, so the
+// results are byte-identical at any worker count.
+func runStudyArms(spec ClusterStudySpec, arms []clusterArm) ([]*cluster.Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	params := core.DefaultParams()
+	prof, err := profileFor(spec.App, params)
+	if err != nil {
+		return nil, err
+	}
+	return par.MapCells(par.DefaultRunner(), len(arms), func(i int) (*cluster.Result, error) {
+		c, err := buildStudyCluster(spec, arms[i], prof, params)
+		if err != nil {
+			return nil, err
+		}
+		return c.Run(spec.Duration)
+	})
+}
+
 // buildStudyCluster constructs and populates one arm's cluster.
-func buildStudyCluster(spec ClusterStudySpec, arm clusterArm, prof core.Profile, params core.Params, overhead float64) (*cluster.Cluster, error) {
+func buildStudyCluster(spec ClusterStudySpec, arm clusterArm, prof core.Profile, params core.Params) (*cluster.Cluster, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Hosts = spec.Hosts
 	cfg.Seed = spec.Seed
@@ -115,7 +137,7 @@ func buildStudyCluster(spec ClusterStudySpec, arm clusterArm, prof core.Profile,
 	if arm.kind == 2 {
 		cfg.Detector = func(string) (core.Detector, error) { return core.NewSDS(prof, params) }
 		cfg.Respond = migrationLadder()
-		cfg.HypervisorLoad = overhead
+		cfg.HypervisorLoad = sdsCharge(prof.Periodic)
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -150,20 +172,8 @@ func buildStudyCluster(spec ClusterStudySpec, arm clusterArm, prof core.Profile,
 // grid: for every combination it measures the victims' mean speed clean,
 // under attack, and under the full closed loop (SDS detection -> respond
 // ladder -> real VM migration to a clean host), and reports how much of
-// the induced slowdown the loop recovered. All arms are independent
-// cells on the shared worker pool; each arm's cluster runs single-worker
-// inside its cell, so the study is byte-identical at any worker count.
+// the induced slowdown the loop recovered.
 func ClusterStudy(spec ClusterStudySpec) (*ClusterStudyResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	params := core.DefaultParams()
-	prof, err := profileFor(spec.App, params)
-	if err != nil {
-		return nil, err
-	}
-	overhead := sdsCharge(prof.Periodic)
-
 	scheds := []cluster.SchedulerPolicy{cluster.RoundRobin, cluster.BinPack, cluster.Spread}
 	places := []cluster.AttackerPolicy{cluster.AttackRandom, cluster.AttackTargeted, cluster.AttackChurn}
 
@@ -177,13 +187,7 @@ func ClusterStudy(spec ClusterStudySpec) (*ClusterStudyResult, error) {
 			arms = append(arms, clusterArm{sched: s, place: p, kind: 1}, clusterArm{sched: s, place: p, kind: 2})
 		}
 	}
-	results, err := par.MapCells(par.DefaultRunner(), len(arms), func(i int) (*cluster.Result, error) {
-		c, err := buildStudyCluster(spec, arms[i], prof, params, overhead)
-		if err != nil {
-			return nil, err
-		}
-		return c.Run(spec.Duration)
-	})
+	results, err := runStudyArms(spec, arms)
 	if err != nil {
 		return nil, err
 	}

@@ -172,11 +172,20 @@ type testbed struct {
 	truth []metrics.Interval
 }
 
+// checkMem refuses an attack mode the server cannot run without the
+// memory-controller model m.
+func checkMem(mode AttackMode, m *mem.NUMAConfig) error {
+	if mode == MemBW && m == nil {
+		return fmt.Errorf("experiments: the %v attack needs a memory-controller model (Mem)", MemBW)
+	}
+	return nil
+}
+
 // buildServer assembles the testbed of Section VI-A1: one victim VM, one
 // attack VM, and UtilityVMs benign VMs.
 func buildServer(spec RunSpec) (*testbed, error) {
-	if spec.Mode == MemBW && spec.Mem == nil {
-		return nil, fmt.Errorf("experiments: the %v attack needs a memory-controller model (Mem)", MemBW)
+	if err := checkMem(spec.Mode, spec.Mem); err != nil {
+		return nil, err
 	}
 	cfg := vmm.DefaultConfig()
 	cfg.Seed = spec.Seed

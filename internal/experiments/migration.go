@@ -1,13 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
-
-	"memdos/internal/attack"
 	"memdos/internal/cluster"
-	"memdos/internal/core"
-	"memdos/internal/par"
 	"memdos/internal/respond"
 )
 
@@ -51,60 +45,23 @@ func migrationLadder() respond.Config {
 // attacker re-co-locates relocationDelay seconds later (Section III-B's
 // probing cost). The single-host Suppressor model this study once used
 // is gone — the migration here is the same ExportVM/AdmitVM state
-// transfer the respond ladder's migrate rung performs.
+// transfer the respond ladder's migrate rung performs. The testbed is
+// one spread/targeted cell of ClusterStudy's grid, on the default
+// cluster's hosts with one victim, one attacker and six utility VMs.
 func MigrationStudy(app string, relocationDelay, dur float64, seed uint64) (*MigrationResult, error) {
-	if relocationDelay <= 0 || dur <= relocationDelay {
-		return nil, fmt.Errorf("experiments: invalid migration study times (%v, %v)", relocationDelay, dur)
-	}
-	params := core.DefaultParams()
-	prof, err := profileFor(app, params)
-	if err != nil {
-		return nil, err
-	}
-
-	run := func(withResponse bool) (*cluster.Result, error) {
-		cfg := cluster.DefaultConfig()
-		cfg.Seed = seed
-		cfg.Scheduler = cluster.Spread
-		cfg.Placement = cluster.AttackTargeted
-		cfg.RelocationDelay = relocationDelay
-		// Both arms of one study run serially inside their cell; the two
-		// arms themselves are the parallel cells.
-		cfg.Workers = 1
-		if withResponse {
-			cfg.Detector = func(string) (core.Detector, error) { return core.NewSDS(prof, params) }
-			cfg.Respond = migrationLadder()
-			cfg.HypervisorLoad = sdsCharge(prof.Periodic)
-		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddVictim("victim", app); err != nil {
-			return nil, err
-		}
-		atk, err := attack.NewBusLock(attack.Window{Start: 0, End: math.Inf(1)}, BusLockDuty)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddAttacker("attacker", atk, "victim"); err != nil {
-			return nil, err
-		}
-		for i := 0; i < 6; i++ {
-			if err := c.AddUtility(fmt.Sprintf("util%d", i)); err != nil {
-				return nil, err
-			}
-		}
-		return c.Run(dur)
-	}
-
-	arms, err := par.MapCells(par.DefaultRunner(), 2, func(i int) (*cluster.Result, error) {
-		return run(i == 0)
+	spec := DefaultClusterStudySpec()
+	spec.Hosts = cluster.DefaultConfig().Hosts
+	spec.Victims, spec.Attackers, spec.Utilities = 1, 1, 6
+	spec.App, spec.Duration, spec.RelocationDelay, spec.Seed = app, dur, relocationDelay, seed
+	// The mitigated arm first, then the attacked one.
+	res, err := runStudyArms(spec, []clusterArm{
+		{sched: cluster.Spread, place: cluster.AttackTargeted, kind: 2},
+		{sched: cluster.Spread, place: cluster.AttackTargeted, kind: 1},
 	})
 	if err != nil {
 		return nil, err
 	}
-	with, without := arms[0], arms[1]
+	with, without := res[0], res[1]
 	return &MigrationResult{
 		Migrations:                 with.Migrations,
 		AttackedFraction:           with.ColocationFraction,

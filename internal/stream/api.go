@@ -67,7 +67,8 @@ type IngestResponse struct {
 	Accepted int `json:"accepted"`
 	Dropped  int `json:"dropped"`
 	// Errors lists per-batch failures (unknown session, bad profile);
-	// other batches are still applied.
+	// other batches are still applied. memdosd lists at most 32 per
+	// request on either ingest route, and stops the request there.
 	Errors []string `json:"errors,omitempty"`
 }
 

@@ -221,6 +221,10 @@ func NewHub(cfg Config) *Hub {
 // ErrClosed is returned by operations on a closed hub.
 var ErrClosed = fmt.Errorf("stream: hub closed")
 
+// ErrSessionOpen is Open's error for an id that has a session, and
+// Ensure's for one open under another profile.
+var ErrSessionOpen = fmt.Errorf("stream: session already open")
+
 // RegisterProfile makes a named detector pipeline available to sessions.
 func (h *Hub) RegisterProfile(name string, f DetectorFactory) error {
 	if name == "" || f == nil {
@@ -253,6 +257,25 @@ func (h *Hub) Profiles() []string {
 // Open creates a session for one protected VM, building its private
 // detector pipeline from the named profile.
 func (h *Hub) Open(sessionID, profile string) error {
+	return h.open(sessionID, profile, false)
+}
+
+// Ensure is Open for a producer's first contact: a session already open
+// with the same profile is fine, one open with another profile is an
+// ErrSessionOpen, so no producer feeds a detector it did not ask for.
+// The already-open case takes only the read lock.
+func (h *Hub) Ensure(sessionID, profile string) error {
+	h.mu.RLock()
+	s := h.sessions[sessionID]
+	h.mu.RUnlock()
+	if s != nil && s.profile == profile {
+		return nil
+	}
+	return h.open(sessionID, profile, true)
+}
+
+// open is Open's and Ensure's one body.
+func (h *Hub) open(sessionID, profile string, ensure bool) error {
 	if err := validSessionID(sessionID); err != nil {
 		return err
 	}
@@ -261,8 +284,11 @@ func (h *Hub) Open(sessionID, profile string) error {
 	if h.closed {
 		return ErrClosed
 	}
-	if _, dup := h.sessions[sessionID]; dup {
-		return fmt.Errorf("stream: session %q already open", sessionID)
+	if s, dup := h.sessions[sessionID]; dup {
+		if ensure && s.profile == profile {
+			return nil
+		}
+		return fmt.Errorf("%w: %q has profile %q", ErrSessionOpen, sessionID, s.profile)
 	}
 	f, ok := h.profiles[profile]
 	if !ok {
