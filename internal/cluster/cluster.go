@@ -144,7 +144,7 @@ type watch struct {
 	vm  *vmm.VM
 	det core.Detector // nil: speed accounting only
 
-	raised     bool
+	alarm      core.IncidentFold
 	speedSum   float64
 	alarmTicks uint64
 }
@@ -187,15 +187,14 @@ func (h *host) run(q int) {
 		res := h.srv.Step()
 		for _, w := range h.watches {
 			w.speedSum += w.vm.LastSpeed()
-			if w.raised {
+			if w.alarm.Active() {
 				w.alarmTicks++
 			}
 			if w.det == nil {
 				continue
 			}
 			for _, d := range w.det.Push(res.Samples[w.vm.ID()]) {
-				if d.Alarm != w.raised {
-					w.raised = d.Alarm
+				if _, edge := w.alarm.Observe(d); edge {
 					h.events = append(h.events, alarmEvent{time: d.Time, session: w.rec.name, raised: d.Alarm})
 				}
 			}

@@ -65,7 +65,8 @@ func TestIncidentsOutOfOrder(t *testing.T) {
 
 // TestIncidentFold drives the one-decision-at-a-time fold a live session
 // uses and checks the batch Incidents (a loop over it) agrees: same
-// episodes for in-order input, an error where the fold skips.
+// episodes for in-order input, an error where the fold skips. edges is
+// the edge the fold reports for each decision, raised its raise count.
 func TestIncidentFold(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -73,51 +74,70 @@ func TestIncidentFold(t *testing.T) {
 		gap     float64
 		want    []Incident
 		skipped int
+		edges   []bool
+		raised  int
 	}{
 		{
-			name: "first decision before t=-1 is in order",
-			ds:   decisions(-5.0, true, -4.0, true, -3.0, false),
-			want: []Incident{{Start: -5, End: -3}},
+			name:   "first decision before t=-1 is in order",
+			ds:     decisions(-5.0, true, -4.0, true, -3.0, false),
+			want:   []Incident{{Start: -5, End: -3}},
+			edges:  []bool{true, false, true},
+			raised: 1,
 		},
 		{
 			name:    "out-of-order decision is skipped, fold resumes",
 			ds:      decisions(2.0, true, 1.0, false, 3.0, false),
 			want:    []Incident{{Start: 2, End: 3}},
 			skipped: 1,
+			edges:   []bool{true, false, true},
+			raised:  1,
 		},
 		{
 			name:    "skipped decision cannot open an episode",
 			ds:      decisions(2.0, false, 1.0, true, 3.0, false),
 			skipped: 1,
+			edges:   []bool{false, false, false},
 		},
 		{
-			name: "flap inside the gap is one incident",
-			ds:   decisions(1.0, true, 2.0, false, 3.5, true, 5.0, false),
-			gap:  2,
-			want: []Incident{{Start: 1, End: 5}},
+			name:   "flap inside the gap is one incident",
+			ds:     decisions(1.0, true, 2.0, false, 3.5, true, 5.0, false),
+			gap:    2,
+			want:   []Incident{{Start: 1, End: 5}},
+			edges:  []bool{true, true, true, true},
+			raised: 2,
 		},
 		{
-			name: "flap beyond the gap stays two",
-			ds:   decisions(1.0, true, 2.0, false, 4.5, true, 5.0, false),
-			gap:  2,
-			want: []Incident{{Start: 1, End: 2}, {Start: 4.5, End: 5}},
+			name:   "flap beyond the gap stays two",
+			ds:     decisions(1.0, true, 2.0, false, 4.5, true, 5.0, false),
+			gap:    2,
+			want:   []Incident{{Start: 1, End: 2}, {Start: 4.5, End: 5}},
+			edges:  []bool{true, true, true, true},
+			raised: 2,
 		},
 		{
-			name: "merged flap still alarming stays open",
-			ds:   decisions(1.0, true, 2.0, false, 3.0, true),
-			gap:  2,
-			want: []Incident{{Start: 1, End: 3, Open: true}},
+			name:   "merged flap still alarming stays open",
+			ds:     decisions(1.0, true, 2.0, false, 3.0, true),
+			gap:    2,
+			want:   []Incident{{Start: 1, End: 3, Open: true}},
+			edges:  []bool{true, true, true},
+			raised: 2,
 		},
 	} {
 		var f IncidentFold
 		skipped := 0
+		var edges []bool
 		for _, d := range tc.ds {
-			if !f.Observe(d) {
+			ok, edge := f.Observe(d)
+			if !ok {
 				skipped++
 			}
+			edges = append(edges, edge)
 		}
 		if skipped != tc.skipped {
 			t.Errorf("%s: skipped %d decisions, want %d", tc.name, skipped, tc.skipped)
+		}
+		if !reflect.DeepEqual(edges, tc.edges) || f.Raised() != tc.raised {
+			t.Errorf("%s: edges %v, %d raised; want %v, %d", tc.name, edges, f.Raised(), tc.edges, tc.raised)
 		}
 		if got := f.Merged(tc.gap); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: fold = %v, want %v", tc.name, got, tc.want)
@@ -276,4 +296,49 @@ func TestMergeIncidentsEdgeCases(t *testing.T) {
 	if orig[0].End != 1 {
 		t.Errorf("input mutated: %v", orig)
 	}
+}
+
+// FuzzIncidentFoldEdges checks the fold's edges against the hand-rolled
+// loop every caller used to keep: over the in-order decisions, an edge is
+// d.Alarm != the previous in-order decision's Alarm (false before the
+// first), the raise count is the unmerged episode count of Incidents over
+// those decisions, and Last is the last of them. Each input byte is one
+// decision: bit 0 the alarm, the rest a signed step in half seconds, so a
+// negative step dates a decision before its predecessor.
+func FuzzIncidentFoldEdges(f *testing.F) {
+	f.Add([]byte{0, 3, 3, 2, 0xfd, 2, 5})
+	f.Add([]byte{1, 0xff, 1, 0, 0x81, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var fold IncidentFold
+		var accepted []Decision
+		prev, tm := false, 0.0
+		for i, b := range in {
+			tm += float64(int8(b)>>1) / 2
+			d := Decision{Time: tm, Alarm: b&1 == 1}
+			inOrder := len(accepted) == 0 || d.Time >= accepted[len(accepted)-1].Time
+			wantEdge := inOrder && d.Alarm != prev
+			if inOrder {
+				accepted = append(accepted, d)
+				prev = d.Alarm
+			}
+			ok, edge := fold.Observe(d)
+			if ok != inOrder || edge != wantEdge {
+				t.Fatalf("decision %d %+v: ok %v edge %v, want %v %v", i, d, ok, edge, inOrder, wantEdge)
+			}
+			if fold.Active() != prev {
+				t.Fatalf("decision %d: Active %v, want %v", i, fold.Active(), prev)
+			}
+		}
+		incs, err := Incidents(accepted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fold.Raised() != len(incs) {
+			t.Fatalf("Raised %d, want %d", fold.Raised(), len(incs))
+		}
+		last, ok := fold.Last()
+		if ok != (len(accepted) > 0) || ok && last != accepted[len(accepted)-1] {
+			t.Fatalf("Last = %+v, %v; accepted %v", last, ok, accepted)
+		}
+	})
 }

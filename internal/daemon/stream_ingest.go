@@ -47,10 +47,11 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	var (
 		in    = ingest{hub: s.hub}
 		frame int
-		// sessions interns each distinct session ID once so the per-frame
-		// lookup is an allocation-free map hit on []byte-keyed string
-		// conversion. The value is "" while the session is known-bad
-		// (failed auto-open) so repeated frames don't retry the open.
+		// sessions interns each session ID that opened, once, so the
+		// per-frame lookup is an allocation-free map hit on []byte-keyed
+		// string conversion. A session whose auto-open failed is not
+		// interned: each of its frames retries the open and, like a JSON
+		// batch, spends one error of the budget.
 		sessions = make(map[string]string)
 	)
 	for in.more() {
@@ -77,15 +78,9 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		if !seen {
 			sess = string(sessBytes)
 			if profile != "" && !in.open(sess, profile) {
-				sessions[sess] = ""
 				continue
 			}
 			sessions[sess] = sess
-		} else if sess == "" {
-			// Session already failed to open; count the batch against the
-			// cap but don't repeat the error message.
-			in.resp.Dropped += len(batch)
-			continue
 		}
 		in.arena = arena
 		in.frames = append(in.frames, stream.Frame{Session: sess, Samples: batch})

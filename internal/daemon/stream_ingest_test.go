@@ -267,23 +267,53 @@ func TestStreamIngestErrorCap(t *testing.T) {
 	}
 }
 
-// TestStreamIngestProfileConflict: a stream whose ?profile= differs from
-// the profile its session is open under is refused with an error naming
-// the open profile, and none of its frames reach the session's detector.
+// TestStreamIngestProfileConflict: on either ingest route, batches whose
+// profile differs from the one their session is open under are refused
+// one error per batch, each naming the open profile; none is counted
+// dropped, and none reaches the session's detector. Three 10-sample
+// batches give the same response on both routes.
 func TestStreamIngestProfileConflict(t *testing.T) {
-	ts, hub := newTestDaemon(t)
-	if err := hub.Open("vm-1", "sdsb:test"); err != nil {
-		t.Fatal(err)
-	}
-	resp, out := postStream(t, ts.URL, frames(t, "vm-1", attackSamples(30, 0), 10), "raw")
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "sdsb:test") {
-		t.Errorf("conflicting profile: %d %s", resp.StatusCode, out)
-	}
-	if err := hub.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if in, _ := hub.Session("vm-1"); in.Ingested != 0 || in.Profile != "sdsb:test" {
-		t.Errorf("session after the refused stream: %+v", in)
+	samples := attackSamples(30, 0)
+	for _, tc := range []struct {
+		route string
+		post  func(url string) (*http.Response, []byte)
+	}{
+		{"json", func(url string) (*http.Response, []byte) {
+			var req stream.IngestRequest
+			for off := 0; off < len(samples); off += 10 {
+				req.Batches = append(req.Batches, stream.IngestBatch{Session: "vm-1", Profile: "raw", Samples: samples[off : off+10]})
+			}
+			return doJSON(t, "POST", url+"/v1/ingest", req)
+		}},
+		{"stream", func(url string) (*http.Response, []byte) {
+			return postStream(t, url, frames(t, "vm-1", samples, 10), "raw")
+		}},
+	} {
+		t.Run(tc.route, func(t *testing.T) {
+			ts, hub := newTestDaemon(t)
+			if err := hub.Open("vm-1", "sdsb:test"); err != nil {
+				t.Fatal(err)
+			}
+			resp, out := tc.post(ts.URL)
+			var got stream.IngestResponse
+			if err := json.Unmarshal(out, &got); err != nil {
+				t.Fatalf("response %d %s: %v", resp.StatusCode, out, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || got.Accepted != 0 || got.Dropped != 0 || len(got.Errors) != 3 {
+				t.Errorf("conflicting profile: %d %s, want 400 with accepted 0, dropped 0 and three errors", resp.StatusCode, out)
+			}
+			for _, e := range got.Errors {
+				if !strings.Contains(e, "sdsb:test") {
+					t.Errorf("error %q does not name the open profile", e)
+				}
+			}
+			if err := hub.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if in, _ := hub.Session("vm-1"); in.Ingested != 0 || in.Profile != "sdsb:test" {
+				t.Errorf("session after the refused batches: %+v", in)
+			}
+		})
 	}
 }
 

@@ -225,21 +225,17 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 		}
 	}
 
-	raised := false
+	var alarm core.IncidentFold
 	for !victim.Completed() && srv.Now() < maxDur {
 		step := srv.Step()
 		if !mitigate {
 			continue
 		}
 		for _, d := range det.Push(step.Samples[victim.ID()]) {
-			if d.Alarm == raised {
+			if _, edge := alarm.Observe(d); !edge {
 				continue
 			}
-			raised = d.Alarm
-			if raised {
-				out.Alarms++
-			}
-			if err := eng.Observe(sessionID, d.Time, raised); err != nil {
+			if err := eng.Observe(sessionID, d.Time, d.Alarm); err != nil {
 				return 0, err
 			}
 		}
@@ -250,6 +246,7 @@ func closedLoopRun(spec ClosedLoopSpec, maxDur float64, attacked, mitigate bool,
 			spec.App, maxDur, attacked, mitigate)
 	}
 	if mitigate {
+		out.Alarms = alarm.Raised()
 		out.Stats = eng.Stats()
 		if st, ok := eng.State(sessionID); ok {
 			out.PeakLevel = st.PeakLevel

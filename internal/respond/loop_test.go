@@ -79,14 +79,13 @@ func TestServingPathMatchesLoopMitigation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raised := false
+	var alarm core.IncidentFold
 	for _, s := range samples {
 		for _, d := range det.Push(s) {
-			if d.Alarm == raised {
+			if _, edge := alarm.Observe(d); !edge {
 				continue
 			}
-			raised = d.Alarm
-			if err := loop.Observe("victim", d.Time, raised); err != nil {
+			if err := loop.Observe("victim", d.Time, d.Alarm); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,10 +1,12 @@
 // Package respond closes the loop from detection to mitigation: a policy
 // engine consumes alarm raise/clear events and drives graduated,
 // reversible hypervisor actions against the suspect VM of each protected
-// session. The streaming detection hub (internal/stream) calls the engine
-// directly, as an observer on the shard that folds each transition, and
-// makes it Forget a session when the session closes (see Attach); a
-// simulation's detector loop calls Observe itself.
+// session. Every caller takes its raises and clears from one place, the
+// edges a core.IncidentFold reports over a session's decisions. The
+// streaming detection hub (internal/stream) calls the engine directly, as
+// an observer on the shard that folds each transition, and makes it
+// Forget a session when the session closes (see Attach); a simulation's
+// detector loop calls Observe itself.
 //
 // The paper detects memory DoS attacks but leaves the response open. Its
 // Section II argument — reproduced by experiments.MigrationStudy — is

@@ -15,8 +15,9 @@ import (
 //
 // # Alarm delivery guarantee
 //
-// The hub hands each alarm transition (raise or clear) to two kinds of
-// consumer.
+// Each session's core.IncidentFold decides which decisions are alarm
+// transitions (a raise or a clear); the hub hands each one to two kinds
+// of consumer.
 //
 // Observers (AddObserver) are exact. The shard goroutine calls each one
 // at the transition and waits for it, so an observer sees every edge of

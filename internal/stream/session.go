@@ -83,15 +83,11 @@ type Session struct {
 
 	// mu guards everything below (shard goroutine writes, info reads).
 	mu sync.Mutex
-	// incidents, decisions, outOfOrder, alarmsRaised, alarmActive,
-	// lastDecision and hasDecision are all guarded by mu.
-	incidents    core.IncidentFold
-	decisions    uint64
-	outOfOrder   uint64
-	alarmsRaised uint64
-	alarmActive  bool
-	lastDecision core.Decision
-	hasDecision  bool
+	// incidents is the session's one alarm edge fold: it also holds the
+	// alarm state, the raise count and the last in-order decision.
+	incidents  core.IncidentFold
+	decisions  uint64
+	outOfOrder uint64
 
 	// scoreWin assembles the session's sliding cascade window and scoreOrd
 	// counts the windows it has emitted (both written on the shard
@@ -169,28 +165,17 @@ func (s *Session) process(batch []pcm.Sample) {
 	}
 }
 
-// foldLocked absorbs one decision: counters, incident tracking, fan-out
-// (to observers only while the session is open). Caller holds s.mu.
+// foldLocked absorbs one decision: counters, the incident fold, and the
+// hub's hand-off of what the fold made of it. Caller holds s.mu.
 func (s *Session) foldLocked(d core.Decision) {
 	s.decisions++
 	s.hub.decisionsTotal.Inc()
-	if !s.incidents.Observe(d) {
+	ok, edge := s.incidents.Observe(d)
+	if !ok {
 		s.outOfOrder++
 		return
 	}
-	prev := s.alarmActive
-	s.alarmActive = d.Alarm
-	s.lastDecision = d
-	s.hasDecision = true
-	if d.Alarm != prev {
-		if d.Alarm {
-			s.alarmsRaised++
-			s.hub.alarmsRaised.Inc()
-		}
-		s.hub.publish(AlarmEvent{Session: s.id, Detector: s.det.Name(), Time: d.Time, Raised: d.Alarm}, !s.removed.Load())
-	} else if !s.removed.Load() {
-		s.hub.advance(s.id, d.Time)
-	}
+	s.hub.deliver(s, d, edge)
 }
 
 // info snapshots the session.
@@ -207,13 +192,12 @@ func (s *Session) info() SessionInfo {
 		Pending:      s.pending.Load(),
 		Decisions:    s.decisions,
 		OutOfOrder:   s.outOfOrder,
-		AlarmActive:  s.alarmActive,
-		AlarmsRaised: s.alarmsRaised,
+		AlarmActive:  s.incidents.Active(),
+		AlarmsRaised: uint64(s.incidents.Raised()),
 		Incidents:    s.incidents.Merged(s.hub.cfg.MergeGap),
 		State:        core.SnapshotDetector(s.det),
 	}
-	if s.hasDecision {
-		d := s.lastDecision
+	if d, ok := s.incidents.Last(); ok {
 		in.LastDecision = &d
 	}
 	if s.cascadeWindows > 0 {
