@@ -192,7 +192,7 @@ func TestSamplePathPins(t *testing.T) {
 		{"AblationRawThreshold/TS", func() (string, error) {
 			accs, err := AblationRawThreshold("TS", []uint64{8})
 			return fmt.Sprintf("%+v", accs), err
-		}, "map[SDS:{Recall:1 Specificity:0.9026845637583892 MeanDelay:0} naive-coarse:{Recall:0.00974074074074074 Specificity:0.9887659177278485 MeanDelay:0} naive-fine:{Recall:0.37125925925925923 Specificity:0.6245749716647776 MeanDelay:0}]"},
+		}, "map[SDS:{Recall:1 Specificity:0.9026845637583892 MeanDelay:10} naive-coarse:{Recall:0.00974074074074074 Specificity:0.9887659177278485 MeanDelay:0.009999999999990905} naive-fine:{Recall:0.37125925925925923 Specificity:0.6245749716647776 MeanDelay:0}]"},
 		{"HeldOutWindows/KM/none", func() (string, error) { return heldOutPin("KM", NoAttack) }, "windows=9 values=3600/0d342144d73257b5"},
 		{"HeldOutWindows/KM/buslock", func() (string, error) { return heldOutPin("KM", BusLock) }, "windows=9 values=3600/d6f21e9c3ed3fc4d"},
 		{"HeldOutWindows/KM/cleansing", func() (string, error) { return heldOutPin("KM", Cleansing) }, "windows=9 values=3600/169142b50fc43210"},

@@ -199,8 +199,8 @@ func AblationRawThreshold(app string, seeds []uint64) (map[string]Accuracy, erro
 	}
 	out := map[string]Accuracy{}
 	for i, d := range dets {
-		rec, spc, _ := finite(accs[i])
-		out[d.Name] = Accuracy{Recall: metrics.MeanDelay(rec), Specificity: metrics.MeanDelay(spc)}
+		rec, spc, dly := finite(accs[i])
+		out[d.Name] = Accuracy{Recall: metrics.MeanDelay(rec), Specificity: metrics.MeanDelay(spc), MeanDelay: metrics.MeanDelay(dly)}
 	}
 	return out, nil
 }
