@@ -11,7 +11,7 @@ import (
 )
 
 // The file `memdos train -out` writes is the one `memdosd -score-model`
-// reads: it must load through the daemon's loader at the training window
+// reads: it must load and compile, as memdosd does, at the training window
 // and score windows to the verdicts of the cascade the command trained.
 // Training is deterministic, so running the same spec again rebuilds that
 // in-memory cascade.
@@ -31,7 +31,16 @@ func TestTrainOutLoadsInDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := daemon.LoadCascadeScorer(path, 0, dnn.ScorerOptions{})
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dnn.LoadCascade(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := daemon.NewCascadeScorer(c, 0, dnn.ScorerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

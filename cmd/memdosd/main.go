@@ -6,7 +6,8 @@
 // counters are scraped from /metrics. High-rate producers stream
 // length-prefixed binary frames to /v1/ingest/stream instead of JSON
 // (e2ebench's fleet_paced and ingest_sat workloads measure that route,
-// its daemon.json_ns_per_sample probe the JSON one).
+// its daemon.json_ns_per_sample probe the JSON one). daemon.Build
+// assembles what it serves; this command only supplies flags and profiles.
 //
 // Usage:
 //
@@ -112,48 +113,47 @@ func run(args []string) error {
 		return fmt.Errorf("unknown -policy %q (want drop or block)", *policy)
 	}
 
-	hub := stream.NewHub(cfg)
-	if err := registerProfiles(hub, splitApps(*apps)); err != nil {
+	// The model loads before any profiling, so a bad path fails at once.
+	var model *dnn.Cascade
+	if *scoreModel != "" {
+		f, err := os.Open(*scoreModel)
+		if err == nil {
+			model, err = dnn.LoadCascade(f)
+			f.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("loading cascade %s: %w", *scoreModel, err)
+		}
+	}
+	profiles, err := profileApps(*apps)
+	if err != nil {
 		return err
 	}
-
-	if *scoreModel != "" {
-		// Window 0: the one the model was trained on, the only one its
-		// compiled scorer accepts.
-		cs, err := daemon.LoadCascadeScorer(*scoreModel, 0, dnn.ScorerOptions{})
-		if err != nil {
-			return err
-		}
-		scfg := stream.ScorerConfig{Stride: scoreStrideFor(*scoreStride, cs.Window())}
-		if err := hub.AttachScorer(cs, scfg); err != nil {
-			return err
-		}
-		fmt.Printf("memdosd: batched cascade scoring on (window %d, stride %d)\n", cs.Window(), scfg.Stride)
-	}
-
-	var eng *respond.Engine
+	var act respond.Actuator
 	if *respondOn {
-		var err error
-		if eng, err = respond.New(respond.DefaultConfig(), respond.NewLogActuator()); err != nil {
-			return err
-		}
-		detach := hub.AddObserver(eng)
-		defer detach()
+		act = respond.NewLogActuator()
+	}
+	sys, err := daemon.Build(daemon.Config{Hub: cfg, Profiles: profiles, Cascade: model, ScoreStride: *scoreStride, Actuator: act})
+	if err != nil {
+		return err
+	}
+	if st := sys.Hub.ScorerStats(); st.Attached {
+		fmt.Printf("memdosd: batched cascade scoring on (window %d, stride %d)\n", st.Window, st.Stride)
 	}
 
-	srv := newHTTPServer(*addr, daemon.New(hub, eng))
+	srv := newHTTPServer(*addr, sys.Handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("memdosd: listening on %s (profiles: %s)\n", *addr, strings.Join(hub.Profiles(), ", "))
+		fmt.Printf("memdosd: listening on %s (profiles: %s)\n", *addr, strings.Join(sys.Hub.Profiles(), ", "))
 		errc <- srv.ListenAndServe()
 	}()
 
 	select {
 	case err := <-errc:
-		hub.Close()
+		sys.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -164,12 +164,12 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	hub.Close() // drains queues through the detectors
-	for _, in := range hub.Sessions() {
+	sys.Close() // drains queues through the detectors
+	for _, in := range sys.Hub.Sessions() {
 		fmt.Printf("memdosd: session %s (%s): %d samples, %d decisions, %d incidents\n",
 			in.ID, in.Detector, in.Ingested, in.Decisions, len(in.Incidents))
 	}
-	st := hub.Stats()
+	st := sys.Hub.Stats()
 	fmt.Printf("memdosd: bye (%d samples ingested, %d dropped, %d alarms raised)\n",
 		st.SamplesIngested, st.SamplesDropped, st.AlarmsRaised)
 	return nil
@@ -197,51 +197,18 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// scoreStrideFor resolves -score-stride against the loaded model's
-// window: unset (<= 0) is the paper's sliding step ΔW, or the whole
-// window of a model shorter than that.
-func scoreStrideFor(flag, window int) int {
-	if flag > 0 {
-		return flag
-	}
-	return min(core.DefaultParams().DW, window)
-}
-
-func splitApps(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
+// profileApps builds the attack-free profiles every accuracy table scores.
+func profileApps(list string) (map[string]core.Profile, error) {
+	out := map[string]core.Profile{}
+	for _, app := range strings.Fields(strings.ReplaceAll(list, ",", " ")) {
+		if _, dup := out[app]; dup {
+			return nil, fmt.Errorf("-apps names %s twice", app)
 		}
-	}
-	return out
-}
-
-// registerProfiles installs the daemon's detector profiles: the
-// profile-free "raw" fallback plus per-application SDS pipelines built
-// from attack-free profiling runs.
-func registerProfiles(hub *stream.Hub, apps []string) error {
-	if err := hub.RegisterProfile("raw", func() (core.Detector, error) {
-		return core.NewRawThreshold(0.5)
-	}); err != nil {
-		return err
-	}
-	params := core.DefaultParams()
-	for _, app := range apps {
-		prof, err := experiments.ProfileApp(app, experiments.ProfileDuration, params)
+		prof, err := experiments.ProfileApp(app, experiments.ProfileDuration, core.DefaultParams())
 		if err != nil {
-			return fmt.Errorf("profiling %s: %w", app, err)
+			return nil, fmt.Errorf("profiling %s: %w", app, err)
 		}
-		if err := hub.RegisterProfile("sdsb:"+app, func() (core.Detector, error) {
-			return core.NewSDSB(prof, params)
-		}); err != nil {
-			return err
-		}
-		if err := hub.RegisterProfile("sds:"+app, func() (core.Detector, error) {
-			return core.NewSDS(prof, params)
-		}); err != nil {
-			return err
-		}
+		out[app] = prof
 	}
-	return nil
+	return out, nil
 }

@@ -78,16 +78,21 @@ func (l *decisionLog) Forget(string) {}
 // profile of experiments.ProfileDuration from a shorter one.
 func TestDaemonMatchesScoredRun(t *testing.T) {
 	apps := []string{"KM", "BA", "TS", "FN"}
-	cfg := stream.DefaultConfig()
-	cfg.Policy = stream.Block // memdosd -policy block: no sample is shed
-	hub := stream.NewHub(cfg)
-	defer hub.Close()
-	if err := registerProfiles(hub, apps); err != nil {
+	profiles, err := profileApps(strings.Join(apps, ","))
+	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := stream.DefaultConfig()
+	cfg.Policy = stream.Block // memdosd -policy block: no sample is shed
+	sys, err := daemon.Build(daemon.Config{Hub: cfg, Profiles: profiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	hub := sys.Hub
 	rec := &decisionLog{alarm: map[string]bool{}, log: map[string][]core.Decision{}}
 	defer hub.AddObserver(rec)()
-	srv := httptest.NewServer(daemon.New(hub, nil))
+	srv := httptest.NewServer(sys.Handler)
 	defer srv.Close()
 
 	params := core.DefaultParams()
@@ -141,25 +146,6 @@ func TestDaemonMatchesScoredRun(t *testing.T) {
 				t.Errorf("%s %v: %d of %d decisions differ, first %d: daemon (t=%v alarm=%v), Run (t=%v alarm=%v)",
 					app, mode, differ, len(got), first, got[first].Time, got[first].Alarm, want.Time, want.Alarm)
 			}
-		}
-	}
-}
-
-// -score-stride 0 is the paper's ΔW = 50 (what core.DNNDetector and
-// cascade_replay slide by), never the non-overlapping window, and a
-// short model's window caps it; an explicit stride passes through for
-// AttachScorer to judge.
-func TestScoreStrideDefault(t *testing.T) {
-	for _, tc := range []struct{ flag, window, want int }{
-		{0, 200, 50},
-		{-1, 200, 50},
-		{0, 20, 20},
-		{10, 200, 10},
-		{200, 200, 200},
-		{300, 200, 300},
-	} {
-		if got := scoreStrideFor(tc.flag, tc.window); got != tc.want {
-			t.Errorf("scoreStrideFor(%d, %d) = %d, want %d", tc.flag, tc.window, got, tc.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"memdos/internal/dnn"
@@ -35,21 +34,6 @@ func NewCascadeScorer(c *dnn.Cascade, window int, opts dnn.ScorerOptions) (*Casc
 		return nil, err
 	}
 	return &CascadeScorer{s: s}, nil
-}
-
-// LoadCascadeScorer reads a cascade saved with dnn's Save and compiles
-// it for batched scoring.
-func LoadCascadeScorer(path string, window int, opts dnn.ScorerOptions) (*CascadeScorer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := dnn.LoadCascade(f)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: loading cascade %s: %w", path, err)
-	}
-	return NewCascadeScorer(c, window, opts)
 }
 
 // Window implements stream.WindowScorer.

@@ -1,9 +1,9 @@
 // Package daemon is memdosd's serving layer: the HTTP surface that
 // wires the multi-tenant streaming hub (internal/stream) — and
 // optionally the closed-loop mitigation engine (internal/respond) — to
-// sample producers and operators. It lives outside cmd/memdosd so tests
-// and the end-to-end benchmark (e2ebench) can assemble the exact daemon
-// data path without spawning a process.
+// sample producers and operators. Build is the assembly: memdosd, tests
+// and the end-to-end benchmark (e2ebench) get the daemon's data path
+// from it without spawning a process.
 package daemon
 
 import (

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memdos/internal/core"
 	"memdos/internal/pcm"
 )
 
@@ -83,8 +84,8 @@ type CascadeVerdict struct {
 
 // ScorerConfig sizes the scoring service.
 type ScorerConfig struct {
-	// Stride is how many samples advance between consecutive windows of
-	// one session. <= 0 means the window length (non-overlapping).
+	// Stride is how many samples advance between a session's windows.
+	// <= 0 means the paper's ΔW (core.DefaultParams().DW), clipped to the window.
 	Stride int
 	// Batch is the largest number of windows fused into one scorer call.
 	// <= 0 means 64.
@@ -95,7 +96,7 @@ type ScorerConfig struct {
 
 func (c ScorerConfig) withDefaults(window int) (ScorerConfig, error) {
 	if c.Stride <= 0 {
-		c.Stride = window
+		c.Stride = min(core.DefaultParams().DW, window)
 	}
 	if c.Stride > window {
 		return c, fmt.Errorf("stream: scorer stride %d exceeds window %d", c.Stride, window)

@@ -247,6 +247,41 @@ func TestAttachScorerValidation(t *testing.T) {
 	}
 }
 
+// Stride 0 is the paper's ΔW = 50 (what core.DNNDetector and
+// cascade_replay slide by), never the non-overlapping window, and a
+// short model's window caps it; an explicit stride passes through for
+// AttachScorer to judge.
+func TestScoreStrideDefault(t *testing.T) {
+	for _, tc := range []struct{ stride, window, want int }{
+		{0, 200, 50},
+		{-1, 200, 50},
+		{0, 20, 20},
+		{10, 200, 10},
+		{200, 200, 200},
+		{300, 200, 0}, // refused: longer than the window
+	} {
+		h := scoringHub(t)
+		err := h.AttachScorer(&stubScorer{window: tc.window}, ScorerConfig{Stride: tc.stride})
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("stride %d, window %d: accepted", tc.stride, tc.window)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.ScorerStats().Stride; got != tc.want {
+			t.Errorf("stride %d, window %d: scoring at %d, want %d", tc.stride, tc.window, got, tc.want)
+		}
+		h.Close()
+	}
+	// Leave no exiting scorer goroutine for the next test to count.
+	for deadline := time.Now().Add(5 * time.Second); scorerGoroutines() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // slideScorer is a stubScorer that also implements SlidingScorer: its
 // carries remember the last ordinal they saw, so a test can read back
 // what the hub handed over.
