@@ -17,14 +17,15 @@
 //
 // With -score-model the daemon loads a cascade saved by `memdos train
 // -out` and runs it as a batched scoring service: shard goroutines
-// assemble per-session sliding counter windows, a scorer goroutine
-// classifies them in fused batches, and the latest verdict appears as
+// assemble per-session sliding counter windows, one scoring worker per
+// shard classifies its shard's windows in fused batches (each worker on
+// its own fork of the compiled cascade), and the latest verdict appears as
 // "cascade" in the /v1/sessions views next to the detector state;
 // memdos_dnn_* metrics track throughput, batch fill, queue depth,
 // sheds and how many windows were scored from carried rows. Windows
 // slide by -score-stride samples; 0 is the paper's ΔW = 50 (a verdict
 // every 0.5 s at T_PCM = 10 ms, as core.DNNDetector decides), clipped
-// to the model's window. Batches fuse up to 64 windows and the scoring
+// to the model's window. Batches fuse up to 64 windows and each worker's
 // queue holds 1,024 (stream.ScorerConfig's defaults); a full queue sheds
 // windows, never stalls ingest.
 //

@@ -11,8 +11,8 @@ import (
 // CascadeScorer adapts a compiled dnn.BatchScorer to the hub's
 // stream.WindowScorer and stream.SlidingScorer interfaces, the seam the
 // hub scores through (tests and e2ebench plug their own scorers into the
-// same interfaces). The hub scores from its single scorer
-// goroutine; the mutex documents (and enforces) that the underlying
+// same interfaces). The hub scores on one worker per shard, each through
+// its own Fork; the mutex documents (and enforces) that one scorer's
 // arenas have one caller.
 type CascadeScorer struct {
 	mu      sync.Mutex
@@ -45,6 +45,10 @@ func (cs *CascadeScorer) ScoreFlat(n int, flat []float64, apps, attacks []int) {
 	defer cs.mu.Unlock()
 	cs.s.ScoreFlat(n, flat, apps, attacks)
 }
+
+// Fork implements stream.SlidingScorer: a scorer on the same compiled
+// weights with arenas of its own.
+func (cs *CascadeScorer) Fork() stream.SlidingScorer { return &CascadeScorer{s: cs.s.Fork()} }
 
 // NewCarry implements stream.SlidingScorer.
 func (cs *CascadeScorer) NewCarry(stride int) stream.SessionCarry { return cs.s.NewCarry(stride) }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"memdos/internal/core"
@@ -124,27 +125,40 @@ func TestEndToEndCascadeScoring(t *testing.T) {
 }
 
 // recordingScorer is a CascadeScorer that keeps every window the hub
-// scored through it, with the verdict it returned. An optional gate
-// holds the first call until closed, to let the scoring queue overflow.
+// scored through it, with the verdict it returned, in a log its forks
+// share: whichever worker scores a window, the log has it.
 type recordingScorer struct {
 	*CascadeScorer
+	log *scoreLog
+}
+
+// scoreLog is what a recordingScorer and its forks scored. An optional
+// gate holds every call until closed, to let the scoring queues overflow.
+type scoreLog struct {
 	gate    chan struct{}
+	mu      sync.Mutex
 	windows [][]float64
 	apps    []int
 	attacks []int
 }
 
+func (r *recordingScorer) Fork() stream.SlidingScorer {
+	return &recordingScorer{CascadeScorer: r.CascadeScorer.Fork().(*CascadeScorer), log: r.log}
+}
+
 func (r *recordingScorer) ScoreCarried(n int, flat []float64, carry []stream.SessionCarry, ord []uint64, apps, attacks []int) int {
-	if r.gate != nil {
-		<-r.gate
+	if r.log.gate != nil {
+		<-r.log.gate
 	}
 	continued := r.CascadeScorer.ScoreCarried(n, flat, carry, ord, apps, attacks)
 	w2 := 2 * r.Window()
+	r.log.mu.Lock()
+	defer r.log.mu.Unlock()
 	for i := 0; i < n; i++ {
-		r.windows = append(r.windows, append([]float64(nil), flat[i*w2:(i+1)*w2]...))
+		r.log.windows = append(r.log.windows, append([]float64(nil), flat[i*w2:(i+1)*w2]...))
 	}
-	r.apps = append(r.apps, apps...)
-	r.attacks = append(r.attacks, attacks...)
+	r.log.apps = append(r.log.apps, apps[:n]...)
+	r.log.attacks = append(r.log.attacks, attacks[:n]...)
 	return continued
 }
 
@@ -165,10 +179,11 @@ func shiftingSamples(rng *sim.RNG, from, n, period int) []pcm.Sample {
 }
 
 // Every verdict the hub's sliding path hands out — not only each
-// session's last — must equal a stateless batch-1 ScoreFlat of the same
-// window on a second scorer: with every window scored (Block), and with
-// the scoring queue small enough that windows are shed and the sessions'
-// carries have to be abandoned and rebuilt (DropNewest).
+// session's last, and from both workers of a two-shard hub — must equal
+// a stateless batch-1 ScoreFlat of the same window on a second scorer:
+// with every window scored (Block), and with the scoring queues small
+// enough that windows are shed and the sessions' carries have to be
+// abandoned and rebuilt (DropNewest).
 func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 	const window, stride, sessions = 40, 5, 3
 	for _, tc := range []struct {
@@ -192,9 +207,9 @@ func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := testCascade(t, window)
-			rec := &recordingScorer{CascadeScorer: testCascadeScorer(t, window)}
+			rec := &recordingScorer{CascadeScorer: testCascadeScorer(t, window), log: &scoreLog{}}
 			if tc.shed {
-				rec.gate = make(chan struct{})
+				rec.log.gate = make(chan struct{})
 			}
 			if err := hub.AttachScorer(rec, tc.scfg); err != nil {
 				t.Fatal(err)
@@ -215,7 +230,7 @@ func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 			}
 			feed(0, 400)
 			if tc.shed {
-				close(rec.gate) // the queue overflowed behind the held call
+				close(rec.log.gate) // the queues overflowed behind the held calls
 			}
 			if err := hub.Drain(); err != nil {
 				t.Fatal(err)
@@ -230,8 +245,8 @@ func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 			}
 
 			st := hub.ScorerStats()
-			if int(st.WindowsScored) != len(rec.windows) || st.WindowsContinued == 0 {
-				t.Fatalf("stats %+v with %d windows recorded", st, len(rec.windows))
+			if int(st.WindowsScored) != len(rec.log.windows) || st.WindowsContinued == 0 || st.Workers != cfg.Shards {
+				t.Fatalf("stats %+v with %d windows recorded", st, len(rec.log.windows))
 			}
 			if tc.shed == (st.WindowsDropped == 0) {
 				t.Fatalf("shed=%v but %d windows dropped", tc.shed, st.WindowsDropped)
@@ -245,11 +260,11 @@ func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 			}
 			var app, attack [1]int
 			seen := map[int]bool{}
-			for i, win := range rec.windows {
+			for i, win := range rec.log.windows {
 				ref.ScoreFlat(1, win, app[:], attack[:])
-				if app[0] != rec.apps[i] || attack[0] != rec.attacks[i] {
+				if app[0] != rec.log.apps[i] || attack[0] != rec.log.attacks[i] {
 					t.Fatalf("window %d of %d: hub verdict (%d,%d), stateless (%d,%d)",
-						i, len(rec.windows), rec.apps[i], rec.attacks[i], app[0], attack[0])
+						i, len(rec.log.windows), rec.log.apps[i], rec.log.attacks[i], app[0], attack[0])
 				}
 				seen[app[0]] = true
 			}

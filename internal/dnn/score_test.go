@@ -9,7 +9,9 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"memdos/internal/sim"
@@ -153,6 +155,109 @@ func TestScorerCompileErrors(t *testing.T) {
 				t.Fatalf("Scorer error = %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A fork must score as the scorer it came from, bit for bit, statelessly
+// and from carries, logits included; it shares the compiled weights and
+// no arena, so the two scoring the same windows at once, each with
+// carries of its own, is no race (run under -race). The batch of 36
+// windows crosses scoreTile.
+func TestForkMatchesScorer(t *testing.T) {
+	const w, stride, sessions, perSession = 40, 5, 3, 12
+	c, err := NewCascade(2, tinyArch, sim.NewRNG(92))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(93)
+	streams := make([][]float64, sessions)
+	var fit [][][]float64
+	for i := range streams {
+		streams[i] = slidingStream(rng, w+(perSession-1)*stride, w/2+3*i)
+		win := make([][]float64, w)
+		for j := range win {
+			win[j] = streams[i][2*j : 2*j+2]
+		}
+		fit = append(fit, win)
+	}
+	if c.Norm, err = FitChannelNorm(fit); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Scorer(w, ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every session's windows in stream order, the sessions round robin.
+	var flat []float64
+	var ords []uint64
+	var owner []int
+	for k := 0; k < perSession; k++ {
+		for i := range streams {
+			flat = append(flat, streams[i][2*k*stride:2*(k*stride+w)]...)
+			ords = append(ords, uint64(k+1))
+			owner = append(owner, i)
+		}
+	}
+	n := len(ords)
+
+	type result struct {
+		apps, attacks  []int
+		appLog, atkLog []float32
+		continued      int
+	}
+	score := func(sc *BatchScorer, carried bool) result {
+		r := result{apps: make([]int, n), attacks: make([]int, n)}
+		if carried {
+			mine := make([]*Carry, sessions)
+			for i := range mine {
+				mine[i] = sc.NewCarry(stride)
+			}
+			carries := make([]*Carry, n)
+			for i, o := range owner {
+				carries[i] = mine[o]
+			}
+			r.continued = sc.ScoreCarried(n, flat, carries, ords, r.apps, r.attacks)
+		} else {
+			sc.ScoreFlat(n, flat, r.apps, r.attacks)
+		}
+		r.appLog = append([]float32(nil), sc.app.logits[:n*sc.app.classes]...)
+		r.atkLog = append([]float32(nil), sc.atk.logits[:n*sc.atk.classes]...)
+		return r
+	}
+	sameBits := func(a, b []float32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	for _, carried := range []bool{false, true} {
+		want := score(s, carried)
+		if carried && want.continued == 0 {
+			t.Fatal("no window continued its carry: the carried path went unexercised")
+		}
+		f := s.Fork()
+		if &f.app.wx[0] != &s.app.wx[0] || &f.atk.outW[0] != &s.atk.outW[0] {
+			t.Fatal("the fork copied the compiled weights instead of sharing them")
+		}
+		var forked, parent result
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); forked = score(f, carried) }()
+		go func() { defer wg.Done(); parent = score(s, carried) }()
+		wg.Wait()
+		for name, got := range map[string]result{"fork": forked, "parent beside its fork": parent} {
+			if !slices.Equal(got.apps, want.apps) || !slices.Equal(got.attacks, want.attacks) ||
+				!sameBits(got.appLog, want.appLog) || !sameBits(got.atkLog, want.atkLog) || got.continued != want.continued {
+				t.Fatalf("carried=%v: %s scored apps %v attacks %v (%d continued), alone %v %v (%d), or logits differ",
+					carried, name, got.apps, got.attacks, got.continued, want.apps, want.attacks, want.continued)
+			}
+		}
 	}
 }
 
@@ -395,8 +500,8 @@ func FuzzFoldedConv1MatchesOneHot(f *testing.F) {
 			saved := f32SIMD
 			f32SIMD = simd
 			want, got := make([]float32, T*ref.out), make([]float32, T*ref.out)
-			(&modelProg{T: T, edge: make([]float32, ref.half*ref.k*ref.in)}).convRows(&ref, oneHot, want, 0, T)
-			(&modelProg{T: T, edge: make([]float32, fc.half*fc.k*fc.in)}).convRows(&fc, folded, got, 0, T)
+			(&modelProg{T: T}).convRows(&ref, oneHot, want, 0, T)
+			(&modelProg{T: T}).convRows(&fc, folded, got, 0, T)
 			f32SIMD = saved
 			for i, v := range want {
 				if math.Float32bits(got[i]) != math.Float32bits(v) {

@@ -50,8 +50,15 @@ func (s *stubScorer) batchSizes() []int {
 
 func scoringHub(t *testing.T) *Hub {
 	t.Helper()
+	return shardedScoringHub(t, 1)
+}
+
+// shardedScoringHub is a Block-policy hub of the given shard count with
+// the raw profile registered, closed when the test ends.
+func shardedScoringHub(t *testing.T, shards int) *Hub {
+	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Shards = 1
+	cfg.Shards = shards
 	cfg.Policy = Block
 	h := NewHub(cfg)
 	t.Cleanup(func() { h.Close() })
@@ -185,46 +192,76 @@ func TestScoringQueueShedsAndFuses(t *testing.T) {
 	}
 }
 
-// scorerGoroutines counts live goroutines running hubScorer code.
+// scorerGoroutines counts live goroutines running scoring-worker code.
 func scorerGoroutines() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stream.(*hubScorer).run(")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stream.(*scoreWorker).run(")
+}
+
+// waitScorerGoroutines polls until exactly want scoring workers run: a
+// worker of an earlier test's closed hub may still be on its way out
+// (Close waits for its done channel, which it closes before it returns),
+// so a single count can read high.
+func waitScorerGoroutines(t *testing.T, want int) {
+	t.Helper()
+	n := scorerGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = scorerGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	if n != want {
+		t.Fatalf("%d scoring workers running, want %d", n, want)
+	}
 }
 
 // Close must score everything still queued before sealing: verdicts are
-// part of the final session state. AttachScorer starts exactly one
-// goroutine, and after Close the process is back to the goroutines it
-// had before the hub existed.
+// part of the final session state. AttachScorer starts one worker for a
+// scorer that cannot fork and one per shard for one that can, and after
+// Close the process is back to the goroutines it had before the hub
+// existed.
 func TestScoringCloseDrainsQueue(t *testing.T) {
-	before := runtime.NumGoroutine()
-	h := scoringHub(t)
-	ss := &stubScorer{window: 5}
-	if err := h.AttachScorer(ss, ScorerConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Drain(); err != nil { // the barrier's ack proves the goroutine is up
-		t.Fatal(err)
-	}
-	if n := scorerGoroutines(); n != 1 {
-		t.Fatalf("AttachScorer started %d scorer goroutines, want 1", n)
-	}
-	if err := h.Open("vm-a", "raw"); err != nil {
-		t.Fatal(err)
-	}
-	ingestCounters(t, h, "vm-a", 1, 25) // 5 non-overlapping windows
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.ScorerStats(); st.WindowsScored != 5 {
-		t.Fatalf("close scored %d windows, want 5: %+v", st.WindowsScored, st)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before || scorerGoroutines() != 0 {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines before the hub, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		ws      WindowScorer
+		workers int
+	}{
+		{"flat", 1, &stubScorer{window: 5}, 1},
+		{"flat/4shards", 4, &stubScorer{window: 5}, 1},
+		{"sliding/4shards", 4, &slideScorer{stubScorer: stubScorer{window: 5}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			h := shardedScoringHub(t, tc.shards)
+			if err := h.AttachScorer(tc.ws, ScorerConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Drain(); err != nil { // the barrier's acks prove the workers are up
+				t.Fatal(err)
+			}
+			waitScorerGoroutines(t, tc.workers)
+			if st := h.ScorerStats(); st.Workers != tc.workers {
+				t.Fatalf("stats report %d workers, want %d", st.Workers, tc.workers)
+			}
+			if err := h.Open("vm-a", "raw"); err != nil {
+				t.Fatal(err)
+			}
+			ingestCounters(t, h, "vm-a", 1, 25) // 5 non-overlapping windows
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := h.ScorerStats(); st.WindowsScored != 5 {
+				t.Fatalf("close scored %d windows, want 5: %+v", st.WindowsScored, st)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines before the hub, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+			}
+			waitScorerGoroutines(t, 0)
+		})
 	}
 }
 
@@ -276,20 +313,18 @@ func TestScoreStrideDefault(t *testing.T) {
 		}
 		h.Close()
 	}
-	// Leave no exiting scorer goroutine for the next test to count.
-	for deadline := time.Now().Add(5 * time.Second); scorerGoroutines() > 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // slideScorer is a stubScorer that also implements SlidingScorer: its
 // carries remember the last ordinal they saw, so a test can read back
-// what the hub handed over.
+// what the hub handed over. Its app verdict is the window's first access
+// count, and a fork logs on its own.
 type slideScorer struct {
 	stubScorer
 	strides []int         // NewCarry's arguments, in call order
 	made    []*slideCarry // NewCarry's results, in call order
 	log     []slideWindow
+	forks   []*slideScorer
 }
 
 type slideCarry struct {
@@ -300,6 +335,15 @@ type slideCarry struct {
 type slideWindow struct {
 	carry *slideCarry
 	ord   uint64
+	first float64 // the window's first access count
+}
+
+func (s *slideScorer) Fork() SlidingScorer {
+	f := &slideScorer{stubScorer: stubScorer{window: s.window, gate: s.gate}}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forks = append(s.forks, f)
+	return f
 }
 
 func (*slideCarry) Bytes() int { return 100 }
@@ -324,7 +368,9 @@ func (s *slideScorer) ScoreCarried(n int, flat []float64, carry []SessionCarry, 
 		}
 		c.last = ord[i]
 		c.hits++
-		s.log = append(s.log, slideWindow{c, ord[i]})
+		first := flat[i*2*s.window]
+		apps[i] = int(first)
+		s.log = append(s.log, slideWindow{c, ord[i], first})
 	}
 	return continued
 }
@@ -492,5 +538,103 @@ func TestSlidingScorerCloseWhileInFlight(t *testing.T) {
 	st := h.ScorerStats()
 	if st.WindowsScored == 0 || st.CarryBytes > 100*sessions/2 {
 		t.Fatalf("stats after close %+v", st)
+	}
+}
+
+// A SlidingScorer on a four-shard hub scores on four workers, three
+// through forks: each session's windows reach exactly one scorer, with
+// ordinals 1, 2, 3… and no gap, and the sessions' verdicts and the
+// scoring counts equal a one-shard hub's on the same input (run under
+// -race: four workers, each with its own carries, writing verdicts).
+func TestScoringWorkersPerShard(t *testing.T) {
+	const sessions, perSession, window, stride = 12, 60, 4, 2
+	const wantWindows = (perSession-window)/stride + 1
+	type served struct {
+		ss       *slideScorer
+		st       ScorerStats
+		verdicts map[string]CascadeVerdict
+	}
+	serve := func(shards int) served {
+		h := shardedScoringHub(t, shards)
+		ss := &slideScorer{stubScorer: stubScorer{window: window}}
+		if err := h.AttachScorer(ss, ScorerConfig{Stride: stride}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sessions; i++ {
+			if err := h.Open(fmt.Sprintf("vm-%d", i), "raw"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Session i's access counts are 1000(i+1)+k: a window's first one
+		// names its session.
+		batch := make([]pcm.Sample, 10)
+		for from := 0; from < perSession; from += len(batch) {
+			for i := 0; i < sessions; i++ {
+				for j := range batch {
+					k := from + j
+					batch[j] = pcm.Sample{Time: float64(k), AccessNum: float64(1000*(i+1) + k), MissNum: float64(k)}
+				}
+				if _, err := h.Ingest(fmt.Sprintf("vm-%d", i), batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		out := served{ss: ss, st: h.ScorerStats(), verdicts: map[string]CascadeVerdict{}}
+		for _, in := range h.Sessions() {
+			if in.Cascade == nil {
+				t.Fatalf("%d shards: session %s has no verdict", shards, in.ID)
+			}
+			out.verdicts[in.ID] = *in.Cascade
+		}
+		return out
+	}
+	one, four := serve(1), serve(4)
+
+	if one.st.Workers != 1 || four.st.Workers != 4 || len(one.ss.forks) != 0 || len(four.ss.forks) != 3 {
+		t.Fatalf("workers %d and %d, forks %d and %d; want 1 and 4 workers, 0 and 3 forks",
+			one.st.Workers, four.st.Workers, len(one.ss.forks), len(four.ss.forks))
+	}
+	owner := map[int]*slideScorer{}
+	next := map[int]uint64{}
+	for _, sc := range append([]*slideScorer{four.ss}, four.ss.forks...) {
+		for _, w := range sc.log {
+			sess := int(w.first) / 1000
+			if o, ok := owner[sess]; ok && o != sc {
+				t.Fatalf("session %d reached two scorers", sess-1)
+			}
+			owner[sess] = sc
+			next[sess]++
+			if w.ord != next[sess] {
+				t.Fatalf("session %d: window %d arrived with ordinal %d", sess-1, next[sess], w.ord)
+			}
+		}
+	}
+	used := map[*slideScorer]bool{}
+	for sess := 1; sess <= sessions; sess++ {
+		if next[sess] != wantWindows {
+			t.Fatalf("session %d: %d windows scored, want %d", sess-1, next[sess], wantWindows)
+		}
+		used[owner[sess]] = true
+	}
+	if len(used) < 2 {
+		t.Fatal("every session hashed to one shard: no second worker scored")
+	}
+
+	for id, want := range one.verdicts {
+		if got := four.verdicts[id]; got != want {
+			t.Fatalf("session %s: four shards' verdict %+v, one shard's %+v", id, got, want)
+		}
+	}
+	if len(four.verdicts) != sessions || len(one.verdicts) != sessions {
+		t.Fatalf("%d and %d sessions with verdicts, want %d", len(one.verdicts), len(four.verdicts), sessions)
+	}
+	a, b := one.st, four.st
+	if a.WindowsScored != sessions*wantWindows || b.WindowsScored != a.WindowsScored ||
+		b.WindowsContinued != a.WindowsContinued || b.WindowsDropped != 0 || a.WindowsDropped != 0 ||
+		b.CarryBytes != a.CarryBytes || b.QueueDepth != 0 || a.QueueDepth != 0 {
+		t.Fatalf("four shards' stats %+v, one shard's %+v", b, a)
 	}
 }

@@ -92,15 +92,15 @@ type Session struct {
 	// scoreWin assembles the session's sliding cascade window and scoreOrd
 	// counts the windows it has emitted (both written on the shard
 	// goroutine); cascade/cascadeWindows hold the latest verdict (written
-	// by the scorer goroutine). All guarded by mu.
+	// by the session's scoring worker). All guarded by mu.
 	scoreWin       []float64
 	scoreOrd       uint64
 	cascade        CascadeVerdict
 	cascadeWindows uint64
 
 	// carry is what a SlidingScorer keeps between the session's windows:
-	// nil until the first scored window, touched by the scorer goroutine
-	// alone. carryBytes is its size, for anyone to read.
+	// nil until the first scored window, touched by the session's scoring
+	// worker alone. carryBytes is its size, for anyone to read.
 	carry      SessionCarry
 	carryBytes atomic.Int64
 }

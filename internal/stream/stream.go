@@ -580,8 +580,8 @@ func (h *Hub) Drain() error {
 	}
 	// With the shards quiesced, flush the scoring pipeline too: every
 	// window emitted by the processed samples is scored before Drain
-	// returns. ingestWG (held above) keeps Close from closing the queue
-	// under this send.
+	// returns. ingestWG (held above) keeps Close from closing the queues
+	// under these sends.
 	if sc := h.scorer.Load(); sc != nil {
 		sc.flushScorer()
 	}
@@ -897,36 +897,36 @@ func (h *Hub) RegisterMetrics(reg *metrics.Registry) {
 	// Scoring-service metrics. Registered unconditionally (the registry
 	// snapshot must not depend on wiring order); they read zero until a
 	// scorer is attached.
-	scorerPoint := func(get func(*hubScorer) float64) func() []metrics.Point {
+	scorerPoint := func(get func(ScorerStats) float64) func() []metrics.Point {
 		return func() []metrics.Point {
 			sc := h.scorer.Load()
 			if sc == nil {
 				return nil
 			}
-			return []metrics.Point{{Value: get(sc)}}
+			return []metrics.Point{{Value: get(sc.stats())}}
 		}
 	}
 	reg.RegisterCounterFunc("memdos_dnn_windows_scored_total",
 		"Session windows classified by the batched cascade scorer.",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsScored.Load()) }))
+		scorerPoint(func(st ScorerStats) float64 { return float64(st.WindowsScored) }))
 	reg.RegisterCounterFunc("memdos_dnn_windows_continued_total",
 		"Scored windows computed from the session's carried rows in both cascade stages, not in full.",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsContinued.Load()) }))
+		scorerPoint(func(st ScorerStats) float64 { return float64(st.WindowsContinued) }))
 	reg.RegisterCounterFunc("memdos_dnn_windows_dropped_total",
 		"Session windows shed on a full scoring queue.",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.windowsDropped.Load()) }))
+		scorerPoint(func(st ScorerStats) float64 { return float64(st.WindowsDropped) }))
 	reg.RegisterCounterFunc("memdos_dnn_batches_total",
 		"Fused scorer calls (windows_scored_total/batches_total is the mean batch fill).",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.batchesScored.Load()) }))
+		scorerPoint(func(st ScorerStats) float64 { return float64(st.BatchesScored) }))
 	reg.RegisterCounterFunc("memdos_dnn_score_seconds_total",
-		"Time spent inside the fused batch kernel.",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.scoreNanos.Load()) / 1e9 }))
+		"Time spent inside the fused batch kernel, summed over scoring workers.",
+		scorerPoint(func(st ScorerStats) float64 { return st.ScoreSeconds }))
 	reg.RegisterGaugeFunc("memdos_dnn_queue_depth",
-		"Windows waiting to be batched for scoring.",
-		scorerPoint(func(sc *hubScorer) float64 { return float64(sc.queueLen.Load()) }))
+		"Windows waiting to be batched for scoring, over all workers' queues.",
+		scorerPoint(func(st ScorerStats) float64 { return float64(st.QueueDepth) }))
 	reg.RegisterGaugeFunc("memdos_dnn_carry_bytes",
 		"Memory the open sessions' sliding-window carries hold.",
-		scorerPoint(func(*hubScorer) float64 { return float64(h.carryBytes()) }))
+		scorerPoint(func(ScorerStats) float64 { return float64(h.carryBytes()) }))
 }
 
 // validSessionID bounds session names for use as map keys, URL path
