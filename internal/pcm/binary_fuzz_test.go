@@ -25,7 +25,7 @@ func FuzzDecodeBatchInto(f *testing.F) {
 		if len(samples) == 0 {
 			t.Fatal("accepted frame with no samples")
 		}
-		if err := validFrameSession(string(session)); err != nil {
+		if err := ValidSessionID(session); err != nil {
 			t.Fatalf("accepted bad session %q: %v", session, err)
 		}
 		for i, s := range samples {
@@ -66,62 +66,64 @@ func fuzzSeedBodies(f *testing.F) [][]byte {
 	}
 	goodBody := good[FramePrefixBytes:]
 
-	// A legacy 3-field frame and a future 7-field frame, hand-rolled.
+	// A 3-field frame and a future 7-field frame, hand-rolled.
 	handFrame := func(fields uint64, session string, vals ...float64) []byte {
-		raw := make([][]byte, len(vals))
-		for i, v := range vals {
-			raw[i] = fieldBytes(v)
-		}
-		return rawFrame(fields, session, uint64(len(vals))/fields, raw...)
+		return rawFrame(fields, session, uint64(len(vals))/fields, words(vals...)...)
 	}
-	seeds := [][]byte{
+	return [][]byte{
 		goodBody,
-		goodBody[:len(goodBody)-1],                       // truncated field
-		goodBody[:1],                                     // version byte only
-		goodBody[:7],                                     // truncated session
-		append([]byte{2}, goodBody[1:]...),               // version skew
-		append([]byte{0}, goodBody[1:]...),               // version zero
-		handFrame(3, "vm-old", 0.01, 120, 8),             // legacy 3-field producer
-		handFrame(7, "vm-new", 0.01, 120, 8, 1, 2, 3, 4), // appended fields
-		handFrame(5, "vm-1", 0.01, math.NaN(), 8, 0, 0),  // NaN counter
-		handFrame(5, "vm-1", 0.01, -120, 8, 0, 0),        // negative counter
-		handFrame(5, "a/b", 0.01, 120, 8, 0, 0),          // bad session byte
+		goodBody[:len(goodBody)-1], // truncated field
+		goodBody[:1],               // version byte only
+		goodBody[:7],               // truncated session
+		append([]byte{BinaryVersion + 1}, goodBody[1:]...), // version skew
+		append([]byte{0}, goodBody[1:]...),                 // version zero
+		handFrame(3, "vm-old", 0.01, 120, 8),               // 3-field producer
+		handFrame(7, "vm-new", 0.01, 120, 8, 1, 2, 3, 4),   // appended fields
+		handFrame(5, "vm-1", 0.01, math.NaN(), 8, 0, 0),    // NaN counter
+		handFrame(5, "vm-1", 0.01, -120, 8, 0, 0),          // negative counter
+		handFrame(5, "a/b", 0.01, 120, 8, 0, 0),            // bad session byte
 		{BinaryVersion},
 		{BinaryVersion, 2},    // too few fields
 		{BinaryVersion, 0xff}, // too many fields
 		{},
+		rawFrame(3, "vm-1", 1000, words(0.01)...), // a sample-count lie
+		v1Body(), // a version-1 frame
 	}
-	// A sample-count lie: header says 1000 samples, body has one field.
-	lie := rawFrame(3, "vm-1", 1000, fieldBytes(0.01))
-	return append(seeds, lie)
 }
 
-// FuzzCodecMatchesReference holds the word-at-a-time codec to the
-// byte-at-a-time loops it replaced (binary_test.go keeps them as the
-// reference). The input is read twice. As a frame body: same accept or
-// reject, same error text, same session bytes, same sample bits, and an
-// accepted batch re-encodes to the same frame on both sides. As raw
-// float64 words, five to a sample: both encoders refuse with the same
-// text or write the same bytes.
+// FuzzCodecMatchesReference holds the codec to the plain one-field-at-a-
+// time reference in binary_test.go. The input is read twice. As a frame
+// body: same accept or reject, same error text, same session bytes, same
+// sample bits, and an accepted batch re-encodes to the same frame on both
+// sides. As raw float64 words, five to a sample: both encoders refuse
+// with the same text or write the same bytes, with the DRAM pair as given
+// and cleared.
 func FuzzCodecMatchesReference(f *testing.F) {
 	for _, s := range fuzzSeedBodies(f) {
 		f.Add(s)
 	}
-	// Field varints of every length, met by the word loads and, at the
-	// end of the body, by the byte loop; the forms at the edge of 64 bits.
-	var every [][]byte
-	for size := 1; size <= binary.MaxVarintLen64; size++ {
-		every = append(every, binary.AppendUvarint(nil, patternOfSize(size)))
+	// Frames of every field count the codec meets, edge patterns in the
+	// kept slots (-0, the smallest subnormal, the largest float) and
+	// all-ones NaNs in the dropped ones; each whole, a byte short and a
+	// byte long.
+	edges := []uint64{1 << 63, 1, math.Float64bits(math.MaxFloat64), math.Float64bits(0.01)}
+	for _, fieldCount := range []uint64{3, 4, 5, maxFieldCount} {
+		var fields []uint64
+		for i := uint64(0); i < 2*fieldCount; i++ {
+			if k := i % fieldCount; k < binaryFieldCount {
+				fields = append(fields, edges[(i+k)%uint64(len(edges))])
+			} else {
+				fields = append(fields, math.MaxUint64)
+			}
+		}
+		body := rawFrame(fieldCount, "vm-edge", 2, fields...)
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+		f.Add(append(body, 0))
 	}
-	f.Add(rawFrame(uint64(len(every)), "vm-len", 1, every...))
-	f.Add(rawFrame(3, "vm-len", 2, every[9], every[8], every[7], every[0], every[1], every[9]))
-	ff9 := bytes.Repeat([]byte{0xff}, 9)
-	for _, last := range []byte{0x00, 0x01, 0x02, 0x7f, 0x80, 0xff} {
-		field := append(append([]byte(nil), ff9...), last)
-		f.Add(rawFrame(6, "vm-edge", 1, append(zeroFields(5), field)...))
-		f.Add(rawFrame(16, "vm-edge", 1, append(append(zeroFields(5), field), zeroFields(10)...)...))
-	}
-	f.Add(rawFrame(3, "vm-nonmin", 1, []byte{0x80, 0x00}, []byte{0x81, 0x80, 0x00}, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}))
+	f.Add(rawFrame(5, "vm-edge", 1, words(0.01, 120, 8, 0, math.NaN())...))   // NaN latency
+	f.Add(rawFrame(4, "vm-edge", 1, words(0.01, 120, 8, -1)...))              // negative bandwidth
+	f.Add(rawFrame(16, "vm-lie", MaxFrameSamples, words(0.01, 120, 8, 0)...)) // 16-field count lie
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if session, samples, err := decodeBoth(t, data); err == nil {
@@ -139,18 +141,30 @@ func FuzzCodecMatchesReference(f *testing.F) {
 			w := words[binaryFieldCount*i:]
 			batch[i] = Sample{w[0], w[1], w[2], w[3], w[4]}
 		}
-		frame, err := encodeBoth(t, "vm-fuzz", batch)
-		if err != nil {
-			return
-		}
-		_, out, err := decodeBoth(t, frame[FramePrefixBytes:])
-		if err != nil || len(out) != len(batch) {
-			t.Fatalf("encoded frame decodes to %d of %d samples: %v", len(out), len(batch), err)
-		}
+		roundTrip(t, batch)
 		for i := range batch {
-			if !sameBits(out[i], batch[i]) {
-				t.Fatalf("sample %d: %+v came back as %+v", i, batch[i], out[i])
-			}
+			batch[i].BWBytes, batch[i].AvgLatency = 0, 0
 		}
+		roundTrip(t, batch)
 	})
+}
+
+// roundTrip encodes batch with the codec and the reference and, when
+// both accept it, decodes the frame with both and wants it back bit for
+// bit.
+func roundTrip(t *testing.T, batch []Sample) {
+	t.Helper()
+	frame, err := encodeBoth(t, "vm-fuzz", batch)
+	if err != nil {
+		return
+	}
+	_, out, err := decodeBoth(t, frame[FramePrefixBytes:])
+	if err != nil || len(out) != len(batch) {
+		t.Fatalf("encoded frame decodes to %d of %d samples: %v", len(out), len(batch), err)
+	}
+	for i := range batch {
+		if !sameBits(out[i], batch[i]) {
+			t.Fatalf("sample %d: %+v came back as %+v", i, batch[i], out[i])
+		}
+	}
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // randomBatch builds n valid samples with the full counter set, mixing
-// "nice" values (integral counters, the common case the varint packing
-// targets) with awkward full-mantissa floats.
+// integral counters with full-mantissa floats and samples with and
+// without the DRAM pair.
 func randomBatch(rng *rand.Rand, n int) []Sample {
 	out := make([]Sample, n)
 	t := rng.Float64()
@@ -112,21 +112,12 @@ func TestBinaryMatchesJSON(t *testing.T) {
 }
 
 // TestBinaryLegacyThreeFieldFrame: a frame declaring 3 fields per
-// sample (a producer predating the DRAM counters) decodes with
-// BWBytes/AvgLatency zero — the binary analogue of the 3-field JSON
-// form staying valid.
+// sample (a producer predating the DRAM counters, or AppendBatch on a
+// batch without them) decodes with BWBytes/AvgLatency zero — the binary
+// analogue of the 3-field JSON form staying valid.
 func TestBinaryLegacyThreeFieldFrame(t *testing.T) {
-	body := []byte{BinaryVersion}
-	body = binary.AppendUvarint(body, 3)
-	body = binary.AppendUvarint(body, uint64(len("vm-old")))
-	body = append(body, "vm-old"...)
-	body = binary.AppendUvarint(body, 2)
-	for _, s := range [][3]float64{{0.01, 120, 8}, {0.02, 117, 9}} {
-		for _, v := range s {
-			body = binary.AppendUvarint(body, bits.ReverseBytes64(math.Float64bits(v)))
-		}
-	}
-	session, out, err := DecodeBatchInto(nil, body)
+	body := rawFrame(3, "vm-old", 2, words(0.01, 120, 8, 0.02, 117, 9)...)
+	session, out, err := decodeBoth(t, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,86 +125,73 @@ func TestBinaryLegacyThreeFieldFrame(t *testing.T) {
 		t.Fatalf("decoded %q / %d samples", session, len(out))
 	}
 	want := Sample{Time: 0.01, AccessNum: 120, MissNum: 8}
-	if out[0] != want {
+	if !sameBits(out[0], want) {
 		t.Fatalf("legacy sample = %+v, want %+v", out[0], want)
 	}
 	if out[1].BWBytes != 0 || out[1].AvgLatency != 0 {
 		t.Fatalf("legacy sample grew DRAM counters: %+v", out[1])
 	}
+	// A decode into a reused slice must not inherit the old DRAM pair.
+	dst := []Sample{{BWBytes: 1, AvgLatency: 2}}
+	if _, out, err := DecodeBatchInto(dst[:0], body); err != nil || !sameBits(out[0], want) {
+		t.Fatalf("reused destination: %+v, %v", out, err)
+	}
 }
 
 // TestBinarySkipsAppendedFields: a future producer declaring more than
 // 5 fields per sample still decodes on today's reader, extra fields
-// skipped.
+// skipped, and a 4-field one decodes with AvgLatency zero.
 func TestBinarySkipsAppendedFields(t *testing.T) {
-	body := []byte{BinaryVersion}
-	body = binary.AppendUvarint(body, 7)
-	body = binary.AppendUvarint(body, uint64(len("vm-new")))
-	body = append(body, "vm-new"...)
-	body = binary.AppendUvarint(body, 1)
-	for _, v := range []float64{0.01, 120, 8, 6.4e7, 3.2e-8, 42, 43} {
-		body = binary.AppendUvarint(body, bits.ReverseBytes64(math.Float64bits(v)))
-	}
-	_, out, err := DecodeBatchInto(nil, body)
+	body := rawFrame(7, "vm-new", 2, words(0.01, 120, 8, 6.4e7, 3.2e-8, 42, 43, 0.02, 117, 9, 0, 0, math.NaN(), -1)...)
+	_, out, err := decodeBoth(t, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Sample{Time: 0.01, AccessNum: 120, MissNum: 8, BWBytes: 6.4e7, AvgLatency: 3.2e-8}
-	if len(out) != 1 || out[0] != want {
+	want := []Sample{{Time: 0.01, AccessNum: 120, MissNum: 8, BWBytes: 6.4e7, AvgLatency: 3.2e-8}, {Time: 0.02, AccessNum: 117, MissNum: 9}}
+	if len(out) != 2 || !sameBits(out[0], want[0]) || !sameBits(out[1], want[1]) {
 		t.Fatalf("decoded %+v, want %+v", out, want)
+	}
+	_, out, err = decodeBoth(t, rawFrame(4, "vm-new", 1, words(0.01, 120, 8, 6.4e7)...))
+	if want := (Sample{Time: 0.01, AccessNum: 120, MissNum: 8, BWBytes: 6.4e7}); err != nil || len(out) != 1 || !sameBits(out[0], want) {
+		t.Fatalf("4-field frame decoded %+v (%v), want %+v", out, err, want)
 	}
 }
 
 func TestBinaryDecodeRejects(t *testing.T) {
 	good := encodeFrame(t, "vm-1", []Sample{{Time: 0.01, AccessNum: 120, MissNum: 8}})
-	versionSkew := append([]byte{BinaryVersion + 1}, good[1:]...)
-	trailing := append(append([]byte(nil), good...), 0x00)
-	negative := []byte{BinaryVersion}
-	negative = binary.AppendUvarint(negative, 3)
-	negative = binary.AppendUvarint(negative, 4)
-	negative = append(negative, "vm-1"...)
-	negative = binary.AppendUvarint(negative, 1)
-	for _, v := range []float64{0.01, -5, 8} {
-		negative = binary.AppendUvarint(negative, bits.ReverseBytes64(math.Float64bits(v)))
+	cases := []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"empty body", nil, "pcm: empty frame body"},
+		{"version 1", v1Body(), "pcm: unknown frame version 1 (reader supports 2)"},
+		{"version skew", append([]byte{BinaryVersion + 1}, good[1:]...), "pcm: unknown frame version 3"},
+		{"truncated", good[:len(good)-1], "pcm: truncated frame: 1 samples of 3 fields need 24 bytes, 23 left"},
+		{"header only", good[:2], "pcm: truncated or overlong session length varint"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0x00), "pcm: 1 trailing bytes after frame samples"},
+		{"two fields", []byte{BinaryVersion, 2}, "pcm: frame declares 2 fields per sample (want 3-16)"},
+		{"giant fields", []byte{BinaryVersion, 200, 1}, "pcm: frame declares 200 fields per sample (want 3-16)"},
+		{"zero samples", rawFrame(3, "vm-1", 0), "pcm: frame sample count 0 (want 1-65536)"},
+		{"negative counter", rawFrame(3, "vm-1", 1, words(0.01, -5, 8)...), "pcm: sample 0: pcm: negative counters -5/8"},
+		{"nan counter", rawFrame(3, "vm-1", 1, words(0.01, math.NaN(), 8)...), "pcm: sample 0: pcm: non-finite AccessNum NaN"},
+		{"bad session", rawFrame(3, "a/b\n", 1), `pcm: frame session id "a/b\n" contains forbidden byte '/'`},
 	}
-	nan := []byte{BinaryVersion}
-	nan = binary.AppendUvarint(nan, 3)
-	nan = binary.AppendUvarint(nan, 4)
-	nan = append(nan, "vm-1"...)
-	nan = binary.AppendUvarint(nan, 1)
-	for _, v := range []float64{0.01, math.NaN(), 8} {
-		nan = binary.AppendUvarint(nan, bits.ReverseBytes64(math.Float64bits(v)))
-	}
-	badSession := []byte{BinaryVersion}
-	badSession = binary.AppendUvarint(badSession, 3)
-	badSession = binary.AppendUvarint(badSession, 4)
-	badSession = append(badSession, "a/b\n"...)
-	badSession = binary.AppendUvarint(badSession, 1)
-
-	cases := map[string][]byte{
-		"empty body":     {},
-		"version skew":   versionSkew,
-		"truncated":      good[:len(good)-1],
-		"header only":    good[:2],
-		"trailing bytes": trailing,
-		"two fields":     {BinaryVersion, 2},
-		"giant fields":   {BinaryVersion, 200},
-		"zero samples": func() []byte {
-			b := []byte{BinaryVersion}
-			b = binary.AppendUvarint(b, 3)
-			b = binary.AppendUvarint(b, 4)
-			b = append(b, "vm-1"...)
-			return binary.AppendUvarint(b, 0)
-		}(),
-		"negative counter": negative,
-		"nan counter":      nan,
-		"bad session":      badSession,
-	}
-	for name, body := range cases {
-		if _, _, err := DecodeBatchInto(nil, body); err == nil {
-			t.Errorf("%s: decode accepted", name)
+	for _, c := range cases {
+		if _, _, err := decodeBoth(t, c.body); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
 		}
 	}
+}
+
+// v1Body is the sample {0.01, 120, 8} as a version-1 producer wrote it,
+// each field a uvarint of its byte-reversed bit pattern.
+func v1Body() []byte {
+	b := []byte{1, 5, 4, 'v', 'm', '-', '1', 1}
+	for _, v := range []float64{0.01, 120, 8, 0, 0} {
+		b = binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(v)))
+	}
+	return b
 }
 
 func TestAppendBatchRejects(t *testing.T) {
@@ -490,11 +468,11 @@ func TestAppendBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// The reference codec: the byte-at-a-time loops DecodeBatchInto and
-// AppendBatch ran before the word-at-a-time codec replaced them, kept
-// here verbatim as the oracle. Same frames out for the same samples,
-// same accept set, same error text — the differential tests below and
-// FuzzCodecMatchesReference hold the new codec to that.
+// The reference codec: version 2 written the plain way, one field at a
+// time through bytes.Buffer/bytes.Reader and encoding/binary, as the
+// oracle for AppendBatch and DecodeBatchInto. Same frames out for the
+// same samples, same accept set, same error text — the differential
+// tests below and FuzzCodecMatchesReference hold the codec to that.
 
 func refValidate(s Sample) error {
 	switch {
@@ -517,8 +495,8 @@ func refValidate(s Sample) error {
 }
 
 func refAppendBatch(dst []byte, session string, samples []Sample) ([]byte, error) {
-	if err := validFrameSession(session); err != nil {
-		return dst, err
+	if err := ValidSessionID(session); err != nil {
+		return dst, fmt.Errorf("pcm: frame %w", err)
 	}
 	if len(samples) == 0 {
 		return dst, fmt.Errorf("pcm: empty sample batch")
@@ -526,94 +504,96 @@ func refAppendBatch(dst []byte, session string, samples []Sample) ([]byte, error
 	if len(samples) > MaxFrameSamples {
 		return dst, fmt.Errorf("pcm: batch of %d samples exceeds %d per frame", len(samples), MaxFrameSamples)
 	}
-	for i := range samples {
-		if err := refValidate(samples[i]); err != nil {
+	fieldCount := 3
+	for i, s := range samples {
+		if err := refValidate(s); err != nil {
 			return dst, fmt.Errorf("pcm: sample %d: %w", i, err)
 		}
-	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, BinaryVersion)
-	dst = binary.AppendUvarint(dst, binaryFieldCount)
-	dst = binary.AppendUvarint(dst, uint64(len(session)))
-	dst = append(dst, session...)
-	dst = binary.AppendUvarint(dst, uint64(len(samples)))
-	for i := range samples {
-		s := &samples[i]
-		for _, v := range []float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency} {
-			dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(v)))
+		if math.Signbit(s.BWBytes) || s.BWBytes != 0 || math.Signbit(s.AvgLatency) || s.AvgLatency != 0 {
+			fieldCount = 5
 		}
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-FramePrefixBytes))
-	return dst, nil
+	var body bytes.Buffer
+	body.WriteByte(BinaryVersion)
+	body.Write(binary.AppendUvarint(nil, uint64(fieldCount)))
+	body.Write(binary.AppendUvarint(nil, uint64(len(session))))
+	body.WriteString(session)
+	body.Write(binary.AppendUvarint(nil, uint64(len(samples))))
+	for _, s := range samples {
+		for _, v := range []float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency}[:fieldCount] {
+			if err := binary.Write(&body, binary.LittleEndian, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(body.Len()))
+	return append(dst, body.Bytes()...), nil
 }
 
 func refDecodeBatchInto(dst []Sample, body []byte) (session []byte, samples []Sample, err error) {
-	if len(body) == 0 {
+	r := bytes.NewReader(body)
+	version, err := r.ReadByte()
+	if err != nil {
 		return nil, dst, fmt.Errorf("pcm: empty frame body")
 	}
-	if body[0] != BinaryVersion {
-		return nil, dst, fmt.Errorf("pcm: unknown frame version %d (reader supports %d)", body[0], BinaryVersion)
+	if version != BinaryVersion {
+		return nil, dst, fmt.Errorf("pcm: unknown frame version %d (reader supports %d)", version, BinaryVersion)
 	}
-	p := body[1:]
-	fieldCount, p, err := decodeUvarint(p, "field count")
+	uvarint := func(what string) (uint64, error) {
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			return 0, fmt.Errorf("pcm: truncated or overlong %s varint", what)
+		}
+		return v, nil
+	}
+	fieldCount, err := uvarint("field count")
 	if err != nil {
 		return nil, dst, err
 	}
-	if fieldCount < 3 || fieldCount > maxFieldCount {
-		return nil, dst, fmt.Errorf("pcm: frame declares %d fields per sample (want 3-%d)", fieldCount, maxFieldCount)
+	if fieldCount < 3 || fieldCount > 16 {
+		return nil, dst, fmt.Errorf("pcm: frame declares %d fields per sample (want 3-16)", fieldCount)
 	}
-	sessLen, p, err := decodeUvarint(p, "session length")
+	sessLen, err := uvarint("session length")
 	if err != nil {
 		return nil, dst, err
 	}
-	if sessLen == 0 || sessLen > maxFrameSession {
-		return nil, dst, fmt.Errorf("pcm: frame session length %d (want 1-%d)", sessLen, maxFrameSession)
+	if sessLen == 0 || sessLen > 128 {
+		return nil, dst, fmt.Errorf("pcm: frame session length %d (want 1-128)", sessLen)
 	}
-	if uint64(len(p)) < sessLen {
+	if uint64(r.Len()) < sessLen {
 		return nil, dst, fmt.Errorf("pcm: truncated frame session")
 	}
-	session, p = p[:sessLen], p[sessLen:]
-	if err := validFrameSessionBytes(session); err != nil {
-		return nil, dst, err
+	at := len(body) - r.Len()
+	session = body[at : at+int(sessLen)]
+	_, _ = r.Seek(int64(sessLen), io.SeekCurrent)
+	if err := ValidSessionID(session); err != nil {
+		return nil, dst, fmt.Errorf("pcm: frame %w", err)
 	}
-	count, p, err := decodeUvarint(p, "sample count")
+	count, err := uvarint("sample count")
 	if err != nil {
 		return nil, dst, err
 	}
 	if count == 0 || count > MaxFrameSamples {
 		return nil, dst, fmt.Errorf("pcm: frame sample count %d (want 1-%d)", count, MaxFrameSamples)
 	}
+	if want := count * fieldCount * 8; uint64(r.Len()) < want {
+		return nil, dst, fmt.Errorf("pcm: truncated frame: %d samples of %d fields need %d bytes, %d left", count, fieldCount, want, r.Len())
+	} else if uint64(r.Len()) > want {
+		return nil, dst, fmt.Errorf("pcm: %d trailing bytes after frame samples", uint64(r.Len())-want)
+	}
 	samples = dst
 	for i := uint64(0); i < count; i++ {
-		var s Sample
-		for f := uint64(0); f < fieldCount; f++ {
-			u, n := binary.Uvarint(p)
-			if n <= 0 {
-				return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, fmt.Errorf("pcm: truncated or overlong field varint"))
-			}
-			p = p[n:]
-			v := math.Float64frombits(bits.ReverseBytes64(u))
-			switch f {
-			case 0:
-				s.Time = v
-			case 1:
-				s.AccessNum = v
-			case 2:
-				s.MissNum = v
-			case 3:
-				s.BWBytes = v
-			case 4:
-				s.AvgLatency = v
+		var f [16]float64
+		for k := uint64(0); k < fieldCount; k++ {
+			if err := binary.Read(r, binary.LittleEndian, &f[k]); err != nil {
+				panic(err) // the length check above rules this out
 			}
 		}
+		s := Sample{f[0], f[1], f[2], f[3], f[4]}
 		if err := refValidate(s); err != nil {
 			return nil, dst, fmt.Errorf("pcm: sample %d: %w", i, err)
 		}
 		samples = append(samples, s)
-	}
-	if len(p) != 0 {
-		return nil, dst, fmt.Errorf("pcm: %d trailing bytes after frame samples", len(p))
 	}
 	return session, samples, nil
 }
@@ -680,124 +660,65 @@ func encodeBoth(t testing.TB, session string, samples []Sample) ([]byte, error) 
 	return got[len(prefix):], err
 }
 
-// rawFrame builds a frame body around field varints given as raw bytes,
-// so a test can put any byte string where a field belongs.
-func rawFrame(fieldCount uint64, session string, count uint64, fields ...[]byte) []byte {
+// rawFrame builds a frame body around fields given as bit patterns, so
+// a test can put any word where a field belongs and declare any shape.
+func rawFrame(fieldCount uint64, session string, count uint64, fields ...uint64) []byte {
 	b := []byte{BinaryVersion}
 	b = binary.AppendUvarint(b, fieldCount)
 	b = binary.AppendUvarint(b, uint64(len(session)))
 	b = append(b, session...)
 	b = binary.AppendUvarint(b, count)
 	for _, f := range fields {
-		b = append(b, f...)
+		b = binary.LittleEndian.AppendUint64(b, f)
 	}
 	return b
 }
 
-// zeroFields is n zero fields, one byte each.
-func zeroFields(n int) [][]byte {
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = []byte{0}
+// words is the bit patterns of vals, for rawFrame.
+func words(vals ...float64) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = math.Float64bits(v)
 	}
 	return out
 }
 
-// fieldBytes is the minimal varint of a float's wire pattern.
-func fieldBytes(v float64) []byte {
-	return binary.AppendUvarint(nil, bits.ReverseBytes64(math.Float64bits(v)))
-}
-
-// patternOfSize is a field pattern whose varint is size bytes long: the
-// top bit such a varint can carry plus bit 0, which makes it a finite,
-// non-negative float in any slot (low byte 0x01 or 0x41).
-func patternOfSize(size int) uint64 {
-	return uint64(1)<<min(7*size-1, 63) | 1
-}
-
-// TestFieldVarintBoundaries walks a field varint of every length across
-// the point where the decoder stops loading words: ending exactly at
-// the end of the body and 1 to 9 bytes before it. The varint sits in
-// the slot that leaves pad one-byte zero fields behind it.
-func TestFieldVarintBoundaries(t *testing.T) {
-	for size := 1; size <= binary.MaxVarintLen64; size++ {
-		u := patternOfSize(size)
-		raw := binary.AppendUvarint(nil, u)
-		if len(raw) != size {
-			t.Fatalf("pattern %#x is %d bytes, want %d", u, len(raw), size)
-		}
-		want := math.Float64frombits(bits.ReverseBytes64(u))
-		for pad := 0; pad <= 9; pad++ {
-			fieldCount := max(3, pad+1)
-			slot := fieldCount - 1 - pad
-			fields := zeroFields(fieldCount)
-			fields[slot] = raw
-			body := rawFrame(uint64(fieldCount), "vm-edge", 1, fields...)
-			_, samples, err := decodeBoth(t, body)
-			if err != nil {
-				t.Fatalf("size %d pad %d: %v", size, pad, err)
-			}
-			got := [...]float64{samples[0].Time, samples[0].AccessNum, samples[0].MissNum}[slot]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("size %d pad %d: slot %d = %v, want %v", size, pad, slot, got, want)
-			}
-			// One byte short is a truncated frame, whatever the length.
-			if _, _, err := decodeBoth(t, body[:len(body)-1]); err == nil {
-				t.Fatalf("size %d pad %d: truncated body accepted", size, pad)
-			}
-		}
-	}
-}
-
-// TestFieldVarintForms pins the varint forms encoding/binary defines at
-// the edge of 64 bits, each met by the word loads (ten zero fields
-// behind it) and by the byte loop (nothing behind it). The field under
-// test is the sixth — a slot today's reader decodes and drops — so any
-// bit pattern passes validation and only the varint rule decides. (A
-// cut varint with zeros behind it swallows one and leaves the frame a
-// field short: the same refusal, one field later.)
-func TestFieldVarintForms(t *testing.T) {
-	ff := func(n int, last ...byte) []byte {
-		return append(bytes.Repeat([]byte{0xff}, n), last...)
-	}
+// TestAppendBatchFieldCount: a frame drops the DRAM pair — 3 fields a
+// sample — only when every sample's pair is bitwise +0. One -0 anywhere
+// keeps all 5, and the -0 comes back as -0.
+func TestAppendBatchFieldCount(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	base := []Sample{{Time: 0.01, AccessNum: 120, MissNum: 8}, {Time: 0.02, AccessNum: 117, MissNum: 9}}
 	cases := []struct {
 		name   string
-		field  []byte
-		reject string
+		bw     float64
+		lat    float64
+		fields int
 	}{
-		{"max uint64", ff(9, 0x01), ""},
-		{"ten bytes, bit 63 clear", ff(9, 0x00), ""},
-		{"nine bytes, top group zero", ff(8, 0x00), ""},
-		{"non-minimal zero", []byte{0x80, 0x00}, ""},
-		{"non-minimal one", []byte{0x81, 0x80, 0x80, 0x00}, ""},
-		{"overlong tenth byte", ff(9, 0x02), "truncated or overlong field varint"},
-		{"tenth byte 0x7f", ff(9, 0x7f), "truncated or overlong field varint"},
-		{"tenth byte continued", ff(9, 0x80, 0x00), "truncated or overlong field varint"},
-		{"eleven-byte run", ff(10, 0x01), "truncated or overlong field varint"},
-		{"cut after one byte", []byte{0x80}, "truncated or overlong field varint"},
-		{"cut after eight bytes", ff(8), "truncated or overlong field varint"},
-		{"cut after nine bytes", ff(9), "truncated or overlong field varint"},
+		{"zero pair", 0, 0, 3},
+		{"bandwidth", 6.4e7, 0, 5},
+		{"latency", 0, 3.2e-8, 5},
+		{"negative zero bandwidth", negZero, 0, 5},
+		{"negative zero latency", 0, negZero, 5},
 	}
 	for _, c := range cases {
-		for _, behind := range []int{0, 10} {
-			fields := append(append(zeroFields(5), c.field), zeroFields(behind)...)
-			body := rawFrame(uint64(len(fields)), "vm-form", 1, fields...)
-			_, samples, err := decodeBoth(t, body)
-			switch {
-			case c.reject == "" && err != nil:
-				t.Errorf("%s (+%d fields): %v", c.name, behind, err)
-			case c.reject == "" && (len(samples) != 1 || samples[0] != Sample{}):
-				t.Errorf("%s (+%d fields): decoded %+v", c.name, behind, samples)
-			case c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)):
-				t.Errorf("%s (+%d fields): error %v, want %q", c.name, behind, err, c.reject)
-			}
+		in := append([]Sample(nil), base...)
+		in[1].BWBytes, in[1].AvgLatency = c.bw, c.lat
+		frame, err := encodeBoth(t, "vm-fc", in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-
-	// The same all-ones pattern in a slot that is kept is a NaN.
-	nan := rawFrame(5, "vm-form", 1, append([][]byte{ff(9, 0x01)}, zeroFields(4)...)...)
-	if _, _, err := decodeBoth(t, nan); err == nil || !strings.Contains(err.Error(), "non-finite sample time NaN") {
-		t.Errorf("all-ones time: %v", err)
+		body := frame[FramePrefixBytes:]
+		if body[1] != byte(c.fields) {
+			t.Errorf("%s: %d fields a sample, want %d", c.name, body[1], c.fields)
+		}
+		if want := 1 + 1 + 1 + len("vm-fc") + 1 + len(in)*c.fields*8; len(body) != want {
+			t.Errorf("%s: body of %d bytes, want %d", c.name, len(body), want)
+		}
+		_, out, err := decodeBoth(t, body)
+		if err != nil || len(out) != len(in) || !sameBits(out[0], in[0]) || !sameBits(out[1], in[1]) {
+			t.Errorf("%s: came back as %+v (%v), want %+v", c.name, out, err, in)
+		}
 	}
 }
 
@@ -850,43 +771,47 @@ func TestCodecValueEdges(t *testing.T) {
 		if _, err := encodeBoth(t, "vm-val", in); err == nil || err.Error() != c.msg {
 			t.Errorf("encode %v in slot %d: %v, want %q", c.v, c.slot, err, c.msg)
 		}
-		var fields [][]byte
+		var fields []float64
 		for _, s := range in {
-			for _, v := range []float64{s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency} {
-				fields = append(fields, fieldBytes(v))
-			}
+			fields = append(fields, s.Time, s.AccessNum, s.MissNum, s.BWBytes, s.AvgLatency)
 		}
-		if _, _, err := decodeBoth(t, rawFrame(5, "vm-val", 2, fields...)); err == nil || err.Error() != c.msg {
+		if _, _, err := decodeBoth(t, rawFrame(5, "vm-val", 2, words(fields...)...)); err == nil || err.Error() != c.msg {
 			t.Errorf("decode %v in slot %d: %v, want %q", c.v, c.slot, err, c.msg)
 		}
 	}
 }
 
 // TestCodecMatchesReferenceOnEveryLength drives a million field values,
-// spread evenly over every bit length (so over every varint length),
-// through both directions of the codec and the reference: 3-, 5- and
-// 16-field frames, values in kept and in dropped slots.
+// spread evenly over every bit length, through both directions of the
+// codec and the reference, in frames of every field count the codec
+// meets: 3 and 5 from the encoder, 3, 4, 5 and 16 hand-built, with values
+// in kept and in dropped slots.
 func TestCodecMatchesReferenceOnEveryLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pattern := func() uint64 { return rng.Uint64() >> uint(rng.Intn(65)) }
 	// finite forces a pattern's exponent off all-ones and, for a counter
 	// slot, its sign off, so the value is one the encoder accepts.
 	finite := func(u uint64, counter bool) float64 {
-		if u&0xf07f == 0xf07f {
-			u &^= 0x40
+		if u&0x7ff0000000000000 == 0x7ff0000000000000 {
+			u &^= 1 << 62
 		}
 		if counter {
-			u &^= 0x80
+			u &^= 1 << 63
 		}
-		return math.Float64frombits(bits.ReverseBytes64(u))
+		return math.Float64frombits(u)
 	}
 	const perFrame = 200
 	for done := 0; done < 1_000_000; {
-		// Encode side: valid samples, every slot a random length.
+		// Encode side: valid samples, every slot a random length; half
+		// the frames without the DRAM pair.
 		in := make([]Sample, perFrame)
+		noDRAM := rng.Intn(2) == 0
 		for i := range in {
 			in[i] = Sample{finite(pattern(), false), finite(pattern(), true), finite(pattern(), true),
 				finite(pattern(), true), finite(pattern(), true)}
+			if noDRAM {
+				in[i].BWBytes, in[i].AvgLatency = 0, 0
+			}
 		}
 		frame, err := encodeBoth(t, "vm-diff", in)
 		if err != nil {
@@ -898,25 +823,28 @@ func TestCodecMatchesReferenceOnEveryLength(t *testing.T) {
 		done += perFrame * binaryFieldCount
 
 		// Decode side: any pattern at all in the dropped slots of a
-		// 16-field frame, and a 3-field frame of the same kept values.
-		var wide, legacy [][]byte
+		// 16-field frame, and 3- and 4-field frames of the same kept values.
+		var wide, three, four []uint64
 		for i := range in[:20] {
 			s := &in[i]
-			kept := [][]byte{fieldBytes(s.Time), fieldBytes(s.AccessNum), fieldBytes(s.MissNum)}
-			legacy = append(legacy, kept...)
-			wide = append(wide, kept...)
-			wide = append(wide, fieldBytes(s.BWBytes), fieldBytes(s.AvgLatency))
+			kept := words(s.Time, s.AccessNum, s.MissNum)
+			three = append(three, kept...)
+			four = append(append(four, kept...), math.Float64bits(s.BWBytes))
+			wide = append(append(wide, kept...), words(s.BWBytes, s.AvgLatency)...)
 			for k := binaryFieldCount; k < maxFieldCount; k++ {
-				wide = append(wide, binary.AppendUvarint(nil, pattern()))
+				wide = append(wide, pattern())
 			}
 		}
 		if _, out, err := decodeBoth(t, rawFrame(maxFieldCount, "vm-diff", 20, wide...)); err != nil || !sameBits(out[19], in[19]) {
 			t.Fatalf("16-field frame: %v", err)
 		}
-		if _, out, err := decodeBoth(t, rawFrame(3, "vm-diff", 20, legacy...)); err != nil || out[19].MissNum != in[19].MissNum || out[19].BWBytes != 0 {
+		if _, out, err := decodeBoth(t, rawFrame(4, "vm-diff", 20, four...)); err != nil || out[19].BWBytes != in[19].BWBytes || out[19].AvgLatency != 0 {
+			t.Fatalf("4-field frame: %v", err)
+		}
+		if _, out, err := decodeBoth(t, rawFrame(3, "vm-diff", 20, three...)); err != nil || out[19].MissNum != in[19].MissNum || out[19].BWBytes != 0 {
 			t.Fatalf("3-field frame: %v", err)
 		}
-		done += 20 * (maxFieldCount + 3)
+		done += 20 * (maxFieldCount + 4 + 3)
 	}
 }
 
@@ -924,8 +852,8 @@ func TestCodecMatchesReferenceOnEveryLength(t *testing.T) {
 // sample count is refused with the reference's error and without
 // reserving room for samples it cannot hold.
 func TestDecodeBatchIntoHostileCount(t *testing.T) {
-	body := rawFrame(3, "vm-lie", MaxFrameSamples, fieldBytes(0.01), fieldBytes(120), fieldBytes(8), fieldBytes(0.02))
-	if _, _, err := decodeBoth(t, body); err == nil || err.Error() != "pcm: sample 1: pcm: truncated or overlong field varint" {
+	body := rawFrame(3, "vm-lie", MaxFrameSamples, words(0.01, 120, 8, 0.02)...)
+	if _, _, err := decodeBoth(t, body); err == nil || err.Error() != "pcm: truncated frame: 65536 samples of 3 fields need 1572864 bytes, 32 left" {
 		t.Fatalf("hostile count: %v", err)
 	}
 	var before, after runtime.MemStats
@@ -940,9 +868,8 @@ func TestDecodeBatchIntoHostileCount(t *testing.T) {
 }
 
 // simulatedBatch is the shape the serving benchmarks carry: k*0.01
-// timestamps and simulator counters are full-mantissa floats (9- and
-// 10-byte fields), the DRAM pair is zero (1-byte fields) — about 30
-// wire bytes a sample.
+// timestamps and full-mantissa simulator counters with the DRAM pair
+// zero, so 3-field frames of 24 wire bytes a sample.
 func simulatedBatch(rng *rand.Rand, n int) []Sample {
 	out := make([]Sample, n)
 	for i := range out {

@@ -92,7 +92,7 @@ func DecodeIngest(r io.Reader) (*IngestRequest, error) {
 	total := 0
 	for i := range req.Batches {
 		b := &req.Batches[i]
-		if err := validSessionID(b.Session); err != nil {
+		if err := pcm.ValidSessionID(b.Session); err != nil {
 			return nil, fmt.Errorf("stream: batch %d: %w", i, err)
 		}
 		if len(b.Samples) == 0 {

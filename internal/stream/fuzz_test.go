@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"memdos/internal/pcm"
 )
 
 // FuzzDecodeIngest drives the network-facing ingest decoder: arbitrary
@@ -44,7 +46,7 @@ func FuzzDecodeIngest(f *testing.F) {
 		}
 		total := 0
 		for _, b := range req.Batches {
-			if validSessionID(b.Session) != nil {
+			if pcm.ValidSessionID(b.Session) != nil {
 				t.Fatalf("accepted bad session id %q", b.Session)
 			}
 			if len(b.Samples) == 0 {

@@ -277,8 +277,8 @@ func (h *Hub) Ensure(sessionID, profile string) error {
 
 // open is Open's and Ensure's one body.
 func (h *Hub) open(sessionID, profile string, ensure bool) error {
-	if err := validSessionID(sessionID); err != nil {
-		return err
+	if err := pcm.ValidSessionID(sessionID); err != nil {
+		return fmt.Errorf("stream: %w", err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -927,19 +927,4 @@ func (h *Hub) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterGaugeFunc("memdos_dnn_carry_bytes",
 		"Memory the open sessions' sliding-window carries hold.",
 		scorerPoint(func(ScorerStats) float64 { return float64(h.carryBytes()) }))
-}
-
-// validSessionID bounds session names for use as map keys, URL path
-// elements and metric labels.
-func validSessionID(id string) error {
-	if id == "" || len(id) > 128 {
-		return fmt.Errorf("stream: session id must be 1-128 bytes")
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c < 0x21 || c == 0x7f || c == '/' || c == '"' {
-			return fmt.Errorf("stream: session id %q contains forbidden byte %q", id, c)
-		}
-	}
-	return nil
 }
