@@ -25,9 +25,10 @@
 // sheds and how many windows were scored from carried rows. Windows
 // slide by -score-stride samples; 0 is the paper's ΔW = 50 (a verdict
 // every 0.5 s at T_PCM = 10 ms, as core.DNNDetector decides), clipped
-// to the model's window. Batches fuse up to 64 windows and each worker's
-// queue holds 1,024 (stream.ScorerConfig's defaults); a full queue sheds
-// windows, never stalls ingest.
+// to the model's window. Batches fuse up to 64 windows (a constant of
+// the scoring service) and each worker's queue holds 1,024
+// (stream.ScorerConfig's default); a full queue sheds windows, never
+// stalls ingest.
 //
 // With -respond the daemon attaches a closed-loop mitigation engine
 // (internal/respond) to the hub as an observer: the shard that folds an

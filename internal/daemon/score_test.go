@@ -193,7 +193,7 @@ func TestHubCarriedVerdictsMatchStateless(t *testing.T) {
 		shed   bool
 	}{
 		{"block", stream.Block, stream.ScorerConfig{Stride: stride}, false},
-		{"shed", stream.DropNewest, stream.ScorerConfig{Stride: stride, Batch: 4, QueueCap: 3}, true},
+		{"shed", stream.DropNewest, stream.ScorerConfig{Stride: stride, QueueCap: 3}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := stream.DefaultConfig()

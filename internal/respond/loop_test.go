@@ -65,7 +65,6 @@ func TestServingPathMatchesLoopMitigation(t *testing.T) {
 	}
 	samples := busLockStream(t, 30, 100, 200)
 	cfg := experiments.DefaultClosedLoopSpec("KM", experiments.BusLock, 7).Respond
-	cfg.MaxLog = 1 << 10
 	newEngine := func() *respond.Engine {
 		eng, err := respond.New(cfg, respond.NewLogActuator())
 		if err != nil {

@@ -50,6 +50,7 @@ import (
 	"sync"
 
 	"memdos/internal/metrics"
+	"memdos/internal/pcm"
 )
 
 // Config parameterizes the mitigation ladder and its timing. All times
@@ -89,9 +90,10 @@ type Config struct {
 	// last full release re-enters the ladder one rung above where the
 	// session left it. Non-negative.
 	Cooldown float64
-	// MaxLog bounds each session's retained action log (<= 0 means 64).
-	MaxLog int
 }
+
+// maxLog bounds each session's retained action log.
+const maxLog = 64
 
 // DefaultConfig returns a conservative ladder: three throttle steps,
 // partitioning and migration enabled, 30 s escalation, 10 s hysteresis,
@@ -203,11 +205,19 @@ type SessionState struct {
 
 // hold is the local mitigation held against a session's suspect: the
 // throttle duty (0 = none), and whether the DRAM bandwidth cap and the
-// cache partition are on. Each ladder rung below migrate maps to one.
+// cache partition are on.
 type hold struct {
 	duty      float64
 	bandwidth bool
 	partition bool
+}
+
+// rung is one level of the ladder: its name and the mitigation it holds.
+// A migrate rung is terminal and holds nothing.
+type rung struct {
+	name    string
+	hold    hold
+	migrate bool
 }
 
 // session is the engine's per-session mutable state.
@@ -242,24 +252,16 @@ type session struct {
 type Engine struct {
 	cfg Config
 	act Actuator
-
-	// Ladder geometry: rungs 1..throttleTop are throttle steps,
-	// bandwidthLevel/partitionLevel/migrateLevel are 0 when disabled.
-	throttleTop    int
-	bandwidthLevel int
-	partitionLevel int
-	migrateLevel   int
-	maxLevel       int
+	// rungs is the ladder, built once by New: rungs[0] is idle, rungs[l]
+	// the name and hold of level l.
+	rungs []rung
 
 	mu sync.Mutex
 	// tick is the fleet clock, the latest time passed to Tick. guarded by mu.
 	tick float64
-	// sessions holds per-VM response state. guarded by mu.
-	sessions map[string]*session
-	// byName is the same records in name order — the order Tick walks
-	// them in — kept in step wherever the map is written, so no tick pays
-	// to collect and sort the names. guarded by mu.
-	byName []*session
+	// sessions holds per-VM response state in name order, the order Tick
+	// walks it in; names are found by binary search. guarded by mu.
+	sessions []*session
 
 	events           metrics.Counter
 	throttles        metrics.Counter
@@ -282,84 +284,73 @@ func New(cfg Config, act Actuator) (*Engine, error) {
 	if act == nil {
 		return nil, fmt.Errorf("respond: nil actuator")
 	}
-	if cfg.MaxLog <= 0 {
-		cfg.MaxLog = 64
+	rungs := []rung{{name: "idle"}}
+	for _, d := range cfg.ThrottleDuties {
+		rungs = append(rungs, rung{name: fmt.Sprintf("throttle(%.2f)", d), hold: hold{duty: d}})
 	}
-	e := &Engine{cfg: cfg, act: act, sessions: make(map[string]*session)}
-	e.throttleTop = len(cfg.ThrottleDuties)
-	e.maxLevel = e.throttleTop
+	// The rungs above the throttle steps keep the strongest throttle
+	// underneath, and the partition rung keeps the bandwidth cap too.
+	top := rungs[len(rungs)-1].hold
 	if cfg.EnableBandwidth {
-		e.maxLevel++
-		e.bandwidthLevel = e.maxLevel
+		top.bandwidth = true
+		rungs = append(rungs, rung{name: "membw-limit", hold: top})
 	}
 	if cfg.EnablePartition {
-		e.maxLevel++
-		e.partitionLevel = e.maxLevel
+		top.partition = true
+		rungs = append(rungs, rung{name: "partition", hold: top})
 	}
 	if cfg.EnableMigration {
-		e.maxLevel++
-		e.migrateLevel = e.maxLevel
+		rungs = append(rungs, rung{name: "migrate", migrate: true})
 	}
-	return e, nil
+	return &Engine{cfg: cfg, act: act, rungs: rungs}, nil
 }
 
 // MaxLevel returns the top ladder rung.
-func (e *Engine) MaxLevel() int { return e.maxLevel }
+func (e *Engine) MaxLevel() int { return len(e.rungs) - 1 }
 
 // LevelName names a ladder rung.
 func (e *Engine) LevelName(level int) string {
-	switch {
-	case level <= 0:
-		return "idle"
-	case level <= e.throttleTop:
-		return fmt.Sprintf("throttle(%.2f)", e.cfg.ThrottleDuties[level-1])
-	case level == e.bandwidthLevel:
-		return "membw-limit"
-	case level == e.partitionLevel:
-		return "partition"
-	case level == e.migrateLevel:
-		return "migrate"
-	default:
+	if level >= len(e.rungs) {
 		return fmt.Sprintf("level(%d)", level)
 	}
+	return e.rungs[max(level, 0)].name
 }
 
 // Ladder lists every rung name from idle to the top.
 func (e *Engine) Ladder() []string {
-	out := make([]string, e.maxLevel+1)
-	for i := range out {
-		out[i] = e.LevelName(i)
+	out := make([]string, len(e.rungs))
+	for i, r := range e.rungs {
+		out[i] = r.name
 	}
 	return out
 }
 
-// validName bounds session names the same way internal/stream does.
+// validName holds session names to the hub's rule.
 func validName(name string) error {
-	if name == "" || len(name) > 128 {
-		return fmt.Errorf("respond: session name must be 1-128 bytes")
+	if err := pcm.ValidSessionID(name); err != nil {
+		return fmt.Errorf("respond: %w", err)
 	}
 	return nil
+}
+
+// findLocked returns name's index in e.sessions and whether it is there;
+// when it is not, the index is where it would go. Caller holds e.mu.
+func (e *Engine) findLocked(name string) (int, bool) {
+	return slices.BinarySearchFunc(e.sessions, name, func(s *session, name string) int {
+		return strings.Compare(s.name, name)
+	})
 }
 
 // sessionLocked returns the state record for name, creating it at
 // idle. Caller holds e.mu.
 func (e *Engine) sessionLocked(name string) *session {
-	s, ok := e.sessions[name]
-	if !ok {
-		s = &session{name: name, forced: ForceNone, memLevel: 0, memUntil: -1, now: e.tick}
-		e.sessions[name] = s
-		e.byName = slices.Insert(e.byName, e.rankLocked(name), s)
+	i, ok := e.findLocked(name)
+	if ok {
+		return e.sessions[i]
 	}
+	s := &session{name: name, forced: ForceNone, memLevel: 0, memUntil: -1, now: e.tick}
+	e.sessions = slices.Insert(e.sessions, i, s)
 	return s
-}
-
-// rankLocked returns how many sessions sort before name: its index in
-// byName, or the index to insert it at. Caller holds e.mu.
-func (e *Engine) rankLocked(name string) int {
-	i, _ := slices.BinarySearchFunc(e.byName, name, func(s *session, name string) int {
-		return strings.Compare(s.name, name)
-	})
-	return i
 }
 
 // Observe feeds one alarm transition of the named session: raised true
@@ -412,8 +403,8 @@ func (e *Engine) Observe(name string, t float64, raised bool) error {
 func (e *Engine) Advance(name string, t float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if s, ok := e.sessions[name]; ok {
-		e.stepLocked(s, t)
+	if i, ok := e.findLocked(name); ok {
+		e.stepLocked(e.sessions[i], t)
 	}
 }
 
@@ -425,7 +416,7 @@ func (e *Engine) Tick(now float64) {
 	if now > e.tick {
 		e.tick = now
 	}
-	for _, s := range e.byName {
+	for _, s := range e.sessions {
 		e.stepLocked(s, e.tick)
 	}
 }
@@ -447,7 +438,7 @@ func (e *Engine) dueLocked(s *session, now float64) {
 		return
 	}
 	switch {
-	case s.alarm && s.level > 0 && s.level < e.maxLevel &&
+	case s.alarm && s.level > 0 && s.level < e.MaxLevel() &&
 		now-s.levelSince >= e.cfg.EscalateAfter:
 		e.escalate(s, s.level+1, now, reasonSustained)
 	case s.alarm && s.level == 0 &&
@@ -464,9 +455,7 @@ func (e *Engine) dueLocked(s *session, now float64) {
 // escalate raises the session to the target rung (capped at the top) and
 // applies it. Caller holds e.mu.
 func (e *Engine) escalate(s *session, to int, now float64, reason string) {
-	if to > e.maxLevel {
-		to = e.maxLevel
-	}
+	to = min(to, e.MaxLevel())
 	if to <= s.level {
 		return
 	}
@@ -489,43 +478,26 @@ func (e *Engine) deescalate(s *session, now float64) {
 
 // apply moves the session to the given rung. Caller holds e.mu.
 func (e *Engine) apply(s *session, level int, now float64, reason string) {
-	if level < 0 {
-		level = 0
-	}
-	if level == e.migrateLevel && e.migrateLevel > 0 {
-		// Terminal rung: migrate the victim away, then release all local
-		// mitigation — the suspect has lost co-residence. A flap raise
-		// within Cooldown re-enters at the top throttle step, never an
-		// immediate re-migration.
-		res, err := e.act.Migrate(s.name)
-		e.migrations.Inc()
-		s.migrations++
-		e.record(s, Action{Time: now, Kind: ActionMigrate, Level: 0, Reason: reasonMigrated, Dest: res.Dest}, err)
-		e.settle(s, hold{}, 0, now, reasonMigrated)
-		s.level = 0
-		s.levelSince = now
-		s.memLevel = e.throttleTop - 1
-		s.memUntil = now + e.cfg.Cooldown
-		if s.peak < e.migrateLevel {
-			s.peak = e.migrateLevel
-		}
+	s.peak = max(s.peak, level)
+	s.levelSince = now
+	r := e.rungs[level]
+	if !r.migrate {
+		e.settle(s, r.hold, level, now, reason)
+		s.level = level
 		return
 	}
-	// The rungs above throttleTop keep the strongest throttle underneath,
-	// and the partition rung keeps the bandwidth cap of the rung below it.
-	want := hold{
-		bandwidth: e.bandwidthLevel > 0 && level >= e.bandwidthLevel,
-		partition: e.partitionLevel > 0 && level >= e.partitionLevel,
-	}
-	if level > 0 {
-		want.duty = e.cfg.ThrottleDuties[min(level, e.throttleTop)-1]
-	}
-	e.settle(s, want, level, now, reason)
-	s.level = level
-	s.levelSince = now
-	if level > s.peak {
-		s.peak = level
-	}
+	// Terminal rung: migrate the victim away, then release all local
+	// mitigation — the suspect has lost co-residence. A flap raise within
+	// Cooldown re-enters at the top throttle step, never an immediate
+	// re-migration.
+	res, err := e.act.Migrate(s.name)
+	e.migrations.Inc()
+	s.migrations++
+	e.record(s, Action{Time: now, Kind: ActionMigrate, Level: 0, Reason: reasonMigrated, Dest: res.Dest}, err)
+	e.settle(s, hold{}, 0, now, reasonMigrated)
+	s.level = 0
+	s.memLevel = len(e.cfg.ThrottleDuties) - 1
+	s.memUntil = now + e.cfg.Cooldown
 }
 
 // settle brings what the session holds to want, invoking the actuator
@@ -575,7 +547,7 @@ func (e *Engine) record(s *session, a Action, err error) {
 		e.actuatorErrors.Inc()
 	}
 	s.actions = append(s.actions, a)
-	if over := len(s.actions) - e.cfg.MaxLog; over > 0 {
+	if over := len(s.actions) - maxLog; over > 0 {
 		s.actions = append(s.actions[:0], s.actions[over:]...)
 	}
 }
@@ -593,23 +565,19 @@ func (e *Engine) Pause(name string) (SessionState, error) {
 // Force pins the session at the given rung regardless of alarms, until
 // Resume (or Force with ForceNone). The migration rung cannot be forced.
 func (e *Engine) Force(name string, level int) (SessionState, error) {
-	top := e.maxLevel
-	if e.migrateLevel > 0 {
-		top = e.migrateLevel - 1
+	top := e.MaxLevel()
+	if e.rungs[top].migrate {
+		top--
 	}
 	if level != ForceNone && (level < 0 || level > top) {
 		return SessionState{}, fmt.Errorf("respond: force level %d outside [0,%d]", level, top)
 	}
+	if level == ForceNone {
+		return e.Resume(name)
+	}
 	return e.override(name, func(s *session, now float64) {
 		s.paused = false
 		s.forced = level
-		if level == ForceNone {
-			s.levelSince = now
-			if s.alarm {
-				e.escalate(s, 1, now, reasonOverride)
-			}
-			return
-		}
 		e.apply(s, level, now, reasonOverride)
 	})
 }
@@ -646,33 +614,32 @@ func (e *Engine) override(name string, fn func(*session, float64)) (SessionState
 func (e *Engine) Forget(name string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.sessions[name]
+	i, ok := e.findLocked(name)
 	if !ok {
 		return
 	}
+	s := e.sessions[i]
 	e.settle(s, hold{}, 0, s.now, reasonOverride)
-	delete(e.sessions, name)
-	i := e.rankLocked(name)
-	e.byName = slices.Delete(e.byName, i, i+1)
+	e.sessions = slices.Delete(e.sessions, i, i+1)
 }
 
 // State returns one session's response state.
 func (e *Engine) State(name string) (SessionState, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, ok := e.sessions[name]
+	i, ok := e.findLocked(name)
 	if !ok {
 		return SessionState{}, false
 	}
-	return e.stateLocked(s), true
+	return e.stateLocked(e.sessions[i]), true
 }
 
 // States returns every session's response state, sorted by name.
 func (e *Engine) States() []SessionState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]SessionState, 0, len(e.byName))
-	for _, s := range e.byName {
+	out := make([]SessionState, 0, len(e.sessions))
+	for _, s := range e.sessions {
 		out = append(out, e.stateLocked(s))
 	}
 	return out
@@ -714,12 +681,7 @@ type Stats struct {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	n, mit := len(e.sessions), 0
-	for _, s := range e.sessions {
-		if s.level > 0 {
-			mit++
-		}
-	}
+	n, mit := len(e.sessions), e.mitigatedLocked()
 	e.mu.Unlock()
 	return Stats{
 		Sessions:        n,
@@ -735,6 +697,17 @@ func (e *Engine) Stats() Stats {
 		Overrides:       e.overrides.Value(),
 		ActuatorErrors:  e.actuatorErrors.Value(),
 	}
+}
+
+// mitigatedLocked counts the sessions above idle. Caller holds e.mu.
+func (e *Engine) mitigatedLocked() int {
+	n := 0
+	for _, s := range e.sessions {
+		if s.level > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // RegisterMetrics exposes the engine counters and per-session levels on
@@ -765,12 +738,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterGaugeFunc("memdos_respond_mitigated_sessions",
 		"Sessions with active mitigation (level > 0).", func() []metrics.Point {
 			e.mu.Lock()
-			n := 0
-			for _, s := range e.sessions {
-				if s.level > 0 {
-					n++
-				}
-			}
+			n := e.mitigatedLocked()
 			e.mu.Unlock()
 			return []metrics.Point{{Value: float64(n)}}
 		})
@@ -778,8 +746,8 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 		"Current mitigation ladder rung, per session.", func() []metrics.Point {
 			e.mu.Lock()
 			pts := make([]metrics.Point, 0, len(e.sessions))
-			for name, s := range e.sessions {
-				pts = append(pts, metrics.Point{Labels: fmt.Sprintf("session=%q", name), Value: float64(s.level)})
+			for _, s := range e.sessions {
+				pts = append(pts, metrics.Point{Labels: fmt.Sprintf("session=%q", s.name), Value: float64(s.level)})
 			}
 			e.mu.Unlock()
 			return pts

@@ -3,6 +3,7 @@ package respond
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -450,17 +451,52 @@ func TestSessionClockIsolation(t *testing.T) {
 	}
 }
 
+// TestObserveValidation: every entry point that names a session holds
+// the name to the hub's rule (pcm.ValidSessionID), not to its length
+// alone, and a refused name leaves no session behind.
 func TestObserveValidation(t *testing.T) {
 	eng, _ := newTestEngine(t, testConfig())
-	if err := eng.Observe("", 0, true); err == nil {
-		t.Error("empty session name accepted")
+	for _, name := range []string{
+		"",
+		strings.Repeat("x", 200),
+		"vm 1",
+		"vm/1",
+		`vm"1`,
+		"vm\x7f1",
+		"vm\x011",
+	} {
+		if err := eng.Observe(name, 0, true); err == nil {
+			t.Errorf("Observe(%q) accepted", name)
+		}
+		if _, err := eng.Pause(name); err == nil {
+			t.Errorf("Pause(%q) accepted", name)
+		}
+		if _, err := eng.Force(name, 1); err == nil {
+			t.Errorf("Force(%q, 1) accepted", name)
+		}
+		if _, err := eng.Force(name, ForceNone); err == nil {
+			t.Errorf("Force(%q, ForceNone) accepted", name)
+		}
+		if _, err := eng.Resume(name); err == nil {
+			t.Errorf("Resume(%q) accepted", name)
+		}
 	}
-	long := make([]byte, 200)
-	for i := range long {
-		long[i] = 'x'
+	if n := eng.Stats().Sessions; n != 0 {
+		t.Errorf("refused names left %d sessions", n)
 	}
-	if err := eng.Observe(string(long), 0, true); err == nil {
-		t.Error("oversized session name accepted")
+	if err := eng.Observe("vm-1.a_b:c", 0, true); err != nil {
+		t.Errorf("valid name refused: %v", err)
+	}
+}
+
+// TestLevelNameDoesNotAllocate: rung names are built once, so naming a
+// throttle rung (every /v1/responses entry does) costs no allocation.
+func TestLevelNameDoesNotAllocate(t *testing.T) {
+	eng, _ := newTestEngine(t, testConfig())
+	var name string
+	allocs := testing.AllocsPerRun(100, func() { name = eng.LevelName(2) })
+	if allocs != 0 {
+		t.Errorf("LevelName(2) = %q: %.1f allocs, want 0", name, allocs)
 	}
 }
 
@@ -506,19 +542,32 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestActionLogBounded drives one session past maxLog actions: the log
+// keeps exactly the newest maxLog, the last action last.
 func TestActionLogBounded(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxLog = 4
-	eng, _ := newTestEngine(t, cfg)
-	for i := 0; i < 20; i++ {
-		at := float64(100 * i)
+	eng, _ := newTestEngine(t, testConfig())
+	var last float64
+	for i := 0; i < 50; i++ {
+		at := float64(1000 * i)
 		raise(t, eng, "vm", at)
 		clear(t, eng, "vm", at+1)
-		eng.Tick(at + 99) // full release each cycle
+		last = at + 999
+		eng.Tick(last) // one step down each cycle
 	}
 	st, _ := eng.State("vm")
-	if len(st.Actions) > 4 {
-		t.Errorf("action log grew to %d (cap 4)", len(st.Actions))
+	if n := st.Escalations + st.Deescalations; n <= maxLog {
+		t.Fatalf("only %d transitions: the run does not pass the cap of %d", n, maxLog)
+	}
+	if len(st.Actions) != maxLog {
+		t.Fatalf("action log holds %d, want exactly %d", len(st.Actions), maxLog)
+	}
+	for i := 1; i < len(st.Actions); i++ {
+		if st.Actions[i].Time < st.Actions[i-1].Time {
+			t.Fatalf("action %d at %v before action %d at %v", i, st.Actions[i].Time, i-1, st.Actions[i-1].Time)
+		}
+	}
+	if a := st.Actions[maxLog-1]; a.Time != last || a.Reason != reasonBackoff {
+		t.Errorf("newest action %+v is not the last tick's back-off at %v", a, last)
 	}
 }
 

@@ -93,14 +93,14 @@ type CascadeVerdict struct {
 	Windows uint64 `json:"windows"`
 }
 
+// scoreBatch is the largest number of windows fused into one scorer call.
+const scoreBatch = 64
+
 // ScorerConfig sizes the scoring service.
 type ScorerConfig struct {
 	// Stride is how many samples advance between a session's windows.
 	// <= 0 means the paper's ΔW (core.DefaultParams().DW), clipped to the window.
 	Stride int
-	// Batch is the largest number of windows fused into one scorer call.
-	// <= 0 means 64.
-	Batch int
 	// QueueCap bounds windows waiting to be batched, per worker. <= 0
 	// means 1024.
 	QueueCap int
@@ -112,9 +112,6 @@ func (c ScorerConfig) withDefaults(window int) (ScorerConfig, error) {
 	}
 	if c.Stride > window {
 		return c, fmt.Errorf("stream: scorer stride %d exceeds window %d", c.Stride, window)
-	}
-	if c.Batch <= 0 {
-		c.Batch = 64
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
@@ -137,7 +134,6 @@ type hubScorer struct {
 	namer  AttackNamer  // nil when ws names no classes
 	window int
 	stride int
-	batch  int
 
 	bufPool sync.Pool // *[]float64 window copies
 	workers []*scoreWorker
@@ -176,7 +172,7 @@ func (h *Hub) AttachScorer(ws WindowScorer, cfg ScorerConfig) error {
 	if err != nil {
 		return err
 	}
-	sc := &hubScorer{ws: ws, window: w, stride: cfg.Stride, batch: cfg.Batch}
+	sc := &hubScorer{ws: ws, window: w, stride: cfg.Stride}
 	sc.namer, _ = ws.(AttackNamer)
 	slider, _ := ws.(SlidingScorer)
 	n := 1
@@ -209,7 +205,8 @@ type ScorerStats struct {
 	Attached bool
 	Window   int
 	Stride   int
-	Batch    int
+	// Batch is the most windows one scorer call takes.
+	Batch int
 	// Workers is how many scoring goroutines there are: the hub's shard
 	// count for a SlidingScorer, else one. The counters below sum them.
 	Workers       int
@@ -242,7 +239,7 @@ func (h *Hub) ScorerStats() ScorerStats {
 
 // stats sums the workers' counters; CarryBytes is the hub's to fill.
 func (sc *hubScorer) stats() ScorerStats {
-	st := ScorerStats{Attached: true, Window: sc.window, Stride: sc.stride, Batch: sc.batch, Workers: len(sc.workers)}
+	st := ScorerStats{Attached: true, Window: sc.window, Stride: sc.stride, Batch: scoreBatch, Workers: len(sc.workers)}
 	var nanos int64
 	for _, sw := range sc.workers {
 		st.QueueDepth += sw.queueLen.Load()
@@ -331,17 +328,17 @@ func (s *Session) carryFor(slider SlidingScorer, stride int) SessionCarry {
 func (sw *scoreWorker) run() {
 	defer close(sw.done)
 	sc, slider := sw.sc, sw.slider
-	sess := make([]*Session, 0, sc.batch)
-	times := make([]float64, 0, sc.batch)
-	flat := make([]float64, 0, sc.batch*sc.window*2)
+	sess := make([]*Session, 0, scoreBatch)
+	times := make([]float64, 0, scoreBatch)
+	flat := make([]float64, 0, scoreBatch*sc.window*2)
 	var carries []SessionCarry
 	var ords []uint64
 	if slider != nil {
-		carries = make([]SessionCarry, 0, sc.batch)
-		ords = make([]uint64, 0, sc.batch)
+		carries = make([]SessionCarry, 0, scoreBatch)
+		ords = make([]uint64, 0, scoreBatch)
 	}
-	apps := make([]int, sc.batch)
-	attacks := make([]int, sc.batch)
+	apps := make([]int, scoreBatch)
+	attacks := make([]int, scoreBatch)
 	for it := range sw.queue {
 		sess, times, flat, carries, ords = sess[:0], times[:0], flat[:0], carries[:0], ords[:0]
 		for queued := true; queued; {
@@ -357,7 +354,7 @@ func (sw *scoreWorker) run() {
 				carries = append(carries, it.sess.carryFor(slider, sc.stride))
 				ords = append(ords, it.ord)
 			}
-			if len(sess) == sc.batch {
+			if len(sess) == scoreBatch {
 				break
 			}
 			select {

@@ -159,27 +159,27 @@ func TestScoringServiceVerdicts(t *testing.T) {
 func TestScoringQueueShedsAndFuses(t *testing.T) {
 	h := scoringHub(t)
 	ss := &stubScorer{window: 2, gate: make(chan struct{})}
-	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2, Batch: 8, QueueCap: 6}); err != nil {
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2, QueueCap: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Open("vm-a", "raw"); err != nil {
 		t.Fatal(err)
 	}
-	// 80 samples = 40 windows, while the scorer is blocked. The pipeline
-	// holds at most QueueCap (6) plus the one staging batch (8); the
-	// shard must shed the rest without stalling — Drain would hang here
-	// if a full queue blocked it.
-	ingestCounters(t, h, "vm-a", 1, 80)
+	// 200 samples = 100 windows, while the scorer is blocked. The
+	// pipeline holds at most QueueCap (6) plus the one staging batch
+	// (scoreBatch, 64); the shard must shed the rest without stalling —
+	// Drain would hang here if a full queue blocked it.
+	ingestCounters(t, h, "vm-a", 1, 200)
 	close(ss.gate) // release every pending and future scorer call
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	st := h.ScorerStats()
 	if st.WindowsDropped == 0 {
-		t.Fatalf("expected sheds with queue cap 6 and 40 windows: %+v", st)
+		t.Fatalf("expected sheds with queue cap 6 and 100 windows: %+v", st)
 	}
-	if st.WindowsScored+st.WindowsDropped != 40 {
-		t.Fatalf("scored %d + dropped %d != 40 windows", st.WindowsScored, st.WindowsDropped)
+	if st.WindowsScored+st.WindowsDropped != 100 {
+		t.Fatalf("scored %d + dropped %d != 100 windows", st.WindowsScored, st.WindowsDropped)
 	}
 	maxFill := 0
 	for _, n := range ss.batchSizes() {
@@ -189,6 +189,48 @@ func TestScoringQueueShedsAndFuses(t *testing.T) {
 	}
 	if maxFill < 2 {
 		t.Fatalf("no fused batches: sizes %v", ss.batchSizes())
+	}
+}
+
+// A scorer call takes at most scoreBatch windows, and a backlog of more
+// fills it: with 150 windows queued behind a held call, the rounds after
+// it take exactly scoreBatch until the queue runs short.
+func TestScoringBatchCap(t *testing.T) {
+	h := scoringHub(t)
+	ss := &stubScorer{window: 2, gate: make(chan struct{})}
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2}); err != nil { // QueueCap 1024: nothing shed
+		t.Fatal(err)
+	}
+	if err := h.Open("vm-a", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	ingestCounters(t, h, "vm-a", 1, 300) // 150 windows
+	// The first call holds at most scoreBatch; once a full batch waits
+	// behind it, the next round has one to take.
+	for deadline := time.Now().Add(5 * time.Second); h.ScorerStats().QueueDepth < scoreBatch; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d windows: %+v", scoreBatch, h.ScorerStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(ss.gate)
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.ScorerStats(); st.WindowsScored != 150 || st.WindowsDropped != 0 || st.Batch != scoreBatch {
+		t.Fatalf("stats %+v, want 150 windows scored, none dropped, batch %d", st, scoreBatch)
+	}
+	full := 0
+	for _, n := range ss.batchSizes() {
+		if n > scoreBatch {
+			t.Fatalf("a scorer call took %d windows, cap %d: sizes %v", n, scoreBatch, ss.batchSizes())
+		}
+		if n == scoreBatch {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatalf("no call took a full batch of %d: sizes %v", scoreBatch, ss.batchSizes())
 	}
 }
 
@@ -434,21 +476,23 @@ func TestSlidingScorerCarriesPerSession(t *testing.T) {
 func TestSlidingScorerSeesShedWindowsAsGaps(t *testing.T) {
 	h := scoringHub(t)
 	ss := &slideScorer{stubScorer: stubScorer{window: 2, gate: make(chan struct{})}}
-	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2, Batch: 8, QueueCap: 6}); err != nil {
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 2, QueueCap: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Open("vm-a", "raw"); err != nil {
 		t.Fatal(err)
 	}
-	ingestCounters(t, h, "vm-a", 1, 80) // 40 windows against a blocked scorer
+	// 100 windows against a blocked scorer: more than QueueCap (6) and
+	// one staging batch (64) hold, so some are shed.
+	ingestCounters(t, h, "vm-a", 1, 200)
 	close(ss.gate)
-	ingestCounters(t, h, "vm-a", 81, 4) // two more once it runs again
+	ingestCounters(t, h, "vm-a", 201, 4) // two more once it runs again
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	st := h.ScorerStats()
-	if st.WindowsDropped == 0 || st.WindowsScored+st.WindowsDropped != 42 {
-		t.Fatalf("stats %+v, want sheds and 42 windows in all", st)
+	if st.WindowsDropped == 0 || st.WindowsScored+st.WindowsDropped != 102 {
+		t.Fatalf("stats %+v, want sheds and 102 windows in all", st)
 	}
 	var prev uint64
 	gaps := uint64(0)
@@ -461,7 +505,7 @@ func TestSlidingScorerSeesShedWindowsAsGaps(t *testing.T) {
 	}
 	// The last window may itself have been shed, so the scored ones
 	// account for every window up to the last ordinal seen.
-	if prev > 42 || gaps != prev-st.WindowsScored {
+	if prev > 102 || gaps != prev-st.WindowsScored {
 		t.Fatalf("last ordinal %d with %d skipped, %d scored, %d dropped", prev, gaps, st.WindowsScored, st.WindowsDropped)
 	}
 	if want := st.WindowsScored - 1 - countGaps(ss.log); st.WindowsContinued != want {
@@ -493,7 +537,7 @@ func TestSlidingScorerCloseWhileInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := &slideScorer{stubScorer: stubScorer{window: 4}}
-	if err := h.AttachScorer(ss, ScorerConfig{Stride: 1, Batch: 4, QueueCap: 8}); err != nil {
+	if err := h.AttachScorer(ss, ScorerConfig{Stride: 1, QueueCap: 8}); err != nil {
 		t.Fatal(err)
 	}
 	const sessions = 6
