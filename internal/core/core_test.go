@@ -494,6 +494,8 @@ func TestKSParamsValidation(t *testing.T) {
 		func(p *KSParams) { p.LR = 1 },
 		func(p *KSParams) { p.Alpha = 0 },
 		func(p *KSParams) { p.Consecutive = 0 },
+		func(p *KSParams) { p.ClearConsecutive = 0 },
+		func(p *KSParams) { p.ClearConsecutive = -1 },
 	}
 	for i, mutate := range bad {
 		p := DefaultKSParams()

@@ -25,8 +25,7 @@ type KSParams struct {
 	// (4 in the original scheme).
 	Consecutive int
 	// ClearConsecutive is how many consecutive accepting tests withdraw
-	// a declared attack (anti-flapping hysteresis; 0 means the same as
-	// Consecutive).
+	// a declared attack (anti-flapping hysteresis).
 	ClearConsecutive int
 }
 
@@ -65,6 +64,8 @@ func (p KSParams) Validate() error {
 		return fmt.Errorf("core: KS alpha %v outside (0,1)", p.Alpha)
 	case p.Consecutive <= 0:
 		return fmt.Errorf("core: KS consecutive threshold %d must be positive", p.Consecutive)
+	case p.ClearConsecutive <= 0:
+		return fmt.Errorf("core: KS clear threshold %d must be positive", p.ClearConsecutive)
 	}
 	return nil
 }
@@ -116,15 +117,11 @@ func NewKSTestDetector(params KSParams, throttle Throttle) (*KSTestDetector, err
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	clearThreshold := params.ClearConsecutive
-	if clearThreshold <= 0 {
-		clearThreshold = params.Consecutive
-	}
 	return &KSTestDetector{
 		params:   params,
 		throttle: throttle,
 		viol:     violationCounter{threshold: params.Consecutive},
-		clear:    violationCounter{threshold: clearThreshold},
+		clear:    violationCounter{threshold: params.ClearConsecutive},
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"memdos/internal/par"
 	"memdos/internal/sim"
 )
 
@@ -169,7 +170,11 @@ type CascadeSample struct {
 
 // TrainCascade fits the normalization, the application classifier, and the
 // attack classifier (conditioned on ground-truth application labels, i.e.
-// teacher forcing) on the samples.
+// teacher forcing) on the samples. The two stages share no state while
+// they train, so they run as two par cells: side by side on a pool of two
+// or more workers, one after the other at one. Verbose lines reach the
+// caller in that serial order: the application stage's as they come, the
+// attack stage's once the application stage is done.
 func TrainCascade(c *Cascade, samples []CascadeSample, cfg TrainConfig) (appRes, atkRes TrainResult, err error) {
 	if len(samples) == 0 {
 		return TrainResult{}, TrainResult{}, fmt.Errorf("dnn: no cascade training samples")
@@ -194,10 +199,25 @@ func TrainCascade(c *Cascade, samples []CascadeSample, cfg TrainConfig) (appRes,
 	appTrain, appVal := appData.Split(0.15, rng)
 	atkTrain, atkVal := atkData.Split(0.15, rng)
 
-	appRes, err = Train(c.App, appTrain, appVal, cfg)
-	if err != nil {
-		return appRes, TrainResult{}, err
+	atkCfg := cfg
+	var atkLines []string
+	if cfg.Verbose != nil {
+		atkCfg.Verbose = func(line string) { atkLines = append(atkLines, line) }
 	}
-	atkRes, err = Train(c.Attack, atkTrain, atkVal, cfg)
-	return appRes, atkRes, err
+	err = par.DefaultRunner().Do(2, func(i int) error {
+		var err error
+		if i == 0 {
+			appRes, err = Train(c.App, appTrain, appVal, cfg)
+		} else {
+			atkRes, err = Train(c.Attack, atkTrain, atkVal, atkCfg)
+		}
+		return err
+	})
+	if err != nil {
+		return appRes, atkRes, err
+	}
+	for _, line := range atkLines {
+		cfg.Verbose(line)
+	}
+	return appRes, atkRes, nil
 }

@@ -1,9 +1,14 @@
 package dnn
 
 import (
+	"bytes"
+	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"memdos/internal/par"
 	"memdos/internal/sim"
 )
 
@@ -157,6 +162,51 @@ func TestCascadeEndToEnd(t *testing.T) {
 	}
 	if frac := float64(atkOK) / float64(len(test)); frac < 0.8 {
 		t.Errorf("cascade attack accuracy = %v", frac)
+	}
+}
+
+// TestTrainCascadeStagesSideBySide trains a tiny cascade on one worker and
+// on two. The Save bytes and the verbose lines must be equal, the
+// application stage's lines first, and the Save bytes must hash to the
+// digest the stages gave when they were trained one after the other, so
+// the serial trajectory cannot drift.
+func TestTrainCascadeStagesSideBySide(t *testing.T) {
+	defer par.SetParallelism(par.SetParallelism(0))
+	const epochs = 2
+	train := func(workers int) ([]byte, []string) {
+		par.SetParallelism(workers)
+		c, err := NewCascade(2, tinyArch, sim.NewRNG(81))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultTrainConfig()
+		cfg.Epochs, cfg.Patience = epochs, 1
+		var lines []string
+		cfg.Verbose = func(s string) { lines = append(lines, s) }
+		if _, _, err := TrainCascade(c, synthCascadeSamples(sim.NewRNG(80), 60, 20), cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), lines
+	}
+	save1, lines1 := train(1)
+	save2, lines2 := train(2)
+	if !bytes.Equal(save1, save2) {
+		t.Error("Save bytes differ between one worker and two")
+	}
+	if !slices.Equal(lines1, lines2) {
+		t.Errorf("verbose lines differ:\none worker  %q\ntwo workers %q", lines1, lines2)
+	}
+	if len(lines1) != 2*epochs || !strings.HasPrefix(lines1[0], "epoch 0:") || !strings.HasPrefix(lines1[epochs], "epoch 0:") {
+		t.Errorf("verbose lines %q, want %d epochs of the application stage, then of the attack stage", lines1, epochs)
+	}
+	h := fnv.New64a()
+	h.Write(save1)
+	if got, want := h.Sum64(), uint64(0x3a4e37db61a2f425); got != want {
+		t.Errorf("Save digest %#x, want %#x", got, want)
 	}
 }
 

@@ -460,91 +460,21 @@ func TestTrainingDeterministic(t *testing.T) {
 	}
 }
 
-func TestShardBounds(t *testing.T) {
-	for _, tc := range []struct{ n, s int }{
-		{10, 4}, {32, 4}, {1, 4}, {7, 8}, {0, 2}, {5, 1},
-	} {
-		covered := 0
-		prevHi := 0
-		for j := 0; j < tc.s; j++ {
-			lo, hi := shardBounds(tc.n, tc.s, j)
-			if lo != prevHi {
-				t.Errorf("n=%d s=%d shard %d starts at %d, want %d", tc.n, tc.s, j, lo, prevHi)
-			}
-			if hi < lo {
-				t.Errorf("n=%d s=%d shard %d inverted [%d,%d)", tc.n, tc.s, j, lo, hi)
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != tc.n {
-			t.Errorf("n=%d s=%d shards cover %d items", tc.n, tc.s, covered)
-		}
-		// Shard sizes differ by at most one, largest first.
-		lo0, hi0 := shardBounds(tc.n, tc.s, 0)
-		loL, hiL := shardBounds(tc.n, tc.s, tc.s-1)
-		if d := (hi0 - lo0) - (hiL - loL); tc.n > 0 && (d < 0 || d > 1) {
-			t.Errorf("n=%d s=%d first/last shard sizes differ by %d", tc.n, tc.s, d)
-		}
-	}
-}
-
-func TestDataParallelTrainingDeterministic(t *testing.T) {
-	// The sharded trajectory must depend only on GradShards, not on
-	// scheduling: two runs with the same config are bit-identical. Run
-	// under -race this also exercises the reduction for data races.
-	mk := func(shards int) (float64, []float64) {
-		rng := sim.NewRNG(50)
-		data := synthDataset(rng, 60, 10)
-		m, _ := NewLSTMFCN(LSTMFCNConfig{
-			Channels: 2, Classes: 3,
-			ConvFilters: [3]int{4, 4, 4},
-			Kernels:     [3]int{3, 3, 3},
-			LSTMCells:   4,
-			Dropout:     0.1,
-		}, sim.NewRNG(51))
-		cfg := DefaultTrainConfig()
-		cfg.Epochs = 3
-		cfg.GradShards = shards
-		res, err := Train(m, data, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.FinalLoss, append([]float64(nil), m.Params()[0].W...)
-	}
-	lossA, wA := mk(4)
-	lossB, wB := mk(4)
-	if lossA != lossB {
-		t.Errorf("sharded training not deterministic: loss %v vs %v", lossA, lossB)
-	}
-	for i := range wA {
-		if wA[i] != wB[i] {
-			t.Fatalf("weight %d differs between identical sharded runs: %v vs %v", i, wA[i], wB[i])
-		}
-	}
-}
-
-// TestTrainPinned pins two epochs of a tiny model, serial and sharded, bit
-// for bit: the TrainResult, every verbose line and a digest of every
-// trained weight. The ragged last batch (45 windows in batches of 32) and
-// a one-epoch patience take every branch of the epoch loop.
+// TestTrainPinned pins two epochs of a tiny model bit for bit: the
+// TrainResult, every verbose line and a digest of every trained weight.
+// The ragged last batch (45 windows in batches of 32) and a one-epoch
+// patience take every branch of the epoch loop.
 func TestTrainPinned(t *testing.T) {
 	for _, tc := range []struct {
-		shards  int
 		result  TrainResult
 		lines   []string
 		weights uint64
 	}{
-		{0, TrainResult{Epochs: 2, FinalLoss: 1.258737364494601, BestValAcc: 0, FinalLR: 0.0007937005259840997, TrainAccuracy: 0.2},
+		{TrainResult{Epochs: 2, FinalLoss: 1.258737364494601, BestValAcc: 0, FinalLR: 0.0007937005259840997, TrainAccuracy: 0.2},
 			[]string{
 				"epoch 0: loss=1.2445 trainAcc=0.178 valAcc=0.000 lr=0.001",
 				"epoch 1: loss=1.2587 trainAcc=0.200 valAcc=0.000 lr=0.0007937005259840997",
 			}, 0x5ee8ecc945ae5619},
-		{2, TrainResult{Epochs: 2, FinalLoss: 1.2411086382210719, BestValAcc: 0, FinalLR: 0.0007937005259840997, TrainAccuracy: 0.17777777777777778},
-			[]string{
-				"epoch 0: loss=1.2134 trainAcc=0.267 valAcc=0.000 lr=0.001 shards=2",
-				"epoch 1: loss=1.2411 trainAcc=0.178 valAcc=0.000 lr=0.0007937005259840997 shards=2",
-			}, 0xeb8d029869332e5b},
 	} {
 		rng := sim.NewRNG(70)
 		train, val := synthDataset(rng, 60, 10).Split(0.25, rng)
@@ -559,7 +489,7 @@ func TestTrainPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultTrainConfig()
-		cfg.Epochs, cfg.Patience, cfg.GradShards = 2, 1, tc.shards
+		cfg.Epochs, cfg.Patience = 2, 1
 		var lines []string
 		cfg.Verbose = func(s string) { lines = append(lines, s) }
 		res, err := Train(m, train, val, cfg)
@@ -573,41 +503,13 @@ func TestTrainPinned(t *testing.T) {
 			}
 		}
 		if res != tc.result {
-			t.Errorf("shards=%d: result %#v, want %#v", tc.shards, res, tc.result)
+			t.Errorf("result %#v, want %#v", res, tc.result)
 		}
 		if !slices.Equal(lines, tc.lines) {
-			t.Errorf("shards=%d: verbose %#v, want %#v", tc.shards, lines, tc.lines)
+			t.Errorf("verbose %#v, want %#v", lines, tc.lines)
 		}
 		if got := h.Sum64(); got != tc.weights {
-			t.Errorf("shards=%d: weight digest %#x, want %#x", tc.shards, got, tc.weights)
+			t.Errorf("weight digest %#x, want %#x", got, tc.weights)
 		}
-	}
-}
-
-func TestDataParallelTrainingLearns(t *testing.T) {
-	// Sharded BatchNorm is a different trajectory than serial, but it must
-	// still solve the separable problem.
-	rng := sim.NewRNG(60)
-	data := synthDataset(rng, 240, 20)
-	train, val := data.Split(0.25, rng)
-	m, err := NewLSTMFCN(LSTMFCNConfig{
-		Channels: 2, Classes: 3,
-		ConvFilters: [3]int{6, 8, 6},
-		Kernels:     [3]int{9, 5, 3},
-		LSTMCells:   8,
-		Dropout:     0.1,
-	}, sim.NewRNG(61))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 15
-	cfg.GradShards = 4
-	res, err := Train(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Evaluate(m, val); acc < 0.9 {
-		t.Errorf("sharded validation accuracy = %v (result %+v)", acc, res)
 	}
 }

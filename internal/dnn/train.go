@@ -38,11 +38,6 @@ func (d *Dataset) Split(valFrac float64, rng *sim.RNG) (train, val *Dataset) {
 	return train, val
 }
 
-// batchTensor packs samples idx into a fresh tensor and label slice.
-func (d *Dataset) batchTensor(idx []int) (*Tensor, []int) {
-	return d.batchTensorInto(nil, nil, idx)
-}
-
 // batchTensorInto packs samples idx into x and y, reusing their backing
 // storage when capacity allows (x may be nil on the first call). The
 // returned tensor and slice are valid until the next call reusing them.
@@ -76,14 +71,6 @@ type TrainConfig struct {
 	Patience int
 	// Seed drives shuffling.
 	Seed uint64
-	// GradShards > 1 enables data-parallel minibatch gradients: each batch
-	// is split into this many shards computed concurrently on model
-	// replicas and reduced in fixed shard order (see parallel.go). 0 or 1
-	// keeps the exact serial trajectory. The result depends only on the
-	// shard count, never on core count or scheduling — but BatchNorm
-	// normalizes per shard, so shard counts are different (deterministic)
-	// trajectories and GradShards is part of the experiment configuration.
-	GradShards int
 	// Verbose, if non-nil, receives one line per epoch.
 	Verbose func(string)
 }
@@ -146,18 +133,13 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 	if train.Len() == 0 {
 		return TrainResult{}, fmt.Errorf("dnn: empty training set")
 	}
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.GradShards < 0 {
+	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return TrainResult{}, fmt.Errorf("dnn: invalid training config %+v", cfg)
 	}
 	opt := NewAdam(cfg.InitialLR)
-	step, suffix := serialStep(m, train, opt), ""
-	if cfg.GradShards > 1 {
-		var err error
-		if step, err = dataParallelStep(m, train, opt, cfg); err != nil {
-			return TrainResult{}, err
-		}
-		suffix = fmt.Sprintf(" shards=%d", cfg.GradShards)
-	}
+	stepper := NewStepper(m, opt)
+	var x *Tensor
+	var y []int
 	rng := sim.NewRNG(cfg.Seed)
 	bestVal := -1.0
 	sincePlateau := 0
@@ -169,10 +151,15 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 		batches := 0
 		correct := 0
 		for lo := 0; lo < len(idx); lo += cfg.BatchSize {
-			loss, n := step(idx[lo:min(lo+cfg.BatchSize, len(idx))])
+			x, y = train.batchTensorInto(x, y, idx[lo:min(lo+cfg.BatchSize, len(idx))])
+			loss, probs := stepper.Step(x, y)
 			epochLoss += loss
 			batches++
-			correct += n
+			for b, label := range y {
+				if Argmax(probs.Row(b, 0)) == label {
+					correct++
+				}
+			}
 		}
 		res.FinalLoss = epochLoss / float64(batches)
 		res.TrainAccuracy = float64(correct) / float64(train.Len())
@@ -192,42 +179,14 @@ func Train(m *LSTMFCN, train, val *Dataset, cfg TrainConfig) (TrainResult, error
 			}
 		}
 		if cfg.Verbose != nil {
-			cfg.Verbose(fmt.Sprintf("epoch %d: loss=%.4f trainAcc=%.3f valAcc=%.3f lr=%g%s",
-				epoch, res.FinalLoss, res.TrainAccuracy, valAcc, opt.LR, suffix))
+			cfg.Verbose(fmt.Sprintf("epoch %d: loss=%.4f trainAcc=%.3f valAcc=%.3f lr=%g",
+				epoch, res.FinalLoss, res.TrainAccuracy, valAcc, opt.LR))
 		}
 	}
 	res.Epochs = cfg.Epochs
 	res.BestValAcc = bestVal
 	res.FinalLR = opt.LR
 	return res, nil
-}
-
-// trainStep takes one optimization step on the minibatch of train
-// windows batch and returns its mean loss and how many of its windows the
-// model classified correctly.
-type trainStep func(batch []int) (loss float64, correct int)
-
-// serialStep is the Stepper on m.
-func serialStep(m *LSTMFCN, train *Dataset, opt *Adam) trainStep {
-	stepper := NewStepper(m, opt)
-	var x *Tensor
-	var y []int
-	return func(batch []int) (float64, int) {
-		x, y = train.batchTensorInto(x, y, batch)
-		loss, probs := stepper.Step(x, y)
-		return loss, hits(probs, y)
-	}
-}
-
-// hits counts the rows of probs whose argmax is the row's label.
-func hits(probs *Tensor, y []int) int {
-	n := 0
-	for b, label := range y {
-		if Argmax(probs.Row(b, 0)) == label {
-			n++
-		}
-	}
-	return n
 }
 
 // Evaluate returns the model's accuracy on the dataset. Inference runs

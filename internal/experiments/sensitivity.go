@@ -154,11 +154,9 @@ func (s Sweep) Run(app string, values []float64, seeds []uint64) ([]SweepPoint, 
 // cascades (Figs. 20/22 present k-means results).
 var dnnSweepApps = []string{"KM", "BA", "TS"}
 
-// dnnCascadeForW trains a reduced cascade with window size w. Sweep
-// cascades are throwaway models retrained per window, so they use
-// data-parallel minibatch gradients (a fixed shard count keeps the result
-// deterministic and core-count-independent); the shared cascade keeps the
-// serial trajectory the accuracy experiments were tuned against.
+// dnnCascadeForW trains a reduced cascade with window size w: three apps,
+// shorter runs and fewer epochs than the shared cascade, on the same
+// training path (dnn.TrainCascade trains its two stages side by side).
 func dnnCascadeForW(w int) (*dnn.Cascade, error) {
 	spec := DefaultTrainingSpec()
 	spec.Apps = dnnSweepApps
@@ -166,7 +164,6 @@ func dnnCascadeForW(w int) (*dnn.Cascade, error) {
 	spec.Stride = w
 	spec.RunSeconds = 90
 	spec.Train.Epochs = 8
-	spec.Train.GradShards = 4
 	return TrainCascade(spec)
 }
 

@@ -24,8 +24,6 @@ type TrainingSpec struct {
 	Window, Stride int
 	// Seed drives the generation runs.
 	Seed uint64
-	// Arch picks the per-stage architecture.
-	Arch func(channels, classes int) dnn.LSTMFCNConfig
 	// Train is the optimizer configuration.
 	Train dnn.TrainConfig
 }
@@ -35,14 +33,12 @@ type TrainingSpec struct {
 func DefaultTrainingSpec() TrainingSpec {
 	cfg := dnn.DefaultTrainConfig()
 	cfg.Epochs = 12
-	cfg.BatchSize = 32
 	return TrainingSpec{
 		Apps:       workload.Abbrevs(),
 		RunSeconds: 120,
 		Window:     200,
 		Stride:     200,
 		Seed:       1,
-		Arch:       dnn.CompactLSTMFCNConfig,
 		Train:      cfg,
 	}
 }
@@ -122,14 +118,15 @@ func GenerateCascadeSamples(spec TrainingSpec) ([]dnn.CascadeSample, error) {
 	return samples, nil
 }
 
-// TrainCascade generates the corpus and trains a cascade per the spec.
+// TrainCascade generates the corpus and trains a cascade of two
+// dnn.CompactLSTMFCNConfig stages per the spec.
 func TrainCascade(spec TrainingSpec) (*dnn.Cascade, error) {
 	samples, err := GenerateCascadeSamples(spec)
 	if err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(spec.Seed + 7)
-	c, err := dnn.NewCascade(len(spec.Apps), spec.Arch, rng)
+	c, err := dnn.NewCascade(len(spec.Apps), dnn.CompactLSTMFCNConfig, rng)
 	if err != nil {
 		return nil, err
 	}

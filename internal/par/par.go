@@ -1,7 +1,9 @@
 // Package par provides the bounded worker pool shared by the experiment
-// harness (internal/experiments) and the datacenter simulator
-// (internal/cluster). It owns the process-wide default parallelism knob
-// (the CLI's -parallel flag) so both layers honor the same setting.
+// harness (internal/experiments), the datacenter simulator
+// (internal/cluster) and the cascade trainer (internal/dnn, whose two
+// stages train as two cells). It owns the process-wide default
+// parallelism knob (the CLI's -parallel flag) so every layer honors the
+// same setting.
 //
 // The pool's central guarantee is determinism by construction: Do hands
 // out cell indices and callers merge results by index, so the merged

@@ -245,7 +245,11 @@ type session struct {
 	migrations    int
 	escalations   uint64
 	deescalations uint64
-	actions       []Action
+	// actions is the action log, a ring of at most maxLog entries: it
+	// grows to maxLog, then actions[head] is the oldest entry and the
+	// next action overwrites it.
+	actions []Action
+	head    int
 }
 
 // Engine is the closed-loop mitigation policy engine.
@@ -540,16 +544,19 @@ func (e *Engine) settle(s *session, want hold, level int, now float64, reason st
 }
 
 // record appends the action (annotated with any actuator error) to the
-// session's bounded log. Caller holds e.mu.
+// session's bounded log, overwriting the oldest entry once it holds
+// maxLog. Caller holds e.mu.
 func (e *Engine) record(s *session, a Action, err error) {
 	if err != nil {
 		a.Err = err.Error()
 		e.actuatorErrors.Inc()
 	}
-	s.actions = append(s.actions, a)
-	if over := len(s.actions) - maxLog; over > 0 {
-		s.actions = append(s.actions[:0], s.actions[over:]...)
+	if len(s.actions) < maxLog {
+		s.actions = append(s.actions, a)
+		return
 	}
+	s.actions[s.head] = a
+	s.head = (s.head + 1) % maxLog
 }
 
 // Pause releases the session's mitigation and ignores its alarms until
@@ -658,7 +665,7 @@ func (e *Engine) stateLocked(s *session) SessionState {
 		Escalations:   s.escalations,
 		Deescalations: s.deescalations,
 		Migrations:    s.migrations,
-		Actions:       append([]Action(nil), s.actions...),
+		Actions:       append(append([]Action(nil), s.actions[s.head:]...), s.actions[:s.head]...),
 	}
 }
 
