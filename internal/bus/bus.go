@@ -124,6 +124,12 @@ func (b *Bus) RequestAccesses(o Owner, n float64) {
 	if o < 0 {
 		panic(fmt.Sprintf("bus: invalid owner %d", o))
 	}
+	// Every step's request from a registered owner updates its slot in
+	// place; only registration goes through touch, which is not inlined.
+	if int(o) < len(b.own) && b.own[o].registered {
+		b.own[o].req += n
+		return
+	}
 	b.touch(o).req += n
 }
 

@@ -298,7 +298,7 @@ func (p *Platform) Step() StepResult {
 	}
 	res := StepResult{Time: now + dt, Samples: p.samples[:len(p.functions)]}
 	for _, f := range p.functions {
-		res.Samples[f.id] = f.counter.Observe(accPerF[f.id], missPerF[f.id])
+		f.counter.Observe(&res.Samples[f.id], accPerF[f.id], missPerF[f.id])
 	}
 	p.clock.Tick()
 	return res

@@ -374,7 +374,14 @@ func (c *Controller) Request(o Owner, bytes, rowHitFrac float64) {
 	if rowHitFrac < 0 || rowHitFrac > 1 {
 		panic(fmt.Sprintf("mem: row-hit fraction %v outside [0,1]", rowHitFrac))
 	}
-	st := c.touch(o)
+	// Every step's request from a registered owner updates its slot in
+	// place; only registration goes through touch, which is not inlined.
+	var st *owner
+	if o >= 0 && int(o) < len(c.own) && c.own[o].registered {
+		st = &c.own[o]
+	} else {
+		st = c.touch(o)
+	}
 	lines := bytes / c.cfg.LineBytes
 	st.reqLines += lines
 	st.hitSum += rowHitFrac * lines

@@ -13,7 +13,10 @@
 // carries none of the simulator with it.
 package pcm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Sample is one PCM observation.
 type Sample struct {
@@ -35,7 +38,7 @@ type Sample struct {
 
 // Counter turns one VM's per-tick access/miss counts into PCM samples: the
 // caller steps once per T_PCM, so each Observe is one sampling interval
-// and returns its sample.
+// and writes its sample.
 type Counter struct {
 	tpcm float64
 	// count is the number of completed samples: the sample timeline.
@@ -72,38 +75,45 @@ func (c *Counter) TPCM() float64 { return c.tpcm }
 // Observe: bytes delivered, the delivered-line-weighted latency sum in
 // seconds, and the line count carrying that weight. Hosts without a memory
 // model simply never call it, leaving the bandwidth fields of every sample
-// zero.
+// zero. Each argument must be finite and non-negative.
 func (c *Counter) AddMem(bytes, latencySum, lines float64) {
-	if bytes < 0 || latencySum < 0 || lines < 0 {
-		panic(fmt.Sprintf("pcm: negative DRAM accounting %v/%v/%v", bytes, latencySum, lines))
+	if !validCount(bytes) || !validCount(latencySum) || !validCount(lines) {
+		panic(fmt.Sprintf("pcm: DRAM accounting %v/%v/%v not finite and non-negative", bytes, latencySum, lines))
 	}
 	c.bwAccum += bytes
 	c.latAccum += latencySum
 	c.lineAccum += lines
 }
 
-// Observe records one sampling interval's accesses and misses and returns
-// its sample.
-func (c *Counter) Observe(accesses, misses float64) Sample {
-	if accesses < 0 || misses < 0 {
-		panic(fmt.Sprintf("pcm: negative counts %v/%v", accesses, misses))
+// Observe records one sampling interval's accesses and misses and writes
+// its sample to dst, every field of it: nothing dst held before survives.
+// A per-tick caller points dst at the slot the sample lives in, so the
+// five-field sample is never copied through a temporary. accesses and
+// misses must be finite and non-negative (the codecs' accept test), so
+// no NaN or Inf count reaches a sample.
+func (c *Counter) Observe(dst *Sample, accesses, misses float64) {
+	if !validCount(accesses) || !validCount(misses) {
+		panic(fmt.Sprintf("pcm: counts %v/%v not finite and non-negative", accesses, misses))
 	}
 	// The sample timeline starts at tpcm with interval tpcm, so the
 	// completed-sample count gives this sample's end-of-interval
 	// timestamp directly.
-	s := Sample{
-		Time:      c.tpcm + float64(c.count)*c.tpcm,
-		AccessNum: accesses,
-		MissNum:   misses,
-		BWBytes:   c.bwAccum,
-	}
+	dst.Time = c.tpcm + float64(c.count)*c.tpcm
+	dst.AccessNum = accesses
+	dst.MissNum = misses
+	dst.BWBytes = c.bwAccum
+	dst.AvgLatency = 0
 	if c.lineAccum > 0 {
-		s.AvgLatency = c.latAccum / c.lineAccum
+		dst.AvgLatency = c.latAccum / c.lineAccum
 	}
 	c.count++
 	c.bwAccum, c.latAccum, c.lineAccum = 0, 0, 0
-	return s
 }
+
+// validCount reports whether x is a finite, non-negative counter value:
+// the accept test Sample.wellFormed applies to every counter field (a
+// comparison with NaN is false, and +Inf exceeds MaxFloat64).
+func validCount(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // SkipToSample fast-forwards the counter to n completed samples without
 // observing anything: a migrated VM's counter rejoining a destination

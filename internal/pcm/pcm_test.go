@@ -25,7 +25,8 @@ func TestMustNewCounterPanics(t *testing.T) {
 
 func TestOneTickPerSample(t *testing.T) {
 	c := MustNewCounter(0.01)
-	s := c.Observe(100, 10)
+	var s Sample
+	c.Observe(&s, 100, 10)
 	if s.AccessNum != 100 || s.MissNum != 10 {
 		t.Errorf("sample = %+v", s)
 	}
@@ -37,7 +38,8 @@ func TestOneTickPerSample(t *testing.T) {
 func TestSampleTimestamps(t *testing.T) {
 	c := MustNewCounter(0.01)
 	for i := 1; i <= 10; i++ {
-		s := c.Observe(1, 0)
+		var s Sample
+		c.Observe(&s, 1, 0)
 		if want := float64(i) * 0.01; math.Abs(s.Time-want) > 1e-9 {
 			t.Errorf("sample %d time = %v, want %v", i, s.Time, want)
 		}
@@ -49,7 +51,8 @@ func TestSampleTimestamps(t *testing.T) {
 func TestSamplesCarryCounts(t *testing.T) {
 	c := MustNewCounter(0.01)
 	for i := 0; i < 20; i++ {
-		s := c.Observe(float64(i), float64(i)/2)
+		var s Sample
+		c.Observe(&s, float64(i), float64(i)/2)
 		if s.AccessNum != float64(i) || s.MissNum != float64(i)/2 {
 			t.Fatalf("sample %d = %+v, want access %d miss %v", i, s, i, float64(i)/2)
 		}
@@ -63,7 +66,7 @@ func TestNegativeCountsPanic(t *testing.T) {
 			t.Fatal("no panic on negative counts")
 		}
 	}()
-	c.Observe(-1, 0)
+	c.Observe(new(Sample), -1, 0)
 }
 
 func TestTPCM(t *testing.T) {
@@ -76,7 +79,8 @@ func TestAddMemFoldsIntoSample(t *testing.T) {
 	c := MustNewCounter(0.01)
 	c.AddMem(1000, 2e-7, 10)
 	c.AddMem(3000, 6e-7, 30)
-	s := c.Observe(1, 0)
+	var s Sample
+	c.Observe(&s, 1, 0)
 	if s.BWBytes != 4000 {
 		t.Fatalf("BWBytes = %v, want 4000", s.BWBytes)
 	}
@@ -84,7 +88,7 @@ func TestAddMemFoldsIntoSample(t *testing.T) {
 		t.Fatalf("AvgLatency = %v, want %v", s.AvgLatency, want)
 	}
 	// Accumulators reset: a DRAM-idle interval reads zero.
-	if s = c.Observe(1, 0); s.BWBytes != 0 || s.AvgLatency != 0 {
+	if c.Observe(&s, 1, 0); s.BWBytes != 0 || s.AvgLatency != 0 {
 		t.Fatalf("DRAM accumulators leaked across samples: %+v", s)
 	}
 }
@@ -111,7 +115,8 @@ func TestSkipToSampleDropsDRAMAccum(t *testing.T) {
 	c := MustNewCounter(0.01)
 	c.AddMem(5000, 1e-7, 5)
 	c.SkipToSample(3)
-	s := c.Observe(1, 0)
+	var s Sample
+	c.Observe(&s, 1, 0)
 	if s.BWBytes != 0 || s.AvgLatency != 0 {
 		t.Fatalf("skip kept DRAM accumulation: %+v", s)
 	}
@@ -121,7 +126,53 @@ func TestSkipToSampleDropsDRAMAccum(t *testing.T) {
 		t.Fatalf("sample after SkipToSample(3) at %v, want 0.04", s.Time)
 	}
 	c.SkipToSample(2)
-	if s = c.Observe(1, 0); math.Abs(s.Time-0.05) > 1e-12 {
+	if c.Observe(&s, 1, 0); math.Abs(s.Time-0.05) > 1e-12 {
 		t.Fatalf("backwards skip moved the timeline: next sample at %v, want 0.05", s.Time)
+	}
+}
+
+// TestObserveWritesEveryField: Observe overwrites all five fields of its
+// destination, so a reused slot keeps nothing of its previous sample (a
+// DRAM-idle interval's AvgLatency included).
+func TestObserveWritesEveryField(t *testing.T) {
+	c := MustNewCounter(0.01)
+	nan := math.NaN()
+	s := Sample{Time: nan, AccessNum: nan, MissNum: nan, BWBytes: nan, AvgLatency: nan}
+	c.Observe(&s, 3, 1)
+	if want := (Sample{Time: 0.01, AccessNum: 3, MissNum: 1}); s != want {
+		t.Fatalf("sample = %+v, want %+v", s, want)
+	}
+}
+
+// TestCounterRefusesNonFinite: Observe and AddMem refuse, argument by
+// argument, every value Sample.Validate would refuse in a sample.
+func TestCounterRefusesNonFinite(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+	var cases []func(*Counter)
+	for _, v := range bad {
+		cases = append(cases,
+			func(c *Counter) { c.Observe(new(Sample), v, 0) },
+			func(c *Counter) { c.Observe(new(Sample), 0, v) },
+			func(c *Counter) { c.AddMem(v, 0, 0) },
+			func(c *Counter) { c.AddMem(0, v, 0) },
+			func(c *Counter) { c.AddMem(0, 0, v) },
+		)
+	}
+	for i, fn := range cases {
+		c := MustNewCounter(0.01)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d (value %v, argument %d): accepted", i, bad[i/5], i%5)
+				}
+			}()
+			fn(c)
+		}()
+		// A refused call leaves the counter untouched.
+		var s Sample
+		c.Observe(&s, 0, 0)
+		if s != (Sample{Time: 0.01}) {
+			t.Errorf("case %d: counter moved after a refused call: %+v", i, s)
+		}
 	}
 }

@@ -172,8 +172,9 @@ type Server struct {
 	stepSamples []pcm.Sample
 }
 
-// appState is the per-VM demand bookkeeping of one step's phase 2. The
-// active flag distinguishes "VM ran this step" from the zero value.
+// appState is the per-VM demand bookkeeping of one step's phase 2. active
+// marks a VM that ran this step; the other fields are meaningful only
+// while it is set (phase 2 clears just the flag on a VM that sits out).
 type appState struct {
 	requested float64
 	miss      float64
@@ -375,11 +376,14 @@ type StepResult struct {
 func (s *Server) Step() StepResult {
 	now := s.clock.Now()
 	dt := s.cfg.TPCM
+	// Whole-server throttling (ThrottleOthers) is one comparison per step;
+	// while it runs, every VM but throttleExcept sits the step out.
+	throttling := now < s.throttleUntil
 
 	// Phase 1: attacker demands, scaled by any per-VM execution throttle.
 	cleansePressure := 0.0
 	for _, vm := range s.live {
-		if vm.attacker == nil || s.Throttled(vm.id) || !vm.attacker.Active(now) {
+		if vm.attacker == nil || throttling && vm.id != s.throttleExcept || !vm.attacker.Active(now) {
 			continue
 		}
 		thr := 1 - s.execThrottle[vm.id]
@@ -411,11 +415,15 @@ func (s *Server) Step() StepResult {
 		}
 	}
 
-	// Phase 2: application demands, attenuated by cleansing stalls.
+	// Phase 2: application demands, attenuated by cleansing stalls. Each
+	// VM's state is written field by field into its slot: the five-field
+	// struct is too wide for registers, so a composite literal would go
+	// through a stack temporary.
 	states := s.stepStates[:len(s.live)]
 	for i, vm := range s.live {
-		if vm.app == nil || s.Throttled(vm.id) || vm.app.Done() {
-			states[i] = appState{}
+		st := &states[i]
+		if vm.app == nil || throttling && vm.id != s.throttleExcept || vm.app.Done() {
+			st.active = false
 			continue
 		}
 		demand, m0 := vm.app.Demand(dt)
@@ -434,7 +442,11 @@ func (s *Server) Step() StepResult {
 			s.mc.Request(mem.Owner(vm.id), requested*m*s.cfg.Mem.LineBytes, memAppRowHit)
 		}
 		s.bus.RequestAccesses(bus.Owner(vm.id), requested)
-		states[i] = appState{requested: requested, miss: m, stall: stall, thr: thr, active: true}
+		st.requested = requested
+		st.miss = m
+		st.stall = stall
+		st.thr = thr
+		st.active = true
 	}
 
 	// Phase 3: bus arbitration, then DRAM arbitration behind it.
@@ -448,7 +460,7 @@ func (s *Server) Step() StepResult {
 	res := StepResult{Time: now + dt, Samples: s.stepSamples}
 	for i, vm := range s.live {
 		var accesses, misses float64
-		if st := states[i]; st.active {
+		if st := &states[i]; st.active {
 			d := delivered.Of(bus.Owner(vm.id))
 			ratio := 1.0
 			if st.requested > 0 {
@@ -485,7 +497,7 @@ func (s *Server) Step() StepResult {
 				s.counters[vm.id].AddMem(lines*s.cfg.Mem.LineBytes, memRes.LatencySumOf(o), lines)
 			}
 		}
-		res.Samples[vm.id] = s.counters[vm.id].Observe(accesses, misses)
+		s.counters[vm.id].Observe(&res.Samples[vm.id], accesses, misses)
 	}
 
 	s.clock.Tick()
